@@ -282,8 +282,8 @@ class _ReceiverMap(_LazyNodeMap):
     Materializing an entry spawns the receiver's simulation process, so
     hot paths never index this map for a node that might not exist yet:
     :meth:`BcsRuntime.launch` materializes every node a job touches
-    up front (a fresh receiver's init event is inert — it blocks on an
-    empty inbox — so launch-time creation is virtual-time neutral).
+    up front (a fresh receiver's init event is inert — it blocks on its
+    pending wake event — so launch-time creation is virtual-time neutral).
     """
 
     def _make(self, node_id: int):
@@ -490,8 +490,8 @@ class BcsRuntime:
             # Receiver) for every node the job touches, in ascending id
             # order, *before* the strobe loop and the rank processes
             # start.  A fresh receiver's init event is inert — it blocks
-            # on an empty inbox, exactly like an eagerly built receiver
-            # that has been idle — so launch-time materialization keeps
+            # on its pending wake event, exactly like an eagerly built
+            # receiver that has been idle — so launch-time materialization keeps
             # the event sequence, and therefore virtual time, identical
             # to the eager oracle.
             for node_id in job.nodes:

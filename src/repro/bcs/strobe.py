@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, List
 
-from ..sim import Latch, ReusableLatch, ReusableTimeout, Store
+from ..sim import Latch, ReusableLatch, ReusableTimeout
 
 if TYPE_CHECKING:  # pragma: no cover
     from .runtime import BcsRuntime
@@ -49,7 +49,10 @@ class StrobeReceiver:
 
     def __init__(self, nrt: "NodeRuntime"):
         self.nrt = nrt
-        self.inbox = Store(nrt.env, name=f"sr{nrt.node_id}")
+        #: Pending event the next microstrobe triggers with its
+        #: :class:`Strobe`; the Strobe Sender wakes every participant of
+        #: a microphase through one ``trigger_all``.
+        self.wake = nrt.env.event()
         self.completed_phases = 0
         self._proc = nrt.env.process(self._run(), name=f"SR{nrt.node_id}")
 
@@ -64,12 +67,11 @@ class StrobeReceiver:
             BBM: lambda s: agents.ch.bbm_phase(),
             RM: lambda s: agents.rh.rm_phase(),
         }
+        env = nrt.env
         while True:
-            strobe = yield self.inbox.get()
-            if strobe.phase == "STOP":
-                strobe.done.count_down()
-                return
-            t0 = nrt.env.now
+            strobe = yield self.wake
+            self.wake = env.event()
+            t0 = env.now
             yield from handlers[strobe.phase](strobe)
             self.completed_phases += 1
             # Report completion in global memory; the SS's
@@ -83,9 +85,7 @@ class StrobeReceiver:
                 )
             obs = nrt.runtime.obs
             if obs is not None:
-                obs.node_phase(
-                    nrt.node_id, strobe.phase, strobe.slice_no, t0, nrt.env.now
-                )
+                obs.node_phase(nrt.node_id, strobe.phase, strobe.slice_no, t0, env.now)
             strobe.done.count_down()
 
     def _dem(self, agents):
@@ -155,15 +155,17 @@ class StrobeSender:
             # signals with waiters are pulsed (ascending node id — the
             # historical wake order); the scan mode pulses every node,
             # preserving the original full-broadcast loop as reference.
+            # All their waiters wake through one heap entry, in the order
+            # node-by-node pulses would wake them.
             if incremental:
-                if slice_waiters:
-                    for node_id in sorted(slice_waiters):
-                        node_runtimes[node_id].slice_start.pulse(runtime.slice_no)
-                    slice_waiters.clear()
+                pulsed = [node_runtimes[n] for n in sorted(slice_waiters)]
             else:
-                for nrt in node_runtimes:
-                    nrt.slice_start.pulse(runtime.slice_no)
-                slice_waiters.clear()
+                pulsed = node_runtimes
+            woken = []
+            for nrt in pulsed:
+                woken += nrt.slice_start.take_waiters()
+            env.trigger_all(woken, runtime.slice_no)
+            slice_waiters.clear()
 
             # Idle short-circuit: settle ``active`` before any telemetry
             # bookkeeping.  slice_work() only reads queues (and prunes
@@ -300,8 +302,10 @@ class StrobeSender:
                 strobe.phase = phase
                 strobe.slice_no = runtime.slice_no
                 strobe.payload = payload
-            for node_id in nodes:
-                runtime.receivers[node_id].inbox.put(strobe)
+            # One multicast microstrobe: a single heap entry wakes every
+            # participant's SR, in ``nodes`` order.
+            receivers = runtime.receivers
+            env.trigger_all([receivers[n].wake for n in nodes], strobe)
             yield done
             if self._aggregated:
                 # Batched completion report: every participant finished

@@ -467,16 +467,25 @@ class DmaHelper:
         self.nrt = nrt
 
     def p2p_phase(self, granted: List[Match]):
-        """Move every chunk whose destination is this node (in parallel)."""
+        """Move every chunk whose destination is this node (in parallel).
+
+        The first chunk runs in the SR's own process, so a lone chunk
+        needs no child process or ``AllOf``.  It takes its descriptor-cost
+        hold at the SR's turn of the microstrobe fan-out, in node order as
+        each node's first child did, so no same-instant tie changes; the
+        other chunks queue behind it.
+        """
         nrt = self.nrt
         mine = [m for m in granted if m.dst_node == nrt.node_id]
         if not mine:
             return
-        procs = [
-            nrt.env.process(self._move_chunk(m), name=f"dh{nrt.node_id}")
-            for m in mine
+        env = nrt.env
+        rest = [
+            env.process(self._move_chunk(m), name=f"dh{nrt.node_id}") for m in mine[1:]
         ]
-        yield nrt.env.all_of(procs)
+        yield from self._move_chunk(mine[0])
+        if rest:
+            yield env.all_of(rest)
 
     def _move_chunk(self, match: Match):
         nrt = self.nrt

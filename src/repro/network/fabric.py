@@ -86,20 +86,25 @@ class Fabric:
         # current instant — claim synchronously and skip two event hops.
         # Contended transfers fall back to the ordered acquisition that
         # keeps the fabric deadlock-free.
-        if src_nic.tx.try_acquire():
-            if not dst_nic.rx.try_acquire():
-                src_nic.tx.release()
-                yield src_nic.tx.request()
-                yield dst_nic.rx.request()
-        else:
-            yield src_nic.tx.request()
-            yield dst_nic.rx.request()
+        tx, rx = src_nic.tx, dst_nic.rx
+        claimed = tx.try_acquire()
+        if claimed and not rx.try_acquire():
+            tx.release()
+            claimed = False
+        if not claimed:
+            yield tx.request()
+            try:
+                yield rx.request()
+            except BaseException:
+                # Interrupted while queued for rx: hand the tx half back.
+                tx.release()
+                raise
         start = self.env.now
         try:
             yield self.env.timeout(model.dma_startup + wire)
         finally:
-            src_nic.tx.release()
-            dst_nic.rx.release()
+            tx.release()
+            rx.release()
         yield self.env.timeout(model.latency(self.tree.hops(src, dst)))
         if self.trace is not None:
             self.trace.emit(

@@ -158,14 +158,7 @@ class Nic:
         total = duration * n
         if total == 0:
             return
-        tproc = self.thread_processor
-        if tproc.try_acquire():
-            try:
-                yield self.env.timeout(total, name="nic.compute_batch")
-            finally:
-                tproc.release()
-        else:
-            yield from tproc.held(total)
+        yield from self.thread_processor.held(total)
         if self.obs is not None:
             t1 = self.env.now
             t0 = t1 - total

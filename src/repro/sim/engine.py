@@ -11,7 +11,7 @@ import heapq
 from typing import Any, Generator, Iterable, Optional
 
 from .errors import Deadlock, StopEngine
-from .events import AllOf, AnyOf, Event, Timeout
+from .events import PENDING, AllOf, AnyOf, Event, FanOut, Timeout
 from .process import Process
 
 
@@ -77,6 +77,33 @@ class Engine:
             raise ValueError(f"negative delay {delay}")
         self._seq += 1
         _heappush(self._queue, (self._now + delay, priority, self._seq, event))
+
+    def trigger_all(self, events: Iterable[Event], value: Any = None) -> int:
+        """Succeed every pending event in ``events`` through one heap entry.
+
+        Exactly equivalent to calling ``succeed(value)`` on each pending
+        member back to back: those calls would take consecutive sequence
+        numbers at the same (time, priority 0), so nothing else could run
+        between them (no entry here uses a lower priority that could cut
+        in).  Here one carrier entry takes that slot; when it fires, each
+        member in turn is marked processed and its callbacks run.  A
+        member's ``callbacks`` list stays live until its turn, so
+        a process that yields a later member from an earlier member's
+        callback resumes at that member's turn, as it would have.
+        Already-triggered members are skipped; an empty set schedules
+        nothing.  Returns the number of members triggered.
+        """
+        members = []
+        for ev in events:
+            if ev._value is PENDING:
+                ev._ok = True
+                ev._value = value
+                members.append(ev)
+        if members:
+            carrier = FanOut(self, members)
+            self.schedule(carrier)
+            carrier.key = (self._now, 0, self._seq)
+        return len(members)
 
     def peek(self) -> Optional[int]:
         """Time of the next scheduled event, or None if the queue is empty."""

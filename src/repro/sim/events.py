@@ -11,6 +11,7 @@ order, and a small surface.
 
 from __future__ import annotations
 
+import heapq
 from typing import Any, Callable, Iterable, List, Optional
 
 from .errors import EventAlreadyTriggered
@@ -225,6 +226,40 @@ class ReusableTimeout(Timeout):
         self.delay = int(delay)
         self.env.schedule(self, delay=self.delay)
         return self
+
+
+class FanOut(Event):
+    """Heap carrier of :meth:`Engine.trigger_all`: processes its members.
+
+    ``key`` is the carrier's (time, priority, seq) heap key.  If a
+    member's callback raises (``run(until=member)`` stops the engine
+    that way), the members not yet processed are re-queued under the
+    same key, so they still fire where their own entries would have.
+    """
+
+    __slots__ = ("members", "key")
+
+    def __init__(self, env, members: List[Event]):
+        super().__init__(env, name="fanout")
+        self._value = None
+        self.members = members
+        self.key = None
+        self.callbacks.append(self._fire)
+
+    def _fire(self, _event: "FanOut") -> None:
+        members = self.members
+        for i, ev in enumerate(members):
+            callbacks = ev.callbacks
+            ev.callbacks = None
+            try:
+                for cb in callbacks:
+                    cb(ev)
+            except BaseException:
+                if i + 1 < len(members):
+                    rest = FanOut(self.env, members[i + 1 :])
+                    rest.key = self.key
+                    heapq.heappush(self.env._queue, (*self.key, rest))
+                raise
 
 
 class Condition(Event):

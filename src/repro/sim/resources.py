@@ -137,8 +137,13 @@ class Resource:
         yield self.request(amount)
 
     def held(self, duration: int, amount: int = 1) -> Generator:
-        """Acquire, hold for ``duration`` ns, release (common pattern)."""
-        yield self.request(amount)
+        """Acquire, hold for ``duration`` ns, release (common pattern).
+
+        An uncontended claim is taken synchronously (:meth:`try_acquire`)
+        instead of through a grant event; a contended one queues FIFO.
+        """
+        if not self.try_acquire(amount):
+            yield self.request(amount)
         try:
             yield self.env.timeout(duration)
         finally:
@@ -253,16 +258,20 @@ class Signal:
         self._waiters.append(ev)
         return ev
 
-    def pulse(self, value: Any = None) -> int:
-        """Wake all current waiters with ``value``; returns how many."""
+    def take_waiters(self) -> List[Event]:
+        """Count a pulse and hand back its waiters for the caller to wake.
+
+        Waking the returned events with :meth:`Engine.trigger_all` is
+        :meth:`pulse`; a caller pulsing many signals at one instant
+        concatenates their waiters into a single ``trigger_all``.
+        """
         waiters, self._waiters = self._waiters, []
         self._pulses += 1
-        woken = 0
-        for ev in waiters:
-            if not ev.triggered:
-                ev.succeed(value)
-                woken += 1
-        return woken
+        return waiters
+
+    def pulse(self, value: Any = None) -> int:
+        """Wake all current waiters with ``value``; returns how many."""
+        return self.env.trigger_all(self.take_waiters(), value)
 
     def __repr__(self) -> str:
         return f"<Signal {self.name!r} waiters={len(self._waiters)} pulses={self._pulses}>"

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.network import Cluster, ClusterSpec, qsnet
+from repro.sim import Interrupt
 from repro.units import KiB, MiB, bw_time, us
 
 
@@ -194,6 +195,45 @@ def test_crossing_unicasts_do_not_deadlock():
     cl.env.process(one(3, 2))
     cl.run()
     assert len(done) == 4
+
+
+@pytest.mark.parametrize("tx_busy", [False, True])
+def test_unicast_interrupted_waiting_for_rx_releases_tx(tx_busy):
+    """A transfer interrupted while queued for the receiver's rx half must
+    hand back the tx half it already holds, or the link leaks for ever."""
+    cl = make_cluster()
+    env = cl.env
+    nics = cl.fabric.nics
+    outcome = []
+
+    def other(src, dst):
+        yield from cl.fabric.unicast(src, dst, 1 * MiB)
+
+    def victim_body():
+        try:
+            yield from cl.fabric.unicast(0, 1, 1 * MiB)
+            outcome.append("done")  # pragma: no cover - interrupted first
+        except Interrupt:
+            outcome.append("interrupted")
+
+    # Node 1's rx half is busy; with tx_busy, node 0's tx half is too
+    # (a short transfer), so the victim takes the fully ordered path.
+    env.process(other(2, 1))
+    if tx_busy:
+        env.process(cl.fabric.unicast(0, 3, 1 * KiB))
+    victim = env.process(victim_body())
+
+    def killer():
+        yield env.timeout(us(50))
+        assert nics[0].tx.in_use == 1 and nics[1].rx.queue_length == 1
+        victim.interrupt()
+
+    env.process(killer())
+    cl.run()
+    assert outcome == ["interrupted"]
+    assert nics[0].tx.in_use == 0
+    assert nics[1].rx.in_use == 0
+    assert nics[1].rx.queue_length == 0
 
 
 def test_negative_size_rejected():
