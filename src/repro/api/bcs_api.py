@@ -203,9 +203,13 @@ class BcsApi:
 
     def wait(self, handle: "RankHandle", reqs: Sequence[BcsRequest]) -> Generator:
         """Blocking test: suspend until done, restart at slice boundary."""
-        yield from self._flush_overhead(handle)
+        overhead = handle.take_overhead()
+        if overhead:
+            yield self.env.timeout(overhead)
         t0 = self.env.now
-        yield from handle.nm.block_on(reqs)
+        wake = handle.nm.block_on(reqs)
+        if wake is not None:
+            yield wake
         blocked = self.env.now - t0
         if blocked:
             stats = self.runtime.job_stats.get(handle.job.id)
@@ -301,8 +305,3 @@ class BcsApi:
         if obs is not None and obs.spans is not None:
             return
         runtime.pools.release_request(req)
-
-    def _flush_overhead(self, handle: "RankHandle") -> Generator:
-        t = handle.take_overhead()
-        if t:
-            yield self.env.timeout(t)

@@ -83,19 +83,17 @@ class BcsConfig:
     #: object path is kept as the differential oracle (pure simulator
     #: wall-clock optimization; virtual timings are identical).
     batched_matching: bool = True
-    #: Aggregated strobe + arena node state: the Strobe Sender charges
-    #: one tree-shaped multicast event (latency from
-    #: ``NetworkModel.multicast_latency``, cached per active-set size)
-    #: instead of walking the per-destination control-multicast path,
-    #: reports microphase completion with one batched arena increment
-    #: instead of a per-node ``gas.write`` loop, and the runtime
-    #: materializes per-node objects (NodeRuntime, NIC threads, Strobe
-    #: Receiver) lazily — only nodes that host ranks or receive traffic
-    #: ever exist as Python objects, so a 64k-node machine costs O(active
-    #: nodes) per slice and O(active nodes) in object-graph footprint.
-    #: The eager per-destination path is kept as the differential oracle
-    #: (pure simulator wall-clock/footprint optimization; virtual
-    #: timings are identical).
+    #: Aggregated strobe + arena node state: the Strobe Sender reports
+    #: microphase completion with one batched arena increment instead of
+    #: a per-node ``gas.write`` loop, and the runtime materializes
+    #: per-node objects (NodeRuntime, NIC threads, Strobe Receiver)
+    #: lazily — only nodes that host ranks or receive traffic ever exist
+    #: as Python objects, so a 64k-node machine costs O(active nodes) per
+    #: slice and O(active nodes) in object-graph footprint.  The eager
+    #: per-node path is kept as the differential oracle (pure simulator
+    #: wall-clock/footprint optimization; virtual timings are
+    #: identical).  Both settings charge each microstrobe as one
+    #: tree-shaped multicast whose latency is cached per active-set size.
     aggregated_strobe: bool = True
 
     def __post_init__(self):

@@ -28,7 +28,9 @@ class BcsRequest:
 
     The NIC signals completion by triggering :attr:`done`; processes poll
     it (``bcs_test``) or block on it (``bcs_test(blocking)``), in which
-    case the Node Manager restarts them at the next slice boundary.
+    case the Node Manager restarts them at the next slice boundary: the
+    rank's :attr:`blocked` record is released on completion, and the last
+    release enlists the rank on its node's slice signal.
     """
 
     __slots__ = (
@@ -42,6 +44,7 @@ class BcsRequest:
         "error",
         "posted_at",
         "completed_at",
+        "blocked",
     )
 
     def __init__(self, env, kind: str):
@@ -59,6 +62,9 @@ class BcsRequest:
         self.error: Optional[BaseException] = None
         self.posted_at: int = env.now
         self.completed_at: Optional[int] = None
+        #: The Node Manager's record of a rank blocked on this request
+        #: (see :meth:`NodeManager.block_on`), if any.
+        self.blocked = None
 
     @property
     def complete(self) -> bool:
@@ -67,7 +73,13 @@ class BcsRequest:
 
     def _finish(self) -> None:
         self.completed_at = self.env.now
-        self.done.succeed(self)
+        # A completion nobody yields (a buffered send, or one whose rank
+        # blocks through the Node Manager) needs no heap entry.
+        self.done.settle(self)
+        blocked = self.blocked
+        if blocked is not None:
+            self.blocked = None
+            blocked.release()
 
     def __repr__(self) -> str:
         state = "done" if self.complete else "pending"
@@ -359,6 +371,7 @@ class DescriptorPools:
         r.error = None
         r.posted_at = env.now
         r.completed_at = None
+        r.blocked = None
         return r
 
     # -- release ---------------------------------------------------------------

@@ -20,13 +20,14 @@ job's processes compute while that job holds the node — see
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable, List, Sequence
+from typing import TYPE_CHECKING, Iterable, List, Optional, Sequence
 
 import numpy as np
 
-from ..sim import AllOf
+from ..sim import Event
 
 if TYPE_CHECKING:  # pragma: no cover
+    from ..sim import Signal
     from .descriptors import BcsRequest
     from .threads import NodeRuntime
 
@@ -77,6 +78,28 @@ class NodeArena:
         return f"<NodeArena n={self.n_nodes} active={self.n_active}>"
 
 
+class Blocked:
+    """A rank suspended in :meth:`NodeManager.block_on`.
+
+    Each pending request holds this record and releases it once on
+    completion; the last release enlists ``wake`` on the node's slice
+    signal, so the next slice boundary restarts the rank.  Nothing
+    resumes the rank in between.
+    """
+
+    __slots__ = ("signal", "wake", "pending")
+
+    def __init__(self, signal: "Signal", wake: Event, pending: int):
+        self.signal = signal
+        self.wake = wake
+        self.pending = pending
+
+    def release(self) -> None:
+        self.pending -= 1
+        if not self.pending:
+            self.signal.enlist(self.wake)
+
+
 class NodeManager:
     """Per-node process scheduler of the BCS runtime."""
 
@@ -118,22 +141,26 @@ class NodeManager:
 
     # -- blocking -------------------------------------------------------------------
 
-    def block_on(self, requests: Sequence["BcsRequest"]):
-        """Suspend until every request completes, then restart the
-        process at the next slice boundary.
+    def block_on(self, requests: Sequence["BcsRequest"]) -> Optional[Event]:
+        """The event a process yields to wait until every request
+        completes and then restart at the next slice boundary.
 
-        If everything is already complete the process continues
-        immediately (this is what makes completed non-blocking
-        communication free, §3.2)."""
-        pending = [r.done for r in requests if not r.complete]
+        Returns None if everything is already complete: the process
+        continues immediately (this is what makes completed non-blocking
+        communication free, §3.2).  Otherwise the completion of the last
+        pending request enlists the returned event on the node's slice
+        signal (:class:`Blocked`), so the process is resumed once, by the
+        boundary that restarts it."""
+        # Distinct requests only: a handle listed twice completes once.
+        pending = [r for r in dict.fromkeys(requests) if not r.complete]
         if not pending:
-            return
-        if len(pending) == 1:
-            yield pending[0]
-        else:
-            yield AllOf(self.env, pending)
-        # NM restarts us at the next slice start.
-        yield self.nrt.slice_start.wait()
+            return None
+        signal = self.nrt.slice_start
+        wake = Event(self.env, name=f"wait:{signal.name}")
+        blocked = Blocked(signal, wake, len(pending))
+        for r in pending:
+            r.blocked = blocked
+        return wake
 
     def __repr__(self) -> str:
         return f"<NodeManager node={self.nrt.node_id}>"

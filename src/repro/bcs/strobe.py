@@ -108,16 +108,15 @@ class StrobeSender:
         # count_down time.
         self._latch = ReusableLatch(self.env)
         self._strobe = Strobe("", 0, None, self._latch)
-        self._pad = ReusableTimeout(self.env)
+        self._empty_phase = ReusableTimeout(self.env)
         self._sleep = ReusableTimeout(self.env)
-        # Aggregated strobe model (``config.aggregated_strobe``): the
-        # microstrobe is one tree-shaped multicast event whose duration
-        # is cached per active-set size, charged through a reusable
-        # timeout — no per-strobe generator, no per-destination walk.
-        self._aggregated = runtime.config.aggregated_strobe
-        self._strobe_timeout = ReusableTimeout(self.env)
+        # Microstrobe duration, cached per active-set size.
         self._strobe_n = -1
         self._strobe_latency = 0
+        # Aggregated strobe model (``config.aggregated_strobe``): the SS
+        # reports every participant's completion with one batched arena
+        # increment instead of each receiver writing its own counter.
+        self._aggregated = runtime.config.aggregated_strobe
         #: "bcs.microphase" tracing, sampled once per strobe-loop launch
         #: (trace categories are fixed at cluster construction); gates
         #: the per-microphase trace emit and the named-latch allocation.
@@ -252,60 +251,69 @@ class StrobeSender:
         ``nodes`` is the set with actual work; nodes outside it would run
         an empty handler and complete at strobe time, so they are not
         simulated (the strobe itself is still a full multicast).
+
+        The whole chain costs two heap entries: the microstrobe fan-out,
+        scheduled one multicast latency ahead, and the microphase latch,
+        whose completion delay charges the Compare-And-Write's network
+        conditional and the minimum duration.  A microphase without
+        participants is one timeout.
         """
         runtime = self.runtime
         env = self.env
         t0 = env.now
-        mgmt = runtime.cluster.management_node.id
         obs = runtime.obs
         if obs is not None:
             obs.phase_begin(phase, runtime.slice_no, t0)
 
-        # Microstrobe: Xfer-And-Signal to every compute node's SR.  The
-        # active-node list is kept sorted and deduplicated by the
-        # runtime, so its length is passed straight through.
-        if self._aggregated:
-            # One aggregated tree multicast: identical duration to the
-            # oracle's control_multicast (both are strobe_latency(n)),
-            # but the duration is cached until the active set changes
-            # size and the timeout object is re-armed in place.
-            n_active = len(runtime.active_node_ids)
-            if n_active:
-                if n_active != self._strobe_n:
-                    self._strobe_n = n_active
-                    self._strobe_latency = runtime.cluster.fabric.strobe_latency(
-                        runtime.config.strobe_bytes, n_active
-                    )
-                yield self._strobe_timeout.rearm(self._strobe_latency)
-        else:
-            yield from runtime.cluster.fabric.control_multicast(
-                mgmt,
-                runtime.active_node_ids,
-                runtime.config.strobe_bytes,
-                n_dests=len(runtime.active_node_ids),
+        # Microstrobe: Xfer-And-Signal to every compute node's SR, one
+        # tree-shaped multicast whose duration is cached until the
+        # active set changes size.  The active-node list is kept sorted
+        # and deduplicated by the runtime, so its length is the
+        # destination count.
+        n_active = len(runtime.active_node_ids)
+        if n_active != self._strobe_n:
+            self._strobe_n = n_active
+            self._strobe_latency = (
+                runtime.cluster.fabric.strobe_latency(runtime.config.strobe_bytes, n_active)
+                if n_active
+                else 0
             )
 
         if nodes:
             # One latch shared by all participants: the SS resumes when
             # the count reaches zero, without an N-event AllOf fan-in.
-            # With tracing off, the latch, strobe record and pad timeout
-            # are re-armed in place — every receiver drops its reference
-            # at count_down time, and the SS yields each to completion
-            # before the next microphase, so nothing can observe the
-            # reuse (the name f-string only ever served trace debugging).
+            # Its completion delay is the Compare-And-Write's conditional
+            # round over the participants, and the latch never fires
+            # before the microphase's minimum duration has passed.
+            # With tracing off, the latch and strobe record are re-armed
+            # in place — every receiver drops its reference at count_down
+            # time, and the SS yields the latch to completion before the
+            # next microphase, so nothing can observe the reuse (the name
+            # f-string only ever served trace debugging).
+            cw = runtime.cluster.fabric.model.cw_latency(len(nodes))
+            not_before = t0 + min_duration
             if self._trace_on:
-                done = Latch(env, len(nodes), name=f"{phase}:{runtime.slice_no}")
+                done = Latch(
+                    env,
+                    len(nodes),
+                    name=f"{phase}:{runtime.slice_no}",
+                    delay=cw,
+                    not_before=not_before,
+                )
                 strobe = Strobe(phase, runtime.slice_no, payload, done)
             else:
-                done = self._latch.rearm(len(nodes))
+                done = self._latch.rearm(len(nodes), delay=cw, not_before=not_before)
                 strobe = self._strobe
                 strobe.phase = phase
                 strobe.slice_no = runtime.slice_no
                 strobe.payload = payload
-            # One multicast microstrobe: a single heap entry wakes every
-            # participant's SR, in ``nodes`` order.
+            # One multicast microstrobe: a single heap entry, one strobe
+            # latency from now, wakes every participant's SR in ``nodes``
+            # order.
             receivers = runtime.receivers
-            env.trigger_all([receivers[n].wake for n in nodes], strobe)
+            env.trigger_all(
+                [receivers[n].wake for n in nodes], strobe, delay=self._strobe_latency
+            )
             yield done
             if self._aggregated:
                 # Batched completion report: every participant finished
@@ -315,14 +323,13 @@ class StrobeSender:
                 # at the Compare-And-Write below).
                 runtime.core.gas.increment_batch(nodes, "mphase_done")
             # SS verifies global completion with a Compare-And-Write on
-            # the per-node microphase counters.
-            yield from runtime.core.compare_and_write(
-                mgmt, nodes, "mphase_done", ">=", 0, default=0
-            )
-
-        pad = min_duration - (env.now - t0)
-        if pad > 0:
-            yield self._pad.rearm(pad)
+            # the per-node microphase counters; the latch already charged
+            # its conditional round.
+            runtime.core.evaluate_conditional(nodes, "mphase_done", ">=", 0, default=0)
+        else:
+            wait = max(self._strobe_latency, min_duration)
+            if wait:
+                yield self._empty_phase.rearm(wait)
 
         if obs is not None:
             obs.phase_end(phase, runtime.slice_no, t0, env.now, len(nodes))

@@ -100,8 +100,8 @@ class _SliceSignal(Signal):
     The Strobe Sender only pulses signals that have waiters (in
     ascending node id, preserving the historical wake order); pulsing a
     waiter-less signal is a no-op, so skipping it cannot change what any
-    process observes.  The first ``wait()`` since the last boundary adds
-    the node to the runtime's wake set.
+    process observes.  The first waiter enlisted since the last boundary
+    adds the node to the runtime's wake set.
     """
 
     __slots__ = ("_nrt",)
@@ -110,11 +110,11 @@ class _SliceSignal(Signal):
         super().__init__(nrt.env, name=f"n{nrt.node_id}.slice")
         self._nrt = nrt
 
-    def wait(self):
+    def enlist(self, ev) -> None:
         if not self._waiters:
             nrt = self._nrt
             nrt.runtime._slice_waiters.add(nrt.node_id)
-        return super().wait()
+        self._waiters.append(ev)
 
 
 class NodeRuntime:

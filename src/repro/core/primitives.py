@@ -34,6 +34,15 @@ COMPARE_OPS: dict[str, Callable[[Any, Any], bool]] = {
 }
 
 
+def _compare_op(op: str) -> Callable[[Any, Any], bool]:
+    try:
+        return COMPARE_OPS[op]
+    except KeyError:
+        raise ValueError(
+            f"unsupported comparison {op!r}; choose from {sorted(COMPARE_OPS)}"
+        ) from None
+
+
 class BcsCore:
     """The BCS core primitive layer bound to one cluster."""
 
@@ -125,17 +134,33 @@ class BcsCore:
         and if ``write_addr`` is given, atomically writes ``write_value``
         there on all of ``dests``.
         """
-        try:
-            cmp = COMPARE_OPS[op]
-        except KeyError:
-            raise ValueError(
-                f"unsupported comparison {op!r}; choose from {sorted(COMPARE_OPS)}"
-            ) from None
+        _compare_op(op)
         dest_list = sorted(set(dests))
         if not dest_list:
             raise ValueError("Compare-And-Write needs at least one destination")
-
         yield from self.fabric.conditional(src, n_nodes=len(dest_list))
+        return self.evaluate_conditional(
+            dest_list, addr, op, value, write_addr, write_value, default
+        )
+
+    def evaluate_conditional(
+        self,
+        dests: Iterable[int],
+        addr: Hashable,
+        op: str,
+        value: Any,
+        write_addr: Optional[Hashable] = None,
+        write_value: Any = None,
+        default: Any = None,
+    ) -> bool:
+        """The commit instant of :meth:`compare_and_write`, without its
+        network round: evaluate the predicate and apply the write now.
+
+        For a caller that has already charged the conditional's latency
+        (the Strobe Sender folds it into its microphase latch).
+        """
+        cmp = _compare_op(op)
+        dest_list = sorted(set(dests))
         verdict = all(
             cmp(self.gas.read(d, addr, default), value) for d in dest_list
         )

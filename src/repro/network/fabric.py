@@ -119,42 +119,16 @@ class Fabric:
 
     # -- multicast -----------------------------------------------------------------
 
-    def control_multicast(
-        self,
-        src: int,
-        dests: Iterable[int],
-        size: int,
-        n_dests: int | None = None,
-    ) -> Generator:
-        """Tiny control multicast (strobes): pays latency, skips link queues.
-
-        Microstrobes are minimal packets on QsNet's prioritized virtual
-        channel; modelling per-receiver link occupancy for them would add
-        thousands of simulator events per slice for sub-microsecond
-        serializations, so they are charged latency + startup only.
-
-        Only the *number* of distinct destinations matters for timing.
-        Callers that already know it (the Strobe Sender keeps a sorted,
-        deduplicated active-node list) pass ``n_dests`` so the five
-        microstrobes per slice don't rebuild a set each time.
-
-        This generator is the aggregated strobe model's *oracle* path
-        (``BcsConfig.aggregated_strobe=False``); the aggregated path
-        charges the identical duration via :meth:`strobe_latency` with a
-        reusable timeout, skipping the generator machinery per strobe.
-        """
-        n = len(set(dests)) if n_dests is None else n_dests
-        if n == 0:
-            return
-        yield self.env.timeout(self.strobe_latency(size, n))
-
     def strobe_latency(self, size: int, n_dests: int) -> int:
         """Duration (ns) of one control multicast to ``n_dests`` nodes.
 
-        Pure arithmetic — DMA startup + serialization at the multicast
-        bandwidth + the tree-shaped :meth:`NetworkModel.multicast_latency`
-        — so the Strobe Sender can cache it per active-set size and
-        charge a single aggregated timeout per microphase.
+        Microstrobes are minimal packets on QsNet's prioritized virtual
+        channel, so they are charged latency + startup only, without
+        per-receiver link occupancy: DMA startup + serialization at the
+        multicast bandwidth + the tree-shaped
+        :meth:`NetworkModel.multicast_latency`.  Pure arithmetic, so the
+        Strobe Sender caches it per active-set size and schedules each
+        microstrobe fan-out that far ahead.
         """
         return (
             self.model.dma_startup

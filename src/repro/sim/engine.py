@@ -78,7 +78,9 @@ class Engine:
         self._seq += 1
         _heappush(self._queue, (self._now + delay, priority, self._seq, event))
 
-    def trigger_all(self, events: Iterable[Event], value: Any = None) -> int:
+    def trigger_all(
+        self, events: Iterable[Event], value: Any = None, delay: int = 0
+    ) -> int:
         """Succeed every pending event in ``events`` through one heap entry.
 
         Exactly equivalent to calling ``succeed(value)`` on each pending
@@ -92,7 +94,14 @@ class Engine:
         callback resumes at that member's turn, as it would have.
         Already-triggered members are skipped; an empty set schedules
         nothing.  Returns the number of members triggered.
+
+        With ``delay`` the carrier fires ``delay`` ns from now, which
+        folds a fixed latency ahead of the fan-out (the microstrobe's
+        multicast time) into the carrier's own entry.  Members hold
+        their value from now on but are processed only when it fires.
         """
+        if delay < 0:
+            raise ValueError(f"negative delay {delay}")
         members = []
         for ev in events:
             if ev._value is PENDING:
@@ -101,8 +110,8 @@ class Engine:
                 members.append(ev)
         if members:
             carrier = FanOut(self, members)
-            self.schedule(carrier)
-            carrier.key = (self._now, 0, self._seq)
+            self.schedule(carrier, delay)
+            carrier.key = (self._now + delay, 0, self._seq)
         return len(members)
 
     def peek(self) -> Optional[int]:
@@ -138,8 +147,14 @@ class Engine:
             pass
         elif isinstance(until, Event):
             stop_event = until
-            if stop_event.callbacks is not None:
-                stop_event.callbacks.append(self._stop_on_event)
+            if stop_event.callbacks is None:
+                # Already processed (e.g. a process that finished with
+                # nobody waiting): it happened at or before now.
+                if stop_event._ok:
+                    return stop_event._value
+                stop_event.defuse()
+                raise stop_event._value
+            stop_event.callbacks.append(self._stop_on_event)
         elif isinstance(until, int):
             if until < self._now:
                 raise ValueError(f"until={until} is in the past (now={self._now})")

@@ -84,6 +84,25 @@ class Event:
         self.env.schedule(self)
         return self
 
+    def settle(self, value: Any = None) -> "Event":
+        """Succeed with ``value``; with no callback registered yet, the
+        event is processed at once instead of through a heap entry.
+
+        Exact for an event nobody watches: its entry would only mark it
+        processed.  A party that yields it later resumes through the
+        process's ``carry`` path at that instant, and a condition built
+        over it later counts it at construction, as it would once the
+        entry had fired.
+        """
+        if self.callbacks:
+            return self.succeed(value)
+        if self._value is not PENDING:
+            raise EventAlreadyTriggered(repr(self))
+        self._ok = True
+        self._value = value
+        self.callbacks = None
+        return self
+
     def trigger(self, event: "Event") -> None:
         """Copy another event's outcome onto this one (callback helper)."""
         if event._ok:
@@ -115,11 +134,17 @@ class Timeout(Event):
     def __init__(self, env, delay: int, value: Any = None, name: str = ""):
         if delay < 0:
             raise ValueError(f"negative timeout delay {delay}")
-        super().__init__(env, name=name)
-        self.delay = int(delay)
-        self._ok = True
+        # The most frequent event by far: Event.__init__ and
+        # Engine.schedule are inlined.
+        self.env = env
+        self.callbacks = []
         self._value = value
-        env.schedule(self, delay=self.delay)
+        self._ok = True
+        self._defused = False
+        self.name = name
+        self.delay = delay = int(delay)
+        env._seq += 1
+        heapq.heappush(env._queue, (env._now + delay, 0, env._seq, self))
 
 
 class Latch(Event):
@@ -130,17 +155,37 @@ class Latch(Event):
     event, registers no fan-in callbacks, and fires the moment the last
     party counts down — at the same timestamp, one event hop earlier.
     A latch created with ``count == 0`` succeeds immediately.
+
+    A *completion delay* folds a fixed cost that follows the barrier
+    into the latch's own heap entry: with ``delay`` and ``not_before``,
+    the latch fires at ``max(t_last + delay, not_before)``, where
+    ``t_last`` is the instant of the last count-down.  The Strobe Sender
+    charges each microphase's Compare-And-Write latency and its minimum
+    duration this way, instead of waking to start a timeout.
     """
 
-    __slots__ = ("remaining",)
+    __slots__ = ("remaining", "delay", "not_before")
 
-    def __init__(self, env, count: int, name: str = ""):
+    def __init__(
+        self, env, count: int, name: str = "", delay: int = 0, not_before: int = 0
+    ):
+        super().__init__(env, name=name)
+        self._arm(count, delay, not_before)
+
+    def _arm(self, count: int, delay: int, not_before: int) -> None:
         if count < 0:
             raise ValueError(f"negative latch count {count}")
-        super().__init__(env, name=name)
+        if delay < 0:
+            raise ValueError(f"negative latch delay {delay}")
+        self.callbacks = []
+        self._value = PENDING
+        self._ok = True
+        self._defused = False
         self.remaining = count
+        self.delay = delay
+        self.not_before = not_before
         if count == 0:
-            self.succeed(None)
+            self._complete()
 
     def count_down(self, n: int = 1) -> "Latch":
         """Decrement the count by ``n``; triggers when it reaches zero."""
@@ -150,8 +195,16 @@ class Latch(Event):
             raise EventAlreadyTriggered(repr(self))
         self.remaining -= n
         if self.remaining == 0:
-            self.succeed(None)
+            self._complete()
         return self
+
+    def _complete(self) -> None:
+        # Completion delay: fire ``delay`` ns after the last count-down,
+        # but never before the absolute time ``not_before``.
+        env = self.env
+        self._ok = True
+        self._value = None
+        env.schedule(self, delay=max(self.delay, self.not_before - env.now))
 
 
 class ReusableLatch(Latch):
@@ -175,24 +228,21 @@ class ReusableLatch(Latch):
     def __init__(self, env, name: str = ""):
         Event.__init__(self, env, name=name)
         self.remaining = 0
+        self.delay = 0
+        self.not_before = 0
         # Born processed: triggered (value None) with callbacks done.
         self._value = None
         self.callbacks = None
 
-    def rearm(self, count: int, name: str = "") -> "ReusableLatch":
-        """Reset to pending with ``count`` outstanding parties."""
+    def rearm(
+        self, count: int, name: str = "", delay: int = 0, not_before: int = 0
+    ) -> "ReusableLatch":
+        """Reset to pending with ``count`` outstanding parties and the
+        completion delay of :class:`Latch`."""
         if self.callbacks is not None:
             raise EventAlreadyTriggered(f"rearm of in-flight {self!r}")
-        if count < 0:
-            raise ValueError(f"negative latch count {count}")
-        self.callbacks = []
-        self._value = PENDING
-        self._ok = True
-        self._defused = False
-        self.remaining = count
+        self._arm(count, delay, not_before)
         self.name = name
-        if count == 0:
-            self.succeed(None)
         return self
 
 

@@ -86,7 +86,10 @@ class Process(Event):
                 next_ev = self.generator.throw(event._value)
         except StopIteration as stop:
             self.env._active_proc = None
-            self.succeed(stop.value)
+            # With nobody waiting, the finish needs no heap entry.  A
+            # failed process below always gets its entry, so an
+            # unhandled failure still crashes the run.
+            self.settle(stop.value)
             return
         except BaseException as exc:
             self.env._active_proc = None

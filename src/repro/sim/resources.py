@@ -255,8 +255,16 @@ class Signal:
     def wait(self) -> Event:
         """Event triggered by the next pulse."""
         ev = Event(self.env, name=f"wait:{self.name}")
-        self._waiters.append(ev)
+        self.enlist(ev)
         return ev
+
+    def enlist(self, ev: Event) -> None:
+        """Make the pending ``ev`` one of the next pulse's waiters.
+
+        Lets a party hand out its wake event first and join the pulse
+        later, without a heap entry of its own in between.
+        """
+        self._waiters.append(ev)
 
     def take_waiters(self) -> List[Event]:
         """Count a pulse and hand back its waiters for the caller to wake.

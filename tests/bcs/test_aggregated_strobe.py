@@ -21,7 +21,6 @@ from repro.bcs.node_manager import NodeArena
 from repro.core.global_memory import GlobalAddressSpace
 from repro.harness.runner import run_workload
 from repro.network import Cluster, ClusterSpec
-from repro.sim import Engine
 from repro.storm import JobSpec
 from repro.units import ms, seconds, us
 
@@ -168,24 +167,45 @@ def test_gas_increment_batch_without_registered_array():
     assert gas.read(1, "x") == 6
 
 
-# -- the cached strobe timeout -------------------------------------------------
+# -- the cached microstrobe latency --------------------------------------------
 
 
-def test_strobe_latency_matches_oracle_multicast_duration():
-    """``Fabric.strobe_latency`` must equal the oracle generator's cost."""
+@pytest.mark.parametrize("aggregated", [True, False])
+def test_receivers_wake_one_strobe_latency_after_phase_begin(aggregated):
+    """Every participant's SR starts its microphase exactly
+    ``Fabric.strobe_latency`` after the Strobe Sender begins it, under
+    both strobe models."""
+    from repro.obs import Observability
+
+    class Recorder(Observability):
+        def __init__(self):
+            super().__init__(perfetto=False, profile=False)
+            self.begins = {}
+            self.starts = []
+
+        def phase_begin(self, phase, slice_no, t):
+            super().phase_begin(phase, slice_no, t)
+            self.begins[(slice_no, phase)] = t
+
+        def node_phase(self, node_id, phase, slice_no, t0, t1):
+            super().node_phase(node_id, phase, slice_no, t0, t1)
+            self.starts.append((slice_no, phase, t0))
+
     cluster = Cluster(ClusterSpec(n_nodes=16))
-    fabric = cluster.fabric
-    for n_dests in (1, 2, 7, 15):
-        env = Engine()
-        fabric.env = env
-
-        def run(n=n_dests):
-            yield from fabric.control_multicast(
-                16, range(n), 64, n_dests=n
-            )
-
-        env.process(run())
-        env.run()
-        assert env.now == fabric.strobe_latency(64, n_dests)
-    # Restore the cluster's own engine for hygiene.
-    fabric.env = cluster.env
+    runtime = BcsRuntime(cluster, BcsConfig(init_cost=0, aggregated_strobe=aggregated))
+    recorder = Recorder()
+    runtime.attach_observability(recorder)
+    runtime.run_job(
+        JobSpec(
+            app=nearest_neighbor_benchmark,
+            n_ranks=24,
+            params=dict(granularity=ms(1), iterations=2),
+        ),
+        max_time=seconds(5),
+    )
+    latency = cluster.fabric.strobe_latency(
+        runtime.config.strobe_bytes, len(runtime.active_node_ids)
+    )
+    assert recorder.starts
+    for slice_no, phase, t0 in recorder.starts:
+        assert t0 == recorder.begins[(slice_no, phase)] + latency

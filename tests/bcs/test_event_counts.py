@@ -2,32 +2,37 @@
 
 Virtual time is pinned elsewhere (tests/test_golden_timings.py); this
 pins *host work*: the exact number of heap entries the engine processes
-for two small BCS runs.  The slice machine delivers each microstrobe and
-each slice-boundary restart as one heap entry for all woken nodes, takes
-uncontended NIC/CPU holds without a grant event and moves a node's lone
-DMA chunk without a child process.  A change that brings back a
-per-node event (or adds any other) moves these counts: if that is
-intended, re-pin them together with the events-per-active-slice figures
-in docs/PERFORMANCE.md.
+for two small BCS runs and one baseline run.  The slice machine delivers
+each microstrobe and each slice-boundary restart as one heap entry for
+all woken nodes, charges a microphase's strobe, Compare-And-Write and
+minimum duration through two entries, restarts a blocked rank straight
+from its last request's completion, takes uncontended NIC/CPU holds
+without a grant event, moves a node's lone DMA chunk without a child
+process, and settles events nobody waits on (buffered-send completions,
+unwaited processes) without an entry.  A change that brings back a
+per-node or relay event (or adds any other) moves these counts: if that
+is intended, re-pin them together with the events-per-active-slice
+figures in docs/PERFORMANCE.md.
 """
 
 import pytest
 
 from repro.apps import nearest_neighbor_benchmark, sweep3d_blocking
 from repro.bcs import BcsConfig, BcsRuntime
+from repro.mpi.baseline import BaselineConfig, BaselineRuntime
 from repro.network import Cluster, ClusterSpec
 from repro.storm import JobSpec
 from repro.units import kib, ms
 
 CASES = [
     # (app, nodes, ranks, params, processed events, active slices, makespan ns)
-    (sweep3d_blocking, 31, 62, dict(octants=1, kblocks=4), 7_595, 182, 190_017_500),
+    (sweep3d_blocking, 31, 62, dict(octants=1, kblocks=4), 5_482, 182, 190_017_500),
     (
         nearest_neighbor_benchmark,
         16,
         32,
         dict(granularity=ms(1), iterations=4, n_neighbors=4, message_bytes=kib(4)),
-        6_608,
+        5_278,
         9,
         8_500_000,
     ),
@@ -53,3 +58,23 @@ def test_processed_event_count_is_pinned(
         f"({processed / active:.1f} per active slice), pinned {events} "
         f"({events / active:.1f} per active slice)"
     )
+
+
+def test_baseline_processed_event_count_is_pinned():
+    """The baseline MPI on the same small SWEEP3D run: its per-message
+    processes and buffered-send completions are settled unwatched."""
+    runtime = BaselineRuntime(
+        Cluster(ClusterSpec(n_nodes=31)), BaselineConfig(init_cost=0)
+    )
+    runtime.run_job(
+        JobSpec(
+            app=sweep3d_blocking,
+            n_ranks=62,
+            name="sweep3d_blocking",
+            params=dict(octants=1, kblocks=4),
+        )
+    )
+    env = runtime.env
+    processed = env._seq - len(env._queue)
+    assert env.now == 123_966_988
+    assert processed == 3_473, f"the engine processed {processed} events, pinned 3,473"

@@ -1,0 +1,65 @@
+"""Slice-machine invariants on real workloads, under both strobe models.
+
+:class:`ProtocolValidator` re-derives the microphase order, slice
+alignment, the DEM+MSM budget and the containment of descriptor and
+payload transfers from a trace.  Here it runs with every check on small
+halo, SWEEP3D and SAGE runs, with ``aggregated_strobe`` on and off, and
+must find nothing.  Tracing switches the Strobe Sender to fresh, named
+microphase latches; the makespan must equal the untraced run's.
+"""
+
+import pytest
+
+from repro.apps import nearest_neighbor_benchmark, sage, sweep3d_blocking
+from repro.bcs import BcsConfig, BcsRuntime
+from repro.bcs.validator import ProtocolValidator
+from repro.network import Cluster, ClusterSpec
+from repro.sim import Trace
+from repro.storm import JobSpec
+from repro.units import kib, ms, seconds
+
+CATEGORIES = ["bcs.microphase", "fabric.unicast"]
+
+WORKLOADS = {
+    "halo": (
+        nearest_neighbor_benchmark,
+        16,
+        32,
+        dict(granularity=ms(1), iterations=4, n_neighbors=4, message_bytes=kib(4)),
+    ),
+    "sweep3d": (sweep3d_blocking, 31, 62, dict(octants=1, kblocks=4)),
+    "sage": (sage, 8, 16, dict(steps=2, step_compute=ms(5))),
+}
+
+
+def _run(name, aggregated, trace=None):
+    app, n_nodes, n_ranks, params = WORKLOADS[name]
+    cluster = Cluster(ClusterSpec(n_nodes=n_nodes), trace=trace)
+    config = BcsConfig(init_cost=0, aggregated_strobe=aggregated)
+    runtime = BcsRuntime(cluster, config)
+    job = runtime.run_job(
+        JobSpec(app=app, n_ranks=n_ranks, name=name, params=params),
+        max_time=seconds(60),
+    )
+    assert job.complete
+    return runtime, job
+
+
+@pytest.mark.parametrize("aggregated", [True, False], ids=["aggregated", "oracle"])
+@pytest.mark.parametrize("name", sorted(WORKLOADS))
+def test_protocol_validator_finds_no_violation(name, aggregated):
+    trace = Trace(categories=CATEGORIES)
+    runtime, job = _run(name, aggregated, trace)
+    config = runtime.config
+    validator = ProtocolValidator(
+        trace, config.timeslice, scheduling_min=config.scheduling_duration
+    )
+    assert validator.validate() == []
+    # The validator saw the slice machine work, descriptors and payload.
+    assert len(validator.phases) == runtime.stats["active_slices"] > 0
+    labels = {rec.fields.get("label") for rec in trace.by_category("fabric.unicast")}
+    assert {"desc", "p2p"} <= labels
+
+    _, untraced = _run(name, aggregated)
+    assert job.runtime == untraced.runtime
+    assert job.results == untraced.results
