@@ -2,13 +2,16 @@
 """Wall-clock benchmark gate for the simulator hot path.
 
 Runs a small suite of macro replays (idle-heavy, where the Strobe
-Sender's idle fast-forward dominates) and dense micro benchmarks (every
+Sender's idle fast-forward dominates), dense micro benchmarks (every
 slice active, where the engine/matching/fabric fast paths must at least
-not regress), each twice: once with the optimized defaults and once with
-the optimizations disabled (``idle_fast_forward=False, matcher="linear"``).
+not regress) and large-N scaling replays, each twice: once on the fast
+slice engine (the default) and once on the reference engine
+(``BcsConfig(engine="reference")``: full-scan active sets, per-node
+strobe completion writes, per-descriptor linear matching, no idle
+fast-forward, every node built up front).
 
 Every pair asserts that the *virtual* runtime is byte-identical — the
-optimizations must never change simulated time — and reports the
+engine choice must never change simulated time — and reports the
 wall-clock speedup.
 
 Results are normalized by a spin-loop calibration
@@ -162,14 +165,7 @@ def benchmarks(quick: bool):
 
 def _slow_config(**cfg_kwargs) -> BcsConfig:
     """The reference (pre-optimization) simulator configuration."""
-    return BcsConfig(
-        idle_fast_forward=False,
-        matcher="linear",
-        incremental_active_sets=False,
-        batched_matching=False,
-        aggregated_strobe=False,
-        **cfg_kwargs,
-    )
+    return BcsConfig(engine="reference", **cfg_kwargs)
 
 
 def _peak_rss_mib() -> float:
@@ -221,9 +217,10 @@ def _scaling_leg(conn, app, n_ranks, params, cfg_kwargs, n_nodes, reps, fast):
 
     ``ru_maxrss`` is a cumulative high-water mark, so the only way to
     attribute a peak RSS to one configuration is to give each leg its
-    own process.  The optimized leg also gets the lazy node directory
-    (flyweight nodes are part of what it is measuring); the reference
-    leg builds the cluster eagerly like the pre-arena engine did.
+    own process.  The optimized leg materializes only the nodes the job
+    touches (flyweight nodes are part of what it is measuring); the
+    reference engine builds every node up front like the pre-arena
+    engine did.
     """
     cfg_fn = BcsConfig if fast else _slow_config
     # Warm the interpreter on a toy cluster, then freeze the warm graph
@@ -231,15 +228,15 @@ def _scaling_leg(conn, app, n_ranks, params, cfg_kwargs, n_nodes, reps, fast):
     warm_spec = JobSpec(
         app=app, n_ranks=2, name="warm", params={**params, "iterations": 2}
     )
-    BcsRuntime(
-        Cluster(ClusterSpec(n_nodes=8, lazy_nodes=fast)), cfg_fn(**cfg_kwargs)
-    ).run_job(warm_spec, max_time=seconds(3600))
+    BcsRuntime(Cluster(ClusterSpec(n_nodes=8)), cfg_fn(**cfg_kwargs)).run_job(
+        warm_spec, max_time=seconds(3600)
+    )
     tune_gc()
     best = math.inf
     result = None
     gc_delta = 0
     for _ in range(reps):
-        cluster = Cluster(ClusterSpec(n_nodes=n_nodes, lazy_nodes=fast))
+        cluster = Cluster(ClusterSpec(n_nodes=n_nodes))
         runtime = BcsRuntime(cluster, cfg_fn(**cfg_kwargs))
         spec = JobSpec(app=app, n_ranks=n_ranks, name="bench", params=params)
         gc0, _ = gc_counters()

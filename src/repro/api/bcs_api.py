@@ -299,7 +299,7 @@ class BcsApi:
         request object identity.
         """
         runtime = self.runtime
-        if not runtime.config.batched_matching:
+        if not runtime.fast:
             return
         obs = runtime.obs
         if obs is not None and obs.spans is not None:

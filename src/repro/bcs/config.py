@@ -4,6 +4,10 @@ Centralizes every timing constant of the global synchronization protocol
 (paper §4.2) so experiments and ablations can sweep them.  Defaults are
 calibrated to the paper's testbed: 500 µs time slices; descriptor exchange
 plus message scheduling ≈ 125 µs (paper §4.3).
+
+One field, ``engine``, picks the simulator's slice-engine implementation
+(``"fast"`` or ``"reference"``).  It never changes simulated time: the
+reference engine exists so the fast one can be checked against it.
 """
 
 from __future__ import annotations
@@ -59,49 +63,27 @@ class BcsConfig:
     buffered_sends: bool = True
     #: Stop the strobe loop automatically when no jobs remain.
     auto_stop: bool = True
-    #: Skip idle slices in one jump when the cluster has no pending work
-    #: and no event can create any before the next-event time (pure
-    #: simulator wall-clock optimization; virtual timings are identical).
-    idle_fast_forward: bool = True
-    #: MPI matching implementation: "hash" (bucketed, O(1) amortized) or
-    #: "linear" (reference list scan).  Identical match sequences.
-    matcher: str = "hash"
-    #: Answer the Strobe Sender's per-slice questions (``any_work``,
-    #: ``dem/msm/bbm/rm_nodes``, slice-boundary wake pulses) from
-    #: incrementally maintained active-node sets instead of scanning
-    #: every node runtime.  Per-slice cost becomes O(active nodes); the
-    #: full-scan path is kept as the reference oracle (pure simulator
-    #: wall-clock optimization; virtual timings are identical).
-    incremental_active_sets: bool = True
-    #: Batched slice engine: during the DEM/MSM microphases the NIC
-    #: threads gather a node's pending descriptors into per-slice
-    #: batches — one NIC hold covers the whole batch (same total cost,
-    #: fewer simulator events) and the matcher resolves the batch with
-    #: vectorized numpy bucket joins, falling back to the object path
-    #: for wildcard (``ANY_SOURCE``/``ANY_TAG``) descriptors so MPI
-    #: ordering semantics are preserved exactly.  The per-descriptor
-    #: object path is kept as the differential oracle (pure simulator
-    #: wall-clock optimization; virtual timings are identical).
-    batched_matching: bool = True
-    #: Aggregated strobe + arena node state: the Strobe Sender reports
-    #: microphase completion with one batched arena increment instead of
-    #: a per-node ``gas.write`` loop, and the runtime materializes
-    #: per-node objects (NodeRuntime, NIC threads, Strobe Receiver)
-    #: lazily — only nodes that host ranks or receive traffic ever exist
-    #: as Python objects, so a 64k-node machine costs O(active nodes) per
-    #: slice and O(active nodes) in object-graph footprint.  The eager
-    #: per-node path is kept as the differential oracle (pure simulator
-    #: wall-clock/footprint optimization; virtual timings are
-    #: identical).  Both settings charge each microstrobe as one
-    #: tree-shaped multicast whose latency is cached per active-set size.
-    aggregated_strobe: bool = True
+    #: Slice-engine implementation.  ``"fast"`` answers the Strobe
+    #: Sender's per-slice questions from incrementally maintained
+    #: active-node sets, matches descriptors in vectorized per-slice
+    #: batches on hash-bucketed queues, reports microphase completion
+    #: with one batched arena increment, skips provably idle slices in
+    #: one jump, and materializes per-node objects only for nodes that
+    #: host ranks or receive traffic.  ``"reference"`` is the simplest
+    #: readable version of the protocol: full-scan active sets,
+    #: per-node completion writes from each Strobe Receiver,
+    #: per-descriptor NIC threads with a linear-scan matcher, every
+    #: slice simulated, and every node built up front.  The two engines
+    #: produce identical virtual time; the reference is the
+    #: differential oracle (pure simulator wall-clock/footprint choice).
+    engine: str = "fast"
 
     def __post_init__(self):
         if self.timeslice <= 0:
             raise ValueError("timeslice must be positive")
-        if self.matcher not in ("hash", "linear"):
+        if self.engine not in ("fast", "reference"):
             raise ValueError(
-                f"matcher must be 'hash' or 'linear', not {self.matcher!r}"
+                f"engine must be 'fast' or 'reference', not {self.engine!r}"
             )
         sched = self.dem_min_duration + self.msm_min_duration
         if sched >= self.timeslice:

@@ -12,10 +12,10 @@ This module implements that matcher with full MPI semantics:
 Two interchangeable implementations live here:
 
 - :class:`LinearMatcher` — the original O(U×P) list scan.  Kept verbatim
-  as the reference oracle for the differential tests, and selectable via
-  ``BcsConfig(matcher="linear")``.
+  as the reference oracle for the differential tests; the reference
+  slice engine (``BcsConfig(engine="reference")``) runs it.
 - :class:`HashMatcher` — hash-bucketed queues with ordered wildcard
-  fallback lists.  Matching cost is O(1) per descriptor (amortized)
+  fallback lists; the fast slice engine's matcher.  Matching cost is O(1) per descriptor (amortized)
   instead of a scan over every pending descriptor, while producing the
   *identical* match sequence (`tests/bcs/test_matching_differential.py`
   pins this against the oracle for randomized streams).
@@ -611,21 +611,3 @@ def _append(family: dict, key: tuple, entry: tuple) -> None:
 
 #: The default matcher implementation.
 Matcher = HashMatcher
-
-#: Implementations selectable through ``BcsConfig.matcher``.
-MATCHERS = {"hash": HashMatcher, "linear": LinearMatcher}
-
-
-def make_matcher(kind: str, node_id: int, totals: Optional[MatcherTotals] = None):
-    """Instantiate the matcher implementation named ``kind``.
-
-    ``totals`` is an optional shared :class:`MatcherTotals` aggregate
-    (one per runtime); omitted, the matcher keeps a private one.
-    """
-    try:
-        cls = MATCHERS[kind]
-    except KeyError:
-        raise ValueError(
-            f"unknown matcher {kind!r}; choose from {sorted(MATCHERS)}"
-        ) from None
-    return cls(node_id, totals)

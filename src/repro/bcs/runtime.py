@@ -165,13 +165,16 @@ class NodeAgents:
 class NodeTable:
     """Lazy list-like table of :class:`NodeRuntime` flyweights.
 
-    Used in aggregated-strobe mode: indexing materializes the node's
-    runtime on first access, so only nodes that host ranks or receive
-    traffic ever exist as Python objects.  Iteration materializes every
-    node — full-scan oracles and whole-machine sweeps stay correct (a
+    Indexing materializes the node's runtime on first access, so under
+    the fast engine only nodes that host ranks or receive traffic ever
+    exist as Python objects (the reference engine materializes every
+    node at construction).  Iteration materializes every node —
+    full-scan oracles and whole-machine sweeps stay correct (a
     just-materialized idle node contributes exactly what an eagerly
     built idle node would: nothing).  Materialization creates no
-    simulation events, so it can never perturb virtual time.
+    simulation events, so it can never perturb virtual time.  Indices
+    follow list semantics: negative ones count from the end, and
+    out-of-range ones raise :class:`IndexError`.
     """
 
     __slots__ = ("_runtime", "_slots", "_count")
@@ -185,15 +188,20 @@ class NodeTable:
         return len(self._slots)
 
     def __getitem__(self, node_id: int) -> NodeRuntime:
-        nrt = self._slots[node_id]
+        nrt = self._slots[node_id]  # list indexing raises when out of range
         if nrt is None:
+            if node_id < 0:
+                node_id += len(self._slots)
             nrt = self._slots[node_id] = NodeRuntime(self._runtime, node_id)
             self._count += 1
         return nrt
 
     def __iter__(self):
-        for i in range(len(self._slots)):
-            yield self[i]
+        if self._count == len(self._slots):
+            # Fully built (always, under the reference engine): plain
+            # list iteration keeps its full scans at list speed.
+            return iter(self._slots)
+        return (self[i] for i in range(len(self._slots)))
 
     def materialized(self):
         """Existing node runtimes in id order (no materialization)."""
@@ -210,26 +218,12 @@ class NodeTable:
         return f"<NodeTable {self._count}/{len(self._slots)} materialized>"
 
 
-def existing_node_runtimes(node_runtimes):
-    """Materialized-only view of a runtime's node table.
-
-    Whole-machine consumers that only care about nodes *with state*
-    (telemetry binding, job purges, state snapshots, stall diagnostics)
-    iterate this instead of the table itself, so they never force a 64k
-    lazy table to materialize.  On an eager list it is the identity.
-    """
-    if isinstance(node_runtimes, NodeTable):
-        return node_runtimes.materialized()
-    return node_runtimes
-
-
 class _LazyNodeMap:
     """Dict-like lazy map of per-node companions (agents/receivers).
 
     ``map[node_id]`` materializes on first access via the subclass
-    factory; the view methods (``values``/``items``/``keys``/``len``)
-    cover only materialized entries, which is exactly the population an
-    eager dict would show for the nodes that ever did anything.
+    factory; iteration and the ``values``/``items`` views cover only
+    materialized entries, in node-id order.
     """
 
     __slots__ = ("_runtime", "_entries")
@@ -247,20 +241,8 @@ class _LazyNodeMap:
             entry = self._entries[node_id] = self._make(node_id)
         return entry
 
-    def get(self, node_id: int, default=None):
-        return self._entries.get(node_id, default)
-
-    def __contains__(self, node_id: int) -> bool:
-        return node_id in self._entries
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
     def __iter__(self):
         return iter(sorted(self._entries))
-
-    def keys(self):
-        return sorted(self._entries)
 
     def values(self):
         return [self._entries[k] for k in sorted(self._entries)]
@@ -336,22 +318,19 @@ class BcsRuntime:
         self.core = BcsCore(cluster)
         self.scheduler = SliceScheduler(self.config, cluster.spec.model.link_bandwidth)
 
-        #: Answer per-slice queries from incremental sets (config flag).
-        self._incremental = self.config.incremental_active_sets
-        #: Aggregated strobe + lazy arena node representation (config
-        #: flag); False selects the eager per-destination oracle path.
-        self._aggregated = self.config.aggregated_strobe
-        #: Free-list pools for descriptors/requests (the batched slice
-        #: engine's allocation leg; recycling only happens with
-        #: ``config.batched_matching`` — acquire falls through to plain
-        #: construction when the pools are empty).
+        #: ``config.engine`` resolved once: True runs the fast slice
+        #: engine, False the reference oracle.  Hot paths test this bool.
+        self.fast = self.config.engine == "fast"
+        #: Free-list pools for descriptors/requests (the fast engine's
+        #: allocation leg; recycling only happens there — acquire falls
+        #: through to plain construction when the pools are empty).
         self.pools = DescriptorPools()
         #: Machine-wide matcher aggregates, shared by every node matcher.
         self.matcher_totals = MatcherTotals()
         # Incrementally maintained active-node id sets (see the module-
-        # level retention predicates).  Maintained unconditionally — the
-        # bookkeeping is O(1) per mutation — so the scan and incremental
-        # query paths can be flipped per run and compared differentially.
+        # level retention predicates).  Maintained under both engines —
+        # the bookkeeping is O(1) per mutation — so the scan and
+        # incremental query paths can be compared over the same state.
         self._dem_set: set = set()
         self._arrived_set: set = set()
         self._coll_set: set = set()
@@ -364,29 +343,25 @@ class BcsRuntime:
         self.slice_start_time = 0
 
         #: SoA arena for per-node scalars; the ``mphase_done`` counters
-        #: are array-backed GAS slots, so the oracle path's per-node
-        #: ``gas.write`` and the aggregated path's batched increment
-        #: update identical storage.
+        #: are array-backed GAS slots, so the reference engine's per-node
+        #: ``gas.write`` and the fast engine's batched increment update
+        #: identical storage.
         self.arena = NodeArena(len(cluster.nodes))
         self.core.gas.register_array("mphase_done", self.arena.mphase_done)
 
-        n_compute = cluster.n_compute_nodes
-        if self._aggregated:
-            # Flyweight node machinery: materialized per node on first
-            # touch (launch() pre-materializes a job's nodes).
-            self.node_runtimes = NodeTable(self, n_compute)
-            self.agents = _AgentMap(self)
-            self.receivers = _ReceiverMap(self)
-        else:
-            self.node_runtimes: List[NodeRuntime] = [
-                NodeRuntime(self, node.id) for node in cluster.compute_nodes
-            ]
-            self.agents: Dict[int, NodeAgents] = {
-                nrt.node_id: NodeAgents(nrt) for nrt in self.node_runtimes
-            }
-            self.receivers: Dict[int, StrobeReceiver] = {
-                nrt.node_id: StrobeReceiver(nrt) for nrt in self.node_runtimes
-            }
+        # Flyweight node machinery: materialized per node on first touch
+        # (launch() pre-materializes a job's nodes).
+        self.node_runtimes = NodeTable(self, cluster.n_compute_nodes)
+        self.agents = _AgentMap(self)
+        self.receivers = _ReceiverMap(self)
+        if not self.fast:
+            # The reference engine builds the whole machine up front, in
+            # ascending id order: every cluster node, then each compute
+            # node's runtime and Strobe Receiver.  A fresh receiver's init
+            # event is inert, so this is virtual-time neutral.
+            list(cluster.nodes)
+            for node_id in range(cluster.n_compute_nodes):
+                self.receivers[node_id]
         self.ss = StrobeSender(self)
 
         self.jobs: Dict[int, Job] = {}
@@ -485,17 +460,16 @@ class BcsRuntime:
         self.active_node_ids = sorted(
             set(self.active_node_ids) | set(job.nodes)
         )
-        if self._aggregated:
-            # Materialize the per-node machinery (NodeRuntime + Strobe
-            # Receiver) for every node the job touches, in ascending id
-            # order, *before* the strobe loop and the rank processes
-            # start.  A fresh receiver's init event is inert — it blocks
-            # on its pending wake event, exactly like an eagerly built
-            # receiver that has been idle — so launch-time materialization keeps
-            # the event sequence, and therefore virtual time, identical
-            # to the eager oracle.
-            for node_id in job.nodes:
-                self.receivers[node_id]
+        # Materialize the per-node machinery (NodeRuntime + Strobe
+        # Receiver) for every node the job touches, in ascending id
+        # order, *before* the strobe loop and the rank processes start.
+        # A fresh receiver's init event is inert — it blocks on its
+        # pending wake event, exactly like a receiver built up front that
+        # has been idle — so launch-time materialization keeps the event
+        # sequence, and therefore virtual time, identical to the
+        # reference engine.
+        for node_id in job.nodes:
+            self.receivers[node_id]
         self.stopped = False
         self.ss.start()
 
@@ -626,7 +600,7 @@ class BcsRuntime:
         # Only materialized nodes can hold job state (descriptors are
         # posted and delivered through node runtimes), so the purge
         # never needs to force a lazy table.
-        for nrt in existing_node_runtimes(self.node_runtimes):
+        for nrt in self.node_runtimes.materialized():
             nrt.posted_sends = [d for d in nrt.posted_sends if keep(d)]
             nrt.posted_recvs = [d for d in nrt.posted_recvs if keep(d)]
             nrt.posted_colls = [d for d in nrt.posted_colls if keep(d)]
@@ -652,12 +626,11 @@ class BcsRuntime:
     # -- slice coordination hooks (called by the Strobe Sender) -------------------------
     #
     # Every query below has two implementations returning identical
-    # results: the incremental one reads the lazily pruned active-node
-    # sets (O(members) per slice), the ``*_scan`` one recomputes from
-    # every node runtime (O(cluster) per slice).  The scan path is the
-    # reference oracle — selectable with
-    # ``BcsConfig(incremental_active_sets=False)`` and pinned against the
-    # incremental path by ``tests/bcs/test_active_sets.py``.
+    # results: the fast engine's reads the lazily pruned active-node
+    # sets (O(members) per slice), the reference engine's recomputes
+    # from every node runtime (O(cluster) per slice; the public
+    # ``*_scan`` oracles).  ``tests/bcs/test_active_sets.py`` pins them
+    # against each other.
 
     def _prune_live(self, node_set: set, pred) -> bool:
         """Evict stale members of ``node_set``; True if any remain.
@@ -686,15 +659,14 @@ class BcsRuntime:
 
     def any_work(self) -> bool:
         """Anything at all for this slice's microphases?"""
-        if self.scheduler.in_flight:
-            return True
-        if self._incremental:
-            return (
-                self._prune_live(self._dem_set, _dem_pending)
-                or self._prune_live(self._arrived_set, _arrived_pending)
-                or self._prune_live(self._coll_set, _coll_pending)
-            )
-        return any(nrt.has_work() for nrt in self.node_runtimes)
+        if not self.fast:
+            return self.any_work_scan()
+        return bool(
+            self.scheduler.in_flight
+            or self._prune_live(self._dem_set, _dem_pending)
+            or self._prune_live(self._arrived_set, _arrived_pending)
+            or self._prune_live(self._coll_set, _coll_pending)
+        )
 
     def any_work_scan(self) -> bool:
         """Full-scan oracle for :meth:`any_work`."""
@@ -710,25 +682,21 @@ class BcsRuntime:
         pruning it once for ``any_work`` and again for ``dem_nodes``.
         Results are identical to calling the two queries in sequence.
         """
-        dem = self.dem_nodes()
+        if not self.fast:
+            return self.any_work_scan(), self.dem_nodes_scan()
+        dem = self._live_sorted(self._dem_set, _dem_pending)
         if dem or self.scheduler.in_flight:
             return True, dem
-        if self._incremental:
-            active = self._prune_live(
-                self._arrived_set, _arrived_pending
-            ) or self._prune_live(self._coll_set, _coll_pending)
-        else:
-            active = any(
-                nrt.arrived_sends or nrt.pending_epochs
-                for nrt in self.node_runtimes
-            )
+        active = self._prune_live(
+            self._arrived_set, _arrived_pending
+        ) or self._prune_live(self._coll_set, _coll_pending)
         return active, dem
 
     def dem_nodes(self) -> List[int]:
         """Nodes with descriptors to drain/exchange."""
-        if self._incremental:
-            return self._live_sorted(self._dem_set, _dem_pending)
-        return self.dem_nodes_scan()
+        if not self.fast:
+            return self.dem_nodes_scan()
+        return self._live_sorted(self._dem_set, _dem_pending)
 
     def dem_nodes_scan(self) -> List[int]:
         """Full-scan oracle for :meth:`dem_nodes`."""
@@ -752,7 +720,7 @@ class BcsRuntime:
 
     def msm_nodes(self) -> List[int]:
         """Nodes with arrived sends to match or collectives to schedule."""
-        if not self._incremental:
+        if not self.fast:
             return self.msm_nodes_scan()
         self._prune_live(self._arrived_set, _arrived_pending)
         out = set(self._arrived_set)
@@ -794,21 +762,21 @@ class BcsRuntime:
 
     def _nodes_with_scheduled(self, kinds: tuple, driver_only: bool) -> List[int]:
         rts = self.node_runtimes
-        if self._incremental:
-            if not self._prune_live(self._coll_set, _coll_pending):
-                return []
-            out = [
-                node_id
-                for node_id in self._coll_set
-                if self._node_has_scheduled(rts[node_id], kinds, driver_only)
+        if not self.fast:
+            return [
+                nrt.node_id
+                for nrt in rts
+                if self._node_has_scheduled(nrt, kinds, driver_only)
             ]
-            out.sort()
-            return out
-        return [
+        if not self._prune_live(self._coll_set, _coll_pending):
+            return []
+        out = [
             node_id
-            for node_id in range(len(rts))
+            for node_id in self._coll_set
             if self._node_has_scheduled(rts[node_id], kinds, driver_only)
         ]
+        out.sort()
+        return out
 
     def bbm_nodes(self) -> List[int]:
         """Nodes driving a scheduled barrier/broadcast this slice."""
@@ -821,17 +789,14 @@ class BcsRuntime:
     def global_schedule(self):
         """Collect MSM matches and grant this slice's chunks."""
         rts = self.node_runtimes
-        if self._incremental:
-            for node_id in sorted(self._match_set):
-                nrt = rts[node_id]
-                if nrt.new_matches:
-                    self.scheduler.add_matches(nrt.new_matches)
-                    nrt.new_matches = []
+        if self.fast:
+            matched = [rts[node_id] for node_id in sorted(self._match_set)]
         else:
-            for nrt in rts:
-                if nrt.new_matches:
-                    self.scheduler.add_matches(nrt.new_matches)
-                    nrt.new_matches = []
+            matched = rts
+        for nrt in matched:
+            if nrt.new_matches:
+                self.scheduler.add_matches(nrt.new_matches)
+                nrt.new_matches = []
         self._match_set.clear()
         return self.scheduler.schedule_slice()
 
@@ -839,43 +804,25 @@ class BcsRuntime:
 
     def queue_depths(self) -> tuple:
         """Machine totals ``(posted_sends, posted_recvs, posted_colls,
-        arrived_sends)`` — O(active nodes) on the incremental path."""
+        arrived_sends)`` — O(active nodes), read from the active sets."""
         rts = self.node_runtimes
-        if self._incremental:
-            sends = recvs = colls = 0
-            for node_id in self._live_sorted(self._dem_set, _dem_pending):
-                nrt = rts[node_id]
-                sends += len(nrt.posted_sends)
-                recvs += len(nrt.posted_recvs)
-                colls += len(nrt.posted_colls)
-            arrived = sum(
-                len(rts[n].arrived_sends)
-                for n in self._live_sorted(self._arrived_set, _arrived_pending)
-            )
-            return sends, recvs, colls, arrived
-        sends = recvs = colls = arrived = 0
-        for nrt in rts:
+        sends = recvs = colls = 0
+        for node_id in self._live_sorted(self._dem_set, _dem_pending):
+            nrt = rts[node_id]
             sends += len(nrt.posted_sends)
             recvs += len(nrt.posted_recvs)
             colls += len(nrt.posted_colls)
-            arrived += len(nrt.arrived_sends)
+        arrived = sum(
+            len(rts[n].arrived_sends)
+            for n in self._live_sorted(self._arrived_set, _arrived_pending)
+        )
         return sends, recvs, colls, arrived
 
     def matcher_pending_totals(self) -> tuple:
-        """Machine totals ``(unexpected sends, posted receives)``.
-
-        O(1) on the incremental path (the shared aggregate); the scan
-        path polls every node's matcher, as telemetry originally did.
-        """
-        if self._incremental:
-            totals = self.matcher_totals
-            return totals.unexpected, totals.posted
-        unexpected = posted = 0
-        for nrt in self.node_runtimes:
-            u, p = nrt.matcher.pending_counts
-            unexpected += u
-            posted += p
-        return unexpected, posted
+        """Machine totals ``(unexpected sends, posted receives)`` — O(1),
+        read from the aggregate every node matcher shares."""
+        totals = self.matcher_totals
+        return totals.unexpected, totals.posted
 
     def communication_state(self) -> dict:
         """Snapshot of the global communication state.
@@ -892,7 +839,7 @@ class BcsRuntime:
         # Materialized-only: a node with no Python object by definition
         # has no in-flight state, and all-zero entries are filtered out
         # below anyway — the snapshot is byte-identical to a full scan.
-        for nrt in existing_node_runtimes(self.node_runtimes):
+        for nrt in self.node_runtimes.materialized():
             unexpected, posted = nrt.matcher.pending_counts
             entry = {
                 "posted_sends": len(nrt.posted_sends),

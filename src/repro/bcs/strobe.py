@@ -58,7 +58,7 @@ class StrobeReceiver:
 
     def _run(self):
         nrt = self.nrt
-        aggregated = nrt.config.aggregated_strobe
+        fast = nrt.runtime.fast
         agents = nrt.runtime.agents[nrt.node_id]
         handlers = {
             DEM: lambda s: self._dem(agents),
@@ -75,11 +75,11 @@ class StrobeReceiver:
             yield from handlers[strobe.phase](strobe)
             self.completed_phases += 1
             # Report completion in global memory; the SS's
-            # Compare-And-Write tests this counter.  In aggregated mode
-            # the SS performs one batched arena increment for the whole
-            # participant set instead of this per-node write — the
+            # Compare-And-Write tests this counter.  Under the fast
+            # engine the SS performs one batched arena increment for the
+            # whole participant set instead of this per-node write — the
             # array-backed slot ends up with the identical value.
-            if not aggregated:
+            if not fast:
                 nrt.runtime.core.gas.write(
                     nrt.node_id, "mphase_done", self.completed_phases
                 )
@@ -113,10 +113,6 @@ class StrobeSender:
         # Microstrobe duration, cached per active-set size.
         self._strobe_n = -1
         self._strobe_latency = 0
-        # Aggregated strobe model (``config.aggregated_strobe``): the SS
-        # reports every participant's completion with one batched arena
-        # increment instead of each receiver writing its own counter.
-        self._aggregated = runtime.config.aggregated_strobe
         #: "bcs.microphase" tracing, sampled once per strobe-loop launch
         #: (trace categories are fixed at cluster construction); gates
         #: the per-microphase trace emit and the named-latch allocation.
@@ -138,8 +134,7 @@ class StrobeSender:
         mins = {DEM: cfg.dem_min_duration, MSM: cfg.msm_min_duration}
         node_runtimes = runtime.node_runtimes
         hooks = runtime.on_slice_start
-        fast_forward = cfg.idle_fast_forward
-        incremental = runtime._incremental
+        fast = runtime.fast
         slice_waiters = runtime._slice_waiters
 
         while not runtime.stopped:
@@ -150,13 +145,13 @@ class StrobeSender:
             if hooks:
                 hooks.fire(runtime.slice_no)
             # Slice boundary: the NM restarts processes whose blocking
-            # operations completed during the previous slice.  Only
-            # signals with waiters are pulsed (ascending node id — the
-            # historical wake order); the scan mode pulses every node,
-            # preserving the original full-broadcast loop as reference.
+            # operations completed during the previous slice.  The fast
+            # engine pulses only signals with waiters (ascending node
+            # id — the historical wake order); the reference engine
+            # keeps the original full-broadcast loop over every node.
             # All their waiters wake through one heap entry, in the order
             # node-by-node pulses would wake them.
-            if incremental:
+            if fast:
                 pulsed = [node_runtimes[n] for n in sorted(slice_waiters)]
             else:
                 pulsed = node_runtimes
@@ -188,7 +183,7 @@ class StrobeSender:
                     P2P, sorted({m.dst_node for m in granted}), 0, payload=granted
                 )
                 retired = runtime.scheduler.retire_finished()
-                if retired and cfg.batched_matching:
+                if retired and fast:
                     # A retired match was the last holder of its pair of
                     # descriptors (requests are completed at delivery and
                     # owned by the application): recycle them.
@@ -201,7 +196,7 @@ class StrobeSender:
 
             elapsed = env.now - start
             if elapsed < timeslice:
-                if fast_forward and not active and not hooks:
+                if fast and not active and not hooks:
                     if cfg.auto_stop and runtime.idle():
                         # The loop exits after this slice anyway.
                         pass
@@ -315,12 +310,12 @@ class StrobeSender:
                 [receivers[n].wake for n in nodes], strobe, delay=self._strobe_latency
             )
             yield done
-            if self._aggregated:
+            if runtime.fast:
                 # Batched completion report: every participant finished
                 # exactly one microphase, so one arena-wide increment
                 # replaces the per-node ``gas.write`` loop the receivers
-                # perform on the oracle path (same counters, same values
-                # at the Compare-And-Write below).
+                # perform under the reference engine (same counters, same
+                # values at the Compare-And-Write below).
                 runtime.core.gas.increment_batch(nodes, "mphase_done")
             # SS verifies global completion with a Compare-And-Write on
             # the per-node microphase counters; the latch already charged

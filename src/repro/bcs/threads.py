@@ -37,7 +37,7 @@ from .descriptors import (
     SendDescriptor,
     payload_nbytes,
 )
-from .matching import make_matcher
+from .matching import HashMatcher, LinearMatcher
 
 if TYPE_CHECKING:  # pragma: no cover
     from .runtime import BcsRuntime
@@ -127,12 +127,11 @@ class NodeRuntime:
         self.nic = self.node.nic
         self.config: BcsConfig = runtime.config
         self.env = runtime.env
-        # Lazily materialized nodes (aggregated-strobe mode) can be
-        # created after observability was attached; inherit the hub and
-        # register this node's trace tracks so the fresh NIC reports
-        # occupancy spans like its eager peers.  (During eager
-        # construction the runtime has no ``obs`` yet — binding covers
-        # those nodes.)
+        # Lazily materialized nodes can be created after observability
+        # was attached; inherit the hub and register this node's trace
+        # tracks so the fresh NIC reports occupancy spans like its peers.
+        # (Nodes built with the runtime exist before any ``obs`` —
+        # binding covers those.)
         obs = getattr(runtime, "obs", None)
         if obs is not None:
             self.nic.obs = obs
@@ -157,9 +156,8 @@ class NodeRuntime:
         self._coll_set = runtime._coll_set
 
         # BR state.
-        self.matcher = make_matcher(
-            self.config.matcher, node_id, runtime.matcher_totals
-        )
+        matcher_cls = HashMatcher if runtime.fast else LinearMatcher
+        self.matcher = matcher_cls(node_id, runtime.matcher_totals)
         #: Send descriptors delivered by remote BS threads this slice.
         self.arrived_sends: List[SendDescriptor] = []
         #: Matches created in the current MSM (collected by the runtime).
@@ -295,7 +293,7 @@ class NodeRuntime:
         obs = self.runtime.obs
         if obs is not None and obs.spans is not None:
             obs.spans.coll_completed(job_id, comm_id, epoch)
-        if self.config.batched_matching:
+        if self.runtime.fast:
             # The epoch record was the last holder of these descriptors.
             pools = self.runtime.pools
             for desc in ep.descs:
@@ -344,17 +342,17 @@ class BufferReceiver:
     def dem_phase(self):
         """Pre-process local receive and collective descriptors.
 
-        With ``BcsConfig.batched_matching`` the slice's descriptors are
-        processed as one batch: a single NIC hold covers the whole run
-        (the thread processor is uncontended during the BR's turn, so
-        ``n`` sequential holds and one hold of ``n × cost`` end at the
-        same instant) and the matcher consumes the receives through its
-        vectorized batch API.  The per-descriptor loop below is the
-        differential oracle.
+        Under the fast engine the slice's descriptors are processed as
+        one batch: a single NIC hold covers the whole run (the thread
+        processor is uncontended during the BR's turn, so ``n``
+        sequential holds and one hold of ``n × cost`` end at the same
+        instant) and the matcher consumes the receives through its
+        vectorized batch API.  The reference engine's per-descriptor
+        loop below is the differential oracle.
         """
         nrt = self.nrt
         cost = nrt.config.nic_descriptor_cost
-        if nrt.config.batched_matching:
+        if nrt.runtime.fast:
             recvs = nrt._drain_posted(nrt.posted_recvs)
             if recvs:
                 yield from nrt.nic.compute_batch(cost, len(recvs))
@@ -406,7 +404,7 @@ class BufferReceiver:
 
         arrived, nrt.arrived_sends = nrt.arrived_sends, []
         if arrived:
-            if nrt.config.batched_matching:
+            if nrt.runtime.fast:
                 # Batched leg: one NIC hold, one vectorized matcher join.
                 yield from nrt.nic.compute_batch(
                     nrt.config.nic_descriptor_cost, len(arrived)

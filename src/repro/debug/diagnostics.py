@@ -47,9 +47,7 @@ def diagnose(runtime: "BcsRuntime") -> str:
     # Unmatched traffic per node.  Only materialized nodes can hold
     # state worth reporting; never-touched flyweight slots have no
     # matcher and therefore nothing unmatched.
-    from ..bcs.runtime import existing_node_runtimes
-
-    for nrt in existing_node_runtimes(runtime.node_runtimes):
+    for nrt in runtime.node_runtimes.materialized():
         for send in nrt.matcher.unexpected:
             lines.append(
                 f"node {nrt.node_id}: send {send.src_rank}->{send.dst_rank} "

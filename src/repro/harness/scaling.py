@@ -1,27 +1,26 @@
-"""The 1024-node scaling study: simulator throughput vs machine size.
+"""The scaling study: simulator throughput vs machine size.
 
-The BCS design brief is a machine one order of magnitude past the
-paper's 62-node testbed, so the simulator itself must stay usable at
-1024 nodes.  The dominant cost at that scale used to be the strobe
-loop's per-slice full scans — every slice touched every
-``NodeRuntime`` even when one small job was active.  This study pins
-the fix: it runs one small barrier job (a realistic "mostly idle
-machine" shape) on clusters of growing size and measures *simulator
-wall-clock* slices/sec with the incremental active sets on
-(``BcsConfig.incremental_active_sets=True``, the default) against the
-historical full-scan path, asserting virtual timings stay identical.
+The BCS design brief is a machine well past the paper's 62-node
+testbed, so the simulator itself must stay usable at 64k nodes.  This
+study runs one small job (a realistic "mostly idle machine" shape) on
+clusters of growing size and measures *simulator wall-clock* slices/sec
+of the fast slice engine against the reference engine
+(``BcsConfig(engine="reference")``: full scans, per-node strobe
+completion writes, per-descriptor linear matching, no idle skipping,
+every node built up front).  Both engines must agree on virtual time
+and slice count to the byte; a divergence raises instead of recording
+a row.
 
 Rows are JSON-safe so :mod:`repro.farm.points` can register the study
-as the ``scaling1024`` family.  Wall-clock fields are measurements of
-*this host*, not of the simulated machine — the family therefore stays
-out of the deterministic figure set.
+as the ``scaling`` family.  Wall-clock fields are measurements of the
+host, not of the simulated machine — the family therefore stays out of
+the deterministic figure set.
 """
 
 from __future__ import annotations
 
 import gc
 import time
-from typing import List, Sequence
 
 from ..apps import barrier_benchmark, nearest_neighbor_benchmark
 from ..bcs import BcsConfig, BcsRuntime
@@ -30,14 +29,10 @@ from ..storm import JobSpec
 from ..units import kib, seconds, us
 
 __all__ = [
+    "SCALING_APPS",
     "SCALING_NETWORKS",
     "gc_counters",
-    "scaling16k_point",
-    "scaling16k_rows",
-    "scaling64k_point",
-    "scaling64k_rows",
     "scaling_point",
-    "scaling_rows",
     "tune_gc",
 ]
 
@@ -45,207 +40,9 @@ __all__ = [
 #: testbed fabric and the BlueGene/L torus it anticipates.
 SCALING_NETWORKS = ("qsnet", "bluegene_l_torus")
 
-
-def _timed_run(
-    network: str,
-    n_nodes: int,
-    active_ranks: int,
-    iterations: int,
-    granularity_us: float,
-    incremental: bool,
-):
-    """One job on a fresh ``n_nodes`` cluster; returns (virtual_ns, slices, wall_s)."""
-    cluster = Cluster(ClusterSpec(n_nodes=n_nodes, model=by_name(network)))
-    cfg = BcsConfig(init_cost=0, incremental_active_sets=incremental)
-    runtime = BcsRuntime(cluster, cfg)
-    spec = JobSpec(
-        app=barrier_benchmark,
-        n_ranks=active_ranks,
-        name="scaling",
-        params=dict(granularity=us(granularity_us), iterations=iterations),
-    )
-    t0 = time.perf_counter()
-    job = runtime.run_job(spec, max_time=seconds(3600))
-    wall_s = time.perf_counter() - t0
-    return job.runtime, runtime.stats["slices"], wall_s
-
-
-def scaling_point(
-    network: str = "qsnet",
-    n_nodes: int = 1024,
-    active_ranks: int = 8,
-    iterations: int = 60,
-    granularity_us: float = 400.0,
-) -> dict:
-    """One scaling row: incremental active sets vs the full-scan oracle.
-
-    Both runs simulate the identical workload — ``active_ranks`` ranks
-    of the barrier benchmark on an ``n_nodes``-node cluster — and must
-    agree on virtual time and slice count to the byte; only the host
-    wall-clock (and hence ``speedup``) may differ.
-    """
-    # Warm both code paths on a toy cluster so the first timed run does
-    # not absorb the interpreter's cold-start cost (farm workers are
-    # fresh processes).
-    for warm in (True, False):
-        _timed_run(network, 8, 2, 2, granularity_us, warm)
-    inc_ns, inc_slices, inc_wall = _timed_run(
-        network, n_nodes, active_ranks, iterations, granularity_us, True
-    )
-    scan_ns, scan_slices, scan_wall = _timed_run(
-        network, n_nodes, active_ranks, iterations, granularity_us, False
-    )
-    return {
-        "network": network,
-        "n_nodes": n_nodes,
-        "active_ranks": active_ranks,
-        "iterations": iterations,
-        "virtual_ms": inc_ns / 1e6,
-        "slices": inc_slices,
-        "slices_per_sec": inc_slices / inc_wall if inc_wall > 0 else 0.0,
-        "scan_slices_per_sec": scan_slices / scan_wall if scan_wall > 0 else 0.0,
-        "speedup": scan_wall / inc_wall if inc_wall > 0 else 0.0,
-        "virtual_identical": inc_ns == scan_ns and inc_slices == scan_slices,
-        "wall_s": inc_wall,
-        "scan_wall_s": scan_wall,
-    }
-
-
-def scaling_rows(
-    node_counts: Sequence[int] = (128, 256, 512, 1024),
-    networks: Sequence[str] = SCALING_NETWORKS,
-    active_ranks: int = 8,
-    iterations: int = 60,
-    granularity_us: float = 400.0,
-) -> List[dict]:
-    """The full scaling table (network-major, node-count-minor order)."""
-    return [
-        scaling_point(m, n, active_ranks, iterations, granularity_us)
-        for m in networks
-        for n in node_counts
-    ]
-
-
-# -- the 16k study: batched slice engine vs the object-path oracle -------------
-
-
-def _timed_run16k(
-    network: str,
-    n_nodes: int,
-    active_ranks: int,
-    iterations: int,
-    granularity_us: float,
-    message_kib: int,
-    batched: bool,
-):
-    """One nearest-neighbour job on a fresh cluster.
-
-    Returns ``(virtual_ns, slices, wall_s)``.  Both legs keep the
-    incremental active sets on — at 16k nodes the per-slice full scan
-    would measure PR 5's fix again, not this study's batching.
-    """
-    cluster = Cluster(ClusterSpec(n_nodes=n_nodes, model=by_name(network)))
-    cfg = BcsConfig(init_cost=0, batched_matching=batched)
-    runtime = BcsRuntime(cluster, cfg)
-    spec = JobSpec(
-        app=nearest_neighbor_benchmark,
-        n_ranks=active_ranks,
-        name="scaling16k",
-        params=dict(
-            granularity=us(granularity_us),
-            iterations=iterations,
-            message_bytes=kib(message_kib),
-        ),
-    )
-    # Building a 16k-node cluster leaves the young generations full of
-    # short-lived construction garbage; collect it now so the timed
-    # region measures the slice machine, not a GC pass over the graph.
-    gc.collect()
-    t0 = time.perf_counter()
-    job = runtime.run_job(spec, max_time=seconds(3600))
-    wall_s = time.perf_counter() - t0
-    return job.runtime, runtime.stats["slices"], wall_s
-
-
-def scaling16k_point(
-    network: str = "qsnet",
-    n_nodes: int = 16384,
-    active_ranks: int = 32,
-    iterations: int = 30,
-    granularity_us: float = 400.0,
-    message_kib: int = 4,
-    reps: int = 2,
-) -> dict:
-    """One 16k-study row: batched slice engine vs the object-path oracle.
-
-    The workload is point-to-point heavy (nearest-neighbour exchange) so
-    the batched descriptor/matching engine is what's actually measured.
-    Both runs simulate the identical workload and must agree on virtual
-    time and slice count to the byte (``virtual_identical``); only the
-    host wall-clock (and hence ``speedup``) may differ.  Legs are
-    interleaved best-of-``reps``: at 16k nodes a single leg's wall-clock
-    is dominated by GC churn from the just-built cluster graph, so
-    one-shot timings swing tens of percent either way.
-    """
-    for warm in (True, False):
-        _timed_run16k(network, 8, 2, 2, granularity_us, message_kib, warm)
-    bat_wall = obj_wall = float("inf")
-    bat_ns = bat_slices = obj_ns = obj_slices = 0
-    for _ in range(max(1, reps)):
-        bat_ns, bat_slices, wall = _timed_run16k(
-            network, n_nodes, active_ranks, iterations, granularity_us,
-            message_kib, True,
-        )
-        bat_wall = min(bat_wall, wall)
-        obj_ns, obj_slices, wall = _timed_run16k(
-            network, n_nodes, active_ranks, iterations, granularity_us,
-            message_kib, False,
-        )
-        obj_wall = min(obj_wall, wall)
-    if bat_ns != obj_ns or bat_slices != obj_slices:
-        # Divergence is a correctness bug, not a data point: fail the
-        # farm point so CI stops instead of recording a broken row.
-        raise AssertionError(
-            f"scaling16k[{network},{n_nodes}]: batched engine diverged from "
-            f"the object-path oracle — {bat_ns} ns/{bat_slices} slices vs "
-            f"{obj_ns} ns/{obj_slices} slices"
-        )
-    return {
-        "network": network,
-        "n_nodes": n_nodes,
-        "active_ranks": active_ranks,
-        "iterations": iterations,
-        "message_kib": message_kib,
-        "virtual_ms": bat_ns / 1e6,
-        "slices": bat_slices,
-        "slices_per_sec": bat_slices / bat_wall if bat_wall > 0 else 0.0,
-        "object_slices_per_sec": obj_slices / obj_wall if obj_wall > 0 else 0.0,
-        "speedup": obj_wall / bat_wall if bat_wall > 0 else 0.0,
-        "virtual_identical": bat_ns == obj_ns and bat_slices == obj_slices,
-        "wall_s": bat_wall,
-        "object_wall_s": obj_wall,
-    }
-
-
-def scaling16k_rows(
-    node_counts: Sequence[int] = (2048, 4096, 8192, 16384),
-    networks: Sequence[str] = SCALING_NETWORKS,
-    active_ranks: int = 32,
-    iterations: int = 30,
-    granularity_us: float = 400.0,
-    message_kib: int = 4,
-) -> List[dict]:
-    """The 16k scaling table (network-major, node-count-minor order)."""
-    return [
-        scaling16k_point(
-            m, n, active_ranks, iterations, granularity_us, message_kib
-        )
-        for m in networks
-        for n in node_counts
-    ]
-
-
-# -- the 64k study: arena node state + aggregated strobe vs the oracle ---------
+#: Workloads the study can run, by row name: a compute/barrier loop and
+#: a point-to-point heavy nearest-neighbour exchange.
+SCALING_APPS = {"barrier": barrier_benchmark, "neighbor": nearest_neighbor_benchmark}
 
 
 def tune_gc(threshold0: int = 50_000) -> None:
@@ -287,40 +84,23 @@ def _peak_rss_mib() -> float:
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
 
-def _timed_run64k(
-    network: str,
-    n_nodes: int,
-    active_ranks: int,
-    iterations: int,
-    granularity_us: float,
-    message_kib: int,
-    aggregated: bool,
+def _timed_run(
+    network: str, n_nodes: int, app: str, active_ranks: int, params: dict, engine: str
 ):
-    """One nearest-neighbour job on a fresh cluster.
+    """One job on a fresh ``n_nodes`` cluster under ``engine``.
 
     Returns ``(virtual_ns, slices, wall_s, gc_collections_delta)``.
-    The aggregated leg also gets the lazy node directory — flyweight
-    nodes are half of what makes 64k clusters affordable — while the
-    oracle leg builds every node eagerly, exactly like the pre-arena
-    engine did.
+    Only the job is timed: building the cluster is O(nodes) under the
+    reference engine and is not what the study measures.
     """
-    cluster = Cluster(
-        ClusterSpec(
-            n_nodes=n_nodes, model=by_name(network), lazy_nodes=aggregated
-        )
-    )
-    cfg = BcsConfig(init_cost=0, aggregated_strobe=aggregated)
-    runtime = BcsRuntime(cluster, cfg)
+    cluster = Cluster(ClusterSpec(n_nodes=n_nodes, model=by_name(network)))
+    runtime = BcsRuntime(cluster, BcsConfig(init_cost=0, engine=engine))
     spec = JobSpec(
-        app=nearest_neighbor_benchmark,
-        n_ranks=active_ranks,
-        name="scaling64k",
-        params=dict(
-            granularity=us(granularity_us),
-            iterations=iterations,
-            message_bytes=kib(message_kib),
-        ),
+        app=SCALING_APPS[app], n_ranks=active_ranks, name="scaling", params=params
     )
+    # Building a large cluster leaves the young generations full of
+    # construction garbage; collect it now so the timed region measures
+    # the slice machine, not a GC pass over the graph.
     gc.collect()
     gc0, _ = gc_counters()
     t0 = time.perf_counter()
@@ -330,92 +110,75 @@ def _timed_run64k(
     return job.runtime, runtime.stats["slices"], wall_s, gc1 - gc0
 
 
-def scaling64k_point(
+def scaling_point(
     network: str = "qsnet",
     n_nodes: int = 65536,
+    app: str = "neighbor",
     active_ranks: int = 32,
     iterations: int = 30,
     granularity_us: float = 400.0,
     message_kib: int = 4,
     reps: int = 2,
 ) -> dict:
-    """One 64k-study row: aggregated strobe + arena vs the scan oracle.
+    """One scaling row: the fast engine vs the reference engine.
 
-    The aggregated leg runs *first* and the process peak RSS is
-    snapshotted immediately after it: ``ru_maxrss`` is a cumulative
-    high-water mark, so sampling before the eager oracle leg builds its
-    full object graph makes ``peak_rss_mib`` the aggregated stack's own
-    footprint.  Farm workers execute each point in a fresh spawned
-    child, so the snapshot is not polluted by earlier points either.
+    Both engines simulate the identical workload — ``active_ranks``
+    ranks of ``app`` (a :data:`SCALING_APPS` key; ``message_kib`` only
+    applies to ``"neighbor"``) on an ``n_nodes``-node cluster.  Legs are
+    interleaved best-of-``reps``, fast leg first: the process peak RSS
+    is snapshotted right after the first fast leg, before the reference
+    leg builds its whole-machine object graph, so ``peak_rss_mib`` is
+    the fast engine's own footprint (``ru_maxrss`` is a cumulative
+    high-water mark; farm workers run each point in a fresh child).
 
-    Both legs simulate the identical workload and must agree on virtual
-    time and slice count to the byte; divergence raises instead of
-    recording a broken row.
+    Any divergence in virtual time or slice count is a correctness bug,
+    not a data point: it raises :class:`AssertionError`.
     """
-    for warm in (True, False):
-        _timed_run64k(
-            network, 8, 2, 2, granularity_us, message_kib, warm
-        )
+    params = dict(granularity=us(granularity_us), iterations=iterations)
+    if app == "neighbor":
+        params["message_bytes"] = kib(message_kib)
+    # Warm both engines on a toy cluster so the first timed run does not
+    # absorb the interpreter's cold-start cost, then freeze the warm graph.
+    for engine in ("fast", "reference"):
+        _timed_run(network, 8, app, 2, {**params, "iterations": 2}, engine)
     tune_gc()
-    agg_wall = orc_wall = float("inf")
-    agg_ns = agg_slices = orc_ns = orc_slices = 0
+    fast_wall = ref_wall = float("inf")
     gc_delta = 0
-    peak_rss = 0.0
-    gc_objects = 0
     for rep in range(max(1, reps)):
-        agg_ns, agg_slices, wall, delta = _timed_run64k(
-            network, n_nodes, active_ranks, iterations, granularity_us,
-            message_kib, True,
+        fast_ns, fast_slices, wall, delta = _timed_run(
+            network, n_nodes, app, active_ranks, params, "fast"
         )
-        agg_wall = min(agg_wall, wall)
+        fast_wall = min(fast_wall, wall)
         gc_delta = max(gc_delta, delta)
         if rep == 0:
             peak_rss = _peak_rss_mib()
             _, gc_objects = gc_counters()
-        orc_ns, orc_slices, wall, _ = _timed_run64k(
-            network, n_nodes, active_ranks, iterations, granularity_us,
-            message_kib, False,
+        ref_ns, ref_slices, wall, _ = _timed_run(
+            network, n_nodes, app, active_ranks, params, "reference"
         )
-        orc_wall = min(orc_wall, wall)
-    if agg_ns != orc_ns or agg_slices != orc_slices:
-        raise AssertionError(
-            f"scaling64k[{network},{n_nodes}]: aggregated strobe diverged "
-            f"from the per-destination oracle — {agg_ns} ns/{agg_slices} "
-            f"slices vs {orc_ns} ns/{orc_slices} slices"
-        )
+        ref_wall = min(ref_wall, wall)
+        if (fast_ns, fast_slices) != (ref_ns, ref_slices):
+            raise AssertionError(
+                f"scaling[{network},{n_nodes},{app}]: fast engine diverged "
+                f"from the reference engine — {fast_ns} ns/{fast_slices} "
+                f"slices vs {ref_ns} ns/{ref_slices} slices"
+            )
     return {
         "network": network,
         "n_nodes": n_nodes,
+        "app": app,
         "active_ranks": active_ranks,
         "iterations": iterations,
         "message_kib": message_kib,
-        "virtual_ms": agg_ns / 1e6,
-        "slices": agg_slices,
-        "slices_per_sec": agg_slices / agg_wall if agg_wall > 0 else 0.0,
-        "oracle_slices_per_sec": orc_slices / orc_wall if orc_wall > 0 else 0.0,
-        "speedup": orc_wall / agg_wall if agg_wall > 0 else 0.0,
-        "virtual_identical": agg_ns == orc_ns and agg_slices == orc_slices,
-        "wall_s": agg_wall,
-        "oracle_wall_s": orc_wall,
+        "virtual_ms": fast_ns / 1e6,
+        "slices": fast_slices,
+        "slices_per_sec": fast_slices / fast_wall if fast_wall > 0 else 0.0,
+        "reference_slices_per_sec": ref_slices / ref_wall if ref_wall > 0 else 0.0,
+        "speedup": ref_wall / fast_wall if fast_wall > 0 else 0.0,
+        "virtual_identical": True,
+        "wall_s": fast_wall,
+        "reference_wall_s": ref_wall,
         "peak_rss_mib": peak_rss,
         "gc_collections": gc_delta,
         "gc_objects": gc_objects,
     }
-
-
-def scaling64k_rows(
-    node_counts: Sequence[int] = (2048, 8192, 16384, 65536),
-    networks: Sequence[str] = SCALING_NETWORKS,
-    active_ranks: int = 32,
-    iterations: int = 30,
-    granularity_us: float = 400.0,
-    message_kib: int = 4,
-) -> List[dict]:
-    """The 64k scaling table (network-major, node-count-minor order)."""
-    return [
-        scaling64k_point(
-            m, n, active_ranks, iterations, granularity_us, message_kib
-        )
-        for m in networks
-        for n in node_counts
-    ]

@@ -6,13 +6,13 @@ management node, all on one interconnect.  The management node is always
 the *last* index (``cluster.management_node``), mirroring the paper's
 separate Dell 2550; compute ranks use indices ``0..n_nodes-1``.
 
-With ``ClusterSpec.lazy_nodes`` (the default) the per-node ``Node``/
-``Nic`` objects are flyweights materialized on first access: a 64k-node
-machine where one small job runs only ever builds the node objects the
-job touches.  Construction of a ``Node`` creates no simulation events,
-so lazy and eager assembly are observationally identical — the eager
-path (``lazy_nodes=False``) is kept as the footprint oracle for the
-scaling studies.
+The per-node ``Node``/``Nic`` objects are flyweights materialized on
+first access (:class:`NodeDirectory`): a 64k-node machine where one
+small job runs only ever builds the node objects the job touches.
+Construction of a ``Node`` creates no simulation events, so when a node
+comes into being never changes simulated time; the BCS runtime's
+reference engine (``BcsConfig(engine="reference")``) materializes every
+node up front through the same directory.
 """
 
 from __future__ import annotations
@@ -36,9 +36,6 @@ class ClusterSpec:
     #: Per-operation NIC thread cost, ns (0 disables the cost model).
     nic_thread_op_cost: int = 200
     seed: int = 0
-    #: Materialize Node/Nic objects on first access instead of eagerly
-    #: at construction (pure footprint optimization; see module doc).
-    lazy_nodes: bool = True
 
     def __post_init__(self):
         if self.n_nodes < 1:
@@ -87,7 +84,9 @@ class NodeDirectory:
     Indexing materializes the node (and its NIC) on first access;
     iteration and slicing materialize everything they touch, so code
     that genuinely walks the whole machine (diagnostics, full-scan
-    oracles, fault-tolerance sweeps) still sees every node.
+    oracles, fault-tolerance sweeps) still sees every node.  Indices
+    follow list semantics: negative ones count from the end, and
+    out-of-range ones raise :class:`IndexError`.
     """
 
     __slots__ = ("_cluster", "_slots", "_materialized")
@@ -103,10 +102,10 @@ class NodeDirectory:
     def __getitem__(self, index):
         if isinstance(index, slice):
             return [self[i] for i in range(*index.indices(len(self._slots)))]
-        if index < 0:
-            index += len(self._slots)
-        node = self._slots[index]
+        node = self._slots[index]  # list indexing raises when out of range
         if node is None:
+            if index < 0:
+                index += len(self._slots)
             node = self._slots[index] = self._cluster._make_node(index)
             self._materialized += 1
         return node
@@ -141,10 +140,6 @@ class _NicView:
     def __getitem__(self, index) -> Nic:
         return self._nodes[index].nic
 
-    def __iter__(self):
-        for node in self._nodes:
-            yield node.nic
-
 
 class Cluster:
     """A simulated cluster: engine + nodes + fabric + RNG + trace."""
@@ -155,14 +150,11 @@ class Cluster:
         self.env = Engine(trace=self.trace)
         self.rng = RngRegistry(self.spec.seed)
 
-        total = self.spec.n_nodes + 1  # + management node
-        if self.spec.lazy_nodes:
-            self.nodes = NodeDirectory(self, total)
-            nics = _NicView(self.nodes)
-        else:
-            self.nodes = [self._make_node(node_id) for node_id in range(total)]
-            nics = [node.nic for node in self.nodes]
-        self.fabric = Fabric(self.env, self.spec.model, nics, trace=self.trace)
+        # + 1: the management node.
+        self.nodes = NodeDirectory(self, self.spec.n_nodes + 1)
+        self.fabric = Fabric(
+            self.env, self.spec.model, _NicView(self.nodes), trace=self.trace
+        )
 
     def _make_node(self, node_id: int) -> Node:
         nic = Nic(

@@ -40,10 +40,9 @@ class Fabric:
     ):
         self.env = env
         self.model = model
-        # Kept as whatever sequence the cluster hands over: a plain list
-        # (eager assembly) or a lazy NIC view over the node directory —
-        # only len() and indexing are used, so flyweight NICs stay
-        # unmaterialized until a transfer actually touches them.
+        # The cluster's lazy NIC view over its node directory: only len()
+        # and indexing are used, so flyweight NICs stay unmaterialized
+        # until a transfer actually touches them.
         self.nics = nics
         self.tree = build_topology(
             model.topology, len(self.nics), radix=model.radix

@@ -144,8 +144,8 @@ class Nic:
         Virtual time is identical to ``n`` sequential :meth:`compute`
         calls — the thread processor is held for exactly
         ``n * duration`` ns — but the simulator pays for one hold instead
-        of ``n`` event/heap round-trips.  This is the batched slice
-        engine's NIC leg (``BcsConfig.batched_matching``).
+        of ``n`` event/heap round-trips.  This is the fast slice
+        engine's batched NIC leg (``BcsConfig(engine="fast")``).
 
         Once granted, a hold occupies the processor contiguously, so the
         per-operation telemetry windows are synthesized by slicing the

@@ -95,16 +95,14 @@ class Observability:
 
     def bind(self, runtime: "BcsRuntime") -> None:
         """Attach to a runtime: name tracks, hook scheduler and NICs."""
-        from ..bcs.runtime import existing_node_runtimes
-
         self.runtime = runtime
         self.timeslice = runtime.config.timeslice
         self.mgmt_pid = runtime.cluster.management_node.id
         runtime.scheduler.obs = self
         # Materialized nodes get the hub here; lazily materialized ones
-        # (aggregated-strobe mode) inherit it at construction from
-        # ``runtime.obs`` — binding never forces a 64k table into being.
-        for nrt in existing_node_runtimes(runtime.node_runtimes):
+        # inherit it at construction from ``runtime.obs`` — binding
+        # never forces a 64k table into being.
+        for nrt in runtime.node_runtimes.materialized():
             nrt.nic.obs = self
         if self.spans is not None:
             self.spans.attach(runtime, self.perfetto)
@@ -113,7 +111,7 @@ class Observability:
                 self.mgmt_pid, "slice machine (mgmt)", sort_index=-1
             )
             self.perfetto.thread_name(self.mgmt_pid, TID_MICROPHASES, "microphases")
-            for nrt in existing_node_runtimes(runtime.node_runtimes):
+            for nrt in runtime.node_runtimes.materialized():
                 self.node_track(nrt.node_id)
 
     def node_track(self, node_id: int) -> None:
@@ -121,7 +119,7 @@ class Observability:
 
         Called from :meth:`bind` for already-materialized nodes and from
         ``NodeRuntime`` construction for nodes materialized later (the
-        aggregated-strobe lazy path), so every node that ever does
+        fast engine's lazy path), so every node that ever does
         anything gets named tracks regardless of when it came into being.
         """
         if self.perfetto is not None:
@@ -196,8 +194,8 @@ class Observability:
         depths (``any_work`` was false), frozen matcher gauges, an idle
         slice count, zero utilization.  The sums are sampled once and the
         per-slice records emitted in exactly the order the non-skipping
-        loop would have, keeping metric and trace output independent of
-        the ``idle_fast_forward`` setting.
+        loop would have, keeping metric and trace output identical under
+        both slice engines.
         """
         if count <= 0:
             return

@@ -1,20 +1,25 @@
-"""Incremental active sets vs the full-scan oracle.
+"""The fast slice engine vs the reference engine.
 
-The Strobe Sender's per-slice questions (``any_work``, ``dem_nodes``,
-``msm_nodes``, ``bbm_nodes``, ``rm_nodes``, the telemetry totals) have
-two implementations: the incremental one reads lazily pruned
-active-node sets, the ``*_scan`` one recomputes from every node
-runtime.  These tests pin them against each other — inside real
-workloads at every slice boundary, and over long random post/retire
-streams (the matcher-differential oracle pattern from
-``test_matching_differential.py`` applied to the slice machine).
+End to end, both engines must agree byte-for-byte on virtual time,
+per-rank results and stats (idle-skip counters aside), and on the
+telemetry they export.  Underneath, the Strobe Sender's per-slice
+questions (``any_work``, ``dem_nodes``, ``msm_nodes``, ``bbm_nodes``,
+``rm_nodes``, the telemetry totals) have two implementations: the fast
+engine's reads lazily pruned active-node sets, the reference engine's
+(the ``*_scan`` oracles) recomputes from every node runtime.  These
+tests pin them against each other — inside real workloads at every
+slice boundary, and over long random post/retire streams (the
+matcher-differential oracle pattern from ``test_matching_differential.py``
+applied to the slice machine).
 """
 
+import json
 import random
 
 import pytest
 
 from repro.apps.sage import sage
+from repro.apps.sweep3d import sweep3d_blocking
 from repro.apps.synthetic import barrier_benchmark, nearest_neighbor_benchmark
 from repro.bcs import BcsConfig, BcsRuntime
 from repro.bcs.descriptors import (
@@ -36,48 +41,72 @@ WORKLOADS = {
         4,
         dict(iterations=4, granularity=ms(2)),
     ),
+    # Blocking wavefront: few messages per active slice, the
+    # benchmark's weakest workload shape.
+    "sweep3d": (sweep3d_blocking, 8, dict(octants=2, kblocks=2)),
 }
 
 
-def _run(name, incremental, fast_forward=True, obs=None):
+def _run(name, engine, obs=None, **cfg):
     app, n_ranks, params = WORKLOADS[name]
-    cfg = BcsConfig(
-        incremental_active_sets=incremental, idle_fast_forward=fast_forward
+    config = BcsConfig(engine=engine, **cfg)
+    return run_workload(
+        app, n_ranks, "bcs", params=params, bcs_config=config, obs=obs
     )
-    return run_workload(app, n_ranks, "bcs", params=params, bcs_config=cfg, obs=obs)
+
+
+def _stats(result):
+    """Run stats minus the fast engine's idle-skip counter."""
+    stats = dict(result.stats)
+    stats.pop("idle_slices_skipped", None)
+    return stats
+
+
+def _perfetto(obs):
+    """The Perfetto export with its events as a sorted multiset.
+
+    The reference engine's per-descriptor NIC holds finish the
+    same-instant occupancy spans of different nodes in another order
+    than the fast engine's batched holds; every event, timestamp and
+    duration is the same.
+    """
+    trace = obs.perfetto.to_dict()
+    events = trace.pop("traceEvents")
+    return trace, sorted(json.dumps(e, sort_keys=True) for e in events)
 
 
 # --- end-to-end equivalence ---------------------------------------------------
 
 
 @pytest.mark.parametrize("name", sorted(WORKLOADS))
-@pytest.mark.parametrize("fast_forward", [True, False])
-def test_virtual_time_and_stats_identical(name, fast_forward):
-    inc = _run(name, True, fast_forward)
-    scan = _run(name, False, fast_forward)
-    assert inc.runtime_ns == scan.runtime_ns
-    assert inc.stats == scan.stats
-    assert inc.results == scan.results
+@pytest.mark.parametrize("buffered", [True, False])
+def test_virtual_time_and_stats_identical(name, buffered):
+    """Under buffered and strictly synchronous sends alike."""
+    fast = _run(name, "fast", buffered_sends=buffered)
+    ref = _run(name, "reference", buffered_sends=buffered)
+    assert fast.runtime_ns == ref.runtime_ns
+    assert _stats(fast) == _stats(ref)
+    assert fast.results == ref.results
+    assert ref.stats.get("idle_slices_skipped", 0) == 0
 
 
 @pytest.mark.parametrize("name", ["sage", "neighbor"])
 def test_observability_output_identical(name):
-    obs_inc = Observability()
-    obs_scan = Observability()
-    inc = _run(name, True, obs=obs_inc)
-    scan = _run(name, False, obs=obs_scan)
-    assert inc.runtime_ns == scan.runtime_ns
-    assert obs_inc.registry.snapshot() == obs_scan.registry.snapshot()
-    assert obs_inc.perfetto.to_dict() == obs_scan.perfetto.to_dict()
+    obs_fast = Observability()
+    obs_ref = Observability()
+    fast = _run(name, "fast", obs=obs_fast)
+    ref = _run(name, "reference", obs=obs_ref)
+    assert fast.runtime_ns == ref.runtime_ns
+    assert obs_fast.registry.snapshot() == obs_ref.registry.snapshot()
+    assert _perfetto(obs_fast) == _perfetto(obs_ref)
 
 
 def test_hooks_with_incremental_sets():
     """on_slice_start hooks disable fast-forward and fire every slice,
-    with the incremental sets answering each boundary's queries."""
+    with the fast engine's incremental sets answering each boundary's
+    queries."""
     cluster = Cluster(ClusterSpec(n_nodes=2))
-    runtime = BcsRuntime(
-        cluster, BcsConfig(init_cost=0, incremental_active_sets=True)
-    )
+    runtime = BcsRuntime(cluster, BcsConfig(init_cost=0))
     calls = []
     runtime.on_slice_start.append(lambda s: calls.append(s))
     app, n_ranks, params = WORKLOADS["barrier"]
@@ -95,15 +124,15 @@ def _assert_queries_agree(runtime):
     assert runtime.any_work() == runtime.any_work_scan()
     assert runtime.dem_nodes() == runtime.dem_nodes_scan()
     assert runtime.msm_nodes() == runtime.msm_nodes_scan()
-    # bbm/rm have no standalone scan twin: flip the mode switch so the
-    # candidate enumeration runs both ways over the same state.
+    # bbm/rm have no standalone scan twin: flip the resolved engine so
+    # the candidate enumeration runs both ways over the same state.
     inc_bbm, inc_rm = runtime.bbm_nodes(), runtime.rm_nodes()
-    runtime._incremental = False
+    runtime.fast = False
     try:
         assert inc_bbm == runtime.bbm_nodes()
         assert inc_rm == runtime.rm_nodes()
     finally:
-        runtime._incremental = True
+        runtime.fast = True
 
 
 @pytest.mark.parametrize("name", sorted(WORKLOADS))
@@ -111,9 +140,7 @@ def test_slicewise_differential(name):
     """Every slice boundary of a real run: incremental == scan."""
     app, n_ranks, params = WORKLOADS[name]
     cluster = Cluster(ClusterSpec(n_nodes=4))
-    runtime = BcsRuntime(
-        cluster, BcsConfig(init_cost=0, incremental_active_sets=True)
-    )
+    runtime = BcsRuntime(cluster, BcsConfig(init_cost=0))
     checked = []
     runtime.on_slice_start.append(
         lambda s: (_assert_queries_agree(runtime), checked.append(s))
@@ -193,7 +220,7 @@ def test_random_stream_oracle():
     """
     rng = random.Random(20260806)
     cluster = Cluster(ClusterSpec(n_nodes=6))
-    runtime = BcsRuntime(cluster, BcsConfig(incremental_active_sets=True))
+    runtime = BcsRuntime(cluster, BcsConfig())
     nrts = runtime.node_runtimes
 
     def retire(queue):
@@ -236,7 +263,7 @@ def test_random_stream_oracle():
 def test_sets_prune_to_empty():
     """After retiring everything, the lazy sets drain at query time."""
     cluster = Cluster(ClusterSpec(n_nodes=4))
-    runtime = BcsRuntime(cluster, BcsConfig(incremental_active_sets=True))
+    runtime = BcsRuntime(cluster, BcsConfig())
     for nrt in runtime.node_runtimes:
         nrt.post_send(_send(1, 0, 1))
         nrt.deliver_send(_send(1, 0, 1))

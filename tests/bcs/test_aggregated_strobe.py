@@ -1,15 +1,14 @@
-"""Differential tests for the aggregated strobe + arena node state (ISSUE 10).
+"""Differential tests for the aggregated strobe + arena node state.
 
-The aggregated strobe model replaces the Strobe Sender's
-per-destination control-multicast bookkeeping with one cached
-tree-latency timeout per microphase, and the arena hoists per-node
-scalars (the ``mphase_done`` GAS slots, activity flags) into flat
-arrays updated by batched writes.  Neither change may move a single
-event: virtual time, slice counts, and every per-node GAS value must
-be byte-identical to the per-destination oracle
-(``aggregated_strobe=False``), across both matching engines, and the
-lazy flyweight node directory must stay unmaterialized for nodes a
-job never touches.
+The fast engine reports microphase completion with one batched arena
+increment from the Strobe Sender, and the arena hoists per-node scalars
+(the ``mphase_done`` GAS slots, activity flags) into flat arrays.  The
+reference engine (``BcsConfig(engine="reference")``) has every Strobe
+Receiver write its own counter.  Neither may move a single event:
+virtual time, slice counts, and every per-node GAS value must be
+byte-identical between the engines, and under the fast engine the lazy
+flyweight node directory must stay unmaterialized for nodes a job never
+touches.
 """
 
 import numpy as np
@@ -23,6 +22,8 @@ from repro.harness.runner import run_workload
 from repro.network import Cluster, ClusterSpec
 from repro.storm import JobSpec
 from repro.units import ms, seconds, us
+
+from .test_active_sets import _stats
 
 
 def _wildcard_app(ctx, iterations=4):
@@ -48,40 +49,16 @@ def _wildcard_app(ctx, iterations=4):
 )
 def test_virtual_time_identity_aggregated_vs_oracle(app):
     results = {}
-    for aggregated in (True, False):
-        cfg = BcsConfig(init_cost=0, aggregated_strobe=aggregated)
+    for engine in ("fast", "reference"):
+        cfg = BcsConfig(init_cost=0, engine=engine)
         r = run_workload(app, 8, "bcs", bcs_config=cfg)
-        results[aggregated] = (r.runtime_ns, r.stats.get("slices"))
-    assert results[True] == results[False]
+        results[engine] = (r.runtime_ns, _stats(r), r.results)
+    assert results["fast"] == results["reference"]
 
 
-@pytest.mark.parametrize("batched", [True, False])
-@pytest.mark.parametrize("aggregated", [True, False])
-def test_identity_holds_across_matching_engine_matrix(aggregated, batched):
-    """The two oracle flags compose: all four stacks agree on time."""
-    cfg = BcsConfig(
-        init_cost=0, aggregated_strobe=aggregated, batched_matching=batched
-    )
-    r = run_workload(nearest_neighbor_benchmark, 8, "bcs", bcs_config=cfg)
-    ref = run_workload(
-        nearest_neighbor_benchmark,
-        8,
-        "bcs",
-        bcs_config=BcsConfig(
-            init_cost=0, aggregated_strobe=False, batched_matching=False
-        ),
-    )
-    assert (r.runtime_ns, r.stats.get("slices")) == (
-        ref.runtime_ns,
-        ref.stats.get("slices"),
-    )
-
-
-def _run_runtime(aggregated, n_nodes=8, n_ranks=16):
-    cluster = Cluster(ClusterSpec(n_nodes=n_nodes, lazy_nodes=aggregated))
-    runtime = BcsRuntime(
-        cluster, BcsConfig(init_cost=0, aggregated_strobe=aggregated)
-    )
+def _run_runtime(engine, n_nodes=8, n_ranks=16):
+    cluster = Cluster(ClusterSpec(n_nodes=n_nodes))
+    runtime = BcsRuntime(cluster, BcsConfig(init_cost=0, engine=engine))
     spec = JobSpec(
         app=barrier_benchmark,
         n_ranks=n_ranks,
@@ -95,13 +72,13 @@ def _run_runtime(aggregated, n_nodes=8, n_ranks=16):
 def test_batched_gas_increments_match_per_node_writes():
     """``mphase_done`` must be indistinguishable from the oracle's loop.
 
-    The oracle path has every Strobe Receiver ``gas.write`` its own
-    counter; the aggregated path batch-increments the arena column from
+    The reference engine has every Strobe Receiver ``gas.write`` its
+    own counter; the fast engine batch-increments the arena column from
     the Strobe Sender.  Any strobe the aggregation skipped or
     double-counted shows up as a differing per-node value.
     """
-    agg_rt, agg_job = _run_runtime(True)
-    orc_rt, orc_job = _run_runtime(False)
+    agg_rt, agg_job = _run_runtime("fast")
+    orc_rt, orc_job = _run_runtime("reference")
     assert agg_job.runtime == orc_job.runtime
     for node_id in agg_job.nodes:
         assert agg_rt.core.gas.read(node_id, "mphase_done", default=0) == (
@@ -111,7 +88,7 @@ def test_batched_gas_increments_match_per_node_writes():
 
 def test_lazy_nodes_stay_unmaterialized_on_a_big_cluster():
     """A 2-rank job on 2048 nodes must touch O(active), not O(cluster)."""
-    cluster = Cluster(ClusterSpec(n_nodes=2048, lazy_nodes=True))
+    cluster = Cluster(ClusterSpec(n_nodes=2048))
     runtime = BcsRuntime(cluster, BcsConfig(init_cost=0))
     spec = JobSpec(
         app=barrier_benchmark,
@@ -170,11 +147,11 @@ def test_gas_increment_batch_without_registered_array():
 # -- the cached microstrobe latency --------------------------------------------
 
 
-@pytest.mark.parametrize("aggregated", [True, False])
-def test_receivers_wake_one_strobe_latency_after_phase_begin(aggregated):
+@pytest.mark.parametrize("fast", [True, False])
+def test_receivers_wake_one_strobe_latency_after_phase_begin(fast):
     """Every participant's SR starts its microphase exactly
     ``Fabric.strobe_latency`` after the Strobe Sender begins it, under
-    both strobe models."""
+    both engines."""
     from repro.obs import Observability
 
     class Recorder(Observability):
@@ -192,7 +169,8 @@ def test_receivers_wake_one_strobe_latency_after_phase_begin(aggregated):
             self.starts.append((slice_no, phase, t0))
 
     cluster = Cluster(ClusterSpec(n_nodes=16))
-    runtime = BcsRuntime(cluster, BcsConfig(init_cost=0, aggregated_strobe=aggregated))
+    engine = "fast" if fast else "reference"
+    runtime = BcsRuntime(cluster, BcsConfig(init_cost=0, engine=engine))
     recorder = Recorder()
     runtime.attach_observability(recorder)
     runtime.run_job(
@@ -209,3 +187,40 @@ def test_receivers_wake_one_strobe_latency_after_phase_begin(aggregated):
     assert recorder.starts
     for slice_no, phase, t0 in recorder.starts:
         assert t0 == recorder.begins[(slice_no, phase)] + latency
+
+
+# -- the node containers -------------------------------------------------------
+
+
+def test_reference_engine_builds_every_node_up_front():
+    # The engine, not the cluster, decides when nodes come into being.
+    with pytest.raises(TypeError):
+        ClusterSpec(lazy_nodes=False)
+    cluster = Cluster(ClusterSpec(n_nodes=16))
+    runtime = BcsRuntime(cluster, BcsConfig(engine="reference"))
+    assert cluster.nodes.materialized_count == 17  # + management node
+    assert runtime.node_runtimes.materialized_count == 16
+    assert list(runtime.receivers) == list(range(16))
+    ids = [nrt.node_id for nrt in runtime.node_runtimes.materialized()]
+    assert ids == list(range(16))
+
+
+def test_node_containers_index_like_lists():
+    """Negative indices count from the end; out-of-range ones raise
+    instead of materializing a node with a bogus id."""
+    n = 4
+    cluster = Cluster(ClusterSpec(n_nodes=n))
+    runtime = BcsRuntime(cluster, BcsConfig())
+    eager = list(range(n + 1))
+    for i in (-1, -(n + 1), 0, n):
+        assert cluster.nodes[i].id == eager[i]
+    for i in (-(n + 2), n + 1):
+        with pytest.raises(IndexError):
+            cluster.nodes[i]
+    assert runtime.node_runtimes[-1].node_id == n - 1
+    assert runtime.node_runtimes[n - 1].node_id == n - 1
+    assert runtime.node_runtimes[-n].node_id == 0
+    for i in (-(n + 1), n):
+        with pytest.raises(IndexError):
+            runtime.node_runtimes[i]
+    assert runtime.node_runtimes.materialized_count == 2

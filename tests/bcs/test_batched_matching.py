@@ -1,4 +1,4 @@
-"""Differential tests for the batched slice engine (ISSUE 7).
+"""Differential tests for the batched slice engine.
 
 The vectorized batch feeds (``add_send_batch`` / ``add_recv_batch``)
 must be observationally identical to sequential ``add_send`` /
@@ -6,8 +6,8 @@ must be observationally identical to sequential ``add_send`` /
 truncation raise points, same queue state afterwards — across
 exact-pattern streams (the vectorized join), wildcard-heavy streams
 (the object-path fallback and run splitting), and truncation streams.
-On top of the matcher, the end-to-end engine (``batched_matching=True``)
-must produce byte-identical virtual time versus the object path, and
+On top of the matcher, the fast engine must produce byte-identical
+virtual time versus the reference engine's per-descriptor object path, and
 the descriptor pools must never let a recycled object alias stale
 state.
 """
@@ -35,6 +35,8 @@ from repro.bcs.threads import NodeRuntime
 from repro.harness.runner import run_workload
 from repro.sim import Engine
 from repro.units import ms
+
+from .test_active_sets import _stats
 
 
 class _Req:
@@ -241,11 +243,11 @@ def _nn_app(ctx, iterations=5):
 @pytest.mark.parametrize("app", [_wildcard_app, _nn_app])
 def test_virtual_time_identity_batched_vs_object_path(app):
     results = {}
-    for batched in (True, False):
-        cfg = BcsConfig(init_cost=0, batched_matching=batched)
+    for engine in ("fast", "reference"):
+        cfg = BcsConfig(init_cost=0, engine=engine)
         r = run_workload(app, 8, "bcs", bcs_config=cfg)
-        results[batched] = (r.runtime_ns, r.stats.get("slices"))
-    assert results[True] == results[False]
+        results[engine] = (r.runtime_ns, _stats(r), r.results)
+    assert results["fast"] == results["reference"]
 
 
 # -- descriptor pools ----------------------------------------------------------

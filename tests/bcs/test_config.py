@@ -41,6 +41,29 @@ def test_invalid_configs_rejected():
         BcsConfig(nm_compute_tax=-0.1)
 
 
+def test_engine_values():
+    assert BcsConfig().engine == "fast"
+    assert BcsConfig(engine="reference").engine == "reference"
+    with pytest.raises(ValueError, match="engine"):
+        BcsConfig(engine="bogus")
+
+
+@pytest.mark.parametrize(
+    "removed",
+    [
+        "matcher",
+        "incremental_active_sets",
+        "batched_matching",
+        "aggregated_strobe",
+        "idle_fast_forward",
+    ],
+)
+def test_removed_engine_switches_rejected(removed):
+    """The per-optimization switches are gone; ``engine`` replaces them."""
+    with pytest.raises(TypeError):
+        BcsConfig(**{removed: False})
+
+
 def test_with_replaces_fields():
     cfg = BcsConfig().with_(timeslice=us(250), init_cost=0)
     assert cfg.timeslice == us(250)

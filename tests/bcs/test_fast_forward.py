@@ -1,8 +1,10 @@
 """Idle-slice fast-forward: wall-clock only, never virtual time.
 
-Every test here runs the same workload with ``idle_fast_forward`` on and
-off and asserts that everything observable from inside the simulation —
-virtual runtimes, slice counters, telemetry output — is identical.
+The fast engine skips provably idle slices in one jump; the reference
+engine simulates every slice.  Every test here runs the same workload
+under both engines and asserts that everything observable from inside
+the simulation — virtual runtimes, slice counters, telemetry output —
+is identical.
 """
 
 import pytest
@@ -16,22 +18,24 @@ from repro.obs import Observability
 from repro.storm import JobSpec
 from repro.units import ms, seconds, us
 
+from .test_active_sets import _perfetto
+
 WORKLOADS = {
     "sage": (sage, 4, dict(steps=3, step_compute=ms(40))),
     "barrier": (barrier_benchmark, 4, dict(iterations=5, granularity=ms(3))),
 }
 
 
-def _run(name, fast_forward, matcher="hash", obs=None):
+def _run(name, engine, obs=None):
     app, n_ranks, params = WORKLOADS[name]
-    cfg = BcsConfig(idle_fast_forward=fast_forward, matcher=matcher)
+    cfg = BcsConfig(engine=engine)
     return run_workload(app, n_ranks, "bcs", params=params, bcs_config=cfg, obs=obs)
 
 
 @pytest.mark.parametrize("name", sorted(WORKLOADS))
 def test_virtual_time_and_stats_identical(name):
-    on = _run(name, True)
-    off = _run(name, False)
+    on = _run(name, "fast")
+    off = _run(name, "reference")
     assert on.runtime_ns == off.runtime_ns
     stats_on = dict(on.stats)
     skipped = stats_on.pop("idle_slices_skipped", 0)
@@ -42,27 +46,20 @@ def test_virtual_time_and_stats_identical(name):
     assert skipped > 0
 
 
-@pytest.mark.parametrize("matcher", ["hash", "linear"])
-def test_matcher_choice_preserves_virtual_time(matcher):
-    ref = _run("sage", True, matcher="hash")
-    got = _run("sage", True, matcher=matcher)
-    assert got.runtime_ns == ref.runtime_ns
-
-
 def test_observability_output_identical():
     """Metric registry and Perfetto trace don't depend on fast-forward."""
     obs_on = Observability()
     obs_off = Observability()
-    on = _run("sage", True, obs=obs_on)
-    off = _run("sage", False, obs=obs_off)
+    on = _run("sage", "fast", obs=obs_on)
+    off = _run("sage", "reference", obs=obs_off)
     assert on.runtime_ns == off.runtime_ns
     assert obs_on.registry.snapshot() == obs_off.registry.snapshot()
-    assert obs_on.perfetto.to_dict() == obs_off.perfetto.to_dict()
+    assert _perfetto(obs_on) == _perfetto(obs_off)
 
 
 def test_matcher_gauges_exported():
     obs = Observability()
-    _run("sage", True, obs=obs)
+    _run("sage", "fast", obs=obs)
     snap = obs.registry.snapshot()
     assert "bcs.match.unexpected" in snap
     assert "bcs.match.posted" in snap
@@ -87,8 +84,8 @@ def test_hooks_disable_fast_forward():
 def test_fast_forward_skips_only_provably_idle_slices():
     """Slice counters agree with the non-skipping run, and the skipped
     portion is strictly idle."""
-    on = _run("sage", True)
-    off = _run("sage", False)
+    on = _run("sage", "fast")
+    off = _run("sage", "reference")
     assert on.stats["slices"] == off.stats["slices"]
     assert on.stats["active_slices"] == off.stats["active_slices"]
     assert on.stats["idle_slices_skipped"] <= (
@@ -97,14 +94,10 @@ def test_fast_forward_skips_only_provably_idle_slices():
 
 
 def test_config_selects_matcher_class():
+    """The engine picks the matcher: linear scan for the reference."""
     cluster = Cluster(ClusterSpec(n_nodes=2))
-    runtime = BcsRuntime(cluster, BcsConfig(matcher="linear"))
+    runtime = BcsRuntime(cluster, BcsConfig(engine="reference"))
     assert isinstance(runtime.node_runtimes[0].matcher, LinearMatcher)
     cluster2 = Cluster(ClusterSpec(n_nodes=2))
-    runtime2 = BcsRuntime(cluster2, BcsConfig(matcher="hash"))
+    runtime2 = BcsRuntime(cluster2, BcsConfig(engine="fast"))
     assert isinstance(runtime2.node_runtimes[0].matcher, HashMatcher)
-
-
-def test_config_rejects_unknown_matcher():
-    with pytest.raises(ValueError, match="matcher"):
-        BcsConfig(matcher="btree")

@@ -1,10 +1,10 @@
-"""Slice-machine invariants on real workloads, under both strobe models.
+"""Slice-machine invariants on real workloads, under both slice engines.
 
 :class:`ProtocolValidator` re-derives the microphase order, slice
 alignment, the DEM+MSM budget and the containment of descriptor and
 payload transfers from a trace.  Here it runs with every check on small
-halo, SWEEP3D and SAGE runs, with ``aggregated_strobe`` on and off, and
-must find nothing.  Tracing switches the Strobe Sender to fresh, named
+halo, SWEEP3D and SAGE runs, under the fast and the reference engine,
+and must find nothing.  Tracing switches the Strobe Sender to fresh, named
 microphase latches; the makespan must equal the untraced run's.
 """
 
@@ -32,10 +32,10 @@ WORKLOADS = {
 }
 
 
-def _run(name, aggregated, trace=None):
+def _run(name, engine, trace=None):
     app, n_nodes, n_ranks, params = WORKLOADS[name]
     cluster = Cluster(ClusterSpec(n_nodes=n_nodes), trace=trace)
-    config = BcsConfig(init_cost=0, aggregated_strobe=aggregated)
+    config = BcsConfig(init_cost=0, engine=engine)
     runtime = BcsRuntime(cluster, config)
     job = runtime.run_job(
         JobSpec(app=app, n_ranks=n_ranks, name=name, params=params),
@@ -45,11 +45,13 @@ def _run(name, aggregated, trace=None):
     return runtime, job
 
 
-@pytest.mark.parametrize("aggregated", [True, False], ids=["aggregated", "oracle"])
+# The ids predate the engine field: "aggregated" is the fast engine,
+# "oracle" the reference.
+@pytest.mark.parametrize("engine", ["fast", "reference"], ids=["aggregated", "oracle"])
 @pytest.mark.parametrize("name", sorted(WORKLOADS))
-def test_protocol_validator_finds_no_violation(name, aggregated):
+def test_protocol_validator_finds_no_violation(name, engine):
     trace = Trace(categories=CATEGORIES)
-    runtime, job = _run(name, aggregated, trace)
+    runtime, job = _run(name, engine, trace)
     config = runtime.config
     validator = ProtocolValidator(
         trace, config.timeslice, scheduling_min=config.scheduling_duration
@@ -60,6 +62,6 @@ def test_protocol_validator_finds_no_violation(name, aggregated):
     labels = {rec.fields.get("label") for rec in trace.by_category("fabric.unicast")}
     assert {"desc", "p2p"} <= labels
 
-    _, untraced = _run(name, aggregated)
+    _, untraced = _run(name, engine)
     assert job.runtime == untraced.runtime
     assert job.results == untraced.results

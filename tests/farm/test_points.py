@@ -56,55 +56,30 @@ def test_extension_families_registered_but_not_in_figure_set():
 
 
 def test_scaling_families_registered_but_not_in_figure_set():
-    assert SCALING_FAMILIES == ("scaling1024", "scaling16k", "scaling64k")
+    assert SCALING_FAMILIES == ("scaling",)
     for name in SCALING_FAMILIES:
         assert name in FAMILIES
         assert name not in FIGURE_FAMILIES
         assert name not in EXTENSION_FAMILIES
 
 
-def test_scaling1024_expansion():
-    specs = expand_family("scaling1024", "paper")
-    # 2 networks x 4 power-of-two node counts, network-major order.
+def test_scaling_expansion():
+    specs = expand_family("scaling", "paper")
+    # 2 networks x 4 power-of-four node counts up to 64k, network-major.
     assert len(specs) == 8
     params = [s.params_dict for s in specs]
-    assert [p["n_nodes"] for p in params] == [128, 256, 512, 1024] * 2
+    assert [p["n_nodes"] for p in params] == [1024, 4096, 16384, 65536] * 2
     assert {p["network"] for p in params} == {"qsnet", "bluegene_l_torus"}
+    assert all(p["app"] == "neighbor" for p in params)
+    assert all(p["message_kib"] == 4 for p in params)
     assert [s.index for s in specs] == list(range(8))
-    # smoke keeps only the cheap 128-node pair for CI.
-    smoke = expand_family("scaling1024", "smoke")
-    assert [p.params_dict["n_nodes"] for p in smoke] == [128, 128]
-
-
-def test_scaling16k_expansion():
-    specs = expand_family("scaling16k", "paper")
-    # 2 networks x 4 power-of-two node counts, network-major order.
-    assert len(specs) == 8
-    params = [s.params_dict for s in specs]
-    assert [p["n_nodes"] for p in params] == [2048, 4096, 8192, 16384] * 2
-    assert {p["network"] for p in params} == {"qsnet", "bluegene_l_torus"}
-    assert all(p["message_kib"] == 4 for p in params)
-    # smoke keeps only the cheap 2048-node pair for CI.
-    smoke = expand_family("scaling16k", "smoke")
-    assert [p.params_dict["n_nodes"] for p in smoke] == [2048, 2048]
-    assert all(p.params_dict["iterations"] == 12 for p in smoke)
-
-
-def test_scaling64k_expansion():
-    specs = expand_family("scaling64k", "paper")
-    # 2 networks x 4 power-of-two node counts up to 64k, network-major.
-    assert len(specs) == 8
-    params = [s.params_dict for s in specs]
-    assert [p["n_nodes"] for p in params] == [2048, 8192, 16384, 65536] * 2
-    assert {p["network"] for p in params} == {"qsnet", "bluegene_l_torus"}
-    assert all(p["message_kib"] == 4 for p in params)
     # The memory/GC trend columns ride on the row itself.
-    assert "peak_rss_mib" in FAMILIES["scaling64k"].trend_columns
-    assert "gc_collections" in FAMILIES["scaling64k"].trend_columns
-    # smoke keeps only the 4096-node pair for CI.
-    smoke = expand_family("scaling64k", "smoke")
-    assert [p.params_dict["n_nodes"] for p in smoke] == [4096, 4096]
-    assert all(p.params_dict["iterations"] == 12 for p in smoke)
+    assert "peak_rss_mib" in FAMILIES["scaling"].trend_columns
+    assert "gc_collections" in FAMILIES["scaling"].trend_columns
+    # smoke keeps a small and a mid-size machine on both networks.
+    smoke = [p.params_dict for p in expand_family("scaling", "smoke")]
+    assert [p["n_nodes"] for p in smoke] == [128, 4096, 128, 4096]
+    assert all(p["iterations"] == 12 for p in smoke)
 
 
 @pytest.mark.parametrize("name", sorted(EXTENSION_COUNTS))

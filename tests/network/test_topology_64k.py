@@ -14,7 +14,7 @@ import pytest
 
 from repro.network.topology import Torus3D, _near_cubic_dims, build_topology
 
-# 64k compute nodes + 1 management node, as the scaling64k family runs.
+# 64k compute nodes + 1 management node, as the scaling family runs.
 N64K = 65536
 
 
