@@ -82,6 +82,62 @@ def test_scaling_expansion():
     assert all(p["iterations"] == 12 for p in smoke)
 
 
+#: The sweeps of the former ``scaling1024``/``scaling16k``/``scaling64k``
+#: families, now run as ``overrides`` of the one ``scaling`` family.
+SCALING_SWEEPS = {
+    "scaling1024": dict(
+        node_counts=(128, 256, 512, 1024), active_ranks=8, iterations=60
+    ),
+    "scaling16k": dict(node_counts=(2048, 4096, 8192, 16384)),
+    "scaling64k": dict(node_counts=(2048, 8192, 16384, 65536)),
+}
+
+
+def _sweep_nodes(name):
+    specs = expand_family("scaling", "paper", SCALING_SWEEPS[name])
+    # 2 networks x 4 power-of-two node counts, network-major order.
+    assert len(specs) == 8
+    assert [s.index for s in specs] == list(range(8))
+    params = [s.params_dict for s in specs]
+    assert {p["network"] for p in params} == {"qsnet", "bluegene_l_torus"}
+    assert all(p["app"] == "neighbor" for p in params)
+    return params
+
+
+def _smoke_nodes(lo, hi):
+    smoke = [s.params_dict for s in expand_family("scaling", "smoke")]
+    assert all(p["iterations"] == 12 for p in smoke)
+    return [p["n_nodes"] for p in smoke if lo <= p["n_nodes"] <= hi]
+
+
+def test_scaling1024_expansion():
+    params = _sweep_nodes("scaling1024")
+    assert [p["n_nodes"] for p in params] == [128, 256, 512, 1024] * 2
+    assert all(p["active_ranks"] == 8 for p in params)
+    assert all(p["iterations"] == 60 for p in params)
+    # smoke keeps the cheap 128-node pair for CI.
+    assert _smoke_nodes(1, 1024) == [128, 128]
+
+
+def test_scaling16k_expansion():
+    params = _sweep_nodes("scaling16k")
+    assert [p["n_nodes"] for p in params] == [2048, 4096, 8192, 16384] * 2
+    assert all(p["message_kib"] == 4 for p in params)
+    # smoke keeps the 4096-node pair of this range for CI.
+    assert _smoke_nodes(2048, 16384) == [4096, 4096]
+
+
+def test_scaling64k_expansion():
+    params = _sweep_nodes("scaling64k")
+    assert [p["n_nodes"] for p in params] == [2048, 8192, 16384, 65536] * 2
+    assert all(p["message_kib"] == 4 for p in params)
+    # The memory/GC trend columns ride on the row itself.
+    assert "peak_rss_mib" in FAMILIES["scaling"].trend_columns
+    assert "gc_collections" in FAMILIES["scaling"].trend_columns
+    # smoke never reaches 64k; its largest pair is 4096 nodes.
+    assert _smoke_nodes(2048, 65536) == [4096, 4096]
+
+
 @pytest.mark.parametrize("name", sorted(EXTENSION_COUNTS))
 def test_extension_expansion_counts(name):
     specs = expand_family(name, "paper")
@@ -98,10 +154,14 @@ def test_paper_expansion_counts(name):
     assert [s.index for s in specs] == list(range(len(specs)))
 
 
-@pytest.mark.parametrize("name", sorted(FAMILIES))
+@pytest.mark.parametrize("name", sorted(FAMILIES) + sorted(SCALING_SWEEPS))
 @pytest.mark.parametrize("preset", ["paper", "smoke"])
 def test_params_are_json_safe(name, preset):
-    for spec in expand_family(name, preset):
+    if name in SCALING_SWEEPS:
+        specs = expand_family("scaling", preset, SCALING_SWEEPS[name])
+    else:
+        specs = expand_family(name, preset)
+    for spec in specs:
         decoded = json.loads(json.dumps(spec.params_dict))
         assert decoded == spec.params_dict
 
