@@ -1,7 +1,7 @@
 """``repro.farm``: parallel experiment execution with result caching.
 
-The farm turns the paper's evaluation into a work-queue service (see
-docs/FARM.md):
+The farm runs the paper's evaluation as independent points on one
+machine, caching every result (see docs/FARM.md):
 
 - :mod:`~repro.farm.points` — every figure/table decomposed into
   declarative, hashable :class:`PointSpec` units;
@@ -11,9 +11,6 @@ docs/FARM.md):
   (point hash, code fingerprint);
 - :mod:`~repro.farm.service` — orchestration + aggregation back into
   the exact rows the sequential generators produce;
-- :mod:`~repro.farm.queue` — the distributed execution layer: durable
-  job queue, HTTP submission API, lease-based workers
-  (``run_farm(backend="queue")``, ``repro serve`` / ``repro worker``);
 - :mod:`~repro.farm.cli` — the ``repro farm`` subcommand family.
 """
 

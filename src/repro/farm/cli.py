@@ -6,12 +6,10 @@
     repro farm figures fig8a table2 -j 2    # a subset
     repro farm figures --preset smoke       # reduced CI configuration
     repro farm figures --no-cache           # force re-execution
-    repro farm figures --backend queue      # lease/heartbeat queue backend
     repro farm list                         # families and point counts
     repro farm list --cached --limit 20     # page through the result store
     repro farm metrics                      # last run's farm telemetry
     repro farm clean                        # drop the result store
-    repro farm submit URL table1 --wait     # enqueue on a queue service
 
 Exit codes: 0 = all points ok, 1 = some points failed, 3 =
 ``--expect-cached`` was given but points had to execute.
@@ -40,6 +38,19 @@ from .store import ResultStore, default_store_path
 __all__ = ["main"]
 
 
+def _checked(convert, ok, requirement: str):
+    """An argparse ``type=`` that rejects values failing ``ok`` (exit 2)."""
+
+    def parse(text: str):
+        value = convert(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {requirement}, got {text}")
+        return value
+
+    parse.__name__ = convert.__name__  # argparse names the type in errors
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro farm",
@@ -57,15 +68,11 @@ def build_parser() -> argparse.ArgumentParser:
         help=f"families to run (default: all of {', '.join(FIGURE_FAMILIES)})",
     )
     figures.add_argument(
-        "-j", "--jobs", type=int, default=4, help="worker processes (default 4)"
-    )
-    figures.add_argument(
-        "--backend",
-        choices=("pool", "queue"),
-        default="pool",
-        help="execution backend: the spawn-safe worker pool (default, the "
-        "differential oracle) or the in-process lease/heartbeat queue "
-        "(docs/FARM.md, 'Distributed execution')",
+        "-j",
+        "--jobs",
+        type=_checked(int, lambda v: v >= 1, ">= 1"),
+        default=4,
+        help="worker processes (default 4)",
     )
     figures.add_argument(
         "--preset",
@@ -95,14 +102,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     figures.add_argument(
         "--timeout",
-        type=float,
+        type=_checked(float, lambda v: v > 0, "> 0"),
         default=600.0,
         metavar="S",
         help="per-point wall-clock timeout in seconds (default 600)",
     )
     figures.add_argument(
         "--retries",
-        type=int,
+        type=_checked(int, lambda v: v >= 0, ">= 0"),
         default=1,
         metavar="N",
         help="extra attempts after a timeout/crash (default 1)",
@@ -151,11 +158,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help="skip the first N rows (default 0)",
     )
-
-    submit = sub.add_parser(
-        "submit", help="submit families to a running queue service (HTTP)"
-    )
-    submit.add_argument("rest", nargs=argparse.REMAINDER)
 
     metrics = sub.add_parser("metrics", help="print the last farm run's telemetry")
     metrics.add_argument("--store", metavar="PATH", default=None)
@@ -230,7 +232,6 @@ def cmd_figures(args) -> int:
         retries=args.retries,
         progress=not args.no_progress,
         trend_store=trend_store,
-        backend=args.backend,
     )
     _print_report_tables(report, args.save)
     if args.metrics:
@@ -327,13 +328,6 @@ def cmd_metrics(args) -> int:
     hit_rate = last.get("cache_hit_rate")
     if isinstance(hit_rate, (int, float)):
         print(f"cache hit rate: {hit_rate:.1%}")
-    # Queue-backend telemetry: all zero when the pool backend ran.
-    print(
-        f"backend: {last.get('backend', 'pool')} "
-        f"(queue depth {last.get('queue_depth', 0)}, "
-        f"leases {last.get('lease_count', 0)}, "
-        f"workers {last.get('worker_count', 0)})"
-    )
     render = last.get("metrics_render")
     if render:
         print(render)
@@ -351,31 +345,16 @@ def cmd_clean(args) -> int:
     return 0
 
 
-def cmd_submit(args) -> int:
-    # Normally short-circuited in main(); this path serves parsers that
-    # went through the subcommand machinery (e.g. scripted build_parser).
-    from .queue.cli import submit_main
-
-    return submit_main(list(args.rest))
-
-
 _DISPATCH = {
     "figures": cmd_figures,
     "list": cmd_list,
     "metrics": cmd_metrics,
     "clean": cmd_clean,
-    "submit": cmd_submit,
 }
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     argv = list(argv) if argv is not None else sys.argv[1:]
-    if argv and argv[0] == "submit":
-        # Dispatched before argparse: submit owns its own option set
-        # (server URL, --wait, --expect-cached — see queue/cli.py).
-        from .queue.cli import submit_main
-
-        return submit_main(argv[1:])
     args = build_parser().parse_args(argv)
     return _DISPATCH[args.command](args)
 

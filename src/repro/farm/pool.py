@@ -1,6 +1,8 @@
 """Spawn-safe worker pool: one child process per point attempt.
 
-Every point runs in its own freshly spawned interpreter, so a wedged,
+This is the farm's only execution path: :func:`repro.farm.run_farm`
+sends every result-store miss through one :class:`WorkerPool`.  Every
+point runs in its own freshly spawned interpreter, so a wedged,
 OOM'd, or crashing simulation takes down only its worker:
 
 - a **timeout** (wall-clock, per attempt) kills the child and counts as
@@ -27,7 +29,7 @@ from typing import Callable, Dict, List, Optional, Sequence
 
 from .points import PointSpec
 
-__all__ = ["PointOutcome", "WorkerPool", "run_point_in_child"]
+__all__ = ["PointOutcome", "WorkerPool"]
 
 _CTX = mp.get_context("spawn")
 
@@ -78,68 +80,6 @@ class _Task:
     conn: Optional[object] = None
     started: float = 0.0
     deadline: float = field(default=float("inf"))
-
-
-def run_point_in_child(
-    family: str,
-    params: dict,
-    timeout_s: float,
-    heartbeat: Optional[Callable[[], None]] = None,
-    heartbeat_interval_s: float = 5.0,
-):
-    """Run one point in a freshly spawned child interpreter.
-
-    The single-point sibling of :meth:`WorkerPool.run`, shared with the
-    queue workers (:mod:`repro.farm.queue.worker`): same spawn context,
-    same crash containment, same ``("ok"|"error"|"timeout"|"crash",
-    payload)`` classification — returned as ``(status, payload,
-    duration_s)``.
-
-    ``heartbeat`` (optional) is invoked from the parent every
-    ``heartbeat_interval_s`` while the child runs — the queue worker's
-    lease keep-alive.  If it raises (the lease was lost), the child is
-    killed before the exception propagates: a worker without a lease
-    must not keep computing.
-    """
-    parent_conn, child_conn = _CTX.Pipe(duplex=False)
-    task = _Task(seq=0, spec=None)
-    task.proc = _CTX.Process(
-        target=_child_entry, args=(child_conn, family, dict(params)), daemon=True
-    )
-    task.proc.start()
-    child_conn.close()
-    task.conn = parent_conn
-    started = time.monotonic()
-    deadline = started + timeout_s
-    next_beat = started + heartbeat_interval_s
-    try:
-        while True:
-            conn_wait([parent_conn, task.proc.sentinel], timeout=_POLL_S)
-            now = time.monotonic()
-            if parent_conn.poll():
-                try:
-                    status, payload = parent_conn.recv()
-                except (EOFError, OSError):
-                    WorkerPool._kill(task)
-                    return ("crash", WorkerPool._crash_reason(task), now - started)
-                WorkerPool._reap(task)
-                return (status, payload, now - started)
-            if now >= deadline:
-                WorkerPool._kill(task)
-                return (
-                    "timeout",
-                    f"point timed out after {timeout_s:.1f}s (wall clock)",
-                    now - started,
-                )
-            if not task.proc.is_alive():
-                WorkerPool._kill(task)
-                return ("crash", WorkerPool._crash_reason(task), now - started)
-            if heartbeat is not None and now >= next_beat:
-                heartbeat()
-                next_beat = now + heartbeat_interval_s
-    except BaseException:
-        WorkerPool._kill(task)
-        raise
 
 
 class WorkerPool:

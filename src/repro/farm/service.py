@@ -18,8 +18,7 @@ import os
 import platform
 import sys
 import time
-from dataclasses import dataclass, field
-from pathlib import Path
+from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence
 
 from ..obs import MetricsRegistry
@@ -63,15 +62,7 @@ class FarmReport:
     n_executed: int = 0
     n_failed: int = 0
     n_retried: int = 0
-    #: which execution backend ran the misses ("pool" or "queue").
-    backend: str = "pool"
-    #: peak pending items in the queue backend (0 for the pool).
-    queue_depth: int = 0
-    #: peak concurrently leased items in the queue backend (0 for the pool).
-    lease_count: int = 0
-    #: distinct workers that leased work in the queue backend (0 for the pool).
-    worker_count: int = 0
-    #: cached records in the result store after this run (dashboard tile).
+    #: cached records in the result store after this run.
     store_records: int = 0
 
     @property
@@ -91,8 +82,7 @@ class FarmReport:
             f"[farm] {self.n_points} points: {self.n_cached} cached, "
             f"{self.n_executed} executed, {self.n_failed} failed, "
             f"{self.n_retried} retried in {self.duration_s:.1f}s "
-            f"({self.jobs} workers, {self.backend} backend, "
-            f"code {self.fingerprint[:12]})"
+            f"({self.jobs} workers, code {self.fingerprint[:12]})"
         )
 
     def summary_dict(self) -> dict:
@@ -107,10 +97,6 @@ class FarmReport:
             "git_sha": git_sha(),
             "python": platform.python_version(),
             "jobs": self.jobs,
-            "backend": self.backend,
-            "queue_depth": self.queue_depth,
-            "lease_count": self.lease_count,
-            "worker_count": self.worker_count,
             "duration_s": self.duration_s,
             "points": self.n_points,
             "cached": self.n_cached,
@@ -235,7 +221,6 @@ def run_farm(
     overrides: Optional[Mapping[str, Mapping[str, object]]] = None,
     extra_specs: Optional[Sequence[PointSpec]] = None,
     trend_store=None,
-    backend: str = "pool",
 ) -> FarmReport:
     """Run (or replay from cache) the given families' points in parallel.
 
@@ -246,15 +231,7 @@ def run_farm(
     run's per-family durations to the cross-run trend store; when None,
     the ``REPRO_TREND_RECORD`` environment variable enables recording
     into the default store.  Disabled recording costs nothing.
-
-    ``backend`` selects how cache misses execute: ``"pool"`` (the
-    spawn-safe worker pool — the differential oracle) or ``"queue"``
-    (the full lease/heartbeat queue machinery of
-    :mod:`repro.farm.queue` with worker threads standing in for worker
-    hosts).  Both produce byte-identical rows.
     """
-    if backend not in ("pool", "queue"):
-        raise ValueError(f"backend must be 'pool' or 'queue', got {backend!r}")
     t0 = time.monotonic()
     registry = registry if registry is not None else MetricsRegistry()
     store = store if store is not None else ResultStore()
@@ -300,7 +277,7 @@ def run_farm(
     for outcome in outcomes.values():
         prog.advance(outcome)
     n_retried = 0
-    queue_stats = {"queue_depth": 0, "lease_count": 0, "worker_count": 0}
+    # Pending misses: set when the pool starts, one down per finished point.
     queue_depth = registry.gauge("farm.queue.depth")
     queue_depth.set(0)
 
@@ -323,39 +300,7 @@ def run_farm(
                 registry.counter("farm.points.failed", family=family).inc()
             prog.advance(outcome)
 
-    if misses and backend == "queue":
-        # Full lease/heartbeat queue machinery; the controller owns the
-        # farm.queue.* gauges and the duration histogram, the hook below
-        # keeps the farm.points.* counters identical to the pool path.
-        from .queue.backend import run_specs_through_queue
-
-        def on_outcome(outcome: PointOutcome) -> None:
-            nonlocal n_retried
-            family = outcome.spec.family
-            retries_used = max(0, outcome.attempts - 1)
-            if retries_used:
-                n_retried += retries_used
-                registry.counter("farm.points.retried", family=family).inc(
-                    retries_used
-                )
-            if outcome.ok:
-                registry.counter("farm.points.completed", family=family).inc()
-            else:
-                registry.counter("farm.points.failed", family=family).inc()
-            prog.advance(outcome)
-
-        queue_outcomes, queue_stats = run_specs_through_queue(
-            misses,
-            store=store,
-            registry=registry,
-            jobs=jobs,
-            timeout_s=timeout_s,
-            retries=retries,
-            on_outcome=on_outcome,
-        )
-        for pos, outcome in enumerate(queue_outcomes):
-            outcomes[miss_index[pos]] = outcome
-    elif misses:
+    if misses:
         queue_depth.set(len(misses))
         pool = WorkerPool(jobs=jobs, timeout_s=timeout_s, retries=retries)
         for pos, outcome in enumerate(pool.run(misses, on_event=on_event)):
@@ -397,10 +342,6 @@ def run_farm(
         n_executed=len(misses),
         n_failed=sum(1 for o in outcomes.values() if not o.ok),
         n_retried=n_retried,
-        backend=backend,
-        queue_depth=queue_stats["queue_depth"],
-        lease_count=queue_stats["lease_count"],
-        worker_count=queue_stats["worker_count"],
         store_records=store.count(),
     )
     summary = report.summary_dict()

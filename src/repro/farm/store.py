@@ -71,33 +71,6 @@ class ResultStore:
             return 0
         return sum(1 for _ in objects.glob("*/*.json"))
 
-    def index(self, limit: int = 50, offset: int = 0) -> list:
-        """Lightweight record listing for dashboards: identity, no rows.
-
-        Key order (the shard layout's natural order); reads only the
-        ``limit`` records inside the requested window, so paging a big
-        store stays cheap.
-        """
-        objects = self.root / "objects"
-        if not objects.is_dir():
-            return []
-        entries = []
-        paths = sorted(objects.glob("*/*.json"))[offset : offset + limit]
-        for path in paths:
-            record = self.get(path.stem)
-            if record is None:
-                continue
-            entries.append(
-                {
-                    "key": record.get("key", path.stem),
-                    "family": record.get("family"),
-                    "params": record.get("params"),
-                    "duration_s": record.get("duration_s"),
-                    "attempts": record.get("attempts"),
-                }
-            )
-        return entries
-
     def records(self):
         """Iterate every readable cached record (corrupt ones skipped).
 

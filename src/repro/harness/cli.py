@@ -35,26 +35,6 @@ Farm subcommands (see docs/FARM.md)::
 fault-isolated worker pool with content-addressed result caching; the
 rows are byte-identical to the sequential commands above.
 
-Distributed farm (see docs/FARM.md, "Distributed execution")::
-
-    python -m repro.harness.cli serve --port 8642
-    python -m repro.harness.cli worker http://host:8642 --drain
-    python -m repro.harness.cli farm submit http://host:8642 table1 --wait
-
-``serve`` runs the queue-backed job service (HTTP submission API +
-lease-based worker protocol); ``worker`` pulls and executes points from
-any host; ``farm submit`` enqueues families over HTTP and replays the
-same byte-identical tables.
-
-Live telemetry (see docs/OBSERVABILITY.md, "Live telemetry")::
-
-    python -m repro.harness.cli dashboard --port 8643
-
-``dashboard`` serves the static farm dashboard (stat tiles, per-family
-sparklines, SSE live updates) plus ``/metrics?format=prometheus`` over
-the result store and trend store — no queue service required.  The
-same pages are also mounted on ``repro serve`` itself.
-
 Trend subcommands (see docs/TRENDS.md)::
 
     python -m repro.harness.cli trend record --farm-store .farm-store
@@ -332,28 +312,6 @@ def cmd_trend(argv: List[str]) -> int:
     return trend_main(list(argv))
 
 
-def cmd_serve(argv: List[str]) -> int:
-    """``repro serve --port N ...`` — the farm queue service (docs/FARM.md)."""
-    from ..farm.queue.cli import serve_main
-
-    return serve_main(list(argv))
-
-
-def cmd_worker(argv: List[str]) -> int:
-    """``repro worker URL ...`` — one pull-based farm worker (docs/FARM.md)."""
-    from ..farm.queue.cli import worker_main
-
-    return worker_main(list(argv))
-
-
-def cmd_dashboard(argv: List[str]) -> int:
-    """``repro dashboard ...`` — standalone telemetry dashboard
-    (docs/OBSERVABILITY.md, "Live telemetry")."""
-    from ..obs.live.cli import dashboard_main
-
-    return dashboard_main(list(argv))
-
-
 #: Subcommands with their own argument structure (dispatched before the
 #: experiment parser so ``repro table1 fig8a`` keeps working unchanged).
 OBS_COMMANDS = {
@@ -362,9 +320,6 @@ OBS_COMMANDS = {
     "explain": cmd_explain,
     "farm": cmd_farm,
     "trend": cmd_trend,
-    "serve": cmd_serve,
-    "worker": cmd_worker,
-    "dashboard": cmd_dashboard,
 }
 
 

@@ -13,7 +13,9 @@ docs/OBSERVABILITY.md):
   message-lifecycle spans and the virtual-time critical-path blame
   breakdown (``Observability(spans=True)``, ``repro explain``);
 - :class:`Observability` — the hub the runtime reports into
-  (``runtime.attach_observability(Observability())``).
+  (``runtime.attach_observability(Observability())``);
+- :mod:`~repro.obs.exposition` — OpenMetrics text rendering of a
+  registry or its persisted snapshot.
 
 Everything here is passive: hooks never touch the event queue, so an
 instrumented run takes exactly the same virtual time as a bare one.

@@ -18,10 +18,9 @@ series ``{overflow="dropped"}`` and any label value round-trip legally.
 
 The renderer accepts either a live :class:`MetricsRegistry` or the
 snapshot dict one persists (``registry.snapshot()``, the ``"metrics"``
-block of a farm ``last-run.json``) — the standalone ``repro dashboard``
-serves Prometheus text straight from the last-run snapshot.
+block of a farm ``last-run.json``); both render the same document.
 :func:`parse_exposition` is the parser-level half of the round-trip
-tests and the smoke script's assertions.
+tests.
 """
 
 from __future__ import annotations
@@ -29,18 +28,12 @@ from __future__ import annotations
 import re
 from typing import Dict, Iterable, List, Tuple, Union
 
-from ..registry import MetricsRegistry
+from .registry import MetricsRegistry
 
 __all__ = [
-    "OPENMETRICS_CONTENT_TYPE",
     "parse_exposition",
     "render_exposition",
 ]
-
-#: Content type of the exposition format (OpenMetrics 1.0 text).
-OPENMETRICS_CONTENT_TYPE = (
-    "application/openmetrics-text; version=1.0.0; charset=utf-8"
-)
 
 #: Exact-percentile summary series rendered per histogram.
 _QUANTILES: Tuple[Tuple[str, str], ...] = (
@@ -161,7 +154,7 @@ def render_exposition(
     ``source`` is a live registry or a ``registry.snapshot()`` dict;
     ``namespace`` optionally prefixes every metric name
     (``namespace_<name>``).  Deterministic: sorted at every level, so
-    the bytes double as an ETag input.
+    the same source always renders the same bytes.
     """
     lines: List[str] = []
     seen: Dict[str, str] = {}

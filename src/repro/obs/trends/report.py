@@ -8,8 +8,6 @@ object per series with the detector's verdict attached, so a dashboard
 
 from __future__ import annotations
 
-import hashlib
-import json
 from fnmatch import fnmatchcase
 from typing import Dict, List, Optional, Sequence
 
@@ -17,9 +15,7 @@ from .detect import DetectorConfig, RegressionDetector, Verdict
 from .store import TrendStore
 
 __all__ = [
-    "dashboard_payload",
     "json_report",
-    "payload_etag",
     "render_chart",
     "render_report",
     "render_verdicts",
@@ -204,34 +200,6 @@ def json_report(
             for v in verdicts
         },
     }
-
-
-def dashboard_payload(
-    store: TrendStore,
-    config: Optional[DetectorConfig] = None,
-    series_glob: Optional[str] = None,
-    points: int = 32,
-) -> dict:
-    """The live dashboard's trend artifact: verdicts + sparkline data.
-
-    Stable schema (version 1): the :func:`json_report` verdict object
-    extended per series with ``values`` — the trailing ``points``
-    normalized observations, exactly what an HTML sparkline plots.
-    Deterministic for a given store, so its canonical bytes make a
-    valid ETag (:func:`payload_etag`).
-    """
-    payload = json_report(store, config, series_glob)
-    for series_id, info in payload["series"].items():
-        info["values"] = store.values(series_id)[-points:]
-    return payload
-
-
-def payload_etag(payload: dict) -> str:
-    """Strong ETag (quoted sha256 prefix) of a JSON-safe payload."""
-    canonical = json.dumps(
-        payload, sort_keys=True, separators=(",", ":")
-    ).encode()
-    return '"' + hashlib.sha256(canonical).hexdigest()[:32] + '"'
 
 
 def render_verdicts(verdicts: Sequence[Verdict]) -> str:

@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.farm.cli import build_parser as farm_build_parser
+from repro.farm.store import ResultStore
 from repro.harness import cli
 from repro.harness.cli import COMMANDS, build_parser, main
 
@@ -144,6 +146,122 @@ def test_farm_save_and_metrics(tmp_path, capsys):
 def test_farm_metrics_without_run_fails_cleanly(tmp_path, capsys):
     assert main(["farm", "metrics", "--store", str(tmp_path / "empty")]) == 1
     assert "no farm run" in capsys.readouterr().err
+
+
+def test_farm_metrics_reads_a_last_run_with_the_old_queue_fields(tmp_path, capsys):
+    # Stores written before the farm had a single backend carry four
+    # extra keys in last-run.json; reading them must still work.
+    store = ResultStore(tmp_path / "store")
+    store.save_last_run(
+        {
+            "points": 4, "cached": 0, "executed": 4, "failed": 0,
+            "cache_hit_rate": 0.0, "backend": "queue",
+            "queue_depth": 4, "lease_count": 2, "worker_count": 2,
+        }
+    )
+    assert main(["farm", "metrics", "--store", str(tmp_path / "store")]) == 0
+    out = capsys.readouterr().out
+    assert "last farm run: 4 points" in out
+    assert "backend" not in out
+
+
+@pytest.mark.parametrize(
+    "option, value, message",
+    [
+        ("-j", "0", "must be >= 1, got 0"),
+        ("-j", "-2", "must be >= 1, got -2"),
+        ("--timeout", "0", "must be > 0, got 0"),
+        ("--timeout", "-1.5", "must be > 0, got -1.5"),
+        ("--timeout", "nan", "must be > 0, got nan"),
+        ("--retries", "-1", "must be >= 0, got -1"),
+    ],
+)
+def test_farm_figures_rejects_bad_numbers_at_the_command_line(
+    tmp_path, capsys, option, value, message
+):
+    argv = ["farm", "figures", "table1", "--preset", "smoke", "--no-cache",
+            "--store", str(tmp_path / "store"), "--no-progress", option, value]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "store").exists()  # rejected before any work
+
+
+def test_farm_figures_accepts_the_boundary_numbers():
+    args = farm_build_parser().parse_args(
+        ["figures", "-j", "1", "--timeout", "0.5", "--retries", "0"]
+    )
+    assert (args.jobs, args.timeout, args.retries) == (1, 0.5, 0)
+
+
+def test_farm_figures_keeps_the_type_name_in_conversion_errors(capsys):
+    with pytest.raises(SystemExit):
+        farm_build_parser().parse_args(["figures", "-j", "two"])
+    assert "invalid int value: 'two'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["serve", "worker", "dashboard"])
+def test_removed_service_commands_are_unknown_experiments(command, capsys):
+    assert main([command]) == 2
+    assert "unknown experiment(s): " + command in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["farm", "submit", "http://127.0.0.1:1", "table1"], "invalid choice"),
+        (["farm", "figures", "table1", "--backend", "queue"],
+         "unrecognized arguments: --backend queue"),
+    ],
+)
+def test_removed_farm_options_are_argparse_errors(tmp_path, capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--store", str(tmp_path / "store")])
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+
+
+def test_farm_list_paginates(capsys):
+    assert main(["farm", "list", "--limit", "3", "--offset", "2"]) == 0
+    out = capsys.readouterr().out
+    rows = [ln for ln in out.splitlines() if ln.startswith("fig")]
+    assert len(rows) == 3
+    assert "showing 3-5 of" in out
+    assert "--offset 5 for the next page" in out
+
+
+def test_farm_list_offset_past_the_end(capsys):
+    assert main(["farm", "list", "--offset", "9999"]) == 0
+    out = capsys.readouterr().out
+    assert "is past the end" in out  # empty page renders sanely
+    assert "points total" in out
+
+
+def test_farm_list_unpaginated_has_no_footnote(capsys):
+    assert main(["farm", "list"]) == 0
+    assert "showing" not in capsys.readouterr().out
+
+
+def test_farm_list_cached_pages_through_the_store(tmp_path, capsys):
+    store = ResultStore(tmp_path / "store")
+    for i in range(5):
+        store.put(
+            f"{i:02d}" + "00" * 31,
+            {
+                "family": "selftest",
+                "params": {"value": i},
+                "row": {"value": i},
+                "duration_s": 0.5,
+            },
+        )
+    argv = ["farm", "list", "--cached", "--store", str(tmp_path / "store"),
+            "--limit", "2", "--offset", "1"]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert "cached point records" in out
+    assert out.count("value=") == 2
+    assert "showing 2-3 of 5" in out
 
 
 @pytest.mark.farm_subprocess

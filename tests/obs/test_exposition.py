@@ -1,17 +1,12 @@
 """Prometheus exposition: parser-level round-trips for every metric kind.
 
-Every assertion goes through :func:`parse_exposition` — the same parser
-the smoke script trusts — so "renders legally" means "parses back to the
-exact values", not "looks right".
+Every assertion goes through :func:`parse_exposition`, so "renders
+legally" means "parses back to the exact values", not "looks right".
 """
 
 import pytest
 
-from repro.obs.live.exposition import (
-    OPENMETRICS_CONTENT_TYPE,
-    parse_exposition,
-    render_exposition,
-)
+from repro.obs.exposition import parse_exposition, render_exposition
 from repro.obs.registry import MetricsRegistry
 
 
@@ -142,7 +137,3 @@ def test_parser_rejects_malformed_documents():
     with pytest.raises(ValueError, match="malformed"):
         parse_exposition("!!nonsense!!\n# EOF\n")
 
-
-def test_content_type_is_openmetrics():
-    assert OPENMETRICS_CONTENT_TYPE.startswith("application/openmetrics-text")
-    assert "charset=utf-8" in OPENMETRICS_CONTENT_TYPE
