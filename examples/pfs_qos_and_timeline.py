@@ -8,7 +8,7 @@ Two things the single global scheduler buys (paper §1 and §6):
    are *system-class* and only consume leftover slice budget.
 2. Because every slice has the same globally-synchronized shape, the
    runtime can render exactly what each slice did (microphase timing,
-   utilization) from a single trace.
+   utilization) from the telemetry hub's protocol log.
 
 Run:  python examples/pfs_qos_and_timeline.py
 """
@@ -18,8 +18,8 @@ from repro.bcs import BcsConfig, BcsRuntime
 from repro.harness.report import print_table
 from repro.harness.timeline import Timeline
 from repro.network import Cluster, ClusterSpec
+from repro.obs import Observability
 from repro.pfs import PfsService
-from repro.sim import Trace
 from repro.storm import JobSpec
 from repro.units import kib, mib, ms, seconds
 
@@ -27,9 +27,9 @@ APP = dict(granularity=ms(3), iterations=12, message_bytes=kib(4))
 
 
 def run(with_pfs: bool):
-    trace = Trace(categories=["bcs.microphase"])
-    cluster = Cluster(ClusterSpec(n_nodes=8), trace=trace)
-    runtime = BcsRuntime(cluster, BcsConfig(init_cost=0))
+    obs = Observability(perfetto=False, profile=False)
+    cluster = Cluster(ClusterSpec(n_nodes=8))
+    runtime = BcsRuntime(cluster, BcsConfig(init_cost=0)).attach_observability(obs)
     if with_pfs:
         pfs = PfsService(runtime, io_nodes=list(range(8)))
 
@@ -43,7 +43,7 @@ def run(with_pfs: bool):
         JobSpec(app=nearest_neighbor_benchmark, n_ranks=16, params=APP),
         max_time=seconds(60),
     )
-    return job.runtime, Timeline.from_trace(trace, runtime.config.timeslice)
+    return job.runtime, Timeline.from_events(obs.events, runtime.config.timeslice)
 
 
 def main():

@@ -34,6 +34,27 @@ python -m repro.harness.cli trace fig8 --ranks 8 --out "$workdir/trace2.json"
 cmp "$workdir/trace.json" "$workdir/trace2.json"
 echo "ok: byte-identical"
 
+echo "== protocol log: replay and validate =="
+python - <<'EOF'
+from repro.bcs import BcsConfig
+from repro.bcs.validator import ProtocolValidator
+from repro.debug import diff_logs
+from repro.harness.obs_runs import run_instrumented
+
+a, b = (run_instrumented("fig8").obs for _ in range(2))
+assert a.events, "empty protocol log"
+divergences = diff_logs(a.events, b.events)
+assert not divergences, f"run is not replayable:\n{divergences[0]}"
+config = BcsConfig(init_cost=0)
+validator = ProtocolValidator(
+    a.events, config.timeslice, scheduling_min=config.scheduling_duration
+)
+violations = validator.validate()
+assert not violations, "\n".join(map(str, violations))
+assert validator.phases, "the validator saw no active slice"
+print(f"ok: {len(a.events)} log entries replay identically, no violations")
+EOF
+
 echo "== metrics report =="
 python -m repro.harness.cli metrics fig8 --ranks 8 | tee "$workdir/metrics.txt"
 grep -q "bcs.microphase.duration_ns" "$workdir/metrics.txt"

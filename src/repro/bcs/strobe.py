@@ -101,8 +101,8 @@ class StrobeSender:
         self.env = runtime.env
         self._proc = None
         # Reusable microphase plumbing: one latch, one strobe record and
-        # two timeouts serve every microphase of every slice when tracing
-        # is off.  Safe because the SS is the only holder across cycles —
+        # two timeouts serve every microphase of every slice.  Safe
+        # because the SS is the only holder across cycles —
         # it always yields the latch/timeouts to completion before
         # re-arming, and every receiver drops its strobe reference at
         # count_down time.
@@ -113,17 +113,10 @@ class StrobeSender:
         # Microstrobe duration, cached per active-set size.
         self._strobe_n = -1
         self._strobe_latency = 0
-        #: "bcs.microphase" tracing, sampled once per strobe-loop launch
-        #: (trace categories are fixed at cluster construction); gates
-        #: the per-microphase trace emit and the named-latch allocation.
-        self._trace_on = False
 
     def start(self) -> None:
         """Launch the strobe loop (idempotent)."""
         if self._proc is None or not self._proc.is_alive:
-            self._trace_on = self.runtime.cluster.trace.enabled_for(
-                "bcs.microphase"
-            )
             self._proc = self.env.process(self._run(), name="SS")
 
     def _run(self):
@@ -280,28 +273,18 @@ class StrobeSender:
             # Its completion delay is the Compare-And-Write's conditional
             # round over the participants, and the latch never fires
             # before the microphase's minimum duration has passed.
-            # With tracing off, the latch and strobe record are re-armed
-            # in place — every receiver drops its reference at count_down
-            # time, and the SS yields the latch to completion before the
-            # next microphase, so nothing can observe the reuse (the name
-            # f-string only ever served trace debugging).
+            # The latch and strobe record are re-armed in place — every
+            # receiver drops its reference at count_down time, and the SS
+            # yields the latch to completion before the next microphase,
+            # so nothing can observe the reuse.
             cw = runtime.cluster.fabric.model.cw_latency(len(nodes))
-            not_before = t0 + min_duration
-            if self._trace_on:
-                done = Latch(
-                    env,
-                    len(nodes),
-                    name=f"{phase}:{runtime.slice_no}",
-                    delay=cw,
-                    not_before=not_before,
-                )
-                strobe = Strobe(phase, runtime.slice_no, payload, done)
-            else:
-                done = self._latch.rearm(len(nodes), delay=cw, not_before=not_before)
-                strobe = self._strobe
-                strobe.phase = phase
-                strobe.slice_no = runtime.slice_no
-                strobe.payload = payload
+            done = self._latch.rearm(
+                len(nodes), delay=cw, not_before=t0 + min_duration
+            )
+            strobe = self._strobe
+            strobe.phase = phase
+            strobe.slice_no = runtime.slice_no
+            strobe.payload = payload
             # One multicast microstrobe: a single heap entry, one strobe
             # latency from now, wakes every participant's SR in ``nodes``
             # order.
@@ -328,14 +311,3 @@ class StrobeSender:
 
         if obs is not None:
             obs.phase_end(phase, runtime.slice_no, t0, env.now, len(nodes))
-        if self._trace_on:
-            trace = runtime.cluster.trace
-            trace.emit(
-                env.now,
-                "bcs.microphase",
-                slice=runtime.slice_no,
-                phase=phase,
-                start=t0,
-                duration=env.now - t0,
-                nodes=len(nodes),
-            )

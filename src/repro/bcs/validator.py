@@ -1,24 +1,28 @@
-"""Protocol invariant checking from traces.
+"""Protocol invariant checking from the protocol log.
 
 The BCS protocol makes strong structural promises: microphases run in
 DEM → MSM → P2P → BBM → RM order within each slice, the scheduling
 phase respects its minimum budget, point-to-point payload moves only
 inside the point-to-point microphase, and slice boundaries are strict
 multiples of the time slice.  :class:`ProtocolValidator` re-derives all
-of that from a trace and reports violations — used by the property
-tests to assert that *any* workload drives the machine correctly.
+of that from the telemetry hub's protocol log
+(:attr:`repro.obs.Observability.events`) and reports violations — used
+by the property tests to assert that *any* workload drives the machine
+correctly::
 
-Capture both categories when building the cluster::
-
-    trace = Trace(categories=["bcs.microphase", "fabric.unicast"])
+    obs = Observability(perfetto=False, profile=False)
+    runtime.attach_observability(obs)
+    ... run ...
+    ProtocolValidator(obs.events, config.timeslice).assert_clean()
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from bisect import bisect_right
+from dataclasses import dataclass
+from itertools import accumulate
+from typing import Callable, Dict, Iterable, List, Tuple
 
-from ..sim import Trace
 from .strobe import MICROPHASES
 
 _PHASE_INDEX = {p: i for i, p in enumerate(MICROPHASES)}
@@ -35,23 +39,37 @@ class Violation:
         return f"[{self.kind}] {self.detail}"
 
 
-class ProtocolValidator:
-    """Validates slice-machine invariants recorded in a trace."""
+def _coverage(windows: Iterable[Tuple[int, int]]) -> Callable[[int], bool]:
+    """Membership test for the union of closed windows ``[start, end]``.
 
-    def __init__(self, trace: Trace, timeslice: int, scheduling_min: int = 0):
-        self.trace = trace
+    The windows are sorted once; a query bisects for the windows that
+    start at or before ``t`` and compares ``t`` with the furthest end
+    among them.
+    """
+    ordered = sorted(windows)
+    starts = [start for start, _ in ordered]
+    reach = list(accumulate((end for _, end in ordered), max))
+
+    def covers(t: int) -> bool:
+        i = bisect_right(starts, t)
+        return i > 0 and reach[i - 1] >= t
+
+    return covers
+
+
+class ProtocolValidator:
+    """Validates slice-machine invariants recorded in a protocol log."""
+
+    def __init__(self, events: List[tuple], timeslice: int, scheduling_min: int = 0):
+        self.events = events
         self.timeslice = timeslice
         self.scheduling_min = scheduling_min
         #: slice_no -> list of (phase, start, end)
         self.phases: Dict[int, List[Tuple[str, int, int]]] = {}
-        for rec in trace.by_category("bcs.microphase"):
-            self.phases.setdefault(rec.fields["slice"], []).append(
-                (
-                    rec.fields["phase"],
-                    rec.fields["start"],
-                    rec.fields["start"] + rec.fields["duration"],
-                )
-            )
+        for event in events:
+            if event[1] == "phase":
+                t, _, slice_no, phase, duration = event
+                self.phases.setdefault(slice_no, []).append((phase, t - duration, t))
         for spans in self.phases.values():
             spans.sort(key=lambda s: s[1])
 
@@ -113,51 +131,41 @@ class ProtocolValidator:
                 )
         return out
 
-    def check_p2p_containment(self) -> List[Violation]:
-        """Bulk p2p transfers complete inside a P2P microphase."""
-        out = []
-        p2p_windows: List[Tuple[int, int]] = [
+    def _unicasts_outside(self, label: str, phase: str) -> List[tuple]:
+        """``label`` unicasts that complete outside every ``phase`` window."""
+        covers = _coverage(
             (start, end)
             for spans in self.phases.values()
             for p, start, end in spans
-            if p == "P2P"
+            if p == phase
+        )
+        return [
+            e
+            for e in self.events
+            if e[1] == "unicast" and e[5] == label and not covers(e[0])
         ]
-        for rec in self.trace.by_category("fabric.unicast"):
-            if rec.fields.get("label") != "p2p":
-                continue
-            done = rec.time
-            if not any(start <= done <= end for start, end in p2p_windows):
-                out.append(
-                    Violation(
-                        "p2p-outside-phase",
-                        f"transfer {rec.fields['src']}->{rec.fields['dst']} "
-                        f"completed at {done} outside every P2P microphase",
-                    )
-                )
-        return out
+
+    def check_p2p_containment(self) -> List[Violation]:
+        """Bulk p2p transfers complete inside a P2P microphase."""
+        return [
+            Violation(
+                "p2p-outside-phase",
+                f"transfer {src}->{dst} completed at {done} "
+                "outside every P2P microphase",
+            )
+            for done, _, src, dst, _, _ in self._unicasts_outside("p2p", "P2P")
+        ]
 
     def check_descriptor_containment(self) -> List[Violation]:
         """Descriptor exchanges complete inside a DEM microphase."""
-        out = []
-        dem_windows = [
-            (start, end)
-            for spans in self.phases.values()
-            for p, start, end in spans
-            if p == "DEM"
+        return [
+            Violation(
+                "desc-outside-dem",
+                f"descriptor to node {dst} delivered at {done} "
+                "outside every DEM microphase",
+            )
+            for done, _, _, dst, _, _ in self._unicasts_outside("desc", "DEM")
         ]
-        for rec in self.trace.by_category("fabric.unicast"):
-            if rec.fields.get("label") != "desc":
-                continue
-            done = rec.time
-            if not any(start <= done <= end for start, end in dem_windows):
-                out.append(
-                    Violation(
-                        "desc-outside-dem",
-                        f"descriptor to node {rec.fields['dst']} delivered at "
-                        f"{done} outside every DEM microphase",
-                    )
-                )
-        return out
 
     # -- aggregate ---------------------------------------------------------------------
 

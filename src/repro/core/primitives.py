@@ -88,7 +88,7 @@ class BcsCore:
             if len(dest_list) == 1:
                 yield from self.fabric.unicast(src, dest_list[0], size, label="xfer")
             else:
-                yield from self.fabric.multicast(src, dest_list, size, label="xfer")
+                yield from self.fabric.multicast(src, dest_list, size)
             # Commit: atomic across the destination set (all or nothing).
             if addr is not None:
                 self.gas.write_all(dest_list, addr, value)

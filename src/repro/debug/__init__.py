@@ -1,10 +1,9 @@
 """Deterministic-replay debugging tools (paper §1)."""
 
 from .diagnostics import diagnose
-from .recorder import CATEGORIES, Divergence, FlightRecorder, assert_replayable, diff_logs
+from .recorder import Divergence, FlightRecorder, assert_replayable, diff_logs
 
 __all__ = [
-    "CATEGORIES",
     "Divergence",
     "FlightRecorder",
     "assert_replayable",

@@ -8,15 +8,17 @@ comparison*: record the communication log of a run, re-run, and diff.
 Any divergence pinpoints the first nondeterministic (or changed) event
 — the debugging workflow a SIMD-style global OS makes possible.
 
-Event aggregation goes through a :class:`repro.obs.MetricsRegistry`
-(one counter per event kind, a bytes counter per kind) instead of
-private tallies, so the recorder's statistics render with the same
-machinery as the runtime's slice telemetry.
+The log is the telemetry hub's protocol log
+(:attr:`repro.obs.Observability.events`): one normalized tuple per
+microphase and per completed fabric transfer.  Event aggregation goes
+through a :class:`repro.obs.MetricsRegistry` (one counter per event
+kind, a bytes counter per kind), so the recorder's statistics render
+with the same machinery as the runtime's slice telemetry.
 
 Usage::
 
     recorder = FlightRecorder()
-    cluster = Cluster(spec, trace=recorder.trace)
+    runtime.attach_observability(recorder.obs)
     ... run ...
     log = recorder.log()
 
@@ -26,13 +28,9 @@ Usage::
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
-from ..obs import MetricsRegistry
-from ..sim import Trace
-
-#: Trace categories the recorder needs captured.
-CATEGORIES = ("fabric.unicast", "fabric.multicast", "bcs.microphase")
+from ..obs import MetricsRegistry, Observability
 
 
 @dataclass(frozen=True)
@@ -51,38 +49,13 @@ class Divergence:
         )
 
 
-def _normalize_unicast(rec) -> Tuple[tuple, int]:
-    f = rec.fields
-    entry = (rec.time, "unicast", f["src"], f["dst"], f["size"], f.get("label", ""))
-    return entry, f["size"]
-
-
-def _normalize_multicast(rec) -> Tuple[tuple, int]:
-    f = rec.fields
-    entry = (rec.time, "multicast", f["src"], f["dests"], f["size"])
-    return entry, f["size"] * len(f["dests"])
-
-
-def _normalize_phase(rec) -> Tuple[tuple, int]:
-    f = rec.fields
-    entry = (rec.time, "phase", f["slice"], f["phase"], f["duration"])
-    return entry, 0
-
-
-#: category -> (kind label, normalizer) — the single place the log
-#: format is defined (log(), counters, and diffing all share it).
-_NORMALIZERS = {
-    "fabric.unicast": ("unicast", _normalize_unicast),
-    "fabric.multicast": ("multicast", _normalize_multicast),
-    "bcs.microphase": ("phase", _normalize_phase),
-}
-
-
 class FlightRecorder:
     """Captures a run's ordered communication log."""
 
     def __init__(self):
-        self.trace = Trace(categories=list(CATEGORIES))
+        #: The hub to attach to the runtime under test; it keeps only the
+        #: metrics registry and the protocol log.
+        self.obs = Observability(perfetto=False, profile=False)
         #: Aggregated event statistics (``replay.events``/``replay.bytes``
         #: counters, labeled by event kind), rebuilt by :meth:`log`.
         self.registry = MetricsRegistry()
@@ -95,18 +68,16 @@ class FlightRecorder:
         :attr:`registry` is rebuilt with per-kind event/byte counters.
         """
         self.registry.reset()
-        out: List[tuple] = []
-        for rec in self.trace.records:
-            spec = _NORMALIZERS.get(rec.category)
-            if spec is None:
-                continue
-            kind, normalize = spec
-            entry, nbytes = normalize(rec)
-            out.append(entry)
+        for entry in self.obs.events:
+            kind = entry[1]
             self.registry.counter("replay.events", kind=kind).inc()
+            if kind == "phase":
+                continue
+            # Both transfer kinds carry the size at index 4.
+            nbytes = entry[4] * (len(entry[3]) if kind == "multicast" else 1)
             if nbytes:
                 self.registry.counter("replay.bytes", kind=kind).inc(nbytes)
-        return out
+        return list(self.obs.events)
 
     def summary(self) -> str:
         """Deterministic text summary of the recorded event mix."""
@@ -137,15 +108,16 @@ def diff_logs(a: List[tuple], b: List[tuple]) -> List[Divergence]:
 
 
 def assert_replayable(run_fn) -> List[tuple]:
-    """Run ``run_fn(trace)`` twice and assert identical logs.
+    """Run ``run_fn(obs)`` twice and assert identical logs.
 
-    ``run_fn`` must accept a :class:`Trace` and perform a complete run
-    against a *fresh* cluster wired to it.  Returns the (verified) log.
+    ``run_fn`` must accept an :class:`~repro.obs.Observability` hub and
+    perform a complete run on a *fresh* runtime it is attached to.
+    Returns the (verified) log.
     """
     logs = []
     for _ in range(2):
         recorder = FlightRecorder()
-        run_fn(recorder.trace)
+        run_fn(recorder.obs)
         logs.append(recorder.log())
     divergences = diff_logs(logs[0], logs[1])
     if divergences:

@@ -1,17 +1,19 @@
 """Slice-timeline analysis: what the runtime did with each time slice.
 
-Build a :class:`Timeline` from a trace that captured the
-``bcs.microphase`` category, then inspect per-slice microphase
-durations, aggregate utilization, and a terminal-friendly utilization
-strip — the observability layer a deterministic global scheduler makes
-trivial (every slice has the same shape everywhere).
+Build a :class:`Timeline` from the telemetry hub's protocol log
+(:attr:`repro.obs.Observability.events`), then inspect per-slice
+microphase durations, aggregate utilization, and a terminal-friendly
+utilization strip — the observability layer a deterministic global
+scheduler makes trivial (every slice has the same shape everywhere).
+The microphase track itself is drawn by the hub's Perfetto trace
+(``repro trace``).
 
 Usage::
 
-    trace = Trace(categories=["bcs.microphase"])
-    cluster = Cluster(spec, trace=trace)
+    obs = Observability(perfetto=False, profile=False)
+    runtime.attach_observability(obs)
     ... run ...
-    timeline = Timeline.from_trace(trace, timeslice=us(500))
+    timeline = Timeline.from_events(obs.events, timeslice=us(500))
     print(timeline.report())
 """
 
@@ -20,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from ..sim import Trace
 from ..units import to_us
 
 #: Utilization strip glyphs, from idle to saturated.
@@ -42,7 +43,7 @@ class SliceRecord:
 
 
 class Timeline:
-    """Per-slice activity extracted from a trace."""
+    """Per-slice activity extracted from a protocol log."""
 
     def __init__(self, slices: List[SliceRecord], timeslice: int):
         if timeslice <= 0:
@@ -51,19 +52,19 @@ class Timeline:
         self.timeslice = timeslice
 
     @classmethod
-    def from_trace(cls, trace: Trace, timeslice: int) -> "Timeline":
-        """Assemble slice records from ``bcs.microphase`` trace events."""
+    def from_events(cls, events: List[tuple], timeslice: int) -> "Timeline":
+        """Assemble slice records from the log's microphase entries."""
         by_slice: Dict[int, SliceRecord] = {}
-        for rec in trace.by_category("bcs.microphase"):
-            sl = rec.fields["slice"]
+        for event in events:
+            if event[1] != "phase":
+                continue
+            t, _, sl, phase, duration = event
+            start = t - duration
             entry = by_slice.get(sl)
             if entry is None:
-                entry = SliceRecord(slice_no=sl, start=rec.fields["start"])
-                by_slice[sl] = entry
-            entry.start = min(entry.start, rec.fields["start"])
-            entry.phases[rec.fields["phase"]] = (
-                entry.phases.get(rec.fields["phase"], 0) + rec.fields["duration"]
-            )
+                entry = by_slice[sl] = SliceRecord(slice_no=sl, start=start)
+            entry.start = min(entry.start, start)
+            entry.phases[phase] = entry.phases.get(phase, 0) + duration
         return cls(list(by_slice.values()), timeslice)
 
     # -- aggregates ---------------------------------------------------------------
@@ -113,39 +114,6 @@ class Timeline:
             _GLYPHS[min(int(u * (len(_GLYPHS) - 1) + 0.5), len(_GLYPHS) - 1)]
             for u in buckets
         )
-
-    def to_chrome_trace(self) -> list:
-        """Export as Chrome trace-event JSON objects (``chrome://tracing``
-        / Perfetto).  Each microphase becomes a complete ("X") event on
-        the "BCS slice machine" track; timestamps are microseconds."""
-        events = []
-        for record in self.slices:
-            t = record.start
-            for phase in ("DEM", "MSM", "P2P", "BBM", "RM"):
-                duration = record.phases.get(phase)
-                if duration is None:
-                    continue
-                events.append(
-                    {
-                        "name": phase,
-                        "cat": "microphase",
-                        "ph": "X",
-                        "ts": t / 1000.0,
-                        "dur": duration / 1000.0,
-                        "pid": 0,
-                        "tid": 0,
-                        "args": {"slice": record.slice_no},
-                    }
-                )
-                t += duration
-        return events
-
-    def save_chrome_trace(self, path) -> None:
-        """Write :meth:`to_chrome_trace` output as a JSON file."""
-        import json
-
-        with open(path, "w") as fh:
-            json.dump({"traceEvents": self.to_chrome_trace()}, fh)
 
     def report(self) -> str:
         """Multi-line human-readable summary."""

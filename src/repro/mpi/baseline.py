@@ -540,7 +540,6 @@ class BaselineCommunicator(Communicator):
                 self._info.node_of(root),
                 self._info.nodes,
                 payload_nbytes(data, size),
-                label="bcast",
             )
             state.done.succeed(None)
         elif not state.done.triggered:

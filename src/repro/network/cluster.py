@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Generator, List, Optional
 
-from ..sim import Engine, NullTrace, Resource, RngRegistry, Trace
+from ..sim import Engine, Resource, RngRegistry
 from .fabric import Fabric
 from .model import NetworkModel, qsnet
 from .nic import Nic
@@ -142,19 +142,16 @@ class _NicView:
 
 
 class Cluster:
-    """A simulated cluster: engine + nodes + fabric + RNG + trace."""
+    """A simulated cluster: engine + nodes + fabric + RNG."""
 
-    def __init__(self, spec: ClusterSpec | None = None, trace: Optional[Trace] = None):
+    def __init__(self, spec: ClusterSpec | None = None):
         self.spec = spec or ClusterSpec()
-        self.trace = trace if trace is not None else NullTrace()
-        self.env = Engine(trace=self.trace)
+        self.env = Engine()
         self.rng = RngRegistry(self.spec.seed)
 
         # + 1: the management node.
         self.nodes = NodeDirectory(self, self.spec.n_nodes + 1)
-        self.fabric = Fabric(
-            self.env, self.spec.model, _NicView(self.nodes), trace=self.trace
-        )
+        self.fabric = Fabric(self.env, self.spec.model, _NicView(self.nodes))
 
     def _make_node(self, node_id: int) -> Node:
         nic = Nic(

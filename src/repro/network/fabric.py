@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from typing import Generator, Iterable, Sequence
 
-from ..sim import Engine, Trace
+from ..sim import Engine
 from ..units import bw_time
 from .model import NetworkModel
 from .nic import Nic
@@ -31,13 +31,7 @@ from .topology import build_topology
 class Fabric:
     """Timed transport between a fixed set of NICs."""
 
-    def __init__(
-        self,
-        env: Engine,
-        model: NetworkModel,
-        nics: Sequence[Nic],
-        trace: Trace | None = None,
-    ):
+    def __init__(self, env: Engine, model: NetworkModel, nics: Sequence[Nic]):
         self.env = env
         self.model = model
         # The cluster's lazy NIC view over its node directory: only len()
@@ -47,7 +41,9 @@ class Fabric:
         self.tree = build_topology(
             model.topology, len(self.nics), radix=model.radix
         )
-        self.trace = trace
+        #: Telemetry hub (set by ``Observability.bind``); it records
+        #: every completed transfer in its protocol log.
+        self.obs = None
         #: Total payload bytes moved (excluding headers), for reporting.
         self.bytes_moved = 0
         self.transfers = 0
@@ -98,23 +94,14 @@ class Fabric:
                 # Interrupted while queued for rx: hand the tx half back.
                 tx.release()
                 raise
-        start = self.env.now
         try:
             yield self.env.timeout(model.dma_startup + wire)
         finally:
             tx.release()
             rx.release()
         yield self.env.timeout(model.latency(self.tree.hops(src, dst)))
-        if self.trace is not None:
-            self.trace.emit(
-                self.env.now,
-                "fabric.unicast",
-                src=src,
-                dst=dst,
-                size=size,
-                start=start,
-                label=label,
-            )
+        if self.obs is not None:
+            self.obs.unicast(self.env.now, src, dst, size, label)
 
     # -- multicast -----------------------------------------------------------------
 
@@ -135,9 +122,7 @@ class Fabric:
             + self.model.multicast_latency(n_dests)
         )
 
-    def multicast(
-        self, src: int, dests: Iterable[int], size: int, label: str = ""
-    ) -> Generator:
+    def multicast(self, src: int, dests: Iterable[int], size: int) -> Generator:
         """Deliver ``size`` bytes from ``src`` to every node in ``dests``.
 
         With hardware multicast the switch tree replicates the packet, so
@@ -187,15 +172,8 @@ class Fabric:
                     for d in held_rx:
                         nics[d].rx.release()
                 yield self.env.timeout(model.multicast_latency(len(dest_list)))
-                if self.trace is not None:
-                    self.trace.emit(
-                        self.env.now,
-                        "fabric.multicast",
-                        src=src,
-                        dests=tuple(dest_list),
-                        size=size,
-                        label=label,
-                    )
+                if self.obs is not None:
+                    self.obs.multicast(self.env.now, src, dest_list, size)
                 return
 
         yield src_nic.tx.request()
@@ -210,15 +188,8 @@ class Fabric:
             for d in held_rx:
                 nics[d].rx.release()
         yield self.env.timeout(model.multicast_latency(len(dest_list)))
-        if self.trace is not None:
-            self.trace.emit(
-                self.env.now,
-                "fabric.multicast",
-                src=src,
-                dests=tuple(dest_list),
-                size=size,
-                label=label,
-            )
+        if self.obs is not None:
+            self.obs.multicast(self.env.now, src, dest_list, size)
 
     # -- network conditional ----------------------------------------------------------
 

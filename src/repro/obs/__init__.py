@@ -13,7 +13,9 @@ docs/OBSERVABILITY.md):
   message-lifecycle spans and the virtual-time critical-path blame
   breakdown (``Observability(spans=True)``, ``repro explain``);
 - :class:`Observability` — the hub the runtime reports into
-  (``runtime.attach_observability(Observability())``);
+  (``runtime.attach_observability(Observability())``); its ``events``
+  list is the protocol log that the flight recorder, the protocol
+  validator and the slice timeline read;
 - :mod:`~repro.obs.exposition` — OpenMetrics text rendering of a
   registry or its persisted snapshot.
 

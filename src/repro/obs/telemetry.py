@@ -6,12 +6,16 @@ An :class:`Observability` instance bundles the sinks — a
 :class:`~repro.obs.profiler.MpiProfiler`, and (opt-in via
 ``spans=True``) a :class:`~repro.obs.spans.SpanTracker` for causal
 message-lifecycle tracing — and exposes the hook methods the BCS
-runtime calls from its hot paths.
+runtime calls from its hot paths.  It also keeps the protocol log,
+:attr:`Observability.events`: one tuple per microphase and per completed
+fabric transfer, in simulation order, which the flight recorder, the
+protocol validator and the slice timeline read.
 
 Wiring: ``runtime.attach_observability(obs)`` stores the hub on the
-runtime, the slice scheduler, and every NIC; every instrumented call
-site guards with a single ``if obs is not None`` so a run without
-observability pays one attribute read per hook point and nothing else.
+runtime, the slice scheduler, the fabric and every NIC; every
+instrumented call site guards with a single ``if obs is not None`` so a
+run without observability pays one attribute read per hook point and
+nothing else.
 Hooks never yield into the simulator, so instrumentation cannot perturb
 virtual time (the golden-timings tests pin this).
 
@@ -90,6 +94,12 @@ class Observability:
         self._phase_done: Dict[Tuple[int, str], List[int]] = {}
         #: Busy nanoseconds accumulated in the current slice.
         self._slice_busy = 0
+        #: The protocol log, in simulation order:
+        #: ``(t, "phase", slice, phase, duration)`` at each microphase end,
+        #: ``(t, "unicast", src, dst, size, label)`` and
+        #: ``(t, "multicast", src, dests, size)`` at each transfer's
+        #: completion.
+        self.events: List[tuple] = []
 
     # -- wiring -------------------------------------------------------------------
 
@@ -99,6 +109,7 @@ class Observability:
         self.timeslice = runtime.config.timeslice
         self.mgmt_pid = runtime.cluster.management_node.id
         runtime.scheduler.obs = self
+        runtime.cluster.fabric.obs = self
         # Materialized nodes get the hub here; lazily materialized ones
         # inherit it at construction from ``runtime.obs`` — binding
         # never forces a 64k table into being.
@@ -256,6 +267,7 @@ class Observability:
         self.current_phase = None
         duration = t1 - t0
         self._slice_busy += duration
+        self.events.append((t1, "phase", slice_no, phase, duration))
         reg = self.registry
         reg.histogram("bcs.microphase.duration_ns", phase=phase).observe(duration)
         reg.counter("bcs.microphase.nodes", phase=phase).inc(n_nodes)
@@ -290,6 +302,16 @@ class Observability:
                 t1 - t0,
                 args={"slice": slice_no},
             )
+
+    # -- fabric (called by Fabric.unicast / Fabric.multicast) ------------------------
+
+    def unicast(self, t: int, src: int, dst: int, size: int, label: str) -> None:
+        """A point-to-point transfer's last byte arrived at ``t``."""
+        self.events.append((t, "unicast", src, dst, size, label))
+
+    def multicast(self, t: int, src: int, dests: List[int], size: int) -> None:
+        """A multicast reached its last destination at ``t``."""
+        self.events.append((t, "multicast", src, tuple(dests), size))
 
     # -- scheduler (called by SliceScheduler.schedule_slice) -------------------------
 

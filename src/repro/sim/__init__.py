@@ -19,7 +19,6 @@ from .events import (
 from .process import Process
 from .resources import Gate, Resource, Signal, Store
 from .rng import RngRegistry, derive_seed
-from .trace import NullTrace, Trace, TraceRecord
 
 __all__ = [
     "AllOf",
@@ -32,7 +31,6 @@ __all__ = [
     "Gate",
     "Interrupt",
     "Latch",
-    "NullTrace",
     "Process",
     "Resource",
     "ReusableLatch",
@@ -42,7 +40,5 @@ __all__ = [
     "SimError",
     "Store",
     "Timeout",
-    "Trace",
-    "TraceRecord",
     "derive_seed",
 ]

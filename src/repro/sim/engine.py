@@ -18,15 +18,13 @@ from .process import Process
 class Engine:
     """Discrete-event simulation engine ("environment")."""
 
-    __slots__ = ("_now", "_queue", "_seq", "_active_proc", "trace")
+    __slots__ = ("_now", "_queue", "_seq", "_active_proc")
 
-    def __init__(self, trace=None):
+    def __init__(self):
         self._now = 0
         self._queue: list = []  # heap of (time, priority, seq, event)
         self._seq = 0
         self._active_proc: Optional[Process] = None
-        #: Optional :class:`repro.sim.trace.Trace` sink.
-        self.trace = trace
 
     # -- time -----------------------------------------------------------------
 

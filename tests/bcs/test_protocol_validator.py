@@ -3,29 +3,27 @@ machine within its structural rules."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.bcs import BcsConfig, BcsRuntime
 from repro.bcs.validator import ProtocolValidator, Violation
 from repro.network import Cluster, ClusterSpec
-from repro.sim import Trace
+from repro.obs import Observability
 from repro.storm import JobSpec
 from repro.units import kib, ms, seconds, us
 
-CATEGORIES = ["bcs.microphase", "fabric.unicast"]
-
 
 def run_validated(app, n_ranks=6, params=None):
-    trace = Trace(categories=CATEGORIES)
-    cluster = Cluster(ClusterSpec(n_nodes=(n_ranks + 1) // 2), trace=trace)
+    obs = Observability(perfetto=False, profile=False)
+    cluster = Cluster(ClusterSpec(n_nodes=(n_ranks + 1) // 2))
     config = BcsConfig(init_cost=0)
-    runtime = BcsRuntime(cluster, config)
+    runtime = BcsRuntime(cluster, config).attach_observability(obs)
     runtime.run_job(
         JobSpec(app=app, n_ranks=n_ranks, params=params or {}), max_time=seconds(60)
     )
     return ProtocolValidator(
-        trace, config.timeslice, scheduling_min=config.scheduling_duration
+        obs.events, config.timeslice, scheduling_min=config.scheduling_duration
     )
 
 
@@ -60,21 +58,9 @@ def test_chunked_large_messages_stay_in_p2p_phase():
 
 def test_validator_detects_seeded_violation():
     """Sanity: the validator is not vacuously green."""
-    from repro.sim.trace import TraceRecord
-
-    trace = Trace(categories=CATEGORIES)
     # A slice whose phases come in the wrong order.
-    trace.records.append(
-        TraceRecord(
-            100, "bcs.microphase", dict(slice=1, phase="MSM", start=0, duration=50)
-        )
-    )
-    trace.records.append(
-        TraceRecord(
-            200, "bcs.microphase", dict(slice=1, phase="DEM", start=100, duration=50)
-        )
-    )
-    validator = ProtocolValidator(trace, timeslice=us(500))
+    events = [(50, "phase", 1, "MSM", 50), (150, "phase", 1, "DEM", 50)]
+    validator = ProtocolValidator(events, timeslice=us(500))
     kinds = {v.kind for v in validator.validate()}
     assert "phase-order" in kinds
     with pytest.raises(AssertionError):
@@ -82,19 +68,82 @@ def test_validator_detects_seeded_violation():
 
 
 def test_validator_detects_stray_transfer():
-    from repro.sim.trace import TraceRecord
-
-    trace = Trace(categories=CATEGORIES)
-    trace.records.append(
-        TraceRecord(
-            123,
-            "fabric.unicast",
-            dict(src=0, dst=1, size=10, start=100, label="p2p"),
-        )
-    )
-    validator = ProtocolValidator(trace, timeslice=us(500))
+    events = [(123, "unicast", 0, 1, 10, "p2p")]
+    validator = ProtocolValidator(events, timeslice=us(500))
     kinds = {v.kind for v in validator.validate()}
     assert "p2p-outside-phase" in kinds
+
+
+def test_containment_windows_are_closed_at_both_edges():
+    """A transfer completing exactly at a microphase edge is inside it;
+    one nanosecond past either edge is outside every window."""
+    events = [
+        (200, "phase", 1, "DEM", 100),  # DEM window [100, 200]
+        (400, "phase", 1, "P2P", 100),  # P2P window [300, 400]
+        (1300, "phase", 3, "DEM", 100),  # DEM window [1200, 1300]
+        (1500, "phase", 3, "P2P", 100),  # P2P window [1400, 1500]
+    ]
+    for t in (100, 200, 1200, 1300):
+        events.append((t, "unicast", 0, 1, 8, "desc"))
+    for t in (300, 400, 1400, 1500):
+        events.append((t, "unicast", 0, 1, 8, "p2p"))
+    validator = ProtocolValidator(events, timeslice=1000)
+    assert validator.check_descriptor_containment() == []
+    assert validator.check_p2p_containment() == []
+
+    stray = [
+        (99, "unicast", 0, 1, 8, "desc"),
+        (201, "unicast", 0, 2, 8, "desc"),
+        (299, "unicast", 0, 1, 8, "p2p"),
+        (401, "unicast", 0, 3, 8, "p2p"),
+        (1600, "unicast", 2, 3, 8, "p2p"),
+        (300, "unicast", 0, 1, 8, "desc"),  # inside P2P, not DEM
+    ]
+    validator = ProtocolValidator(events + stray, timeslice=1000)
+    assert [str(v) for v in validator.check_descriptor_containment()] == [
+        "[desc-outside-dem] descriptor to node 1 delivered at 99 "
+        "outside every DEM microphase",
+        "[desc-outside-dem] descriptor to node 2 delivered at 201 "
+        "outside every DEM microphase",
+        "[desc-outside-dem] descriptor to node 1 delivered at 300 "
+        "outside every DEM microphase",
+    ]
+    assert [str(v) for v in validator.check_p2p_containment()] == [
+        "[p2p-outside-phase] transfer 0->1 completed at 299 "
+        "outside every P2P microphase",
+        "[p2p-outside-phase] transfer 0->3 completed at 401 "
+        "outside every P2P microphase",
+        "[p2p-outside-phase] transfer 2->3 completed at 1600 "
+        "outside every P2P microphase",
+    ]
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    windows=st.lists(
+        st.tuples(st.integers(0, 200), st.integers(0, 60)), max_size=6
+    ),
+    instants=st.lists(st.integers(0, 300), max_size=12),
+)
+# A window nested in a longer one: the furthest end, not the last.
+@example(windows=[(0, 100), (10, 5)], instants=[50])
+def test_containment_matches_linear_scan(windows, instants):
+    """Bisected containment flags exactly the transfers a scan over every
+    window flags, overlapping windows included."""
+    events = [
+        (start + length, "phase", i, "P2P", length)
+        for i, (start, length) in enumerate(windows)
+    ]
+    events += [(t, "unicast", 0, 1, 8, "p2p") for t in instants]
+    flagged = [
+        t
+        for t in instants
+        if not any(s <= t <= s + length for s, length in windows)
+    ]
+    violations = ProtocolValidator(events, timeslice=1000).check_p2p_containment()
+    assert [v.detail.split(" at ")[1].split()[0] for v in violations] == [
+        str(t) for t in flagged
+    ]
 
 
 @settings(max_examples=12, deadline=None)

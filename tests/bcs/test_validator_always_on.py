@@ -2,10 +2,10 @@
 
 :class:`ProtocolValidator` re-derives the microphase order, slice
 alignment, the DEM+MSM budget and the containment of descriptor and
-payload transfers from a trace.  Here it runs with every check on small
-halo, SWEEP3D and SAGE runs, under the fast and the reference engine,
-and must find nothing.  Tracing switches the Strobe Sender to fresh, named
-microphase latches; the makespan must equal the untraced run's.
+payload transfers from the telemetry hub's protocol log.  Here it runs
+with every check on small halo, SWEEP3D and SAGE runs, under the fast
+and the reference engine, and must find nothing.  The instrumented run's
+makespan and results must equal the bare run's.
 """
 
 import pytest
@@ -14,11 +14,9 @@ from repro.apps import nearest_neighbor_benchmark, sage, sweep3d_blocking
 from repro.bcs import BcsConfig, BcsRuntime
 from repro.bcs.validator import ProtocolValidator
 from repro.network import Cluster, ClusterSpec
-from repro.sim import Trace
+from repro.obs import Observability
 from repro.storm import JobSpec
 from repro.units import kib, ms, seconds
-
-CATEGORIES = ["bcs.microphase", "fabric.unicast"]
 
 WORKLOADS = {
     "halo": (
@@ -32,11 +30,13 @@ WORKLOADS = {
 }
 
 
-def _run(name, engine, trace=None):
+def _run(name, engine, obs=None):
     app, n_nodes, n_ranks, params = WORKLOADS[name]
-    cluster = Cluster(ClusterSpec(n_nodes=n_nodes), trace=trace)
+    cluster = Cluster(ClusterSpec(n_nodes=n_nodes))
     config = BcsConfig(init_cost=0, engine=engine)
     runtime = BcsRuntime(cluster, config)
+    if obs is not None:
+        runtime.attach_observability(obs)
     job = runtime.run_job(
         JobSpec(app=app, n_ranks=n_ranks, name=name, params=params),
         max_time=seconds(60),
@@ -50,18 +50,18 @@ def _run(name, engine, trace=None):
 @pytest.mark.parametrize("engine", ["fast", "reference"], ids=["aggregated", "oracle"])
 @pytest.mark.parametrize("name", sorted(WORKLOADS))
 def test_protocol_validator_finds_no_violation(name, engine):
-    trace = Trace(categories=CATEGORIES)
-    runtime, job = _run(name, engine, trace)
+    obs = Observability(perfetto=False, profile=False)
+    runtime, job = _run(name, engine, obs)
     config = runtime.config
     validator = ProtocolValidator(
-        trace, config.timeslice, scheduling_min=config.scheduling_duration
+        obs.events, config.timeslice, scheduling_min=config.scheduling_duration
     )
     assert validator.validate() == []
     # The validator saw the slice machine work, descriptors and payload.
     assert len(validator.phases) == runtime.stats["active_slices"] > 0
-    labels = {rec.fields.get("label") for rec in trace.by_category("fabric.unicast")}
+    labels = {e[5] for e in obs.events if e[1] == "unicast"}
     assert {"desc", "p2p"} <= labels
 
-    _, untraced = _run(name, engine)
-    assert job.runtime == untraced.runtime
-    assert job.results == untraced.results
+    _, bare = _run(name, engine)
+    assert job.runtime == bare.runtime
+    assert job.results == bare.results

@@ -14,11 +14,9 @@ import hashlib
 import pytest
 
 from repro.apps import barrier_benchmark, sage, sweep3d_blocking
-from repro.bcs import BcsConfig, BcsRuntime
+from repro.bcs import BcsConfig
 from repro.debug import FlightRecorder
-from repro.harness.runner import DEFAULT_MAX_TIME, nodes_for
-from repro.network import Cluster, ClusterSpec
-from repro.storm import JobSpec
+from repro.harness import run_workload
 from repro.units import ms
 
 from .test_recorder import run_once
@@ -58,12 +56,8 @@ def digest(log):
 
 def golden_log(app, params, engine):
     recorder = FlightRecorder()
-    cluster = Cluster(ClusterSpec(n_nodes=nodes_for(8), seed=0), trace=recorder.trace)
-    runtime = BcsRuntime(cluster, BcsConfig(init_cost=0, engine=engine))
-    runtime.run_job(
-        JobSpec(app=app, n_ranks=8, name=app.__name__, params=params),
-        max_time=DEFAULT_MAX_TIME,
-    )
+    config = BcsConfig(init_cost=0, engine=engine)
+    run_workload(app, 8, "bcs", params=params, bcs_config=config, obs=recorder.obs)
     return recorder.log()
 
 
@@ -80,6 +74,13 @@ def test_golden_protocol_log_digest(app, params, length, expected, engine):
 
 def test_recorder_app_log_digest():
     recorder = FlightRecorder()
-    run_once(recorder.trace)
+    run_once(recorder.obs)
     log = recorder.log()
     assert (len(log), digest(log)) == RECORDER_APP_LOG
+    assert recorder.summary().splitlines() == [
+        "replay.bytes{kind=multicast} 48",
+        "replay.bytes{kind=unicast} 24",
+        "replay.events{kind=multicast} 3",
+        "replay.events{kind=phase} 30",
+        "replay.events{kind=unicast} 3",
+    ]

@@ -23,8 +23,8 @@ def _app(ctx):
         _ = yield from ctx.comm.allreduce(np.float64(got[0]), "sum")
 
 
-def run_once(trace, seed=0, noise=False):
-    cluster = Cluster(ClusterSpec(n_nodes=2, seed=seed), trace=trace)
+def run_once(obs, seed=0, noise=False):
+    cluster = Cluster(ClusterSpec(n_nodes=2, seed=seed))
     if noise:
         # Bursts must span multiple slices to be visible: BCS's slice
         # quantization *absorbs* sub-slice perturbations (the
@@ -33,13 +33,13 @@ def run_once(trace, seed=0, noise=False):
             cluster,
             NoiseConfig(period=ms(3), duration=ms(1.6), daemons_per_node=2),
         ).start()
-    runtime = BcsRuntime(cluster, BcsConfig(init_cost=0))
+    runtime = BcsRuntime(cluster, BcsConfig(init_cost=0)).attach_observability(obs)
     runtime.run_job(JobSpec(app=_app, n_ranks=4), max_time=seconds(30))
 
 
 def test_log_captures_all_event_kinds():
     recorder = FlightRecorder()
-    run_once(recorder.trace)
+    run_once(recorder.obs)
     log = recorder.log()
     kinds = {e[1] for e in log}
     assert {"unicast", "phase"} <= kinds
@@ -49,7 +49,7 @@ def test_log_captures_all_event_kinds():
 
 
 def test_identical_runs_produce_identical_logs():
-    log = assert_replayable(lambda trace: run_once(trace))
+    log = assert_replayable(run_once)
     assert log  # something was recorded
 
 
@@ -77,19 +77,19 @@ def test_identical_logs_diff_empty():
 def test_noise_perturbs_the_log():
     """A genuinely different execution (noise on) shows up in the diff."""
     quiet = FlightRecorder()
-    run_once(quiet.trace, noise=False)
+    run_once(quiet.obs, noise=False)
     noisy = FlightRecorder()
-    run_once(noisy.trace, noise=True)
+    run_once(noisy.obs, noise=True)
     assert diff_logs(quiet.log(), noisy.log())
 
 
 def test_assert_replayable_raises_on_nondeterminism():
     calls = {"n": 0}
 
-    def flaky(trace):
+    def flaky(obs):
         calls["n"] += 1
         # Second run uses a different seed: logs must differ.
-        run_once(trace, noise=True, seed=calls["n"])
+        run_once(obs, noise=True, seed=calls["n"])
 
     with pytest.raises(AssertionError, match="not replayable"):
         assert_replayable(flaky)

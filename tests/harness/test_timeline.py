@@ -6,19 +6,19 @@ from repro.apps import nearest_neighbor_benchmark
 from repro.bcs import BcsConfig, BcsRuntime
 from repro.harness.timeline import SliceRecord, Timeline
 from repro.network import Cluster, ClusterSpec
-from repro.sim import Trace
+from repro.obs import Observability
 from repro.storm import JobSpec
 from repro.units import kib, ms, seconds, us
 
 
 def run_traced(app, params, n_ranks=8):
-    trace = Trace(categories=["bcs.microphase"])
-    cluster = Cluster(ClusterSpec(n_nodes=n_ranks // 2), trace=trace)
-    runtime = BcsRuntime(cluster, BcsConfig(init_cost=0))
+    obs = Observability(perfetto=False, profile=False)
+    cluster = Cluster(ClusterSpec(n_nodes=n_ranks // 2))
+    runtime = BcsRuntime(cluster, BcsConfig(init_cost=0)).attach_observability(obs)
     runtime.run_job(
         JobSpec(app=app, n_ranks=n_ranks, params=params), max_time=seconds(30)
     )
-    return Timeline.from_trace(trace, timeslice=runtime.config.timeslice)
+    return Timeline.from_events(obs.events, timeslice=runtime.config.timeslice)
 
 
 def test_timeline_captures_active_slices():
@@ -81,30 +81,3 @@ def test_manual_records_and_utilization():
 def test_invalid_timeslice_rejected():
     with pytest.raises(ValueError):
         Timeline([], timeslice=0)
-
-
-def test_chrome_trace_export(tmp_path):
-    timeline = run_traced(
-        nearest_neighbor_benchmark,
-        dict(granularity=ms(2), iterations=3, message_bytes=kib(4)),
-    )
-    events = timeline.to_chrome_trace()
-    assert events
-    assert all(e["ph"] == "X" for e in events)
-    assert all(e["dur"] > 0 for e in events)
-    phases = {e["name"] for e in events}
-    assert {"DEM", "MSM"} <= phases
-    # Events within one slice are ordered and non-overlapping.
-    by_slice = {}
-    for e in events:
-        by_slice.setdefault(e["args"]["slice"], []).append(e)
-    for evs in by_slice.values():
-        for a, b in zip(evs, evs[1:]):
-            assert b["ts"] >= a["ts"] + a["dur"] - 1e-9
-
-    path = tmp_path / "trace.json"
-    timeline.save_chrome_trace(path)
-    import json
-
-    data = json.loads(path.read_text())
-    assert len(data["traceEvents"]) == len(events)

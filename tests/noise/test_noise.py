@@ -112,12 +112,12 @@ def test_bcs_slice_quantization_absorbs_subslice_noise():
 
     def bcs_log(noise):
         recorder = FlightRecorder()
-        cluster = Cluster(ClusterSpec(n_nodes=2, seed=9), trace=recorder.trace)
+        cluster = Cluster(ClusterSpec(n_nodes=2, seed=9))
         if noise:
             NoiseInjector(cluster, light).start()
-        BcsRuntime(cluster, BcsConfig(init_cost=0)).run_job(
-            JobSpec(app=app, n_ranks=4), max_time=seconds(30)
-        )
+        runtime = BcsRuntime(cluster, BcsConfig(init_cost=0))
+        runtime.attach_observability(recorder.obs)
+        runtime.run_job(JobSpec(app=app, n_ranks=4), max_time=seconds(30))
         return recorder.log()
 
     assert diff_logs(bcs_log(False), bcs_log(True)) == []

@@ -87,6 +87,26 @@ def test_microphases_nest_inside_their_slice():
         assert inside, f"microphase {phase} not contained in any slice span"
 
 
+def test_microphases_ordered_and_disjoint_within_a_slice():
+    run = _run_small()
+    events = run.obs.perfetto.to_dict()["traceEvents"]
+    by_slice = {}
+    for e in events:
+        if e["ph"] == "X" and e["pid"] == 4 and e["cat"] == "microphase":
+            by_slice.setdefault(e["args"]["slice"], []).append(e)
+    assert by_slice
+    order = ["DEM", "MSM", "P2P", "BBM", "RM"]
+    # Integer nanoseconds: float microsecond sums lose the last digit.
+    ns = lambda v: round(v * 1000)
+    for phases in by_slice.values():
+        assert {"DEM", "MSM"} <= {e["name"] for e in phases}
+        assert all(e["dur"] > 0 for e in phases)
+        ranks = [order.index(e["name"]) for e in phases]
+        assert ranks == sorted(ranks)
+        for a, b in zip(phases, phases[1:]):
+            assert ns(b["ts"]) >= ns(a["ts"]) + ns(a["dur"])
+
+
 def test_trace_bytes_identical_across_seeded_runs():
     a = _run_small(seed=3).obs.perfetto.to_json_bytes()
     b = _run_small(seed=3).obs.perfetto.to_json_bytes()

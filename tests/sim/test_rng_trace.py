@@ -1,9 +1,6 @@
-"""Tests for RNG registries and the trace sink."""
+"""Tests for RNG registries and the fabric's entries in the protocol log."""
 
-from repro.sim import NullTrace, RngRegistry, Trace, derive_seed
-
-
-# --- rng -----------------------------------------------------------------------
+from repro.sim import RngRegistry, derive_seed
 
 
 def test_derive_seed_deterministic_and_distinct():
@@ -31,82 +28,23 @@ def test_spawn_disjoint():
     assert child.stream("s").random() != reg.stream("s").random()
 
 
-# --- trace ------------------------------------------------------------------------
-
-
-def test_trace_category_filtering():
-    trace = Trace(categories=["keep"])
-    trace.emit(10, "keep", a=1)
-    trace.emit(20, "drop", b=2)
-    assert len(trace.records) == 1
-    assert trace.records[0].category == "keep"
-    assert trace.by_category("drop") == []
-
-
-def test_trace_capture_all():
-    trace = Trace(capture_all=True)
-    trace.emit(1, "anything", x=1)
-    assert trace.enabled_for("whatever")
-    assert len(trace.records) == 1
-
-
-def test_trace_counters_and_histograms():
-    trace = Trace()
-    trace.count("msgs")
-    trace.count("msgs", 4)
-    trace.observe("latency", 2.5)
-    trace.observe("latency", 3.5)
-    assert trace.counters["msgs"] == 5
-    assert trace.samples("latency") == [2.5, 3.5]
-
-
-def test_trace_histogram_summary_and_percentiles():
-    trace = Trace()
-    for v in range(1, 101):
-        trace.observe("lat", float(v))
-    assert trace.percentile("lat", 50) == 50.0
-    assert trace.percentile("lat", 95) == 95.0
-    assert trace.percentile("lat", 99) == 99.0
-    s = trace.summary("lat")
-    assert s["count"] == 100
-    assert s["min"] == 1.0 and s["max"] == 100.0
-    assert s["p50"] == 50.0
-    assert trace.summary("unknown") == {"count": 0}
-    import pytest
-
-    with pytest.raises(ValueError):
-        trace.percentile("unknown", 50)
-
-
-def test_trace_histograms_shim_removed():
-    trace = Trace()
-    trace.observe("lat", 1.0)
-    assert not hasattr(trace, "histograms")
-    assert trace.samples("lat") == [1.0]
-    trace.clear()
-    assert not trace.counters and not trace.records
-    assert trace.samples("lat") == []
-
-
-def test_null_trace_captures_nothing():
-    trace = NullTrace()
-    trace.emit(1, "x", a=1)
-    assert trace.records == []
-    assert not trace.enabled_for("x")
-
-
 def test_fabric_emits_to_trace():
+    """Completed transfers reach the hub's protocol log through the
+    fabric's hooks."""
     from repro.network import Cluster, ClusterSpec
+    from repro.obs import Observability
 
-    trace = Trace(categories=["fabric.unicast"])
-    cluster = Cluster(ClusterSpec(n_nodes=2), trace=trace)
+    cluster = Cluster(ClusterSpec(n_nodes=4))
+    assert cluster.fabric.obs is None
+    obs = cluster.fabric.obs = Observability(perfetto=False, profile=False)
 
     def body():
-        yield from cluster.fabric.unicast(0, 1, 1024)
+        yield from cluster.fabric.unicast(0, 1, 1024, label="p2p")
+        yield from cluster.fabric.multicast(0, [3, 1, 2], 64)
 
     cluster.env.process(body())
     cluster.run()
-    assert len(trace.records) == 1
-    rec = trace.records[0]
-    assert rec.fields["src"] == 0 and rec.fields["dst"] == 1
-    assert rec.fields["size"] == 1024
+    (t_uni, *unicast), (t_multi, *multicast) = obs.events
+    assert unicast == ["unicast", 0, 1, 1024, "p2p"]
+    assert multicast == ["multicast", 0, (1, 2, 3), 64]
+    assert 0 < t_uni < t_multi == cluster.env.now

@@ -12,6 +12,7 @@ import pytest
 
 from repro.apps import barrier_benchmark, sage, sweep3d_blocking
 from repro.bcs import BcsConfig
+from repro.bcs.validator import ProtocolValidator
 from repro.harness import run_workload
 from repro.mpi.baseline import BaselineConfig
 from repro.units import ms
@@ -42,6 +43,15 @@ def test_golden_runtime(app, backend, params, expected):
         f"({result.runtime_ns} ns vs pinned {expected} ns). If intentional, "
         "update GOLDEN and EXPERIMENTS.md."
     )
+
+
+def assert_protocol_clean(obs):
+    """The hub's protocol log shows a slice machine within its rules."""
+    validator = ProtocolValidator(
+        obs.events, BC.timeslice, scheduling_min=BC.scheduling_duration
+    )
+    assert validator.validate() == []
+    assert validator.phases
 
 
 def test_golden_sage_runs_land_on_slice_boundaries():
@@ -77,6 +87,7 @@ def test_golden_runtime_unchanged_with_observability(app, backend, params, expec
     # The instrumentation must actually have run, not been skipped.
     assert obs.registry.counter("bcs.slice.count", kind="active").value > 0
     assert obs.perfetto.n_events > 0
+    assert_protocol_clean(obs)
 
 
 @pytest.mark.parametrize(
@@ -87,13 +98,14 @@ def test_golden_runtime_unchanged_with_observability(app, backend, params, expec
 def test_golden_runtime_unchanged_with_span_tracing(app, backend, params, expected):
     """Causal span tracing must not perturb simulated time either.
 
-    ``Observability(spans=True)`` adds per-message lifecycle hooks on
-    the DEM/MSM/P2P hot paths; all of them are reads, so the golden
-    virtual times stay byte-identical with tracing on.
+    Every sink is on: the Perfetto trace, the MPI profiler and the span
+    tracker, whose per-message lifecycle hooks sit on the DEM/MSM/P2P
+    hot paths.  All of them are reads, so the golden virtual times stay
+    byte-identical with tracing on.
     """
     from repro.obs import Observability
 
-    obs = Observability(spans=True)
+    obs = Observability(perfetto=True, profile=True, spans=True)
     result = run_workload(
         app, 8, backend, params=params, bcs_config=BC, obs=obs
     )
@@ -105,6 +117,9 @@ def test_golden_runtime_unchanged_with_span_tracing(app, backend, params, expect
     assert obs.spans is not None
     assert obs.spans.collectives or obs.spans.n_delivered > 0
     assert len(obs.spans.rank_finish) == 8
+    assert obs.perfetto.n_events > 0
+    assert len(obs.profiler.ranks) == 8
+    assert_protocol_clean(obs)
 
 
 def test_explain_json_byte_identical_across_runs(tmp_path):
