@@ -202,12 +202,24 @@ class BcsApi:
         return all(r.complete for r in reqs)
 
     def wait(self, handle: "RankHandle", reqs: Sequence[BcsRequest]) -> Generator:
-        """Blocking test: suspend until done, restart at slice boundary."""
+        """Blocking test: suspend until done, restart at slice boundary.
+
+        The rank first pays the host overhead of its posts, then blocks
+        at ``t0``.  Only Strobe Receivers (and the rank itself) complete
+        requests, so while none runs before ``t0`` the rank blocks at
+        once, in the same entry: the requests it finds pending are those
+        it would find at ``t0``, and the boundary that restarts it is the
+        same.  A wait whose requests are all complete still pays the
+        overhead, as does one that may overlap receiver work.
+        """
         overhead = handle.take_overhead()
-        if overhead:
+        t0 = self.env.now + overhead
+        wake = None
+        if not overhead or t0 < self.runtime.sr_idle_until:
+            wake = handle.nm.block_on(reqs)
+        if wake is None and overhead:
             yield self.env.timeout(overhead)
-        t0 = self.env.now
-        wake = handle.nm.block_on(reqs)
+            wake = handle.nm.block_on(reqs)
         if wake is not None:
             yield wake
         blocked = self.env.now - t0

@@ -341,6 +341,12 @@ class BcsRuntime:
         #: written once per slice by the Strobe Sender instead of an
         #: O(nodes) begin_slice loop).
         self.slice_start_time = 0
+        #: No Strobe Receiver runs before this instant (set by the Strobe
+        #: Sender whenever it waits with no receiver at work: ahead of a
+        #: scheduled microstrobe, through a microphase without
+        #: participants and in the slice-end sleep).  A rank's blocking
+        #: wait uses it to block before its host overhead has passed.
+        self.sr_idle_until = 0
 
         #: SoA arena for per-node scalars; the ``mphase_done`` counters
         #: are array-backed GAS slots, so the reference engine's per-node

@@ -113,6 +113,9 @@ class StrobeSender:
         # Microstrobe duration, cached per active-set size.
         self._strobe_n = -1
         self._strobe_latency = 0
+        # The duration for the whole machine: once it is reached, no
+        # launch can change the microstrobe duration any more.
+        self._full_latency = None
 
     def start(self) -> None:
         """Launch the strobe loop (idempotent)."""
@@ -123,6 +126,10 @@ class StrobeSender:
         runtime = self.runtime
         cfg = runtime.config
         env = self.env
+        if self._full_latency is None:
+            self._full_latency = runtime.cluster.fabric.strobe_latency(
+                cfg.strobe_bytes, runtime.cluster.n_compute_nodes
+            )
         timeslice = cfg.timeslice
         mins = {DEM: cfg.dem_min_duration, MSM: cfg.msm_min_duration}
         node_runtimes = runtime.node_runtimes
@@ -184,10 +191,20 @@ class StrobeSender:
                     for m in retired:
                         pools.release_send(m.send)
                         pools.release_recv(m.recv)
-                yield from self._microphase(BBM, runtime.bbm_nodes(), 0)
-                yield from self._microphase(RM, runtime.rm_nodes(), 0)
+                bbm = runtime.bbm_nodes()
+                rm = None if bbm else runtime.rm_nodes()
+                if bbm or rm or self.strobe_latency() != self._full_latency:
+                    yield from self._microphase(BBM, bbm, 0)
+                    yield from self._microphase(
+                        RM, runtime.rm_nodes() if rm is None else rm, 0
+                    )
+                    work_end = env.now
+                else:
+                    work_end = self._empty_tail()
+            else:
+                work_end = env.now
 
-            elapsed = env.now - start
+            elapsed = work_end - start
             if elapsed < timeslice:
                 if fast and not active and not hooks:
                     if cfg.auto_stop and runtime.idle():
@@ -219,19 +236,64 @@ class StrobeSender:
                                 obs.idle_skip(
                                     first + 1, start + timeslice, timeslice, skipped
                                 )
-                            yield self._sleep.rearm(
-                                (skipped + 1) * timeslice - elapsed
-                            )
+                            yield self._sleep_until(start + (skipped + 1) * timeslice)
                             continue
-                yield self._sleep.rearm(timeslice - elapsed)
+                yield self._sleep_until(start + timeslice)
                 overrun = False
             else:
                 runtime.stats["slice_overruns"] += 1
                 overrun = True
+                if work_end > env.now:
+                    yield self._sleep_until(work_end)
             if obs is not None:
                 obs.slice_end(runtime.slice_no, start, env.now, active, overrun)
             if cfg.auto_stop and runtime.idle():
                 return
+
+    def strobe_latency(self) -> int:
+        """Duration of a microstrobe to the current active set.
+
+        One tree-shaped multicast to every active node, cached until the
+        active set changes size.  The active-node list is kept sorted
+        and deduplicated by the runtime, so its length is the
+        destination count.
+        """
+        runtime = self.runtime
+        n_active = len(runtime.active_node_ids)
+        if n_active != self._strobe_n:
+            self._strobe_n = n_active
+            self._strobe_latency = (
+                runtime.cluster.fabric.strobe_latency(runtime.config.strobe_bytes, n_active)
+                if n_active
+                else 0
+            )
+        return self._strobe_latency
+
+    def _sleep_until(self, t: int):
+        """The Strobe Sender's wake-up at ``t``; no receiver runs before it."""
+        self.runtime.sr_idle_until = t
+        return self._sleep.rearm(t - self.env.now)
+
+    def _empty_tail(self) -> int:
+        """BBM and RM of an active slice, both without participants.
+
+        Each would be one timeout of the microstrobe latency (see
+        :meth:`_microphase`); instead their end instant is returned and
+        the slice-end sleep covers them.  Only taken when no launch can
+        change the latency before RM starts (the active set already has
+        the whole machine's microstrobe duration).  With a telemetry
+        hub, the phases are reported at their own instants.
+        """
+        runtime = self.runtime
+        latency = self._strobe_latency
+        t = self.env.now
+        obs = runtime.obs
+        if obs is not None:
+            for phase in (BBM, RM):
+                obs.phase_begin(phase, runtime.slice_no, t)
+                obs.phase_end(phase, runtime.slice_no, t, t + latency, 0)
+                t += latency
+        return self.env.now + 2 * latency
 
     def _microphase(self, phase: str, nodes: List[int], min_duration: int, payload=None):
         """Strobe, dispatch, await completion, CaW-confirm, pad.
@@ -253,19 +315,8 @@ class StrobeSender:
         if obs is not None:
             obs.phase_begin(phase, runtime.slice_no, t0)
 
-        # Microstrobe: Xfer-And-Signal to every compute node's SR, one
-        # tree-shaped multicast whose duration is cached until the
-        # active set changes size.  The active-node list is kept sorted
-        # and deduplicated by the runtime, so its length is the
-        # destination count.
-        n_active = len(runtime.active_node_ids)
-        if n_active != self._strobe_n:
-            self._strobe_n = n_active
-            self._strobe_latency = (
-                runtime.cluster.fabric.strobe_latency(runtime.config.strobe_bytes, n_active)
-                if n_active
-                else 0
-            )
+        # Microstrobe: Xfer-And-Signal to every compute node's SR.
+        latency = self.strobe_latency()
 
         if nodes:
             # One latch shared by all participants: the SS resumes when
@@ -289,9 +340,8 @@ class StrobeSender:
             # latency from now, wakes every participant's SR in ``nodes``
             # order.
             receivers = runtime.receivers
-            env.trigger_all(
-                [receivers[n].wake for n in nodes], strobe, delay=self._strobe_latency
-            )
+            env.trigger_all([receivers[n].wake for n in nodes], strobe, delay=latency)
+            runtime.sr_idle_until = t0 + latency
             yield done
             if runtime.fast:
                 # Batched completion report: every participant finished
@@ -305,7 +355,8 @@ class StrobeSender:
             # its conditional round.
             runtime.core.evaluate_conditional(nodes, "mphase_done", ">=", 0, default=0)
         else:
-            wait = max(self._strobe_latency, min_duration)
+            wait = max(latency, min_duration)
+            runtime.sr_idle_until = t0 + wait
             if wait:
                 yield self._empty_phase.rearm(wait)
 

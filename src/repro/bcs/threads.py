@@ -343,10 +343,9 @@ class BufferReceiver:
         """Pre-process local receive and collective descriptors.
 
         Under the fast engine the slice's descriptors are processed as
-        one batch: a single NIC hold covers the whole run (the thread
-        processor is uncontended during the BR's turn, so ``n``
-        sequential holds and one hold of ``n × cost`` end at the same
-        instant) and the matcher consumes the receives through its
+        one batch: a single NIC hold covers the whole run (``n``
+        back-to-back holds of ``cost`` end at the same instant as one
+        of ``n × cost``) and the matcher consumes the receives through its
         vectorized batch API.  The reference engine's per-descriptor
         loop below is the differential oracle.
         """
@@ -355,12 +354,12 @@ class BufferReceiver:
         if nrt.runtime.fast:
             recvs = nrt._drain_posted(nrt.posted_recvs)
             if recvs:
-                yield from nrt.nic.compute_batch(cost, len(recvs))
+                yield from nrt.nic.compute(cost, len(recvs))
                 for _, match in nrt.matcher.add_recv_batch(recvs):
                     self._register_match(match)
             colls = nrt._drain_posted(nrt.posted_colls)
             if colls:
-                yield from nrt.nic.compute_batch(cost, len(colls))
+                yield from nrt.nic.compute(cost, len(colls))
                 for desc in colls:
                     ep = nrt._epoch(desc.job_id, desc.comm_id, desc.epoch)
                     ep.absorb(desc)
@@ -406,7 +405,7 @@ class BufferReceiver:
         if arrived:
             if nrt.runtime.fast:
                 # Batched leg: one NIC hold, one vectorized matcher join.
-                yield from nrt.nic.compute_batch(
+                yield from nrt.nic.compute(
                     nrt.config.nic_descriptor_cost, len(arrived)
                 )
                 for _, match in nrt.matcher.add_send_batch(arrived):

@@ -72,21 +72,17 @@ class Fabric:
             yield self.env.timeout(model.dma_startup + bw_time(size, model.link_bandwidth))
             return
 
-        src_nic = self.nics[src]
-        dst_nic = self.nics[dst]
         wire = bw_time(size + model.header_bytes, model.link_bandwidth)
-
-        # Fast path: when both link halves are free with no queued
-        # claimants, a request() pair would be granted right here at the
-        # current instant — claim synchronously and skip two event hops.
-        # Contended transfers fall back to the ordered acquisition that
-        # keeps the fabric deadlock-free.
-        tx, rx = src_nic.tx, dst_nic.rx
-        claimed = tx.try_acquire()
-        if claimed and not rx.try_acquire():
-            tx.release()
-            claimed = False
-        if not claimed:
+        hold = model.dma_startup + wire
+        env = self.env
+        # Both link halves are held for the DMA startup and the wire
+        # time, then the last byte pays the switch latency.  The halves
+        # release lazily (:class:`~repro.sim.Link`), so the transfer is
+        # one timeout.  When either half is busy or has queued
+        # claimants, the halves are acquired in the fixed order that
+        # keeps the fabric deadlock-free, and held from the grant on.
+        tx, rx = self.nics[src].tx, self.nics[dst].rx
+        if not (tx.idle() and rx.idle()):
             yield tx.request()
             try:
                 yield rx.request()
@@ -94,14 +90,14 @@ class Fabric:
                 # Interrupted while queued for rx: hand the tx half back.
                 tx.release()
                 raise
-        try:
-            yield self.env.timeout(model.dma_startup + wire)
-        finally:
-            tx.release()
-            rx.release()
-        yield self.env.timeout(model.latency(self.tree.hops(src, dst)))
+        done = env.timeout(hold + model.latency(self.tree.hops(src, dst)))
+        end = env.now + hold
+        group = (tx, rx)
+        tx.hold_until(end, group)
+        rx.hold_until(end, group)
+        yield done
         if self.obs is not None:
-            self.obs.unicast(self.env.now, src, dst, size, label)
+            self.obs.unicast(env.now, src, dst, size, label)
 
     # -- multicast -----------------------------------------------------------------
 
@@ -141,55 +137,35 @@ class Fabric:
         self.transfers += 1
         self.bytes_moved += size * len(dest_list)
 
-        src_nic = self.nics[src]
         remote = [d for d in dest_list if d != src]
-        wire = bw_time(size + model.header_bytes, model.mcast_bandwidth)
-
-        # Batched acquisition fast path: when the tx half and *every*
-        # receiver's rx half are free with no queued claimants, the
-        # sequential request chain below would grant them all at this
-        # same instant — claim the whole set synchronously and skip
-        # len(remote) + 1 event hops.  Any busy link falls back to the
-        # ordered sequential acquisition (tx first, rx in ascending node
-        # id), preserving the deadlock-freedom discipline.
-        nics = self.nics
-        held_rx = []
-        if src_nic.tx.try_acquire():
-            for d in remote:
-                if nics[d].rx.try_acquire():
-                    held_rx.append(d)
-                else:
-                    src_nic.tx.release()
-                    for h in held_rx:
-                        nics[h].rx.release()
-                    held_rx = []
-                    break
-            else:
-                try:
-                    yield self.env.timeout(model.dma_startup + wire)
-                finally:
-                    src_nic.tx.release()
-                    for d in held_rx:
-                        nics[d].rx.release()
-                yield self.env.timeout(model.multicast_latency(len(dest_list)))
-                if self.obs is not None:
-                    self.obs.multicast(self.env.now, src, dest_list, size)
-                return
-
-        yield src_nic.tx.request()
-        held_rx = []
-        try:
-            for d in remote:
-                yield nics[d].rx.request()
-                held_rx.append(d)
-            yield self.env.timeout(model.dma_startup + wire)
-        finally:
-            src_nic.tx.release()
-            for d in held_rx:
-                nics[d].rx.release()
-        yield self.env.timeout(model.multicast_latency(len(dest_list)))
+        hold = model.dma_startup + bw_time(size + model.header_bytes, model.mcast_bandwidth)
+        env = self.env
+        # As in :meth:`unicast`: the tx half and every receiver's rx half
+        # are held for the startup and wire time and release lazily.
+        # Any busy half falls back to the ordered sequential acquisition
+        # (tx first, rx in ascending node id).
+        tx = self.nics[src].tx
+        rxs = [self.nics[d].rx for d in remote]
+        if not (tx.idle() and all(rx.idle() for rx in rxs)):
+            yield tx.request()
+            held = []
+            try:
+                for rx in rxs:
+                    yield rx.request()
+                    held.append(rx)
+            except BaseException:
+                tx.release()
+                for rx in held:
+                    rx.release()
+                raise
+        done = env.timeout(hold + model.multicast_latency(len(dest_list)))
+        end = env.now + hold
+        group = (tx, *rxs)
+        for link in group:
+            link.hold_until(end, group)
+        yield done
         if self.obs is not None:
-            self.obs.multicast(self.env.now, src, dest_list, size)
+            self.obs.multicast(env.now, src, dest_list, size)
 
     # -- network conditional ----------------------------------------------------------
 

@@ -7,7 +7,7 @@ the Quadrics Elan3:
 - *NIC events*: counters that can be signaled locally or remotely and
   waited on (the Elan event mechanism behind ``Test-Event``),
 - a thread processor that runs NIC threads (BS/BR/DH/CH/RH); their
-  per-operation compute costs serialize on it,
+  per-operation compute costs serialize on it, FIFO,
 - named descriptor FIFOs in NIC memory, where host processes post
   communication descriptors without a system call (paper §4.5).
 """
@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import Dict, Generator
 
-from ..sim import Engine, Event, Resource, Store
+from ..sim import Engine, Event, Link, Store
 
 
 class NicEvent:
@@ -85,13 +85,12 @@ class Nic:
         self.env = env
         self.node_id = node_id
         #: Transmit half of the link (bandwidth serialization).
-        self.tx = Resource(env, capacity=1, name=f"nic{node_id}.tx")
+        self.tx = Link(env, name=f"nic{node_id}.tx")
         #: Receive half of the link.
-        self.rx = Resource(env, capacity=1, name=f"nic{node_id}.rx")
-        #: The Elan thread processor: NIC thread compute serializes here.
-        self.thread_processor = Resource(
-            env, capacity=1, name=f"nic{node_id}.tproc"
-        )
+        self.rx = Link(env, name=f"nic{node_id}.rx")
+        #: The Elan thread processor's clock: the instant its queued NIC
+        #: thread work ends (see :meth:`compute`).
+        self.busy_until = 0
         #: Default per-operation cost of NIC thread work, ns.
         self.thread_op_cost = thread_op_cost
         #: Telemetry hub (set by ``BcsRuntime.attach_observability``);
@@ -120,53 +119,33 @@ class Nic:
             self._fifos[name] = q
         return q
 
-    def compute(self, duration: int = -1) -> Generator:
-        """Run ``duration`` ns of NIC thread work on the thread processor.
+    def compute(self, duration: int = -1, n: int = 1) -> Generator:
+        """Run ``n`` back-to-back NIC thread operations of ``duration`` ns.
 
-        Defaults to :attr:`thread_op_cost`.  Zero-duration work is free
-        (no serialization round-trip), which keeps disabled cost models
-        cheap.
-        """
-        if duration < 0:
-            duration = self.thread_op_cost
-        if duration == 0:
-            return
-        if self.obs is not None:
-            t0 = self.env.now
-            yield from self.thread_processor.held(duration)
-            self.obs.nic_busy(self.node_id, t0, self.env.now, duration)
-            return
-        yield from self.thread_processor.held(duration)
-
-    def compute_batch(self, duration: int, n: int) -> Generator:
-        """Run ``n`` back-to-back thread operations of ``duration`` ns each.
-
-        Virtual time is identical to ``n`` sequential :meth:`compute`
-        calls — the thread processor is held for exactly
-        ``n * duration`` ns — but the simulator pays for one hold instead
-        of ``n`` event/heap round-trips.  This is the fast slice
-        engine's batched NIC leg (``BcsConfig(engine="fast")``).
-
-        Once granted, a hold occupies the processor contiguously, so the
-        per-operation telemetry windows are synthesized by slicing the
-        actual busy interval — byte-identical to the sequential path
-        whenever the processor was uncontended (the only case on the
-        DEM/MSM paths, where each node's NIC threads run one at a time).
+        Defaults to one operation of :attr:`thread_op_cost`.  The thread
+        processor serves work FIFO: it starts at ``max(now,
+        busy_until)`` and ends ``n * duration`` ns later, reached in one
+        timeout.  Because every hold has a fixed length and is never
+        interrupted, this clock grants exactly what a FIFO resource
+        would.  Zero-duration work is free.  With a telemetry hub, each
+        operation reports the interval it actually occupied the
+        processor, never the time it queued.
         """
         if duration < 0:
             duration = self.thread_op_cost
         total = duration * n
         if total == 0:
             return
-        yield from self.thread_processor.held(total)
+        env = self.env
+        now = env.now
+        start = self.busy_until if self.busy_until > now else now
+        self.busy_until = start + total
+        yield env.timeout(start + total - now)
         if self.obs is not None:
-            t1 = self.env.now
-            t0 = t1 - total
             nic_busy = self.obs.nic_busy
             for k in range(n):
-                nic_busy(
-                    self.node_id, t0 + k * duration, t0 + (k + 1) * duration, duration
-                )
+                t = start + k * duration
+                nic_busy(self.node_id, t, t + duration, duration)
 
     def __repr__(self) -> str:
         return f"<Nic node={self.node_id}>"

@@ -17,7 +17,7 @@ from .events import (
     Timeout,
 )
 from .process import Process
-from .resources import Gate, Resource, Signal, Store
+from .resources import Gate, Link, Resource, Signal, Store
 from .rng import RngRegistry, derive_seed
 
 __all__ = [
@@ -31,6 +31,7 @@ __all__ = [
     "Gate",
     "Interrupt",
     "Latch",
+    "Link",
     "Process",
     "Resource",
     "ReusableLatch",

@@ -18,12 +18,15 @@ from .process import Process
 class Engine:
     """Discrete-event simulation engine ("environment")."""
 
-    __slots__ = ("_now", "_queue", "_seq", "_active_proc")
+    __slots__ = ("_now", "_queue", "_seq", "_step_seq", "_active_proc")
 
     def __init__(self):
         self._now = 0
         self._queue: list = []  # heap of (time, priority, seq, event)
         self._seq = 0
+        #: Sequence number of the entry being processed: with ``_now``,
+        #: the run's position in the heap order.
+        self._step_seq = 0
         self._active_proc: Optional[Process] = None
 
     # -- time -----------------------------------------------------------------
@@ -118,7 +121,7 @@ class Engine:
 
     def step(self, _heappop=heapq.heappop) -> None:
         """Process the next scheduled event."""
-        when, _prio, _seq, event = _heappop(self._queue)
+        when, _prio, self._step_seq, event = _heappop(self._queue)
         self._now = when
         callbacks = event.callbacks
         event.callbacks = None

@@ -1,7 +1,8 @@
 """Synchronization and resource primitives built on events.
 
-- :class:`Resource` — counted resource with FIFO queueing (links, CPUs,
-  DMA engines).
+- :class:`Resource` — counted resource with FIFO queueing (CPUs).
+- :class:`Link` — one-unit resource whose fixed-length holds release
+  lazily (fabric link halves).
 - :class:`Store` — unbounded FIFO of items with blocking ``get`` (mailboxes,
   descriptor queues).
 - :class:`Signal` — re-armable broadcast: every waiter registered before a
@@ -12,11 +13,12 @@
 
 from __future__ import annotations
 
+import heapq
 from collections import deque
 from typing import Any, Deque, Generator, List, Optional
 
 from .engine import Engine
-from .events import Event
+from .events import PENDING, Event
 
 
 class Request(Event):
@@ -35,14 +37,7 @@ class Request(Event):
         If the request was already granted the units go straight back;
         otherwise it is removed from the wait queue.
         """
-        if self.triggered:
-            self.resource.release(self.amount)
-        else:
-            try:
-                self.resource._waiting.remove(self)
-            except ValueError:  # pragma: no cover - already granted/raced
-                pass
-            self.resource._grant()
+        self.resource._cancel(self)
 
 
 class Resource:
@@ -119,6 +114,16 @@ class Resource:
         self._in_use -= amount
         self._grant()
 
+    def _cancel(self, req: Request) -> None:
+        if req.triggered:
+            self.release(req.amount)
+        else:
+            try:
+                self._waiting.remove(req)
+            except ValueError:  # pragma: no cover - already granted/raced
+                pass
+            self._grant()
+
     def _grant(self) -> None:
         while self._waiting:
             head = self._waiting[0]
@@ -154,6 +159,110 @@ class Resource:
             f"<Resource {self.name!r} {self._in_use}/{self.capacity} "
             f"queue={len(self._waiting)}>"
         )
+
+
+class Link(Resource):
+    """A one-unit :class:`Resource` whose fixed-length holds release lazily.
+
+    A holder that knows how long it holds takes an :meth:`idle` link, or
+    turns its granted unit, into such a hold with :meth:`hold_until`,
+    right after scheduling its own completion entry.  The link then stays busy until the hold's end with no
+    release entry of its own.
+
+    The release takes the place an eager release would have had: the
+    heap entry that ended the hold, keyed at the hold's end instant and
+    at the sequence number of the completion entry, which is scheduled
+    at the same point of the run.  Nothing needs that entry unless a
+    claimant queues: then a release carrier is pushed under exactly that
+    key, and it grants the FIFO head of every link of the hold, in hold
+    order, through a grant entry of its own, as the eager release did.
+    A claimant that runs at the end instant but before that key still
+    finds the link busy.  So every grant happens at the same instant and
+    in the same order as with an eager release, and an uncontended hold
+    costs no entry.
+    """
+
+    __slots__ = ("busy_until", "hold_seq", "group", "_release")
+
+    def __init__(self, env: Engine, name: str = "link"):
+        super().__init__(env, capacity=1, name=name)
+        #: End instant of the current lazy hold.
+        self.busy_until = 0
+        #: Sequence number of the holder's completion entry: the release
+        #: sits right after it among the entries of ``busy_until``.
+        self.hold_seq = -1
+        #: The links the same hold releases together, in release order.
+        self.group: tuple = (self,)
+        self._release: Optional[Event] = None
+
+    def _released(self) -> bool:
+        env = self.env
+        end = self.busy_until
+        return end < env._now or (end == env._now and env._step_seq > self.hold_seq)
+
+    @property
+    def in_use(self) -> int:
+        """1 while a unit is granted or a lazy hold has not been released."""
+        return 0 if not self._in_use and self._released() else 1
+
+    @property
+    def available(self) -> int:
+        return 1 - self.in_use
+
+    def idle(self) -> bool:
+        """True when a claim made now would be granted at once."""
+        if self._in_use or self._waiting:
+            return False
+        env = self.env
+        end = self.busy_until
+        return end < env._now or (end == env._now and env._step_seq > self.hold_seq)
+
+    def hold_until(self, t: int, group: tuple) -> None:
+        """Hold the link until instant ``t``, released together with the
+        links of ``group``; call right after scheduling the holder's
+        completion entry.  The link is either :meth:`idle` or granted to
+        the holder, whose unit becomes the lazy hold."""
+        self.busy_until = t
+        self.hold_seq = self.env._seq
+        self.group = group
+        if self._in_use:
+            self._in_use = 0
+            if self._waiting:
+                self._grant()
+
+    def try_acquire(self, amount: int = 1) -> bool:
+        return self._released() and Resource.try_acquire(self, amount)
+
+    def _grant(self) -> None:
+        waiting = self._waiting
+        env = self.env
+        while waiting and not self._in_use:
+            head = waiting[0]
+            if head._value is not PENDING:
+                # Cancelled/interrupted externally; just drop it.
+                waiting.popleft()
+                continue
+            end = self.busy_until
+            if end > env._now or (end == env._now and env._step_seq <= self.hold_seq):
+                if self._release is None:
+                    # The eager release's entry, pushed under its key.
+                    release = Event(self.env, name=f"release:{self.name}")
+                    release.callbacks.append(self._grant_group)
+                    for link in self.group:
+                        link._release = release
+                    env._seq += 1
+                    heapq.heappush(
+                        env._queue, (self.busy_until, 0, self.hold_seq + 0.5, release)
+                    )
+                return
+            waiting.popleft()
+            self._in_use = 1
+            head.succeed(None)
+
+    def _grant_group(self, _release: Event) -> None:
+        for link in self.group:
+            link._release = None
+            link._grant()
 
 
 class StoreGet(Event):

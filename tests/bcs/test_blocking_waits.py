@@ -5,10 +5,16 @@ boundary after its last pending request completes.  These cases pin the
 edges of that rule: duplicate handles, a mix of completed and pending
 handles, a rank killed while blocked, and a request that completed with
 nobody waiting on it.
+
+A wait first pays the host overhead of the rank's posts.  While no
+Strobe Receiver can run before that overhead has passed, the rank blocks
+at once instead (post-then-block); the last two cases pin that fold's
+edges.
 """
 
 from repro.bcs import BcsConfig, BcsRuntime
 from repro.network import Cluster, ClusterSpec
+from repro.sim import Timeout
 from repro.storm import JobSpec
 from repro.units import ms, seconds, us
 
@@ -102,6 +108,7 @@ def test_killed_rank_blocked_in_a_wait_is_never_resumed():
     assert late.complete
     assert resumed == []
     assert not blocked.is_alive
+    assert not blocked.is_alive
 
 
 def test_buffered_send_waited_after_it_completed_returns_at_once():
@@ -126,3 +133,74 @@ def test_buffered_send_waited_after_it_completed_returns_at_once():
     assert job.results[1] == b"buffered"
     ((t0, now),) = log
     assert now == t0
+
+
+def test_rank_killed_inside_a_folded_overhead_window_is_never_resumed():
+    runtime = _runtime()
+    env = runtime.env
+    cost = runtime.config.descriptor_post_cost
+    seen = {}
+    resumed = []
+
+    def killer(t_post):
+        yield env.timeout(cost // 2)
+        proc = seen["proc"] = runtime.rank_procs[(seen["job"].id, 1)]
+        # Mid-slice, in the slice-end sleep: the rank blocked at its
+        # post instead of sleeping off its overhead first.
+        assert t_post + cost < runtime.sr_idle_until
+        assert proc.target is not None and not isinstance(proc.target, Timeout)
+        runtime.kill_job(seen["job"], cause="test")
+
+    def app(ctx):
+        comm = ctx.comm
+        if comm.rank == 1:
+            yield from ctx.compute(us(100))
+            req = comm.irecv(source=0, tag=9)
+            seen["recv"] = req
+            env.process(killer(ctx.now))
+            yield from comm.wait(req)
+            resumed.append(ctx.now)
+            return "resumed"
+        yield from ctx.compute(seconds(1))
+        return None
+
+    job = seen["job"] = runtime.launch(JobSpec(app=app, n_ranks=2))
+    env.run(until=ms(3))
+    blocked = seen["proc"]
+    assert job.is_failed
+    assert not blocked.is_alive
+    assert runtime.stats["ranks_killed"] == 2
+
+    # A late completion of the dead rank's request must not wake it.
+    late = seen["recv"].backend_req
+    assert not late.complete
+    late._finish()
+    env.run(until=ms(10))
+    assert late.complete
+    assert resumed == []
+    assert not blocked.is_alive
+
+
+def test_wait_on_completed_requests_still_pays_the_post_overhead():
+    runtime = _runtime()
+    cost = runtime.config.descriptor_post_cost
+    log = []
+
+    def app(ctx):
+        comm = ctx.comm
+        if comm.rank == 0:
+            yield from ctx.compute(us(100))
+            req = comm.isend(b"buffered", dest=1)
+            assert req.complete
+            t0 = ctx.now
+            # The fold's window is open, but nothing is left to block on.
+            assert t0 + cost < runtime.sr_idle_until
+            yield from comm.wait(req)
+            log.append(ctx.now - t0)
+            return None
+        payload = yield from comm.recv(source=0)
+        return payload
+
+    job = runtime.run_job(JobSpec(app=app, n_ranks=2), max_time=seconds(1))
+    assert job.results[1] == b"buffered"
+    assert log == [cost]

@@ -109,6 +109,57 @@ def test_thread_processor_serializes_nic_compute():
     assert spans[1][2] == 200
 
 
+class _NicSpans:
+    """Stands in for the telemetry hub: records NIC occupancy spans."""
+
+    def __init__(self):
+        self.spans = []
+
+    def nic_busy(self, node_id, t0, t1, busy_ns):
+        self.spans.append((t0, t1, busy_ns))
+
+
+def test_contended_nic_holds_report_disjoint_spans():
+    """A hold that queued reports the interval it occupied the thread
+    processor, not its wait: two spans on one track never overlap."""
+    env = Engine()
+    nic = Nic(env, 0, thread_op_cost=100)
+    nic.obs = _NicSpans()
+
+    def worker():
+        yield from nic.compute()
+
+    env.process(worker())
+    env.process(worker())
+    env.run()
+    assert nic.obs.spans == [(0, 100, 100), (100, 200, 100)]
+
+
+def test_batched_nic_compute_queues_fifo_and_reports_each_operation():
+    env = Engine()
+    nic = Nic(env, 0, thread_op_cost=100)
+    nic.obs = _NicSpans()
+    ends = []
+
+    def worker(duration, n, at=0):
+        yield env.timeout(at)
+        yield from nic.compute(duration, n)
+        ends.append(env.now)
+
+    env.process(worker(100, 1))
+    env.process(worker(30, 3, at=50))
+    env.process(worker(-1, 1, at=60))
+    env.run()
+    assert ends == [100, 190, 290]
+    assert nic.obs.spans == [
+        (0, 100, 100),
+        (100, 130, 30),
+        (130, 160, 30),
+        (160, 190, 30),
+        (190, 290, 100),
+    ]
+
+
 def test_zero_cost_nic_compute_is_free():
     env = Engine()
     nic = Nic(env, 0, thread_op_cost=0)

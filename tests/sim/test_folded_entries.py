@@ -4,12 +4,19 @@
   fixed latency after the call;
 - the :class:`Latch` completion delay: ``max(t_last + delay, not_before)``;
 - :meth:`Event.settle`: an event nobody watches (a process that returns
-  unwaited, a request nobody yields) is processed without a heap entry.
+  unwaited, a request nobody yields) is processed without a heap entry;
+- :class:`Link`: a fabric transfer is one timeout, its link halves
+  release lazily, and every grant happens where an eager release would
+  have made it.
 """
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.sim import Engine, EventAlreadyTriggered, Latch, ReusableLatch
+from repro.network import Cluster, ClusterSpec
+from repro.sim import Engine, EventAlreadyTriggered, Latch, Resource, ReusableLatch
+from repro.units import KiB, bw_time
 
 # -- delayed fan-out ------------------------------------------------------------
 
@@ -268,3 +275,183 @@ def test_settle_without_callbacks_is_processed_at_once():
     assert not watched.processed
     env.run()
     assert seen == [6]
+
+
+# -- lazy link release ------------------------------------------------------------
+
+
+def _fabric(n=4):
+    return Cluster(ClusterSpec(n_nodes=n)).fabric
+
+
+def _hold(fabric, size):
+    model = fabric.model
+    return model.dma_startup + bw_time(size + model.header_bytes, model.link_bandwidth)
+
+
+def _latency(fabric, src, dst):
+    return fabric.model.latency(fabric.tree.hops(src, dst))
+
+
+def _transfer(fabric, log, tag, at, src, dst, size):
+    env = fabric.env
+    yield env.timeout(at)
+    yield from fabric.unicast(src, dst, size)
+    log[tag] = env.now
+
+
+def test_uncontended_unicast_is_one_timeout():
+    fabric = _fabric()
+    env = fabric.env
+    log = {}
+    env.process(_transfer(fabric, log, "a", 0, 0, 1, 4 * KiB))
+    env.run()
+    assert log == {"a": _hold(fabric, 4 * KiB) + _latency(fabric, 0, 1)}
+    # Process start, the arrival timeout and the transfer's one timeout:
+    # no release, no grant, no separate latency entry.
+    assert env._seq == 3
+    assert fabric.nics[0].tx.in_use == 0 and fabric.nics[1].rx.in_use == 0
+
+
+@pytest.mark.parametrize("arrival", ["mid-hold", "before-release", "after-release"])
+def test_contender_starts_when_the_hold_ends(arrival):
+    """A contender for the same rx half starts at the first holder's end:
+    arriving mid-hold, at the end instant ahead of the release's place
+    in the heap order, or at it after the release."""
+    fabric = _fabric()
+    env = fabric.env
+    size = 4 * KiB
+    hold = _hold(fabric, size)
+    log = {}
+    if arrival == "before-release":
+        # Queued at t=0 ahead of the holder's claim: runs at t=hold
+        # before the release entry would have.
+        env.process(_transfer(fabric, log, "b", hold, 2, 1, size))
+    env.process(_transfer(fabric, log, "a", 0, 0, 1, size))
+    if arrival != "before-release":
+        at = hold // 2 if arrival == "mid-hold" else hold
+        env.process(_transfer(fabric, log, "b", at, 2, 1, size))
+    env.run()
+    assert log["a"] == hold + _latency(fabric, 0, 1)
+    assert log["b"] == 2 * hold + _latency(fabric, 2, 1)
+
+
+def test_three_contenders_are_served_in_arrival_order():
+    fabric = _fabric(n=5)
+    env = fabric.env
+    size = 4 * KiB
+    hold = _hold(fabric, size)
+    log = {}
+    env.process(_transfer(fabric, log, 0, 0, 0, 4, size))
+    for k, src in enumerate((3, 1, 2), start=1):
+        env.process(_transfer(fabric, log, k, k * 10, src, 4, size))
+    env.run()
+    for k, src in enumerate((0, 3, 1, 2)):
+        assert log[k] == (k + 1) * hold + _latency(fabric, src, 4)
+
+
+def test_tx_free_rx_busy_holds_tx_while_queued_for_rx():
+    """The ordered fallback: a transfer whose rx half is busy takes its
+    free tx half first and holds it while it queues, so a later transfer
+    from the same node waits even though its own rx half is free."""
+    fabric = _fabric()
+    env = fabric.env
+    size = 4 * KiB
+    hold = _hold(fabric, size)
+    nics = fabric.nics
+    log = {}
+    env.process(_transfer(fabric, log, "busy", 0, 2, 1, size))
+    env.process(_transfer(fabric, log, "queued", 10, 0, 1, size))
+    env.process(_transfer(fabric, log, "behind", 20, 0, 3, size))
+
+    def probe():
+        yield env.timeout(30)
+        assert nics[0].tx.in_use == 1 and nics[1].rx.queue_length == 1
+        assert nics[0].tx.queue_length == 1 and nics[3].rx.in_use == 0
+
+    env.process(probe())
+    env.run()
+    assert log["queued"] == 2 * hold + _latency(fabric, 0, 1)
+    assert log["behind"] == 3 * hold + _latency(fabric, 0, 3)
+
+
+def _eager_unicast(env, links, fabric, src, dst, size):
+    """The two-phase transfer the lazy links replace: hold both halves
+    for the wire time through a timeout, release them, then a second
+    timeout for the switch latency."""
+    model = fabric.model
+    if src == dst:
+        yield env.timeout(model.dma_startup + bw_time(size, model.link_bandwidth))
+        return
+    tx, rx = links[src, "tx"], links[dst, "rx"]
+    claimed = tx.try_acquire()
+    if claimed and not rx.try_acquire():
+        tx.release()
+        claimed = False
+    if not claimed:
+        yield tx.request()
+        yield rx.request()
+    try:
+        yield env.timeout(_hold(fabric, size))
+    finally:
+        tx.release()
+        rx.release()
+    yield env.timeout(_latency(fabric, src, dst))
+
+
+def _run_chains(chains, unicast, env):
+    log = {}
+
+    def chain(k, at, legs):
+        yield env.timeout(at)
+        for i, (src, dst, size) in enumerate(legs):
+            yield from unicast(src, dst, size)
+            log[k, i] = env.now
+
+    for k, (at, legs) in enumerate(chains):
+        env.process(chain(k, at, legs))
+    env.run()
+    return log
+
+
+N_NODES = 4
+SIZES = (0, 64, 4 * KiB)
+_leg = st.tuples(
+    st.integers(0, N_NODES - 1), st.integers(0, N_NODES - 1), st.sampled_from(SIZES)
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 2)),
+            st.lists(_leg, min_size=1, max_size=3),
+        ),
+        min_size=1,
+        max_size=10,
+    )
+)
+def test_lazy_links_match_the_eager_two_phase_transfer(chains):
+    """Random transfer chains (arrivals on multiples of the hold times,
+    so arrivals land on release instants) complete at the same instants
+    with lazy links as with eagerly released ones."""
+    fabric = _fabric(N_NODES)
+    holds = [_hold(fabric, size) for size in SIZES[1:]]
+    timed = [
+        (a * holds[0] + b * holds[1] + c, legs) for (a, b, c), legs in chains
+    ]
+    lazy = _run_chains(timed, fabric.unicast, fabric.env)
+
+    env = Engine()
+    links = {
+        (n, half): Resource(env, name=f"{n}.{half}")
+        for n in range(N_NODES)
+        for half in ("tx", "rx")
+    }
+    eager = _run_chains(
+        timed,
+        lambda src, dst, size: _eager_unicast(env, links, fabric, src, dst, size),
+        env,
+    )
+    assert lazy == eager
