@@ -115,7 +115,9 @@ class StrobeSender:
         self._strobe_latency = 0
         # The duration for the whole machine: once it is reached, no
         # launch can change the microstrobe duration any more.
-        self._full_latency = None
+        self._full_latency = runtime.cluster.fabric.strobe_latency(
+            runtime.config.strobe_bytes, runtime.cluster.n_compute_nodes
+        )
 
     def start(self) -> None:
         """Launch the strobe loop (idempotent)."""
@@ -126,10 +128,6 @@ class StrobeSender:
         runtime = self.runtime
         cfg = runtime.config
         env = self.env
-        if self._full_latency is None:
-            self._full_latency = runtime.cluster.fabric.strobe_latency(
-                cfg.strobe_bytes, runtime.cluster.n_compute_nodes
-            )
         timeslice = cfg.timeslice
         mins = {DEM: cfg.dem_min_duration, MSM: cfg.msm_min_duration}
         node_runtimes = runtime.node_runtimes

@@ -37,7 +37,14 @@ class Request(Event):
         If the request was already granted the units go straight back;
         otherwise it is removed from the wait queue.
         """
-        self.resource._cancel(self)
+        if self.triggered:
+            self.resource.release(self.amount)
+        else:
+            try:
+                self.resource._waiting.remove(self)
+            except ValueError:  # pragma: no cover - already granted/raced
+                pass
+            self.resource._grant()
 
 
 class Resource:
@@ -114,16 +121,6 @@ class Resource:
         self._in_use -= amount
         self._grant()
 
-    def _cancel(self, req: Request) -> None:
-        if req.triggered:
-            self.release(req.amount)
-        else:
-            try:
-                self._waiting.remove(req)
-            except ValueError:  # pragma: no cover - already granted/raced
-                pass
-            self._grant()
-
     def _grant(self) -> None:
         while self._waiting:
             head = self._waiting[0]
@@ -166,8 +163,8 @@ class Link(Resource):
 
     A holder that knows how long it holds takes an :meth:`idle` link, or
     turns its granted unit, into such a hold with :meth:`hold_until`,
-    right after scheduling its own completion entry.  The link then stays busy until the hold's end with no
-    release entry of its own.
+    right after scheduling its own completion entry.  The link then
+    stays busy until the hold's end with no release entry of its own.
 
     The release takes the place an eager release would have had: the
     heap entry that ended the hold, keyed at the hold's end instant and
@@ -192,7 +189,7 @@ class Link(Resource):
         #: sits right after it among the entries of ``busy_until``.
         self.hold_seq = -1
         #: The links the same hold releases together, in release order.
-        self.group: tuple = (self,)
+        self.group: tuple = ()
         self._release: Optional[Event] = None
 
     def _released(self) -> bool:
@@ -213,6 +210,7 @@ class Link(Resource):
         """True when a claim made now would be granted at once."""
         if self._in_use or self._waiting:
             return False
+        # _released(), inlined: this runs twice per transfer.
         env = self.env
         end = self.busy_until
         return end < env._now or (end == env._now and env._step_seq > self.hold_seq)
@@ -235,18 +233,17 @@ class Link(Resource):
 
     def _grant(self) -> None:
         waiting = self._waiting
-        env = self.env
         while waiting and not self._in_use:
             head = waiting[0]
             if head._value is not PENDING:
                 # Cancelled/interrupted externally; just drop it.
                 waiting.popleft()
                 continue
-            end = self.busy_until
-            if end > env._now or (end == env._now and env._step_seq <= self.hold_seq):
+            if not self._released():
                 if self._release is None:
                     # The eager release's entry, pushed under its key.
-                    release = Event(self.env, name=f"release:{self.name}")
+                    env = self.env
+                    release = Event(env, name=f"release:{self.name}")
                     release.callbacks.append(self._grant_group)
                     for link in self.group:
                         link._release = release
