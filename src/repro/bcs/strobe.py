@@ -189,6 +189,9 @@ class StrobeSender:
                     for m in retired:
                         pools.release_send(m.send)
                         pools.release_recv(m.recv)
+                # RM's participants are read after BBM, except behind an
+                # empty BBM, which no receiver runs and which leaves them
+                # as they are.
                 bbm = runtime.bbm_nodes()
                 rm = None if bbm else runtime.rm_nodes()
                 if bbm or rm or self.strobe_latency() != self._full_latency:

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from typing import Generator, Iterable, Sequence
 
-from ..sim import Engine
+from ..sim import Engine, Link
 from ..units import bw_time
 from .model import NetworkModel
 from .nic import Nic
@@ -91,10 +91,7 @@ class Fabric:
                 tx.release()
                 raise
         done = env.timeout(hold + model.latency(self.tree.hops(src, dst)))
-        end = env.now + hold
-        group = (tx, rx)
-        tx.hold_until(end, group)
-        rx.hold_until(end, group)
+        Link.hold((tx, rx), env.now + hold)
         yield done
         if self.obs is not None:
             self.obs.unicast(env.now, src, dst, size, label)
@@ -137,7 +134,6 @@ class Fabric:
         self.transfers += 1
         self.bytes_moved += size * len(dest_list)
 
-        remote = [d for d in dest_list if d != src]
         hold = model.dma_startup + bw_time(size + model.header_bytes, model.mcast_bandwidth)
         env = self.env
         # As in :meth:`unicast`: the tx half and every receiver's rx half
@@ -145,7 +141,7 @@ class Fabric:
         # Any busy half falls back to the ordered sequential acquisition
         # (tx first, rx in ascending node id).
         tx = self.nics[src].tx
-        rxs = [self.nics[d].rx for d in remote]
+        rxs = [self.nics[d].rx for d in dest_list if d != src]
         if not (tx.idle() and all(rx.idle() for rx in rxs)):
             yield tx.request()
             held = []
@@ -159,10 +155,7 @@ class Fabric:
                     rx.release()
                 raise
         done = env.timeout(hold + model.multicast_latency(len(dest_list)))
-        end = env.now + hold
-        group = (tx, *rxs)
-        for link in group:
-            link.hold_until(end, group)
+        Link.hold((tx, *rxs), env.now + hold)
         yield done
         if self.obs is not None:
             self.obs.multicast(env.now, src, dest_list, size)

@@ -161,8 +161,8 @@ class Resource:
 class Link(Resource):
     """A one-unit :class:`Resource` whose fixed-length holds release lazily.
 
-    A holder that knows how long it holds takes an :meth:`idle` link, or
-    turns its granted unit, into such a hold with :meth:`hold_until`,
+    A holder that knows how long it holds takes its :meth:`idle` links,
+    or turns its granted units, into such a hold with :meth:`hold`,
     right after scheduling its own completion entry.  The link then
     stays busy until the hold's end with no release entry of its own.
 
@@ -215,18 +215,21 @@ class Link(Resource):
         end = self.busy_until
         return end < env._now or (end == env._now and env._step_seq > self.hold_seq)
 
-    def hold_until(self, t: int, group: tuple) -> None:
-        """Hold the link until instant ``t``, released together with the
-        links of ``group``; call right after scheduling the holder's
-        completion entry.  The link is either :meth:`idle` or granted to
-        the holder, whose unit becomes the lazy hold."""
-        self.busy_until = t
-        self.hold_seq = self.env._seq
-        self.group = group
-        if self._in_use:
-            self._in_use = 0
-            if self._waiting:
-                self._grant()
+    @staticmethod
+    def hold(group: tuple, t: int) -> None:
+        """Hold every link of ``group`` until instant ``t``; they release
+        together, in ``group`` order.  Call right after scheduling the
+        holder's completion entry.  Each link is either :meth:`idle` or
+        granted to the holder, whose unit becomes the lazy hold."""
+        seq = group[0].env._seq
+        for link in group:
+            link.busy_until = t
+            link.hold_seq = seq
+            link.group = group
+            link._in_use = 0
+        for link in group:
+            if link._waiting:
+                link._grant()
 
     def try_acquire(self, amount: int = 1) -> bool:
         return self._released() and Resource.try_acquire(self, amount)

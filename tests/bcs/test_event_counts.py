@@ -36,7 +36,7 @@ CASES = [
         16,
         32,
         dict(granularity=ms(1), iterations=4, n_neighbors=4, message_bytes=kib(4)),
-        4_384,
+        4_332,
         9,
         8_500_000,
     ),

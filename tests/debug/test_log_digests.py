@@ -17,8 +17,6 @@ the change, record the case's log at both commits and compare their
 """
 
 import hashlib
-import sys
-from pathlib import Path
 
 import pytest
 
@@ -35,10 +33,9 @@ from repro.network import Cluster, ClusterSpec
 from repro.storm import JobSpec
 from repro.units import kib, ms
 
-from .test_recorder import run_once
+from perfbench.workloads import DEFAULT_SEED, MAX_TIME, WORKLOADS
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[2] / "perfbench"))
-from workloads import DEFAULT_SEED, MAX_TIME, WORKLOADS  # noqa: E402
+from .test_recorder import run_once
 
 # (app, params, log length, digest) — the golden BCS runs of
 # tests/test_golden_timings.py, 8 ranks.

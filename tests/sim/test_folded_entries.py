@@ -399,13 +399,49 @@ def _eager_unicast(env, links, fabric, src, dst, size):
     yield env.timeout(_latency(fabric, src, dst))
 
 
-def _run_chains(chains, unicast, env):
+def _eager_multicast(env, links, fabric, src, dests, size):
+    """The eager multicast: every half held through a wire timeout, then
+    released, then a timeout for the multicast latency."""
+    model = fabric.model
+    remote = [d for d in dests if d != src]
+    wire = model.dma_startup + bw_time(size + model.header_bytes, model.mcast_bandwidth)
+    tx = links[src, "tx"]
+    held = []
+    if tx.try_acquire():
+        for d in remote:
+            if not links[d, "rx"].try_acquire():
+                tx.release()
+                for h in held:
+                    links[h, "rx"].release()
+                break
+            held.append(d)
+        else:
+            yield env.timeout(wire)
+            tx.release()
+            for d in held:
+                links[d, "rx"].release()
+            yield env.timeout(model.multicast_latency(len(dests)))
+            return
+    yield tx.request()
+    for d in remote:
+        yield links[d, "rx"].request()
+    yield env.timeout(wire)
+    tx.release()
+    for d in remote:
+        links[d, "rx"].release()
+    yield env.timeout(model.multicast_latency(len(dests)))
+
+
+def _run_chains(chains, unicast, multicast, env):
     log = {}
 
     def chain(k, at, legs):
         yield env.timeout(at)
-        for i, (src, dst, size) in enumerate(legs):
-            yield from unicast(src, dst, size)
+        for i, (src, dests, size) in enumerate(legs):
+            if len(dests) == 1:
+                yield from unicast(src, dests[0], size)
+            else:
+                yield from multicast(src, dests, size)
             log[k, i] = env.now
 
     for k, (at, legs) in enumerate(chains):
@@ -416,8 +452,13 @@ def _run_chains(chains, unicast, env):
 
 N_NODES = 4
 SIZES = (0, 64, 4 * KiB)
+# A leg is a unicast (one destination) or a multicast (sorted dests).
 _leg = st.tuples(
-    st.integers(0, N_NODES - 1), st.integers(0, N_NODES - 1), st.sampled_from(SIZES)
+    st.integers(0, N_NODES - 1),
+    st.lists(st.integers(0, N_NODES - 1), min_size=1, max_size=3, unique=True).map(
+        sorted
+    ),
+    st.sampled_from(SIZES),
 )
 
 
@@ -433,15 +474,15 @@ _leg = st.tuples(
     )
 )
 def test_lazy_links_match_the_eager_two_phase_transfer(chains):
-    """Random transfer chains (arrivals on multiples of the hold times,
-    so arrivals land on release instants) complete at the same instants
-    with lazy links as with eagerly released ones."""
+    """Random chains of unicasts and multicasts (arrivals on multiples
+    of the hold times, so arrivals land on release instants) complete at
+    the same instants with lazy links as with eagerly released ones."""
     fabric = _fabric(N_NODES)
     holds = [_hold(fabric, size) for size in SIZES[1:]]
     timed = [
         (a * holds[0] + b * holds[1] + c, legs) for (a, b, c), legs in chains
     ]
-    lazy = _run_chains(timed, fabric.unicast, fabric.env)
+    lazy = _run_chains(timed, fabric.unicast, fabric.multicast, fabric.env)
 
     env = Engine()
     links = {
@@ -452,6 +493,7 @@ def test_lazy_links_match_the_eager_two_phase_transfer(chains):
     eager = _run_chains(
         timed,
         lambda src, dst, size: _eager_unicast(env, links, fabric, src, dst, size),
+        lambda src, dests, size: _eager_multicast(env, links, fabric, src, dests, size),
         env,
     )
     assert lazy == eager
