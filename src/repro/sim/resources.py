@@ -236,17 +236,19 @@ class Link(Resource):
 
     def _grant(self) -> None:
         waiting = self._waiting
+        env = self.env
         while waiting and not self._in_use:
             head = waiting[0]
             if head._value is not PENDING:
                 # Cancelled/interrupted externally; just drop it.
                 waiting.popleft()
                 continue
-            if not self._released():
+            end = self.busy_until
+            if end > env._now or (end == env._now and env._step_seq <= self.hold_seq):
+                # Not released yet (_released(), inlined).
                 if self._release is None:
                     # The eager release's entry, pushed under its key.
-                    env = self.env
-                    release = Event(env, name=f"release:{self.name}")
+                    release = Event(env, name="release")
                     release.callbacks.append(self._grant_group)
                     for link in self.group:
                         link._release = release
