@@ -291,8 +291,10 @@ class NodeRuntime:
             desc.request._finish()
         self.runtime.stats["collectives_completed"] += 1
         obs = self.runtime.obs
-        if obs is not None and obs.spans is not None:
-            obs.spans.coll_completed(job_id, comm_id, epoch)
+        if obs is not None:
+            obs.collective_done(self.env.now, self.node_id, comm_id, epoch)
+            if obs.spans is not None:
+                obs.spans.coll_completed(job_id, comm_id, epoch)
         if self.runtime.fast:
             # The epoch record was the last holder of these descriptors.
             pools = self.runtime.pools
@@ -516,8 +518,13 @@ class DmaHelper:
         runtime = self.nrt.runtime
         runtime.stats["messages_delivered"] += 1
         obs = runtime.obs
-        if obs is not None and obs.spans is not None:
-            obs.spans.msg_delivered(match)
+        if obs is not None:
+            nrt = self.nrt
+            obs.delivered(
+                nrt.env.now, nrt.node_id, send.src_rank, send.dst_rank, send.tag, send.size
+            )
+            if obs.spans is not None:
+                obs.spans.msg_delivered(match)
 
 
 class CollectiveHelper:

@@ -10,7 +10,8 @@ Any divergence pinpoints the first nondeterministic (or changed) event
 
 The log is the telemetry hub's protocol log
 (:attr:`repro.obs.Observability.events`): one normalized tuple per
-microphase and per completed fabric transfer.  Event aggregation goes
+microphase, per completed fabric transfer, per message delivery and per
+collective completion.  Event aggregation goes
 through a :class:`repro.obs.MetricsRegistry` (one counter per event
 kind, a bytes counter per kind), so the recorder's statistics render
 with the same machinery as the runtime's slice telemetry.
@@ -71,10 +72,12 @@ class FlightRecorder:
         for entry in self.obs.events:
             kind = entry[1]
             self.registry.counter("replay.events", kind=kind).inc()
-            if kind == "phase":
+            if kind == "unicast":
+                nbytes = entry[4]
+            elif kind == "multicast":
+                nbytes = entry[4] * len(entry[3])
+            else:
                 continue
-            # Both transfer kinds carry the size at index 4.
-            nbytes = entry[4] * (len(entry[3]) if kind == "multicast" else 1)
             if nbytes:
                 self.registry.counter("replay.bytes", kind=kind).inc(nbytes)
         return list(self.obs.events)

@@ -59,8 +59,8 @@ class Fabric:
         """Move ``size`` payload bytes from node ``src`` to node ``dst``.
 
         Completes when the last byte has arrived at ``dst``.  Loopback
-        (src == dst) costs only the DMA startup: Elan local DMA does not
-        enter the network.
+        (src == dst) costs only the DMA startup and the copy: Elan local
+        DMA does not enter the network.  Both kinds are logged.
         """
         if size < 0:
             raise ValueError("negative transfer size")
@@ -70,6 +70,8 @@ class Fabric:
 
         if src == dst:
             yield self.env.timeout(model.dma_startup + bw_time(size, model.link_bandwidth))
+            if self.obs is not None:
+                self.obs.unicast(self.env.now, src, dst, size, label)
             return
 
         wire = bw_time(size + model.header_bytes, model.link_bandwidth)

@@ -7,8 +7,8 @@ An :class:`Observability` instance bundles the sinks — a
 ``spans=True``) a :class:`~repro.obs.spans.SpanTracker` for causal
 message-lifecycle tracing — and exposes the hook methods the BCS
 runtime calls from its hot paths.  It also keeps the protocol log,
-:attr:`Observability.events`: one tuple per microphase and per completed
-fabric transfer, in simulation order, which the flight recorder, the
+:attr:`Observability.events`: one tuple per microphase, per completed
+fabric transfer and per request completion, in simulation order, which the flight recorder, the
 protocol validator and the slice timeline read.
 
 Wiring: ``runtime.attach_observability(obs)`` stores the hub on the
@@ -98,7 +98,10 @@ class Observability:
         #: ``(t, "phase", slice, phase, duration)`` at each microphase end,
         #: ``(t, "unicast", src, dst, size, label)`` and
         #: ``(t, "multicast", src, dests, size)`` at each transfer's
-        #: completion.
+        #: completion (loopbacks included),
+        #: ``(t, "deliver", node, src_rank, dst_rank, tag, size)`` at each
+        #: message delivery and ``(t, "collective", node, comm_id, epoch)``
+        #: at each node's collective completion.
         self.events: List[tuple] = []
 
     # -- wiring -------------------------------------------------------------------
@@ -312,6 +315,18 @@ class Observability:
     def multicast(self, t: int, src: int, dests: List[int], size: int) -> None:
         """A multicast reached its last destination at ``t``."""
         self.events.append((t, "multicast", src, tuple(dests), size))
+
+    # -- request completions (called by DmaHelper / NodeRuntime) ---------------------
+
+    def delivered(
+        self, t: int, node: int, src_rank: int, dst_rank: int, tag: int, size: int
+    ) -> None:
+        """A message's last chunk landed on ``node``; its receive completed."""
+        self.events.append((t, "deliver", node, src_rank, dst_rank, tag, size))
+
+    def collective_done(self, t: int, node: int, comm_id: int, epoch: int) -> None:
+        """One node committed a collective epoch's result to its ranks."""
+        self.events.append((t, "collective", node, comm_id, epoch))
 
     # -- scheduler (called by SliceScheduler.schedule_slice) -------------------------
 

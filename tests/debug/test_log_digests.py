@@ -3,8 +3,11 @@
 The golden timings pin makespans, and BCS makespans are slice-quantized,
 so an instant can move inside a slice and leave every makespan green.
 These digests pin the whole log instead: every microphase (instant,
-slice, phase, duration) and every fabric transfer (instant, endpoints,
-size, label).  Both slice engines must produce the same log.
+slice, phase, duration), every fabric transfer, loopbacks included
+(instant, endpoints, size, label), every message delivery (instant,
+node, ranks, tag, size) and every node's collective completion
+(instant, node, communicator, epoch).  Both slice engines must produce
+the same log.
 
 The log is hashed as a multiset per instant: it is sorted by ``(t,
 repr(entry))`` before hashing.  Entries of one nanosecond may be written
@@ -43,20 +46,20 @@ GOLDEN_LOGS = [
     (
         sage,
         dict(steps=3, step_compute=ms(5)),
-        318,
-        "0a120acb820ed99e80aedd80a74ba5c897d4bddd48ab2ff7864af4ddceef18b8",
+        486,
+        "888602b9c8c0065393b98aa449304069e5c5b22447026b9617ad1e033a78966f",
     ),
     (
         sweep3d_blocking,
         dict(octants=2, kblocks=2),
-        178,
-        "aa073c15d86973eb87a8432b283a28836a0fb8a70bb90d6d771b18de658f4713",
+        250,
+        "20588e1f6c7224e6bd8f97d14d8ac8c352001852011ffbeaf302141c4cfa2ef6",
     ),
     (
         barrier_benchmark,
         dict(granularity=ms(2), iterations=3),
-        33,
-        "5591e35aad51da8356b4c7a63fbd28aabdf731d68bc9f2146ce1956a4c816432",
+        45,
+        "a9eee6bed45b8d9adbe0040329b82f6e66b17149d04eadbfcd33c7fd2eb6a875",
     ),
 ]
 
@@ -64,13 +67,13 @@ GOLDEN_LOGS = [
 # seed, as the benchmark runs them.  The 65,536-node machine runs under
 # the fast engine only; the reference engine builds every node up front.
 BENCH_LOGS = [
-    ("halo_64k", 10_460, "9472aa9a3322b776e6aec5f0575318c97facba7123b7194d780de02b76bf68fd"),
+    ("halo_64k", 22_860, "ce1c864480a32e3ef098144cd96992634efe8ecb932448b4bf678b29f1b0a4f8"),
     (
         "sweep3d_wavefront",
-        19_125,
-        "2db50aa7fab424605eb834ca68fae2bcf1d1c516042d51925fdd8ae11a31bcb5",
+        28_917,
+        "acdcb9e4e4b8f6ebf411b1229ced6af6e6e9b8238bfb2e121836a5832c163a8b",
     ),
-    ("sage_idle", 14_700, "0bd6d4e914f33db3e58fe36f7a2d66442ddafaaf8a37a35e25edc56b7fcd4da6"),
+    ("sage_idle", 27_930, "e3974dbdbc882ffc28c9d0b41eac4a9824fa48daa1d28e9745a2b5fb40193377"),
 ]
 BENCH_REFERENCE = {"sweep3d_wavefront", "sage_idle"}
 
@@ -82,22 +85,22 @@ EVENT_COUNT_LOGS = [
         31,
         62,
         dict(octants=1, kblocks=4),
-        1_390,
-        "fda198d878639ade7a4ca60cf5d5ffc7fcbdb53ea3f169422853306893c262ea",
+        2_002,
+        "7703b1c79a6dfb0a4206d1dd048cbb2fcad0d64dca22d355c9a97fdad469fc0d",
     ),
     (
         nearest_neighbor_benchmark,
         16,
         32,
         dict(granularity=ms(1), iterations=4, n_neighbors=4, message_bytes=kib(4)),
-        813,
-        "32f818d0355e279dad7354071a1556af7096ce34b2e3eef24ff3c4f1896d237e",
+        1_581,
+        "35bf9f3d4a3ad62171cec1621268d0bcd8f09d99ed523b26261721a9ca8162ff",
     ),
 ]
 
 RECORDER_APP_LOG = (
-    36,
-    "26492a73a6ba85a1af86c14413e49e4e839ee5ddd7557568773d5eb0d48873e5",
+    78,
+    "e5cb8aeeba226cde88f7c99e1d8a81190d4275647462306d66c0470c7c43f122",
 )
 
 
@@ -217,10 +220,12 @@ def test_recorder_app_log_digest():
     check(log, *RECORDER_APP_LOG)
     assert recorder.summary().splitlines() == [
         "replay.bytes{kind=multicast} 48",
-        "replay.bytes{kind=unicast} 24",
+        "replay.bytes{kind=unicast} 1656",
+        "replay.events{kind=collective} 6",
+        "replay.events{kind=deliver} 12",
         "replay.events{kind=multicast} 3",
         "replay.events{kind=phase} 30",
-        "replay.events{kind=unicast} 3",
+        "replay.events{kind=unicast} 27",
     ]
 
 

@@ -236,6 +236,79 @@ def test_unicast_interrupted_waiting_for_rx_releases_tx(tx_busy):
     assert nics[1].rx.queue_length == 0
 
 
+def _transfer_ns(cl, src, dst, size):
+    """Hold plus switch latency of one uncontended unicast."""
+    model = cl.spec.model
+    hold = model.dma_startup + bw_time(size + model.header_bytes, model.link_bandwidth)
+    return hold, model.latency(cl.fabric.tree.hops(src, dst))
+
+
+@pytest.mark.parametrize("queued_on", ["tx", "rx"])
+def test_interrupted_transfer_hands_its_links_to_later_claimants(queued_on):
+    """A contended transfer interrupted while queued hands every link
+    half back: a claimant queued behind it on the same half is granted
+    when the half frees, and one queued on a half the victim already
+    held is granted at the interrupt instant."""
+    cl = make_cluster()
+    env = cl.env
+    nics = cl.fabric.nics
+    size = 64 * KiB
+    kill_at = us(20)
+    ends = {}
+    outcome = []
+
+    def transfer(name, src, dst):
+        yield from cl.fabric.unicast(src, dst, size)
+        ends[name] = env.now
+
+    def victim_body(src, dst):
+        try:
+            yield from cl.fabric.unicast(src, dst, size)
+            outcome.append("done")  # pragma: no cover - interrupted first
+        except Interrupt:
+            outcome.append("interrupted")
+
+    hold, _ = _transfer_ns(cl, 0, 1, size)
+    if queued_on == "tx":
+        # Node 0's tx half is busy until ``hold``: the victim queues on
+        # it, and a later claimant queues behind the victim.
+        env.process(transfer("first", 0, 1))
+        victim = env.process(victim_body(0, 2))
+        env.process(transfer("later", 0, 3))
+        later_start = hold
+    else:
+        # Node 1's rx half is busy until ``hold``: the victim holds node
+        # 0's tx half and queues on that rx half, a claimant on node 0's
+        # tx queues behind the victim's tx grant, and one on node 1's rx
+        # queues behind the victim.
+        env.process(transfer("first", 2, 1))
+        victim = env.process(victim_body(0, 1))
+        env.process(transfer("later", 0, 2))
+        env.process(transfer("rx_later", 3, 1))
+        later_start = kill_at
+
+    def killer():
+        yield env.timeout(kill_at)
+        if queued_on == "tx":
+            assert nics[0].tx.queue_length == 2
+        else:
+            assert nics[0].tx.in_use == 1 and nics[1].rx.queue_length == 2
+        victim.interrupt()
+
+    env.process(killer())
+    cl.run()
+    assert outcome == ["interrupted"]
+    src, dst = (0, 3) if queued_on == "tx" else (0, 2)
+    later_hold, later_latency = _transfer_ns(cl, src, dst, size)
+    assert ends["later"] == later_start + later_hold + later_latency
+    if queued_on == "rx":
+        rx_hold, rx_latency = _transfer_ns(cl, 3, 1, size)
+        assert ends["rx_later"] == hold + rx_hold + rx_latency
+    for nic in nics:
+        for half in (nic.tx, nic.rx):
+            assert half.in_use == 0 and half.queue_length == 0
+
+
 def test_negative_size_rejected():
     cl = make_cluster()
     proc = cl.env.process(cl.fabric.unicast(0, 1, -1))
