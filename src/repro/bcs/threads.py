@@ -28,7 +28,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional
 
 import numpy as np
 
-from ..sim import Signal
+from ..sim import Latch, Signal
 from .config import BcsConfig
 from .descriptors import (
     CollectiveDescriptor,
@@ -320,15 +320,20 @@ class BufferSender:
     def dem_phase(self):
         """Deliver each send descriptor posted in the previous slice."""
         nrt = self.nrt
+        node = nrt.node_id
         runtime = nrt.runtime
+        fabric = runtime.cluster.fabric
+        cost = nrt.config.nic_descriptor_cost
+        size = nrt.config.descriptor_bytes
         obs = runtime.obs
         for desc in nrt._drain_posted(nrt.posted_sends):
             info = runtime.comm_info(desc.job_id, desc.comm_id)
             dst_node = info.node_of(desc.dst_rank)
-            yield from nrt.nic.compute(nrt.config.nic_descriptor_cost)
-            yield from runtime.cluster.fabric.unicast(
-                nrt.node_id, dst_node, nrt.config.descriptor_bytes, label="desc"
-            )
+            if dst_node == node:
+                yield fabric.local_copy(nrt.nic, cost, size, "desc")
+            else:
+                yield from nrt.nic.compute(cost)
+                yield fabric.transfer(node, dst_node, size, "desc")
             runtime.node_rt(dst_node).deliver_send(desc)
             runtime.stats["descriptors_exchanged"] += 1
             if obs is not None and obs.spans is not None:
@@ -468,41 +473,76 @@ class DmaHelper:
     def p2p_phase(self, granted: List[Match]):
         """Move every chunk whose destination is this node (in parallel).
 
-        The first chunk runs in the SR's own process, so a lone chunk
-        needs no child process or ``AllOf``.  It takes its descriptor-cost
-        hold at the SR's turn of the microstrobe fan-out, in node order as
-        each node's first child did, so no same-instant tie changes; the
-        other chunks queue behind it.
+        Every chunk's descriptor-cost hold is reserved on the NIC thread
+        processor now, at the SR's turn of the microstrobe fan-out, in
+        chunk order.  The first chunk then runs in the SR's own process.
+        Each later chunk is a chain of callbacks, hold then transfer,
+        that counts down one latch when its data has landed; the SR
+        waits on that latch only if some chunk is still in flight.  A
+        loopback chunk's copy rides in its hold's entry
+        (:meth:`Fabric.local_copy`).
         """
         nrt = self.nrt
         mine = [m for m in granted if m.dst_node == nrt.node_id]
         if not mine:
             return
         env = nrt.env
-        rest = [
-            env.process(self._move_chunk(m), name=f"dh{nrt.node_id}") for m in mine[1:]
-        ]
-        yield from self._move_chunk(mine[0])
+        t0 = env.now
+        first, rest = mine[0], mine[1:]
+        held = self._hold(first)
         if rest:
-            yield env.all_of(rest)
+            moved = Latch(env, len(rest), name=f"dh{nrt.node_id}")
+            for match in rest:
+                self._chain(match, t0, moved)
+        yield held
+        if first.src_node != first.dst_node:
+            yield self._transfer(first)
+        self._chunk_done(first, t0)
+        if rest and moved.remaining:
+            yield moved
 
-    def _move_chunk(self, match: Match):
+    def _hold(self, match: Match):
+        """Reserve ``match``'s NIC hold; for a loopback chunk the returned
+        timeout also covers the copy."""
         nrt = self.nrt
-        runtime = nrt.runtime
-        chunk = match.scheduled_now
-        t0 = nrt.env.now
-        yield from nrt.nic.compute(nrt.config.nic_descriptor_cost)
+        cost = nrt.config.nic_descriptor_cost
+        if match.src_node == match.dst_node:
+            fabric = nrt.runtime.cluster.fabric
+            return fabric.local_copy(nrt.nic, cost, match.scheduled_now, "p2p")
+        return nrt.nic.reserve(cost)
+
+    def _transfer(self, match: Match):
         # One-sided get: data flows src -> dst with no host involvement.
-        yield from runtime.cluster.fabric.unicast(
-            match.src_node, match.dst_node, chunk, label="p2p"
+        return self.nrt.runtime.cluster.fabric.transfer(
+            match.src_node, match.dst_node, match.scheduled_now, "p2p"
         )
+
+    def _chain(self, match: Match, t0: int, moved: Latch) -> None:
+        """Run a later chunk as callbacks: hold, transfer, bookkeeping."""
+
+        def landed(_event) -> None:
+            self._chunk_done(match, t0)
+            moved.count_down()
+
+        held = self._hold(match)
+        if match.src_node == match.dst_node:
+            held.callbacks.append(landed)
+        else:
+            held.callbacks.append(
+                lambda _held: self._transfer(match).callbacks.append(landed)
+            )
+
+    def _chunk_done(self, match: Match, t0: int) -> None:
+        """Account for a chunk whose last byte has landed."""
+        runtime = self.nrt.runtime
+        chunk = match.scheduled_now
         match.bytes_done += chunk
         match.scheduled_now = 0
         runtime.stats["bytes_transferred"] += chunk
         runtime.stats["chunks_moved"] += 1
         obs = runtime.obs
         if obs is not None and obs.spans is not None:
-            obs.spans.msg_chunk(match, t0, nrt.env.now, chunk)
+            obs.spans.msg_chunk(match, t0, self.nrt.env.now, chunk)
         if match.finished:
             self._deliver(match)
 

@@ -21,11 +21,58 @@ from __future__ import annotations
 
 from typing import Generator, Iterable, Sequence
 
-from ..sim import Engine, Link
+from ..sim import Engine, Event, Link, Timeout
 from ..units import bw_time
 from .model import NetworkModel
 from .nic import Nic
 from .topology import build_topology
+
+
+class _ClaimedTransfer(Event):
+    """A unicast that found a link half busy: it claims the sender's tx
+    half, then the receiver's rx half, through their grant entries, and
+    at the rx grant schedules itself at the last byte's arrival.
+
+    Each grant entry calls back here instead of resuming a process, so
+    the transfer costs the entries the sequential acquisition did.
+    :meth:`cancel` (called by ``Process.interrupt`` on a waiter) hands
+    back every half claimed or queued for.
+    """
+
+    __slots__ = ("tx", "rx", "hold", "rest", "claim")
+
+    def __init__(self, env: Engine, tx: Link, rx: Link, hold: int, rest: int):
+        super().__init__(env, name="transfer")
+        self.tx = tx
+        self.rx = rx
+        self.hold = hold
+        self.rest = rest
+        #: The pending claim, or None once both halves are held.
+        self.claim = tx.request()
+        self.claim.callbacks.append(self._tx_granted)
+
+    def _tx_granted(self, _grant: Event) -> None:
+        self.claim = self.rx.request()
+        self.claim.callbacks.append(self._rx_granted)
+
+    def _rx_granted(self, _grant: Event) -> None:
+        self.claim = None
+        env = self.env
+        self._value = None
+        env.schedule(self, self.hold + self.rest)
+        Link.hold((self.tx, self.rx), env._now + self.hold)
+
+    def cancel(self) -> None:
+        """Withdraw from the acquisition; a transfer already on the wire
+        keeps its lazily released halves to the end of its hold."""
+        claim = self.claim
+        if claim is None:
+            return
+        self.claim = None
+        claim.callbacks.clear()
+        claim.cancel()
+        if claim.resource is self.rx:
+            self.tx.release()
 
 
 class Fabric:
@@ -55,48 +102,72 @@ class Fabric:
 
     # -- point-to-point ---------------------------------------------------------
 
-    def unicast(self, src: int, dst: int, size: int, label: str = "") -> Generator:
+    def transfer(self, src: int, dst: int, size: int, label: str = "") -> Event:
         """Move ``size`` payload bytes from node ``src`` to node ``dst``.
 
-        Completes when the last byte has arrived at ``dst``.  Loopback
-        (src == dst) costs only the DMA startup and the copy: Elan local
-        DMA does not enter the network.  Both kinds are logged.
+        The returned event succeeds when the last byte has arrived at
+        ``dst``.  Loopback (src == dst) costs only the DMA startup and the
+        copy: Elan local DMA does not enter the network.  Both kinds are
+        logged.
         """
         if size < 0:
             raise ValueError("negative transfer size")
-        model = self.model
         self.transfers += 1
         self.bytes_moved += size
-
-        if src == dst:
-            yield self.env.timeout(model.dma_startup + bw_time(size, model.link_bandwidth))
-            if self.obs is not None:
-                self.obs.unicast(self.env.now, src, dst, size, label)
-            return
-
-        wire = bw_time(size + model.header_bytes, model.link_bandwidth)
-        hold = model.dma_startup + wire
         env = self.env
-        # Both link halves are held for the DMA startup and the wire
-        # time, then the last byte pays the switch latency.  The halves
-        # release lazily (:class:`~repro.sim.Link`), so the transfer is
-        # one timeout.  When either half is busy or has queued
-        # claimants, the halves are acquired in the fixed order that
-        # keeps the fabric deadlock-free, and held from the grant on.
-        tx, rx = self.nics[src].tx, self.nics[dst].rx
-        if not (tx.idle() and rx.idle()):
-            yield tx.request()
-            try:
-                yield rx.request()
-            except BaseException:
-                # Interrupted while queued for rx: hand the tx half back.
-                tx.release()
-                raise
-        done = env.timeout(hold + model.latency(self.tree.hops(src, dst)))
-        Link.hold((tx, rx), env.now + hold)
-        yield done
+        if src == dst:
+            done = Timeout(env, self.copy_time(size))
+        else:
+            model = self.model
+            hold = model.dma_startup + bw_time(
+                size + model.header_bytes, model.link_bandwidth
+            )
+            rest = model.latency(self.tree.hops(src, dst))
+            # Both link halves are held for the DMA startup and the wire
+            # time, then the last byte pays the switch latency.  The
+            # halves release lazily (:class:`~repro.sim.Link`), so an
+            # uncontended transfer is one timeout.  When either half is
+            # busy or has queued claimants, the halves are acquired in
+            # the fixed order that keeps the fabric deadlock-free, and
+            # held from the grant on.
+            tx, rx = self.nics[src].tx, self.nics[dst].rx
+            if tx.idle() and rx.idle():
+                done = Timeout(env, hold + rest)
+                Link.hold((tx, rx), env._now + hold)
+            else:
+                done = _ClaimedTransfer(env, tx, rx, hold, rest)
         if self.obs is not None:
-            self.obs.unicast(env.now, src, dst, size, label)
+            self._log(done, src, dst, size, label)
+        return done
+
+    def unicast(self, src: int, dst: int, size: int, label: str = "") -> Generator:
+        """Generator form of :meth:`transfer`."""
+        yield self.transfer(src, dst, size, label)
+
+    def copy_time(self, size: int) -> int:
+        """Duration (ns) of a loopback transfer of ``size`` bytes."""
+        return self.model.dma_startup + bw_time(size, self.model.link_bandwidth)
+
+    def local_copy(self, nic: Nic, cost: int, size: int, label: str = "") -> Timeout:
+        """``cost`` ns of NIC thread work on ``nic``, then a loopback
+        transfer of ``size`` bytes on its node, as one timeout.
+
+        Exact because a loopback claims no link: nothing can start
+        between the hold's end and the copy that the copy would observe.
+        Only the completion's heap sequence number moves, from the hold's
+        end to the reservation.
+        """
+        self.transfers += 1
+        self.bytes_moved += size
+        done = nic.reserve(cost, then=self.copy_time(size))
+        if self.obs is not None:
+            self._log(done, nic.node_id, nic.node_id, size, label)
+        return done
+
+    def _log(self, done: Event, src: int, dst: int, size: int, label: str) -> None:
+        """Record the transfer in the protocol log when ``done`` fires."""
+        obs, env = self.obs, self.env
+        done.callbacks.append(lambda _done: obs.unicast(env.now, src, dst, size, label))
 
     # -- multicast -----------------------------------------------------------------
 
@@ -138,7 +209,7 @@ class Fabric:
 
         hold = model.dma_startup + bw_time(size + model.header_bytes, model.mcast_bandwidth)
         env = self.env
-        # As in :meth:`unicast`: the tx half and every receiver's rx half
+        # As in :meth:`transfer`: the tx half and every receiver's rx half
         # are held for the startup and wire time and release lazily.
         # Any busy half falls back to the ordered sequential acquisition
         # (tx first, rx in ascending node id).

@@ -14,9 +14,10 @@ the Quadrics Elan3:
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Dict, Generator
 
-from ..sim import Engine, Event, Link, Store
+from ..sim import Engine, Event, Link, Store, Timeout
 
 
 class NicEvent:
@@ -89,12 +90,12 @@ class Nic:
         #: Receive half of the link.
         self.rx = Link(env, name=f"nic{node_id}.rx")
         #: The Elan thread processor's clock: the instant its queued NIC
-        #: thread work ends (see :meth:`compute`).
+        #: thread work ends (see :meth:`reserve`).
         self.busy_until = 0
         #: Default per-operation cost of NIC thread work, ns.
         self.thread_op_cost = thread_op_cost
         #: Telemetry hub (set by ``BcsRuntime.attach_observability``);
-        #: when present, :meth:`compute` reports thread occupancy spans.
+        #: when present, :meth:`reserve` reports thread occupancy spans.
         self.obs = None
         self._events: Dict[str, NicEvent] = {}
         self._fifos: Dict[str, Store] = {}
@@ -119,33 +120,44 @@ class Nic:
             self._fifos[name] = q
         return q
 
-    def compute(self, duration: int = -1, n: int = 1) -> Generator:
-        """Run ``n`` back-to-back NIC thread operations of ``duration`` ns.
+    def reserve(self, duration: int = -1, n: int = 1, then: int = 0) -> Timeout:
+        """Book ``n`` back-to-back NIC thread operations of ``duration`` ns.
 
         Defaults to one operation of :attr:`thread_op_cost`.  The thread
-        processor serves work FIFO: it starts at ``max(now,
-        busy_until)`` and ends ``n * duration`` ns later, reached in one
-        timeout.  Because every hold has a fixed length and is never
-        interrupted, this clock grants exactly what a FIFO resource
-        would.  Zero-duration work is free.  With a telemetry hub, each
-        operation reports the interval it actually occupied the
-        processor, never the time it queued.
+        processor serves work FIFO: the booking starts at ``max(now,
+        busy_until)`` and ends ``n * duration`` ns later.  Because every
+        hold has a fixed length and is never interrupted, this clock
+        grants exactly what a FIFO resource would.  The returned timeout
+        fires ``then`` ns after the hold ends, so work that follows the
+        hold without needing the processor (a loopback copy) rides in the
+        same heap entry.  Zero-duration work does not touch the clock.
+        With a telemetry hub, each operation reports the interval it
+        actually occupied the processor, never the time it queued.
         """
         if duration < 0:
             duration = self.thread_op_cost
         total = duration * n
-        if total == 0:
-            return
         env = self.env
-        now = env.now
+        now = env._now
+        if not total:
+            return Timeout(env, then)
         start = self.busy_until if self.busy_until > now else now
         self.busy_until = start + total
-        yield env.timeout(start + total - now)
+        done = Timeout(env, start + total + then - now)
         if self.obs is not None:
-            nic_busy = self.obs.nic_busy
-            for k in range(n):
-                t = start + k * duration
-                nic_busy(self.node_id, t, t + duration, duration)
+            done.callbacks.append(partial(self._report, start, duration, n))
+        return done
+
+    def _report(self, start: int, duration: int, n: int, _done: Timeout) -> None:
+        nic_busy = self.obs.nic_busy
+        for k in range(n):
+            t = start + k * duration
+            nic_busy(self.node_id, t, t + duration, duration)
+
+    def compute(self, duration: int = -1, n: int = 1) -> Generator:
+        """Generator form of :meth:`reserve`; zero-duration work is free."""
+        if n * (self.thread_op_cost if duration < 0 else duration):
+            yield self.reserve(duration, n)
 
     def __repr__(self) -> str:
         return f"<Nic node={self.node_id}>"

@@ -154,7 +154,10 @@ class Latch(Event):
     (one event per party + :class:`AllOf`) pattern it allocates a single
     event, registers no fan-in callbacks, and fires the moment the last
     party counts down — at the same timestamp, one event hop earlier.
-    A latch created with ``count == 0`` succeeds immediately.
+    A latch created with ``count == 0`` succeeds immediately.  One that
+    completes with no completion delay and no callback registered is
+    processed at once, like :meth:`Event.settle`: a party that yields
+    it later resumes at that instant.
 
     A *completion delay* folds a fixed cost that follows the barrier
     into the latch's own heap entry: with ``delay`` and ``not_before``,
@@ -200,11 +203,16 @@ class Latch(Event):
 
     def _complete(self) -> None:
         # Completion delay: fire ``delay`` ns after the last count-down,
-        # but never before the absolute time ``not_before``.
+        # but never before the absolute time ``not_before``.  A latch that
+        # fires now with nobody watching settles (see Event.settle).
         env = self.env
         self._ok = True
         self._value = None
-        env.schedule(self, delay=max(self.delay, self.not_before - env.now))
+        delay = max(self.delay, self.not_before - env._now)
+        if delay or self.callbacks:
+            env.schedule(self, delay=delay)
+        else:
+            self.callbacks = None
 
 
 class ReusableLatch(Latch):

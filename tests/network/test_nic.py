@@ -160,6 +160,22 @@ def test_batched_nic_compute_queues_fifo_and_reports_each_operation():
     ]
 
 
+def test_reserve_then_fires_after_the_hold_and_frees_the_processor_at_its_end():
+    """``then`` delays the completion, not the thread processor: the next
+    booking starts where the hold ends, and the spans are the holds."""
+    env = Engine()
+    nic = Nic(env, 0, thread_op_cost=100)
+    nic.obs = _NicSpans()
+    first = nic.reserve(then=1_000)
+    second = nic.reserve(30, n=2)
+    ends = []
+    for done in (first, second):
+        done.callbacks.append(lambda _e: ends.append(env.now))
+    env.run()
+    assert sorted(ends) == [160, 1_100]
+    assert nic.obs.spans == [(100, 130, 30), (130, 160, 30), (0, 100, 100)]
+
+
 def test_zero_cost_nic_compute_is_free():
     env = Engine()
     nic = Nic(env, 0, thread_op_cost=0)

@@ -4,7 +4,8 @@
   fixed latency after the call;
 - the :class:`Latch` completion delay: ``max(t_last + delay, not_before)``;
 - :meth:`Event.settle`: an event nobody watches (a process that returns
-  unwaited, a request nobody yields) is processed without a heap entry;
+  unwaited, a request nobody yields, a latch that completes unwatched)
+  is processed without a heap entry;
 - :class:`Link`: a fabric transfer is one timeout, its link halves
   release lazily, and every grant happens where an eager release would
   have made it.
@@ -275,6 +276,32 @@ def test_settle_without_callbacks_is_processed_at_once():
     assert not watched.processed
     env.run()
     assert seen == [6]
+
+
+def test_unwatched_latch_settles_without_an_entry():
+    """A latch that completes now with nobody watching is processed at
+    once; one with a watcher or a completion delay keeps its entry."""
+    env = Engine()
+    latch = Latch(env, 2)
+    latch.count_down().count_down()
+    assert latch.processed and env._seq == 0
+
+    watched = Latch(env, 1)
+    seen = []
+    watched.callbacks.append(lambda e: seen.append(env.now))
+    watched.count_down()
+    delayed = Latch(env, 1, delay=3)
+    delayed.count_down()
+    assert not watched.processed and not delayed.processed
+    env.run()
+    assert seen == [0] and delayed.processed and env.now == 3
+
+    def late():
+        # Yielding a settled latch resumes at the same instant.
+        yield latch
+        return env.now
+
+    assert env.run(until=env.process(late())) == 3
 
 
 # -- lazy link release ------------------------------------------------------------
