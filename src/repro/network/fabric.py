@@ -116,7 +116,7 @@ class Fabric:
         self.bytes_moved += size
         env = self.env
         if src == dst:
-            done = Timeout(env, self.copy_time(size))
+            done = Timeout(env, self._copy_time(size))
         else:
             model = self.model
             hold = model.dma_startup + bw_time(
@@ -144,7 +144,7 @@ class Fabric:
         """Generator form of :meth:`transfer`."""
         yield self.transfer(src, dst, size, label)
 
-    def copy_time(self, size: int) -> int:
+    def _copy_time(self, size: int) -> int:
         """Duration (ns) of a loopback transfer of ``size`` bytes."""
         return self.model.dma_startup + bw_time(size, self.model.link_bandwidth)
 
@@ -159,7 +159,7 @@ class Fabric:
         """
         self.transfers += 1
         self.bytes_moved += size
-        done = nic.reserve(cost, then=self.copy_time(size))
+        done = nic.reserve(cost, then=self._copy_time(size))
         if self.obs is not None:
             self._log(done, nic.node_id, nic.node_id, size, label)
         return done
