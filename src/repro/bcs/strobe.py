@@ -238,6 +238,16 @@ class StrobeSender:
                                     first + 1, start + timeslice, timeslice, skipped
                                 )
                             yield self._sleep_until(start + (skipped + 1) * timeslice)
+                            if obs is not None:
+                                # The last skipped slice ends now, if the
+                                # run is still going.
+                                obs.slice_end(
+                                    runtime.slice_no,
+                                    env.now - timeslice,
+                                    env.now,
+                                    False,
+                                    False,
+                                )
                             continue
                 yield self._sleep_until(start + timeslice)
                 overrun = False

@@ -362,8 +362,9 @@ class BufferReceiver:
             recvs = nrt._drain_posted(nrt.posted_recvs)
             if recvs:
                 yield from nrt.nic.compute(cost, len(recvs))
-                for _, match in nrt.matcher.add_recv_batch(recvs):
-                    self._register_match(match)
+                last = len(recvs) - 1
+                for i, match in nrt.matcher.add_recv_batch(recvs):
+                    self._register_match(match, (last - i) * cost)
             colls = nrt._drain_posted(nrt.posted_colls)
             if colls:
                 yield from nrt.nic.compute(cost, len(colls))
@@ -412,11 +413,11 @@ class BufferReceiver:
         if arrived:
             if nrt.runtime.fast:
                 # Batched leg: one NIC hold, one vectorized matcher join.
-                yield from nrt.nic.compute(
-                    nrt.config.nic_descriptor_cost, len(arrived)
-                )
-                for _, match in nrt.matcher.add_send_batch(arrived):
-                    self._register_match(match)
+                cost = nrt.config.nic_descriptor_cost
+                yield from nrt.nic.compute(cost, len(arrived))
+                last = len(arrived) - 1
+                for i, match in nrt.matcher.add_send_batch(arrived):
+                    self._register_match(match, (last - i) * cost)
             else:
                 for send in arrived:
                     yield from nrt.nic.compute(nrt.config.nic_descriptor_cost)
@@ -452,7 +453,14 @@ class BufferReceiver:
                 if obs is not None and obs.spans is not None:
                     obs.spans.coll_scheduled(job_id, comm_id, next_epoch)
 
-    def _register_match(self, match: Match) -> None:
+    def _register_match(self, match: Match, lag: int = 0) -> None:
+        """Hand a fresh match to the scheduler.
+
+        ``lag`` is how long ago the descriptor that completed it finished
+        its NIC hold: a batched hold matches its whole batch at its end,
+        while each match belongs to the end of its own descriptor's
+        share, the instant the per-descriptor loop matches it.
+        """
         nrt = self.nrt
         info = nrt.runtime.comm_info(match.send.job_id, match.send.comm_id)
         match.src_node = info.node_of(match.send.src_rank)
@@ -461,7 +469,7 @@ class BufferReceiver:
         nrt.runtime.stats["matches_created"] += 1
         obs = nrt.runtime.obs
         if obs is not None and obs.spans is not None:
-            obs.spans.msg_matched(match)
+            obs.spans.msg_matched(match, nrt.env.now - lag)
 
 
 class DmaHelper:

@@ -271,12 +271,11 @@ class SpanTracker:
                 src_node, _TID_MICROPHASES, "msg", "msgflow", now, span.msg_id
             )
 
-    def msg_matched(self, match: "Match") -> None:
-        """The BR paired the send with a posted receive."""
+    def msg_matched(self, match: "Match", now: int) -> None:
+        """The BR paired the send with a posted receive at ``now``."""
         span = self._span_by_send.get(match.send.desc_id)
         if span is None:
             return
-        now = self._now()
         span.matched_at = now
         span.match_slice, span.match_slice_start = self._slice()
         span.matched_by = match.matched_via

@@ -209,7 +209,9 @@ class Observability:
         slice count, zero utilization.  The sums are sampled once and the
         per-slice records emitted in exactly the order the non-skipping
         loop would have, keeping metric and trace output identical under
-        both slice engines.
+        both slice engines.  The last slice's end is left to the Strobe
+        Sender's wake at that boundary: a run that stops inside it never
+        ends it, as under the reference engine.
         """
         if count <= 0:
             return
@@ -243,6 +245,8 @@ class Observability:
             g_posted.set(posted)
             if perfetto is not None:
                 perfetto.counter(self.mgmt_pid, "descriptor queues", t, depths)
+            if i == count - 1:
+                break
             idle_counter.inc()
             utilization.observe(0.0)
             if perfetto is not None:

@@ -39,9 +39,9 @@ PINS = {
     },
     ('fig8-p2p', 'fast'): {
         'registry': "7db061ff86afd9e2e2eb0561f61493f5bf0fe5cb9117019b7b9e9a48a1e222d2",
-        'perfetto': "7b9c3eed5ec072bd784610bc97321df65b5a761e2a991902347729aa03b5c141",
+        'perfetto': "c0dde15cef20fc4d342b33d2d51893829a14a76697facaac55bf6e4d5cf6a42f",
         'profiler': "e1b12b4d9874c396a814376378d77e219954b1a7efa386d847917a08d351cbaf",
-        'blame': "1ab395f59a060de9a4fc904dc4ce325fc3895b29cece367c46098156483b410f",
+        'blame': "8fbb93927f4b897061430fd06969254e967d48301700de5e084eef6e4998c5d1",
     },
     ('fig8-p2p', 'reference'): {
         'registry': "7db061ff86afd9e2e2eb0561f61493f5bf0fe5cb9117019b7b9e9a48a1e222d2",
@@ -51,7 +51,7 @@ PINS = {
     },
     ('sage', 'fast'): {
         'registry': "794f10c48ca08b268752b060a396e70a535cc7535505a9c3eb2b5ade75a55b92",
-        'perfetto': "39ba7c740457683c683e0d1c7a2353588468262e3fd32f4d6b7799d5676e81c6",
+        'perfetto': "4fcf50badd19f48fac12d1f9b36cc28df556cb9decee5e3f2b18876e5b5e4a40",
         'profiler': "5331e1984e40063b6b91de626408447804380103ff4e175a2b9853ae4f215cf2",
         'blame': "a0da31cf11dbf9228bcd2c8d030a6da2aaa77b597b38137de409fb19b6648470",
     },
@@ -62,8 +62,8 @@ PINS = {
         'blame': "a0da31cf11dbf9228bcd2c8d030a6da2aaa77b597b38137de409fb19b6648470",
     },
     ('sweep3d', 'fast'): {
-        'registry': "ab366625394459af0bc704c676c4a9d76e85d49ce0b16d4d57b3ec7228fce991",
-        'perfetto': "bebf726f087ee3cb5105cff57da5e737839ae05f1ce63e4b401a0459067b7aa2",
+        'registry': "f91fb76d46f78c313559149d840531109d44c13e5fb18fe3160fb30f318146a4",
+        'perfetto': "b16abcdb7f488d21c41e883a1c3eae4454237e4c2e6ff30f204912296159d2ef",
         'profiler': "7f5a9ce8d10e53c00d7c6ac75bbb76052c41c48b7098ae5731feff6b73269600",
         'blame': "b6d4f21f476e1a84adaa50478dd9f3803f24f6b6c5b90bce30fd1244b68bb4b6",
     },
