@@ -27,7 +27,7 @@ APP = dict(granularity=ms(3), iterations=12, message_bytes=kib(4))
 
 
 def run(with_pfs: bool):
-    obs = Observability(perfetto=False, profile=False)
+    obs = Observability()
     cluster = Cluster(ClusterSpec(n_nodes=8))
     runtime = BcsRuntime(cluster, BcsConfig(init_cost=0)).attach_observability(obs)
     if with_pfs:

@@ -29,6 +29,17 @@ assert any(n.startswith("slice ") for n in names), "no slice spans"
 print(f"ok: {len(events)} events, span names include DEM/MSM/BBM")
 EOF
 
+echo "== flow arrows in a plain trace export (p2p run) =="
+python -m repro.harness.cli trace fig8-p2p --ranks 8 --out "$workdir/trace-p2p.json"
+python - "$workdir/trace-p2p.json" <<'EOF'
+import json, sys
+
+events = json.load(open(sys.argv[1]))["traceEvents"]
+flows = [e for e in events if e.get("cat") == "msgflow"]
+assert flows, "every trace must carry the message flow events"
+print(f"ok: {len(flows)} msgflow events")
+EOF
+
 echo "== determinism (two same-seed exports) =="
 python -m repro.harness.cli trace fig8 --ranks 8 --out "$workdir/trace2.json"
 cmp "$workdir/trace.json" "$workdir/trace2.json"
@@ -41,7 +52,9 @@ from repro.bcs.validator import ProtocolValidator
 from repro.debug import diff_logs
 from repro.harness.obs_runs import run_instrumented
 
-a, b = (run_instrumented("fig8").obs for _ in range(2))
+# Two runs in one process: their full streams, every entry kind and
+# every descriptor and job id, must be equal.
+a, b = (run_instrumented("fig8-p2p").obs for _ in range(2))
 assert a.events, "empty protocol log"
 divergences = diff_logs(a.events, b.events)
 assert not divergences, f"run is not replayable:\n{divergences[0]}"

@@ -22,6 +22,7 @@ from ..bcs.descriptors import (
     RecvDescriptor,
     payload_nbytes,
 )
+from ..obs import call_site
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..bcs.runtime import BcsRuntime, CommInfo, RankHandle
@@ -72,14 +73,8 @@ class BcsApi:
         if stats is not None:
             stats["messages"] += 1
             stats["bytes"] += nbytes
-        obs = self.runtime.obs
-        if obs is not None:
-            if obs.profiler is not None:
-                obs.profiler.record_post(
-                    info.job.id, handle.world_rank, "send", nbytes
-                )
-            if obs.spans is not None:
-                obs.spans.send_posted(desc, info.job.id, handle.world_rank)
+        if self.runtime.obs is not None:
+            self._log_post(handle, info, req, ("msg", desc.desc_id), "send", nbytes, tag)
         if self.runtime.config.buffered_sends:
             # Buffered coscheduling: the payload is snapshotted at post
             # time and the send buffer is immediately reusable, so the
@@ -115,12 +110,8 @@ class BcsApi:
         )
         handle.nrt.post_recv(desc)
         handle.pending_overhead += self.runtime.config.descriptor_post_cost
-        obs = self.runtime.obs
-        if obs is not None:
-            if obs.profiler is not None:
-                obs.profiler.record_post(info.job.id, handle.world_rank, "recv", 0)
-            if obs.spans is not None:
-                obs.spans.recv_posted(desc, info.job.id, handle.world_rank)
+        if self.runtime.obs is not None:
+            self._log_post(handle, info, req, ("recv", desc.desc_id), "recv", 0, tag)
         return req
 
     def post_collective(
@@ -158,14 +149,10 @@ class BcsApi:
         stats = self.runtime.job_stats.get(info.job.id)
         if stats is not None:
             stats["collectives"] += 1
-        obs = self.runtime.obs
-        if obs is not None:
-            if obs.profiler is not None:
-                obs.profiler.record_post(
-                    info.job.id, handle.world_rank, kind, desc.size
-                )
-            if obs.spans is not None:
-                obs.spans.coll_posted(desc, info.job.id, handle.world_rank)
+        if self.runtime.obs is not None:
+            job = self.runtime.job_index[info.job.id]
+            ref = ("coll", (job, info.comm_id, desc.epoch))
+            self._log_post(handle, info, req, ref, kind, desc.size, 0)
         return req
 
     # -- tests / waits ------------------------------------------------------------------
@@ -229,15 +216,22 @@ class BcsApi:
                 stats["blocked_ns"] += blocked
         obs = self.runtime.obs
         if obs is not None:
-            if obs.profiler is not None:
-                op = f"wait({reqs[0].kind})" if reqs else "wait"
-                obs.profiler.record_wait(
-                    handle.job.id, handle.world_rank, op, t0, self.env.now
-                )
-            if obs.spans is not None and blocked:
-                obs.spans.rank_wait(
-                    handle.job.id, handle.world_rank, reqs, t0, self.env.now
-                )
+            t1 = self.env.now
+            waited = tuple(
+                (t1 if r.completed_at is None else r.completed_at, r.ref)
+                for r in reqs
+                if r.ref is not None
+            )
+            obs.events.append((
+                t1,
+                "wait",
+                self.runtime.job_index[handle.job.id],
+                handle.world_rank,
+                f"wait({reqs[0].kind})" if reqs else "wait",
+                t0,
+                call_site(),
+                waited,
+            ))
 
     def probe(self, handle: "RankHandle", info, rank, source, tag) -> bool:
         """bcs_probe(non-blocking): is a matching message pending?
@@ -301,19 +295,30 @@ class BcsApi:
 
     # -- internals ------------------------------------------------------------------------------
 
+    def _log_post(self, handle, info, req, ref, op, nbytes, tag) -> None:
+        """Log one descriptor post; ``ref`` names it in later wait entries."""
+        req.ref = ref
+        runtime = self.runtime
+        runtime.obs.events.append((
+            self.env.now,
+            "post",
+            ref,
+            runtime.job_index[info.job.id],
+            handle.world_rank,
+            op,
+            nbytes,
+            tag,
+            call_site(),
+        ))
+
     def _maybe_release(self, req: BcsRequest) -> None:
         """Recycle a request that never escaped to the caller.
 
         Only the blocking collective wrappers qualify — they return the
         payload (or nothing), never the handle, and their descriptor was
-        already recycled when the epoch completed.  Skipped when span
-        tracing is active: the tracker keys live wait references by
-        request object identity.
+        already recycled when the epoch completed.
         """
         runtime = self.runtime
         if not runtime.fast:
-            return
-        obs = runtime.obs
-        if obs is not None and obs.spans is not None:
             return
         runtime.pools.release_request(req)

@@ -20,6 +20,8 @@ from ..sim import Event
 ANY_SOURCE = -1
 ANY_TAG = -1
 
+#: Ids of descriptors built outside a :class:`DescriptorPools` (the
+#: baseline MPI's, probes').
 _desc_ids = itertools.count()
 
 
@@ -45,6 +47,7 @@ class BcsRequest:
         "posted_at",
         "completed_at",
         "blocked",
+        "ref",
     )
 
     def __init__(self, env, kind: str):
@@ -65,6 +68,11 @@ class BcsRequest:
         #: The Node Manager's record of a rank blocked on this request
         #: (see :meth:`NodeManager.block_on`), if any.
         self.blocked = None
+        #: The posted operation this request completes, by value:
+        #: ``("msg", send id)``, ``("recv", recv id)`` or ``("coll", (job,
+        #: comm, epoch))``.  Set at each post of an instrumented run, so a
+        #: wait entry in the protocol log names what it waited on.
+        self.ref: Optional[tuple] = None
 
     @property
     def complete(self) -> bool:
@@ -269,7 +277,9 @@ class DescriptorPools:
 
     - ``acquire`` reinitializes **every** field and draws a **fresh**
       ``desc_id``, so any stale index keyed by descriptor id (matcher
-      buckets, span tables) can never alias a recycled object;
+      buckets, span tables) can never alias a recycled object.  Ids
+      come from a counter per pool set, so two same-seed runs number
+      their descriptors alike however many runs preceded them;
     - ``release`` is only called from sites where the runtime can prove
       no live reference remains (retired matches, completed collective
       epochs, provably-private barrier requests);
@@ -279,13 +289,14 @@ class DescriptorPools:
     Pools are best-effort and bounded; an empty pool simply constructs.
     """
 
-    __slots__ = ("_sends", "_recvs", "_colls", "_reqs")
+    __slots__ = ("_sends", "_recvs", "_colls", "_reqs", "_ids")
 
     def __init__(self):
         self._sends = _FreeList()
         self._recvs = _FreeList()
         self._colls = _FreeList()
         self._reqs = _FreeList()
+        self._ids = itertools.count()
 
     # -- acquire ---------------------------------------------------------------
 
@@ -298,6 +309,7 @@ class DescriptorPools:
             return SendDescriptor(
                 job_id, comm_id, src_rank, dst_rank, tag, size, request,
                 payload=payload, seq=seq, posted_at=posted_at,
+                desc_id=next(self._ids),
             )
         d.job_id = job_id
         d.comm_id = comm_id
@@ -309,7 +321,7 @@ class DescriptorPools:
         d.payload = payload
         d.seq = seq
         d.posted_at = posted_at
-        d.desc_id = next(_desc_ids)
+        d.desc_id = next(self._ids)
         return d
 
     def recv(
@@ -320,7 +332,7 @@ class DescriptorPools:
         if d is None:
             return RecvDescriptor(
                 job_id, comm_id, rank, src_rank, tag, capacity, request,
-                posted_at=posted_at,
+                posted_at=posted_at, desc_id=next(self._ids),
             )
         d.job_id = job_id
         d.comm_id = comm_id
@@ -330,7 +342,7 @@ class DescriptorPools:
         d.capacity = capacity
         d.request = request
         d.posted_at = posted_at
-        d.desc_id = next(_desc_ids)
+        d.desc_id = next(self._ids)
         return d
 
     def coll(
@@ -342,6 +354,7 @@ class DescriptorPools:
             return CollectiveDescriptor(
                 job_id, comm_id, kind, rank, root, epoch, request,
                 op=op, size=size, payload=payload, posted_at=posted_at,
+                desc_id=next(self._ids),
             )
         d.job_id = job_id
         d.comm_id = comm_id
@@ -354,7 +367,7 @@ class DescriptorPools:
         d.size = size
         d.payload = payload
         d.posted_at = posted_at
-        d.desc_id = next(_desc_ids)
+        d.desc_id = next(self._ids)
         return d
 
     def request(self, env, kind: str) -> BcsRequest:
@@ -372,6 +385,7 @@ class DescriptorPools:
         r.posted_at = env.now
         r.completed_at = None
         r.blocked = None
+        r.ref = None
         return r
 
     # -- release ---------------------------------------------------------------

@@ -371,6 +371,10 @@ class BcsRuntime:
         self.ss = StrobeSender(self)
 
         self.jobs: Dict[int, Job] = {}
+        #: Job id -> index in launch order.  Job ids come from a
+        #: process-global counter; the protocol log names jobs by this
+        #: index, so two same-seed runs log alike.
+        self.job_index: Dict[int, int] = {}
         #: Per-job usage counters (cpu_ns, blocked_ns, messages, bytes,
         #: collectives) — STORM's accounting role (paper §1).
         self.job_stats: Dict[int, Counter] = {}
@@ -400,7 +404,7 @@ class BcsRuntime:
         self.obs = None
 
     def attach_observability(self, obs) -> "BcsRuntime":
-        """Wire a telemetry hub into the runtime, scheduler, and NICs.
+        """Wire a telemetry hub into the runtime, fabric, and NICs.
 
         Instrumentation is passive (it never enters the event queue), so
         attaching observability does not change simulated timings.
@@ -460,6 +464,7 @@ class BcsRuntime:
         job = Job(self.env, spec, placement)
         job.started_at = self.env.now
         self.jobs[job.id] = job
+        self.job_index[job.id] = len(self.job_index)
         self.job_stats[job.id] = Counter()
         self.register_comm(job, range(spec.n_ranks))  # comm 0 = world
         self.arena.activate(job.nodes)
@@ -517,8 +522,10 @@ class BcsRuntime:
             # Processes start executing at a slice boundary (gang launch).
             yield handle.nrt.slice_start.wait()
             obs = self.obs
-            if obs is not None and obs.spans is not None:
-                obs.spans.rank_started(job.id, rank, t_launch, self.env.now)
+            if obs is not None:
+                obs.events.append(
+                    (self.env.now, "rank_start", self.job_index[job.id], rank, t_launch)
+                )
             result = yield from job.spec.app(ctx, **job.spec.params)
         except Interrupt as intr:
             # Killed by failure injection: the job is torn down.
@@ -529,8 +536,10 @@ class BcsRuntime:
             self.rank_procs.pop((job.id, rank), None)
         job.rank_finished(rank, result)
         obs = self.obs
-        if obs is not None and obs.spans is not None:
-            obs.spans.rank_finished(job.id, rank, self.env.now)
+        if obs is not None:
+            obs.events.append(
+                (self.env.now, "rank_finish", self.job_index[job.id], rank)
+            )
 
     def run_job(
         self,

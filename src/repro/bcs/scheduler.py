@@ -32,8 +32,6 @@ class SliceScheduler:
         self.budget_bytes = config.p2p_slice_budget_bytes(link_bandwidth)
         #: Matches with bytes still to move, oldest first.
         self.in_flight: List[Match] = []
-        #: Telemetry hub (set by ``BcsRuntime.attach_observability``).
-        self.obs = None
 
     def add_matches(self, matches: Iterable[Match]) -> None:
         """Queue freshly built matches behind the in-flight ones."""
@@ -72,8 +70,6 @@ class SliceScheduler:
             tx_left[match.src_node] -= grant
             rx_left[match.dst_node] -= grant
             granted.append(match)
-        if self.obs is not None:
-            self.obs.sched_slice(self, granted)
         return granted
 
     def retire_finished(self) -> List[Match]:
@@ -81,8 +77,6 @@ class SliceScheduler:
         finished = [m for m in self.in_flight if m.finished]
         if finished:
             self.in_flight = [m for m in self.in_flight if not m.finished]
-            if self.obs is not None:
-                self.obs.sched_retired(finished)
         return finished
 
     @property

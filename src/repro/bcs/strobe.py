@@ -85,7 +85,9 @@ class StrobeReceiver:
                 )
             obs = nrt.runtime.obs
             if obs is not None:
-                obs.node_phase(nrt.node_id, strobe.phase, strobe.slice_no, t0, env.now)
+                obs.events.append(
+                    (env.now, "node_phase", nrt.node_id, strobe.slice_no, strobe.phase, t0)
+                )
             strobe.done.count_down()
 
     def _dem(self, agents):
@@ -159,10 +161,10 @@ class StrobeSender:
             env.trigger_all(woken, runtime.slice_no)
             slice_waiters.clear()
 
-            # Idle short-circuit: settle ``active`` before any telemetry
-            # bookkeeping.  slice_work() only reads queues (and prunes
-            # the runtime's lazy sets), so sampling it ahead of
-            # slice_begin is observationally identical to the historical
+            # Idle short-circuit: settle ``active`` before the slice's
+            # log entry.  slice_work() only reads queues (and prunes the
+            # runtime's lazy sets), so sampling it ahead of the queue
+            # depths is observationally identical to the historical
             # order.  It also answers the DEM node query in the same
             # pass — there is no yield point between here and the DEM
             # microphase, so the two-call sequence it replaces saw the
@@ -170,17 +172,37 @@ class StrobeSender:
             active, dem_nodes = runtime.slice_work()
             obs = runtime.obs
             if obs is not None:
-                obs.slice_begin(runtime.slice_no, start)
+                obs.events.append(
+                    (start, "slice_begin", runtime.slice_no)
+                    + runtime.queue_depths()
+                    + runtime.matcher_pending_totals()
+                )
 
             if active:
                 runtime.stats["active_slices"] += 1
                 yield from self._microphase(DEM, dem_nodes, mins[DEM])
                 yield from self._microphase(MSM, runtime.msm_nodes(), mins[MSM])
                 granted = runtime.global_schedule()
+                if obs is not None:
+                    scheduler = runtime.scheduler
+                    obs.events.append((
+                        env.now,
+                        "grant",
+                        scheduler.backlog_bytes,
+                        len(scheduler.in_flight),
+                        tuple(
+                            (m.send.desc_id, m.src_node, m.scheduled_now)
+                            for m in granted
+                        ),
+                    ))
                 yield from self._microphase(
                     P2P, sorted({m.dst_node for m in granted}), 0, payload=granted
                 )
                 retired = runtime.scheduler.retire_finished()
+                if retired and obs is not None:
+                    obs.events.append(
+                        (env.now, "retire", tuple(m.send.desc_id for m in retired))
+                    )
                 if retired and fast:
                     # A retired match was the last holder of its pair of
                     # descriptors (requests are completed at delivery and
@@ -230,24 +252,19 @@ class StrobeSender:
                             runtime.stats["slices"] += skipped
                             runtime.stats["idle_slices_skipped"] += skipped
                             if obs is not None:
-                                first = runtime.slice_no - skipped
-                                obs.slice_end(
-                                    first, start, start + timeslice, False, False
-                                )
-                                obs.idle_skip(
-                                    first + 1, start + timeslice, timeslice, skipped
-                                )
+                                self._log_skip(obs, start, skipped)
                             yield self._sleep_until(start + (skipped + 1) * timeslice)
                             if obs is not None:
                                 # The last skipped slice ends now, if the
                                 # run is still going.
-                                obs.slice_end(
+                                obs.events.append((
+                                    env.now,
+                                    "slice_end",
                                     runtime.slice_no,
                                     env.now - timeslice,
-                                    env.now,
                                     False,
                                     False,
-                                )
+                                ))
                             continue
                 yield self._sleep_until(start + timeslice)
                 overrun = False
@@ -257,9 +274,26 @@ class StrobeSender:
                 if work_end > env.now:
                     yield self._sleep_until(work_end)
             if obs is not None:
-                obs.slice_end(runtime.slice_no, start, env.now, active, overrun)
+                obs.events.append(
+                    (env.now, "slice_end", runtime.slice_no, start, active, overrun)
+                )
             if cfg.auto_stop and runtime.idle():
                 return
+
+    def _log_skip(self, obs, start: int, skipped: int) -> None:
+        """Log the end of the slice begun at ``start`` and the ``skipped``
+        idle slices after it as the reference engine would: empty
+        queues, frozen matcher totals.  The last one's end is logged when
+        the Strobe Sender wakes at it."""
+        runtime = self.runtime
+        timeslice = runtime.config.timeslice
+        totals = runtime.matcher_pending_totals()
+        first = runtime.slice_no - skipped
+        events = obs.events
+        for i in range(skipped):
+            t = start + (i + 1) * timeslice
+            events.append((t, "slice_end", first + i, t - timeslice, False, False))
+            events.append((t, "slice_begin", first + i + 1, 0, 0, 0, 0) + totals)
 
     def strobe_latency(self) -> int:
         """Duration of a microstrobe to the current active set.
@@ -293,16 +327,17 @@ class StrobeSender:
         the slice-end sleep covers them.  Only taken when no launch can
         change the latency before RM starts (the active set already has
         the whole machine's microstrobe duration).  With a telemetry
-        hub, the phases are reported at their own instants.
+        hub, the phases are logged at their own instants.
         """
         runtime = self.runtime
         latency = self._strobe_latency
         t = self.env.now
         obs = runtime.obs
         if obs is not None:
+            slice_no = runtime.slice_no
             for phase in (BBM, RM):
-                obs.phase_begin(phase, runtime.slice_no, t)
-                obs.phase_end(phase, runtime.slice_no, t, t + latency, 0)
+                obs.events.append((t, "phase_begin", slice_no, phase, 0))
+                obs.events.append((t + latency, "phase", slice_no, phase, latency))
                 t += latency
         return self.env.now + 2 * latency
 
@@ -324,7 +359,7 @@ class StrobeSender:
         t0 = env.now
         obs = runtime.obs
         if obs is not None:
-            obs.phase_begin(phase, runtime.slice_no, t0)
+            obs.events.append((t0, "phase_begin", runtime.slice_no, phase, len(nodes)))
 
         # Microstrobe: Xfer-And-Signal to every compute node's SR.
         latency = self.strobe_latency()
@@ -372,4 +407,4 @@ class StrobeSender:
                 yield self._empty_phase.rearm(wait)
 
         if obs is not None:
-            obs.phase_end(phase, runtime.slice_no, t0, env.now, len(nodes))
+            obs.events.append((env.now, "phase", runtime.slice_no, phase, env.now - t0))

@@ -128,16 +128,14 @@ class NodeRuntime:
         self.config: BcsConfig = runtime.config
         self.env = runtime.env
         # Lazily materialized nodes can be created after observability
-        # was attached; inherit the hub and register this node's trace
-        # tracks so the fresh NIC reports occupancy spans like its peers.
+        # was attached; inherit the hub and log this node's coming into
+        # being so the fresh NIC reports occupancy spans like its peers.
         # (Nodes built with the runtime exist before any ``obs`` —
         # binding covers those.)
         obs = getattr(runtime, "obs", None)
         if obs is not None:
             self.nic.obs = obs
-            node_track = getattr(obs, "node_track", None)
-            if node_track is not None:
-                node_track(node_id)
+            obs.events.append((self.env.now, "node", node_id))
 
         #: Pulsed by the Strobe Sender at every slice boundary; the Node
         #: Manager uses it to restart processes whose ops completed.
@@ -292,9 +290,14 @@ class NodeRuntime:
         self.runtime.stats["collectives_completed"] += 1
         obs = self.runtime.obs
         if obs is not None:
-            obs.collective_done(self.env.now, self.node_id, comm_id, epoch)
-            if obs.spans is not None:
-                obs.spans.coll_completed(job_id, comm_id, epoch)
+            obs.events.append((
+                self.env.now,
+                "collective",
+                self.node_id,
+                comm_id,
+                epoch,
+                self.runtime.job_index[job_id],
+            ))
         if self.runtime.fast:
             # The epoch record was the last holder of these descriptors.
             pools = self.runtime.pools
@@ -336,8 +339,10 @@ class BufferSender:
                 yield fabric.transfer(node, dst_node, size, "desc")
             runtime.node_rt(dst_node).deliver_send(desc)
             runtime.stats["descriptors_exchanged"] += 1
-            if obs is not None and obs.spans is not None:
-                obs.spans.msg_exchanged(desc, nrt.node_id, dst_node)
+            if obs is not None:
+                obs.events.append(
+                    (nrt.env.now, "exchange", desc.desc_id, node, dst_node)
+                )
 
 
 class BufferReceiver:
@@ -450,8 +455,14 @@ class BufferReceiver:
                 nrt.sched_flag[(job_id, comm_id)] = next_epoch
                 runtime.stats["collectives_scheduled"] += 1
                 obs = runtime.obs
-                if obs is not None and obs.spans is not None:
-                    obs.spans.coll_scheduled(job_id, comm_id, next_epoch)
+                if obs is not None:
+                    obs.events.append((
+                        nrt.env.now,
+                        "coll_sched",
+                        runtime.job_index[job_id],
+                        comm_id,
+                        next_epoch,
+                    ))
 
     def _register_match(self, match: Match, lag: int = 0) -> None:
         """Hand a fresh match to the scheduler.
@@ -468,8 +479,16 @@ class BufferReceiver:
         nrt.runtime._match_set.add(nrt.node_id)
         nrt.runtime.stats["matches_created"] += 1
         obs = nrt.runtime.obs
-        if obs is not None and obs.spans is not None:
-            obs.spans.msg_matched(match, nrt.env.now - lag)
+        if obs is not None:
+            obs.events.append((
+                nrt.env.now - lag,
+                "match",
+                match.send.desc_id,
+                match.recv.desc_id,
+                match.src_node,
+                match.dst_node,
+                match.matched_via,
+            ))
 
 
 class DmaHelper:
@@ -549,8 +568,10 @@ class DmaHelper:
         runtime.stats["bytes_transferred"] += chunk
         runtime.stats["chunks_moved"] += 1
         obs = runtime.obs
-        if obs is not None and obs.spans is not None:
-            obs.spans.msg_chunk(match, t0, self.nrt.env.now, chunk)
+        if obs is not None:
+            obs.events.append(
+                (self.nrt.env.now, "chunk", match.send.desc_id, t0, chunk)
+            )
         if match.finished:
             self._deliver(match)
 
@@ -568,11 +589,16 @@ class DmaHelper:
         obs = runtime.obs
         if obs is not None:
             nrt = self.nrt
-            obs.delivered(
-                nrt.env.now, nrt.node_id, send.src_rank, send.dst_rank, send.tag, send.size
-            )
-            if obs.spans is not None:
-                obs.spans.msg_delivered(match)
+            obs.events.append((
+                nrt.env.now,
+                "deliver",
+                nrt.node_id,
+                send.src_rank,
+                send.dst_rank,
+                send.tag,
+                send.size,
+                send.desc_id,
+            ))
 
 
 class CollectiveHelper:

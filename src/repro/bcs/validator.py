@@ -10,7 +10,7 @@ of that from the telemetry hub's protocol log
 by the property tests to assert that *any* workload drives the machine
 correctly::
 
-    obs = Observability(perfetto=False, profile=False)
+    obs = Observability()
     runtime.attach_observability(obs)
     ... run ...
     ProtocolValidator(obs.events, config.timeslice).assert_clean()

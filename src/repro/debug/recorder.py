@@ -8,10 +8,10 @@ comparison*: record the communication log of a run, re-run, and diff.
 Any divergence pinpoints the first nondeterministic (or changed) event
 — the debugging workflow a SIMD-style global OS makes possible.
 
-The log is the telemetry hub's protocol log
+The log is the digested view of the telemetry hub's protocol log
 (:attr:`repro.obs.Observability.events`): one normalized tuple per
 microphase, per completed fabric transfer, per message delivery and per
-collective completion.  Event aggregation goes
+collective completion (:data:`DIGESTED`).  Event aggregation goes
 through a :class:`repro.obs.MetricsRegistry` (one counter per event
 kind, a bytes counter per kind), so the recorder's statistics render
 with the same machinery as the runtime's slice telemetry.
@@ -32,6 +32,11 @@ from dataclasses import dataclass
 from typing import List, Optional
 
 from ..obs import MetricsRegistry, Observability
+
+#: The entry kinds the digested log keeps, and how many leading fields of
+#: each: a delivery's send descriptor id and a collective's job index
+#: serve the span view only.
+DIGESTED = {"phase": 5, "unicast": 6, "multicast": 5, "deliver": 7, "collective": 5}
 
 
 @dataclass(frozen=True)
@@ -54,9 +59,8 @@ class FlightRecorder:
     """Captures a run's ordered communication log."""
 
     def __init__(self):
-        #: The hub to attach to the runtime under test; it keeps only the
-        #: metrics registry and the protocol log.
-        self.obs = Observability(perfetto=False, profile=False)
+        #: The hub to attach to the runtime under test.
+        self.obs = Observability()
         #: Aggregated event statistics (``replay.events``/``replay.bytes``
         #: counters, labeled by event kind), rebuilt by :meth:`log`.
         self.registry = MetricsRegistry()
@@ -69,8 +73,13 @@ class FlightRecorder:
         :attr:`registry` is rebuilt with per-kind event/byte counters.
         """
         self.registry.reset()
+        log = []
         for entry in self.obs.events:
             kind = entry[1]
+            width = DIGESTED.get(kind)
+            if width is None:
+                continue
+            log.append(entry[:width])
             self.registry.counter("replay.events", kind=kind).inc()
             if kind == "unicast":
                 nbytes = entry[4]
@@ -80,7 +89,7 @@ class FlightRecorder:
                 continue
             if nbytes:
                 self.registry.counter("replay.bytes", kind=kind).inc(nbytes)
-        return list(self.obs.events)
+        return log
 
     def summary(self) -> str:
         """Deterministic text summary of the recorded event mix."""

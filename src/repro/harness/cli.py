@@ -255,9 +255,8 @@ def cmd_metrics(argv: List[str]) -> int:
         f"{run.result.runtime_ns} ns simulated ==\n"
     )
     print(metrics_report(run.obs))
-    if run.obs.profiler is not None:
-        print("\n== MPI profile ==")
-        print(run.obs.profiler.report())
+    print("\n== MPI profile ==")
+    print(run.obs.profiler.report())
     return 0
 
 
@@ -268,11 +267,7 @@ def cmd_explain(argv: List[str]) -> int:
     from .obs_runs import explain_run
 
     run, report = explain_run(
-        args.experiment,
-        n_ranks=args.ranks,
-        seed=args.seed,
-        top=args.top,
-        perfetto=args.trace is not None,
+        args.experiment, n_ranks=args.ranks, seed=args.seed, top=args.top
     )
     title = (
         f"{args.experiment}: {run.result.n_ranks} ranks, "

@@ -1,8 +1,9 @@
 """Instrumented experiment runs for ``repro trace`` / ``repro metrics``.
 
 Each entry in :data:`INSTRUMENTED` is one canonical workload that can be
-run with full observability attached: slice telemetry into the metrics
-registry, a Perfetto trace, and the per-rank MPI profile.  These are the
+run with a telemetry hub attached; its protocol log folds into the
+metrics registry, a Perfetto trace, the per-rank MPI profile and the
+message spans behind ``repro explain``.  These are the
 paper's synthetic/application workloads at smoke-test sizes — big enough
 to exercise every microphase, small enough to trace interactively.
 
@@ -57,7 +58,8 @@ def run_instrumented(
     params: Optional[dict] = None,
     obs: Optional[Observability] = None,
 ) -> InstrumentedRun:
-    """Run one :data:`INSTRUMENTED` experiment with telemetry attached."""
+    """Run one :data:`INSTRUMENTED` experiment with a telemetry hub
+    attached (``obs``, or a fresh one)."""
     try:
         app, default_params = INSTRUMENTED[name]
     except KeyError:
@@ -79,14 +81,8 @@ def run_instrumented(
     return InstrumentedRun(result=result, obs=obs)
 
 
-def explain_run(
-    name: str,
-    n_ranks: int = 8,
-    seed: int = 0,
-    top: int = 8,
-    perfetto: bool = True,
-):
-    """Run one experiment with span tracing and extract its blame report.
+def explain_run(name: str, n_ranks: int = 8, seed: int = 0, top: int = 8):
+    """Run one instrumented experiment and extract its blame report.
 
     Returns ``(run, report)`` where ``report`` is a
     :class:`~repro.obs.critpath.BlameReport` whose category totals sum
@@ -94,9 +90,8 @@ def explain_run(
     """
     from ..obs.critpath import critical_path
 
-    obs = Observability(perfetto=perfetto, profile=False, spans=True)
-    run = run_instrumented(name, n_ranks=n_ranks, seed=seed, obs=obs)
-    report = critical_path(obs.spans, makespan_ns=run.result.runtime_ns, top=top)
+    run = run_instrumented(name, n_ranks=n_ranks, seed=seed)
+    report = critical_path(run.obs.spans, makespan_ns=run.result.runtime_ns, top=top)
     return run, report
 
 
@@ -119,9 +114,7 @@ def critpath_point(experiment: str, n_ranks: int = 8, seed: int = 0) -> dict:
     shares are percentages of the run's virtual makespan, grouped so
     gating catches DEM/MSM/transmission composition shifts.
     """
-    _run, report = explain_run(
-        experiment, n_ranks=n_ranks, seed=seed, perfetto=False
-    )
+    _run, report = explain_run(experiment, n_ranks=n_ranks, seed=seed)
     makespan = report.makespan_ns or 1
 
     def pct(*cats: str) -> float:

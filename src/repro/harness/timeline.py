@@ -10,7 +10,7 @@ The microphase track itself is drawn by the hub's Perfetto trace
 
 Usage::
 
-    obs = Observability(perfetto=False, profile=False)
+    obs = Observability()
     runtime.attach_observability(obs)
     ... run ...
     timeline = Timeline.from_events(obs.events, timeslice=us(500))

@@ -166,8 +166,10 @@ class Fabric:
 
     def _log(self, done: Event, src: int, dst: int, size: int, label: str) -> None:
         """Record the transfer in the protocol log when ``done`` fires."""
-        obs, env = self.obs, self.env
-        done.callbacks.append(lambda _done: obs.unicast(env.now, src, dst, size, label))
+        events, env = self.obs.events, self.env
+        done.callbacks.append(
+            lambda _done: events.append((env.now, "unicast", src, dst, size, label))
+        )
 
     # -- multicast -----------------------------------------------------------------
 
@@ -231,7 +233,7 @@ class Fabric:
         Link.hold((tx, *rxs), env.now + hold)
         yield done
         if self.obs is not None:
-            self.obs.multicast(env.now, src, dest_list, size)
+            self.obs.events.append((env.now, "multicast", src, tuple(dest_list), size))
 
     # -- network conditional ----------------------------------------------------------
 

@@ -95,7 +95,7 @@ class Nic:
         #: Default per-operation cost of NIC thread work, ns.
         self.thread_op_cost = thread_op_cost
         #: Telemetry hub (set by ``BcsRuntime.attach_observability``);
-        #: when present, :meth:`reserve` reports thread occupancy spans.
+        #: when present, :meth:`reserve` logs thread occupancy spans.
         self.obs = None
         self._events: Dict[str, NicEvent] = {}
         self._fifos: Dict[str, Store] = {}
@@ -131,8 +131,9 @@ class Nic:
         fires ``then`` ns after the hold ends, so work that follows the
         hold without needing the processor (a loopback copy) rides in the
         same heap entry.  Zero-duration work does not touch the clock.
-        With a telemetry hub, each operation reports the interval it
-        actually occupied the processor, never the time it queued.
+        With a telemetry hub, each operation logs the interval it actually
+        occupied the processor, never the time it queued, as a ``(t1,
+        "nic", node, t0)`` entry when the booking completes.
         """
         if duration < 0:
             duration = self.thread_op_cost
@@ -149,10 +150,11 @@ class Nic:
         return done
 
     def _report(self, start: int, duration: int, n: int, _done: Timeout) -> None:
-        nic_busy = self.obs.nic_busy
-        for k in range(n):
-            t = start + k * duration
-            nic_busy(self.node_id, t, t + duration, duration)
+        node = self.node_id
+        self.obs.events.extend(
+            (t + duration, "nic", node, t)
+            for t in range(start, start + n * duration, duration)
+        )
 
     def compute(self, duration: int = -1, n: int = 1) -> Generator:
         """Generator form of :meth:`reserve`; zero-duration work is free."""

@@ -5,12 +5,14 @@ spent suspended in blocking waits), and every MPI operation to the call
 site that issued it — the summary mpiP prints after a real run, built
 here from the deterministic simulation instead of sampled timers.
 
-The profiler is driven by the BCS API layer (:mod:`repro.api.bcs_api`):
-``record_post`` on every descriptor post, ``record_wait`` around every
-blocking wait.  Call sites are resolved by walking the Python stack past
-the runtime's own frames to the first application frame; with a fixed
-checkout the resulting ``file:line`` strings are stable, keeping reports
-byte-identical across runs.
+The profiler is a fold over the protocol log
+(:attr:`repro.obs.Observability.events`): ``record_post`` handles its
+post entries, ``record_wait`` its wait entries.  The BCS API layer
+(:mod:`repro.api.bcs_api`) logs each one's call site, resolved by
+:func:`call_site` walking the Python stack past the runtime's own frames
+to the first application frame; with a fixed checkout the resulting
+``file:line`` strings are stable, keeping reports byte-identical across
+runs.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import os
 import sys
 from typing import Dict, List, Tuple
 
-__all__ = ["MpiProfiler"]
+__all__ = ["MpiProfiler", "call_site"]
 
 #: Module path fragments considered runtime-internal when resolving the
 #: application call site (searched against normalized file paths).
@@ -31,12 +33,9 @@ _INTERNAL = (
 )
 
 
-def _call_site(max_depth: int = 24) -> str:
+def call_site(max_depth: int = 24) -> str:
     """``file:line`` of the nearest non-runtime frame on the stack."""
-    try:
-        frame = sys._getframe(2)
-    except ValueError:  # pragma: no cover - stack too shallow
-        return "<unknown>"
+    frame = sys._getframe(1)
     depth = 0
     while frame is not None and depth < max_depth:
         filename = frame.f_code.co_filename
@@ -76,10 +75,8 @@ class MpiProfiler:
         self.ranks: Dict[Tuple[int, int], _RankProfile] = {}
         #: (op, site) -> [count, total_wait_ns, total_bytes]
         self.sites: Dict[Tuple[str, str], List[int]] = {}
-        #: Runtime job id -> dense run-local index.  Job ids come from a
-        #: process-global counter, so reports key ranks by order of first
-        #: appearance instead — byte-identical however many runs preceded
-        #: this one in the process.
+        #: Logged job -> dense run-local index: reports key ranks by
+        #: order of first appearance.
         self._job_index: Dict[int, int] = {}
 
     # -- recording ----------------------------------------------------------------
@@ -95,9 +92,12 @@ class MpiProfiler:
             self.ranks[key] = prof
         return prof
 
-    def record_post(self, job_id: int, rank: int, op: str, nbytes: int) -> None:
-        """One descriptor post (non-blocking half of an MPI call)."""
-        site = _call_site()
+    def record_post(
+        self, job_id: int, rank: int, op: str, nbytes: int, site: str = ""
+    ) -> None:
+        """One descriptor post (non-blocking half of an MPI call) issued
+        at ``site`` (by default, the caller's)."""
+        site = site or call_site()
         entry = self.sites.get((op, site))
         if entry is None:
             self.sites[(op, site)] = [1, 0, nbytes]
@@ -107,10 +107,11 @@ class MpiProfiler:
         self._rank(job_id, rank).calls += 1
 
     def record_wait(
-        self, job_id: int, rank: int, op: str, t0: int, t1: int
+        self, job_id: int, rank: int, op: str, t0: int, t1: int, site: str = ""
     ) -> None:
-        """One blocking wait: ``[t0, t1]`` of virtual time spent in MPI."""
-        site = _call_site()
+        """One blocking wait: ``[t0, t1]`` of virtual time spent in MPI,
+        issued at ``site`` (by default, the caller's)."""
+        site = site or call_site()
         prof = self._rank(job_id, rank)
         prof.app_ns += max(t0 - prof.last_mark, 0)
         prof.mpi_ns += t1 - t0

@@ -17,21 +17,16 @@ records every blocking wait (which requests a rank blocked on, and when
 it resumed), which is exactly the dependency edge set the critical-path
 extractor (:mod:`.critpath`) walks backward from workload completion.
 
-When a :class:`~repro.obs.perfetto.PerfettoTrace` is attached, each
-delivered message additionally emits a flow-event triple ("s"/"t"/"f")
-on the nodes' microphase tracks, so the Perfetto UI renders the
-cross-node causality arrows over the existing DEM/MSM/P2P spans.
+The tracker is a fold over the protocol log
+(:attr:`repro.obs.Observability.events`): each handler below takes the
+fields of one entry kind.  When a
+:class:`~repro.obs.perfetto.PerfettoTrace` is given, each message also
+emits a flow-event triple ("s"/"t"/"f") on the nodes' microphase
+tracks, so the Perfetto UI renders the cross-node causality arrows over
+the existing DEM/MSM/P2P spans.
 
-Like every other hook in the obs stack, the tracker is passive: hooks
-read ``env.now`` but never enter the event queue, so golden virtual
-timings are identical with span tracing off and on (pinned by
-``tests/test_golden_timings.py``).
-
-Determinism note: descriptor ids come from a process-global counter, so
-they differ between two same-seed runs in one process.  They are used
-only as in-run dictionary keys; everything that reaches a report uses
-tracker-local dense ids (``msg_id``, dense job indices) assigned in
-simulation order, which *are* byte-stable across runs.
+Everything that reaches a report uses tracker-local dense ids
+(``msg_id``, dense job indices) assigned in log order.
 """
 
 from __future__ import annotations
@@ -39,13 +34,6 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover
-    from ..bcs.descriptors import (
-        CollectiveDescriptor,
-        Match,
-        RecvDescriptor,
-        SendDescriptor,
-    )
-    from ..bcs.runtime import BcsRuntime
     from .perfetto import PerfettoTrace
 
 __all__ = ["CollectiveSpan", "MessageSpan", "RankBlock", "SpanTracker"]
@@ -172,10 +160,9 @@ class RankBlock:
 class SpanTracker:
     """Collects message/collective spans and per-rank wait blocks."""
 
-    def __init__(self):
-        self.runtime: Optional["BcsRuntime"] = None
-        self.perfetto: Optional["PerfettoTrace"] = None
-        #: Dense job index by raw job id, in first-appearance order.
+    def __init__(self, perfetto: Optional["PerfettoTrace"] = None):
+        self.perfetto = perfetto
+        #: Dense job index by logged job index, in first-appearance order.
         self._job_idx: Dict[int, int] = {}
         #: Every tracked message, in post (= msg_id) order.
         self.messages: List[MessageSpan] = []
@@ -186,186 +173,155 @@ class SpanTracker:
         #: Posted receives not yet linked: desc_id -> (rank_key, t).
         self._recv_posts: Dict[int, Tuple[RankKey, int]] = {}
         self._coll_by_key: Dict[tuple, CollectiveSpan] = {}
-        #: Awaitable -> span reference, keyed by the request object
-        #: itself (identity hash; the dict holds a strong ref, so ids
-        #: cannot be recycled under us).
-        self._ref_by_req: Dict[object, tuple] = {}
         #: Completed wait blocks per rank key, in completion order.
         self.blocks: Dict[RankKey, List[RankBlock]] = {}
         #: Gang-launch window per rank key: (t0, first slice boundary).
         self.rank_start: Dict[RankKey, Tuple[int, int]] = {}
         #: Finish time per rank key.
         self.rank_finish: Dict[RankKey, int] = {}
+        #: The current slice and its start time.
+        self.slice_no = 0
+        self.slice_start = 0
 
-    # -- wiring -------------------------------------------------------------------
-
-    def attach(self, runtime: "BcsRuntime", perfetto: Optional["PerfettoTrace"]) -> None:
-        self.runtime = runtime
-        self.perfetto = perfetto
-
-    def _jkey(self, job_id: int) -> int:
-        idx = self._job_idx.get(job_id)
+    def _jkey(self, job: int) -> int:
+        idx = self._job_idx.get(job)
         if idx is None:
             idx = len(self._job_idx)
-            self._job_idx[job_id] = idx
+            self._job_idx[job] = idx
         return idx
 
-    def _now(self) -> int:
-        return self.runtime.env.now if self.runtime is not None else 0
+    def slice_begin(self, t: int, slice_no: int) -> None:
+        self.slice_no = slice_no
+        self.slice_start = t
 
-    def _slice(self) -> Tuple[int, int]:
-        """(current slice number, its start time)."""
-        rt = self.runtime
-        if rt is None:
-            return 0, 0
-        return rt.slice_no, rt.slice_start_time
+    # -- posts ------------------------------------------------------------------------
 
-    # -- posting hooks (called from the BCS API layer) ------------------------------
-
-    def send_posted(self, desc: "SendDescriptor", job_id: int, world_rank: int) -> None:
-        span = MessageSpan(
-            len(self.messages),
-            self._jkey(job_id),
-            (self._jkey(job_id), world_rank),
-            desc.tag,
-            desc.size,
-        )
-        span.send_posted_at = desc.posted_at
-        self.messages.append(span)
-        self._span_by_send[desc.desc_id] = span
-        self._ref_by_req[desc.request] = ("msg", desc.desc_id)
-
-    def recv_posted(self, desc: "RecvDescriptor", job_id: int, world_rank: int) -> None:
-        key = (self._jkey(job_id), world_rank)
-        self._recv_posts[desc.desc_id] = (key, desc.posted_at)
-        self._ref_by_req[desc.request] = ("recv", desc.desc_id)
-
-    def coll_posted(
-        self, desc: "CollectiveDescriptor", job_id: int, world_rank: int
+    def posted(
+        self, t: int, ref: tuple, job: int, rank: int, op: str, nbytes: int, tag: int
     ) -> None:
-        key = (job_id, desc.comm_id, desc.epoch)
-        span = self._coll_by_key.get(key)
-        if span is None:
-            span = CollectiveSpan(len(self.collectives), self._jkey(job_id), desc.kind)
-            self.collectives.append(span)
-            self._coll_by_key[key] = span
-        span.posts[(self._jkey(job_id), world_rank)] = desc.posted_at
-        self._ref_by_req[desc.request] = ("coll", key)
+        """A rank posted the descriptor ``ref`` names."""
+        kind, key = ref
+        rank_key = (self._jkey(job), rank)
+        if kind == "msg":
+            span = MessageSpan(len(self.messages), rank_key[0], rank_key, tag, nbytes)
+            span.send_posted_at = t
+            self.messages.append(span)
+            self._span_by_send[key] = span
+        elif kind == "recv":
+            self._recv_posts[key] = (rank_key, t)
+        else:
+            span = self._coll_by_key.get(key)
+            if span is None:
+                span = CollectiveSpan(len(self.collectives), rank_key[0], op)
+                self.collectives.append(span)
+                self._coll_by_key[key] = span
+            span.posts[rank_key] = t
 
-    # -- NIC-thread hooks (called from repro.bcs.threads) ---------------------------
+    # -- NIC threads ------------------------------------------------------------------
 
-    def msg_exchanged(
-        self, desc: "SendDescriptor", src_node: int, dst_node: int
-    ) -> None:
+    def msg_exchanged(self, t: int, send_id: int, src_node: int, dst_node: int) -> None:
         """BS shipped the send descriptor to the destination BR (DEM)."""
-        span = self._span_by_send.get(desc.desc_id)
+        span = self._span_by_send.get(send_id)
         if span is None:
             return
-        now = self._now()
         span.src_node = src_node
         span.dst_node = dst_node
-        span.exchanged_at = now
-        span.exchange_slice, span.exchange_slice_start = self._slice()
+        span.exchanged_at = t
+        span.exchange_slice, span.exchange_slice_start = self.slice_no, self.slice_start
         if self.perfetto is not None:
             self.perfetto.flow_start(
-                src_node, _TID_MICROPHASES, "msg", "msgflow", now, span.msg_id
+                src_node, _TID_MICROPHASES, "msg", "msgflow", t, span.msg_id
             )
 
-    def msg_matched(self, match: "Match", now: int) -> None:
-        """The BR paired the send with a posted receive at ``now``."""
-        span = self._span_by_send.get(match.send.desc_id)
+    def msg_matched(
+        self, t: int, send_id: int, recv_id: int, src_node: int, dst_node: int, via: str
+    ) -> None:
+        """The BR paired the send with a posted receive."""
+        span = self._span_by_send.get(send_id)
         if span is None:
             return
-        span.matched_at = now
-        span.match_slice, span.match_slice_start = self._slice()
-        span.matched_by = match.matched_via
-        span.src_node = match.src_node
-        span.dst_node = match.dst_node
-        recv_post = self._recv_posts.pop(match.recv.desc_id, None)
+        span.matched_at = t
+        span.match_slice, span.match_slice_start = self.slice_no, self.slice_start
+        span.matched_by = via
+        span.src_node = src_node
+        span.dst_node = dst_node
+        recv_post = self._recv_posts.pop(recv_id, None)
         if recv_post is not None:
             span.dst_key, span.recv_posted_at = recv_post
-        self._span_by_recv[match.recv.desc_id] = span
+        self._span_by_recv[recv_id] = span
         if self.perfetto is not None:
             self.perfetto.flow_step(
-                match.dst_node, _TID_MICROPHASES, "msg", "msgflow", now, span.msg_id
+                dst_node, _TID_MICROPHASES, "msg", "msgflow", t, span.msg_id
             )
 
-    def sched_granted(self, granted) -> None:
+    def sched_granted(self, send_ids) -> None:
         """The MSM scheduler granted this slice's chunks."""
-        slice_no = self.runtime.slice_no if self.runtime is not None else 0
         by_send = self._span_by_send
-        for match in granted:
-            span = by_send.get(match.send.desc_id)
+        for send_id in send_ids:
+            span = by_send.get(send_id)
             if span is not None and span.first_grant_slice is None:
-                span.first_grant_slice = slice_no
+                span.first_grant_slice = self.slice_no
 
-    def sched_retired(self, finished) -> None:
+    def sched_retired(self, t: int, send_ids) -> None:
         """The scheduler dropped fully transferred matches."""
-        slice_no = self.runtime.slice_no if self.runtime is not None else 0
         by_send = self._span_by_send
-        for match in finished:
-            span = by_send.get(match.send.desc_id)
+        for send_id in send_ids:
+            span = by_send.get(send_id)
             if span is not None:
-                span.retired_slice = slice_no
+                span.retired_slice = self.slice_no
 
-    def msg_chunk(self, match: "Match", t0: int, t1: int, nbytes: int) -> None:
+    def msg_chunk(self, t1: int, send_id: int, t0: int, nbytes: int) -> None:
         """The DH moved one chunk of the message (P2P)."""
-        span = self._span_by_send.get(match.send.desc_id)
+        span = self._span_by_send.get(send_id)
         if span is not None:
-            slice_no, _ = self._slice()
-            span.chunks.append((slice_no, t0, t1, nbytes))
+            span.chunks.append((self.slice_no, t0, t1, nbytes))
 
-    def msg_delivered(self, match: "Match") -> None:
-        """The last chunk landed; the receive request completed."""
-        span = self._span_by_send.get(match.send.desc_id)
+    def msg_delivered(
+        self, t: int, node: int, src_rank: int, dst_rank: int, tag: int, size: int,
+        send_id: int,
+    ) -> None:
+        """The last chunk landed on ``node``; the receive request completed."""
+        span = self._span_by_send.get(send_id)
         if span is None:
             return
-        now = self._now()
-        span.delivered_at = now
-        span.delivered_slice, _ = self._slice()
+        span.delivered_at = t
+        span.delivered_slice = self.slice_no
         if self.perfetto is not None:
             self.perfetto.flow_end(
-                match.dst_node, _TID_MICROPHASES, "msg", "msgflow", now, span.msg_id
+                node, _TID_MICROPHASES, "msg", "msgflow", t, span.msg_id
             )
 
-    def coll_scheduled(self, job_id: int, comm_id: int, epoch: int) -> None:
+    def coll_scheduled(self, t: int, job: int, comm_id: int, epoch: int) -> None:
         """The root node's CaW admitted the epoch (MSM)."""
-        span = self._coll_by_key.get((job_id, comm_id, epoch))
+        span = self._coll_by_key.get((job, comm_id, epoch))
         if span is not None:
-            span.scheduled_at = self._now()
-            span.sched_slice, span.sched_slice_start = self._slice()
+            span.scheduled_at = t
+            span.sched_slice, span.sched_slice_start = self.slice_no, self.slice_start
 
-    def coll_completed(self, job_id: int, comm_id: int, epoch: int) -> None:
+    def coll_completed(
+        self, t: int, node: int, comm_id: int, epoch: int, job: int
+    ) -> None:
         """One node committed the epoch's result to its local ranks."""
-        span = self._coll_by_key.get((job_id, comm_id, epoch))
+        span = self._coll_by_key.get((job, comm_id, epoch))
         if span is None:
             return
-        now = self._now()
-        if span.completed_at is None or now > span.completed_at:
-            span.completed_at = now
-            span.completed_slice, _ = self._slice()
+        if span.completed_at is None or t > span.completed_at:
+            span.completed_at = t
+            span.completed_slice = self.slice_no
 
-    # -- rank lifecycle hooks -------------------------------------------------------
+    # -- rank lifecycle -----------------------------------------------------------------
 
-    def rank_started(self, job_id: int, world_rank: int, t0: int, t1: int) -> None:
-        self.rank_start[(self._jkey(job_id), world_rank)] = (t0, t1)
+    def rank_started(self, t1: int, job: int, rank: int, t0: int) -> None:
+        self.rank_start[(self._jkey(job), rank)] = (t0, t1)
 
-    def rank_wait(
-        self, job_id: int, world_rank: int, reqs, t0: int, t1: int
-    ) -> None:
-        """One rank blocked on ``reqs`` over [t0, t1] (t1 > t0)."""
-        refs = self._ref_by_req
-        entries = []
-        for req in reqs:
-            ref = refs.get(req)
-            if ref is not None:
-                done = req.completed_at
-                entries.append((done if done is not None else t1, ref))
-        key = (self._jkey(job_id), world_rank)
-        self.blocks.setdefault(key, []).append(RankBlock(t0, t1, "wait", entries))
+    def rank_wait(self, job: int, rank: int, waited, t0: int, t1: int) -> None:
+        """One rank blocked over [t0, t1] (t1 > t0) on ``waited``, a
+        ``(completed_at, ref)`` pair per awaited request."""
+        key = (self._jkey(job), rank)
+        self.blocks.setdefault(key, []).append(RankBlock(t0, t1, "wait", waited))
 
-    def rank_finished(self, job_id: int, world_rank: int, t: int) -> None:
-        self.rank_finish[(self._jkey(job_id), world_rank)] = t
+    def rank_finished(self, t: int, job: int, rank: int) -> None:
+        self.rank_finish[(self._jkey(job), rank)] = t
 
     # -- resolution (used by the critical-path walker) ------------------------------
 

@@ -1,23 +1,26 @@
-"""Slice-level telemetry: the hub the instrumented runtime reports into.
+"""Slice-level telemetry: the protocol log and the views folded from it.
 
-An :class:`Observability` instance bundles the sinks — a
-:class:`~repro.obs.registry.MetricsRegistry`, a
-:class:`~repro.obs.perfetto.PerfettoTrace`, a
-:class:`~repro.obs.profiler.MpiProfiler`, and (opt-in via
-``spans=True``) a :class:`~repro.obs.spans.SpanTracker` for causal
-message-lifecycle tracing — and exposes the hook methods the BCS
-runtime calls from its hot paths.  It also keeps the protocol log,
-:attr:`Observability.events`: one tuple per microphase, per completed
-fabric transfer and per request completion, in simulation order, which the flight recorder, the
-protocol validator and the slice timeline read.
+An :class:`Observability` hub keeps one event stream,
+:attr:`Observability.events`: the protocol log, one plain tuple
+``(t, kind, ...)`` per instrumented action, in simulation order (see
+docs/OBSERVABILITY.md for every kind and its fields).  The instrumented
+runtime only appends to it.  Every view is a fold over it, replayed
+when read: :attr:`~Observability.registry` (a
+:class:`~repro.obs.registry.MetricsRegistry`),
+:attr:`~Observability.perfetto` (a
+:class:`~repro.obs.perfetto.PerfettoTrace`, message flow arrows
+included), :attr:`~Observability.profiler` (an
+:class:`~repro.obs.profiler.MpiProfiler`) and
+:attr:`~Observability.spans` (a :class:`~repro.obs.spans.SpanTracker`
+for the critical-path extractor).  The flight recorder, the protocol
+validator and the slice timeline read the log directly.
 
 Wiring: ``runtime.attach_observability(obs)`` stores the hub on the
-runtime, the slice scheduler, the fabric and every NIC; every
-instrumented call site guards with a single ``if obs is not None`` so a
-run without observability pays one attribute read per hook point and
-nothing else.
-Hooks never yield into the simulator, so instrumentation cannot perturb
-virtual time (the golden-timings tests pin this).
+runtime, the fabric and every NIC; every instrumented call site guards
+with a single ``if obs is not None`` so a run without observability pays
+one attribute read per site and nothing else.  Appending never yields
+into the simulator, so instrumentation cannot perturb virtual time (the
+golden-timings tests pin this).
 
 Metric catalog (see docs/OBSERVABILITY.md):
 
@@ -45,7 +48,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from .perfetto import PerfettoTrace
 from .profiler import MpiProfiler
-from .registry import MetricsRegistry
+from .registry import MetricsRegistry, _label_key
 from .spans import SpanTracker
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -69,321 +72,54 @@ TID_NIC = 1
 
 
 class Observability:
-    """Telemetry hub: metrics registry + Perfetto trace + MPI profiler."""
+    """Telemetry hub: the protocol log, and every view folded from it."""
 
-    def __init__(
-        self,
-        registry: Optional[MetricsRegistry] = None,
-        perfetto: bool = True,
-        profile: bool = True,
-        spans: bool = False,
-    ):
-        self.registry = registry if registry is not None else MetricsRegistry()
-        self.perfetto: Optional[PerfettoTrace] = PerfettoTrace() if perfetto else None
-        self.profiler: Optional[MpiProfiler] = MpiProfiler() if profile else None
-        #: Causal message-lifecycle tracker (``spans=True``); feeds the
-        #: critical-path extractor and the Perfetto flow events.
-        self.spans: Optional[SpanTracker] = SpanTracker() if spans else None
+    def __init__(self):
         self.runtime: Optional["BcsRuntime"] = None
-        self.timeslice = 0
-        self.mgmt_pid = 0
-        #: Microphase currently driven by the Strobe Sender (labels NIC
-        #: occupancy spans with the thread that phase wakes).
-        self.current_phase: Optional[str] = None
-        #: (slice_no, phase) -> completion times of participating nodes.
-        self._phase_done: Dict[Tuple[int, str], List[int]] = {}
-        #: Busy nanoseconds accumulated in the current slice.
-        self._slice_busy = 0
-        #: The protocol log, in simulation order:
-        #: ``(t, "phase", slice, phase, duration)`` at each microphase end,
-        #: ``(t, "unicast", src, dst, size, label)`` and
-        #: ``(t, "multicast", src, dests, size)`` at each transfer's
-        #: completion (loopbacks included),
-        #: ``(t, "deliver", node, src_rank, dst_rank, tag, size)`` at each
-        #: message delivery and ``(t, "collective", node, comm_id, epoch)``
-        #: at each node's collective completion.
+        #: The protocol log: one ``(t, kind, ...)`` tuple per
+        #: instrumented action, in simulation order.
         self.events: List[tuple] = []
-
-    # -- wiring -------------------------------------------------------------------
+        self._views: Optional[_Views] = None
 
     def bind(self, runtime: "BcsRuntime") -> None:
-        """Attach to a runtime: name tracks, hook scheduler and NICs."""
+        """Attach to a runtime: wire the fabric and the materialized NICs.
+
+        Lazily materialized nodes inherit the hub at construction from
+        ``runtime.obs`` and log themselves; binding never forces a 64k
+        table into being.
+        """
         self.runtime = runtime
-        self.timeslice = runtime.config.timeslice
-        self.mgmt_pid = runtime.cluster.management_node.id
-        runtime.scheduler.obs = self
         runtime.cluster.fabric.obs = self
-        # Materialized nodes get the hub here; lazily materialized ones
-        # inherit it at construction from ``runtime.obs`` — binding
-        # never forces a 64k table into being.
+        now = runtime.env.now
         for nrt in runtime.node_runtimes.materialized():
             nrt.nic.obs = self
-        if self.spans is not None:
-            self.spans.attach(runtime, self.perfetto)
-        if self.perfetto is not None:
-            self.perfetto.process_name(
-                self.mgmt_pid, "slice machine (mgmt)", sort_index=-1
-            )
-            self.perfetto.thread_name(self.mgmt_pid, TID_MICROPHASES, "microphases")
-            for nrt in runtime.node_runtimes.materialized():
-                self.node_track(nrt.node_id)
+            self.events.append((now, "node", nrt.node_id))
 
-    def node_track(self, node_id: int) -> None:
-        """Register one node's Perfetto tracks.
+    def _fold(self) -> "_Views":
+        views = self._views
+        if views is None or views.n_events != len(self.events):
+            views = self._views = _Views(self.runtime, self.events)
+        return views
 
-        Called from :meth:`bind` for already-materialized nodes and from
-        ``NodeRuntime`` construction for nodes materialized later (the
-        fast engine's lazy path), so every node that ever does
-        anything gets named tracks regardless of when it came into being.
-        """
-        if self.perfetto is not None:
-            self.perfetto.process_name(node_id, f"node {node_id}")
-            self.perfetto.thread_name(
-                node_id, TID_MICROPHASES, "microphases (SR)"
-            )
-            self.perfetto.thread_name(node_id, TID_NIC, "NIC threads")
+    @property
+    def registry(self) -> MetricsRegistry:
+        """Slice, microphase, scheduler and NIC metrics of the log."""
+        return self._fold().registry
 
-    # -- slice lifecycle (called by the Strobe Sender) ------------------------------
+    @property
+    def perfetto(self) -> PerfettoTrace:
+        """The log as a Perfetto trace, message flow arrows included."""
+        return self._fold().perfetto
 
-    def slice_begin(self, slice_no: int, t: int) -> None:
-        """Start of a slice: sample descriptor queue and matcher depths."""
-        runtime = self.runtime
-        self._slice_busy = 0
-        if runtime is None:
-            return
-        # O(active nodes) + O(1) via the runtime's accessors (an idle
-        # machine samples four empty sets and two integers), with the
-        # same totals the original all-node poll produced.
-        sends, recvs, colls, arrived = runtime.queue_depths()
-        unexpected, posted = runtime.matcher_pending_totals()
-        reg = self.registry
-        reg.histogram("bcs.queue.depth", kind="posted_sends").observe(sends)
-        reg.histogram("bcs.queue.depth", kind="posted_recvs").observe(recvs)
-        reg.histogram("bcs.queue.depth", kind="posted_colls").observe(colls)
-        reg.histogram("bcs.queue.depth", kind="arrived_sends").observe(arrived)
-        reg.gauge("bcs.match.unexpected").set(unexpected)
-        reg.gauge("bcs.match.posted").set(posted)
-        if self.perfetto is not None:
-            self.perfetto.counter(
-                self.mgmt_pid,
-                "descriptor queues",
-                t,
-                {
-                    "posted_sends": sends,
-                    "posted_recvs": recvs,
-                    "posted_colls": colls,
-                    "arrived_sends": arrived,
-                },
-            )
+    @property
+    def profiler(self) -> MpiProfiler:
+        """The log's posts and waits as an mpiP-style profile."""
+        return self._fold().profiler
 
-    def slice_end(
-        self, slice_no: int, t0: int, t1: int, active: bool, overrun: bool
-    ) -> None:
-        """End of a slice: utilization sample plus the slice span."""
-        reg = self.registry
-        reg.counter("bcs.slice.count", kind="active" if active else "idle").inc()
-        if overrun:
-            reg.counter("bcs.slice.overruns").inc()
-        utilization = self._slice_busy / self.timeslice if self.timeslice else 0.0
-        reg.histogram("bcs.slice.utilization").observe(utilization)
-        if self.perfetto is not None:
-            self.perfetto.complete(
-                self.mgmt_pid,
-                TID_MICROPHASES,
-                f"slice {slice_no}",
-                "slice",
-                t0,
-                t1 - t0,
-                args={"utilization": utilization, "active": active},
-            )
-
-    def idle_skip(
-        self, first_slice: int, first_start: int, timeslice: int, count: int
-    ) -> None:
-        """Replay telemetry for ``count`` idle slices skipped in one jump.
-
-        The Strobe Sender's idle fast-forward only fires when cluster
-        state provably cannot change until the wake boundary, so every
-        skipped slice would have produced the same samples: zero queue
-        depths (``any_work`` was false), frozen matcher gauges, an idle
-        slice count, zero utilization.  The sums are sampled once and the
-        per-slice records emitted in exactly the order the non-skipping
-        loop would have, keeping metric and trace output identical under
-        both slice engines.  The last slice's end is left to the Strobe
-        Sender's wake at that boundary: a run that stops inside it never
-        ends it, as under the reference engine.
-        """
-        if count <= 0:
-            return
-        runtime = self.runtime
-        unexpected = posted = 0
-        if runtime is not None:
-            unexpected, posted = runtime.matcher_pending_totals()
-        reg = self.registry
-        h_sends = reg.histogram("bcs.queue.depth", kind="posted_sends")
-        h_recvs = reg.histogram("bcs.queue.depth", kind="posted_recvs")
-        h_colls = reg.histogram("bcs.queue.depth", kind="posted_colls")
-        h_arrived = reg.histogram("bcs.queue.depth", kind="arrived_sends")
-        g_unexpected = reg.gauge("bcs.match.unexpected")
-        g_posted = reg.gauge("bcs.match.posted")
-        idle_counter = reg.counter("bcs.slice.count", kind="idle")
-        utilization = reg.histogram("bcs.slice.utilization")
-        perfetto = self.perfetto
-        depths = {
-            "posted_sends": 0,
-            "posted_recvs": 0,
-            "posted_colls": 0,
-            "arrived_sends": 0,
-        }
-        for i in range(count):
-            t = first_start + i * timeslice
-            h_sends.observe(0)
-            h_recvs.observe(0)
-            h_colls.observe(0)
-            h_arrived.observe(0)
-            g_unexpected.set(unexpected)
-            g_posted.set(posted)
-            if perfetto is not None:
-                perfetto.counter(self.mgmt_pid, "descriptor queues", t, depths)
-            if i == count - 1:
-                break
-            idle_counter.inc()
-            utilization.observe(0.0)
-            if perfetto is not None:
-                perfetto.complete(
-                    self.mgmt_pid,
-                    TID_MICROPHASES,
-                    f"slice {first_slice + i}",
-                    "slice",
-                    t,
-                    timeslice,
-                    args={"utilization": 0.0, "active": False},
-                )
-        self._slice_busy = 0
-
-    # -- microphases ---------------------------------------------------------------
-
-    def phase_begin(self, phase: str, slice_no: int, t: int) -> None:
-        """Strobe Sender starts driving a microphase."""
-        self.current_phase = phase
-
-    def phase_end(
-        self, phase: str, slice_no: int, t0: int, t1: int, n_nodes: int
-    ) -> None:
-        """Microphase complete (all nodes confirmed, padding applied)."""
-        self.current_phase = None
-        duration = t1 - t0
-        self._slice_busy += duration
-        self.events.append((t1, "phase", slice_no, phase, duration))
-        reg = self.registry
-        reg.histogram("bcs.microphase.duration_ns", phase=phase).observe(duration)
-        reg.counter("bcs.microphase.nodes", phase=phase).inc(n_nodes)
-        done = self._phase_done.pop((slice_no, phase), None)
-        if done is not None and len(done) >= 2:
-            reg.histogram("bcs.strobe.skew_ns", phase=phase).observe(
-                max(done) - min(done)
-            )
-        if self.perfetto is not None:
-            self.perfetto.complete(
-                self.mgmt_pid,
-                TID_MICROPHASES,
-                phase,
-                "microphase",
-                t0,
-                duration,
-                args={"slice": slice_no, "nodes": n_nodes},
-            )
-
-    def node_phase(
-        self, node_id: int, phase: str, slice_no: int, t0: int, t1: int
-    ) -> None:
-        """One Strobe Receiver finished its part of a microphase."""
-        self._phase_done.setdefault((slice_no, phase), []).append(t1)
-        if self.perfetto is not None:
-            self.perfetto.complete(
-                node_id,
-                TID_MICROPHASES,
-                phase,
-                "microphase",
-                t0,
-                t1 - t0,
-                args={"slice": slice_no},
-            )
-
-    # -- fabric (called by Fabric.unicast / Fabric.multicast) ------------------------
-
-    def unicast(self, t: int, src: int, dst: int, size: int, label: str) -> None:
-        """A point-to-point transfer's last byte arrived at ``t``."""
-        self.events.append((t, "unicast", src, dst, size, label))
-
-    def multicast(self, t: int, src: int, dests: List[int], size: int) -> None:
-        """A multicast reached its last destination at ``t``."""
-        self.events.append((t, "multicast", src, tuple(dests), size))
-
-    # -- request completions (called by DmaHelper / NodeRuntime) ---------------------
-
-    def delivered(
-        self, t: int, node: int, src_rank: int, dst_rank: int, tag: int, size: int
-    ) -> None:
-        """A message's last chunk landed on ``node``; its receive completed."""
-        self.events.append((t, "deliver", node, src_rank, dst_rank, tag, size))
-
-    def collective_done(self, t: int, node: int, comm_id: int, epoch: int) -> None:
-        """One node committed a collective epoch's result to its ranks."""
-        self.events.append((t, "collective", node, comm_id, epoch))
-
-    # -- scheduler (called by SliceScheduler.schedule_slice) -------------------------
-
-    def sched_slice(self, scheduler, granted) -> None:
-        """Grant decisions of one Message Scheduling Microphase."""
-        reg = self.registry
-        granted_bytes = 0
-        per_src: Dict[int, int] = {}
-        for match in granted:
-            chunk = match.scheduled_now
-            if chunk <= 0:
-                continue
-            granted_bytes += chunk
-            per_src[match.src_node] = per_src.get(match.src_node, 0) + chunk
-        reg.histogram("bcs.sched.granted_bytes").observe(granted_bytes)
-        budget = scheduler.budget_bytes
-        for src in sorted(per_src):
-            reg.histogram("bcs.sched.link_utilization").observe(
-                per_src[src] / budget if budget else 0.0
-            )
-        backlog = scheduler.backlog_bytes
-        reg.gauge("bcs.sched.backlog_bytes").set(backlog)
-        if self.perfetto is not None and self.runtime is not None:
-            self.perfetto.counter(
-                self.mgmt_pid,
-                "scheduler",
-                self.runtime.env.now,
-                {
-                    "granted_bytes": granted_bytes,
-                    "backlog_bytes": backlog,
-                    "in_flight": len(scheduler.in_flight),
-                },
-            )
-        if self.spans is not None:
-            self.spans.sched_granted(granted)
-
-    def sched_retired(self, finished) -> None:
-        """Fully transferred matches dropped by the scheduler."""
-        if self.spans is not None:
-            self.spans.sched_retired(finished)
-
-    # -- NIC threads (called by Nic.compute) -----------------------------------------
-
-    def nic_busy(self, node_id: int, t0: int, t1: int, busy_ns: int) -> None:
-        """One NIC-thread work item occupied the thread processor."""
-        thread = PHASE_THREADS.get(self.current_phase or "", "misc")
-        self.registry.counter("nic.thread.busy_ns", node=node_id).inc(busy_ns)
-        if self.perfetto is not None:
-            self.perfetto.complete(
-                node_id, TID_NIC, thread, "nic", t0, t1 - t0
-            )
-
-    # -- reporting ----------------------------------------------------------------
+    @property
+    def spans(self) -> SpanTracker:
+        """The log's message and collective lifecycles and rank waits."""
+        return self._fold().spans
 
     def nic_occupancy(self) -> Dict[int, float]:
         """Per-node NIC thread occupancy over the whole run."""
@@ -398,4 +134,213 @@ class Observability:
 
     def __repr__(self) -> str:
         bound = "bound" if self.runtime is not None else "unbound"
-        return f"<Observability {bound} {self.registry!r}>"
+        return f"<Observability {bound} events={len(self.events)}>"
+
+
+class _Views:
+    """Every view of one log prefix, built in a single pass over it."""
+
+    def __init__(self, runtime: Optional["BcsRuntime"], events: List[tuple]):
+        self.n_events = len(events)
+        self.registry = MetricsRegistry()
+        self.perfetto = PerfettoTrace()
+        self.profiler = MpiProfiler()
+        self.spans = SpanTracker(self.perfetto)
+        self._metrics: Dict[tuple, object] = {}
+        self.timeslice = 0
+        self.mgmt_pid = 0
+        self.budget = 0
+        if runtime is not None:
+            self.timeslice = runtime.config.timeslice
+            self.mgmt_pid = runtime.cluster.management_node.id
+            self.budget = runtime.scheduler.budget_bytes
+            self.perfetto.process_name(
+                self.mgmt_pid, "slice machine (mgmt)", sort_index=-1
+            )
+            self.perfetto.thread_name(self.mgmt_pid, TID_MICROPHASES, "microphases")
+        #: Microphase the Strobe Sender is driving (labels NIC occupancy
+        #: spans with the thread that phase wakes) and its node count.
+        self.current_phase: Optional[str] = None
+        self.phase_nodes = 0
+        #: (slice_no, phase) -> completion times of participating nodes.
+        self.phase_done: Dict[Tuple[int, str], List[int]] = {}
+        #: Busy nanoseconds accumulated in the current slice.
+        self.slice_busy = 0
+        spans = self.spans
+        handlers = {
+            "node": self.node,
+            "slice_begin": self.slice_begin,
+            "slice_end": self.slice_end,
+            "phase_begin": self.phase_begin,
+            "phase": self.phase_end,
+            "node_phase": self.node_phase,
+            "grant": self.grant,
+            "retire": spans.sched_retired,
+            "nic": self.nic,
+            "post": self.post,
+            "wait": self.wait,
+            "exchange": spans.msg_exchanged,
+            "match": spans.msg_matched,
+            "chunk": spans.msg_chunk,
+            "deliver": spans.msg_delivered,
+            "coll_sched": spans.coll_scheduled,
+            "collective": spans.coll_completed,
+            "rank_start": spans.rank_started,
+            "rank_finish": spans.rank_finished,
+        }
+        for entry in events:
+            handler = handlers.get(entry[1])
+            if handler is not None:
+                handler(entry[0], *entry[2:])
+
+    def metric(self, instrument: str, name: str, /, **labels):
+        """The registry's instrument ``name``, looked up once per fold.
+
+        A label set the registry's cardinality cap refuses is looked up
+        on every sample, so the registry counts each dropped one.
+        """
+        key = (name, *labels.values())
+        inst = self._metrics.get(key)
+        if inst is None:
+            inst = getattr(self.registry, instrument)(name, **labels)
+            if inst.labels == _label_key(labels):
+                self._metrics[key] = inst
+        return inst
+
+    # -- one handler per entry kind ----------------------------------------------
+
+    def node(self, t: int, node_id: int) -> None:
+        """A node came into being: name its Perfetto tracks."""
+        self.perfetto.process_name(node_id, f"node {node_id}")
+        self.perfetto.thread_name(node_id, TID_MICROPHASES, "microphases (SR)")
+        self.perfetto.thread_name(node_id, TID_NIC, "NIC threads")
+
+    def slice_begin(
+        self, t, slice_no, sends, recvs, colls, arrived, unexpected, posted
+    ) -> None:
+        """Start of a slice, with the descriptor queue and matcher depths."""
+        metric = self.metric
+        self.slice_busy = 0
+        self.spans.slice_begin(t, slice_no)
+        metric("histogram", "bcs.queue.depth", kind="posted_sends").observe(sends)
+        metric("histogram", "bcs.queue.depth", kind="posted_recvs").observe(recvs)
+        metric("histogram", "bcs.queue.depth", kind="posted_colls").observe(colls)
+        metric("histogram", "bcs.queue.depth", kind="arrived_sends").observe(arrived)
+        metric("gauge", "bcs.match.unexpected").set(unexpected)
+        metric("gauge", "bcs.match.posted").set(posted)
+        self.perfetto.counter(
+            self.mgmt_pid,
+            "descriptor queues",
+            t,
+            {
+                "posted_sends": sends,
+                "posted_recvs": recvs,
+                "posted_colls": colls,
+                "arrived_sends": arrived,
+            },
+        )
+
+    def slice_end(self, t1, slice_no, t0, active, overrun) -> None:
+        """End of a slice: utilization sample plus the slice span."""
+        metric = self.metric
+        metric("counter", "bcs.slice.count", kind="active" if active else "idle").inc()
+        if overrun:
+            metric("counter", "bcs.slice.overruns").inc()
+        utilization = self.slice_busy / self.timeslice if self.timeslice else 0.0
+        metric("histogram", "bcs.slice.utilization").observe(utilization)
+        self.perfetto.complete(
+            self.mgmt_pid,
+            TID_MICROPHASES,
+            f"slice {slice_no}",
+            "slice",
+            t0,
+            t1 - t0,
+            args={"utilization": utilization, "active": active},
+        )
+
+    def phase_begin(self, t, slice_no, phase, n_nodes) -> None:
+        """The Strobe Sender starts driving a microphase."""
+        self.current_phase = phase
+        self.phase_nodes = n_nodes
+
+    def phase_end(self, t1, slice_no, phase, duration) -> None:
+        """Microphase complete (all nodes confirmed, padding applied)."""
+        metric = self.metric
+        self.current_phase = None
+        self.slice_busy += duration
+        n_nodes = self.phase_nodes
+        metric("histogram", "bcs.microphase.duration_ns", phase=phase).observe(duration)
+        metric("counter", "bcs.microphase.nodes", phase=phase).inc(n_nodes)
+        done = self.phase_done.pop((slice_no, phase), None)
+        if done is not None and len(done) >= 2:
+            metric("histogram", "bcs.strobe.skew_ns", phase=phase).observe(
+                max(done) - min(done)
+            )
+        self.perfetto.complete(
+            self.mgmt_pid,
+            TID_MICROPHASES,
+            phase,
+            "microphase",
+            t1 - duration,
+            duration,
+            args={"slice": slice_no, "nodes": n_nodes},
+        )
+
+    def node_phase(self, t1, node_id, slice_no, phase, t0) -> None:
+        """One Strobe Receiver finished its part of a microphase."""
+        self.phase_done.setdefault((slice_no, phase), []).append(t1)
+        self.perfetto.complete(
+            node_id,
+            TID_MICROPHASES,
+            phase,
+            "microphase",
+            t0,
+            t1 - t0,
+            args={"slice": slice_no},
+        )
+
+    def grant(self, t, backlog, in_flight, grants) -> None:
+        """Grant decisions of one Message Scheduling Microphase."""
+        metric = self.metric
+        granted_bytes = 0
+        per_src: Dict[int, int] = {}
+        for _send_id, src_node, chunk in grants:
+            if chunk <= 0:
+                continue
+            granted_bytes += chunk
+            per_src[src_node] = per_src.get(src_node, 0) + chunk
+        metric("histogram", "bcs.sched.granted_bytes").observe(granted_bytes)
+        budget = self.budget
+        for src in sorted(per_src):
+            metric("histogram", "bcs.sched.link_utilization").observe(
+                per_src[src] / budget if budget else 0.0
+            )
+        metric("gauge", "bcs.sched.backlog_bytes").set(backlog)
+        self.perfetto.counter(
+            self.mgmt_pid,
+            "scheduler",
+            t,
+            {
+                "granted_bytes": granted_bytes,
+                "backlog_bytes": backlog,
+                "in_flight": in_flight,
+            },
+        )
+        self.spans.sched_granted(grant[0] for grant in grants)
+
+    def nic(self, t1, node_id, t0) -> None:
+        """One NIC-thread operation occupied the thread processor."""
+        thread = PHASE_THREADS.get(self.current_phase or "", "misc")
+        self.metric("counter", "nic.thread.busy_ns", node=node_id).inc(t1 - t0)
+        self.perfetto.complete(node_id, TID_NIC, thread, "nic", t0, t1 - t0)
+
+    def post(self, t, ref, job, rank, op, nbytes, tag, site) -> None:
+        """A rank posted a descriptor."""
+        self.profiler.record_post(job, rank, op, nbytes, site)
+        self.spans.posted(t, ref, job, rank, op, nbytes, tag)
+
+    def wait(self, t1, job, rank, op, t0, site, waited) -> None:
+        """A rank's blocking wait returned."""
+        self.profiler.record_wait(job, rank, op, t0, t1, site)
+        if t1 > t0:
+            self.spans.rank_wait(job, rank, waited, t0, t1)

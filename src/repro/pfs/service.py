@@ -25,7 +25,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
-from ..bcs.descriptors import BcsRequest, Match, RecvDescriptor, SendDescriptor
+from ..bcs.descriptors import BcsRequest, Match
 from ..units import kib
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -86,24 +86,9 @@ class PfsService:
     def _make_match(self, src_node: int, dst_node: int, size: int) -> Match:
         send_req = BcsRequest(self.env, "pfs-send")
         recv_req = BcsRequest(self.env, "pfs-recv")
-        send = SendDescriptor(
-            job_id=PFS_JOB_ID,
-            comm_id=0,
-            src_rank=src_node,
-            dst_rank=dst_node,
-            tag=0,
-            size=size,
-            request=send_req,
-        )
-        recv = RecvDescriptor(
-            job_id=PFS_JOB_ID,
-            comm_id=0,
-            rank=dst_node,
-            src_rank=src_node,
-            tag=0,
-            capacity=size,
-            request=recv_req,
-        )
+        pools = self.runtime.pools
+        send = pools.send(PFS_JOB_ID, 0, src_node, dst_node, 0, size, send_req)
+        recv = pools.recv(PFS_JOB_ID, 0, dst_node, src_node, 0, size, recv_req)
         return Match(
             send=send,
             recv=recv,

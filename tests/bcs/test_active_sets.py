@@ -30,6 +30,7 @@ from repro.bcs.descriptors import (
 from repro.harness.runner import run_workload
 from repro.network import Cluster, ClusterSpec
 from repro.obs import Observability
+from repro.obs.critpath import blame_payload, critical_path, to_json_bytes
 from repro.storm import JobSpec
 from repro.units import ms, seconds
 
@@ -75,6 +76,18 @@ def _perfetto(obs):
     return trace, sorted(json.dumps(e, sort_keys=True) for e in events)
 
 
+def _blame(obs, result):
+    """The ``repro explain`` blame payload of a run."""
+    report = critical_path(obs.spans, makespan_ns=result.runtime_ns)
+    return to_json_bytes(blame_payload(report))
+
+
+def _stream(obs):
+    """The full protocol log as a multiset per instant: the engines write
+    same-instant entries in different host orders."""
+    return sorted(obs.events, key=lambda e: (e[0], repr(e)))
+
+
 # --- end-to-end equivalence ---------------------------------------------------
 
 
@@ -99,6 +112,9 @@ def test_observability_output_identical(name):
     assert fast.runtime_ns == ref.runtime_ns
     assert obs_fast.registry.snapshot() == obs_ref.registry.snapshot()
     assert _perfetto(obs_fast) == _perfetto(obs_ref)
+    assert obs_fast.profiler.report() == obs_ref.profiler.report()
+    assert _blame(obs_fast, fast) == _blame(obs_ref, ref)
+    assert _stream(obs_fast) == _stream(obs_ref)
 
 
 def test_hooks_with_incremental_sets():

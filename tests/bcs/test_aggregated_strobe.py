@@ -154,25 +154,11 @@ def test_receivers_wake_one_strobe_latency_after_phase_begin(fast):
     both engines."""
     from repro.obs import Observability
 
-    class Recorder(Observability):
-        def __init__(self):
-            super().__init__(perfetto=False, profile=False)
-            self.begins = {}
-            self.starts = []
-
-        def phase_begin(self, phase, slice_no, t):
-            super().phase_begin(phase, slice_no, t)
-            self.begins[(slice_no, phase)] = t
-
-        def node_phase(self, node_id, phase, slice_no, t0, t1):
-            super().node_phase(node_id, phase, slice_no, t0, t1)
-            self.starts.append((slice_no, phase, t0))
-
     cluster = Cluster(ClusterSpec(n_nodes=16))
     engine = "fast" if fast else "reference"
     runtime = BcsRuntime(cluster, BcsConfig(init_cost=0, engine=engine))
-    recorder = Recorder()
-    runtime.attach_observability(recorder)
+    obs = Observability()
+    runtime.attach_observability(obs)
     runtime.run_job(
         JobSpec(
             app=nearest_neighbor_benchmark,
@@ -184,9 +170,21 @@ def test_receivers_wake_one_strobe_latency_after_phase_begin(fast):
     latency = cluster.fabric.strobe_latency(
         runtime.config.strobe_bytes, len(runtime.active_node_ids)
     )
-    assert recorder.starts
-    for slice_no, phase, t0 in recorder.starts:
-        assert t0 == recorder.begins[(slice_no, phase)] + latency
+    begins = {
+        (slice_no, phase): t
+        for t, _kind, slice_no, phase, _n in (
+            e for e in obs.events if e[1] == "phase_begin"
+        )
+    }
+    starts = [
+        (slice_no, phase, t0)
+        for _t1, _kind, _node, slice_no, phase, t0 in (
+            e for e in obs.events if e[1] == "node_phase"
+        )
+    ]
+    assert starts
+    for slice_no, phase, t0 in starts:
+        assert t0 == begins[(slice_no, phase)] + latency
 
 
 # -- the node containers -------------------------------------------------------

@@ -48,20 +48,10 @@ def _move_chunk(helper, match):
     helper._chunk_done(match, t0)
 
 
-class _Spans:
-    """Records each chunk's landing instant (``SpanTracker.msg_chunk``)."""
-
-    def __init__(self):
-        self.chunks = {}
-
-    def msg_chunk(self, match, t0, t1, chunk):
-        self.chunks[id(match)] = (t0, t1, chunk)
-
-
-def _helper(cluster, node, spans):
-    runtime = types.SimpleNamespace(
-        cluster=cluster, stats=Counter(), obs=types.SimpleNamespace(spans=spans)
-    )
+def _helper(cluster, node, obs):
+    """A DMA Helper on ``node`` whose runtime logs into ``obs.events``:
+    each chunk's landing instant is its ``chunk`` entry."""
+    runtime = types.SimpleNamespace(cluster=cluster, stats=Counter(), obs=obs)
     nrt = types.SimpleNamespace(
         node_id=node,
         env=cluster.env,
@@ -84,13 +74,20 @@ def run_phase(phase, chunks, nic_busy=(), background=(), at=10_000):
     """
     cluster = Cluster(ClusterSpec(n_nodes=6))
     env = cluster.env
-    spans = _Spans()
+    obs = types.SimpleNamespace(events=[])
     granted = [
-        Match(None, None, src, dst, total_bytes=1 << 40, scheduled_now=size)
-        for src, dst, size in chunks
+        Match(
+            types.SimpleNamespace(desc_id=i),
+            None,
+            src,
+            dst,
+            total_bytes=1 << 40,
+            scheduled_now=size,
+        )
+        for i, (src, dst, size) in enumerate(chunks)
     ]
     dsts = sorted({dst for _, dst, _ in chunks})
-    helpers = {node: _helper(cluster, node, spans) for node in dsts}
+    helpers = {node: _helper(cluster, node, obs) for node in dsts}
     wakes = {node: env.event() for node in dsts}
     ends = {}
 
@@ -115,7 +112,8 @@ def run_phase(phase, chunks, nic_busy=(), background=(), at=10_000):
         env.process(background_transfer(*spec))
     env.process(strobe_sender())
     env.run()
-    landed = [spans.chunks[id(m)][:2] for m in granted]
+    logged = {e[2]: (e[3], e[0]) for e in obs.events if e[1] == "chunk"}
+    landed = [logged[i] for i in range(len(granted))]
     assert all(m.scheduled_now == 0 and m.bytes_done == c[2] for m, c in zip(granted, chunks))
     return landed, ends, env._seq - len(env._queue)
 
@@ -205,10 +203,7 @@ def _one_node_ops(fold, ops):
     env = cluster.env
     fabric = cluster.fabric
     nic = fabric.nics[0]
-    busy = []
-    nic.obs = types.SimpleNamespace(
-        nic_busy=lambda node, t0, t1, ns: busy.append((node, t0, t1, ns))
-    )
+    nic.obs = types.SimpleNamespace(events=[])
     ends = {}
 
     def op(i, arrival, kind, cost, size):
@@ -224,7 +219,10 @@ def _one_node_ops(fold, ops):
     for i, spec in enumerate(ops):
         env.process(op(i, *spec))
     env.run()
-    return ends, sorted(busy), fabric.transfers, fabric.bytes_moved
+    busy = sorted(
+        (node, t0, t1, t1 - t0) for t1, kind, node, t0 in nic.obs.events
+    )
+    return ends, busy, fabric.transfers, fabric.bytes_moved
 
 
 @settings(max_examples=60, deadline=None)

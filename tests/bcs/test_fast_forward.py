@@ -18,7 +18,7 @@ from repro.obs import Observability
 from repro.storm import JobSpec
 from repro.units import ms, seconds, us
 
-from .test_active_sets import _perfetto
+from .test_active_sets import _blame, _perfetto, _stream
 
 WORKLOADS = {
     "sage": (sage, 4, dict(steps=3, step_compute=ms(40))),
@@ -47,7 +47,8 @@ def test_virtual_time_and_stats_identical(name):
 
 
 def test_observability_output_identical():
-    """Metric registry and Perfetto trace don't depend on fast-forward."""
+    """No view of the protocol log depends on fast-forward: the skipped
+    slices are logged as the reference engine logs them."""
     obs_on = Observability()
     obs_off = Observability()
     on = _run("sage", "fast", obs=obs_on)
@@ -55,6 +56,9 @@ def test_observability_output_identical():
     assert on.runtime_ns == off.runtime_ns
     assert obs_on.registry.snapshot() == obs_off.registry.snapshot()
     assert _perfetto(obs_on) == _perfetto(obs_off)
+    assert obs_on.profiler.report() == obs_off.profiler.report()
+    assert _blame(obs_on, on) == _blame(obs_off, off)
+    assert _stream(obs_on) == _stream(obs_off)
 
 
 def test_matcher_gauges_exported():

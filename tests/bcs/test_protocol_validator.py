@@ -15,7 +15,7 @@ from repro.units import kib, ms, seconds, us
 
 
 def run_validated(app, n_ranks=6, params=None):
-    obs = Observability(perfetto=False, profile=False)
+    obs = Observability()
     cluster = Cluster(ClusterSpec(n_nodes=(n_ranks + 1) // 2))
     config = BcsConfig(init_cost=0)
     runtime = BcsRuntime(cluster, config).attach_observability(obs)

@@ -50,7 +50,7 @@ def _run(name, engine, obs=None):
 @pytest.mark.parametrize("engine", ["fast", "reference"], ids=["aggregated", "oracle"])
 @pytest.mark.parametrize("name", sorted(WORKLOADS))
 def test_protocol_validator_finds_no_violation(name, engine):
-    obs = Observability(perfetto=False, profile=False)
+    obs = Observability()
     runtime, job = _run(name, engine, obs)
     config = runtime.config
     validator = ProtocolValidator(

@@ -12,7 +12,7 @@ from repro.units import kib, ms, seconds, us
 
 
 def run_traced(app, params, n_ranks=8):
-    obs = Observability(perfetto=False, profile=False)
+    obs = Observability()
     cluster = Cluster(ClusterSpec(n_nodes=n_ranks // 2))
     runtime = BcsRuntime(cluster, BcsConfig(init_cost=0)).attach_observability(obs)
     runtime.run_job(

@@ -110,13 +110,15 @@ def test_thread_processor_serializes_nic_compute():
 
 
 class _NicSpans:
-    """Stands in for the telemetry hub: records NIC occupancy spans."""
+    """Stands in for the telemetry hub: keeps the NIC's log entries."""
 
     def __init__(self):
-        self.spans = []
+        self.events = []
 
-    def nic_busy(self, node_id, t0, t1, busy_ns):
-        self.spans.append((t0, t1, busy_ns))
+    @property
+    def spans(self):
+        """The logged occupancy spans, ``(t0, t1, busy_ns)``, in log order."""
+        return [(t0, t1, t1 - t0) for t1, _kind, _node, t0 in self.events]
 
 
 def test_contended_nic_holds_report_disjoint_spans():

@@ -13,13 +13,13 @@ from repro.obs.critpath import (
 
 @pytest.fixture(scope="module")
 def fig8_report():
-    _, report = explain_run("fig8", n_ranks=8, perfetto=False)
+    _, report = explain_run("fig8", n_ranks=8)
     return report
 
 
 @pytest.fixture(scope="module")
 def p2p_report():
-    _, report = explain_run("fig8-p2p", n_ranks=8, perfetto=False)
+    _, report = explain_run("fig8-p2p", n_ranks=8)
     return report
 
 
@@ -71,7 +71,7 @@ def test_chains_are_ranked_and_staged(p2p_report):
 
 
 def test_top_limits_reported_chains():
-    _, report = explain_run("fig8", n_ranks=8, top=2, perfetto=False)
+    _, report = explain_run("fig8", n_ranks=8, top=2)
     assert len(report.chains) <= 2
 
 
@@ -81,7 +81,7 @@ def test_top_limits_reported_chains():
 def test_blame_payload_is_byte_deterministic():
     payloads = []
     for _ in range(2):
-        _, report = explain_run("fig8", n_ranks=4, perfetto=False)
+        _, report = explain_run("fig8", n_ranks=4)
         payloads.append(
             to_json_bytes(
                 blame_payload(report, experiment="fig8", ranks=4, seed=0)

@@ -80,7 +80,7 @@ SINKS = ("registry", "perfetto", "profiler", "blame")
 
 def hub() -> Observability:
     """The telemetry hub every pinned run attaches, every sink on."""
-    return Observability(spans=True)
+    return Observability()
 
 
 @functools.lru_cache(maxsize=None)

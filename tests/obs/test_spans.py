@@ -1,11 +1,12 @@
 """Causal message-lifecycle spans: ordering, flow events, determinism."""
 
+from repro.debug import diff_logs
 from repro.harness.obs_runs import run_instrumented
 from repro.obs import Observability
 
 
 def _traced(name, n_ranks=4, seed=0):
-    obs = Observability(spans=True)
+    obs = Observability()
     run = run_instrumented(name, n_ranks=n_ranks, seed=seed, obs=obs)
     return run, obs.spans
 
@@ -81,7 +82,7 @@ def _ns(us):
 
 
 def test_flow_events_form_complete_triples_inside_real_slices():
-    obs = Observability(spans=True)
+    obs = Observability()
     run_instrumented("fig8-p2p", n_ranks=4, obs=obs)
     events = obs.perfetto.to_dict()["traceEvents"]
     flows = [e for e in events if e.get("cat") == "msgflow"]
@@ -103,15 +104,6 @@ def test_flow_events_form_complete_triples_inside_real_slices():
             and _ns(x["ts"]) <= t <= _ns(x["ts"]) + _ns(x["dur"])
             for x in spans
         ), f"flow event at {t} ns not inside any span on its track"
-
-
-def test_no_flow_events_without_span_tracking():
-    obs = Observability()  # spans off by default
-    run_instrumented("fig8-p2p", n_ranks=4, obs=obs)
-    assert obs.spans is None
-    assert not any(
-        e.get("cat") == "msgflow" for e in obs.perfetto.to_dict()["traceEvents"]
-    )
 
 
 # --- determinism -------------------------------------------------------------------
@@ -139,3 +131,11 @@ def test_span_ids_and_timings_are_run_invariant():
     _, t2 = _traced("fig8-p2p")
     assert _lifecycle_fingerprint(t1) == _lifecycle_fingerprint(t2)
     assert [c.posts for c in t1.collectives] == [c.posts for c in t2.collectives]
+
+
+def test_full_stream_is_run_invariant():
+    """Two same-seed runs in one process log equal streams: descriptor
+    ids and job indices are drawn per run, not per process."""
+    a, b = (run_instrumented("fig8-p2p").obs.events for _ in range(2))
+    divergences = diff_logs(a, b)
+    assert not divergences, str(divergences[0])

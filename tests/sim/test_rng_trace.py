@@ -36,7 +36,7 @@ def test_fabric_emits_to_trace():
 
     cluster = Cluster(ClusterSpec(n_nodes=4))
     assert cluster.fabric.obs is None
-    obs = cluster.fabric.obs = Observability(perfetto=False, profile=False)
+    obs = cluster.fabric.obs = Observability()
 
     def body():
         yield from cluster.fabric.unicast(0, 1, 1024, label="p2p")

@@ -105,7 +105,7 @@ def test_golden_runtime_unchanged_with_span_tracing(app, backend, params, expect
     """
     from repro.obs import Observability
 
-    obs = Observability(perfetto=True, profile=True, spans=True)
+    obs = Observability()
     result = run_workload(
         app, 8, backend, params=params, bcs_config=BC, obs=obs
     )
