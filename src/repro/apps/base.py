@@ -120,15 +120,3 @@ def exchange_nonblocking(ctx, peers, send_bytes: int, tag: int = 0):
         reqs.append(ctx.comm.isend(None, dest=peer, tag=tag, size=send_bytes))
         reqs.append(ctx.comm.irecv(source=peer, tag=tag, size=send_bytes))
     yield from ctx.comm.waitall(reqs)
-
-
-def exchange_blocking(ctx, peers, send_bytes: int, tag: int = 0):
-    """Matched blocking send/recv with every peer, ordered to avoid
-    deadlock (lower rank sends first)."""
-    for peer in peers:
-        if ctx.rank < peer:
-            yield from ctx.comm.send(None, dest=peer, tag=tag, size=send_bytes)
-            yield from ctx.comm.recv(source=peer, tag=tag, size=send_bytes)
-        else:
-            yield from ctx.comm.recv(source=peer, tag=tag, size=send_bytes)
-            yield from ctx.comm.send(None, dest=peer, tag=tag, size=send_bytes)

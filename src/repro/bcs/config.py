@@ -61,8 +61,6 @@ class BcsConfig:
     #: False gives strict synchronous sends (complete at delivery), the
     #: ablation baseline.
     buffered_sends: bool = True
-    #: Stop the strobe loop automatically when no jobs remain.
-    auto_stop: bool = True
     #: Slice-engine implementation.  ``"fast"`` answers the Strobe
     #: Sender's per-slice questions from incrementally maintained
     #: active-node sets, matches descriptors in vectorized per-slice

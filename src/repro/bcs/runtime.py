@@ -839,42 +839,6 @@ class BcsRuntime:
         totals = self.matcher_totals
         return totals.unexpected, totals.posted
 
-    def communication_state(self) -> dict:
-        """Snapshot of the global communication state.
-
-        The paper's §1 argument made concrete: "the fact that the
-        communication state of all processes is known at the beginning
-        of every time slice facilitates the implementation of
-        checkpointing and debugging mechanisms."  At a slice boundary
-        this dictionary *is* that state — everything in flight, per
-        node, plus the scheduler backlog.  Deterministic runs produce
-        identical snapshots at identical slices.
-        """
-        per_node = {}
-        # Materialized-only: a node with no Python object by definition
-        # has no in-flight state, and all-zero entries are filtered out
-        # below anyway — the snapshot is byte-identical to a full scan.
-        for nrt in self.node_runtimes.materialized():
-            unexpected, posted = nrt.matcher.pending_counts
-            entry = {
-                "posted_sends": len(nrt.posted_sends),
-                "posted_recvs": len(nrt.posted_recvs),
-                "posted_collectives": len(nrt.posted_colls),
-                "arrived_sends": len(nrt.arrived_sends),
-                "unexpected": unexpected,
-                "pending_recvs": posted,
-                "pending_coll_epochs": nrt.pending_epochs,
-            }
-            if any(entry.values()):
-                per_node[nrt.node_id] = entry
-        return {
-            "time": self.env.now,
-            "slice": self.slice_no,
-            "nodes": per_node,
-            "in_flight_matches": len(self.scheduler.in_flight),
-            "backlog_bytes": self.scheduler.backlog_bytes,
-        }
-
     def __repr__(self) -> str:
         return (
             f"<BcsRuntime slice={self.slice_no} jobs={len(self.jobs)} "

@@ -229,43 +229,40 @@ class StrobeSender:
 
             elapsed = work_end - start
             if elapsed < timeslice:
-                if fast and not active and not hooks:
-                    if cfg.auto_stop and runtime.idle():
-                        # The loop exits after this slice anyway.
-                        pass
-                    else:
-                        # Idle fast-forward.  No work exists now, no hook
-                        # can create any at a boundary, and cluster state
-                        # cannot change before the next queued event at
-                        # t_next — so every boundary strictly before
-                        # t_next replays this slice verbatim: same empty
-                        # queues, same zero-waiter pulses, same idle
-                        # bookkeeping.  Skip straight to the first
-                        # boundary at or after t_next in one timeout;
-                        # events firing in between land within the final
-                        # (partial) slice and are observed at the wake
-                        # boundary exactly as without the skip.
-                        t_next = env.peek()
-                        if t_next is not None and t_next - start > timeslice:
-                            skipped = -(-(t_next - start) // timeslice) - 1
-                            runtime.slice_no += skipped
-                            runtime.stats["slices"] += skipped
-                            runtime.stats["idle_slices_skipped"] += skipped
-                            if obs is not None:
-                                self._log_skip(obs, start, skipped)
-                            yield self._sleep_until(start + (skipped + 1) * timeslice)
-                            if obs is not None:
-                                # The last skipped slice ends now, if the
-                                # run is still going.
-                                obs.events.append((
-                                    env.now,
-                                    "slice_end",
-                                    runtime.slice_no,
-                                    env.now - timeslice,
-                                    False,
-                                    False,
-                                ))
-                            continue
+                # An idle cluster ends the loop after this slice: no skip.
+                if fast and not active and not hooks and not runtime.idle():
+                    # Idle fast-forward.  No work exists now, no hook
+                    # can create any at a boundary, and cluster state
+                    # cannot change before the next queued event at
+                    # t_next — so every boundary strictly before
+                    # t_next replays this slice verbatim: same empty
+                    # queues, same zero-waiter pulses, same idle
+                    # bookkeeping.  Skip straight to the first
+                    # boundary at or after t_next in one timeout;
+                    # events firing in between land within the final
+                    # (partial) slice and are observed at the wake
+                    # boundary exactly as without the skip.
+                    t_next = env.peek()
+                    if t_next is not None and t_next - start > timeslice:
+                        skipped = -(-(t_next - start) // timeslice) - 1
+                        runtime.slice_no += skipped
+                        runtime.stats["slices"] += skipped
+                        runtime.stats["idle_slices_skipped"] += skipped
+                        if obs is not None:
+                            self._log_skip(obs, start, skipped)
+                        yield self._sleep_until(start + (skipped + 1) * timeslice)
+                        if obs is not None:
+                            # The last skipped slice ends now, if the
+                            # run is still going.
+                            obs.events.append((
+                                env.now,
+                                "slice_end",
+                                runtime.slice_no,
+                                env.now - timeslice,
+                                False,
+                                False,
+                            ))
+                        continue
                 yield self._sleep_until(start + timeslice)
                 overrun = False
             else:
@@ -277,7 +274,7 @@ class StrobeSender:
                 obs.events.append(
                     (env.now, "slice_end", runtime.slice_no, start, active, overrun)
                 )
-            if cfg.auto_stop and runtime.idle():
+            if runtime.idle():
                 return
 
     def _log_skip(self, obs, start: int, skipped: int) -> None:

@@ -42,10 +42,6 @@ class MemoryRegion:
         """Write ``value`` at ``addr``."""
         self._mem[addr] = value
 
-    def contains(self, addr: Hashable) -> bool:
-        """Whether ``addr`` has ever been written on this node."""
-        return addr in self._mem
-
     def __repr__(self) -> str:
         return f"<MemoryRegion node={self.node_id} vars={len(self._mem)}>"
 

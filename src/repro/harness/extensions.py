@@ -22,7 +22,7 @@ benches become thin assertions over the same rows.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Optional
 
 from ..apps import barrier_benchmark, nearest_neighbor_benchmark
 from ..apps.nas import NAS_APPS
@@ -39,11 +39,8 @@ __all__ = [
     "NOISE_SCENARIOS",
     "PFS_SCHEDULERS",
     "ext_ft_point",
-    "ext_ft_rows",
     "ext_noise_point",
-    "ext_noise_rows",
     "ext_pfs_point",
-    "ext_pfs_rows",
 ]
 
 
@@ -68,15 +65,6 @@ def ext_ft_point(n_ranks: int = 32, iterations: int = 3, grid_points: int = 256)
         # The transpose really moves matching data flow on both backends.
         "results_match": comparison.bcs.results == comparison.baseline.results,
     }
-
-
-def ext_ft_rows(
-    rank_counts: Sequence[int] = (32,),
-    iterations: int = 3,
-    grid_points: int = 256,
-) -> List[dict]:
-    """FT comparison at every requested machine size."""
-    return [ext_ft_point(n, iterations, grid_points) for n in rank_counts]
 
 
 # --- PFS QoS -----------------------------------------------------------------
@@ -140,30 +128,6 @@ def ext_pfs_point(
     }
 
 
-def ext_pfs_rows(
-    schedulers: Sequence[str] = PFS_SCHEDULERS,
-    n_ranks: int = 16,
-    pfs_files: int = 24,
-    pfs_file_kib: int = 4096,
-    granularity_ms: float = 3,
-    iterations: int = 12,
-) -> List[dict]:
-    """The 2x2 QoS matrix: each scheduler, app alone then app + PFS."""
-    return [
-        ext_pfs_point(
-            scheduler,
-            with_pfs,
-            n_ranks=n_ranks,
-            pfs_files=pfs_files,
-            pfs_file_kib=pfs_file_kib,
-            granularity_ms=granularity_ms,
-            iterations=iterations,
-        )
-        for scheduler in schedulers
-        for with_pfs in (False, True)
-    ]
-
-
 # --- noise coordination ------------------------------------------------------
 
 
@@ -200,18 +164,3 @@ def ext_noise_point(
         seed=seed,
     )
     return {"scenario": scenario, "runtime_s": result.runtime_ns / 1e9}
-
-
-def ext_noise_rows(
-    scenarios: Sequence[str] = NOISE_SCENARIOS,
-    n_ranks: int = 32,
-    granularity_ms: float = 2,
-    iterations: int = 30,
-) -> List[dict]:
-    """Runtime under every noise scenario (quiet / uncoordinated / coordinated)."""
-    return [
-        ext_noise_point(
-            s, n_ranks=n_ranks, granularity_ms=granularity_ms, iterations=iterations
-        )
-        for s in scenarios
-    ]

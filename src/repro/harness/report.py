@@ -99,18 +99,3 @@ def metrics_report(obs) -> str:
             )
         )
     return "\n\n".join(sections)
-
-
-def slowdown_series(points: Sequence[tuple]) -> List[dict]:
-    """Normalize (x, comparison) pairs into report rows."""
-    rows = []
-    for x, comparison in points:
-        rows.append(
-            {
-                "x": x,
-                "bcs_s": comparison.bcs.runtime_s,
-                "baseline_s": comparison.baseline.runtime_s,
-                "slowdown_pct": comparison.slowdown_pct,
-            }
-        )
-    return rows

@@ -357,11 +357,6 @@ class BaselineCommunicator(Communicator):
         return self._info.size
 
     @property
-    def backend_name(self) -> str:
-        """Identifies the runtime flavour ("baseline")."""
-        return "baseline"
-
-    @property
     def env(self):
         return self._runtime.env
 

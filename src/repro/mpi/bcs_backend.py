@@ -47,11 +47,6 @@ class BcsCommunicator(Communicator):
     def size(self) -> int:
         return self._info.size
 
-    @property
-    def backend_name(self) -> str:
-        """Identifies the runtime flavour ("bcs")."""
-        return "bcs"
-
     # -- group operations (extension: the paper lists MPI groups as not
     # yet implemented; we provide split so NPB codes needing groups run) ----
 

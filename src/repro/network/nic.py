@@ -7,9 +7,7 @@ the Quadrics Elan3:
 - *NIC events*: counters that can be signaled locally or remotely and
   waited on (the Elan event mechanism behind ``Test-Event``),
 - a thread processor that runs NIC threads (BS/BR/DH/CH/RH); their
-  per-operation compute costs serialize on it, FIFO,
-- named descriptor FIFOs in NIC memory, where host processes post
-  communication descriptors without a system call (paper §4.5).
+  per-operation compute costs serialize on it, FIFO.
 """
 
 from __future__ import annotations
@@ -17,7 +15,7 @@ from __future__ import annotations
 from functools import partial
 from typing import Dict, Generator
 
-from ..sim import Engine, Event, Link, Store, Timeout
+from ..sim import Engine, Event, Link, Timeout
 
 
 class NicEvent:
@@ -98,7 +96,6 @@ class Nic:
         #: when present, :meth:`reserve` logs thread occupancy spans.
         self.obs = None
         self._events: Dict[str, NicEvent] = {}
-        self._fifos: Dict[str, Store] = {}
 
     def event(self, name: str) -> NicEvent:
         """Get (creating on first use) the NIC event word ``name``."""
@@ -107,18 +104,6 @@ class Nic:
             ev = NicEvent(self.env, name=f"nic{self.node_id}:{name}")
             self._events[name] = ev
         return ev
-
-    def fifo(self, name: str) -> Store:
-        """Get (creating on first use) the descriptor FIFO ``name``.
-
-        These model the shared-memory FIFO queues the paper uses to post
-        descriptors without a system call.
-        """
-        q = self._fifos.get(name)
-        if q is None:
-            q = Store(self.env, name=f"nic{self.node_id}:{name}")
-            self._fifos[name] = q
-        return q
 
     def reserve(self, duration: int = -1, n: int = 1, then: int = 0) -> Timeout:
         """Book ``n`` back-to-back NIC thread operations of ``duration`` ns.

@@ -68,17 +68,6 @@ class FatTree:
             cached = self._hop_cache[key] = 2 * self._ancestor_level(a, b)
         return cached
 
-    def multicast_hops(self, n_dests: int) -> int:
-        """Stages traversed by a hardware multicast covering ``n_dests``."""
-        if n_dests <= 1:
-            return 2
-        depth = max(1, math.ceil(math.log(n_dests, self.radix)))
-        return 2 * depth
-
-    def max_hops(self) -> int:
-        """Network diameter in hops."""
-        return 2 * self.levels
-
     def _check(self, node: int) -> None:
         if not 0 <= node < self.n_nodes:
             raise IndexError(f"node {node} outside [0, {self.n_nodes})")
@@ -172,22 +161,6 @@ class Torus3D:
             + dist[1][abs(int(self._cy[a]) - int(self._cy[b]))]
             + dist[2][abs(int(self._cz[a]) - int(self._cz[b]))]
         )
-
-    def multicast_hops(self, n_dests: int) -> int:
-        """Stages to reach ``n_dests`` nodes: radius of the covering box.
-
-        BlueGene/L control multicasts ride the dedicated tree network,
-        but a torus-local spanning broadcast is bounded by the radius of
-        the smallest sub-torus holding the destinations.
-        """
-        if n_dests <= 1:
-            return 2
-        sub = _near_cubic_dims(min(n_dests, self.n_nodes))
-        return max(2, sum(d // 2 for d in sub))
-
-    def max_hops(self) -> int:
-        """Network diameter: sum of the per-axis wraparound radii."""
-        return sum(d // 2 for d in self.dims)
 
     def _check(self, node: int) -> None:
         if not 0 <= node < self.n_nodes:

@@ -19,9 +19,7 @@ docs/OBSERVABILITY.md).  One event stream feeds every view:
   attribution with an mpiP-style report;
 - :class:`SpanTracker` + :func:`critical_path` — causal
   message-lifecycle spans and the virtual-time critical-path blame
-  breakdown (``repro explain``);
-- :mod:`~repro.obs.exposition` — OpenMetrics text rendering of a
-  registry or its persisted snapshot.
+  breakdown (``repro explain``).
 
 Everything here is passive: logging never touches the event queue, so
 an instrumented run takes exactly the same virtual time as a bare one.
@@ -34,7 +32,6 @@ from .registry import (
     Counter,
     Gauge,
     Histogram,
-    LabelCardinalityError,
     MetricsRegistry,
     percentile,
 )
@@ -48,7 +45,6 @@ __all__ = [
     "Counter",
     "Gauge",
     "Histogram",
-    "LabelCardinalityError",
     "MessageSpan",
     "MetricsRegistry",
     "MpiProfiler",

@@ -120,29 +120,6 @@ class PerfettoTrace:
             event["args"] = args
         self._events.append(event)
 
-    def instant(
-        self,
-        pid: int,
-        tid: int,
-        name: str,
-        cat: str,
-        ts_ns: int,
-        args: Optional[dict] = None,
-    ) -> None:
-        """An instant ("i") event: a zero-duration marker."""
-        event = {
-            "ph": "i",
-            "s": "t",
-            "name": name,
-            "cat": cat,
-            "pid": pid,
-            "tid": tid,
-            "ts": _us(ts_ns),
-        }
-        if args:
-            event["args"] = args
-        self._events.append(event)
-
     def _flow(
         self,
         ph: str,

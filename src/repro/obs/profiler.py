@@ -75,44 +75,34 @@ class MpiProfiler:
         self.ranks: Dict[Tuple[int, int], _RankProfile] = {}
         #: (op, site) -> [count, total_wait_ns, total_bytes]
         self.sites: Dict[Tuple[str, str], List[int]] = {}
-        #: Logged job -> dense run-local index: reports key ranks by
-        #: order of first appearance.
-        self._job_index: Dict[int, int] = {}
 
     # -- recording ----------------------------------------------------------------
 
-    def _rank(self, job_id: int, rank: int) -> _RankProfile:
-        index = self._job_index.get(job_id)
-        if index is None:
-            index = self._job_index[job_id] = len(self._job_index)
-        key = (index, rank)
+    def _rank(self, job: int, rank: int) -> _RankProfile:
+        key = (job, rank)
         prof = self.ranks.get(key)
         if prof is None:
             prof = _RankProfile()
             self.ranks[key] = prof
         return prof
 
-    def record_post(
-        self, job_id: int, rank: int, op: str, nbytes: int, site: str = ""
-    ) -> None:
+    def record_post(self, job: int, rank: int, op: str, nbytes: int, site: str) -> None:
         """One descriptor post (non-blocking half of an MPI call) issued
-        at ``site`` (by default, the caller's)."""
-        site = site or call_site()
+        at ``site`` by ``rank`` of the ``job``-th launched job."""
         entry = self.sites.get((op, site))
         if entry is None:
             self.sites[(op, site)] = [1, 0, nbytes]
         else:
             entry[0] += 1
             entry[2] += nbytes
-        self._rank(job_id, rank).calls += 1
+        self._rank(job, rank).calls += 1
 
     def record_wait(
-        self, job_id: int, rank: int, op: str, t0: int, t1: int, site: str = ""
+        self, job: int, rank: int, op: str, t0: int, t1: int, site: str
     ) -> None:
         """One blocking wait: ``[t0, t1]`` of virtual time spent in MPI,
-        issued at ``site`` (by default, the caller's)."""
-        site = site or call_site()
-        prof = self._rank(job_id, rank)
+        issued at ``site``."""
+        prof = self._rank(job, rank)
         prof.app_ns += max(t0 - prof.last_mark, 0)
         prof.mpi_ns += t1 - t0
         prof.last_mark = t1

@@ -30,20 +30,9 @@ __all__ = [
     "Counter",
     "Gauge",
     "Histogram",
-    "LabelCardinalityError",
     "MetricsRegistry",
     "percentile",
 ]
-
-
-class LabelCardinalityError(ValueError):
-    """A metric exceeded its allowed number of distinct label sets.
-
-    Kept for backward compatibility: the registry no longer raises this
-    (overflow routes to the shared per-metric overflow series and bumps
-    ``obs.labels_dropped`` instead), but callers that caught it still
-    import it from here.
-    """
 
 
 def percentile(samples: Iterable[float], p: float) -> float:

@@ -25,8 +25,8 @@ emits a flow-event triple ("s"/"t"/"f") on the nodes' microphase
 tracks, so the Perfetto UI renders the cross-node causality arrows over
 the existing DEM/MSM/P2P spans.
 
-Everything that reaches a report uses tracker-local dense ids
-(``msg_id``, dense job indices) assigned in log order.
+Everything that reaches a report uses run-local ids: ``msg_id``,
+assigned in log order, and the job's launch index, as logged.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ __all__ = ["CollectiveSpan", "MessageSpan", "RankBlock", "SpanTracker"]
 #: ``repro.obs.telemetry.TID_MICROPHASES``; duplicated to avoid a cycle).
 _TID_MICROPHASES = 0
 
-#: A rank on the critical-path graph: (dense job index, world rank).
+#: A rank on the critical-path graph: (job launch index, world rank).
 RankKey = Tuple[int, int]
 
 
@@ -162,8 +162,6 @@ class SpanTracker:
 
     def __init__(self, perfetto: Optional["PerfettoTrace"] = None):
         self.perfetto = perfetto
-        #: Dense job index by logged job index, in first-appearance order.
-        self._job_idx: Dict[int, int] = {}
         #: Every tracked message, in post (= msg_id) order.
         self.messages: List[MessageSpan] = []
         #: Every tracked collective, in first-post order.
@@ -183,13 +181,6 @@ class SpanTracker:
         self.slice_no = 0
         self.slice_start = 0
 
-    def _jkey(self, job: int) -> int:
-        idx = self._job_idx.get(job)
-        if idx is None:
-            idx = len(self._job_idx)
-            self._job_idx[job] = idx
-        return idx
-
     def slice_begin(self, t: int, slice_no: int) -> None:
         self.slice_no = slice_no
         self.slice_start = t
@@ -201,9 +192,9 @@ class SpanTracker:
     ) -> None:
         """A rank posted the descriptor ``ref`` names."""
         kind, key = ref
-        rank_key = (self._jkey(job), rank)
+        rank_key = (job, rank)
         if kind == "msg":
-            span = MessageSpan(len(self.messages), rank_key[0], rank_key, tag, nbytes)
+            span = MessageSpan(len(self.messages), job, rank_key, tag, nbytes)
             span.send_posted_at = t
             self.messages.append(span)
             self._span_by_send[key] = span
@@ -212,7 +203,7 @@ class SpanTracker:
         else:
             span = self._coll_by_key.get(key)
             if span is None:
-                span = CollectiveSpan(len(self.collectives), rank_key[0], op)
+                span = CollectiveSpan(len(self.collectives), job, op)
                 self.collectives.append(span)
                 self._coll_by_key[key] = span
             span.posts[rank_key] = t
@@ -312,16 +303,16 @@ class SpanTracker:
     # -- rank lifecycle -----------------------------------------------------------------
 
     def rank_started(self, t1: int, job: int, rank: int, t0: int) -> None:
-        self.rank_start[(self._jkey(job), rank)] = (t0, t1)
+        self.rank_start[(job, rank)] = (t0, t1)
 
     def rank_wait(self, job: int, rank: int, waited, t0: int, t1: int) -> None:
         """One rank blocked over [t0, t1] (t1 > t0) on ``waited``, a
         ``(completed_at, ref)`` pair per awaited request."""
-        key = (self._jkey(job), rank)
+        key = (job, rank)
         self.blocks.setdefault(key, []).append(RankBlock(t0, t1, "wait", waited))
 
     def rank_finished(self, t: int, job: int, rank: int) -> None:
-        self.rank_finish[(self._jkey(job), rank)] = t
+        self.rank_finish[(job, rank)] = t
 
     # -- resolution (used by the critical-path walker) ------------------------------
 

@@ -28,7 +28,7 @@ import os
 import re
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional
+from typing import Iterable, List, Optional
 
 __all__ = [
     "DEFAULT_TREND_STORE",
@@ -72,11 +72,6 @@ class RunMeta:
 
     def to_dict(self) -> dict:
         return {k: v for k, v in asdict(self).items() if v is not None}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "RunMeta":
-        known = {f for f in cls.__dataclass_fields__}  # noqa: C416
-        return cls(**{k: v for k, v in data.items() if k in known})
 
 
 @dataclass(frozen=True)
@@ -199,9 +194,6 @@ class TrendStore:
             for r in self.read_series(series_id)
             if isinstance(r.get("value"), (int, float))
         ]
-
-    def runs_by_id(self) -> Dict[str, dict]:
-        return {r["run_id"]: r for r in self.runs() if "run_id" in r}
 
     def __repr__(self) -> str:
         return (

@@ -48,10 +48,6 @@ class StripeMap:
     #: io-node of each stripe, in order.
     placement: List[int] = field(default_factory=list)
 
-    @property
-    def n_stripes(self) -> int:
-        return len(self.placement)
-
 
 def _stripes(size: int, stripe_bytes: int) -> List[int]:
     """Split ``size`` into stripe sizes (last one may be short)."""

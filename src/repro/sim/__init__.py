@@ -17,7 +17,7 @@ from .events import (
     Timeout,
 )
 from .process import Process
-from .resources import Gate, Link, Resource, Signal, Store
+from .resources import Gate, Link, Resource, Signal
 from .rng import RngRegistry, derive_seed
 
 __all__ = [
@@ -39,7 +39,6 @@ __all__ = [
     "RngRegistry",
     "Signal",
     "SimError",
-    "Store",
     "Timeout",
     "derive_seed",
 ]

@@ -18,7 +18,7 @@ from .process import Process
 class Engine:
     """Discrete-event simulation engine ("environment")."""
 
-    __slots__ = ("_now", "_queue", "_seq", "_step_seq", "_active_proc")
+    __slots__ = ("_now", "_queue", "_seq", "_step_seq")
 
     def __init__(self):
         self._now = 0
@@ -27,7 +27,6 @@ class Engine:
         #: Sequence number of the entry being processed: with ``_now``,
         #: the run's position in the heap order.
         self._step_seq = 0
-        self._active_proc: Optional[Process] = None
 
     # -- time -----------------------------------------------------------------
 
@@ -35,11 +34,6 @@ class Engine:
     def now(self) -> int:
         """Current simulation time in integer nanoseconds."""
         return self._now
-
-    @property
-    def active_process(self) -> Optional[Process]:
-        """The process currently being resumed, if any."""
-        return self._active_proc
 
     # -- event factories --------------------------------------------------------
 

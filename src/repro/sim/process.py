@@ -75,7 +75,6 @@ class Process(Event):
 
     def _resume(self, event: Event) -> None:
         """Advance the generator with the outcome of ``event``."""
-        self.env._active_proc = self
         self.target = None
         try:
             if event._ok:
@@ -85,17 +84,14 @@ class Process(Event):
                 event.defuse()
                 next_ev = self.generator.throw(event._value)
         except StopIteration as stop:
-            self.env._active_proc = None
             # With nobody waiting, the finish needs no heap entry.  A
             # failed process below always gets its entry, so an
             # unhandled failure still crashes the run.
             self.settle(stop.value)
             return
         except BaseException as exc:
-            self.env._active_proc = None
             self.fail(exc)
             return
-        self.env._active_proc = None
 
         if not isinstance(next_ev, Event):
             # Tell the generator it yielded garbage; this produces a clean

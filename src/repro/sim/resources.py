@@ -3,8 +3,6 @@
 - :class:`Resource` — counted resource with FIFO queueing (CPUs).
 - :class:`Link` — one-unit resource whose fixed-length holds release
   lazily (fabric link halves).
-- :class:`Store` — unbounded FIFO of items with blocking ``get`` (mailboxes,
-  descriptor queues).
 - :class:`Signal` — re-armable broadcast: every waiter registered before a
   ``pulse`` is woken by it (microstrobes, slice boundaries).
 - :class:`Gate` — level-triggered condition: ``wait`` completes immediately
@@ -133,10 +131,6 @@ class Resource:
             self._waiting.popleft()
             self._in_use += head.amount
             head.succeed(None)
-
-    def acquire(self, amount: int = 1) -> Generator:
-        """Sub-generator form: ``yield from res.acquire()``."""
-        yield self.request(amount)
 
     def held(self, duration: int, amount: int = 1) -> Generator:
         """Acquire, hold for ``duration`` ns, release (common pattern).
@@ -267,81 +261,6 @@ class Link(Resource):
             link._grant()
 
 
-class StoreGet(Event):
-    """A pending ``get`` on a :class:`Store`; cancellable on interrupt."""
-
-    __slots__ = ("store",)
-
-    def __init__(self, store: "Store"):
-        super().__init__(store.env, name=f"get:{store.name}")
-        self.store = store
-
-    def cancel(self) -> None:
-        """Withdraw from the getter queue (no item is consumed)."""
-        try:
-            self.store._getters.remove(self)
-        except ValueError:  # pragma: no cover - already served
-            pass
-
-
-class Store:
-    """Unbounded FIFO of items with blocking ``get``.
-
-    ``put`` never blocks.  ``get`` returns an event that triggers with the
-    next item; concurrent getters are served FIFO.
-    """
-
-    __slots__ = ("env", "name", "_items", "_getters")
-
-    def __init__(self, env: Engine, name: str = "store"):
-        self.env = env
-        self.name = name
-        self._items: Deque[Any] = deque()
-        self._getters: Deque[Event] = deque()
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    @property
-    def items(self) -> List[Any]:
-        """Snapshot of queued items (oldest first)."""
-        return list(self._items)
-
-    def put(self, item: Any) -> None:
-        """Append an item, waking the oldest pending getter if any."""
-        self._items.append(item)
-        self._dispatch()
-
-    def get(self) -> Event:
-        """Event that triggers with the next available item."""
-        ev = StoreGet(self)
-        self._getters.append(ev)
-        self._dispatch()
-        return ev
-
-    def try_get(self) -> Optional[Any]:
-        """Pop an item immediately, or None if empty or getters are queued."""
-        if self._items and not self._getters:
-            return self._items.popleft()
-        return None
-
-    def drain(self) -> List[Any]:
-        """Remove and return all queued items (oldest first)."""
-        out = list(self._items)
-        self._items.clear()
-        return out
-
-    def _dispatch(self) -> None:
-        while self._items and self._getters:
-            getter = self._getters.popleft()
-            if getter.triggered:
-                continue
-            getter.succeed(self._items.popleft())
-
-    def __repr__(self) -> str:
-        return f"<Store {self.name!r} items={len(self._items)} getters={len(self._getters)}>"
-
-
 class Signal:
     """Re-armable broadcast event.
 
@@ -350,18 +269,12 @@ class Signal:
     slice boundaries, where many parties wait for the same edge.
     """
 
-    __slots__ = ("env", "name", "_waiters", "_pulses")
+    __slots__ = ("env", "name", "_waiters")
 
     def __init__(self, env: Engine, name: str = "signal"):
         self.env = env
         self.name = name
         self._waiters: List[Event] = []
-        self._pulses = 0
-
-    @property
-    def pulse_count(self) -> int:
-        """Number of pulses issued so far."""
-        return self._pulses
 
     def wait(self) -> Event:
         """Event triggered by the next pulse."""
@@ -378,14 +291,13 @@ class Signal:
         self._waiters.append(ev)
 
     def take_waiters(self) -> List[Event]:
-        """Count a pulse and hand back its waiters for the caller to wake.
+        """Hand back a pulse's waiters for the caller to wake.
 
         Waking the returned events with :meth:`Engine.trigger_all` is
         :meth:`pulse`; a caller pulsing many signals at one instant
         concatenates their waiters into a single ``trigger_all``.
         """
         waiters, self._waiters = self._waiters, []
-        self._pulses += 1
         return waiters
 
     def pulse(self, value: Any = None) -> int:
@@ -393,7 +305,7 @@ class Signal:
         return self.env.trigger_all(self.take_waiters(), value)
 
     def __repr__(self) -> str:
-        return f"<Signal {self.name!r} waiters={len(self._waiters)} pulses={self._pulses}>"
+        return f"<Signal {self.name!r} waiters={len(self._waiters)}>"
 
 
 class Gate:

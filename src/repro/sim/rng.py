@@ -33,9 +33,5 @@ class RngRegistry:
             self._streams[name] = gen
         return gen
 
-    def spawn(self, name: str) -> "RngRegistry":
-        """A child registry whose streams are disjoint from the parent's."""
-        return RngRegistry(derive_seed(self.root_seed, f"spawn/{name}"))
-
     def __repr__(self) -> str:
         return f"<RngRegistry seed={self.root_seed} streams={len(self._streams)}>"

@@ -1,20 +1,19 @@
 """STORM Machine Manager / Node Manager facade.
 
 Ties the resource-management pieces together: job launch over the
-hardware multicast, heartbeats, and (optionally) gang scheduling on top
-of a BCS runtime.  This is the "single source of system services" story
-of the paper's Figure 1: everything here is built from the same three
-core primitives the communication library uses.
+hardware multicast and heartbeats on top of a BCS runtime.  This is the
+"single source of system services" story of the paper's Figure 1:
+everything here is built from the same three core primitives the
+communication library uses.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Optional
+from typing import TYPE_CHECKING, List
 
 from ..core import BcsCore
 from ..network import Cluster
 from ..units import mib, ms
-from .gang import GangScheduler
 from .heartbeat import HeartbeatService
 from .job import Job, JobSpec
 from .launcher import LaunchReport, StormLauncher
@@ -38,14 +37,7 @@ class MachineManager:
             [n.id for n in self.cluster.compute_nodes],
             period=heartbeat_period,
         )
-        self.gang: Optional[GangScheduler] = None
         self.launch_reports: List[LaunchReport] = []
-
-    def enable_gang_scheduling(self) -> GangScheduler:
-        """Turn on slice-synchronous multiprogramming."""
-        if self.gang is None:
-            self.gang = GangScheduler(self.runtime)
-        return self.gang
 
     def submit(self, spec: JobSpec, binary_bytes: int = mib(8)) -> Job:
         """Full STORM submission path: distribute binary, then start ranks.
@@ -75,8 +67,6 @@ class MachineManager:
             self.launch_reports.append(report)
             job = self.runtime.launch(spec, placement)
             job_box.append(job)
-            if self.gang is not None:
-                self.gang.add_job(job)
 
         proc = env.process(submission(), name=f"storm.submit:{spec.name}")
         env.run(until=proc)

@@ -48,11 +48,6 @@ def to_us(t: int) -> float:
     return t / US
 
 
-def to_ms(t: int) -> float:
-    """Convert integer nanoseconds to float milliseconds (reporting only)."""
-    return t / MS
-
-
 def fmt_time(t: int) -> str:
     """Render a time span with an appropriate unit for humans."""
     if t < 10 * US:

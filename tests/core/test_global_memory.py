@@ -9,8 +9,6 @@ def test_region_read_write_defaults():
     assert region.read("x", default=7) == 7
     region.write("x", 42)
     assert region.read("x") == 42
-    assert region.contains("x")
-    assert not region.contains("y")
 
 
 def test_gas_per_node_isolation():

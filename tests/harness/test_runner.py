@@ -5,7 +5,7 @@ import pytest
 from repro.apps import barrier_benchmark
 from repro.bcs import BcsConfig
 from repro.harness import Comparison, compare_backends, nodes_for, run_workload
-from repro.harness.report import format_table, print_table, slowdown_series
+from repro.harness.report import format_table, print_table
 from repro.mpi.baseline import BaselineConfig
 from repro.units import ms
 
@@ -78,12 +78,3 @@ def test_print_table_returns_text(capsys):
     out = capsys.readouterr().out
     assert "title" in out
     assert "title" in text
-
-
-def test_slowdown_series_rows():
-    comparison = compare_backends(
-        barrier_benchmark, 4, params=PARAMS, bcs_config=BC, baseline_config=BL
-    )
-    rows = slowdown_series([(10, comparison)])
-    assert rows[0]["x"] == 10
-    assert rows[0]["slowdown_pct"] == comparison.slowdown_pct

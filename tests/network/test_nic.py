@@ -89,7 +89,6 @@ def test_nic_named_events_and_fifos_are_cached():
     nic = Nic(env, 0)
     assert nic.event("x") is nic.event("x")
     assert nic.event("x") is not nic.event("y")
-    assert nic.fifo("q") is nic.fifo("q")
 
 
 def test_thread_processor_serializes_nic_compute():

@@ -28,7 +28,6 @@ def test_three_levels():
     tree = FatTree(64, radix=4)
     assert tree.levels == 3
     assert tree.hops(0, 63) == 6
-    assert tree.max_hops() == 6
 
 
 def test_hops_symmetric():
@@ -55,12 +54,6 @@ def test_non_power_sizes():
     tree = FatTree(33, radix=4)
     assert tree.levels == 3
     assert tree.hops(0, 32) == 6
-
-
-def test_multicast_hops_grow_with_dest_count():
-    tree = FatTree(64, radix=4)
-    assert tree.multicast_hops(2) <= tree.multicast_hops(64)
-    assert tree.multicast_hops(1) == 2
 
 
 def test_invalid_construction():
@@ -96,14 +89,13 @@ def test_torus_wraparound():
     assert torus.hops(0, 48) == 1
     # (0,0,0) to (2,2,2): distance 2 on each axis (no shortcut).
     assert torus.hops(0, 42) == 6
-    assert torus.max_hops() == 6
 
 
 def test_torus_symmetric():
     torus = Torus3D(100)
     for a, b in [(0, 99), (17, 45), (3, 76)]:
         assert torus.hops(a, b) == torus.hops(b, a)
-        assert 0 < torus.hops(a, b) <= torus.max_hops()
+        assert 0 < torus.hops(a, b) <= sum(d // 2 for d in torus.dims)
 
 
 def test_torus_1025_dims_cover_management_node():
@@ -112,7 +104,7 @@ def test_torus_1025_dims_cover_management_node():
     dx, dy, dz = torus.dims
     assert dx * dy * dz >= 1025
     assert max(torus.dims) - min(torus.dims) <= 2  # near-cubic
-    assert torus.hops(0, 1024) <= torus.max_hops()
+    assert torus.hops(0, 1024) <= sum(d // 2 for d in torus.dims)
 
 
 def test_torus_near_cubic_dims():
@@ -123,14 +115,6 @@ def test_torus_near_cubic_dims():
     for n in (2, 5, 63, 129, 500, 1025):
         dims = _near_cubic_dims(n)
         assert dims[0] * dims[1] * dims[2] >= n
-
-
-def test_torus_multicast_and_diameter():
-    torus = Torus3D(512, dims=(8, 8, 8))
-    assert torus.max_hops() == 12
-    assert torus.multicast_hops(1) == 2
-    assert torus.multicast_hops(8) <= torus.multicast_hops(512)
-    assert torus.multicast_hops(512) == 12
 
 
 def test_torus_out_of_range_rejected():

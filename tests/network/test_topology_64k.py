@@ -26,7 +26,7 @@ class TestFatTree64k:
     def test_levels_and_diameter(self, tree):
         # 65536 = 4^8 exactly, so one extra leaf forces a 9th level.
         assert tree.levels == 9
-        assert tree.max_hops() == 18
+        assert tree.hops(0, N64K) == 18
 
     def test_pow4_boundary_hops(self, tree):
         # Hops double-count the climb to the lowest common ancestor:
@@ -45,12 +45,6 @@ class TestFatTree64k:
     def test_hops_symmetric_at_scale(self, tree):
         for a, b in [(0, N64K), (5, 4**7), (123, 65521)]:
             assert tree.hops(a, b) == tree.hops(b, a)
-
-    def test_multicast_depth(self, tree):
-        # A strobe to all 64k compute nodes spans the full 8-level
-        # subtree (up and down); tiny multicasts stay at one switch.
-        assert tree.multicast_hops(N64K) == 16
-        assert tree.multicast_hops(2) == 2
 
     def test_out_of_range_rejected(self, tree):
         with pytest.raises(IndexError):
@@ -85,14 +79,9 @@ class TestTorus64k:
         assert torus.hops(0, N64K - 1) == 18
 
     def test_diameter(self, torus):
-        # Sum of per-axis wraparound radii: 20 + 20 + 20.
-        assert torus.max_hops() == 60
-
-    def test_multicast_radius(self, torus):
-        # A broadcast covering the whole machine is bounded by the
-        # radius of the full box.
-        assert torus.multicast_hops(N64K) == 60
-        assert torus.multicast_hops(2) == 2
+        # Sum of per-axis wraparound radii: 20 + 20 + 20, reached by
+        # the node at (20, 20, 20).
+        assert torus.hops(0, 20 * 1600 + 20 * 40 + 20) == 60
 
     def test_soa_coords_are_compact(self, torus):
         # The coordinate table must stay three flat int32 arrays, not
@@ -114,4 +103,4 @@ def test_dims_cover_arbitrary_counts():
         assert dx * dy * dz >= n
         assert dx >= dy >= dz
         t = Torus3D(n)
-        assert t.hops(0, n - 1) <= t.max_hops()
+        assert t.hops(0, n - 1) <= dx // 2 + dy // 2 + dz // 2

@@ -13,27 +13,17 @@ def test_wait_time_attributed_between_app_and_mpi():
     prof = MpiProfiler()
     # Rank computes [0, 40), waits in MPI [40, 100), computes [100, 110),
     # waits [110, 150).
-    prof.record_wait(7, 0, "wait", 40, 100)
-    prof.record_wait(7, 0, "wait", 110, 150)
+    prof.record_wait(0, 0, "wait", 40, 100, "app.py:3")
+    prof.record_wait(0, 0, "wait", 110, 150, "app.py:5")
     rank = prof.ranks[(0, 0)]
     assert rank.app_ns == 40 + 10
     assert rank.mpi_ns == 60 + 40
 
 
-def test_job_ids_normalized_to_run_local_indices():
-    # Two profilers seeing different process-global job ids produce the
-    # same report: ranks are keyed by order of first appearance.
-    a, b = MpiProfiler(), MpiProfiler()
-    for prof, job_id in ((a, 0), (b, 5)):
-        prof.record_wait(job_id, 0, "wait", 10, 20)
-    assert a.report() == b.report()
-    assert (0, 0) in a.ranks and (0, 0) in b.ranks
-
-
 def test_post_counts_bytes_per_site():
     prof = MpiProfiler()
-    for rank in (0, 1):  # same source line -> same call site
-        prof.record_post(0, rank, "send", 1000)
+    for rank in (0, 1):
+        prof.record_post(0, rank, "send", 1000, "app.py:10")
     (op, _site), (count, wait_ns, nbytes) = next(iter(prof.sites.items()))
     assert op == "send"
     assert (count, wait_ns, nbytes) == (2, 0, 2000)
@@ -41,8 +31,8 @@ def test_post_counts_bytes_per_site():
 
 def test_report_shape():
     prof = MpiProfiler()
-    prof.record_post(0, 0, "send", 4096)
-    prof.record_wait(0, 0, "wait(send)", 1_000_000, 3_000_000)
+    prof.record_post(0, 0, "send", 4096, "app.py:10")
+    prof.record_wait(0, 0, "wait(send)", 1_000_000, 3_000_000, "app.py:11")
     text = prof.report()
     assert "@--- MPI Time" in text
     assert "@--- Callsites" in text

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.obs import LabelCardinalityError, MetricsRegistry, percentile
+from repro.obs import MetricsRegistry, percentile
 
 
 # --- percentile function ------------------------------------------------------
@@ -125,12 +125,6 @@ def test_labels_dropped_counter_is_exempt_from_its_own_cap():
     series = reg.snapshot()["obs.labels_dropped"]["series"]
     assert "{overflow=dropped}" not in series
     assert series == {"{metric=a}": 1, "{metric=b}": 1, "{metric=c}": 1}
-
-
-def test_label_cardinality_error_still_importable():
-    # Back-compat: the exception type remains exported even though the
-    # registry no longer raises it.
-    assert issubclass(LabelCardinalityError, ValueError)
 
 
 # --- snapshot / render / reset ------------------------------------------------------

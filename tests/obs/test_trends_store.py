@@ -37,7 +37,7 @@ def test_append_and_read_round_trip(tmp_path):
         "kind": "exact",
         "n": 1,
     }
-    meta = store.runs_by_id()["run-1"]
+    (meta,) = store.runs()
     assert meta["git_sha"] == "abc123"
     assert meta["fingerprint"] == "deadbeef"
     assert meta["quick"] is True
@@ -105,10 +105,9 @@ def test_series_filename_encodes_slash(tmp_path):
 def test_run_meta_dict_round_trip():
     meta = _meta(quick=False, time_s=123.5)
     data = meta.to_dict()
-    assert json.dumps(data)  # JSON-safe
-    assert RunMeta.from_dict(data) == meta
-    # unknown keys from a newer schema are ignored, Nones dropped
-    assert RunMeta.from_dict({**data, "future_field": 1}) == meta
+    assert json.loads(json.dumps(data)) == data  # JSON-safe
+    assert data["quick"] is False and data["time_s"] == 123.5
+    # Nones are dropped
     assert "quick" not in RunMeta(run_id="r", source="s").to_dict()
 
 

@@ -3,7 +3,7 @@ foreign events, scheduling validation)."""
 
 import pytest
 
-from repro.sim import Engine, Interrupt, Resource, Store
+from repro.sim import Engine, Interrupt, Resource
 
 
 def test_schedule_negative_delay_rejected():
@@ -112,38 +112,6 @@ def test_interrupt_during_held_releases_resource():
     env.process(killer())
     env.run()
     assert res.in_use == 0
-
-
-def test_store_getter_interrupt_does_not_lose_items():
-    env = Engine()
-    store = Store(env)
-    got = []
-
-    def blocked_getter():
-        try:
-            item = yield store.get()
-            got.append(item)
-        except Interrupt:
-            pass
-
-    def healthy_getter():
-        item = yield store.get()
-        got.append(item)
-
-    victim = env.process(blocked_getter())
-    env.process(healthy_getter())
-
-    def driver():
-        yield env.timeout(1)
-        victim.interrupt()
-        yield env.timeout(1)
-        store.put("x")
-
-    env.process(driver())
-    env.run()
-    # The healthy getter eventually receives the item even though an
-    # earlier getter was interrupted.
-    assert got == ["x"]
 
 
 def test_process_return_none_by_default():

@@ -1,8 +1,8 @@
-"""Unit tests for Resource, Store, Signal, Gate."""
+"""Unit tests for Resource, Signal, Gate."""
 
 import pytest
 
-from repro.sim import Engine, Gate, Resource, Signal, Store
+from repro.sim import Engine, Gate, Resource, Signal
 
 
 # --- Resource ---------------------------------------------------------------
@@ -111,72 +111,6 @@ def test_resource_counters():
     assert res.in_use == 0
 
 
-# --- Store -------------------------------------------------------------------
-
-
-def test_store_put_then_get():
-    env = Engine()
-    store = Store(env)
-    store.put("x")
-
-    def getter():
-        item = yield store.get()
-        return item
-
-    assert env.run(until=env.process(getter())) == "x"
-
-
-def test_store_get_blocks_until_put():
-    env = Engine()
-    store = Store(env)
-
-    def getter():
-        item = yield store.get()
-        return (item, env.now)
-
-    def putter():
-        yield env.timeout(8)
-        store.put(99)
-
-    proc = env.process(getter())
-    env.process(putter())
-    assert env.run(until=proc) == (99, 8)
-
-
-def test_store_fifo_ordering_of_items_and_getters():
-    env = Engine()
-    store = Store(env)
-    got = []
-
-    def getter(tag):
-        item = yield store.get()
-        got.append((tag, item))
-
-    env.process(getter("g0"))
-    env.process(getter("g1"))
-
-    def putter():
-        yield env.timeout(1)
-        store.put("first")
-        store.put("second")
-
-    env.process(putter())
-    env.run()
-    assert got == [("g0", "first"), ("g1", "second")]
-
-
-def test_store_try_get_and_drain():
-    env = Engine()
-    store = Store(env)
-    assert store.try_get() is None
-    store.put(1)
-    store.put(2)
-    assert store.try_get() == 1
-    store.put(3)
-    assert store.drain() == [2, 3]
-    assert len(store) == 0
-
-
 # --- Signal --------------------------------------------------------------------
 
 
@@ -221,7 +155,6 @@ def test_signal_is_rearmable():
     env.process(pulser())
     env.run()
     assert times == [10, 20, 30]
-    assert sig.pulse_count == 3
 
 
 def test_signal_wait_after_pulse_sees_next_pulse_only():

@@ -21,13 +21,6 @@ def test_streams_are_cached_and_independent():
     assert reg2.stream("a").random(4).tolist() == a
 
 
-def test_spawn_disjoint():
-    reg = RngRegistry(7)
-    child = reg.spawn("x")
-    assert child.root_seed != reg.root_seed
-    assert child.stream("s").random() != reg.stream("s").random()
-
-
 def test_fabric_emits_to_trace():
     """Completed transfers reach the hub's protocol log through the
     fabric's hooks."""

@@ -1,0 +1,128 @@
+"""Every definition in ``src/`` has a caller outside the tests.
+
+A function, class or method that only tests reach is dead weight: it
+must be kept working, yet no run of the simulator, script, benchmark or
+example depends on it.  This guard scans ``src/`` and fails on any
+definition whose name appears nowhere in ``src/``, ``scripts/``,
+``perfbench/``, ``examples/`` or ``benchmarks/`` except at its own
+definition:
+
+- a top-level function or class counts as reached when its name appears
+  as a whole word;
+- a method (or nested class) counts as reached when ``.name`` appears.
+
+Its own body and its own module's ``__all__`` do not count.  Names kept
+on purpose are listed in :data:`ALLOWED` with the reason.
+"""
+
+import ast
+import re
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+CALLER_DIRS = ("src", "scripts", "perfbench", "examples", "benchmarks")
+_DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+MPI = "MPI surface: the semantics the baseline and BCS-MPI must share"
+
+ALLOWED = {
+    "Communicator.send_init": MPI,
+    "Communicator.recv_init": MPI,
+    "Communicator.startall": MPI,
+    "Communicator.test": MPI,
+    "Communicator.testall": MPI,
+    "Communicator.scatterv": MPI,
+    "Communicator.gatherv": MPI,
+    "Communicator.allgatherv": MPI,
+    "Communicator.alltoallv": MPI,
+    "Communicator.allgather": MPI,
+    "Communicator.alltoall": MPI,
+    "Communicator.sendrecv": MPI,
+    "Communicator.scan": MPI,
+    "Communicator.exscan": MPI,
+    "Communicator.reduce_scatter_block": MPI,
+    "BaselineCommunicator.iprobe": MPI,
+    "BcsCommunicator.iprobe": MPI,
+    "Status.get_count": MPI,
+    "Datatype.extent": MPI,
+    "from_array": MPI,
+    "BcsApi.bcs_test": "BCS API call of the paper's Section 4 interface",
+    "BcsApi.bcs_testall": "BCS API call of the paper's Section 4 interface",
+    "BcsCore.test_event_poll": "paper primitive: the non-blocking Test-Event",
+    "BcsRuntime.stop": "the one way to halt a strobe loop before the machine idles",
+    "MachineManager.submit": "STORM job submission, the paper's Fig. 1 resource manager",
+    "BcsConfig.with_": "test seam: tests build config variants with it",
+    "BaselineConfig.with_": "test seam: tests build config variants with it",
+    "NodeArena.active_ids": "test seam: reads the active-node bitmap",
+    "NodeTable.materialized_count": "test seam: proves untouched nodes stay lazy",
+    "NodeDirectory.materialized_count": "test seam: proves untouched nodes stay lazy",
+    "BcsRuntime.dem_nodes": "test seam: the fast active set checked against its scan",
+    "Torus3D.coords": "test seam: pins the row-major torus layout",
+    "NoiseInjector.total_stolen": "test seam: total CPU time the daemons took",
+    "Resource.available": "test seam: free units of a resource",
+    "Link.available": "test seam: free units of a link half",
+    "Resource.queue_length": "test seam: no claimant leaks on a cancelled transfer",
+    "_ClaimedTransfer.cancel": "called by Process.interrupt through getattr",
+    "log2_ceil": "dead, but deleting it moves the app call-site lines the profiler pins hash",
+}
+
+
+def _mentions():
+    """Where each word, and each ``.word`` attribute access, appears in
+    the caller dirs: ``{word: [(path, line number), ...]}`` twice."""
+    words, attrs = {}, {}
+    for top in CALLER_DIRS:
+        for path in sorted((ROOT / top).rglob("*")):
+            if path.suffix not in (".py", ".sh") or not path.is_file():
+                continue
+            for no, text in enumerate(path.read_text().splitlines(), 1):
+                for word in set(re.findall(r"\w+", text)):
+                    words.setdefault(word, []).append((path, no))
+                for word in set(re.findall(r"\.(\w+)", text)):
+                    attrs.setdefault(word, []).append((path, no))
+    return words, attrs
+
+
+def _definitions():
+    """(path, node, qualified name, the module's ``__all__`` lines,
+    whether the definition is a class member) per definition."""
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        own_all = set()
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+            ):
+                own_all.update(range(node.lineno, node.end_lineno + 1))
+        for node in tree.body:
+            if not isinstance(node, _DEFS):
+                continue
+            yield path, node, node.name, own_all, False
+            if isinstance(node, ast.ClassDef):
+                for sub in node.body:
+                    if isinstance(sub, _DEFS):
+                        yield path, sub, f"{node.name}.{sub.name}", own_all, True
+
+
+def unreached():
+    words, attrs = _mentions()
+    found = {}
+    for path, node, qual, own_all, member in _definitions():
+        name = node.name
+        if name.startswith("__") and name.endswith("__"):
+            continue
+        own = range(node.lineno, node.end_lineno + 1)
+        if not any(
+            not (p == path and (no in own or no in own_all))
+            for p, no in (attrs if member else words).get(name, ())
+        ):
+            found[qual] = f"{path.relative_to(ROOT)}:{node.lineno}"
+    return found
+
+
+def test_every_src_definition_has_a_non_test_caller():
+    found = unreached()
+    dead = sorted(f"{where}: {qual}" for qual, where in found.items() if qual not in ALLOWED)
+    assert not dead, "only tests reach these definitions:\n" + "\n".join(dead)
+    stale = sorted(set(ALLOWED) - set(found))
+    assert not stale, f"allowlisted but now reached or gone: {stale}"

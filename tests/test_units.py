@@ -13,7 +13,6 @@ from repro.units import (
     ms,
     ns,
     seconds,
-    to_ms,
     to_seconds,
     to_us,
     us,
@@ -26,7 +25,6 @@ def test_time_conversions_roundtrip():
     assert seconds(1) == 1_000_000_000
     assert to_seconds(seconds(2.5)) == 2.5
     assert to_us(us(7)) == 7.0
-    assert to_ms(ms(3)) == 3.0
 
 
 def test_fractional_units_round():
