@@ -32,7 +32,7 @@ walk provably terminates.  Each message traversal is also recorded as a
 "longest message chains" section of the report.
 
 Everything here is deterministic: tracker contents are recorded in
-simulation order, tie-breaks use dense tracker-local ids, and the JSON
+simulation order, tie-breaks use run-local ids, and the JSON
 serialization sorts keys — two same-seed runs produce byte-identical
 reports.
 """
@@ -85,7 +85,7 @@ class BlameReport:
     categories_ns: Dict[str, int]
     #: Nanoseconds attributed per rank ("job.rank"); sums to makespan.
     per_rank_ns: Dict[str, int]
-    #: Nanoseconds attributed per dense job index; sums to makespan.
+    #: Nanoseconds attributed per job launch index; sums to makespan.
     per_job_ns: Dict[str, int]
     #: Message/collective hops traversed, longest first (top-k).
     chains: List[dict] = field(default_factory=list)
