@@ -22,6 +22,8 @@ from ..bcs.descriptors import (
     RecvDescriptor,
     payload_nbytes,
 )
+from ..bcs.runtime import QUIET_FOREVER
+from ..bcs.threads import _copy_payload
 from ..obs import call_site
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -79,8 +81,6 @@ class BcsApi:
             # Buffered coscheduling: the payload is snapshotted at post
             # time and the send buffer is immediately reusable, so the
             # request is complete as far as the sender is concerned.
-            from ..bcs.threads import _copy_payload
-
             desc.payload = _copy_payload(payload)
             req._finish()
         return req
@@ -208,7 +208,9 @@ class BcsApi:
             yield self.env.timeout(overhead)
             wake = handle.nm.block_on(reqs)
         if wake is not None:
+            handle.quiet_until = QUIET_FOREVER
             yield wake
+            handle.quiet_until = 0
         blocked = self.env.now - t0
         if blocked:
             stats = self.runtime.job_stats.get(handle.job.id)

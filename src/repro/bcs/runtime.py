@@ -58,6 +58,11 @@ def _coll_pending(nrt) -> bool:
     return nrt.pending_epochs > 0
 
 
+#: :attr:`RankHandle.quiet_until` of a rank that runs again only at a
+#: slice boundary, or never.
+QUIET_FOREVER = 1 << 62
+
+
 class HookList:
     """Slice-boundary hook registry with mutation-safe firing.
 
@@ -288,6 +293,11 @@ class RankHandle:
         self.coll_seq: Dict[int, int] = {}
         #: Host-call overhead accumulated since the last yield point.
         self.pending_overhead = 0
+        #: No earlier instant at which the rank can run again: set while
+        #: it computes or is blocked until a slice boundary, 0 when it
+        #: may run at any instant.  A planned slice moves a rank's
+        #: descriptors early only while the rank cannot look at them.
+        self.quiet_until = 0
 
     def next_send_seq(self, comm_id: int, dst: int) -> int:
         key = (comm_id, dst)
@@ -341,12 +351,9 @@ class BcsRuntime:
         #: written once per slice by the Strobe Sender instead of an
         #: O(nodes) begin_slice loop).
         self.slice_start_time = 0
-        #: No Strobe Receiver runs before this instant (set by the Strobe
-        #: Sender whenever it waits with no receiver at work: ahead of a
-        #: scheduled microstrobe, through a microphase without
-        #: participants and in the slice-end sleep).  A rank's blocking
-        #: wait uses it to block before its host overhead has passed.
-        self.sr_idle_until = 0
+        #: Steps of :attr:`sr_idle_until`: ``(from, until)`` pairs in
+        #: time order.
+        self._sr_idle: tuple = ()
 
         #: SoA arena for per-node scalars; the ``mphase_done`` counters
         #: are array-backed GAS slots, so the reference engine's per-node
@@ -389,6 +396,8 @@ class BcsRuntime:
         #: Live rank processes: (job_id, rank) -> sim Process (for
         #: failure injection / fault tolerance).
         self.rank_procs: Dict[tuple, object] = {}
+        #: Job id -> its ranks' handles, in world-rank order.
+        self.rank_handles: Dict[int, List[RankHandle]] = {}
         self.slice_no = 0
         self.stopped = False
         self.stats: Counter = Counter()
@@ -396,12 +405,41 @@ class BcsRuntime:
         self.active_node_ids: List[int] = []
         #: Hooks invoked at every slice boundary with the new slice number
         #: (gang scheduler, instrumentation, ...).  A non-empty registry
-        #: also disables idle fast-forward: hooks may create work.
+        #: also disables slice planning: hooks may create work.
         self.on_slice_start = HookList()
         #: Telemetry hub (:class:`repro.obs.Observability`) or None.
         #: Hot paths guard on this — a bare runtime pays one attribute
         #: read per hook point and nothing else.
         self.obs = None
+
+    @property
+    def sr_idle_until(self) -> int:
+        """No Strobe Receiver runs before this instant.
+
+        The Strobe Sender publishes it whenever it waits with no receiver
+        at work: ahead of a scheduled microstrobe, through a microphase
+        without participants and in the slice-end sleep.  A rank's
+        blocking wait uses it to block before its host overhead has
+        passed.  Assigning it starts a step now; a planned slice sets the
+        steps of all the microphases it covers at once, and the value is
+        that of the last step begun by now.
+        """
+        now = self.env._now
+        until = 0
+        for since, value in self._sr_idle:
+            if since > now:
+                break
+            until = value
+        return until
+
+    @sr_idle_until.setter
+    def sr_idle_until(self, t: int) -> None:
+        self._sr_idle = ((self.env._now, t),)
+
+    def rank_quiet_until(self, job_id: int, comm_id: int, rank: int) -> int:
+        """:attr:`RankHandle.quiet_until` of a communicator rank."""
+        world = self.comm_info(job_id, comm_id).world_ranks[rank]
+        return self.rank_handles[job_id][world].quiet_until
 
     def attach_observability(self, obs) -> "BcsRuntime":
         """Wire a telemetry hub into the runtime, fabric, and NICs.
@@ -487,8 +525,10 @@ class BcsRuntime:
         from ..mpi.bcs_backend import BcsCommunicator  # avoid import cycle
         from ..mpi.context import AppContext
 
+        handles = self.rank_handles[job.id] = []
         for rank in range(spec.n_ranks):
             handle = RankHandle(self, job, rank)
+            handles.append(handle)
             comm = BcsCommunicator(self, handle, self.comm_info(job.id, 0), rank)
             ctx = AppContext(
                 self.env,
@@ -506,9 +546,15 @@ class BcsRuntime:
         return job
 
     def _make_compute(self, handle: RankHandle):
+        env = self.env
+
         def compute(node_id: int, duration: int):
             overhead = handle.take_overhead()
+            # The computation cannot end sooner; the NM tax and CPU
+            # contention only stretch it.
+            handle.quiet_until = env.now + duration + overhead
             yield from handle.nm.compute(handle.job.id, duration + overhead)
+            handle.quiet_until = 0
 
         return compute
 
@@ -534,6 +580,7 @@ class BcsRuntime:
             return
         finally:
             self.rank_procs.pop((job.id, rank), None)
+            handle.quiet_until = QUIET_FOREVER
         job.rank_finished(rank, result)
         obs = self.obs
         if obs is not None:
@@ -706,6 +753,10 @@ class BcsRuntime:
             self._arrived_set, _arrived_pending
         ) or self._prune_live(self._coll_set, _coll_pending)
         return active, dem
+
+    def collectives_pending(self) -> bool:
+        """Does any node hold an in-flight collective epoch?"""
+        return self._prune_live(self._coll_set, _coll_pending)
 
     def dem_nodes(self) -> List[int]:
         """Nodes with descriptors to drain/exchange."""

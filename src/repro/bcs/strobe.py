@@ -11,14 +11,23 @@ Slice structure (Figure 5):
 
     [ DEM | MSM ]  [ P2P | BBM | RM ]
     global message scheduling   message transmission
+
+Under the fast engine the Strobe Sender *plans* a slice instead when it
+can prove the result exact: once the DEM holds the slice's descriptors,
+every microphase instant and transfer completion follows from that set
+and the network model (:class:`_Plan`).  Only what a rank can observe
+then gets an entry of the run: each landing instant, the slice-end sleep
+and the boundary wake.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, List
+from functools import partial
+from operator import itemgetter
+from typing import TYPE_CHECKING, Any, Dict, List, Optional
 
-from ..sim import Latch, ReusableLatch, ReusableTimeout
+from ..sim import Latch, Link, ReusableLatch, ReusableTimeout, Timeout
 
 if TYPE_CHECKING:  # pragma: no cover
     from .runtime import BcsRuntime
@@ -53,8 +62,14 @@ class StrobeReceiver:
         #: :class:`Strobe`; the Strobe Sender wakes every participant of
         #: a microphase through one ``trigger_all``.
         self.wake = nrt.env.event()
-        self.completed_phases = 0
         self._proc = nrt.env.process(self._run(), name=f"SR{nrt.node_id}")
+
+    @property
+    def completed_phases(self) -> int:
+        """Microphases this receiver has completed: its counter in global
+        memory, which the Compare-And-Write tests."""
+        nrt = self.nrt
+        return int(nrt.runtime.arena.mphase_done[nrt.node_id])
 
     def _run(self):
         nrt = self.nrt
@@ -73,7 +88,6 @@ class StrobeReceiver:
             self.wake = env.event()
             t0 = env.now
             yield from handlers[strobe.phase](strobe)
-            self.completed_phases += 1
             # Report completion in global memory; the SS's
             # Compare-And-Write tests this counter.  Under the fast
             # engine the SS performs one batched arena increment for the
@@ -81,7 +95,7 @@ class StrobeReceiver:
             # array-backed slot ends up with the identical value.
             if not fast:
                 nrt.runtime.core.gas.write(
-                    nrt.node_id, "mphase_done", self.completed_phases
+                    nrt.node_id, "mphase_done", self.completed_phases + 1
                 )
             obs = nrt.runtime.obs
             if obs is not None:
@@ -93,6 +107,160 @@ class StrobeReceiver:
     def _dem(self, agents):
         yield from agents.bs.dem_phase()
         yield from agents.br.dem_phase()
+
+
+class _Plan:
+    """A planned stretch of a slice, booked without touching the run.
+
+    NIC clocks and link halves are booked on private copies.  What each
+    simulated heap entry would do is recorded under the entry's place in
+    the engine's order, a nested key ``(instant, key of the entry that
+    created it, creation index)``: among entries of one instant the
+    engine runs them by creation order, and creation follows the order
+    of the creating entries.  With a hub, ``entries`` holds ``(key,
+    items)``, where an item is a protocol-log entry (a tuple) or an
+    effect (a callable), and :meth:`commit` applies them in key order;
+    without one, only the effects are kept, in the order that matters
+    (each node's own).  ``landings`` holds the effects a rank can
+    observe, which :meth:`commit` runs at their own instants.  A
+    transfer that could find a link half busy clears ``ok``: the stretch
+    must then be simulated.
+    """
+
+    __slots__ = (
+        "logging", "ok", "fabric", "nics", "entries", "effects", "landings",
+        "_times", "_busy", "_claims", "_holds", "_moved",
+    )
+
+    def __init__(self, runtime: "BcsRuntime", nics: "_Nics", times: dict):
+        self.logging = runtime.obs is not None
+        self.ok = True
+        self.fabric = runtime.cluster.fabric
+        self.nics = nics
+        self._times = times
+        self.entries: list = []
+        self.effects: list = []
+        self.landings: list = []
+        self._busy: Dict[int, int] = {}
+        self._claims: Dict[Link, list] = {}
+        self._holds: list = []
+        self._moved = [0, 0]
+
+    def entry(self, key: tuple, *items) -> None:
+        self.entries.append((key, items))
+
+    def effect(self, key: tuple, fn, *args) -> None:
+        """Apply ``fn(*args)`` at commit, in the entry keyed ``key``."""
+        if self.logging:
+            self.entries.append((key, (partial(fn, *args),)))
+        else:
+            self.effects.append((fn, args))
+
+    def landing(self, key: tuple, effect) -> None:
+        self.landings.append((key, effect))
+
+    def reserve(self, node: int, t: int, duration: int, n: int = 1) -> tuple:
+        """:meth:`Nic.reserve` at ``t``; returns the booking's ``(start, end)``."""
+        busy = self._busy.get(node)
+        if busy is None:
+            busy = self.nics[node].busy_until
+        start = busy if busy > t else t
+        end = self._busy[node] = start + duration * n
+        return start, end
+
+    def nic(self, node: int, start: int, duration: int, n: int = 1) -> list:
+        return self.nics[node].spans(start, duration, n)
+
+    def local_copy(self, node: int, t: int, cost: int, size: int) -> tuple:
+        """:meth:`Fabric.local_copy` at ``t``; returns ``(hold start, landing)``."""
+        start, end = self.reserve(node, t, cost)
+        self._moved[0] += 1
+        self._moved[1] += size
+        return start, end + self.fabric.copy_time(size)
+
+    def transfer(self, src: int, dst: int, size: int, t: int) -> int:
+        """:meth:`Fabric.transfer` at ``t``, found uncontended; returns its
+        landing.  A link half claimed over a touching or overlapping
+        interval, or not released before ``t``, clears ``ok``."""
+        route = (src, dst, size)
+        known = self._times.get(route)
+        if known is None:
+            known = self._times[route] = (
+                *self.fabric.transfer_times(src, dst, size),
+                (self.nics[src].tx, self.nics[dst].rx),
+            )
+        hold, rest, group = known
+        end = t + hold
+        for link in group:
+            claims = self._claims.get(link)
+            if claims is None:
+                self.ok = self.ok and link.free_before(t)
+                self._claims[link] = [(t, end)]
+            else:
+                for t0, t1 in claims:
+                    if t0 <= end and t <= t1:
+                        self.ok = False
+                claims.append((t, end))
+        self._holds.append((group, end))
+        self._moved[0] += 1
+        self._moved[1] += size
+        return end + rest
+
+    def commit(self, runtime: "BcsRuntime") -> None:
+        """Apply the stretch: clocks, link holds, log and effects in the
+        engine's order, and one entry of the run per landing instant."""
+        nics = self.nics
+        for node, t in self._busy.items():
+            nics[node].busy_until = t
+        self._holds.sort(key=_second)
+        for group, t in self._holds:
+            Link.hold(group, t)
+        self.fabric.transfers += self._moved[0]
+        self.fabric.bytes_moved += self._moved[1]
+        if self.logging:
+            self.entries.sort(key=_first)
+            append = runtime.obs.events.append
+            for _key, items in self.entries:
+                for item in items:
+                    if type(item) is tuple:
+                        append(item)
+                    else:
+                        item()
+        for fn, args in self.effects:
+            fn(*args)
+        landings = self.landings
+        if landings:
+            landings.sort(key=_first)
+            env = runtime.env
+            effects = None
+            t = None
+            for key, effect in landings:
+                if key[0] != t:
+                    t = key[0]
+                    effects = []
+                    Timeout(env, t - env.now).callbacks.append(partial(_apply, effects))
+                effects.append(effect)
+
+
+class _Nics(dict):
+    """Node id -> NIC, filled from the fabric's lazy NIC view on first use."""
+
+    def __init__(self, view):
+        super().__init__()
+        self._view = view
+
+    def __missing__(self, node: int):
+        nic = self[node] = self._view[node]
+        return nic
+
+
+_first = itemgetter(0)
+_second = itemgetter(1)
+
+
+def _apply(effects: list, _event) -> None:
+    for effect in effects:
+        effect()
 
 
 class StrobeSender:
@@ -120,6 +288,14 @@ class StrobeSender:
         self._full_latency = runtime.cluster.fabric.strobe_latency(
             runtime.config.strobe_bytes, runtime.cluster.n_compute_nodes
         )
+        # A planned P2P leaves the slice's last sr_idle_until step (from
+        # RM's start) and its retirement to the slice-end wake.
+        self._idle_from: Optional[int] = None
+        self._retire_due = False
+        # The planner's lookups: node id -> NIC, and (src, dst, size) ->
+        # an uncontended transfer's (hold, rest, (tx half, rx half)).
+        self._nics = _Nics(runtime.cluster.fabric.nics)
+        self._times: Dict[tuple, tuple] = {}
 
     def start(self) -> None:
         """Launch the strobe loop (idempotent)."""
@@ -128,10 +304,8 @@ class StrobeSender:
 
     def _run(self):
         runtime = self.runtime
-        cfg = runtime.config
         env = self.env
-        timeslice = cfg.timeslice
-        mins = {DEM: cfg.dem_min_duration, MSM: cfg.msm_min_duration}
+        timeslice = runtime.config.timeslice
         node_runtimes = runtime.node_runtimes
         hooks = runtime.on_slice_start
         fast = runtime.fast
@@ -178,98 +352,29 @@ class StrobeSender:
                     + runtime.matcher_pending_totals()
                 )
 
+            # The fast engine plans what it can prove exact; a hook may
+            # create work at any boundary, so hooks switch planning off.
+            plan = fast and not hooks
             if active:
                 runtime.stats["active_slices"] += 1
-                yield from self._microphase(DEM, dem_nodes, mins[DEM])
-                yield from self._microphase(MSM, runtime.msm_nodes(), mins[MSM])
-                granted = runtime.global_schedule()
-                if obs is not None:
-                    scheduler = runtime.scheduler
-                    obs.events.append((
-                        env.now,
-                        "grant",
-                        scheduler.backlog_bytes,
-                        len(scheduler.in_flight),
-                        tuple(
-                            (m.send.desc_id, m.src_node, m.scheduled_now)
-                            for m in granted
-                        ),
-                    ))
-                yield from self._microphase(
-                    P2P, sorted({m.dst_node for m in granted}), 0, payload=granted
-                )
-                retired = runtime.scheduler.retire_finished()
-                if retired and obs is not None:
-                    obs.events.append(
-                        (env.now, "retire", tuple(m.send.desc_id for m in retired))
-                    )
-                if retired and fast:
-                    # A retired match was the last holder of its pair of
-                    # descriptors (requests are completed at delivery and
-                    # owned by the application): recycle them.
-                    pools = runtime.pools
-                    for m in retired:
-                        pools.release_send(m.send)
-                        pools.release_recv(m.recv)
-                # RM's participants are read after BBM, except behind an
-                # empty BBM, which no receiver runs and which leaves them
-                # as they are.
-                bbm = runtime.bbm_nodes()
-                rm = None if bbm else runtime.rm_nodes()
-                if bbm or rm or self.strobe_latency() != self._full_latency:
-                    yield from self._microphase(BBM, bbm, 0)
-                    yield from self._microphase(
-                        RM, runtime.rm_nodes() if rm is None else rm, 0
-                    )
-                    work_end = env.now
-                else:
-                    work_end = self._empty_tail()
+                work_end = yield from self._active(start, dem_nodes, plan)
             else:
-                work_end = env.now
+                work_end = start
 
-            elapsed = work_end - start
-            if elapsed < timeslice:
-                # An idle cluster ends the loop after this slice: no skip.
-                if fast and not active and not hooks and not runtime.idle():
-                    # Idle fast-forward.  No work exists now, no hook
-                    # can create any at a boundary, and cluster state
-                    # cannot change before the next queued event at
-                    # t_next — so every boundary strictly before
-                    # t_next replays this slice verbatim: same empty
-                    # queues, same zero-waiter pulses, same idle
-                    # bookkeeping.  Skip straight to the first
-                    # boundary at or after t_next in one timeout;
-                    # events firing in between land within the final
-                    # (partial) slice and are observed at the wake
-                    # boundary exactly as without the skip.
-                    t_next = env.peek()
-                    if t_next is not None and t_next - start > timeslice:
-                        skipped = -(-(t_next - start) // timeslice) - 1
-                        runtime.slice_no += skipped
-                        runtime.stats["slices"] += skipped
-                        runtime.stats["idle_slices_skipped"] += skipped
-                        if obs is not None:
-                            self._log_skip(obs, start, skipped)
-                        yield self._sleep_until(start + (skipped + 1) * timeslice)
-                        if obs is not None:
-                            # The last skipped slice ends now, if the
-                            # run is still going.
-                            obs.events.append((
-                                env.now,
-                                "slice_end",
-                                runtime.slice_no,
-                                env.now - timeslice,
-                                False,
-                                False,
-                            ))
-                        continue
-                yield self._sleep_until(start + timeslice)
+            if work_end - start < timeslice:
+                end = start + timeslice
                 overrun = False
+                if plan and not active and not runtime.idle():
+                    end = self._plan_idle(start, end)
+                    start = end - timeslice
             else:
                 runtime.stats["slice_overruns"] += 1
                 overrun = True
-                if work_end > env.now:
-                    yield self._sleep_until(work_end)
+                end = work_end
+            if end > env.now:
+                yield self._sleep_until(end)
+            if self._retire_due:
+                self._retire(log=False)
             if obs is not None:
                 obs.events.append(
                     (env.now, "slice_end", runtime.slice_no, start, active, overrun)
@@ -277,20 +382,317 @@ class StrobeSender:
             if runtime.idle():
                 return
 
-    def _log_skip(self, obs, start: int, skipped: int) -> None:
-        """Log the end of the slice begun at ``start`` and the ``skipped``
-        idle slices after it as the reference engine would: empty
-        queues, frozen matcher totals.  The last one's end is logged when
-        the Strobe Sender wakes at it."""
+    def _plan_idle(self, start: int, end: int) -> int:
+        """The plan of a slice with no descriptors: the boundary to wake at.
+
+        No work exists now, no hook can create any at a boundary, and
+        cluster state cannot change before the next queued entry at
+        ``t_next`` — so every boundary strictly before ``t_next``
+        replays this slice verbatim: same empty queues, same zero-waiter
+        pulses, same idle bookkeeping.  The slices whose ends precede
+        ``t_next`` are skipped in one sleep and logged as the reference
+        engine logs them (empty queues, frozen matcher totals); entries
+        firing in the last one are observed at its end boundary exactly
+        as without the skip.
+        """
         runtime = self.runtime
         timeslice = runtime.config.timeslice
-        totals = runtime.matcher_pending_totals()
-        first = runtime.slice_no - skipped
-        events = obs.events
-        for i in range(skipped):
-            t = start + (i + 1) * timeslice
-            events.append((t, "slice_end", first + i, t - timeslice, False, False))
-            events.append((t, "slice_begin", first + i + 1, 0, 0, 0, 0) + totals)
+        t_next = self.env.peek()
+        if t_next is None or t_next <= end:
+            return end
+        skipped = -(-(t_next - start) // timeslice) - 1
+        first = runtime.slice_no
+        runtime.slice_no += skipped
+        runtime.stats["slices"] += skipped
+        runtime.stats["idle_slices_skipped"] += skipped
+        obs = runtime.obs
+        if obs is not None:
+            totals = runtime.matcher_pending_totals()
+            for i in range(skipped):
+                t = end + i * timeslice
+                obs.events.append((t, "slice_end", first + i, t - timeslice, False, False))
+                obs.events.append((t, "slice_begin", first + i + 1, 0, 0, 0, 0) + totals)
+        return end + skipped * timeslice
+
+    def _active(self, start: int, dem_nodes: List[int], plan: bool):
+        """An active slice's microphases, planned when exact and simulated
+        otherwise; returns the slice's work end.
+
+        A DEM with participants is planned at its microstrobe, one strobe
+        latency after the boundary: the ranks the boundary restarted post
+        first, and their descriptors are drained with the others.  One
+        without participants drains nothing and is planned at once.  P2P
+        is planned with them, or at MSM's end if they were simulated.
+        """
+        runtime = self.runtime
+        cfg = runtime.config
+        due = False
+        if plan:
+            if dem_nodes:
+                obs = runtime.obs
+                if obs is not None:
+                    obs.events.append(
+                        (start, "phase_begin", runtime.slice_no, DEM, len(dem_nodes))
+                    )
+                latency = self.strobe_latency()
+                runtime.sr_idle_until = start + latency
+                yield self._sleep.rearm(latency)
+                due = True
+            msm_end = self._plan_exchange(start, dem_nodes)
+            if msm_end is not None:
+                granted = self._grant(msm_end)
+                work_end = self._plan_transmit(granted, msm_end)
+                if work_end is not None:
+                    return work_end
+                yield self._sleep.rearm(msm_end - self.env.now)
+                return (yield from self._transmit(granted))
+        yield from self._microphase(DEM, dem_nodes, cfg.dem_min_duration, due=due)
+        yield from self._microphase(MSM, runtime.msm_nodes(), cfg.msm_min_duration)
+        granted = self._grant(self.env.now)
+        if plan and self._plannable():
+            work_end = self._plan_transmit(granted, self.env.now)
+            if work_end is not None:
+                return work_end
+        return (yield from self._transmit(granted))
+
+    def _grant(self, t: int) -> list:
+        """MSM's end at ``t``: collect the matches and grant this slice's
+        chunks."""
+        runtime = self.runtime
+        granted = runtime.global_schedule()
+        obs = runtime.obs
+        if obs is not None:
+            scheduler = runtime.scheduler
+            obs.events.append((
+                t,
+                "grant",
+                scheduler.backlog_bytes,
+                len(scheduler.in_flight),
+                tuple((m.send.desc_id, m.src_node, m.scheduled_now) for m in granted),
+            ))
+        return granted
+
+    def _transmit(self, granted: list):
+        """Simulate P2P, BBM and RM from now; returns the slice's work end."""
+        runtime = self.runtime
+        env = self.env
+        yield from self._microphase(
+            P2P, sorted({m.dst_node for m in granted}), 0, payload=granted
+        )
+        self._retire(log=True)
+        # RM's participants are read after BBM, except behind an
+        # empty BBM, which no receiver runs and which leaves them
+        # as they are.
+        bbm = runtime.bbm_nodes()
+        rm = None if bbm else runtime.rm_nodes()
+        if bbm or rm or self.strobe_latency() != self._full_latency:
+            yield from self._microphase(BBM, bbm, 0)
+            yield from self._microphase(RM, runtime.rm_nodes() if rm is None else rm, 0)
+            return env.now
+        if runtime.obs is not None:
+            runtime.obs.events.extend(self._empty_tail(env.now))
+        return env.now + 2 * self._strobe_latency
+
+    def _retire(self, log: bool) -> None:
+        """Drop the matches P2P finished; with ``log``, log them now."""
+        runtime = self.runtime
+        self._retire_due = False
+        retired = runtime.scheduler.retire_finished()
+        if retired and log and runtime.obs is not None:
+            runtime.obs.events.append(
+                (self.env.now, "retire", tuple(m.send.desc_id for m in retired))
+            )
+        if retired and runtime.fast:
+            # A retired match was the last holder of its pair of
+            # descriptors (requests are completed at delivery and
+            # owned by the application): recycle them.
+            pools = runtime.pools
+            for m in retired:
+                pools.release_send(m.send)
+                pools.release_recv(m.recv)
+
+    def _plannable(self) -> bool:
+        """May the rest of the slice be planned?
+
+        The microstrobe latency cannot change before the slice ends (the
+        active set already has the whole machine's, as for
+        :meth:`_empty_tail`); no collective is in flight, so MSM issues
+        no Compare-And-Write and BBM and RM have no participants; only
+        the slice machine moves data on the fabric or books NIC thread
+        processors; and every NIC booking takes time, so each is an
+        entry of its own.
+        """
+        runtime = self.runtime
+        return (
+            self.strobe_latency() == self._full_latency
+            and runtime.config.nic_descriptor_cost > 0
+            and not runtime.cluster.fabric.shared
+            and not runtime.collectives_pending()
+        )
+
+    def _plan_exchange(self, start: int, dem_nodes: List[int]) -> Optional[int]:
+        """Plan DEM and MSM now; returns MSM's end, or None to simulate.
+
+        Matching moves descriptors earlier than the simulated Buffer
+        Receivers would.  Only the owner of a receive, or the destination
+        rank of a send, can see its descriptor move (``probe``,
+        ``cancel_recv``), so the plan holds only while each of those
+        ranks cannot run before the instant its descriptor would move.
+        """
+        if not self._plannable():
+            return None
+        runtime = self.runtime
+        cfg = runtime.config
+        cw = runtime.cluster.fabric.model.cw_latency
+        agents = runtime.agents
+        quiet_until = runtime.rank_quiet_until
+        latency = self._strobe_latency
+        slice_no = runtime.slice_no
+        plan = _Plan(runtime, self._nics, self._times)
+        logging = plan.logging
+        t_dem = self.env.now
+        fanout = (t_dem, (), 0)
+        arrivals: Dict[int, list] = {}
+        drains = []
+        last = None
+        for j, node in enumerate(dem_nodes):
+            nrt = runtime.node_runtimes[node]
+            n_sends, n_recvs, n_colls = nrt.drain_counts()
+            if n_colls:
+                return None
+            drains.append((nrt, n_sends, n_recvs))
+            recvs = nrt.posted_recvs[:n_recvs]
+            a = agents[node]
+            ctx = a.bs.plan_dem(plan, nrt.posted_sends[:n_sends], t_dem, fanout, j, arrivals)
+            t, key, _ = a.br.plan_batch(plan, recvs, a.br._match_recvs, *ctx)
+            for r in recvs:
+                if quiet_until(r.job_id, r.comm_id, r.rank) <= t:
+                    return None
+            if logging:
+                plan.entry(key, (t, "node_phase", node, slice_no, DEM, t_dem))
+            if last is None or key > last:
+                last = key
+        if not plan.ok:
+            return None
+        msm = sorted(arrivals)
+        exchanged = 0
+        if dem_nodes:
+            t_msm = max(last[0] + cw(len(dem_nodes)), start + cfg.dem_min_duration)
+            latch = (t_msm, last, 0)
+        else:
+            t_msm = start + max(latency, cfg.dem_min_duration)
+            latch = (t_msm, fanout, 0)
+            if logging:
+                plan.entry(fanout, (start, "phase_begin", slice_no, DEM, 0))
+        if logging:
+            plan.entry(
+                latch,
+                (t_msm, "phase", slice_no, DEM, t_msm - start),
+                (t_msm, "phase_begin", slice_no, MSM, len(msm)),
+            )
+        if msm:
+            t_strobe = t_msm + latency
+            fanout = (t_strobe, latch, 0)
+            last = None
+            for j, node in enumerate(msm):
+                got = arrivals[node]
+                if len(got) > 1:
+                    got.sort(key=_first)
+                    sends = [desc for _key, desc in got]
+                else:
+                    sends = [got[0][1]]
+                br = agents[node].br
+                t, key, _ = br.plan_batch(plan, sends, br._match_sends, t_strobe, fanout, j)
+                for s in sends:
+                    if quiet_until(s.job_id, s.comm_id, s.dst_rank) <= t:
+                        return None
+                if logging:
+                    plan.entry(key, (t, "node_phase", node, slice_no, MSM, t_strobe))
+                exchanged += len(sends)
+                if last is None or key > last:
+                    last = key
+            msm_end = max(last[0] + cw(len(msm)), t_msm + cfg.msm_min_duration)
+            latch = (msm_end, last, 0)
+        else:
+            msm_end = t_msm + max(latency, cfg.msm_min_duration)
+            latch = (msm_end, latch, 0)
+        if logging:
+            plan.entry(latch, (msm_end, "phase", slice_no, MSM, msm_end - t_msm))
+
+        for nrt, n_sends, n_recvs in drains:
+            del nrt.posted_sends[:n_sends]
+            del nrt.posted_recvs[:n_recvs]
+        plan.commit(runtime)
+        runtime.stats["descriptors_exchanged"] += exchanged
+        self._count_phase(dem_nodes, msm)
+        if not dem_nodes:
+            runtime.sr_idle_until = t_msm
+        runtime._sr_idle += ((t_msm, t_msm + latency if msm else msm_end),)
+        return msm_end
+
+    def _plan_transmit(self, granted: list, t_p2p: int) -> Optional[int]:
+        """Plan P2P, BBM and RM from MSM's end ``t_p2p`` (now, or ahead
+        when planned with DEM and MSM, which :meth:`_plannable` then
+        covers); returns the slice's work end, or None to simulate.  Each
+        chunk lands through an entry of its instant, where requests
+        complete as the DMA Helper would complete them."""
+        runtime = self.runtime
+        cw = runtime.cluster.fabric.model.cw_latency
+        agents = runtime.agents
+        latency = self._strobe_latency
+        slice_no = runtime.slice_no
+        mine: Dict[int, list] = {}
+        for m in granted:
+            mine.setdefault(m.dst_node, []).append(m)
+        nodes = sorted(mine)
+        plan = _Plan(runtime, self._nics, self._times)
+        logging = plan.logging
+        t_strobe = t_p2p + latency
+        begin = (t_p2p, (), 0)
+        fanout = (t_strobe, begin, 0)
+        if logging:
+            plan.entry(begin, (t_p2p, "phase_begin", slice_no, P2P, len(nodes)))
+        index = 0
+        last = None
+        for node in nodes:
+            index, key = agents[node].dh.plan_p2p(plan, mine[node], t_strobe, fanout, index)
+            if logging:
+                plan.entry(key, (key[0], "node_phase", node, slice_no, P2P, t_strobe))
+            if last is None or key > last:
+                last = key
+        if not plan.ok:
+            return None
+        if nodes:
+            end = last[0] + cw(len(nodes))
+            latch = (end, last, 0)
+        else:
+            end = t_strobe
+            latch = (end, begin, 0)
+        if logging:
+            retired = tuple(
+                m.send.desc_id
+                for m in runtime.scheduler.in_flight
+                if m.bytes_done + m.scheduled_now >= m.total_bytes
+            )
+            items = [(end, "phase", slice_no, P2P, end - t_p2p)]
+            if retired:
+                items.append((end, "retire", retired))
+            plan.entry(latch, *items, *self._empty_tail(end))
+
+        plan.commit(runtime)
+        self._count_phase(nodes)
+        runtime._sr_idle += ((t_p2p, t_strobe),)
+        self._idle_from = end
+        self._retire_due = True
+        return end + 2 * latency
+
+    def _count_phase(self, *phases: List[int]) -> None:
+        """Each node of each of ``phases`` completed that microphase: the
+        batched completion report of :meth:`_microphase`."""
+        gas = self.runtime.core.gas
+        for nodes in phases:
+            if nodes:
+                gas.increment_batch(nodes, "mphase_done")
 
     def strobe_latency(self) -> int:
         """Duration of a microstrobe to the current active set.
@@ -312,33 +714,37 @@ class StrobeSender:
         return self._strobe_latency
 
     def _sleep_until(self, t: int):
-        """The Strobe Sender's wake-up at ``t``; no receiver runs before it."""
-        self.runtime.sr_idle_until = t
+        """The Strobe Sender's wake-up at ``t``; no receiver runs before
+        it (from RM's start when P2P was planned)."""
+        runtime = self.runtime
+        if self._idle_from is None:
+            runtime.sr_idle_until = t
+        else:
+            runtime._sr_idle += ((self._idle_from, t),)
+            self._idle_from = None
         return self._sleep.rearm(t - self.env.now)
 
-    def _empty_tail(self) -> int:
-        """BBM and RM of an active slice, both without participants.
+    def _empty_tail(self, t: int) -> list:
+        """The log of BBM and RM without participants, from ``t``.
 
         Each would be one timeout of the microstrobe latency (see
-        :meth:`_microphase`); instead their end instant is returned and
-        the slice-end sleep covers them.  Only taken when no launch can
-        change the latency before RM starts (the active set already has
-        the whole machine's microstrobe duration).  With a telemetry
-        hub, the phases are logged at their own instants.
+        :meth:`_microphase`); instead the slice-end sleep covers them.
+        Only taken when no launch can change the latency before RM
+        starts (the active set already has the whole machine's
+        microstrobe duration).
         """
-        runtime = self.runtime
         latency = self._strobe_latency
-        t = self.env.now
-        obs = runtime.obs
-        if obs is not None:
-            slice_no = runtime.slice_no
-            for phase in (BBM, RM):
-                obs.events.append((t, "phase_begin", slice_no, phase, 0))
-                obs.events.append((t + latency, "phase", slice_no, phase, latency))
-                t += latency
-        return self.env.now + 2 * latency
+        slice_no = self.runtime.slice_no
+        entries = []
+        for phase in (BBM, RM):
+            entries.append((t, "phase_begin", slice_no, phase, 0))
+            entries.append((t + latency, "phase", slice_no, phase, latency))
+            t += latency
+        return entries
 
-    def _microphase(self, phase: str, nodes: List[int], min_duration: int, payload=None):
+    def _microphase(
+        self, phase: str, nodes: List[int], min_duration: int, payload=None, due=False
+    ):
         """Strobe, dispatch, await completion, CaW-confirm, pad.
 
         ``nodes`` is the set with actual work; nodes outside it would run
@@ -349,17 +755,17 @@ class StrobeSender:
         scheduled one multicast latency ahead, and the microphase latch,
         whose completion delay charges the Compare-And-Write's network
         conditional and the minimum duration.  A microphase without
-        participants is one timeout.
+        participants is one timeout.  With ``due``, the phase began one
+        microstrobe latency ago (already logged, the Strobe Sender slept
+        in the fan-out's place) and the fan-out runs now.
         """
         runtime = self.runtime
         env = self.env
-        t0 = env.now
-        obs = runtime.obs
-        if obs is not None:
-            obs.events.append((t0, "phase_begin", runtime.slice_no, phase, len(nodes)))
-
-        # Microstrobe: Xfer-And-Signal to every compute node's SR.
         latency = self.strobe_latency()
+        t0 = env.now - latency if due else env.now
+        obs = runtime.obs
+        if obs is not None and not due:
+            obs.events.append((t0, "phase_begin", runtime.slice_no, phase, len(nodes)))
 
         if nodes:
             # One latch shared by all participants: the SS resumes when
@@ -383,8 +789,12 @@ class StrobeSender:
             # latency from now, wakes every participant's SR in ``nodes``
             # order.
             receivers = runtime.receivers
-            env.trigger_all([receivers[n].wake for n in nodes], strobe, delay=latency)
-            runtime.sr_idle_until = t0 + latency
+            wakes = [receivers[n].wake for n in nodes]
+            if due:
+                env.fire_all(wakes, strobe)
+            else:
+                env.trigger_all(wakes, strobe, delay=latency)
+                runtime.sr_idle_until = t0 + latency
             yield done
             if runtime.fast:
                 # Batched completion report: every participant finished

@@ -24,6 +24,7 @@ in :mod:`repro.bcs.strobe`; this module holds the thread bodies and the
 from __future__ import annotations
 
 import copy
+from functools import partial
 from typing import TYPE_CHECKING, Dict, List, Optional
 
 import numpy as np
@@ -52,6 +53,32 @@ def _copy_payload(payload):
     if payload is None:
         return None
     return copy.deepcopy(payload)
+
+
+def _ready(queue: list, cutoff: int) -> int:
+    """How many descriptors at the head of ``queue`` were posted at or
+    before ``cutoff``.
+
+    A descriptor posted exactly at the slice boundary (a process
+    restarted by the NM posts immediately) still precedes the DEM, which
+    starts one strobe latency later, so the comparison is inclusive.
+    ``posted_at`` is monotone nondecreasing along the FIFO (posts stamp
+    ``env.now``; purges preserve order), so the common whole queue /
+    empty cases are O(1) checks at the ends and the mixed case is a
+    binary search.
+    """
+    if not queue or queue[0].posted_at > cutoff:
+        return 0
+    if queue[-1].posted_at <= cutoff:
+        return len(queue)
+    lo, hi = 0, len(queue)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if queue[mid].posted_at <= cutoff:
+            lo = mid + 1
+        else:
+            hi = mid
+    return lo
 
 
 class CollEpoch:
@@ -221,35 +248,22 @@ class NodeRuntime:
         return self.runtime.slice_start_time
 
     def _drain_posted(self, queue: list) -> list:
-        """Remove and return descriptors posted before this slice's DEM.
-
-        A descriptor posted exactly at the slice boundary (a process
-        restarted by the NM posts immediately) still precedes the DEM,
-        which starts one strobe latency later, so the comparison is
-        inclusive.
-
-        ``posted_at`` is monotone nondecreasing along the FIFO (posts
-        stamp ``env.now``; purges preserve order), so the common whole
-        queue / empty cases are O(1) checks at the ends and the mixed
-        case is a binary-search split instead of two full list scans.
-        """
-        cutoff = self.slice_start_time
-        if not queue or queue[0].posted_at > cutoff:
-            return []
-        if queue[-1].posted_at <= cutoff:
-            take = queue[:]
-            queue.clear()
-            return take
-        lo, hi = 0, len(queue)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if queue[mid].posted_at <= cutoff:
-                lo = mid + 1
-            else:
-                hi = mid
-        take = queue[:lo]
-        del queue[:lo]
+        """Remove and return descriptors posted before this slice's DEM."""
+        n = _ready(queue, self.slice_start_time)
+        take = queue[:n]
+        del queue[:n]
         return take
+
+    def drain_counts(self) -> tuple:
+        """How many posted sends, receives and collective descriptors
+        this slice's DEM drains (:meth:`_drain_posted`)."""
+        cutoff = self.runtime.slice_start_time
+        sends, recvs, colls = self.posted_sends, self.posted_recvs, self.posted_colls
+        return (
+            _ready(sends, cutoff) if sends else 0,
+            _ready(recvs, cutoff) if recvs else 0,
+            _ready(colls, cutoff) if colls else 0,
+        )
 
     # -- collective helpers ------------------------------------------------------------
 
@@ -344,6 +358,46 @@ class BufferSender:
                     (nrt.env.now, "exchange", desc.desc_id, node, dst_node)
                 )
 
+    def plan_dem(self, plan, sends: list, t: int, parent: tuple, index: int, arrivals: dict):
+        """:meth:`dem_phase` in closed form (see :class:`repro.bcs.strobe._Plan`).
+
+        Ships ``sends``, this slice's drained FIFO, from instant ``t`` in
+        the entry keyed ``parent``, whose ``index``-th creation the
+        thread's first booking is.  Each delivery joins
+        ``arrivals[dst_node]`` as ``(entry key, desc)``.  Returns the
+        instant, entry key and next creation index at which the thread
+        returns.
+        """
+        nrt = self.nrt
+        node = nrt.node_id
+        runtime = nrt.runtime
+        cost = nrt.config.nic_descriptor_cost
+        size = nrt.config.descriptor_bytes
+        logging = plan.logging
+        for desc in sends:
+            dst_node = runtime.comm_info(desc.job_id, desc.comm_id).node_of(desc.dst_rank)
+            if dst_node == node:
+                start, t = plan.local_copy(node, t, cost, size)
+                parent = (t, parent, index)
+                if logging:
+                    plan.entry(parent, *plan.nic(node, start, cost))
+            else:
+                start, end = plan.reserve(node, t, cost)
+                held = (end, parent, index)
+                if logging:
+                    plan.entry(held, *plan.nic(node, start, cost))
+                t = plan.transfer(node, dst_node, size, end)
+                parent = (t, held, 0)
+            index = 0
+            if logging:
+                plan.entry(
+                    parent,
+                    (t, "unicast", node, dst_node, size, "desc"),
+                    (t, "exchange", desc.desc_id, node, dst_node),
+                )
+            arrivals.setdefault(dst_node, []).append((parent, desc))
+        return t, parent, index
+
 
 class BufferReceiver:
     """BR: drains local recv/collective descriptors (DEM) and matches (MSM)."""
@@ -367,9 +421,7 @@ class BufferReceiver:
             recvs = nrt._drain_posted(nrt.posted_recvs)
             if recvs:
                 yield from nrt.nic.compute(cost, len(recvs))
-                last = len(recvs) - 1
-                for i, match in nrt.matcher.add_recv_batch(recvs):
-                    self._register_match(match, (last - i) * cost)
+                self._match_recvs(recvs, nrt.env.now)
             colls = nrt._drain_posted(nrt.posted_colls)
             if colls:
                 yield from nrt.nic.compute(cost, len(colls))
@@ -383,7 +435,7 @@ class BufferReceiver:
             yield from nrt.nic.compute(cost)
             match = nrt.matcher.add_recv(desc)
             if match is not None:
-                self._register_match(match)
+                self._register_match(match, nrt.env.now)
 
         # Collectives: absorb descriptors; when all local ranks of a job
         # have posted an epoch, advance the node's local flag in global
@@ -418,17 +470,14 @@ class BufferReceiver:
         if arrived:
             if nrt.runtime.fast:
                 # Batched leg: one NIC hold, one vectorized matcher join.
-                cost = nrt.config.nic_descriptor_cost
-                yield from nrt.nic.compute(cost, len(arrived))
-                last = len(arrived) - 1
-                for i, match in nrt.matcher.add_send_batch(arrived):
-                    self._register_match(match, (last - i) * cost)
+                yield from nrt.nic.compute(nrt.config.nic_descriptor_cost, len(arrived))
+                self._match_sends(arrived, nrt.env.now)
             else:
                 for send in arrived:
                     yield from nrt.nic.compute(nrt.config.nic_descriptor_cost)
                     match = nrt.matcher.add_send(send)
                     if match is not None:
-                        self._register_match(match)
+                        self._register_match(match, nrt.env.now)
 
         # Collective scheduling: only the node hosting the communicator's
         # master process issues the query broadcast (paper §4.4).
@@ -464,13 +513,45 @@ class BufferReceiver:
                         next_epoch,
                     ))
 
-    def _register_match(self, match: Match, lag: int = 0) -> None:
+    def plan_batch(self, plan, batch: list, match, t: int, parent: tuple, index: int):
+        """One batched NIC hold over ``batch`` from ``t`` and
+        ``match(batch, end)`` at its end, in closed form: the fast
+        engine's :meth:`dem_phase` receive leg or :meth:`msm_phase`
+        without collectives.  ``parent`` and ``index`` place the booking
+        as in :meth:`BufferSender.plan_dem`; returns where the thread
+        goes on."""
+        if not batch:
+            return t, parent, index
+        node = self.nrt.node_id
+        cost = self.nrt.config.nic_descriptor_cost
+        start, end = plan.reserve(node, t, cost, len(batch))
+        key = (end, parent, index)
+        if plan.logging:
+            plan.entry(key, *plan.nic(node, start, cost, len(batch)))
+        plan.effect(key, match, batch, end)
+        return end, key, 0
+
+    def _match_recvs(self, recvs: list, t: int) -> None:
+        """Match a batch of receives whose batched NIC hold ended at ``t``."""
+        cost = self.nrt.config.nic_descriptor_cost
+        last = len(recvs) - 1
+        for i, match in self.nrt.matcher.add_recv_batch(recvs):
+            self._register_match(match, t - (last - i) * cost)
+
+    def _match_sends(self, sends: list, t: int) -> None:
+        """Match a batch of arrived sends whose batched NIC hold ended at ``t``."""
+        cost = self.nrt.config.nic_descriptor_cost
+        last = len(sends) - 1
+        for i, match in self.nrt.matcher.add_send_batch(sends):
+            self._register_match(match, t - (last - i) * cost)
+
+    def _register_match(self, match: Match, t: int) -> None:
         """Hand a fresh match to the scheduler.
 
-        ``lag`` is how long ago the descriptor that completed it finished
-        its NIC hold: a batched hold matches its whole batch at its end,
-        while each match belongs to the end of its own descriptor's
-        share, the instant the per-descriptor loop matches it.
+        ``t`` is when the descriptor that completed it finished its NIC
+        hold: a batched hold matches its whole batch at its end, while
+        each match belongs to the end of its own descriptor's share, the
+        instant the per-descriptor loop matches it.
         """
         nrt = self.nrt
         info = nrt.runtime.comm_info(match.send.job_id, match.send.comm_id)
@@ -481,7 +562,7 @@ class BufferReceiver:
         obs = nrt.runtime.obs
         if obs is not None:
             obs.events.append((
-                nrt.env.now - lag,
+                t,
                 "match",
                 match.send.desc_id,
                 match.recv.desc_id,
@@ -559,19 +640,82 @@ class DmaHelper:
                 lambda _held: self._transfer(match).callbacks.append(landed)
             )
 
-    def _chunk_done(self, match: Match, t0: int) -> None:
-        """Account for a chunk whose last byte has landed."""
+    def plan_p2p(self, plan, mine: List[Match], t0: int, fanout: tuple, index: int):
+        """:meth:`p2p_phase` in closed form for the microstrobe at ``t0``,
+        the entry keyed ``fanout`` (see :class:`repro.bcs.strobe._Plan`).
+
+        Books a hold per chunk of ``mine`` (this node's grants, in grant
+        order) as the fan-out's ``index``-th creations on, and lands each
+        chunk through ``plan.landing``.  Returns the fan-out's next
+        creation index and the key of the entry in which the thread
+        returns: the first chunk's landing, or the completion of the
+        latch on the later chunks if one of them lands after it.
+        """
+        node = self.nrt.node_id
+        cost = self.nrt.config.nic_descriptor_cost
+        logging = plan.logging
+        first = later = None
+        for match in mine:
+            size = match.scheduled_now
+            if match.src_node == node:
+                start, t = plan.local_copy(node, t0, cost, size)
+                key = (t, fanout, index)
+                items = plan.nic(node, start, cost) if logging else ()
+            else:
+                start, end = plan.reserve(node, t0, cost)
+                held = (end, fanout, index)
+                if logging:
+                    plan.entry(held, *plan.nic(node, start, cost))
+                t = plan.transfer(match.src_node, node, size, end)
+                key = (t, held, 0)
+                items = ()
+            index += 1
+            if logging:
+                plan.entry(
+                    key,
+                    *items,
+                    (t, "unicast", match.src_node, node, size, "p2p"),
+                    *self._chunk_log(match, t0, t),
+                )
+            plan.landing(key, partial(self._chunk_done, match, t0, True))
+            if first is None:
+                first = key
+            elif later is None or key > later:
+                later = key
+        if later is None or later < first:
+            return index, first
+        return index, (later[0], later, 0)
+
+    def _chunk_log(self, match: Match, t0: int, t: int) -> list:
+        """The log entries of ``match``'s chunk landing at ``t``."""
+        send = match.send
+        chunk = match.scheduled_now
+        entries = [(t, "chunk", send.desc_id, t0, chunk)]
+        if match.bytes_done + chunk >= match.total_bytes:
+            entries.append((
+                t,
+                "deliver",
+                self.nrt.node_id,
+                send.src_rank,
+                send.dst_rank,
+                send.tag,
+                send.size,
+                send.desc_id,
+            ))
+        return entries
+
+    def _chunk_done(self, match: Match, t0: int, logged: bool = False) -> None:
+        """Account for a chunk whose last byte has landed (already logged
+        when a planned slice moved it)."""
         runtime = self.nrt.runtime
+        obs = runtime.obs
+        if obs is not None and not logged:
+            obs.events.extend(self._chunk_log(match, t0, self.nrt.env.now))
         chunk = match.scheduled_now
         match.bytes_done += chunk
         match.scheduled_now = 0
         runtime.stats["bytes_transferred"] += chunk
         runtime.stats["chunks_moved"] += 1
-        obs = runtime.obs
-        if obs is not None:
-            obs.events.append(
-                (self.nrt.env.now, "chunk", match.send.desc_id, t0, chunk)
-            )
         if match.finished:
             self._deliver(match)
 
@@ -584,21 +728,7 @@ class DmaHelper:
         recv.request._finish()
         if not send.request.complete:  # strict (non-buffered) sends
             send.request._finish()
-        runtime = self.nrt.runtime
-        runtime.stats["messages_delivered"] += 1
-        obs = runtime.obs
-        if obs is not None:
-            nrt = self.nrt
-            obs.events.append((
-                nrt.env.now,
-                "deliver",
-                nrt.node_id,
-                send.src_rank,
-                send.dst_rank,
-                send.tag,
-                send.size,
-                send.desc_id,
-            ))
+        self.nrt.runtime.stats["messages_delivered"] += 1
 
 
 class CollectiveHelper:

@@ -94,6 +94,11 @@ class Fabric:
         #: Total payload bytes moved (excluding headers), for reporting.
         self.bytes_moved = 0
         self.transfers = 0
+        #: True once a client other than the BCS slice machine may start
+        #: moving data at any instant (STORM's heartbeat and launcher,
+        #: either PFS): the Strobe Sender then simulates every active
+        #: slice instead of planning it.
+        self.shared = False
 
     @property
     def n_nodes(self) -> int:
@@ -116,13 +121,9 @@ class Fabric:
         self.bytes_moved += size
         env = self.env
         if src == dst:
-            done = Timeout(env, self._copy_time(size))
+            done = Timeout(env, self.copy_time(size))
         else:
-            model = self.model
-            hold = model.dma_startup + bw_time(
-                size + model.header_bytes, model.link_bandwidth
-            )
-            rest = model.latency(self.tree.hops(src, dst))
+            hold, rest = self.transfer_times(src, dst, size)
             # Both link halves are held for the DMA startup and the wire
             # time, then the last byte pays the switch latency.  The
             # halves release lazily (:class:`~repro.sim.Link`), so an
@@ -144,7 +145,15 @@ class Fabric:
         """Generator form of :meth:`transfer`."""
         yield self.transfer(src, dst, size, label)
 
-    def _copy_time(self, size: int) -> int:
+    def transfer_times(self, src: int, dst: int, size: int) -> tuple:
+        """``(hold, rest)`` of an uncontended remote transfer: its link
+        halves are held for the DMA startup and the wire time, then the
+        last byte pays the switch latency of the route."""
+        model = self.model
+        hold = model.dma_startup + bw_time(size + model.header_bytes, model.link_bandwidth)
+        return hold, model.latency(self.tree.hops(src, dst))
+
+    def copy_time(self, size: int) -> int:
         """Duration (ns) of a loopback transfer of ``size`` bytes."""
         return self.model.dma_startup + bw_time(size, self.model.link_bandwidth)
 
@@ -159,7 +168,7 @@ class Fabric:
         """
         self.transfers += 1
         self.bytes_moved += size
-        done = nic.reserve(cost, then=self._copy_time(size))
+        done = nic.reserve(cost, then=self.copy_time(size))
         if self.obs is not None:
             self._log(done, nic.node_id, nic.node_id, size, label)
         return done

@@ -135,11 +135,16 @@ class Nic:
         return done
 
     def _report(self, start: int, duration: int, n: int, _done: Timeout) -> None:
+        self.obs.events.extend(self.spans(start, duration, n))
+
+    def spans(self, start: int, duration: int, n: int = 1) -> list:
+        """The ``nic`` log entries of ``n`` back-to-back operations of
+        ``duration`` ns booked from ``start``."""
         node = self.node_id
-        self.obs.events.extend(
+        return [
             (t + duration, "nic", node, t)
             for t in range(start, start + n * duration, duration)
-        )
+        ]
 
     def compute(self, duration: int = -1, n: int = 1) -> Generator:
         """Generator form of :meth:`reserve`; zero-duration work is free."""

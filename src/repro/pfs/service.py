@@ -71,6 +71,8 @@ class PfsService:
         self.runtime = runtime
         self.env = runtime.env
         self.io_nodes = list(io_nodes)
+        # Stripes join the slice scheduler at any instant.
+        runtime.cluster.fabric.shared = True
         self.stripe_bytes = stripe_bytes
         self.files: Dict[str, StripeMap] = {}
         self._next_io = 0
@@ -146,6 +148,7 @@ class UncoordinatedPfs:
         self.cluster = cluster
         self.env = cluster.env
         self.io_nodes = list(io_nodes)
+        cluster.fabric.shared = True
         self.stripe_bytes = stripe_bytes
         self.files: Dict[str, StripeMap] = {}
         self._next_io = 0

@@ -109,6 +109,25 @@ class Engine:
             carrier.key = (self._now + delay, 0, self._seq)
         return len(members)
 
+    def fire_all(self, events: Iterable[Event], value: Any = None) -> None:
+        """:meth:`trigger_all` whose carrier is the entry running now.
+
+        For a caller that slept from the point where it would have
+        scheduled the carrier until the carrier's instant: its wake-up
+        entry holds the carrier's place in the heap order, so processing
+        the members inside it is exact.
+        """
+        members = []
+        for ev in events:
+            if ev._value is PENDING:
+                ev._ok = True
+                ev._value = value
+                members.append(ev)
+        if members:
+            carrier = FanOut(self, members)
+            carrier.key = (self._now, 0, self._step_seq)
+            carrier._fire(carrier)
+
     def peek(self) -> Optional[int]:
         """Time of the next scheduled event, or None if the queue is empty."""
         return self._queue[0][0] if self._queue else None

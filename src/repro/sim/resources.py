@@ -209,6 +209,12 @@ class Link(Resource):
         end = self.busy_until
         return end < env._now or (end == env._now and env._step_seq > self.hold_seq)
 
+    def free_before(self, t: int) -> bool:
+        """True when nothing holds or claims the link and its lazy hold
+        ends strictly before instant ``t``: a claim made at ``t`` is
+        granted at once whatever entry makes it."""
+        return not self._in_use and not self._waiting and self.busy_until < t
+
     @staticmethod
     def hold(group: tuple, t: int) -> None:
         """Hold every link of ``group`` until instant ``t``; they release

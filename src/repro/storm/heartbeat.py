@@ -36,6 +36,7 @@ class HeartbeatService:
         period: int = ms(10),
     ):
         self.core = core
+        core.fabric.shared = True
         self.mgmt_node = mgmt_node
         self.nodes = list(nodes)
         self.period = period

@@ -37,6 +37,7 @@ class StormLauncher:
 
     def __init__(self, core: BcsCore, mgmt_node: int):
         self.core = core
+        core.fabric.shared = True
         self.mgmt_node = mgmt_node
         self.reports: List[LaunchReport] = []
 

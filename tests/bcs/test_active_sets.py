@@ -2,7 +2,11 @@
 
 End to end, both engines must agree byte-for-byte on virtual time,
 per-rank results and stats (idle-skip counters aside), and on the
-telemetry they export.  Underneath, the Strobe Sender's per-slice
+telemetry they export.  The workloads cover the fast engine's planned
+slices and every way a slice falls back to simulation: ranks that test
+completions mid-slice, contended links, messages chunked over several
+slices, and a second job whose launch changes the active set and the
+microstrobe latency mid-run.  Underneath, the Strobe Sender's per-slice
 questions (``any_work``, ``dem_nodes``, ``msm_nodes``, ``bbm_nodes``,
 ``rm_nodes``, the telemetry totals) have two implementations: the fast
 engine's reads lazily pruned active-node sets, the reference engine's
@@ -15,11 +19,13 @@ applied to the slice machine).
 
 import json
 import random
+from types import SimpleNamespace
+from typing import Callable, NamedTuple, Optional, Tuple
 
 import pytest
 
 from repro.apps.sage import sage
-from repro.apps.sweep3d import sweep3d_blocking
+from repro.apps.sweep3d import sweep3d_blocking, sweep3d_nonblocking
 from repro.apps.synthetic import barrier_benchmark, nearest_neighbor_benchmark
 from repro.bcs import BcsConfig, BcsRuntime
 from repro.bcs.descriptors import (
@@ -27,32 +33,114 @@ from repro.bcs.descriptors import (
     RecvDescriptor,
     SendDescriptor,
 )
-from repro.harness.runner import run_workload
+from repro.harness.runner import DEFAULT_MAX_TIME, nodes_for
 from repro.network import Cluster, ClusterSpec
 from repro.obs import Observability
 from repro.obs.critpath import blame_payload, critical_path, to_json_bytes
 from repro.storm import JobSpec
-from repro.units import ms, seconds
+from repro.units import kib, ms, seconds
+
+
+class Workload(NamedTuple):
+    app: Callable
+    n_ranks: int
+    params: dict
+    #: Machine size (default: two ranks per node).
+    n_nodes: Optional[int] = None
+    #: Rank-to-node map (default: block placement).
+    placement: Optional[Tuple[int, ...]] = None
+    #: ``(delay, placement)``: a second copy of the job launched ``delay``
+    #: after the first, on other nodes.
+    then: Optional[Tuple[int, Tuple[int, ...]]] = None
+
+
+def _shuffled_pairs(n_nodes, seed):
+    """Two consecutive ranks on each node, the nodes in random order."""
+    nodes = random.Random(seed).sample(range(n_nodes), n_nodes)
+    return tuple(node for node in nodes for _ in range(2))
+
 
 WORKLOADS = {
-    "sage": (sage, 4, dict(steps=3, step_compute=ms(40))),
-    "barrier": (barrier_benchmark, 4, dict(iterations=5, granularity=ms(3))),
-    "neighbor": (
-        nearest_neighbor_benchmark,
-        4,
-        dict(iterations=4, granularity=ms(2)),
+    "sage": Workload(sage, 4, dict(steps=3, step_compute=ms(40))),
+    "barrier": Workload(barrier_benchmark, 4, dict(iterations=5, granularity=ms(3))),
+    "neighbor": Workload(
+        nearest_neighbor_benchmark, 4, dict(iterations=4, granularity=ms(2))
     ),
     # Blocking wavefront: few messages per active slice, the
     # benchmark's weakest workload shape.
-    "sweep3d": (sweep3d_blocking, 8, dict(octants=2, kblocks=2)),
+    "sweep3d": Workload(sweep3d_blocking, 8, dict(octants=2, kblocks=2)),
+    # The Waitall after each compute: ranks test their completions in
+    # the middle of a slice, as the planned landings complete them.
+    "sweep3d_nonblocking": Workload(
+        sweep3d_nonblocking, 8, dict(octants=2, kblocks=2)
+    ),
+    # Four neighbours of ranks scattered over the machine: descriptors
+    # and chunks contend for link halves, so slices fall back.
+    "halo_scattered": Workload(
+        nearest_neighbor_benchmark,
+        32,
+        dict(iterations=3, granularity=ms(2)),
+        n_nodes=16,
+        placement=_shuffled_pairs(16, seed=7),
+    ),
+    # 256 KiB each way: every message is chunked over several slices.
+    "chunked": Workload(
+        nearest_neighbor_benchmark,
+        2,
+        dict(iterations=3, granularity=ms(2), n_neighbors=1, message_bytes=kib(256)),
+        n_nodes=2,
+        placement=(0, 1),
+    ),
+    # A second job joins 7 ms into the first one's run: the active set
+    # grows from two nodes to six and the microstrobe latency with it.
+    "staggered": Workload(
+        nearest_neighbor_benchmark,
+        4,
+        dict(iterations=6, granularity=ms(2)),
+        n_nodes=8,
+        placement=(0, 0, 1, 1),
+        then=(BcsConfig().init_cost + ms(7), (2, 3, 4, 5)),
+    ),
 }
 
 
+def _runtime(name, config, obs=None, n_nodes=None):
+    """A runtime on the workload's machine (``n_nodes`` overrides the
+    default size)."""
+    w = WORKLOADS[name]
+    n_nodes = w.n_nodes or n_nodes or nodes_for(w.n_ranks)
+    runtime = BcsRuntime(Cluster(ClusterSpec(n_nodes=n_nodes, seed=0)), config)
+    if obs is not None:
+        runtime.attach_observability(obs)
+    return runtime
+
+
+def _complete(name, runtime, max_time=DEFAULT_MAX_TIME):
+    """Launch the workload on ``runtime`` and run it to completion."""
+    w = WORKLOADS[name]
+    env = runtime.env
+    spec = JobSpec(app=w.app, n_ranks=w.n_ranks, name=w.app.__name__, params=w.params)
+    jobs = [runtime.launch(spec, None if w.placement is None else list(w.placement))]
+    if w.then is not None:
+        delay, placement = w.then
+
+        def launch_later():
+            yield env.timeout(delay)
+            return runtime.launch(spec, list(placement))
+
+        jobs.append(env.run(until=env.process(launch_later())))
+    env.run(until=env.any_of([env.all_of([j.done for j in jobs]), env.timeout(max_time)]))
+    assert all(j.complete for j in jobs), f"{name} did not finish"
+    return jobs
+
+
 def _run(name, engine, obs=None, **cfg):
-    app, n_ranks, params = WORKLOADS[name]
-    config = BcsConfig(engine=engine, **cfg)
-    return run_workload(
-        app, n_ranks, "bcs", params=params, bcs_config=config, obs=obs
+    runtime = _runtime(name, BcsConfig(engine=engine, **cfg), obs)
+    jobs = _complete(name, runtime)
+    return SimpleNamespace(
+        runtime_ns=jobs[0].runtime if len(jobs) == 1 else runtime.env.now,
+        stats=dict(runtime.stats),
+        results=[j.results for j in jobs],
     )
 
 
@@ -103,7 +191,11 @@ def test_virtual_time_and_stats_identical(name, buffered):
     assert ref.stats.get("idle_slices_skipped", 0) == 0
 
 
-@pytest.mark.parametrize("name", ["sage", "neighbor"])
+# Not "staggered": the fast engine brings a node into being (and logs
+# its ``node`` entry) when a job first touches it, the reference engine
+# at construction, so a launch onto fresh nodes mid-run logs them at
+# other instants.
+@pytest.mark.parametrize("name", sorted(set(WORKLOADS) - {"staggered"}))
 def test_observability_output_identical(name):
     obs_fast = Observability()
     obs_ref = Observability()
@@ -125,9 +217,9 @@ def test_hooks_with_incremental_sets():
     runtime = BcsRuntime(cluster, BcsConfig(init_cost=0))
     calls = []
     runtime.on_slice_start.append(lambda s: calls.append(s))
-    app, n_ranks, params = WORKLOADS["barrier"]
+    w = WORKLOADS["barrier"]
     runtime.run_job(
-        JobSpec(app=app, n_ranks=2, params=params), max_time=seconds(5)
+        JobSpec(app=w.app, n_ranks=2, params=w.params), max_time=seconds(5)
     )
     assert runtime.stats["idle_slices_skipped"] == 0
     assert calls == list(range(1, runtime.stats["slices"] + 1))
@@ -154,16 +246,12 @@ def _assert_queries_agree(runtime):
 @pytest.mark.parametrize("name", sorted(WORKLOADS))
 def test_slicewise_differential(name):
     """Every slice boundary of a real run: incremental == scan."""
-    app, n_ranks, params = WORKLOADS[name]
-    cluster = Cluster(ClusterSpec(n_nodes=4))
-    runtime = BcsRuntime(cluster, BcsConfig(init_cost=0))
+    runtime = _runtime(name, BcsConfig(init_cost=0), n_nodes=4)
     checked = []
     runtime.on_slice_start.append(
         lambda s: (_assert_queries_agree(runtime), checked.append(s))
     )
-    runtime.run_job(
-        JobSpec(app=app, n_ranks=n_ranks, params=params), max_time=seconds(30)
-    )
+    _complete(name, runtime, max_time=seconds(30))
     assert len(checked) >= 2
 
 
