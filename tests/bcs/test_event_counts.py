@@ -15,7 +15,9 @@ holds without a grant event, moves DMA chunks as callback chains without
 child processes, folds a loopback's NIC hold into its copy, and settles
 events nobody waits on (buffered-send completions, unwaited processes,
 a DMA latch that completes before its Strobe Receiver looks) without an
-entry.  A change that brings back a
+entry, and plans an uncontended active slice in closed form at its DEM
+microstrobe, so that only each landing instant, the slice-end sleep and
+the boundary wake take entries.  A change that brings back a
 per-node or relay event (or adds any other) moves these counts: if that
 is intended, re-pin them together with the events-per-active-slice
 figures in docs/PERFORMANCE.md.
@@ -32,13 +34,13 @@ from repro.units import kib, ms
 
 CASES = [
     # (app, nodes, ranks, params, processed events, active slices, makespan ns)
-    (sweep3d_blocking, 31, 62, dict(octants=1, kblocks=4), 4_087, 182, 190_017_500),
+    (sweep3d_blocking, 31, 62, dict(octants=1, kblocks=4), 1_732, 182, 190_017_500),
     (
         nearest_neighbor_benchmark,
         16,
         32,
         dict(granularity=ms(1), iterations=4, n_neighbors=4, message_bytes=kib(4)),
-        3_335,
+        2_738,
         9,
         8_500_000,
     ),
