@@ -92,9 +92,6 @@ class NetworkModel:
         levels = math.ceil(math.log2(n_nodes))
         return levels * (self.base_latency + 2 * self.per_hop_latency)
 
-    #: Backward-compatible alias (pre-rename spelling).
-    mcast_latency = multicast_latency
-
 
 def qsnet() -> NetworkModel:
     """Quadrics QsNet / Elan3 (the paper's testbed network).

@@ -56,13 +56,13 @@ def test_latency_monotone_in_hops():
 
 def test_mcast_latency_grows_with_node_count():
     model = qsnet()
-    assert model.mcast_latency(4) <= model.mcast_latency(64)
+    assert model.multicast_latency(4) <= model.multicast_latency(64)
 
 
 def test_software_multicast_pays_log_levels():
     gige = by_name("gige")
     # Each doubling adds a store-and-forward level.
-    assert gige.mcast_latency(16) > gige.mcast_latency(2)
+    assert gige.multicast_latency(16) > gige.multicast_latency(2)
 
 
 def test_qsnet_bandwidth_matches_table1_magnitude():

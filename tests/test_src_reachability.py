@@ -1,18 +1,24 @@
 """Every definition in ``src/`` has a caller outside the tests.
 
-A function, class or method that only tests reach is dead weight: it
-must be kept working, yet no run of the simulator, script, benchmark or
-example depends on it.  This guard scans ``src/`` and fails on any
-definition whose name appears nowhere in ``src/``, ``scripts/``,
-``perfbench/``, ``examples/`` or ``benchmarks/`` except at its own
-definition:
+A function, class, method or module that only tests reach is dead
+weight: it must be kept working, yet no run of the simulator, script,
+benchmark or example depends on it.  This guard scans ``src/`` and
+fails on any definition whose name appears nowhere in ``src/``,
+``scripts/``, ``perfbench/``, ``examples/`` or ``benchmarks/`` except
+at its own definition:
 
 - a top-level function or class counts as reached when its name appears
   as a whole word;
-- a method (or nested class) counts as reached when ``.name`` appears.
+- a method (or nested class) counts as reached when ``.name`` appears;
+- an alias (``name = other``), at module level or in a class body,
+  counts like a function or a method.
 
-Its own body and its own module's ``__all__`` do not count.  Names kept
-on purpose are listed in :data:`ALLOWED` with the reason.
+Its own body and its own module's ``__all__`` do not count.  A module
+counts as reached when a file in those directories (other than itself)
+imports it, or names it whole (``python -m repro.harness.cli``, the
+``pyproject.toml`` entry point); its own package re-exporting it (``from
+. import name``) does not count.  Names kept on purpose are listed in
+:data:`ALLOWED` with the reason.
 """
 
 import ast
@@ -46,6 +52,10 @@ ALLOWED = {
     "Status.get_count": MPI,
     "Datatype.extent": MPI,
     "from_array": MPI,
+    "repro.mpi.datatypes": (
+        "MPI surface: derived datatypes, which the communicators do not "
+        "need (they move numpy arrays and byte counts)"
+    ),
     "BcsApi.bcs_test": "BCS API call of the paper's Section 4 interface",
     "BcsApi.bcs_testall": "BCS API call of the paper's Section 4 interface",
     "BcsCore.test_event_poll": "paper primitive: the non-blocking Test-Event",
@@ -83,8 +93,23 @@ def _mentions():
     return words, attrs
 
 
+def _named(body):
+    """``(node, name)`` per definition or alias (``name = other``) in
+    ``body``."""
+    for node in body:
+        if isinstance(node, _DEFS):
+            yield node, node.name
+        elif (
+            isinstance(node, ast.Assign)
+            and len(node.targets) == 1
+            and isinstance(node.targets[0], ast.Name)
+            and isinstance(node.value, ast.Name)
+        ):
+            yield node, node.targets[0].id
+
+
 def _definitions():
-    """(path, node, qualified name, the module's ``__all__`` lines,
+    """(path, node, name, qualified name, the module's ``__all__`` lines,
     whether the definition is a class member) per definition."""
     for path in sorted((ROOT / "src").rglob("*.py")):
         tree = ast.parse(path.read_text())
@@ -94,21 +119,59 @@ def _definitions():
                 isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
             ):
                 own_all.update(range(node.lineno, node.end_lineno + 1))
-        for node in tree.body:
-            if not isinstance(node, _DEFS):
-                continue
-            yield path, node, node.name, own_all, False
+        for node, name in _named(tree.body):
+            yield path, node, name, name, own_all, False
             if isinstance(node, ast.ClassDef):
-                for sub in node.body:
-                    if isinstance(sub, _DEFS):
-                        yield path, sub, f"{node.name}.{sub.name}", own_all, True
+                for sub, sub_name in _named(node.body):
+                    yield path, sub, sub_name, f"{name}.{sub_name}", own_all, True
+
+
+def _module(path: Path) -> str:
+    """Dotted name of the module at ``path`` under ``src/``."""
+    parts = list(path.relative_to(ROOT / "src").with_suffix("").parts)
+    if parts[-1] == "__init__":
+        parts.pop()
+    return ".".join(parts)
+
+
+def _imports():
+    """``{module: [path, ...]}``: where each module is imported, and each
+    dotted name written out, in the caller dirs and ``pyproject.toml``."""
+    found = {}
+    paths = [ROOT / "pyproject.toml"]
+    for top in CALLER_DIRS:
+        paths += sorted(p for p in (ROOT / top).rglob("*") if p.suffix in (".py", ".sh"))
+    for path in paths:
+        text = path.read_text()
+        for name in set(re.findall(r"\brepro(?:\.\w+)+", text)):
+            found.setdefault(name, []).append(path)
+        if path.suffix != ".py":
+            continue
+        package = _module(path).split(".") if path.is_relative_to(ROOT / "src") else []
+        if package and path.name != "__init__.py":
+            package.pop()
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                base = package[: len(package) - node.level + 1] if node.level else []
+                module = ".".join(base + ([node.module] if node.module else []))
+                names = [module]
+                # A package re-exporting its own submodules (``from .
+                # import x``) uses them no more than its ``__all__`` does.
+                if not (path.name == "__init__.py" and node.level == 1 and not node.module):
+                    names += [f"{module}.{alias.name}" for alias in node.names]
+            else:
+                continue
+            for name in names:
+                found.setdefault(name, []).append(path)
+    return found
 
 
 def unreached():
     words, attrs = _mentions()
     found = {}
-    for path, node, qual, own_all, member in _definitions():
-        name = node.name
+    for path, node, name, qual, own_all, member in _definitions():
         if name.startswith("__") and name.endswith("__"):
             continue
         own = range(node.lineno, node.end_lineno + 1)
@@ -117,6 +180,13 @@ def unreached():
             for p, no in (attrs if member else words).get(name, ())
         ):
             found[qual] = f"{path.relative_to(ROOT)}:{node.lineno}"
+    imports = _imports()
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        module = _module(path)
+        if path.name in ("__init__.py", "__main__.py"):
+            continue
+        if not any(p != path for p in imports.get(module, ())):
+            found[module] = f"{path.relative_to(ROOT)}: module"
     return found
 
 
