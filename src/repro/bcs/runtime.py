@@ -293,10 +293,8 @@ class RankHandle:
         self.coll_seq: Dict[int, int] = {}
         #: Host-call overhead accumulated since the last yield point.
         self.pending_overhead = 0
-        #: No earlier instant at which the rank can run again: set while
-        #: it computes or is blocked until a slice boundary, 0 when it
-        #: may run at any instant.  A planned slice moves a rank's
-        #: descriptors early only while the rank cannot look at them.
+        #: The rank cannot run before this instant (it computes, or waits
+        #: for a slice boundary); 0 when it may run at any instant.
         self.quiet_until = 0
 
     def next_send_seq(self, comm_id: int, dst: int) -> int:
@@ -417,12 +415,11 @@ class BcsRuntime:
         """No Strobe Receiver runs before this instant.
 
         The Strobe Sender publishes it whenever it waits with no receiver
-        at work: ahead of a scheduled microstrobe, through a microphase
-        without participants and in the slice-end sleep.  A rank's
-        blocking wait uses it to block before its host overhead has
-        passed.  Assigning it starts a step now; a planned slice sets the
-        steps of all the microphases it covers at once, and the value is
-        that of the last step begun by now.
+        at work: ahead of a microstrobe, through a microphase without
+        participants and in the slice-end sleep.  A rank's blocking wait
+        uses it to block before its host overhead has passed.  Assigning
+        it starts a step now; a planned slice adds the steps of its
+        microphases ahead of time.
         """
         now = self.env._now
         until = 0
@@ -550,8 +547,7 @@ class BcsRuntime:
 
         def compute(node_id: int, duration: int):
             overhead = handle.take_overhead()
-            # The computation cannot end sooner; the NM tax and CPU
-            # contention only stretch it.
+            # The NM tax and CPU contention can only stretch it.
             handle.quiet_until = env.now + duration + overhead
             yield from handle.nm.compute(handle.job.id, duration + overhead)
             handle.quiet_until = 0

@@ -29,6 +29,8 @@ from typing import TYPE_CHECKING, Any, Dict, List, Optional
 
 from ..sim import Latch, Link, ReusableLatch, ReusableTimeout, Timeout
 
+from .threads import posted_before
+
 if TYPE_CHECKING:  # pragma: no cover
     from .runtime import BcsRuntime
     from .threads import NodeRuntime
@@ -110,26 +112,19 @@ class StrobeReceiver:
 
 
 class _Plan:
-    """A planned stretch of a slice, booked without touching the run.
-
-    NIC clocks and link halves are booked on private copies.  What each
-    simulated heap entry would do is recorded under the entry's place in
-    the engine's order, a nested key ``(instant, key of the entry that
-    created it, creation index)``: among entries of one instant the
-    engine runs them by creation order, and creation follows the order
-    of the creating entries.  With a hub, ``entries`` holds ``(key,
-    items)``, where an item is a protocol-log entry (a tuple) or an
-    effect (a callable), and :meth:`commit` applies them in key order;
-    without one, only the effects are kept, in the order that matters
-    (each node's own).  ``landings`` holds the effects a rank can
-    observe, which :meth:`commit` runs at their own instants.  A
-    transfer that could find a link half busy clears ``ok``: the stretch
-    must then be simulated.
+    """A planned stretch of a slice (docs/PERFORMANCE.md, "Planned
+    slices"): NIC clocks and link halves booked on private copies, and
+    ``entries``, ``(key, items)`` per simulated heap entry keyed by its
+    place in the engine's order, ``(instant, key of the entry that
+    created it, creation index)``.  An item is a log record (a tuple,
+    kept only with a hub) or an effect (a callable); ``landings`` holds
+    the effects ranks can observe.  Nothing touches the run before
+    :meth:`commit`; a clear ``ok`` means the stretch must be simulated.
     """
 
     __slots__ = (
-        "logging", "ok", "fabric", "nics", "entries", "effects", "landings",
-        "_times", "_busy", "_claims", "_holds", "_moved",
+        "logging", "ok", "fabric", "nics", "entries", "landings",
+        "_times", "_busy", "_claims", "_holds", "_sizes",
     )
 
     def __init__(self, runtime: "BcsRuntime", nics: "_Nics", times: dict):
@@ -139,25 +134,14 @@ class _Plan:
         self.nics = nics
         self._times = times
         self.entries: list = []
-        self.effects: list = []
         self.landings: list = []
         self._busy: Dict[int, int] = {}
         self._claims: Dict[Link, list] = {}
         self._holds: list = []
-        self._moved = [0, 0]
+        self._sizes: list = []
 
     def entry(self, key: tuple, *items) -> None:
         self.entries.append((key, items))
-
-    def effect(self, key: tuple, fn, *args) -> None:
-        """Apply ``fn(*args)`` at commit, in the entry keyed ``key``."""
-        if self.logging:
-            self.entries.append((key, (partial(fn, *args),)))
-        else:
-            self.effects.append((fn, args))
-
-    def landing(self, key: tuple, effect) -> None:
-        self.landings.append((key, effect))
 
     def reserve(self, node: int, t: int, duration: int, n: int = 1) -> tuple:
         """:meth:`Nic.reserve` at ``t``; returns the booking's ``(start, end)``."""
@@ -168,20 +152,14 @@ class _Plan:
         end = self._busy[node] = start + duration * n
         return start, end
 
-    def nic(self, node: int, start: int, duration: int, n: int = 1) -> list:
-        return self.nics[node].spans(start, duration, n)
-
     def local_copy(self, node: int, t: int, cost: int, size: int) -> tuple:
         """:meth:`Fabric.local_copy` at ``t``; returns ``(hold start, landing)``."""
         start, end = self.reserve(node, t, cost)
-        self._moved[0] += 1
-        self._moved[1] += size
+        self._sizes.append(size)
         return start, end + self.fabric.copy_time(size)
 
     def transfer(self, src: int, dst: int, size: int, t: int) -> int:
-        """:meth:`Fabric.transfer` at ``t``, found uncontended; returns its
-        landing.  A link half claimed over a touching or overlapping
-        interval, or not released before ``t``, clears ``ok``."""
+        """:meth:`Fabric.transfer` at ``t``, uncontended; returns its landing."""
         route = (src, dst, size)
         known = self._times.get(route)
         if known is None:
@@ -197,53 +175,45 @@ class _Plan:
                 self.ok = self.ok and link.free_before(t)
                 self._claims[link] = [(t, end)]
             else:
-                for t0, t1 in claims:
-                    if t0 <= end and t <= t1:
-                        self.ok = False
+                # Touching or overlapping claims might contend.
+                if any(t0 <= end and t <= t1 for t0, t1 in claims):
+                    self.ok = False
                 claims.append((t, end))
         self._holds.append((group, end))
-        self._moved[0] += 1
-        self._moved[1] += size
+        self._sizes.append(size)
         return end + rest
 
     def commit(self, runtime: "BcsRuntime") -> None:
-        """Apply the stretch: clocks, link holds, log and effects in the
-        engine's order, and one entry of the run per landing instant."""
         nics = self.nics
         for node, t in self._busy.items():
             nics[node].busy_until = t
         self._holds.sort(key=_second)
         for group, t in self._holds:
             Link.hold(group, t)
-        self.fabric.transfers += self._moved[0]
-        self.fabric.bytes_moved += self._moved[1]
+        self.fabric.transfers += len(self._sizes)
+        self.fabric.bytes_moved += sum(self._sizes)
+        entries = self.entries
         if self.logging:
-            self.entries.sort(key=_first)
+            entries.sort(key=_first)
             append = runtime.obs.events.append
-            for _key, items in self.entries:
-                for item in items:
-                    if type(item) is tuple:
-                        append(item)
-                    else:
-                        item()
-        for fn, args in self.effects:
-            fn(*args)
-        landings = self.landings
-        if landings:
-            landings.sort(key=_first)
-            env = runtime.env
-            effects = None
-            t = None
-            for key, effect in landings:
-                if key[0] != t:
-                    t = key[0]
-                    effects = []
-                    Timeout(env, t - env.now).callbacks.append(partial(_apply, effects))
-                effects.append(effect)
+        for _key, items in entries:
+            for item in items:
+                if type(item) is tuple:
+                    append(item)
+                else:
+                    item()
+        env = runtime.env
+        t = None
+        for key, effect in sorted(self.landings, key=_first):
+            if key[0] != t:
+                t = key[0]
+                effects = []
+                Timeout(env, t - env.now).callbacks.append(partial(_apply, effects))
+            effects.append(effect)
 
 
 class _Nics(dict):
-    """Node id -> NIC, filled from the fabric's lazy NIC view on first use."""
+    """Node id -> NIC, read once from the fabric's lazy NIC view."""
 
     def __init__(self, view):
         super().__init__()
@@ -288,12 +258,11 @@ class StrobeSender:
         self._full_latency = runtime.cluster.fabric.strobe_latency(
             runtime.config.strobe_bytes, runtime.cluster.n_compute_nodes
         )
-        # A planned P2P leaves the slice's last sr_idle_until step (from
-        # RM's start) and its retirement to the slice-end wake.
+        # A planned P2P leaves its last sr_idle_until step (from RM's
+        # start) and the retirement of its matches to the slice-end wake.
         self._idle_from: Optional[int] = None
         self._retire_due = False
-        # The planner's lookups: node id -> NIC, and (src, dst, size) ->
-        # an uncontended transfer's (hold, rest, (tx half, rx half)).
+        # Planner lookups: NICs, and (src, dst, size) -> (hold, rest, halves).
         self._nics = _Nics(runtime.cluster.fabric.nics)
         self._times: Dict[tuple, tuple] = {}
 
@@ -385,15 +354,10 @@ class StrobeSender:
     def _plan_idle(self, start: int, end: int) -> int:
         """The plan of a slice with no descriptors: the boundary to wake at.
 
-        No work exists now, no hook can create any at a boundary, and
-        cluster state cannot change before the next queued entry at
-        ``t_next`` — so every boundary strictly before ``t_next``
-        replays this slice verbatim: same empty queues, same zero-waiter
-        pulses, same idle bookkeeping.  The slices whose ends precede
-        ``t_next`` are skipped in one sleep and logged as the reference
-        engine logs them (empty queues, frozen matcher totals); entries
-        firing in the last one are observed at its end boundary exactly
-        as without the skip.
+        Cluster state cannot change before the next queued entry, so
+        every boundary before it replays this idle slice verbatim; those
+        slices are skipped in one sleep and logged as the reference
+        engine logs them (empty queues, frozen matcher totals).
         """
         runtime = self.runtime
         timeslice = runtime.config.timeslice
@@ -416,17 +380,13 @@ class StrobeSender:
 
     def _active(self, start: int, dem_nodes: List[int], plan: bool):
         """An active slice's microphases, planned when exact and simulated
-        otherwise; returns the slice's work end.
-
-        A DEM with participants is planned at its microstrobe, one strobe
-        latency after the boundary: the ranks the boundary restarted post
-        first, and their descriptors are drained with the others.  One
-        without participants drains nothing and is planned at once.  P2P
-        is planned with them, or at MSM's end if they were simulated.
-        """
+        otherwise; returns the slice's work end.  DEM is planned at its
+        microstrobe, after the ranks the boundary restarted have posted
+        (at once if it has no participants), MSM and P2P with it; P2P
+        alone at MSM's end if DEM and MSM were simulated."""
         runtime = self.runtime
         cfg = runtime.config
-        due = False
+        began = None
         if plan:
             if dem_nodes:
                 obs = runtime.obs
@@ -437,7 +397,7 @@ class StrobeSender:
                 latency = self.strobe_latency()
                 runtime.sr_idle_until = start + latency
                 yield self._sleep.rearm(latency)
-                due = True
+                began = start
             msm_end = self._plan_exchange(start, dem_nodes)
             if msm_end is not None:
                 granted = self._grant(msm_end)
@@ -446,7 +406,7 @@ class StrobeSender:
                     return work_end
                 yield self._sleep.rearm(msm_end - self.env.now)
                 return (yield from self._transmit(granted))
-        yield from self._microphase(DEM, dem_nodes, cfg.dem_min_duration, due=due)
+        yield from self._microphase(DEM, dem_nodes, cfg.dem_min_duration, began=began)
         yield from self._microphase(MSM, runtime.msm_nodes(), cfg.msm_min_duration)
         granted = self._grant(self.env.now)
         if plan and self._plannable():
@@ -512,16 +472,9 @@ class StrobeSender:
                 pools.release_recv(m.recv)
 
     def _plannable(self) -> bool:
-        """May the rest of the slice be planned?
-
-        The microstrobe latency cannot change before the slice ends (the
-        active set already has the whole machine's, as for
-        :meth:`_empty_tail`); no collective is in flight, so MSM issues
-        no Compare-And-Write and BBM and RM have no participants; only
-        the slice machine moves data on the fabric or books NIC thread
-        processors; and every NIC booking takes time, so each is an
-        entry of its own.
-        """
+        """May the rest of the slice be planned?  No launch can change the
+        microstrobe latency, no collective is in flight, no other client
+        shares the fabric, and every NIC booking is an entry of its own."""
         runtime = self.runtime
         return (
             self.strobe_latency() == self._full_latency
@@ -530,169 +483,142 @@ class StrobeSender:
             and not runtime.collectives_pending()
         )
 
+    def _plan_phase(self, plan, phase, t0, begin, nodes, node_plan, min_duration):
+        """Book a microphase begun at ``t0`` in the entry keyed ``begin``:
+        microstrobe, each node's part (``node_plan(node, t, fan-out key,
+        creation index) -> (end, entry key, next index)``) and latch.
+        Returns its end and the key of the entry that ends it."""
+        latency = self._strobe_latency
+        slice_no = self.runtime.slice_no
+        if not nodes:
+            end = t0 + max(latency, min_duration)
+            done = (end, begin, 0)
+        else:
+            t_strobe = t0 + latency
+            fanout = (t_strobe, begin, 0)
+            index = 0
+            done = None
+            for node in nodes:
+                t, key, index = node_plan(node, t_strobe, fanout, index)
+                if plan.logging:
+                    plan.entry(key, (t, "node_phase", node, slice_no, phase, t_strobe))
+                if done is None or key > done:
+                    done = key
+            n = len(nodes)
+            end = max(done[0] + self.runtime.cluster.fabric.model.cw_latency(n), t0 + min_duration)
+            done = (end, done, 0)
+        if plan.logging:
+            plan.entry(done, (end, "phase", slice_no, phase, end - t0))
+        return end, done
+
     def _plan_exchange(self, start: int, dem_nodes: List[int]) -> Optional[int]:
         """Plan DEM and MSM now; returns MSM's end, or None to simulate.
-
-        Matching moves descriptors earlier than the simulated Buffer
-        Receivers would.  Only the owner of a receive, or the destination
-        rank of a send, can see its descriptor move (``probe``,
-        ``cancel_recv``), so the plan holds only while each of those
-        ranks cannot run before the instant its descriptor would move.
-        """
-        if not self._plannable():
+        Matching moves descriptors early, so the ranks that could see
+        them (``probe``, ``cancel_recv``) must be quiet past each move."""
+        # The DEM strobe came one latency after the boundary, unless a
+        # launch has changed the latency since.
+        latency_kept = not dem_nodes or self.env.now - start == self.strobe_latency()
+        if not (latency_kept and self._plannable()):
             return None
         runtime = self.runtime
         cfg = runtime.config
-        cw = runtime.cluster.fabric.model.cw_latency
         agents = runtime.agents
         quiet_until = runtime.rank_quiet_until
-        latency = self._strobe_latency
         slice_no = runtime.slice_no
         plan = _Plan(runtime, self._nics, self._times)
-        logging = plan.logging
-        t_dem = self.env.now
-        fanout = (t_dem, (), 0)
         arrivals: Dict[int, list] = {}
         drains = []
-        last = None
-        for j, node in enumerate(dem_nodes):
+
+        def dem(node, t, fanout, index):
             nrt = runtime.node_runtimes[node]
-            n_sends, n_recvs, n_colls = nrt.drain_counts()
-            if n_colls:
-                return None
+            n_sends = posted_before(nrt.posted_sends, start)
+            n_recvs = posted_before(nrt.posted_recvs, start)
+            n_colls = posted_before(nrt.posted_colls, start)
             drains.append((nrt, n_sends, n_recvs))
             recvs = nrt.posted_recvs[:n_recvs]
             a = agents[node]
-            ctx = a.bs.plan_dem(plan, nrt.posted_sends[:n_sends], t_dem, fanout, j, arrivals)
-            t, key, _ = a.br.plan_batch(plan, recvs, a.br._match_recvs, *ctx)
-            for r in recvs:
-                if quiet_until(r.job_id, r.comm_id, r.rank) <= t:
-                    return None
-            if logging:
-                plan.entry(key, (t, "node_phase", node, slice_no, DEM, t_dem))
-            if last is None or key > last:
-                last = key
+            sent = a.bs.plan_dem(plan, nrt.posted_sends[:n_sends], t, fanout, index, arrivals)
+            t, key, _ = a.br.plan_batch(plan, recvs, a.br._match_recvs, *sent)
+            if n_colls or any(quiet_until(r.job_id, r.comm_id, r.rank) <= t for r in recvs):
+                plan.ok = False
+            return t, key, index + 1
+
+        def msm(node, t, fanout, index):
+            got = arrivals[node]
+            got.sort(key=_first)
+            sends = [desc for _key, desc in got]
+            br = agents[node].br
+            t, key, _ = br.plan_batch(plan, sends, br._match_sends, t, fanout, index)
+            if any(quiet_until(s.job_id, s.comm_id, s.dst_rank) <= t for s in sends):
+                plan.ok = False
+            return t, key, index + 1
+
+        begin = (start, (), 0)
+        if plan.logging and not dem_nodes:
+            plan.entry(begin, (start, "phase_begin", slice_no, DEM, 0))
+        t_msm, done = self._plan_phase(
+            plan, DEM, start, begin, dem_nodes, dem, cfg.dem_min_duration
+        )
+        msm_nodes = sorted(arrivals)
+        if plan.logging:
+            plan.entry(done, (t_msm, "phase_begin", slice_no, MSM, len(msm_nodes)))
+        msm_end, _ = self._plan_phase(
+            plan, MSM, t_msm, done, msm_nodes, msm, cfg.msm_min_duration
+        )
         if not plan.ok:
             return None
-        msm = sorted(arrivals)
-        exchanged = 0
-        if dem_nodes:
-            t_msm = max(last[0] + cw(len(dem_nodes)), start + cfg.dem_min_duration)
-            latch = (t_msm, last, 0)
-        else:
-            t_msm = start + max(latency, cfg.dem_min_duration)
-            latch = (t_msm, fanout, 0)
-            if logging:
-                plan.entry(fanout, (start, "phase_begin", slice_no, DEM, 0))
-        if logging:
-            plan.entry(
-                latch,
-                (t_msm, "phase", slice_no, DEM, t_msm - start),
-                (t_msm, "phase_begin", slice_no, MSM, len(msm)),
-            )
-        if msm:
-            t_strobe = t_msm + latency
-            fanout = (t_strobe, latch, 0)
-            last = None
-            for j, node in enumerate(msm):
-                got = arrivals[node]
-                if len(got) > 1:
-                    got.sort(key=_first)
-                    sends = [desc for _key, desc in got]
-                else:
-                    sends = [got[0][1]]
-                br = agents[node].br
-                t, key, _ = br.plan_batch(plan, sends, br._match_sends, t_strobe, fanout, j)
-                for s in sends:
-                    if quiet_until(s.job_id, s.comm_id, s.dst_rank) <= t:
-                        return None
-                if logging:
-                    plan.entry(key, (t, "node_phase", node, slice_no, MSM, t_strobe))
-                exchanged += len(sends)
-                if last is None or key > last:
-                    last = key
-            msm_end = max(last[0] + cw(len(msm)), t_msm + cfg.msm_min_duration)
-            latch = (msm_end, last, 0)
-        else:
-            msm_end = t_msm + max(latency, cfg.msm_min_duration)
-            latch = (msm_end, latch, 0)
-        if logging:
-            plan.entry(latch, (msm_end, "phase", slice_no, MSM, msm_end - t_msm))
-
         for nrt, n_sends, n_recvs in drains:
             del nrt.posted_sends[:n_sends]
             del nrt.posted_recvs[:n_recvs]
         plan.commit(runtime)
-        runtime.stats["descriptors_exchanged"] += exchanged
-        self._count_phase(dem_nodes, msm)
+        runtime.stats["descriptors_exchanged"] += sum(map(len, arrivals.values()))
+        gas = runtime.core.gas
+        for nodes in (dem_nodes, msm_nodes):
+            if nodes:
+                gas.increment_batch(nodes, "mphase_done")
         if not dem_nodes:
             runtime.sr_idle_until = t_msm
-        runtime._sr_idle += ((t_msm, t_msm + latency if msm else msm_end),)
+        msm_idle = t_msm + self._strobe_latency if msm_nodes else msm_end
+        runtime._sr_idle += ((t_msm, msm_idle),)
         return msm_end
 
     def _plan_transmit(self, granted: list, t_p2p: int) -> Optional[int]:
         """Plan P2P, BBM and RM from MSM's end ``t_p2p`` (now, or ahead
-        when planned with DEM and MSM, which :meth:`_plannable` then
-        covers); returns the slice's work end, or None to simulate.  Each
-        chunk lands through an entry of its instant, where requests
-        complete as the DMA Helper would complete them."""
+        with DEM and MSM, which :meth:`_plannable` then covers); returns
+        the slice's work end, or None to simulate."""
         runtime = self.runtime
-        cw = runtime.cluster.fabric.model.cw_latency
         agents = runtime.agents
-        latency = self._strobe_latency
-        slice_no = runtime.slice_no
         mine: Dict[int, list] = {}
         for m in granted:
             mine.setdefault(m.dst_node, []).append(m)
         nodes = sorted(mine)
         plan = _Plan(runtime, self._nics, self._times)
-        logging = plan.logging
-        t_strobe = t_p2p + latency
+
+        def p2p(node, t, fanout, index):
+            return agents[node].dh.plan_p2p(plan, mine[node], t, fanout, index)
+
         begin = (t_p2p, (), 0)
-        fanout = (t_strobe, begin, 0)
-        if logging:
-            plan.entry(begin, (t_p2p, "phase_begin", slice_no, P2P, len(nodes)))
-        index = 0
-        last = None
-        for node in nodes:
-            index, key = agents[node].dh.plan_p2p(plan, mine[node], t_strobe, fanout, index)
-            if logging:
-                plan.entry(key, (key[0], "node_phase", node, slice_no, P2P, t_strobe))
-            if last is None or key > last:
-                last = key
+        if plan.logging:
+            plan.entry(begin, (t_p2p, "phase_begin", runtime.slice_no, P2P, len(nodes)))
+        end, done = self._plan_phase(plan, P2P, t_p2p, begin, nodes, p2p, 0)
         if not plan.ok:
             return None
-        if nodes:
-            end = last[0] + cw(len(nodes))
-            latch = (end, last, 0)
-        else:
-            end = t_strobe
-            latch = (end, begin, 0)
-        if logging:
+        if plan.logging:
             retired = tuple(
                 m.send.desc_id
                 for m in runtime.scheduler.in_flight
                 if m.bytes_done + m.scheduled_now >= m.total_bytes
             )
-            items = [(end, "phase", slice_no, P2P, end - t_p2p)]
             if retired:
-                items.append((end, "retire", retired))
-            plan.entry(latch, *items, *self._empty_tail(end))
-
+                plan.entry(done, (end, "retire", retired))
+            plan.entry(done, *self._empty_tail(end))
         plan.commit(runtime)
-        self._count_phase(nodes)
-        runtime._sr_idle += ((t_p2p, t_strobe),)
+        if nodes:
+            runtime.core.gas.increment_batch(nodes, "mphase_done")
+        runtime._sr_idle += ((t_p2p, t_p2p + self._strobe_latency),)
         self._idle_from = end
         self._retire_due = True
-        return end + 2 * latency
-
-    def _count_phase(self, *phases: List[int]) -> None:
-        """Each node of each of ``phases`` completed that microphase: the
-        batched completion report of :meth:`_microphase`."""
-        gas = self.runtime.core.gas
-        for nodes in phases:
-            if nodes:
-                gas.increment_batch(nodes, "mphase_done")
+        return end + 2 * self._strobe_latency
 
     def strobe_latency(self) -> int:
         """Duration of a microstrobe to the current active set.
@@ -743,7 +669,7 @@ class StrobeSender:
         return entries
 
     def _microphase(
-        self, phase: str, nodes: List[int], min_duration: int, payload=None, due=False
+        self, phase: str, nodes: List[int], min_duration: int, payload=None, began=None
     ):
         """Strobe, dispatch, await completion, CaW-confirm, pad.
 
@@ -755,14 +681,15 @@ class StrobeSender:
         scheduled one multicast latency ahead, and the microphase latch,
         whose completion delay charges the Compare-And-Write's network
         conditional and the minimum duration.  A microphase without
-        participants is one timeout.  With ``due``, the phase began one
-        microstrobe latency ago (already logged, the Strobe Sender slept
-        in the fan-out's place) and the fan-out runs now.
+        participants is one timeout.  A phase that ``began`` earlier
+        (logged then, and the Strobe Sender slept in its fan-out's place)
+        has its microstrobe due now.
         """
         runtime = self.runtime
         env = self.env
         latency = self.strobe_latency()
-        t0 = env.now - latency if due else env.now
+        due = began is not None
+        t0 = began if due else env.now
         obs = runtime.obs
         if obs is not None and not due:
             obs.events.append((t0, "phase_begin", runtime.slice_no, phase, len(nodes)))

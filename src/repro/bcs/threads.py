@@ -55,7 +55,7 @@ def _copy_payload(payload):
     return copy.deepcopy(payload)
 
 
-def _ready(queue: list, cutoff: int) -> int:
+def posted_before(queue: list, cutoff: int) -> int:
     """How many descriptors at the head of ``queue`` were posted at or
     before ``cutoff``.
 
@@ -249,21 +249,10 @@ class NodeRuntime:
 
     def _drain_posted(self, queue: list) -> list:
         """Remove and return descriptors posted before this slice's DEM."""
-        n = _ready(queue, self.slice_start_time)
+        n = posted_before(queue, self.slice_start_time)
         take = queue[:n]
         del queue[:n]
         return take
-
-    def drain_counts(self) -> tuple:
-        """How many posted sends, receives and collective descriptors
-        this slice's DEM drains (:meth:`_drain_posted`)."""
-        cutoff = self.runtime.slice_start_time
-        sends, recvs, colls = self.posted_sends, self.posted_recvs, self.posted_colls
-        return (
-            _ready(sends, cutoff) if sends else 0,
-            _ready(recvs, cutoff) if recvs else 0,
-            _ready(colls, cutoff) if colls else 0,
-        )
 
     # -- collective helpers ------------------------------------------------------------
 
@@ -359,20 +348,16 @@ class BufferSender:
                 )
 
     def plan_dem(self, plan, sends: list, t: int, parent: tuple, index: int, arrivals: dict):
-        """:meth:`dem_phase` in closed form (see :class:`repro.bcs.strobe._Plan`).
-
-        Ships ``sends``, this slice's drained FIFO, from instant ``t`` in
-        the entry keyed ``parent``, whose ``index``-th creation the
-        thread's first booking is.  Each delivery joins
-        ``arrivals[dst_node]`` as ``(entry key, desc)``.  Returns the
-        instant, entry key and next creation index at which the thread
-        returns.
-        """
+        """:meth:`dem_phase` on a slice plan (:class:`repro.bcs.strobe._Plan`)
+        from ``t``, its first booking the ``index``-th entry created in
+        entry ``parent``; deliveries join ``arrivals[dst_node]`` as
+        ``(entry key, desc)``.  Returns where the thread returns."""
         nrt = self.nrt
         node = nrt.node_id
         runtime = nrt.runtime
         cost = nrt.config.nic_descriptor_cost
         size = nrt.config.descriptor_bytes
+        nic = plan.nics[node]
         logging = plan.logging
         for desc in sends:
             dst_node = runtime.comm_info(desc.job_id, desc.comm_id).node_of(desc.dst_rank)
@@ -380,12 +365,12 @@ class BufferSender:
                 start, t = plan.local_copy(node, t, cost, size)
                 parent = (t, parent, index)
                 if logging:
-                    plan.entry(parent, *plan.nic(node, start, cost))
+                    plan.entry(parent, *nic.spans(start, cost))
             else:
                 start, end = plan.reserve(node, t, cost)
                 held = (end, parent, index)
                 if logging:
-                    plan.entry(held, *plan.nic(node, start, cost))
+                    plan.entry(held, *nic.spans(start, cost))
                 t = plan.transfer(node, dst_node, size, end)
                 parent = (t, held, 0)
             index = 0
@@ -514,12 +499,9 @@ class BufferReceiver:
                     ))
 
     def plan_batch(self, plan, batch: list, match, t: int, parent: tuple, index: int):
-        """One batched NIC hold over ``batch`` from ``t`` and
-        ``match(batch, end)`` at its end, in closed form: the fast
-        engine's :meth:`dem_phase` receive leg or :meth:`msm_phase`
-        without collectives.  ``parent`` and ``index`` place the booking
-        as in :meth:`BufferSender.plan_dem`; returns where the thread
-        goes on."""
+        """The batched leg of :meth:`dem_phase` or :meth:`msm_phase` on a
+        slice plan: one NIC hold over ``batch``, placed as in
+        :meth:`BufferSender.plan_dem`, then ``match(batch, end)``."""
         if not batch:
             return t, parent, index
         node = self.nrt.node_id
@@ -527,8 +509,8 @@ class BufferReceiver:
         start, end = plan.reserve(node, t, cost, len(batch))
         key = (end, parent, index)
         if plan.logging:
-            plan.entry(key, *plan.nic(node, start, cost, len(batch)))
-        plan.effect(key, match, batch, end)
+            plan.entry(key, *plan.nics[node].spans(start, cost, len(batch)))
+        plan.entry(key, partial(match, batch, end))
         return end, key, 0
 
     def _match_recvs(self, recvs: list, t: int) -> None:
@@ -641,18 +623,13 @@ class DmaHelper:
             )
 
     def plan_p2p(self, plan, mine: List[Match], t0: int, fanout: tuple, index: int):
-        """:meth:`p2p_phase` in closed form for the microstrobe at ``t0``,
-        the entry keyed ``fanout`` (see :class:`repro.bcs.strobe._Plan`).
-
-        Books a hold per chunk of ``mine`` (this node's grants, in grant
-        order) as the fan-out's ``index``-th creations on, and lands each
-        chunk through ``plan.landing``.  Returns the fan-out's next
-        creation index and the key of the entry in which the thread
-        returns: the first chunk's landing, or the completion of the
-        latch on the later chunks if one of them lands after it.
-        """
+        """:meth:`p2p_phase` on a slice plan for the microstrobe at ``t0``:
+        a hold per chunk of ``mine``, the fan-out's ``index``-th creations
+        on, and a landing each.  Returns where the thread returns (the
+        first landing, or the later chunks' latch) and the next index."""
         node = self.nrt.node_id
         cost = self.nrt.config.nic_descriptor_cost
+        nic = plan.nics[node]
         logging = plan.logging
         first = later = None
         for match in mine:
@@ -660,12 +637,12 @@ class DmaHelper:
             if match.src_node == node:
                 start, t = plan.local_copy(node, t0, cost, size)
                 key = (t, fanout, index)
-                items = plan.nic(node, start, cost) if logging else ()
+                items = nic.spans(start, cost) if logging else ()
             else:
                 start, end = plan.reserve(node, t0, cost)
                 held = (end, fanout, index)
                 if logging:
-                    plan.entry(held, *plan.nic(node, start, cost))
+                    plan.entry(held, *nic.spans(start, cost))
                 t = plan.transfer(match.src_node, node, size, end)
                 key = (t, held, 0)
                 items = ()
@@ -677,14 +654,14 @@ class DmaHelper:
                     (t, "unicast", match.src_node, node, size, "p2p"),
                     *self._chunk_log(match, t0, t),
                 )
-            plan.landing(key, partial(self._chunk_done, match, t0, True))
+            plan.landings.append((key, partial(self._chunk_done, match, t0, True)))
             if first is None:
                 first = key
             elif later is None or key > later:
                 later = key
         if later is None or later < first:
-            return index, first
-        return index, (later[0], later, 0)
+            return first[0], first, index
+        return later[0], (later[0], later, 0), index
 
     def _chunk_log(self, match: Match, t0: int, t: int) -> list:
         """The log entries of ``match``'s chunk landing at ``t``."""

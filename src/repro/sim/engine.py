@@ -97,36 +97,30 @@ class Engine:
         """
         if delay < 0:
             raise ValueError(f"negative delay {delay}")
-        members = []
-        for ev in events:
-            if ev._value is PENDING:
-                ev._ok = True
-                ev._value = value
-                members.append(ev)
-        if members:
-            carrier = FanOut(self, members)
-            self.schedule(carrier, delay)
-            carrier.key = (self._now + delay, 0, self._seq)
-        return len(members)
+        carrier = self._carrier(events, value)
+        if carrier is None:
+            return 0
+        self.schedule(carrier, delay)
+        carrier.key = (self._now + delay, 0, self._seq)
+        return len(carrier.members)
 
     def fire_all(self, events: Iterable[Event], value: Any = None) -> None:
-        """:meth:`trigger_all` whose carrier is the entry running now.
+        """:meth:`trigger_all` with the entry running now as the carrier:
+        exact for a caller that slept from where it would have scheduled
+        the carrier, as its wake-up holds the carrier's place."""
+        carrier = self._carrier(events, value)
+        if carrier is not None:
+            carrier.key = (self._now, 0, self._step_seq)
+            carrier._fire(carrier)
 
-        For a caller that slept from the point where it would have
-        scheduled the carrier until the carrier's instant: its wake-up
-        entry holds the carrier's place in the heap order, so processing
-        the members inside it is exact.
-        """
+    def _carrier(self, events: Iterable[Event], value: Any) -> Optional[FanOut]:
         members = []
         for ev in events:
             if ev._value is PENDING:
                 ev._ok = True
                 ev._value = value
                 members.append(ev)
-        if members:
-            carrier = FanOut(self, members)
-            carrier.key = (self._now, 0, self._step_seq)
-            carrier._fire(carrier)
+        return FanOut(self, members) if members else None
 
     def peek(self) -> Optional[int]:
         """Time of the next scheduled event, or None if the queue is empty."""
