@@ -2,13 +2,13 @@
 """Wall-clock benchmark gate for the simulator hot path.
 
 Runs a small suite of macro replays (idle-heavy, where the Strobe
-Sender's idle fast-forward dominates), dense micro benchmarks (every
+Sender's planning of idle slices dominates), dense micro benchmarks (every
 slice active, where the engine/matching/fabric fast paths must at least
 not regress) and large-N scaling replays, each twice: once on the fast
 slice engine (the default) and once on the reference engine
 (``BcsConfig(engine="reference")``: full-scan active sets, per-node
-strobe completion writes, per-descriptor linear matching, no idle
-fast-forward, every node built up front).
+strobe completion writes, per-descriptor linear matching, every slice
+simulated, every node built up front).
 
 Every pair asserts that the *virtual* runtime is byte-identical — the
 engine choice must never change simulated time — and reports the
@@ -62,13 +62,13 @@ from repro.units import ms, seconds  # noqa: E402
 BASELINE_PATH = REPO / "BENCH_simperf.json"
 SCHEMA = 1
 
-#: Required fast-forward speedup on the idle-heavy macro replay.
+#: Required speedup on the idle-heavy macro replay (idle slices planned).
 MACRO_MIN_SPEEDUP = 2.0
 #: Dense micro benchmarks must not get slower than this factor.
 MICRO_MIN_SPEEDUP = 0.90
 #: Required full-stack speedup on the large-N scaling replay: one small
 #: job on a 512-node machine must run >= 10x faster with the optimized
-#: defaults (idle fast-forward + incremental active sets + hash matcher)
+#: defaults (planned slices + incremental active sets + hash matcher)
 #: than with the historical per-slice full-scan path.
 SCALING_MIN_SPEEDUP = 10.0
 #: Per-benchmark floors that override the kind-level defaults above.
@@ -92,13 +92,13 @@ def benchmarks(quick: bool):
 
     ``macro`` workloads are compute-dominated replays in the spirit of
     the paper's Fig. 10 (SAGE) and Fig. 11 (SWEEP3D) runs: most slices
-    are idle, so the fast-forward should collapse them.  ``micro``
+    are idle, so planning should collapse them.  ``micro``
     workloads keep every slice active so the remaining optimizations
     (hash matching, latch barriers, fabric fast paths) are measured
     without any skipping.  The ``scaling`` replay is the ISSUE-5 regime:
     one small job on a 512-node machine, where the per-slice full scans
     of the reference path dominate and the incremental active sets plus
-    idle fast-forward must buy >= 10x.
+    planned idle slices must buy >= 10x.
     """
     s = 3 if quick else 5  # repetition count per measurement (best-of)
     return s, [
@@ -404,7 +404,7 @@ def check(report: dict) -> int:
             )
     if macro_speedups and max(macro_speedups.values()) < MACRO_MIN_SPEEDUP:
         failures.append(
-            f"no macro replay reached {MACRO_MIN_SPEEDUP:.1f}x fast-forward "
+            f"no macro replay reached {MACRO_MIN_SPEEDUP:.1f}x idle-planning "
             f"speedup: {macro_speedups}"
         )
 

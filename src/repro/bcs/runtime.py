@@ -422,12 +422,10 @@ class BcsRuntime:
         microphases ahead of time.
         """
         now = self.env._now
-        until = 0
-        for since, value in self._sr_idle:
-            if since > now:
-                break
-            until = value
-        return until
+        for since, value in reversed(self._sr_idle):
+            if since <= now:
+                return value
+        return 0
 
     @sr_idle_until.setter
     def sr_idle_until(self, t: int) -> None:
