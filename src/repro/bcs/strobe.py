@@ -64,14 +64,11 @@ class StrobeReceiver:
         #: :class:`Strobe`; the Strobe Sender wakes every participant of
         #: a microphase through one ``trigger_all``.
         self.wake = nrt.env.event()
+        #: Microphases this receiver has run and reported (reference
+        #: engine; the fast engine's Strobe Sender reports for every
+        #: participant at once, planned microphases included).
+        self.completed_phases = 0
         self._proc = nrt.env.process(self._run(), name=f"SR{nrt.node_id}")
-
-    @property
-    def completed_phases(self) -> int:
-        """Microphases this receiver has completed: its counter in global
-        memory, which the Compare-And-Write tests."""
-        nrt = self.nrt
-        return int(nrt.runtime.arena.mphase_done[nrt.node_id])
 
     def _run(self):
         nrt = self.nrt
@@ -96,8 +93,9 @@ class StrobeReceiver:
             # whole participant set instead of this per-node write — the
             # array-backed slot ends up with the identical value.
             if not fast:
+                self.completed_phases += 1
                 nrt.runtime.core.gas.write(
-                    nrt.node_id, "mphase_done", self.completed_phases + 1
+                    nrt.node_id, "mphase_done", self.completed_phases
                 )
             obs = nrt.runtime.obs
             if obs is not None:

@@ -1,9 +1,12 @@
 """Tests for the global synchronization protocol (SS/SR, microphases)."""
 
+from collections import Counter
+
 import pytest
 
 from repro.bcs import BcsConfig, BcsRuntime, MICROPHASES
 from repro.network import Cluster, ClusterSpec
+from repro.obs import Observability
 from repro.storm import JobSpec
 from repro.units import seconds, us
 
@@ -80,7 +83,10 @@ def test_scheduling_phase_takes_at_least_125us():
 
 
 def test_strobe_receiver_counts_phases():
-    cluster, runtime = make_runtime()
+    """Every node's completion counter in global memory, which the Strobe
+    Sender's Compare-And-Write tests, counts the microphases the node
+    took part in, as the protocol log records them (``node_phase``, one
+    per receiver run or planned participation), under both engines."""
 
     def app(ctx):
         if ctx.rank == 0:
@@ -88,16 +94,17 @@ def test_strobe_receiver_counts_phases():
         else:
             yield from ctx.comm.recv(source=0)
 
-    runtime.run_job(JobSpec(app=app, n_ranks=2), max_time=seconds(5))
-    total = sum(sr.completed_phases for sr in runtime.receivers.values())
-    assert total > 0
-    # Completion counters are mirrored into global memory for the
-    # Strobe Sender's Compare-And-Write.
-    for node_id, sr in runtime.receivers.items():
-        if sr.completed_phases:
-            assert (
-                runtime.core.gas.read(node_id, "mphase_done") == sr.completed_phases
-            )
+    for engine in ("fast", "reference"):
+        cluster, runtime = make_runtime(engine=engine)
+        obs = Observability()
+        runtime.attach_observability(obs)
+        runtime.run_job(JobSpec(app=app, n_ranks=2), max_time=seconds(5))
+        logged = Counter(e[2] for e in obs.events if e[1] == "node_phase")
+        assert sum(logged.values()) > 0
+        for node_id, sr in runtime.receivers.items():
+            assert runtime.core.gas.read(node_id, "mphase_done") == logged[node_id]
+            if engine == "reference":
+                assert sr.completed_phases == logged[node_id]
 
 
 def test_overrun_detection():
