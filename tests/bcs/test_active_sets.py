@@ -19,6 +19,7 @@ applied to the slice machine).
 
 import json
 import random
+from collections import Counter
 from types import SimpleNamespace
 from typing import Callable, NamedTuple, Optional, Tuple
 
@@ -213,6 +214,49 @@ def test_observability_output_identical(name):
     assert obs_fast.profiler.report() == obs_ref.profiler.report()
     assert _blame(obs_fast, fast) == _blame(obs_ref, ref)
     assert _stream(obs_fast, drop) == _stream(obs_ref, drop)
+
+
+def _ranks_view(log):
+    """The entries of ``log`` (a multiset) that ranks cause or observe."""
+    return {e: n for e, n in log.items() if e[1] in ("post", "wait", "chunk", "deliver")}
+
+
+def test_stop_inside_planned_slices():
+    """A run stopped at any instant, planned slices included, has logged
+    all the reference engine has logged up to that instant, and the same
+    posts, waits, chunks and deliveries.  What a planned stretch commits
+    ahead of its instants (log entries, descriptor and microphase counts,
+    fabric totals) runs ahead of the reference engine, never behind,
+    until the run passes the stretch (docs/PERFORMANCE.md, "Planned
+    slices").  Both engines log a loopback copy's NIC hold, and the
+    empty BBM and RM, before their instants."""
+    w = WORKLOADS["sweep3d"]
+    spec = JobSpec(app=w.app, n_ranks=w.n_ranks, name=w.app.__name__, params=w.params)
+    runs = []
+    for engine in ("fast", "reference"):
+        obs = Observability()
+        runtime = _runtime("sweep3d", BcsConfig(engine=engine), obs)
+        runs.append((runtime, obs, runtime.launch(spec)))
+    (fast, obs_fast, job_fast), (ref, obs_ref, job_ref) = runs
+    exact = ("chunks_moved", "bytes_transferred", "messages_delivered")
+    t, ahead = BcsConfig().init_cost, 0
+    while not job_ref.complete:
+        # Stops at offsets 7 µs apart into the 500 µs slices.
+        t += us(507)
+        for runtime, _, _ in runs:
+            runtime.env.run(until=t)
+        fast_log, ref_log = (
+            Counter(e for e in obs.events if e[0] <= t) for obs in (obs_fast, obs_ref)
+        )
+        assert not ref_log - fast_log
+        assert _ranks_view(fast_log) == _ranks_view(ref_log)
+        stats = _stats(SimpleNamespace(stats=fast.stats))
+        assert all(stats.get(k, 0) >= v for k, v in ref.stats.items())
+        assert all(stats.get(k, 0) == ref.stats.get(k, 0) for k in exact)
+        ahead += stats != ref.stats
+    assert job_fast.complete and job_fast.runtime == job_ref.runtime
+    assert _stats(SimpleNamespace(stats=fast.stats)) == ref.stats
+    assert ahead
 
 
 def test_hooks_with_incremental_sets():
