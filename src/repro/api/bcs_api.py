@@ -23,7 +23,6 @@ from ..bcs.descriptors import (
     payload_nbytes,
 )
 from ..bcs.runtime import QUIET_FOREVER
-from ..bcs.threads import _copy_payload
 from ..obs import call_site
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -81,6 +80,8 @@ class BcsApi:
             # Buffered coscheduling: the payload is snapshotted at post
             # time and the send buffer is immediately reusable, so the
             # request is complete as far as the sender is concerned.
+            from ..bcs.threads import _copy_payload
+
             desc.payload = _copy_payload(payload)
             req._finish()
         return req
