@@ -228,8 +228,9 @@ def test_stop_inside_planned_slices():
     ahead of its instants (log entries, descriptor and microphase counts,
     fabric totals) runs ahead of the reference engine, never behind,
     until the run passes the stretch (docs/PERFORMANCE.md, "Planned
-    slices").  Both engines log a loopback copy's NIC hold, and the
-    empty BBM and RM, before their instants."""
+    slices").  Both engines log an empty BBM and RM before their instants
+    and a loopback copy's NIC hold after its instant, so the logs up to a
+    stop are compared by containment."""
     w = WORKLOADS["sweep3d"]
     spec = JobSpec(app=w.app, n_ranks=w.n_ranks, name=w.app.__name__, params=w.params)
     runs = []
