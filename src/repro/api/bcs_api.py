@@ -23,6 +23,7 @@ from ..bcs.descriptors import (
     payload_nbytes,
 )
 from ..bcs.runtime import QUIET_FOREVER
+from ..bcs.threads import _copy_payload
 from ..obs import call_site
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -80,8 +81,6 @@ class BcsApi:
             # Buffered coscheduling: the payload is snapshotted at post
             # time and the send buffer is immediately reusable, so the
             # request is complete as far as the sender is concerned.
-            from ..bcs.threads import _copy_payload
-
             desc.payload = _copy_payload(payload)
             req._finish()
         return req
@@ -174,16 +173,16 @@ class BcsApi:
         if req.complete:
             return False
         nrt = handle.nrt
-        for queue in (nrt.posted_recvs, nrt.matcher.posted):
-            for desc in queue:
-                if desc.request is req:
-                    queue.remove(desc)
-                    req.error = None
-                    req.payload = None
-                    req._finish()
-                    self.runtime.stats["recvs_cancelled"] += 1
-                    return True
-        return False
+        queued = [d for d in nrt.posted_recvs if d.request is req]
+        if queued:
+            nrt.posted_recvs.remove(queued[0])
+        elif not nrt.matcher.withdraw(req):
+            return False
+        req.error = None
+        req.payload = None
+        req._finish()
+        self.runtime.stats["recvs_cancelled"] += 1
+        return True
 
     def bcs_testall(self, reqs: Sequence[BcsRequest]) -> bool:
         """Non-blocking completion check for a set of requests."""
@@ -197,13 +196,17 @@ class BcsApi:
         requests, so while none runs before ``t0`` the rank blocks at
         once, in the same entry: the requests it finds pending are those
         it would find at ``t0``, and the boundary that restarts it is the
-        same.  A wait whose requests are all complete still pays the
-        overhead, as does one that may overlap receiver work.
+        same.  It also blocks at once when every pending request was
+        posted after this slice's DEM cutoff and ``t0`` comes before the
+        next boundary: no DEM has drained those descriptors, so none can
+        complete before that boundary.  A wait whose requests are all
+        complete still pays the overhead, as does one that may overlap
+        receiver work.
         """
         overhead = handle.take_overhead()
         t0 = self.env.now + overhead
         wake = None
-        if not overhead or t0 < self.runtime.sr_idle_until:
+        if not overhead or self._undrained(reqs, t0) or t0 < self.runtime.sr_idle_until:
             wake = handle.nm.block_on(reqs)
         if wake is None and overhead:
             yield self.env.timeout(overhead)
@@ -235,6 +238,18 @@ class BcsApi:
                 call_site(),
                 waited,
             ))
+
+    def _undrained(self, reqs: Sequence[BcsRequest], t0: int) -> bool:
+        """Does ``t0`` come before the next boundary, with every pending
+        request of ``reqs`` posted after this slice's DEM cutoff?"""
+        runtime = self.runtime
+        cutoff = runtime.slice_start_time
+        if t0 >= cutoff + runtime.config.timeslice:
+            return False
+        for r in reqs:
+            if r.posted_at <= cutoff and not r.complete:
+                return False
+        return True
 
     def probe(self, handle: "RankHandle", info, rank, source, tag) -> bool:
         """bcs_probe(non-blocking): is a matching message pending?

@@ -143,6 +143,16 @@ class _MatcherBase:
                 out.append((i, m))
         return out
 
+    def withdraw(self, request) -> bool:
+        """Remove the posted receive of ``request`` (``MPI_Cancel``);
+        False if none is queued here."""
+        for recv in self.posted:
+            if recv.request is request:
+                self._unpost(recv)
+                self.totals.posted -= 1
+                return True
+        return False
+
     @property
     def pending_counts(self) -> tuple[int, int]:
         """(unexpected sends, posted receives) still queued."""
@@ -193,6 +203,9 @@ class LinearMatcher(_MatcherBase):
         self.posted.append(recv)
         self.totals.posted += 1
         return None
+
+    def _unpost(self, recv: RecvDescriptor) -> None:
+        self.posted.remove(recv)
 
     def purge_job(self, job_id: int) -> None:
         """Drop every descriptor belonging to ``job_id``."""
@@ -547,6 +560,13 @@ class HashMatcher(_MatcherBase):
                 )
 
     # -- maintenance -----------------------------------------------------------
+
+    def _unpost(self, recv: RecvDescriptor) -> None:
+        # Its bucket entry goes lazily, as for a receive consumed
+        # through another bucket.
+        del self._precvs[recv.desc_id]
+        if recv.src_rank == ANY_SOURCE or recv.tag == ANY_TAG:
+            self._wild_posted -= 1
 
     def purge_job(self, job_id: int) -> None:
         """Drop every descriptor belonging to ``job_id``.

@@ -223,37 +223,36 @@ class NodeTable:
         return f"<NodeTable {self._count}/{len(self._slots)} materialized>"
 
 
-class _LazyNodeMap:
-    """Dict-like lazy map of per-node companions (agents/receivers).
+class _LazyNodeMap(dict):
+    """Lazy map of per-node companions (agents/receivers).
 
     ``map[node_id]`` materializes on first access via the subclass
-    factory; iteration and the ``values``/``items`` views cover only
-    materialized entries, in node-id order.
+    factory (a plain dict lookup once it exists); iteration and the
+    ``values``/``items`` views cover only materialized entries, in
+    node-id order.
     """
 
-    __slots__ = ("_runtime", "_entries")
+    __slots__ = ("_runtime",)
 
     def __init__(self, runtime: "BcsRuntime"):
+        super().__init__()
         self._runtime = runtime
-        self._entries: Dict[int, object] = {}
 
     def _make(self, node_id: int):
         raise NotImplementedError
 
-    def __getitem__(self, node_id: int):
-        entry = self._entries.get(node_id)
-        if entry is None:
-            entry = self._entries[node_id] = self._make(node_id)
+    def __missing__(self, node_id: int):
+        entry = self[node_id] = self._make(node_id)
         return entry
 
     def __iter__(self):
-        return iter(sorted(self._entries))
+        return iter(sorted(dict.keys(self)))
 
     def values(self):
-        return [self._entries[k] for k in sorted(self._entries)]
+        return [self[k] for k in self]
 
     def items(self):
-        return [(k, self._entries[k]) for k in sorted(self._entries)]
+        return [(k, self[k]) for k in self]
 
 
 class _AgentMap(_LazyNodeMap):
@@ -430,11 +429,6 @@ class BcsRuntime:
     @sr_idle_until.setter
     def sr_idle_until(self, t: int) -> None:
         self._sr_idle = ((self.env._now, t),)
-
-    def rank_quiet_until(self, job_id: int, comm_id: int, rank: int) -> int:
-        """:attr:`RankHandle.quiet_until` of a communicator rank."""
-        world = self.comm_info(job_id, comm_id).world_ranks[rank]
-        return self.rank_handles[job_id][world].quiet_until
 
     def attach_observability(self, obs) -> "BcsRuntime":
         """Wire a telemetry hub into the runtime, fabric, and NICs.

@@ -110,86 +110,73 @@ class StrobeReceiver:
 
 
 class _Plan:
-    """A planned stretch of a slice (docs/PERFORMANCE.md, "Planned
-    slices"): NIC clocks and link halves booked on private copies, and
-    ``entries``, ``(key, items)`` per simulated heap entry keyed by its
-    place in the engine's order, ``(instant, key of the entry that
-    created it, creation index)``.  An item is a log record (a tuple,
-    kept only with a hub) or an effect (a callable); ``landings`` holds
-    the effects ranks can observe.  Nothing touches the run before
-    :meth:`commit`; a clear ``ok`` means the stretch must be simulated.
+    """What a planned stretch of a slice books (docs/PERFORMANCE.md,
+    "Planned slices"), on private copies of the NIC clocks and link
+    halves; nothing touches the run before :meth:`commit`.
+
+    ``entries`` holds ``(key, items)`` per simulated heap entry with an
+    effect (a callable) or, with a hub, log records (tuples), keyed by
+    its place in the engine's order: ``(instant, key of the entry that
+    created it, creation index)``.  ``landings`` holds ``(key, effect)``
+    for what ranks can observe.
     """
 
-    __slots__ = (
-        "logging", "ok", "fabric", "nics", "entries", "landings",
-        "_times", "_busy", "_claims", "_holds", "_sizes",
-    )
+    __slots__ = ("logging", "cost", "routes", "busy", "claims", "holds", "moved", "entries", "landings")
 
-    def __init__(self, runtime: "BcsRuntime", nics: "_Nics", times: dict):
-        self.logging = runtime.obs is not None
-        self.ok = True
-        self.fabric = runtime.cluster.fabric
-        self.nics = nics
-        self._times = times
+    def __init__(self, logging: bool, cost: int, routes: "_Routes"):
+        self.logging = logging
+        self.cost = cost
+        self.routes = routes
+        self.busy: Dict[Any, int] = {}
+        self.claims: Dict[Link, list] = {}
+        self.holds: list = []
+        #: Sizes of the transfers and copies booked.
+        self.moved: list = []
         self.entries: list = []
         self.landings: list = []
-        self._busy: Dict[int, int] = {}
-        self._claims: Dict[Link, list] = {}
-        self._holds: list = []
-        self._sizes: list = []
 
-    def entry(self, key: tuple, *items) -> None:
-        self.entries.append((key, items))
-
-    def reserve(self, node: int, t: int, duration: int, n: int = 1) -> tuple:
-        """:meth:`Nic.reserve` at ``t``; returns the booking's ``(start, end)``."""
-        busy = self._busy.get(node)
-        if busy is None:
-            busy = self.nics[node].busy_until
-        start = busy if busy > t else t
-        end = self._busy[node] = start + duration * n
-        return start, end
-
-    def local_copy(self, node: int, t: int, cost: int, size: int) -> tuple:
-        """:meth:`Fabric.local_copy` at ``t``; returns ``(hold start, landing)``."""
-        start, end = self.reserve(node, t, cost)
-        self._sizes.append(size)
-        return start, end + self.fabric.copy_time(size)
-
-    def transfer(self, src: int, dst: int, size: int, t: int) -> int:
-        """:meth:`Fabric.transfer` at ``t``, uncontended; returns its landing."""
-        route = (src, dst, size)
-        known = self._times.get(route)
-        if known is None:
-            known = self._times[route] = (
-                *self.fabric.transfer_times(src, dst, size),
-                (self.nics[src].tx, self.nics[dst].rx),
-            )
-        hold, rest, group = known
-        end = t + hold
-        for link in group:
-            claims = self._claims.get(link)
-            if claims is None:
-                self.ok = self.ok and link.free_before(t)
-                self._claims[link] = [(t, end)]
-            else:
-                # Touching or overlapping claims might contend.
-                if any(t0 <= end and t <= t1 for t0, t1 in claims):
-                    self.ok = False
-                claims.append((t, end))
-        self._holds.append((group, end))
-        self._sizes.append(size)
-        return end + rest
+    def move(self, nic, src: int, dst: int, size: int, t: int, key: tuple, index: int):
+        """``nic``'s hold booked at ``t`` (as :meth:`Nic.reserve`), the
+        ``index``-th entry created by entry ``key``, then a copy or
+        transfer from ``src`` to ``dst``: ``(landing, its entry key)``, or
+        None when a link half is not free before the transfer or another
+        booking's claim touches or overlaps it, which might contend."""
+        busy = self.busy.get(nic, nic.busy_until)
+        held = busy if busy > t else t
+        end = self.busy[nic] = held + self.cost
+        hold, rest, group = self.routes[src, dst, size]
+        if group:
+            claims = self.claims
+            for link in group:
+                booked = claims.get(link)
+                if booked is None:
+                    if not link.free_before(end):
+                        return None
+                    claims[link] = [(end, end + hold)]
+                else:
+                    for t0, t1 in booked:
+                        if t0 <= end + hold and end <= t1:
+                            return None
+                    booked.append((end, end + hold))
+            self.holds.append((group, end + hold))
+            held_key = (end, key, index)
+            key = (end + hold + rest, held_key, 0)
+        else:
+            key = held_key = (end + hold, key, index)
+        self.moved.append(size)
+        if self.logging:
+            self.entries.append((held_key, nic.spans(held, self.cost)))
+        return key[0], key
 
     def commit(self, runtime: "BcsRuntime") -> None:
-        nics = self.nics
-        for node, t in self._busy.items():
-            nics[node].busy_until = t
-        self._holds.sort(key=_second)
-        for group, t in self._holds:
+        for nic, t in self.busy.items():
+            nic.busy_until = t
+        self.holds.sort(key=_second)
+        for group, t in self.holds:
             Link.hold(group, t)
-        self.fabric.transfers += len(self._sizes)
-        self.fabric.bytes_moved += sum(self._sizes)
+        fabric = runtime.cluster.fabric
+        fabric.transfers += len(self.moved)
+        fabric.bytes_moved += sum(self.moved)
         entries = self.entries
         if self.logging:
             entries.sort(key=_first)
@@ -210,16 +197,23 @@ class _Plan:
             effects.append(effect)
 
 
-class _Nics(dict):
-    """Node id -> NIC, read once from the fabric's lazy NIC view."""
+class _Routes(dict):
+    """``(src, dst, size)`` -> ``(hold, rest, link halves)`` of a transfer
+    (:meth:`Fabric.transfer_times`), or of a copy, which claims no link."""
 
-    def __init__(self, view):
+    def __init__(self, fabric):
         super().__init__()
-        self._view = view
+        self._fabric = fabric
 
-    def __missing__(self, node: int):
-        nic = self[node] = self._view[node]
-        return nic
+    def __missing__(self, route: tuple) -> tuple:
+        src, dst, size = route
+        fabric = self._fabric
+        if src == dst:
+            times = self[route] = (fabric.copy_time(size), 0, ())
+        else:
+            group = (fabric.nics[src].tx, fabric.nics[dst].rx)
+            times = self[route] = (*fabric.transfer_times(src, dst, size), group)
+        return times
 
 
 _first = itemgetter(0)
@@ -260,9 +254,10 @@ class StrobeSender:
         # start) and the retirement of its matches to the slice-end wake.
         self._idle_from: Optional[int] = None
         self._retire_due = False
-        # Planner lookups: NICs, and (src, dst, size) -> (hold, rest, halves).
-        self._nics = _Nics(runtime.cluster.fabric.nics)
-        self._times: Dict[tuple, tuple] = {}
+        # Planner lookups: routes, and the Compare-And-Write latency per
+        # participant count.
+        self._routes = _Routes(runtime.cluster.fabric)
+        self._cw: Dict[int, int] = {}
 
     def start(self) -> None:
         """Launch the strobe loop (idempotent)."""
@@ -302,14 +297,9 @@ class StrobeSender:
             env.trigger_all(woken, runtime.slice_no)
             slice_waiters.clear()
 
-            # Idle short-circuit: settle ``active`` before the slice's
-            # log entry.  slice_work() only reads queues (and prunes the
-            # runtime's lazy sets), so sampling it ahead of the queue
-            # depths is observationally identical to the historical
-            # order.  It also answers the DEM node query in the same
-            # pass — there is no yield point between here and the DEM
-            # microphase, so the two-call sequence it replaces saw the
-            # exact same state.
+            # slice_work() only reads queues (and prunes the runtime's
+            # lazy sets), so it may run ahead of the slice's log entry;
+            # it also answers the DEM node query.
             active, dem_nodes = runtime.slice_work()
             obs = runtime.obs
             if obs is not None:
@@ -378,15 +368,15 @@ class StrobeSender:
 
     def _active(self, start: int, dem_nodes: List[int], plan: bool):
         """An active slice's microphases, planned when exact and simulated
-        otherwise; returns the slice's work end.  DEM is planned at its
-        microstrobe, after the ranks the boundary restarted have posted
-        (at once if it has no participants), MSM and P2P with it; P2P
-        alone at MSM's end if DEM and MSM were simulated."""
+        otherwise; returns the slice's work end.  DEM, MSM and P2P are
+        planned at the boundary if no entry is left at its instant (no
+        rank can post before DEM drains), else at the DEM microstrobe;
+        P2P alone at MSM's end if DEM and MSM were simulated."""
         runtime = self.runtime
         cfg = runtime.config
         began = None
         if plan:
-            if dem_nodes:
+            if dem_nodes and self.env.peek() == start:
                 obs = runtime.obs
                 if obs is not None:
                     obs.events.append(
@@ -481,103 +471,139 @@ class StrobeSender:
             and not runtime.collectives_pending()
         )
 
-    def _plan_phase(self, plan, phase, t0, begin, nodes, node_plan, min_duration):
-        """Book a microphase begun at ``t0`` in the entry keyed ``begin``:
-        microstrobe, each node's part (``node_plan(node, t, fan-out key,
-        creation index) -> (end, entry key, next index)``) and latch.
-        Returns its end and the key of the entry that ends it."""
-        latency = self._strobe_latency
-        slice_no = self.runtime.slice_no
-        if not nodes:
-            end = t0 + max(latency, min_duration)
-            done = (end, begin, 0)
+    def _phase_end(self, t0: int, last: tuple, n: int, min_duration: int) -> tuple:
+        """``(end, key)`` of the latch of a microphase begun at ``t0`` whose
+        ``n`` participants last finished in the entry keyed ``last`` (the
+        entry that began it, without participants)."""
+        if not n:
+            end = t0 + max(self._strobe_latency, min_duration)
         else:
-            t_strobe = t0 + latency
-            fanout = (t_strobe, begin, 0)
-            index = 0
-            done = None
-            for node in nodes:
-                t, key, index = node_plan(node, t_strobe, fanout, index)
-                if plan.logging:
-                    plan.entry(key, (t, "node_phase", node, slice_no, phase, t_strobe))
-                if done is None or key > done:
-                    done = key
-            n = len(nodes)
-            end = max(done[0] + self.runtime.cluster.fabric.model.cw_latency(n), t0 + min_duration)
-            done = (end, done, 0)
-        if plan.logging:
-            plan.entry(done, (end, "phase", slice_no, phase, end - t0))
-        return end, done
+            if n not in self._cw:
+                self._cw[n] = self.runtime.cluster.fabric.model.cw_latency(n)
+            end = max(last[0] + self._cw[n], t0 + min_duration)
+        return end, (end, last, 0)
 
     def _plan_exchange(self, start: int, dem_nodes: List[int]) -> Optional[int]:
-        """Plan DEM and MSM now; returns MSM's end, or None to simulate.
-        Matching moves descriptors early, so the ranks that could see
-        them (``probe``, ``cancel_recv``) must be quiet past each move."""
-        # The DEM strobe came one latency after the boundary, unless a
-        # launch has changed the latency since.
-        latency_kept = not dem_nodes or self.env.now - start == self.strobe_latency()
-        if not (latency_kept and self._plannable()):
+        """Plan DEM and MSM at the boundary ``start`` or at the DEM
+        microstrobe; returns MSM's end, or None to simulate.  Matching
+        moves descriptors early, so the ranks that could see them
+        (``probe``, ``cancel_recv``) must be quiet past each move."""
+        # At the microstrobe, it came one latency after the boundary,
+        # unless a launch has changed the latency since.
+        elapsed = self.env.now - start
+        if elapsed and elapsed != self.strobe_latency() or not self._plannable():
             return None
         runtime = self.runtime
         cfg = runtime.config
-        agents = runtime.agents
-        quiet_until = runtime.rank_quiet_until
+        cost = cfg.nic_descriptor_cost
+        size = cfg.descriptor_bytes
         slice_no = runtime.slice_no
-        plan = _Plan(runtime, self._nics, self._times)
+        logging = runtime.obs is not None
+        comm_info = runtime.comm_info
+        handles = runtime.rank_handles
+        agents = runtime.agents
+        plan = _Plan(logging, cost, self._routes)
+        entries = plan.entries
         arrivals: Dict[int, list] = {}
         drains = []
 
-        def dem(node, t, fanout, index):
-            nrt = runtime.node_runtimes[node]
+        begin = (start, (), 0)
+        if logging and not elapsed:
+            entries.append((begin, [(start, "phase_begin", slice_no, DEM, len(dem_nodes))]))
+        t_dem = start + self._strobe_latency
+        fanout = (t_dem, begin, 0)
+        last = begin
+        for index, node in enumerate(dem_nodes):
+            br = agents[node].br
+            nrt = br.nrt
+            nic = nrt.nic
+            if posted_before(nrt.posted_colls, start):
+                return None
             n_sends = posted_before(nrt.posted_sends, start)
             n_recvs = posted_before(nrt.posted_recvs, start)
-            n_colls = posted_before(nrt.posted_colls, start)
             drains.append((nrt, n_sends, n_recvs))
-            recvs = nrt.posted_recvs[:n_recvs]
-            a = agents[node]
-            sent = a.bs.plan_dem(plan, nrt.posted_sends[:n_sends], t, fanout, index, arrivals)
-            t, key, _ = a.br.plan_batch(plan, recvs, a.br._match_recvs, *sent)
-            if n_colls or any(quiet_until(r.job_id, r.comm_id, r.rank) <= t for r in recvs):
-                plan.ok = False
-            return t, key, index + 1
+            t, key, i = t_dem, fanout, index
+            # Buffer Sender: each send's hold, then its copy or transfer,
+            # which the next send waits for.
+            for desc in nrt.posted_sends[:n_sends]:
+                info = comm_info(desc.job_id, desc.comm_id)
+                world = info.world_ranks[desc.dst_rank]
+                dst = info.job.placement[world]
+                landed = plan.move(nic, node, dst, size, t, key, i)
+                if landed is None:
+                    return None
+                t, key = landed
+                i = 0
+                if logging:
+                    entries.append((key, [
+                        (t, "unicast", node, dst, size, "desc"),
+                        (t, "exchange", desc.desc_id, node, dst),
+                    ]))
+                arrivals.setdefault(dst, []).append((key, desc, handles[desc.job_id][world]))
+            # Buffer Receiver: one hold over the receives, then matching.
+            if n_recvs:
+                recvs = nrt.posted_recvs[:n_recvs]
+                b = plan.busy.get(nic, nic.busy_until)
+                held = b if b > t else t
+                t = plan.busy[nic] = held + cost * n_recvs
+                key = (t, key, i)
+                effect = partial(br._match_recvs, recvs, t)
+                entries.append((key, [*nic.spans(held, cost, n_recvs), effect] if logging else (effect,)))
+                for r in recvs:
+                    world = comm_info(r.job_id, r.comm_id).world_ranks[r.rank]
+                    if handles[r.job_id][world].quiet_until <= t:
+                        return None
+            if logging:
+                entries.append((key, [(t, "node_phase", node, slice_no, DEM, t_dem)]))
+            if key > last:
+                last = key
+        t_msm, done = self._phase_end(start, last, len(dem_nodes), cfg.dem_min_duration)
 
-        def msm(node, t, fanout, index):
+        msm_nodes = sorted(arrivals)
+        if logging:
+            entries.append((done, [
+                (t_msm, "phase", slice_no, DEM, t_msm - start),
+                (t_msm, "phase_begin", slice_no, MSM, len(msm_nodes)),
+            ]))
+        t = t_msm + self._strobe_latency
+        fanout = (t, done, 0)
+        last = done
+        for index, node in enumerate(msm_nodes):
             got = arrivals[node]
             got.sort(key=_first)
-            sends = [desc for _key, desc in got]
             br = agents[node].br
-            t, key, _ = br.plan_batch(plan, sends, br._match_sends, t, fanout, index)
-            if any(quiet_until(s.job_id, s.comm_id, s.dst_rank) <= t for s in sends):
-                plan.ok = False
-            return t, key, index + 1
+            nic = br.nrt.nic
+            b = plan.busy.get(nic, nic.busy_until)
+            held = b if b > t else t
+            b = plan.busy[nic] = held + cost * len(got)
+            key = (b, fanout, index)
+            effect = partial(br._match_sends, [desc for _key, desc, _rank in got], b)
+            entries.append((key, [
+                *nic.spans(held, cost, len(got)),
+                effect,
+                (b, "node_phase", node, slice_no, MSM, t),
+            ] if logging else (effect,)))
+            for _key, _desc, rank in got:
+                if rank.quiet_until <= b:
+                    return None
+            if key > last:
+                last = key
+        msm_end, done = self._phase_end(t_msm, last, len(msm_nodes), cfg.msm_min_duration)
+        if logging:
+            entries.append((done, [(msm_end, "phase", slice_no, MSM, msm_end - t_msm)]))
 
-        begin = (start, (), 0)
-        if plan.logging and not dem_nodes:
-            plan.entry(begin, (start, "phase_begin", slice_no, DEM, 0))
-        t_msm, done = self._plan_phase(
-            plan, DEM, start, begin, dem_nodes, dem, cfg.dem_min_duration
-        )
-        msm_nodes = sorted(arrivals)
-        if plan.logging:
-            plan.entry(done, (t_msm, "phase_begin", slice_no, MSM, len(msm_nodes)))
-        msm_end, _ = self._plan_phase(
-            plan, MSM, t_msm, done, msm_nodes, msm, cfg.msm_min_duration
-        )
-        if not plan.ok:
-            return None
         for nrt, n_sends, n_recvs in drains:
             del nrt.posted_sends[:n_sends]
             del nrt.posted_recvs[:n_recvs]
         plan.commit(runtime)
-        runtime.stats["descriptors_exchanged"] += sum(map(len, arrivals.values()))
+        runtime.stats["descriptors_exchanged"] += sum(n for _nrt, n, _ in drains)
         gas = runtime.core.gas
         for nodes in (dem_nodes, msm_nodes):
             if nodes:
                 gas.increment_batch(nodes, "mphase_done")
-        if not dem_nodes:
-            runtime.sr_idle_until = t_msm
-        msm_idle = t_msm + self._strobe_latency if msm_nodes else msm_end
-        runtime._sr_idle += ((t_msm, msm_idle),)
+        if not elapsed:
+            runtime.sr_idle_until = t_dem if dem_nodes else t_msm
+        runtime._sr_idle += ((t_msm, t if msm_nodes else msm_end),)
         return msm_end
 
     def _plan_transmit(self, granted: list, t_p2p: int) -> Optional[int]:
@@ -585,35 +611,69 @@ class StrobeSender:
         with DEM and MSM, which :meth:`_plannable` then covers); returns
         the slice's work end, or None to simulate."""
         runtime = self.runtime
+        slice_no = runtime.slice_no
+        logging = runtime.obs is not None
         agents = runtime.agents
         mine: Dict[int, list] = {}
         for m in granted:
             mine.setdefault(m.dst_node, []).append(m)
         nodes = sorted(mine)
-        plan = _Plan(runtime, self._nics, self._times)
-
-        def p2p(node, t, fanout, index):
-            return agents[node].dh.plan_p2p(plan, mine[node], t, fanout, index)
+        plan = _Plan(logging, runtime.config.nic_descriptor_cost, self._routes)
+        entries = plan.entries
 
         begin = (t_p2p, (), 0)
-        if plan.logging:
-            plan.entry(begin, (t_p2p, "phase_begin", runtime.slice_no, P2P, len(nodes)))
-        end, done = self._plan_phase(plan, P2P, t_p2p, begin, nodes, p2p, 0)
-        if not plan.ok:
-            return None
-        if plan.logging:
+        if logging:
+            entries.append((begin, [(t_p2p, "phase_begin", slice_no, P2P, len(nodes))]))
+        t0 = t_p2p + self._strobe_latency
+        fanout = (t0, begin, 0)
+        last = begin
+        index = 0
+        for node in nodes:
+            dh = agents[node].dh
+            nic = dh.nrt.nic
+            first = later = None
+            # DMA Helper: every chunk's hold is booked at the microstrobe,
+            # then its copy or transfer lands the chunk.
+            for match in mine[node]:
+                src = match.src_node
+                landed = plan.move(nic, src, node, match.scheduled_now, t0, fanout, index)
+                if landed is None:
+                    return None
+                t, key = landed
+                index += 1
+                if logging:
+                    entries.append((key, [
+                        (t, "unicast", src, node, match.scheduled_now, "p2p"),
+                        *dh._chunk_log(match, t0, t),
+                    ]))
+                plan.landings.append((key, partial(dh._chunk_done, match, t0, True)))
+                if first is None:
+                    first = key
+                elif later is None or key > later:
+                    later = key
+            # The Strobe Receiver returns with the first chunk, or with
+            # the latch the later chunks count down.
+            if later is not None and later > first:
+                first = (later[0], later, 0)
+            if logging:
+                entries.append((first, [(first[0], "node_phase", node, slice_no, P2P, t0)]))
+            if first > last:
+                last = first
+        end, done = self._phase_end(t_p2p, last, len(nodes), 0)
+        if logging:
+            items = [(end, "phase", slice_no, P2P, end - t_p2p)]
             retired = tuple(
                 m.send.desc_id
                 for m in runtime.scheduler.in_flight
                 if m.bytes_done + m.scheduled_now >= m.total_bytes
             )
             if retired:
-                plan.entry(done, (end, "retire", retired))
-            plan.entry(done, *self._empty_tail(end))
+                items.append((end, "retire", retired))
+            entries.append((done, items + self._empty_tail(end)))
         plan.commit(runtime)
         if nodes:
             runtime.core.gas.increment_batch(nodes, "mphase_done")
-        runtime._sr_idle += ((t_p2p, t_p2p + self._strobe_latency),)
+        runtime._sr_idle += ((t_p2p, t0),)
         self._idle_from = end
         self._retire_due = True
         return end + 2 * self._strobe_latency

@@ -24,7 +24,6 @@ in :mod:`repro.bcs.strobe`; this module holds the thread bodies and the
 from __future__ import annotations
 
 import copy
-from functools import partial
 from typing import TYPE_CHECKING, Dict, List, Optional
 
 import numpy as np
@@ -347,42 +346,6 @@ class BufferSender:
                     (nrt.env.now, "exchange", desc.desc_id, node, dst_node)
                 )
 
-    def plan_dem(self, plan, sends: list, t: int, parent: tuple, index: int, arrivals: dict):
-        """:meth:`dem_phase` on a slice plan (:class:`repro.bcs.strobe._Plan`)
-        from ``t``, its first booking the ``index``-th entry created in
-        entry ``parent``; deliveries join ``arrivals[dst_node]`` as
-        ``(entry key, desc)``.  Returns where the thread returns."""
-        nrt = self.nrt
-        node = nrt.node_id
-        runtime = nrt.runtime
-        cost = nrt.config.nic_descriptor_cost
-        size = nrt.config.descriptor_bytes
-        nic = plan.nics[node]
-        logging = plan.logging
-        for desc in sends:
-            dst_node = runtime.comm_info(desc.job_id, desc.comm_id).node_of(desc.dst_rank)
-            if dst_node == node:
-                start, t = plan.local_copy(node, t, cost, size)
-                parent = (t, parent, index)
-                if logging:
-                    plan.entry(parent, *nic.spans(start, cost))
-            else:
-                start, end = plan.reserve(node, t, cost)
-                held = (end, parent, index)
-                if logging:
-                    plan.entry(held, *nic.spans(start, cost))
-                t = plan.transfer(node, dst_node, size, end)
-                parent = (t, held, 0)
-            index = 0
-            if logging:
-                plan.entry(
-                    parent,
-                    (t, "unicast", node, dst_node, size, "desc"),
-                    (t, "exchange", desc.desc_id, node, dst_node),
-                )
-            arrivals.setdefault(dst_node, []).append((parent, desc))
-        return t, parent, index
-
 
 class BufferReceiver:
     """BR: drains local recv/collective descriptors (DEM) and matches (MSM)."""
@@ -498,21 +461,6 @@ class BufferReceiver:
                         next_epoch,
                     ))
 
-    def plan_batch(self, plan, batch: list, match, t: int, parent: tuple, index: int):
-        """The batched leg of :meth:`dem_phase` or :meth:`msm_phase` on a
-        slice plan: one NIC hold over ``batch``, placed as in
-        :meth:`BufferSender.plan_dem`, then ``match(batch, end)``."""
-        if not batch:
-            return t, parent, index
-        node = self.nrt.node_id
-        cost = self.nrt.config.nic_descriptor_cost
-        start, end = plan.reserve(node, t, cost, len(batch))
-        key = (end, parent, index)
-        if plan.logging:
-            plan.entry(key, *plan.nics[node].spans(start, cost, len(batch)))
-        plan.entry(key, partial(match, batch, end))
-        return end, key, 0
-
     def _match_recvs(self, recvs: list, t: int) -> None:
         """Match a batch of receives whose batched NIC hold ended at ``t``."""
         cost = self.nrt.config.nic_descriptor_cost
@@ -621,47 +569,6 @@ class DmaHelper:
             held.callbacks.append(
                 lambda _held: self._transfer(match).callbacks.append(landed)
             )
-
-    def plan_p2p(self, plan, mine: List[Match], t0: int, fanout: tuple, index: int):
-        """:meth:`p2p_phase` on a slice plan for the microstrobe at ``t0``:
-        a hold per chunk of ``mine``, the fan-out's ``index``-th creations
-        on, and a landing each.  Returns where the thread returns (the
-        first landing, or the later chunks' latch) and the next index."""
-        node = self.nrt.node_id
-        cost = self.nrt.config.nic_descriptor_cost
-        nic = plan.nics[node]
-        logging = plan.logging
-        first = later = None
-        for match in mine:
-            size = match.scheduled_now
-            if match.src_node == node:
-                start, t = plan.local_copy(node, t0, cost, size)
-                key = (t, fanout, index)
-                items = nic.spans(start, cost) if logging else ()
-            else:
-                start, end = plan.reserve(node, t0, cost)
-                held = (end, fanout, index)
-                if logging:
-                    plan.entry(held, *nic.spans(start, cost))
-                t = plan.transfer(match.src_node, node, size, end)
-                key = (t, held, 0)
-                items = ()
-            index += 1
-            if logging:
-                plan.entry(
-                    key,
-                    *items,
-                    (t, "unicast", match.src_node, node, size, "p2p"),
-                    *self._chunk_log(match, t0, t),
-                )
-            plan.landings.append((key, partial(self._chunk_done, match, t0, True)))
-            if first is None:
-                first = key
-            elif later is None or key > later:
-                later = key
-        if later is None or later < first:
-            return first[0], first, index
-        return later[0], (later[0], later, 0), index
 
     def _chunk_log(self, match: Match, t0: int, t: int) -> list:
         """The log entries of ``match``'s chunk landing at ``t``."""

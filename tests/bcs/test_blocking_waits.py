@@ -7,10 +7,13 @@ handles, a rank killed while blocked, and a request that completed with
 nobody waiting on it.
 
 A wait first pays the host overhead of the rank's posts.  While no
-Strobe Receiver can run before that overhead has passed, the rank blocks
-at once instead (post-then-block); the last two cases pin that fold's
-edges.
+Strobe Receiver can run before that overhead has passed, or when every
+pending request was posted after the slice's DEM cutoff and the overhead
+ends before the next boundary, the rank blocks at once instead
+(post-then-block); the last three cases pin that fold's edges.
 """
+
+import pytest
 
 from repro.bcs import BcsConfig, BcsRuntime
 from repro.network import Cluster, ClusterSpec
@@ -204,3 +207,49 @@ def test_wait_on_completed_requests_still_pays_the_post_overhead():
     job = runtime.run_job(JobSpec(app=app, n_ranks=2), max_time=seconds(1))
     assert job.results[1] == b"buffered"
     assert log == [cost]
+
+
+@pytest.mark.parametrize("engine", ["fast", "reference"])
+def test_receive_posted_after_the_dem_cutoff_blocks_at_its_post(engine):
+    """A receive posted mid-slice, while the Strobe Receivers still move
+    a 64 KiB message, cannot complete before the next boundary: no DEM
+    has drained it.  The rank blocks at its post, and is restarted at
+    the same boundary as after sleeping off its overhead."""
+    cluster = Cluster(ClusterSpec(n_nodes=2))
+    runtime = BcsRuntime(cluster, BcsConfig(init_cost=0, engine=engine))
+    env = runtime.env
+    cost = runtime.config.descriptor_post_cost
+    seen = {}
+
+    def look():
+        yield env.timeout(cost // 2)
+        proc = runtime.rank_procs[(seen["job"].id, 1)]
+        seen["blocked"] = proc.target is not None and not isinstance(
+            proc.target, Timeout
+        )
+
+    def app(ctx):
+        comm = ctx.comm
+        if comm.rank == 0:
+            yield from comm.send(bytes(64 * 1024), dest=1, tag=1)
+            yield from comm.send(b"late", dest=1, tag=2)
+            return None
+        first = comm.irecv(source=0, tag=1)
+        yield from ctx.compute(us(520))
+        req = comm.irecv(source=0, tag=2)
+        t0 = ctx.now + cost
+        # Receivers may run during the overhead: the other fold is shut.
+        assert runtime.slice_start_time < ctx.now
+        assert t0 >= runtime.sr_idle_until
+        assert t0 < runtime.slice_start_time + runtime.config.timeslice
+        env.process(look())
+        late = yield from comm.wait(req)
+        seen["restart"] = (ctx.now, runtime.slice_start_time)
+        yield from comm.wait(first)
+        return bytes(late)
+
+    job = seen["job"] = runtime.launch(JobSpec(app=app, n_ranks=2))
+    env.run(until=job.done)
+    assert job.results[1] == b"late"
+    assert seen["blocked"]
+    assert seen["restart"] == (ms(2), ms(2))

@@ -94,3 +94,30 @@ def test_cancelled_recv_does_not_steal_later_message():
 
     run_app(app)
     assert got["payload"] == b"fresh"
+
+
+@pytest.mark.parametrize("engine", ["fast", "reference"])
+def test_cancel_of_a_recv_the_matcher_holds(engine):
+    """A receive drained into the matcher before its cancel must leave
+    it: the later send pairs with the fresh receive, and the matcher
+    counts no posted receive afterwards."""
+    got = {}
+
+    def app(ctx):
+        if ctx.rank == 0:
+            doomed = ctx.comm.irecv(source=1, tag=5)
+            yield from ctx.compute(us(1200))  # past a DEM: now in the matcher
+            got["cancelled"] = ctx.comm.cancel(doomed)
+            yield from ctx.comm.barrier()
+            fresh = yield from ctx.comm.recv(source=1, tag=5)
+            got["payload"] = bytes(fresh)
+        else:
+            yield from ctx.comm.barrier()
+            yield from ctx.comm.send(b"fresh", dest=0, tag=5)
+
+    cluster = Cluster(ClusterSpec(n_nodes=1))
+    runtime = BcsRuntime(cluster, BcsConfig(init_cost=0, engine=engine))
+    runtime.run_job(JobSpec(app=app, n_ranks=2), max_time=seconds(30))
+    assert got == {"cancelled": True, "payload": b"fresh"}
+    assert runtime.stats["recvs_cancelled"] == 1
+    assert (runtime.matcher_totals.unexpected, runtime.matcher_totals.posted) == (0, 0)
