@@ -15,9 +15,12 @@ holds without a grant event, moves DMA chunks as callback chains without
 child processes, folds a loopback's NIC hold into its copy, and settles
 events nobody waits on (buffered-send completions, unwaited processes,
 a DMA latch that completes before its Strobe Receiver looks) without an
-entry, and plans an uncontended active slice in closed form at its DEM
+entry, plans an uncontended active slice in closed form at its DEM
 microstrobe, so that only each landing instant, the slice-end sleep and
-the boundary wake take entries.  A change that brings back a
+the boundary wake take entries, plans it at the boundary itself when no
+entry is left at that instant (no DEM-strobe wake), and blocks a rank at
+its post when every request it waits on was posted after the slice's
+DEM cutoff.  A change that brings back a
 per-node or relay event (or adds any other) moves these counts: if that
 is intended, re-pin them together with the events-per-active-slice
 figures in docs/PERFORMANCE.md.
@@ -34,13 +37,13 @@ from repro.units import kib, ms
 
 CASES = [
     # (app, nodes, ranks, params, processed events, active slices, makespan ns)
-    (sweep3d_blocking, 31, 62, dict(octants=1, kblocks=4), 1_732, 182, 190_017_500),
+    (sweep3d_blocking, 31, 62, dict(octants=1, kblocks=4), 1_596, 182, 190_017_500),
     (
         nearest_neighbor_benchmark,
         16,
         32,
         dict(granularity=ms(1), iterations=4, n_neighbors=4, message_bytes=kib(4)),
-        2_738,
+        2_665,
         9,
         8_500_000,
     ),
