@@ -205,12 +205,19 @@ class BcsApi:
         """
         overhead = handle.take_overhead()
         t0 = self.env.now + overhead
-        wake = None
-        if not overhead or self._undrained(reqs, t0) or t0 < self.runtime.sr_idle_until:
-            wake = handle.nm.block_on(reqs)
+        runtime = self.runtime
+        cutoff = runtime.slice_start_time
+        early = (
+            not overhead
+            or t0 < cutoff + runtime.config.timeslice
+            and all(r.posted_at > cutoff or r.complete for r in reqs)
+            or t0 < runtime.sr_idle_until
+        )
+        wake = handle.nm.block_on(reqs) if early else None
         if wake is None and overhead:
             yield self.env.timeout(overhead)
-            wake = handle.nm.block_on(reqs)
+            if not early:
+                wake = handle.nm.block_on(reqs)
         if wake is not None:
             handle.quiet_until = QUIET_FOREVER
             yield wake
@@ -238,18 +245,6 @@ class BcsApi:
                 call_site(),
                 waited,
             ))
-
-    def _undrained(self, reqs: Sequence[BcsRequest], t0: int) -> bool:
-        """Does ``t0`` come before the next boundary, with every pending
-        request of ``reqs`` posted after this slice's DEM cutoff?"""
-        runtime = self.runtime
-        cutoff = runtime.slice_start_time
-        if t0 >= cutoff + runtime.config.timeslice:
-            return False
-        for r in reqs:
-            if r.posted_at <= cutoff and not r.complete:
-                return False
-        return True
 
     def probe(self, handle: "RankHandle", info, rank, source, tag) -> bool:
         """bcs_probe(non-blocking): is a matching message pending?

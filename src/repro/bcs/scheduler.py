@@ -16,6 +16,7 @@ same program schedule identically.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from typing import Dict, Iterable, List
 
 from .config import BcsConfig
@@ -42,17 +43,15 @@ class SliceScheduler:
         Resets every match's ``scheduled_now`` and assigns grants subject
         to each endpoint's remaining tx/rx budget for the slice.
         """
-        budget = self.budget_bytes
-        tx_left: Dict[int, int] = {}
-        rx_left: Dict[int, int] = {}
+        tx_left: Dict[int, int] = defaultdict(lambda: self.budget_bytes)
+        rx_left: Dict[int, int] = defaultdict(lambda: self.budget_bytes)
         granted: List[Match] = []
 
         # User traffic first, then system-class traffic (PFS etc.) into
         # the leftover budget: the QoS split of paper §1.
-        in_flight = self.in_flight
-        ordered = [m for m in in_flight if not m.system]
-        if len(ordered) < len(in_flight):
-            ordered += [m for m in in_flight if m.system]
+        ordered = [m for m in self.in_flight if not m.system] + [
+            m for m in self.in_flight if m.system
+        ]
         for match in ordered:
             match.scheduled_now = 0
             if match.total_bytes == 0:
@@ -60,15 +59,16 @@ class SliceScheduler:
                 # still need a delivery pass but consume no budget.
                 granted.append(match)
                 continue
-            src, dst = match.src_node, match.dst_node
-            tx = tx_left.get(src, budget)
-            rx = rx_left.get(dst, budget)
-            grant = min(match.total_bytes - match.bytes_done, tx, rx)
+            grant = min(
+                match.remaining,
+                tx_left[match.src_node],
+                rx_left[match.dst_node],
+            )
             if grant <= 0:
                 continue
             match.scheduled_now = grant
-            tx_left[src] = tx - grant
-            rx_left[dst] = rx - grant
+            tx_left[match.src_node] -= grant
+            rx_left[match.dst_node] -= grant
             granted.append(match)
         return granted
 

@@ -121,7 +121,9 @@ class _Plan:
     for what ranks can observe.
     """
 
-    __slots__ = ("logging", "cost", "routes", "busy", "claims", "holds", "moved", "entries", "landings")
+    __slots__ = (
+        "logging", "cost", "routes", "busy", "claims", "holds", "moved", "entries", "landings"
+    )
 
     def __init__(self, logging: bool, cost: int, routes: "_Routes"):
         self.logging = logging
@@ -297,9 +299,14 @@ class StrobeSender:
             env.trigger_all(woken, runtime.slice_no)
             slice_waiters.clear()
 
-            # slice_work() only reads queues (and prunes the runtime's
-            # lazy sets), so it may run ahead of the slice's log entry;
-            # it also answers the DEM node query.
+            # Idle short-circuit: settle ``active`` before the slice's
+            # log entry.  slice_work() only reads queues (and prunes the
+            # runtime's lazy sets), so sampling it ahead of the queue
+            # depths is observationally identical to the historical
+            # order.  It also answers the DEM node query in the same
+            # pass — there is no yield point between here and the DEM
+            # microphase, so the two-call sequence it replaces saw the
+            # exact same state.
             active, dem_nodes = runtime.slice_work()
             obs = runtime.obs
             if obs is not None:
@@ -499,7 +506,7 @@ class StrobeSender:
         size = cfg.descriptor_bytes
         slice_no = runtime.slice_no
         logging = runtime.obs is not None
-        comm_info = runtime.comm_info
+        comms = runtime._comm_cache
         handles = runtime.rank_handles
         agents = runtime.agents
         plan = _Plan(logging, cost, self._routes)
@@ -526,7 +533,7 @@ class StrobeSender:
             # Buffer Sender: each send's hold, then its copy or transfer,
             # which the next send waits for.
             for desc in nrt.posted_sends[:n_sends]:
-                info = comm_info(desc.job_id, desc.comm_id)
+                info = comms[desc.job_id][desc.comm_id]
                 world = info.world_ranks[desc.dst_rank]
                 dst = info.job.placement[world]
                 landed = plan.move(nic, node, dst, size, t, key, i)
@@ -547,10 +554,13 @@ class StrobeSender:
                 held = b if b > t else t
                 t = plan.busy[nic] = held + cost * n_recvs
                 key = (t, key, i)
-                effect = partial(br._match_recvs, recvs, t)
-                entries.append((key, [*nic.spans(held, cost, n_recvs), effect] if logging else (effect,)))
+                effect = partial(br._match, nrt.matcher.add_recv_batch, recvs, t)
+                if logging:
+                    entries.append((key, [*nic.spans(held, cost, n_recvs), effect]))
+                else:
+                    entries.append((key, (effect,)))
                 for r in recvs:
-                    world = comm_info(r.job_id, r.comm_id).world_ranks[r.rank]
+                    world = comms[r.job_id][r.comm_id].world_ranks[r.rank]
                     if handles[r.job_id][world].quiet_until <= t:
                         return None
             if logging:
@@ -572,12 +582,14 @@ class StrobeSender:
             got = arrivals[node]
             got.sort(key=_first)
             br = agents[node].br
-            nic = br.nrt.nic
+            nrt = br.nrt
+            nic = nrt.nic
             b = plan.busy.get(nic, nic.busy_until)
             held = b if b > t else t
             b = plan.busy[nic] = held + cost * len(got)
             key = (b, fanout, index)
-            effect = partial(br._match_sends, [desc for _key, desc, _rank in got], b)
+            sends = [desc for _key, desc, _rank in got]
+            effect = partial(br._match, nrt.matcher.add_send_batch, sends, b)
             entries.append((key, [
                 *nic.spans(held, cost, len(got)),
                 effect,
@@ -596,7 +608,7 @@ class StrobeSender:
             del nrt.posted_sends[:n_sends]
             del nrt.posted_recvs[:n_recvs]
         plan.commit(runtime)
-        runtime.stats["descriptors_exchanged"] += sum(n for _nrt, n, _ in drains)
+        runtime.stats["descriptors_exchanged"] += len(plan.moved)  # one per send
         gas = runtime.core.gas
         for nodes in (dem_nodes, msm_nodes):
             if nodes:

@@ -369,7 +369,7 @@ class BufferReceiver:
             recvs = nrt._drain_posted(nrt.posted_recvs)
             if recvs:
                 yield from nrt.nic.compute(cost, len(recvs))
-                self._match_recvs(recvs, nrt.env.now)
+                self._match(nrt.matcher.add_recv_batch, recvs, nrt.env.now)
             colls = nrt._drain_posted(nrt.posted_colls)
             if colls:
                 yield from nrt.nic.compute(cost, len(colls))
@@ -419,7 +419,7 @@ class BufferReceiver:
             if nrt.runtime.fast:
                 # Batched leg: one NIC hold, one vectorized matcher join.
                 yield from nrt.nic.compute(nrt.config.nic_descriptor_cost, len(arrived))
-                self._match_sends(arrived, nrt.env.now)
+                self._match(nrt.matcher.add_send_batch, arrived, nrt.env.now)
             else:
                 for send in arrived:
                     yield from nrt.nic.compute(nrt.config.nic_descriptor_cost)
@@ -461,18 +461,12 @@ class BufferReceiver:
                         next_epoch,
                     ))
 
-    def _match_recvs(self, recvs: list, t: int) -> None:
-        """Match a batch of receives whose batched NIC hold ended at ``t``."""
+    def _match(self, add_batch, batch: list, t: int) -> None:
+        """Feed ``batch`` (receives or arrived sends) to the matcher's
+        ``add_batch`` after a batched NIC hold that ended at ``t``."""
         cost = self.nrt.config.nic_descriptor_cost
-        last = len(recvs) - 1
-        for i, match in self.nrt.matcher.add_recv_batch(recvs):
-            self._register_match(match, t - (last - i) * cost)
-
-    def _match_sends(self, sends: list, t: int) -> None:
-        """Match a batch of arrived sends whose batched NIC hold ended at ``t``."""
-        cost = self.nrt.config.nic_descriptor_cost
-        last = len(sends) - 1
-        for i, match in self.nrt.matcher.add_send_batch(sends):
+        last = len(batch) - 1
+        for i, match in add_batch(batch):
             self._register_match(match, t - (last - i) * cost)
 
     def _register_match(self, match: Match, t: int) -> None:
