@@ -16,7 +16,6 @@ same program schedule identically.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from typing import Dict, Iterable, List
 
 from .config import BcsConfig
@@ -43,8 +42,9 @@ class SliceScheduler:
         Resets every match's ``scheduled_now`` and assigns grants subject
         to each endpoint's remaining tx/rx budget for the slice.
         """
-        tx_left: Dict[int, int] = defaultdict(lambda: self.budget_bytes)
-        rx_left: Dict[int, int] = defaultdict(lambda: self.budget_bytes)
+        budget = self.budget_bytes
+        tx_left: Dict[int, int] = {}
+        rx_left: Dict[int, int] = {}
         granted: List[Match] = []
 
         # User traffic first, then system-class traffic (PFS etc.) into
@@ -59,16 +59,14 @@ class SliceScheduler:
                 # still need a delivery pass but consume no budget.
                 granted.append(match)
                 continue
-            grant = min(
-                match.remaining,
-                tx_left[match.src_node],
-                rx_left[match.dst_node],
-            )
+            tx = tx_left.get(match.src_node, budget)
+            rx = rx_left.get(match.dst_node, budget)
+            grant = min(match.remaining, tx, rx)
             if grant <= 0:
                 continue
             match.scheduled_now = grant
-            tx_left[match.src_node] -= grant
-            rx_left[match.dst_node] -= grant
+            tx_left[match.src_node] = tx - grant
+            rx_left[match.dst_node] = rx - grant
             granted.append(match)
         return granted
 
