@@ -227,8 +227,9 @@ class _LazyNodeMap(dict):
     """Lazy map of per-node companions (agents/receivers).
 
     ``map[node_id]`` materializes on first access via the subclass
-    factory (a plain dict lookup once it exists); iteration and
-    :meth:`items` cover only materialized entries, in node-id order.
+    factory (a plain dict lookup once it exists); iteration and the
+    ``values``/``items`` views cover only materialized entries, in
+    node-id order.
     """
 
     __slots__ = ("_runtime",)
@@ -246,6 +247,9 @@ class _LazyNodeMap(dict):
 
     def __iter__(self):
         return iter(sorted(dict.keys(self)))
+
+    def values(self):
+        return [self[k] for k in self]
 
     def items(self):
         return [(k, self[k]) for k in self]
