@@ -76,9 +76,9 @@ SCALING_MIN_SPEEDUP = 10.0
 #: not lose (the batched DEM/MSM holds plus descriptor pooling have to
 #: at least pay for themselves); ``scaling_4096`` is the ISSUE-7 regime
 #: where the full optimized stack must beat the reference stack >= 30x;
-#: ``scaling_16384`` is the ISSUE-10 regime — aggregated strobe + arena
-#: node state on a 16k-node machine, where per-destination strobe
-#: fan-out and eager node construction would otherwise dominate.
+#: ``scaling_16384`` is the 16k-node regime — aggregated strobe and
+#: lazily built nodes, where per-destination strobe fan-out and eager
+#: node construction would otherwise dominate.
 BENCH_MIN_SPEEDUP = {
     "barrier_micro": 1.0,
     "scaling_4096": 30.0,
@@ -219,8 +219,7 @@ def _scaling_leg(conn, app, n_ranks, params, cfg_kwargs, n_nodes, reps, fast):
     attribute a peak RSS to one configuration is to give each leg its
     own process.  The optimized leg materializes only the nodes the job
     touches (flyweight nodes are part of what it is measuring); the
-    reference engine builds every node up front like the pre-arena
-    engine did.
+    reference engine builds every node up front.
     """
     cfg_fn = BcsConfig if fast else _slow_config
     # Warm the interpreter on a toy cluster, then freeze the warm graph

@@ -63,11 +63,11 @@ class BcsConfig:
     buffered_sends: bool = True
     #: Slice-engine implementation.  ``"fast"`` answers the Strobe
     #: Sender's per-slice questions from incrementally maintained
-    #: active-node sets, matches descriptors in vectorized per-slice
-    #: batches on hash-bucketed queues, reports microphase completion
-    #: with one batched arena increment, skips provably idle slices in
-    #: one jump, and materializes per-node objects only for nodes that
-    #: host ranks or receive traffic.  ``"reference"`` is the simplest
+    #: active-node sets, matches each node's descriptors as one batch per
+    #: slice on hash-bucketed queues, reports microphase completion
+    #: with one batched increment, plans idle and uncontended active
+    #: slices in closed form, and materializes per-node objects only
+    #: for nodes that host ranks or receive traffic.  ``"reference"`` is the simplest
     #: readable version of the protocol: full-scan active sets,
     #: per-node completion writes from each Strobe Receiver,
     #: per-descriptor NIC threads with a linear-scan matcher, every

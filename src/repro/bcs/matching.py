@@ -20,6 +20,13 @@ Two interchangeable implementations live here:
   *identical* match sequence (`tests/bcs/test_matching_differential.py`
   pins this against the oracle for randomized streams).
 
+Both take descriptors one at a time (``add_send``/``add_recv``) or as
+one DEM batch per node (``add_send_batch``/``add_recv_batch``).  A batch
+is matched as if its descriptors came one at a time, in order.  Only
+:class:`HashMatcher` overrides a batch feed: a send batch of at least
+``BATCH_MIN`` descriptors, with no wildcard receive posted, is joined
+against the posted buckets over numpy columns.
+
 ``Matcher`` is an alias for the default implementation.
 
 How the hashed structures preserve linear-scan semantics
@@ -57,7 +64,7 @@ import numpy as np
 from ..sim.errors import SimError
 from .descriptors import ANY_SOURCE, ANY_TAG, Match, RecvDescriptor, SendDescriptor
 
-#: Below this many descriptors a batch takes the sequential object path —
+#: Below this many sends a send batch takes the sequential object path —
 #: the SoA column setup costs more than the vectorized join saves.
 BATCH_MIN = 8
 
@@ -114,10 +121,9 @@ class _MatcherBase:
     ) -> List[Tuple[int, Match]]:
         """Feed a batch of arrived sends; returns ``[(index, match), ...]``.
 
-        Reference semantics: exactly equivalent to calling
-        :meth:`add_send` for each descriptor in order.  Subclasses may
-        override with a vectorized implementation producing the
-        identical match sequence.
+        Exactly equivalent to calling :meth:`add_send` for each
+        descriptor in order; :class:`HashMatcher` overrides it with a
+        vectorized join that produces the identical match sequence.
         """
         out: List[Tuple[int, Match]] = []
         add = self.add_send
@@ -132,8 +138,8 @@ class _MatcherBase:
     ) -> List[Tuple[int, Match]]:
         """Feed a batch of posted receives; returns ``[(index, match), ...]``.
 
-        Reference semantics: equivalent to sequential :meth:`add_recv`
-        calls in order.
+        Exactly equivalent to calling :meth:`add_recv` for each
+        descriptor in order; both matchers take this path.
         """
         out: List[Tuple[int, Match]] = []
         add = self.add_recv
@@ -252,7 +258,7 @@ class HashMatcher(_MatcherBase):
         self._seq = 0
         #: Posted receives whose pattern contains a wildcard.  While this
         #: is zero, an arrived send can only match its exact bucket — the
-        #: precondition for the vectorized batch join.
+        #: precondition for the vectorized send-batch join.
         self._wild_posted = 0
         #: Authoritative unexpected-send queue: desc_id -> (seq, send),
         #: insertion-ordered (= arrival order).
@@ -445,119 +451,6 @@ class HashMatcher(_MatcherBase):
                 _append(self._u_tag, (j, c, d, send.tag), entry)
                 _append(self._u_any, (j, c, d), entry)
         return out
-
-    def add_recv_batch(
-        self, recvs: Sequence[RecvDescriptor]
-    ) -> List[Tuple[int, Match]]:
-        """Vectorized posted-receive batch (identical sequence to add_recv).
-
-        The batch is split into maximal runs of exact-pattern receives
-        (vectorizable: two exact receives with different keys can never
-        compete for the same send, and same-key receives claim bucket
-        entries in batch order) interleaved — in batch order — with
-        wildcard receives handled one at a time on the object path.
-        """
-        n = len(recvs)
-        if n < BATCH_MIN:
-            return _MatcherBase.add_recv_batch(self, recvs)
-        src = np.fromiter((r.src_rank for r in recvs), np.int64, n)
-        tag = np.fromiter((r.tag for r in recvs), np.int64, n)
-        wild = (src == ANY_SOURCE) | (tag == ANY_TAG)
-        out: List[Tuple[int, Match]] = []
-        bounds = np.flatnonzero(wild[1:] != wild[:-1]) + 1
-        lo = 0
-        for hi in [*bounds.tolist(), n]:
-            if wild[lo]:
-                add = self.add_recv
-                for i in range(lo, hi):
-                    m = add(recvs[i])
-                    if m is not None:
-                        out.append((i, m))
-            else:
-                self._recv_exact_run(recvs, lo, hi, out)
-            lo = hi
-        return out
-
-    def _recv_exact_run(
-        self,
-        recvs: Sequence[RecvDescriptor],
-        lo: int,
-        hi: int,
-        out: List[Tuple[int, Match]],
-    ) -> None:
-        """Vectorized join for a run of wildcard-free receives."""
-        n = hi - lo
-        run = range(lo, hi)
-        job = np.fromiter((recvs[i].job_id for i in run), np.int64, n)
-        comm = np.fromiter((recvs[i].comm_id for i in run), np.int64, n)
-        rnk = np.fromiter((recvs[i].rank for i in run), np.int64, n)
-        src = np.fromiter((recvs[i].src_rank for i in run), np.int64, n)
-        tag = np.fromiter((recvs[i].tag for i in run), np.int64, n)
-        order = np.lexsort((tag, src, rnk, comm, job))
-        oj, oc, orr, os_, ot = (
-            job[order], comm[order], rnk[order], src[order], tag[order],
-        )
-        newgrp = np.empty(n, dtype=bool)
-        newgrp[0] = True
-        newgrp[1:] = (
-            (oj[1:] != oj[:-1])
-            | (oc[1:] != oc[:-1])
-            | (orr[1:] != orr[:-1])
-            | (os_[1:] != os_[:-1])
-            | (ot[1:] != ot[:-1])
-        )
-        grp = np.cumsum(newgrp) - 1
-        starts = np.flatnonzero(newgrp)
-        occ = np.arange(n) - starts[grp]
-
-        usends = self._usends
-        family = self._u_exact
-        avail = np.zeros(len(starts), dtype=np.int64)
-        group_info: List[Optional[tuple]] = []
-        for g, st in enumerate(starts):
-            r0 = recvs[lo + int(order[st])]
-            key = (r0.job_id, r0.comm_id, r0.rank, r0.src_rank, r0.tag)
-            bucket = family.get(key)
-            if bucket is not None:
-                if any(e[1].desc_id not in usends for e in bucket):
-                    bucket = deque(
-                        e for e in bucket if e[1].desc_id in usends
-                    )
-                    if bucket:
-                        family[key] = bucket
-                    else:
-                        del family[key]
-                        bucket = None
-            group_info.append((key, bucket) if bucket is not None else None)
-            avail[g] = len(bucket) if bucket is not None else 0
-        matched = occ < avail[grp]
-
-        takes: Dict[int, tuple] = {}
-        for p in np.flatnonzero(matched):
-            takes[lo + int(order[p])] = group_info[grp[p]]
-
-        totals = self.totals
-        for i in run:
-            info = takes.get(i)
-            recv = recvs[i]
-            if info is not None:
-                key, bucket = info
-                _, send = bucket.popleft()
-                if not bucket:
-                    del family[key]
-                del usends[send.desc_id]
-                totals.unexpected -= 1
-                out.append((i, self._pair(send, recv, "recv")))
-            else:
-                self._seq += 1
-                totals.posted += 1
-                entry = (self._seq, recv)
-                self._precvs[recv.desc_id] = entry
-                _append(
-                    self._p_buckets,
-                    (recv.job_id, recv.comm_id, recv.rank, recv.src_rank, recv.tag),
-                    entry,
-                )
 
     # -- maintenance -----------------------------------------------------------
 

@@ -20,9 +20,7 @@ job's processes compute while that job holds the node — see
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable, List, Optional, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from ..sim import Event
 
@@ -30,52 +28,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from ..sim import Signal
     from .descriptors import BcsRequest
     from .threads import NodeRuntime
-
-
-class NodeArena:
-    """SoA arena for per-node scalar state (flyweight node records).
-
-    At 64k nodes, keeping one Python object graph per node just to hold
-    a handful of scalars makes the GC trace millions of objects per
-    gen-2 pass.  The arena hoists those scalars into flat numpy arrays
-    owned by the runtime — O(1) objects regardless of machine size:
-
-    - ``mphase_done``: the strobe protocol's per-node microphase
-      completion counters.  Registered as an array-backed slot in the
-      :class:`~repro.core.global_memory.GlobalAddressSpace`, so the
-      Strobe Receivers' per-node ``gas.write`` (reference engine) and
-      the Strobe Sender's batched increment (fast engine) update the
-      same storage and every ``gas.read`` sees it transparently.
-    - ``active``: which nodes host at least one rank of any job; the
-      strobe multicast's destination set and the lazy materializer's
-      "must exist" set.
-    """
-
-    __slots__ = ("n_nodes", "mphase_done", "active")
-
-    def __init__(self, n_nodes: int):
-        self.n_nodes = n_nodes
-        self.mphase_done = np.zeros(n_nodes, dtype=np.int64)
-        self.active = np.zeros(n_nodes, dtype=bool)
-
-    def activate(self, node_ids: Iterable[int]) -> None:
-        """Mark ``node_ids`` as hosting ranks (never un-set per job —
-        matches the runtime's grow-only ``active_node_ids`` list)."""
-        ids = list(node_ids)
-        if ids:
-            self.active[ids] = True
-
-    def active_ids(self) -> List[int]:
-        """Sorted ids of all active nodes."""
-        return np.flatnonzero(self.active).tolist()
-
-    @property
-    def n_active(self) -> int:
-        """Number of active nodes."""
-        return int(self.active.sum())
-
-    def __repr__(self) -> str:
-        return f"<NodeArena n={self.n_nodes} active={self.n_active}>"
 
 
 class Blocked:

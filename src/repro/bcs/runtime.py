@@ -18,13 +18,15 @@ from __future__ import annotations
 from collections import Counter
 from typing import Dict, List, Optional, Sequence
 
+import numpy as np
+
 from ..core import BcsCore
 from ..network import Cluster
 from ..storm.job import Job, JobSpec, block_placement
 from .config import BcsConfig
 from .descriptors import DescriptorPools
 from .matching import MatcherTotals
-from .node_manager import NodeArena, NodeManager
+from .node_manager import NodeManager
 from .scheduler import SliceScheduler
 from .strobe import StrobeReceiver, StrobeSender
 from .threads import (
@@ -61,59 +63,6 @@ def _coll_pending(nrt) -> bool:
 #: :attr:`RankHandle.quiet_until` of a rank that runs again only at a
 #: slice boundary, or never.
 QUIET_FOREVER = 1 << 62
-
-
-class HookList:
-    """Slice-boundary hook registry with mutation-safe firing.
-
-    The Strobe Sender used to snapshot ``list(on_slice_start)`` on every
-    slice so hooks could deregister themselves while running.  That copy
-    is pure overhead in the steady state (hooks change rarely: gang
-    scheduler setup, failure teardown).  Here the snapshot is a cached
-    tuple, rebuilt only when the registry is mutated; :meth:`fire`
-    iterates the cache, so a hook removed mid-fire still runs for the
-    slice that started firing — byte-for-byte the old semantics — and an
-    unchanged registry costs zero copies per slice.
-    """
-
-    __slots__ = ("_hooks", "_snapshot")
-
-    def __init__(self):
-        self._hooks: List = []
-        self._snapshot: Optional[tuple] = ()
-
-    def append(self, hook) -> None:
-        """Register a hook (called with the slice number)."""
-        self._hooks.append(hook)
-        self._snapshot = None
-
-    def remove(self, hook) -> None:
-        """Deregister a hook; safe to call from inside :meth:`fire`."""
-        self._hooks.remove(hook)
-        self._snapshot = None
-
-    def fire(self, slice_no: int) -> None:
-        """Invoke every registered hook with ``slice_no``."""
-        snap = self._snapshot
-        if snap is None:
-            snap = self._snapshot = tuple(self._hooks)
-        for hook in snap:
-            hook(slice_no)
-
-    def __iter__(self):
-        return iter(self._hooks)
-
-    def __len__(self) -> int:
-        return len(self._hooks)
-
-    def __bool__(self) -> bool:
-        return bool(self._hooks)
-
-    def __contains__(self, hook) -> bool:
-        return hook in self._hooks
-
-    def __repr__(self) -> str:
-        return f"<HookList n={len(self._hooks)}>"
 
 
 class CommInfo:
@@ -352,12 +301,12 @@ class BcsRuntime:
         #: time order.
         self._sr_idle: tuple = ()
 
-        #: SoA arena for per-node scalars; the ``mphase_done`` counters
-        #: are array-backed GAS slots, so the reference engine's per-node
-        #: ``gas.write`` and the fast engine's batched increment update
-        #: identical storage.
-        self.arena = NodeArena(len(cluster.nodes))
-        self.core.gas.register_array("mphase_done", self.arena.mphase_done)
+        # The ``mphase_done`` counters are an array-backed GAS slot, so
+        # the reference engine's per-node ``gas.write`` and the fast
+        # engine's batched increment update identical storage.
+        self.core.gas.register_array(
+            "mphase_done", np.zeros(len(cluster.nodes), np.int64)
+        )
 
         # Flyweight node machinery: materialized per node on first touch
         # (launch() pre-materializes a job's nodes).
@@ -382,14 +331,11 @@ class BcsRuntime:
         #: Per-job usage counters (cpu_ns, blocked_ns, messages, bytes,
         #: collectives) — STORM's accounting role (paper §1).
         self.job_stats: Dict[int, Counter] = {}
-        self.comms: Dict[tuple, CommInfo] = {}
+        #: Job id -> comm id -> communicator.  Two levels, so the hot
+        #: paths look a communicator up per descriptor without building
+        #: a ``(job, comm)`` tuple.
+        self.comms: Dict[int, Dict[int, CommInfo]] = {}
         self._comm_by_members: Dict[tuple, CommInfo] = {}
-        #: Two-level (job -> comm -> info) mirror of ``comms``: the hot
-        #: paths look a communicator up per descriptor, and the flat
-        #: tuple key would allocate a fresh ``(job, comm)`` tuple each
-        #: time.  Communicators are never unregistered, so this never
-        #: goes stale.
-        self._comm_cache: Dict[int, Dict[int, CommInfo]] = {}
         #: Live rank processes: (job_id, rank) -> sim Process (for
         #: failure injection / fault tolerance).
         self.rank_procs: Dict[tuple, object] = {}
@@ -403,7 +349,7 @@ class BcsRuntime:
         #: Hooks invoked at every slice boundary with the new slice number
         #: (gang scheduler, instrumentation, ...).  A non-empty registry
         #: also disables slice planning: hooks may create work.
-        self.on_slice_start = HookList()
+        self.on_slice_start: List = []
         #: Telemetry hub (:class:`repro.obs.Observability`) or None.
         #: Hot paths guard on this — a bare runtime pays one attribute
         #: read per hook point and nothing else.
@@ -448,13 +394,8 @@ class BcsRuntime:
         return self.node_runtimes[node_id]
 
     def comm_info(self, job_id: int, comm_id: int) -> CommInfo:
-        """Communicator metadata (allocation-free interned lookup)."""
-        try:
-            return self._comm_cache[job_id][comm_id]
-        except KeyError:
-            info = self.comms[(job_id, comm_id)]
-            self._comm_cache.setdefault(job_id, {})[comm_id] = info
-            return info
+        """Communicator metadata."""
+        return self.comms[job_id][comm_id]
 
     def register_comm(self, job: Job, world_ranks: Sequence[int]) -> CommInfo:
         """Create (or fetch) the communicator over a subset of a job's ranks.
@@ -467,10 +408,9 @@ class BcsRuntime:
         existing = self._comm_by_members.get(member_key)
         if existing is not None:
             return existing
-        comm_id = sum(1 for key in self.comms if key[0] == job.id)
-        info = CommInfo(job, comm_id, world_ranks)
-        self.comms[(job.id, comm_id)] = info
-        self._comm_cache.setdefault(job.id, {})[comm_id] = info
+        job_comms = self.comms.setdefault(job.id, {})
+        comm_id = len(job_comms)
+        info = job_comms[comm_id] = CommInfo(job, comm_id, world_ranks)
         self._comm_by_members[member_key] = info
         return info
 
@@ -494,7 +434,6 @@ class BcsRuntime:
         self.job_index[job.id] = len(self.job_index)
         self.job_stats[job.id] = Counter()
         self.register_comm(job, range(spec.n_ranks))  # comm 0 = world
-        self.arena.activate(job.nodes)
         self.active_node_ids = sorted(
             set(self.active_node_ids) | set(job.nodes)
         )

@@ -89,8 +89,8 @@ class StrobeReceiver:
             yield from handlers[strobe.phase](strobe)
             # Report completion in global memory; the SS's
             # Compare-And-Write tests this counter.  Under the fast
-            # engine the SS performs one batched arena increment for the
-            # whole participant set instead of this per-node write — the
+            # engine the SS performs one batched increment for the whole
+            # participant set instead of this per-node write — the
             # array-backed slot ends up with the identical value.
             if not fast:
                 self.completed_phases += 1
@@ -281,7 +281,9 @@ class StrobeSender:
             runtime.stats["slices"] += 1
             runtime.slice_start_time = start
             if hooks:
-                hooks.fire(runtime.slice_no)
+                # A snapshot: a hook may add or remove hooks while firing.
+                for hook in tuple(hooks):
+                    hook(runtime.slice_no)
             # Slice boundary: the NM restarts processes whose blocking
             # operations completed during the previous slice.  The fast
             # engine pulses only signals with waiters (ascending node
@@ -506,7 +508,7 @@ class StrobeSender:
         size = cfg.descriptor_bytes
         slice_no = runtime.slice_no
         logging = runtime.obs is not None
-        comms = runtime._comm_cache
+        comms = runtime.comms
         handles = runtime.rank_handles
         agents = runtime.agents
         plan = _Plan(logging, cost, self._routes)
@@ -795,7 +797,7 @@ class StrobeSender:
             yield done
             if runtime.fast:
                 # Batched completion report: every participant finished
-                # exactly one microphase, so one arena-wide increment
+                # exactly one microphase, so one batched increment
                 # replaces the per-node ``gas.write`` loop the receivers
                 # perform under the reference engine (same counters, same
                 # values at the Compare-And-Write below).

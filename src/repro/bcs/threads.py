@@ -359,9 +359,9 @@ class BufferReceiver:
         Under the fast engine the slice's descriptors are processed as
         one batch: a single NIC hold covers the whole run (``n``
         back-to-back holds of ``cost`` end at the same instant as one
-        of ``n × cost``) and the matcher consumes the receives through its
-        vectorized batch API.  The reference engine's per-descriptor
-        loop below is the differential oracle.
+        of ``n × cost``) and the matcher takes the receives as one
+        batch, matched as if one at a time.  The reference engine's
+        per-descriptor loop below is the differential oracle.
         """
         nrt = self.nrt
         cost = nrt.config.nic_descriptor_cost
@@ -417,7 +417,7 @@ class BufferReceiver:
         arrived, nrt.arrived_sends = nrt.arrived_sends, []
         if arrived:
             if nrt.runtime.fast:
-                # Batched leg: one NIC hold, one vectorized matcher join.
+                # Batched leg: one NIC hold, one matcher send batch.
                 yield from nrt.nic.compute(nrt.config.nic_descriptor_cost, len(arrived))
                 self._match(nrt.matcher.add_send_batch, arrived, nrt.env.now)
             else:

@@ -64,7 +64,7 @@ class GlobalAddressSpace:
 
         After registration, reads/writes of ``addr`` on any node go to
         ``array[node_id]`` instead of the node's dict region; whatever
-        owns the array (e.g. the BCS node arena) sees every update.
+        owns the array (e.g. the BCS runtime) sees every update.
         """
         if len(array) < self.n_nodes:
             raise ValueError(

@@ -48,7 +48,7 @@ SCALING_APPS = {"barrier": barrier_benchmark, "neighbor": nearest_neighbor_bench
 def tune_gc(threshold0: int = 50_000) -> None:
     """Freeze the warm interpreter graph and relax the gen-0 trigger.
 
-    At 64k nodes the long-lived object population (arena arrays, the
+    At 64k nodes the long-lived object population (cluster, topology,
     engine, module graph) is large enough that cyclic-GC passes walking
     it dominate wall-clock noise.  After warm-up the survivors are
     effectively permanent: ``gc.freeze`` moves them to the permanent
@@ -70,7 +70,7 @@ def gc_counters() -> tuple:
     ``collections`` sums every generation's lifetime collection count;
     deltas across a timed region show how often the collector fired
     inside it.  ``tracked_objects`` is the live cyclic-GC population —
-    the flat-footprint signal the arena representation is meant to
+    the flat-footprint signal that lazily built nodes are meant to
     hold down.
     """
     collections = sum(s["collections"] for s in gc.get_stats())

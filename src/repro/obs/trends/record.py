@@ -273,7 +273,7 @@ def bench_samples(report: Mapping[str, object]) -> List[Sample]:
             )
         if "gc_objects" in rec:
             # Live tracked-object population after the benchmark — the
-            # flat-footprint signal the arena node state holds down.
+            # flat-footprint signal that lazily built nodes hold down.
             samples.append(
                 Sample(
                     series=f"bench.gc/{name}.objects",

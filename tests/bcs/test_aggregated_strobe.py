@@ -1,10 +1,10 @@
-"""Differential tests for the aggregated strobe + arena node state.
+"""Differential tests for the aggregated strobe and array-backed GAS slots.
 
-The fast engine reports microphase completion with one batched arena
-increment from the Strobe Sender, and the arena hoists per-node scalars
-(the ``mphase_done`` GAS slots, activity flags) into flat arrays.  The
-reference engine (``BcsConfig(engine="reference")``) has every Strobe
-Receiver write its own counter.  Neither may move a single event:
+The fast engine reports microphase completion with one batched
+increment from the Strobe Sender of the ``mphase_done`` GAS slot, which
+one flat int64 array backs for the whole machine.  The reference engine
+(``BcsConfig(engine="reference")``) has every Strobe Receiver write its
+own counter.  Neither may move a single event:
 virtual time, slice counts, and every per-node GAS value must be
 byte-identical between the engines, and under the fast engine the lazy
 flyweight node directory must stay unmaterialized for nodes a job never
@@ -16,7 +16,6 @@ import pytest
 
 from repro.apps.synthetic import barrier_benchmark, nearest_neighbor_benchmark
 from repro.bcs import ANY_SOURCE, ANY_TAG, BcsConfig, BcsRuntime
-from repro.bcs.node_manager import NodeArena
 from repro.core.global_memory import GlobalAddressSpace
 from repro.harness.runner import run_workload
 from repro.network import Cluster, ClusterSpec
@@ -73,7 +72,7 @@ def test_batched_gas_increments_match_per_node_writes():
     """``mphase_done`` must be indistinguishable from the oracle's loop.
 
     The reference engine has every Strobe Receiver ``gas.write`` its
-    own counter; the fast engine batch-increments the arena column from
+    own counter; the fast engine batch-increments the array slot from
     the Strobe Sender.  Any strobe the aggregation skipped or
     double-counted shows up as a differing per-node value.
     """
@@ -102,22 +101,41 @@ def test_lazy_nodes_stay_unmaterialized_on_a_big_cluster():
     assert active < 8
     assert runtime.node_runtimes.materialized_count <= active
     assert cluster.nodes.materialized_count <= active + 1
-    # The arena still covers the whole machine — compute nodes plus the
-    # management node — because flat arrays are cheap at any scale.
-    assert len(runtime.arena.mphase_done) == 2049
+    # The counters still cover the whole machine — compute nodes plus
+    # the management node — because a flat array is cheap at any scale.
+    assert_mphase_done_covers_every_node(runtime)
 
 
-# -- arena and GAS array slots -------------------------------------------------
+# -- GAS array slots -----------------------------------------------------------
 
 
-def test_arena_activation_tracking():
-    arena = NodeArena(16)
-    assert arena.n_active == 0
-    arena.activate([3, 1, 7])
-    arena.activate([1])  # idempotent
-    assert arena.n_active == 3
-    assert list(arena.active_ids()) == [1, 3, 7]
-    assert arena.mphase_done.dtype == np.int64
+def assert_mphase_done_covers_every_node(runtime):
+    """``mphase_done`` is an int64 counter on every cluster node, the
+    management node included, and on no node beyond them."""
+    gas = runtime.core.gas
+    n_nodes = len(runtime.cluster.nodes)
+    assert gas.n_nodes == n_nodes
+    # An array-backed slot reads 0, not the default, on untouched nodes.
+    assert all(
+        gas.read(n, "mphase_done") is not None for n in range(n_nodes)
+    )
+    top = n_nodes - 1  # the management node
+    before = gas.read(top, "mphase_done")
+    # 2**62 + 1 survives only in a 64-bit integer.
+    gas.write(top, "mphase_done", 2**62)
+    gas.increment_batch([top], "mphase_done")
+    assert gas.read(top, "mphase_done") == 2**62 + 1
+    gas.write(top, "mphase_done", before)
+    with pytest.raises(IndexError):
+        gas.write(n_nodes, "mphase_done", 1)
+
+
+@pytest.mark.parametrize("engine", ["fast", "reference"])
+def test_mphase_done_is_an_int64_counter_per_cluster_node(engine):
+    runtime, job = _run_runtime(engine)
+    assert_mphase_done_covers_every_node(runtime)
+    # Every node the job ran on counted its microphases.
+    assert all(runtime.core.gas.read(n, "mphase_done") > 0 for n in job.nodes)
 
 
 def test_gas_array_slot_reads_and_batch_increments():

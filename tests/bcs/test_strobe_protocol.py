@@ -45,6 +45,85 @@ def test_custom_timeslice_respected():
     assert boundaries[:3] == [0, us(250), us(500)]
 
 
+# -- slice-boundary hooks ------------------------------------------------------
+#
+# ``on_slice_start`` is a plain list.  The Strobe Sender fires a snapshot
+# of it at every boundary, so a hook may add or remove hooks while it runs.
+
+
+def _fire_hooks(engine, install):
+    """Run a short job with the hooks ``install(hooks, calls)`` registers
+    and return ``calls``; the compute spans four slice boundaries."""
+    cluster, runtime = make_runtime(engine=engine)
+    calls = []
+    install(runtime.on_slice_start, calls)
+
+    def app(ctx):
+        yield from ctx.compute(us(1600))
+
+    runtime.run_job(JobSpec(app=app, n_ranks=2), max_time=seconds(5))
+    assert runtime.slice_no >= 4
+    return calls
+
+
+@pytest.mark.parametrize("engine", ["fast", "reference"])
+def test_slice_hooks_run_in_registration_order(engine):
+    def install(hooks, calls):
+        hooks.append(lambda s: calls.append(("a", s)))
+        hooks.append(lambda s: calls.append(("b", s)))
+
+    calls = _fire_hooks(engine, install)
+    assert calls[:6] == [("a", 1), ("b", 1), ("a", 2), ("b", 2), ("a", 3), ("b", 3)]
+
+
+@pytest.mark.parametrize("engine", ["fast", "reference"])
+def test_slice_hook_removing_itself_still_runs_this_boundary(engine):
+    def install(hooks, calls):
+        def once(s):
+            hooks.remove(once)
+            calls.append(("once", s))
+
+        hooks.append(once)
+        hooks.append(lambda s: calls.append(("tail", s)))
+
+    calls = _fire_hooks(engine, install)
+    assert calls[:3] == [("once", 1), ("tail", 1), ("tail", 2)]
+    assert [c for c in calls if c[0] == "once"] == [("once", 1)]
+
+
+@pytest.mark.parametrize("engine", ["fast", "reference"])
+def test_slice_hook_removed_by_an_earlier_hook_still_runs_this_boundary(engine):
+    def install(hooks, calls):
+        def later(s):
+            calls.append(("later", s))
+
+        def remover(s):
+            calls.append(("remover", s))
+            if s == 1:
+                hooks.remove(later)
+
+        hooks.append(remover)
+        hooks.append(later)
+
+    calls = _fire_hooks(engine, install)
+    assert calls[:4] == [("remover", 1), ("later", 1), ("remover", 2), ("remover", 3)]
+    assert [c for c in calls if c[0] == "later"] == [("later", 1)]
+
+
+@pytest.mark.parametrize("engine", ["fast", "reference"])
+def test_slice_hook_appended_while_firing_first_runs_next_boundary(engine):
+    def install(hooks, calls):
+        def adder(s):
+            calls.append(("adder", s))
+            if s == 1:
+                hooks.append(lambda sn: calls.append(("new", sn)))
+
+        hooks.append(adder)
+
+    calls = _fire_hooks(engine, install)
+    assert calls[:5] == [("adder", 1), ("adder", 2), ("new", 2), ("adder", 3), ("new", 3)]
+
+
 def test_idle_slices_do_not_run_microphases():
     cluster, runtime = make_runtime()
 
