@@ -105,13 +105,6 @@ def ring_neighbors(rank: int, size: int) -> Tuple[int, int]:
     return ((rank - 1) % size, (rank + 1) % size)
 
 
-def log2_ceil(n: int) -> int:
-    """ceil(log2(n)) with log2_ceil(1) == 0."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    return (n - 1).bit_length()
-
-
 def exchange_nonblocking(ctx, peers, send_bytes: int, tag: int = 0):
     """Post isend/irecv with every peer and waitall (the bulk-synchronous
     exchange step used all over the paper's workloads)."""

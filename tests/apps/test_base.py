@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from repro.apps.base import (
     grid_coords,
     grid_rank,
-    log2_ceil,
     neighbors_2d,
     neighbors_3d,
     process_grid,
@@ -90,12 +89,6 @@ def test_neighbors_3d_count_at_most_six():
 def test_ring_neighbors():
     assert ring_neighbors(0, 4) == (3, 1)
     assert ring_neighbors(3, 4) == (2, 0)
-
-
-def test_log2_ceil():
-    assert [log2_ceil(n) for n in (1, 2, 3, 4, 5, 8, 9)] == [0, 1, 2, 2, 3, 3, 4]
-    with pytest.raises(ValueError):
-        log2_ceil(0)
 
 
 def test_cg_transpose_partner_is_involution():

@@ -40,13 +40,13 @@ PINS = {
     ('fig8-p2p', 'fast'): {
         'registry': "7db061ff86afd9e2e2eb0561f61493f5bf0fe5cb9117019b7b9e9a48a1e222d2",
         'perfetto': "c0dde15cef20fc4d342b33d2d51893829a14a76697facaac55bf6e4d5cf6a42f",
-        'profiler': "e1b12b4d9874c396a814376378d77e219954b1a7efa386d847917a08d351cbaf",
+        'profiler': "9538c1165b075caad741c38d1ed1e844ae6cd7d0040f3459136f1dac68572a76",
         'blame': "8fbb93927f4b897061430fd06969254e967d48301700de5e084eef6e4998c5d1",
     },
     ('fig8-p2p', 'reference'): {
         'registry': "7db061ff86afd9e2e2eb0561f61493f5bf0fe5cb9117019b7b9e9a48a1e222d2",
         'perfetto': "1204e936b99db622c6b6617b12b3699d92ea6bffa55f0b4cb7f20201869e83d8",
-        'profiler': "e1b12b4d9874c396a814376378d77e219954b1a7efa386d847917a08d351cbaf",
+        'profiler': "9538c1165b075caad741c38d1ed1e844ae6cd7d0040f3459136f1dac68572a76",
         'blame': "8fbb93927f4b897061430fd06969254e967d48301700de5e084eef6e4998c5d1",
     },
     ('sage', 'fast'): {

@@ -72,7 +72,6 @@ ALLOWED = {
     "Link.available": "test seam: free units of a link half",
     "Resource.queue_length": "test seam: no claimant leaks on a cancelled transfer",
     "_ClaimedTransfer.cancel": "called by Process.interrupt through getattr",
-    "log2_ceil": "dead, but deleting it moves the app call-site lines the profiler pins hash",
 }
 
 
