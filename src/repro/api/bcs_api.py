@@ -19,7 +19,9 @@ from ..bcs.descriptors import (
     ANY_SOURCE,
     ANY_TAG,
     BcsRequest,
+    CollectiveDescriptor,
     RecvDescriptor,
+    SendDescriptor,
     payload_nbytes,
 )
 from ..bcs.runtime import QUIET_FOREVER
@@ -56,9 +58,8 @@ class BcsApi:
         if not 0 <= dest < info.size:
             raise ValueError(f"destination rank {dest} outside communicator")
         nbytes = payload_nbytes(payload, size)
-        pools = self.runtime.pools
-        req = pools.request(self.env, "send")
-        desc = pools.send(
+        req = BcsRequest(self.env, "send")
+        desc = SendDescriptor(
             info.job.id,
             info.comm_id,
             src_rank,
@@ -68,6 +69,7 @@ class BcsApi:
             req,
             payload=payload,
             seq=handle.next_send_seq(info.comm_id, dest),
+            desc_id=next(self.runtime.desc_ids),
         )
         handle.nrt.post_send(desc)
         handle.pending_overhead += self.runtime.config.descriptor_post_cost
@@ -97,9 +99,8 @@ class BcsApi:
         """bcs_recv(non-blocking): post a receive descriptor."""
         if source != ANY_SOURCE and not 0 <= source < info.size:
             raise ValueError(f"source rank {source} outside communicator")
-        pools = self.runtime.pools
-        req = pools.request(self.env, "recv")
-        desc = pools.recv(
+        req = BcsRequest(self.env, "recv")
+        desc = RecvDescriptor(
             info.job.id,
             info.comm_id,
             rank,
@@ -107,6 +108,7 @@ class BcsApi:
             tag,
             UNLIMITED if size is None else size,
             req,
+            desc_id=next(self.runtime.desc_ids),
         )
         handle.nrt.post_recv(desc)
         handle.pending_overhead += self.runtime.config.descriptor_post_cost
@@ -130,9 +132,8 @@ class BcsApi:
             raise ValueError(f"unknown collective kind {kind!r}")
         if not 0 <= root < info.size:
             raise ValueError(f"root rank {root} outside communicator")
-        pools = self.runtime.pools
-        req = pools.request(self.env, kind)
-        desc = pools.coll(
+        req = BcsRequest(self.env, kind)
+        desc = CollectiveDescriptor(
             info.job.id,
             info.comm_id,
             kind,
@@ -143,6 +144,7 @@ class BcsApi:
             op=op,
             size=payload_nbytes(payload, size),
             payload=payload,
+            desc_id=next(self.runtime.desc_ids),
         )
         handle.nrt.post_collective(desc)
         handle.pending_overhead += self.runtime.config.descriptor_post_cost
@@ -283,7 +285,6 @@ class BcsApi:
         """bcs_barrier."""
         req = self.post_collective(handle, info, rank, "barrier")
         yield from self.wait(handle, [req])
-        self._maybe_release(req)
 
     def bcast(self, handle, info, rank, payload=None, root=0, size=None):
         """bcs_bcast; every rank returns the broadcast payload."""
@@ -291,9 +292,7 @@ class BcsApi:
             handle, info, rank, "bcast", root=root, payload=payload, size=size
         )
         yield from self.wait(handle, [req])
-        result = req.payload
-        self._maybe_release(req)
-        return result
+        return req.payload
 
     def reduce(self, handle, info, rank, payload, op, root=0, all_ranks=False):
         """bcs_reduce (``all_ranks`` selects the allreduce variant)."""
@@ -302,9 +301,7 @@ class BcsApi:
             handle, info, rank, kind, root=root, op=op, payload=payload
         )
         yield from self.wait(handle, [req])
-        result = req.payload
-        self._maybe_release(req)
-        return result
+        return req.payload
 
     # -- internals ------------------------------------------------------------------------------
 
@@ -323,15 +320,3 @@ class BcsApi:
             tag,
             call_site(),
         ))
-
-    def _maybe_release(self, req: BcsRequest) -> None:
-        """Recycle a request that never escaped to the caller.
-
-        Only the blocking collective wrappers qualify — they return the
-        payload (or nothing), never the handle, and their descriptor was
-        already recycled when the epoch completed.
-        """
-        runtime = self.runtime
-        if not runtime.fast:
-            return
-        runtime.pools.release_request(req)

@@ -20,7 +20,7 @@ from ..sim import Event
 ANY_SOURCE = -1
 ANY_TAG = -1
 
-#: Ids of descriptors built outside a :class:`DescriptorPools` (the
+#: Ids of descriptors built without a runtime's ``desc_ids`` counter (the
 #: baseline MPI's, probes').
 _desc_ids = itertools.count()
 
@@ -243,168 +243,3 @@ class Match:
             f"<Match {self.send.src_rank}->{self.recv.rank} "
             f"{self.bytes_done}/{self.total_bytes}B>"
         )
-
-
-class _FreeList:
-    """A bounded LIFO free list of recyclable objects."""
-
-    __slots__ = ("_free", "cap")
-
-    def __init__(self, cap: int = 8192):
-        self._free: list = []
-        self.cap = cap
-
-    def get(self):
-        return self._free.pop() if self._free else None
-
-    def put(self, obj) -> None:
-        if len(self._free) < self.cap:
-            self._free.append(obj)
-
-    def __len__(self) -> int:
-        return len(self._free)
-
-
-class DescriptorPools:
-    """Free-list pools for the per-message hot-path objects.
-
-    Steady-state slices churn through Send/Recv/Collective descriptors
-    and :class:`BcsRequest` handles at a rate proportional to message
-    count; pooling them makes those slices allocate near zero (the
-    fast slice engine, ``BcsConfig(engine="fast")``).
-
-    Safety rules:
-
-    - ``acquire`` reinitializes **every** field and draws a **fresh**
-      ``desc_id``, so any stale index keyed by descriptor id (matcher
-      buckets, span tables) can never alias a recycled object.  Ids
-      come from a counter per pool set, so two same-seed runs number
-      their descriptors alike however many runs preceded them;
-    - ``release`` is only called from sites where the runtime can prove
-      no live reference remains (retired matches, completed collective
-      epochs, provably-private barrier requests);
-    - a recycled ``BcsRequest`` gets a **fresh** :class:`Event` — done
-      events are one-shot and are never re-armed.
-
-    Pools are best-effort and bounded; an empty pool simply constructs.
-    """
-
-    __slots__ = ("_sends", "_recvs", "_colls", "_reqs", "_ids")
-
-    def __init__(self):
-        self._sends = _FreeList()
-        self._recvs = _FreeList()
-        self._colls = _FreeList()
-        self._reqs = _FreeList()
-        self._ids = itertools.count()
-
-    # -- acquire ---------------------------------------------------------------
-
-    def send(
-        self, job_id, comm_id, src_rank, dst_rank, tag, size, request,
-        payload=None, seq=0, posted_at=0,
-    ) -> SendDescriptor:
-        d = self._sends.get()
-        if d is None:
-            return SendDescriptor(
-                job_id, comm_id, src_rank, dst_rank, tag, size, request,
-                payload=payload, seq=seq, posted_at=posted_at,
-                desc_id=next(self._ids),
-            )
-        d.job_id = job_id
-        d.comm_id = comm_id
-        d.src_rank = src_rank
-        d.dst_rank = dst_rank
-        d.tag = tag
-        d.size = size
-        d.request = request
-        d.payload = payload
-        d.seq = seq
-        d.posted_at = posted_at
-        d.desc_id = next(self._ids)
-        return d
-
-    def recv(
-        self, job_id, comm_id, rank, src_rank, tag, capacity, request,
-        posted_at=0,
-    ) -> RecvDescriptor:
-        d = self._recvs.get()
-        if d is None:
-            return RecvDescriptor(
-                job_id, comm_id, rank, src_rank, tag, capacity, request,
-                posted_at=posted_at, desc_id=next(self._ids),
-            )
-        d.job_id = job_id
-        d.comm_id = comm_id
-        d.rank = rank
-        d.src_rank = src_rank
-        d.tag = tag
-        d.capacity = capacity
-        d.request = request
-        d.posted_at = posted_at
-        d.desc_id = next(self._ids)
-        return d
-
-    def coll(
-        self, job_id, comm_id, kind, rank, root, epoch, request,
-        op=None, size=0, payload=None, posted_at=0,
-    ) -> CollectiveDescriptor:
-        d = self._colls.get()
-        if d is None:
-            return CollectiveDescriptor(
-                job_id, comm_id, kind, rank, root, epoch, request,
-                op=op, size=size, payload=payload, posted_at=posted_at,
-                desc_id=next(self._ids),
-            )
-        d.job_id = job_id
-        d.comm_id = comm_id
-        d.kind = kind
-        d.rank = rank
-        d.root = root
-        d.epoch = epoch
-        d.request = request
-        d.op = op
-        d.size = size
-        d.payload = payload
-        d.posted_at = posted_at
-        d.desc_id = next(self._ids)
-        return d
-
-    def request(self, env, kind: str) -> BcsRequest:
-        r = self._reqs.get()
-        if r is None:
-            return BcsRequest(env, kind)
-        r.env = env
-        r.kind = kind
-        r.done = env.event(name=f"req:{kind}")
-        r.payload = None
-        r.source = None
-        r.tag = None
-        r.size = None
-        r.error = None
-        r.posted_at = env.now
-        r.completed_at = None
-        r.blocked = None
-        r.ref = None
-        return r
-
-    # -- release ---------------------------------------------------------------
-
-    def release_send(self, d: SendDescriptor) -> None:
-        d.request = None
-        d.payload = None
-        self._sends.put(d)
-
-    def release_recv(self, d: RecvDescriptor) -> None:
-        d.request = None
-        self._recvs.put(d)
-
-    def release_coll(self, d: CollectiveDescriptor) -> None:
-        d.request = None
-        d.payload = None
-        self._colls.put(d)
-
-    def release_request(self, r: BcsRequest) -> None:
-        r.payload = None
-        r.error = None
-        self._reqs.put(r)

@@ -15,16 +15,18 @@ process whose MPI calls go through the BCS API.
 
 from __future__ import annotations
 
+import itertools
 from collections import Counter
+from functools import partial
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
 from ..core import BcsCore
 from ..network import Cluster
+from ..network.cluster import NodeDirectory
 from ..storm.job import Job, JobSpec, block_placement
 from .config import BcsConfig
-from .descriptors import DescriptorPools
 from .matching import MatcherTotals
 from .node_manager import NodeManager
 from .scheduler import SliceScheduler
@@ -114,62 +116,6 @@ class NodeAgents:
         self.ch = CollectiveHelper(nrt)
         self.rh = ReduceHelper(nrt)
         self.nm = NodeManager(nrt)
-
-
-class NodeTable:
-    """Lazy list-like table of :class:`NodeRuntime` flyweights.
-
-    Indexing materializes the node's runtime on first access, so under
-    the fast engine only nodes that host ranks or receive traffic ever
-    exist as Python objects (the reference engine materializes every
-    node at construction).  Iteration materializes every node —
-    full-scan oracles and whole-machine sweeps stay correct (a
-    just-materialized idle node contributes exactly what an eagerly
-    built idle node would: nothing).  Materialization creates no
-    simulation events, so it can never perturb virtual time.  Indices
-    follow list semantics: negative ones count from the end, and
-    out-of-range ones raise :class:`IndexError`.
-    """
-
-    __slots__ = ("_runtime", "_slots", "_count")
-
-    def __init__(self, runtime: "BcsRuntime", n_nodes: int):
-        self._runtime = runtime
-        self._slots: List[Optional[NodeRuntime]] = [None] * n_nodes
-        self._count = 0
-
-    def __len__(self) -> int:
-        return len(self._slots)
-
-    def __getitem__(self, node_id: int) -> NodeRuntime:
-        nrt = self._slots[node_id]  # list indexing raises when out of range
-        if nrt is None:
-            if node_id < 0:
-                node_id += len(self._slots)
-            nrt = self._slots[node_id] = NodeRuntime(self._runtime, node_id)
-            self._count += 1
-        return nrt
-
-    def __iter__(self):
-        if self._count == len(self._slots):
-            # Fully built (always, under the reference engine): plain
-            # list iteration keeps its full scans at list speed.
-            return iter(self._slots)
-        return (self[i] for i in range(len(self._slots)))
-
-    def materialized(self):
-        """Existing node runtimes in id order (no materialization)."""
-        for nrt in self._slots:
-            if nrt is not None:
-                yield nrt
-
-    @property
-    def materialized_count(self) -> int:
-        """How many node runtimes exist as Python objects right now."""
-        return self._count
-
-    def __repr__(self) -> str:
-        return f"<NodeTable {self._count}/{len(self._slots)} materialized>"
 
 
 class _LazyNodeMap(dict):
@@ -277,10 +223,9 @@ class BcsRuntime:
         #: ``config.engine`` resolved once: True runs the fast slice
         #: engine, False the reference oracle.  Hot paths test this bool.
         self.fast = self.config.engine == "fast"
-        #: Free-list pools for descriptors/requests (the fast engine's
-        #: allocation leg; recycling only happens there — acquire falls
-        #: through to plain construction when the pools are empty).
-        self.pools = DescriptorPools()
+        #: Descriptor ids of this runtime's posts and PFS matches: a
+        #: counter per runtime, so two same-seed runs number alike.
+        self.desc_ids = itertools.count()
         #: Machine-wide matcher aggregates, shared by every node matcher.
         self.matcher_totals = MatcherTotals()
         # Incrementally maintained active-node id sets (see the module-
@@ -310,7 +255,9 @@ class BcsRuntime:
 
         # Flyweight node machinery: materialized per node on first touch
         # (launch() pre-materializes a job's nodes).
-        self.node_runtimes = NodeTable(self, cluster.n_compute_nodes)
+        self.node_runtimes = NodeDirectory(
+            partial(NodeRuntime, self), cluster.n_compute_nodes
+        )
         self.agents = _AgentMap(self)
         self.receivers = _ReceiverMap(self)
         if not self.fast:

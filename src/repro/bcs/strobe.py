@@ -27,7 +27,7 @@ from functools import partial
 from operator import itemgetter
 from typing import TYPE_CHECKING, Any, Dict, List, Optional
 
-from ..sim import Latch, Link, ReusableLatch, ReusableTimeout, Timeout
+from ..sim import Latch, Link, Timeout
 
 from .threads import posted_before
 
@@ -234,16 +234,6 @@ class StrobeSender:
         self.runtime = runtime
         self.env = runtime.env
         self._proc = None
-        # Reusable microphase plumbing: one latch, one strobe record and
-        # two timeouts serve every microphase of every slice.  Safe
-        # because the SS is the only holder across cycles —
-        # it always yields the latch/timeouts to completion before
-        # re-arming, and every receiver drops its strobe reference at
-        # count_down time.
-        self._latch = ReusableLatch(self.env)
-        self._strobe = Strobe("", 0, None, self._latch)
-        self._empty_phase = ReusableTimeout(self.env)
-        self._sleep = ReusableTimeout(self.env)
         # Microstrobe duration, cached per active-set size.
         self._strobe_n = -1
         self._strobe_latency = 0
@@ -393,7 +383,7 @@ class StrobeSender:
                     )
                 latency = self.strobe_latency()
                 runtime.sr_idle_until = start + latency
-                yield self._sleep.rearm(latency)
+                yield Timeout(self.env, latency)
                 began = start
             msm_end = self._plan_exchange(start, dem_nodes)
             if msm_end is not None:
@@ -401,7 +391,7 @@ class StrobeSender:
                 work_end = self._plan_transmit(granted, msm_end)
                 if work_end is not None:
                     return work_end
-                yield self._sleep.rearm(msm_end - self.env.now)
+                yield Timeout(self.env, msm_end - self.env.now)
                 return (yield from self._transmit(granted))
         yield from self._microphase(DEM, dem_nodes, cfg.dem_min_duration, began=began)
         yield from self._microphase(MSM, runtime.msm_nodes(), cfg.msm_min_duration)
@@ -459,14 +449,6 @@ class StrobeSender:
             runtime.obs.events.append(
                 (self.env.now, "retire", tuple(m.send.desc_id for m in retired))
             )
-        if retired and runtime.fast:
-            # A retired match was the last holder of its pair of
-            # descriptors (requests are completed at delivery and
-            # owned by the application): recycle them.
-            pools = runtime.pools
-            for m in retired:
-                pools.release_send(m.send)
-                pools.release_recv(m.recv)
 
     def _plannable(self) -> bool:
         """May the rest of the slice be planned?  No launch can change the
@@ -720,7 +702,7 @@ class StrobeSender:
         else:
             runtime._sr_idle += ((self._idle_from, t),)
             self._idle_from = None
-        return self._sleep.rearm(t - self.env.now)
+        return Timeout(self.env, t - self.env.now)
 
     def _empty_tail(self, t: int) -> list:
         """The log of BBM and RM without participants, from ``t``.
@@ -772,18 +754,9 @@ class StrobeSender:
             # Its completion delay is the Compare-And-Write's conditional
             # round over the participants, and the latch never fires
             # before the microphase's minimum duration has passed.
-            # The latch and strobe record are re-armed in place — every
-            # receiver drops its reference at count_down time, and the SS
-            # yields the latch to completion before the next microphase,
-            # so nothing can observe the reuse.
             cw = runtime.cluster.fabric.model.cw_latency(len(nodes))
-            done = self._latch.rearm(
-                len(nodes), delay=cw, not_before=t0 + min_duration
-            )
-            strobe = self._strobe
-            strobe.phase = phase
-            strobe.slice_no = runtime.slice_no
-            strobe.payload = payload
+            done = Latch(env, len(nodes), delay=cw, not_before=t0 + min_duration)
+            strobe = Strobe(phase, runtime.slice_no, payload, done)
             # One multicast microstrobe: a single heap entry, one strobe
             # latency from now, wakes every participant's SR in ``nodes``
             # order.
@@ -810,7 +783,7 @@ class StrobeSender:
             wait = max(latency, min_duration)
             runtime.sr_idle_until = t0 + wait
             if wait:
-                yield self._empty_phase.rearm(wait)
+                yield Timeout(env, wait)
 
         if obs is not None:
             obs.events.append((env.now, "phase", runtime.slice_no, phase, env.now - t0))

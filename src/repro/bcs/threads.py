@@ -300,12 +300,6 @@ class NodeRuntime:
                 epoch,
                 self.runtime.job_index[job_id],
             ))
-        if self.runtime.fast:
-            # The epoch record was the last holder of these descriptors.
-            pools = self.runtime.pools
-            for desc in ep.descs:
-                pools.release_coll(desc)
-            ep.descs.clear()
 
     def __repr__(self) -> str:
         return f"<NodeRuntime node={self.node_id}>"

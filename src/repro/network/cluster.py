@@ -18,7 +18,7 @@ node up front through the same directory.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Generator, List, Optional
+from typing import Any, Callable, Generator, List
 
 from ..sim import Engine, Resource, RngRegistry
 from .fabric import Fabric
@@ -79,22 +79,24 @@ class Node:
 
 
 class NodeDirectory:
-    """Lazy sequence of a cluster's nodes (flyweight materialization).
+    """Lazy sequence of per-node objects (flyweight materialization).
 
-    Indexing materializes the node (and its NIC) on first access;
-    iteration and slicing materialize everything they touch, so code
-    that genuinely walks the whole machine (diagnostics, full-scan
-    oracles, fault-tolerance sweeps) still sees every node.  Indices
-    follow list semantics: negative ones count from the end, and
-    out-of-range ones raise :class:`IndexError`.
+    ``factory(node_id)`` builds a node's object on first access; the
+    cluster keeps its nodes (and their NICs) in one, the BCS runtime its
+    per-node runtimes.  Iteration and slicing materialize everything they
+    touch, so code that genuinely walks the whole machine (diagnostics,
+    full-scan oracles, fault-tolerance sweeps) still sees every node;
+    :meth:`materialized` walks only the existing ones.  Indices follow
+    list semantics: negative ones count from the end, and out-of-range
+    ones raise :class:`IndexError`.
     """
 
-    __slots__ = ("_cluster", "_slots", "_materialized")
+    __slots__ = ("_factory", "_slots", "_count")
 
-    def __init__(self, cluster: "Cluster", total: int):
-        self._cluster = cluster
-        self._slots: List[Optional[Node]] = [None] * total
-        self._materialized = 0
+    def __init__(self, factory: Callable[[int], Any], total: int):
+        self._factory = factory
+        self._slots: List[Any] = [None] * total
+        self._count = 0
 
     def __len__(self) -> int:
         return len(self._slots)
@@ -102,28 +104,34 @@ class NodeDirectory:
     def __getitem__(self, index):
         if isinstance(index, slice):
             return [self[i] for i in range(*index.indices(len(self._slots)))]
-        node = self._slots[index]  # list indexing raises when out of range
-        if node is None:
+        item = self._slots[index]  # list indexing raises when out of range
+        if item is None:
             if index < 0:
                 index += len(self._slots)
-            node = self._slots[index] = self._cluster._make_node(index)
-            self._materialized += 1
-        return node
+            item = self._slots[index] = self._factory(index)
+            self._count += 1
+        return item
 
     def __iter__(self):
-        for i in range(len(self._slots)):
-            yield self[i]
+        if self._count == len(self._slots):
+            # Fully built: plain list iteration keeps full scans at list
+            # speed.
+            return iter(self._slots)
+        return (self[i] for i in range(len(self._slots)))
+
+    def materialized(self):
+        """Existing entries in id order (no materialization)."""
+        for item in self._slots:
+            if item is not None:
+                yield item
 
     @property
     def materialized_count(self) -> int:
-        """How many nodes exist as Python objects right now."""
-        return self._materialized
+        """How many entries exist as Python objects right now."""
+        return self._count
 
     def __repr__(self) -> str:
-        return (
-            f"<NodeDirectory {self._materialized}/{len(self._slots)} "
-            "materialized>"
-        )
+        return f"<NodeDirectory {self._count}/{len(self._slots)} materialized>"
 
 
 class _NicView:
@@ -150,7 +158,7 @@ class Cluster:
         self.rng = RngRegistry(self.spec.seed)
 
         # + 1: the management node.
-        self.nodes = NodeDirectory(self, self.spec.n_nodes + 1)
+        self.nodes = NodeDirectory(self._make_node, self.spec.n_nodes + 1)
         self.fabric = Fabric(self.env, self.spec.model, _NicView(self.nodes))
 
     def _make_node(self, node_id: int) -> Node:

@@ -25,7 +25,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
-from ..bcs.descriptors import BcsRequest, Match
+from ..bcs.descriptors import BcsRequest, Match, RecvDescriptor, SendDescriptor
 from ..units import kib
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -84,9 +84,15 @@ class PfsService:
     def _make_match(self, src_node: int, dst_node: int, size: int) -> Match:
         send_req = BcsRequest(self.env, "pfs-send")
         recv_req = BcsRequest(self.env, "pfs-recv")
-        pools = self.runtime.pools
-        send = pools.send(PFS_JOB_ID, 0, src_node, dst_node, 0, size, send_req)
-        recv = pools.recv(PFS_JOB_ID, 0, dst_node, src_node, 0, size, recv_req)
+        ids = self.runtime.desc_ids
+        send = SendDescriptor(
+            PFS_JOB_ID, 0, src_node, dst_node, 0, size, send_req,
+            desc_id=next(ids),
+        )
+        recv = RecvDescriptor(
+            PFS_JOB_ID, 0, dst_node, src_node, 0, size, recv_req,
+            desc_id=next(ids),
+        )
         return Match(
             send=send,
             recv=recv,

@@ -12,8 +12,6 @@ from .events import (
     Condition,
     Event,
     Latch,
-    ReusableLatch,
-    ReusableTimeout,
     Timeout,
 )
 from .process import Process
@@ -34,8 +32,6 @@ __all__ = [
     "Link",
     "Process",
     "Resource",
-    "ReusableLatch",
-    "ReusableTimeout",
     "RngRegistry",
     "Signal",
     "SimError",

@@ -172,18 +172,11 @@ class Latch(Event):
     def __init__(
         self, env, count: int, name: str = "", delay: int = 0, not_before: int = 0
     ):
-        super().__init__(env, name=name)
-        self._arm(count, delay, not_before)
-
-    def _arm(self, count: int, delay: int, not_before: int) -> None:
         if count < 0:
             raise ValueError(f"negative latch count {count}")
         if delay < 0:
             raise ValueError(f"negative latch delay {delay}")
-        self.callbacks = []
-        self._value = PENDING
-        self._ok = True
-        self._defused = False
+        super().__init__(env, name=name)
         self.remaining = count
         self.delay = delay
         self.not_before = not_before
@@ -213,77 +206,6 @@ class Latch(Event):
             env.schedule(self, delay=delay)
         else:
             self.callbacks = None
-
-
-class ReusableLatch(Latch):
-    """A :class:`Latch` the same owner can re-arm once it has been processed.
-
-    The Strobe Sender runs five microphase barriers per active slice for
-    the whole simulation; allocating a fresh latch for each is pure churn
-    when nobody keeps a reference past the barrier.  A reusable latch is
-    born *processed* (it never enters the event queue at construction)
-    and :meth:`rearm` returns it to the pending state with a new count.
-
-    Re-arming is only legal once the previous cycle's callbacks have run
-    (``processed`` is true) — exactly the guarantee a ``yield latch``
-    gives the process that owns it.  Handing the latch to parties that
-    may hold it across cycles forfeits that guarantee; use a plain
-    :class:`Latch` there.
-    """
-
-    __slots__ = ()
-
-    def __init__(self, env, name: str = ""):
-        Event.__init__(self, env, name=name)
-        self.remaining = 0
-        self.delay = 0
-        self.not_before = 0
-        # Born processed: triggered (value None) with callbacks done.
-        self._value = None
-        self.callbacks = None
-
-    def rearm(
-        self, count: int, name: str = "", delay: int = 0, not_before: int = 0
-    ) -> "ReusableLatch":
-        """Reset to pending with ``count`` outstanding parties and the
-        completion delay of :class:`Latch`."""
-        if self.callbacks is not None:
-            raise EventAlreadyTriggered(f"rearm of in-flight {self!r}")
-        self._arm(count, delay, not_before)
-        self.name = name
-        return self
-
-
-class ReusableTimeout(Timeout):
-    """A :class:`Timeout` the same owner can re-schedule after it fired.
-
-    Like :class:`ReusableLatch`: born processed, and :meth:`rearm`
-    schedules it ``delay`` ns from now exactly as constructing a fresh
-    :class:`Timeout` would.  Only legal once the previous cycle has been
-    processed, i.e. for the strictly sequential ``yield`` pattern.
-    """
-
-    __slots__ = ()
-
-    def __init__(self, env, name: str = ""):
-        Event.__init__(self, env, name=name)
-        self.delay = 0
-        self._value = None
-        self.callbacks = None
-
-    def rearm(self, delay: int, value: Any = None) -> "ReusableTimeout":
-        """Reset to pending and schedule ``delay`` ns from now."""
-        if self.callbacks is not None:
-            raise EventAlreadyTriggered(f"rearm of in-flight {self!r}")
-        if delay < 0:
-            raise ValueError(f"negative timeout delay {delay}")
-        self.callbacks = []
-        self._ok = True
-        self._defused = False
-        self._value = value
-        self.delay = int(delay)
-        self.env.schedule(self, delay=self.delay)
-        return self
 
 
 class FanOut(Event):

@@ -1,15 +1,16 @@
 """Differential tests for the batched slice engine.
 
-The vectorized batch feeds (``add_send_batch`` / ``add_recv_batch``)
-must be observationally identical to sequential ``add_send`` /
-``add_recv`` calls in batch order — same match sequence, same
-truncation raise points, same queue state afterwards — across
-exact-pattern streams (the vectorized join), wildcard-heavy streams
-(the object-path fallback and run splitting), and truncation streams.
-On top of the matcher, the fast engine must produce byte-identical
-virtual time versus the reference engine's per-descriptor object path, and
-the descriptor pools must never let a recycled object alias stale
-state.
+The batch feeds (``add_send_batch`` / ``add_recv_batch``) must be
+observationally identical to sequential ``add_send`` / ``add_recv``
+calls in batch order — same match sequence, same truncation raise
+points, same queue state afterwards.  Only ``HashMatcher.add_send_batch``
+is vectorized: it joins a batch of at least ``BATCH_MIN`` sends while no
+wildcard receive is posted and takes the object path otherwise; receive
+batches always take the object path.  The streams cover exact patterns
+(the vectorized send join), wildcard-heavy traffic (the fallback and
+the receive path) and truncation.  On top of the matcher, the fast
+engine must produce byte-identical virtual time versus the reference
+engine's per-descriptor object path.
 """
 
 import random
@@ -25,15 +26,10 @@ from repro.bcs import (
     LinearMatcher,
     TruncationError,
 )
-from repro.bcs.descriptors import (
-    DescriptorPools,
-    RecvDescriptor,
-    SendDescriptor,
-)
+from repro.bcs.descriptors import RecvDescriptor, SendDescriptor
 from repro.bcs.matching import BATCH_MIN
 from repro.bcs.threads import NodeRuntime
 from repro.harness.runner import run_workload
-from repro.sim import Engine
 from repro.units import ms
 
 from .test_active_sets import _stats
@@ -248,50 +244,6 @@ def test_virtual_time_identity_batched_vs_object_path(app):
         r = run_workload(app, 8, "bcs", bcs_config=cfg)
         results[engine] = (r.runtime_ns, _stats(r), r.results)
     assert results["fast"] == results["reference"]
-
-
-# -- descriptor pools ----------------------------------------------------------
-
-
-def test_pool_recycled_descriptor_gets_fresh_desc_id():
-    pools = DescriptorPools()
-    d1 = pools.send(0, 0, 1, 2, 3, 64, _Req())
-    id1 = d1.desc_id
-    pools.release_send(d1)
-    d2 = pools.send(1, 1, 0, 0, 0, 8, _Req())
-    assert d2 is d1  # the free list actually recycles
-    assert d2.desc_id != id1
-    assert (d2.job_id, d2.size, d2.payload) == (1, 8, None)
-
-
-def test_pool_recycled_request_gets_fresh_event():
-    env = Engine()
-    pools = DescriptorPools()
-    r1 = pools.request(env, "send")
-    ev1 = r1.done
-    r1._finish()
-    assert r1.complete
-    pools.release_request(r1)
-    r2 = pools.request(env, "recv")
-    assert r2 is r1
-    assert r2.done is not ev1  # a triggered Event is one-shot
-    assert not r2.complete
-    assert r2.kind == "recv" and r2.payload is None and r2.error is None
-
-
-def test_pool_recv_and_coll_reinitialize_every_field():
-    pools = DescriptorPools()
-    r = pools.recv(0, 0, 1, 2, 3, 100, _Req())
-    pools.release_recv(r)
-    r2 = pools.recv(1, 2, 3, ANY_SOURCE, ANY_TAG, 1 << 30, _Req())
-    assert r2 is r
-    assert (r2.job_id, r2.comm_id, r2.rank) == (1, 2, 3)
-    assert r2.src_rank == ANY_SOURCE and r2.tag == ANY_TAG
-    c = pools.coll(0, 0, "barrier", 1, 0, 7, _Req(), payload=b"p")
-    pools.release_coll(c)
-    c2 = pools.coll(1, 1, "bcast", 0, 2, 9, _Req())
-    assert c2 is c
-    assert c2.payload is None and c2.kind == "bcast" and c2.epoch == 9
 
 
 # -- the posted-FIFO drain fast path -------------------------------------------

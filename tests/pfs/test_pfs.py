@@ -1,10 +1,13 @@
 """Tests for the parallel file system substrate and its QoS behaviour."""
 
+from collections import Counter
+
 import pytest
 
 from repro.apps import nearest_neighbor_benchmark
 from repro.bcs import BcsConfig, BcsRuntime
 from repro.network import Cluster, ClusterSpec
+from repro.obs import Observability
 from repro.pfs import PfsService, UncoordinatedPfs
 from repro.storm import JobSpec
 from repro.units import KiB, MiB, kib, mib, ms, seconds
@@ -92,32 +95,66 @@ def test_system_traffic_yields_to_user_traffic():
     assert True not in grants or grants[True] == 0
 
 
+def run_qos(with_pfs, engine="fast", obs=None):
+    """The §1 scenario: background PFS writes beside a latency-sensitive
+    nearest-neighbour job.  Returns the job, the runtime and the matches
+    the PFS built."""
+    cluster = Cluster(ClusterSpec(n_nodes=4))
+    runtime = BcsRuntime(cluster, BcsConfig(init_cost=0, engine=engine))
+    if obs is not None:
+        runtime.attach_observability(obs)
+    matches = []
+    if with_pfs:
+        pfs = PfsService(runtime, io_nodes=[0, 1, 2, 3])
+        make_match = pfs._make_match
+
+        def recording_make_match(*args):
+            matches.append(make_match(*args))
+            return matches[-1]
+
+        pfs._make_match = recording_make_match
+
+        def writer():
+            for i in range(20):
+                pfs.write(i % 4, f"bg{i}", mib(4))
+                yield cluster.env.timeout(ms(5))
+
+        cluster.env.process(writer(), name="pfs.bg")
+    job = runtime.run_job(
+        JobSpec(
+            app=nearest_neighbor_benchmark,
+            n_ranks=8,
+            params=dict(granularity=ms(3), iterations=10, message_bytes=kib(4)),
+        ),
+        max_time=seconds(60),
+    )
+    return job, runtime, matches
+
+
 def test_qos_app_unperturbed_by_pfs_under_bcs():
     """End-to-end §1 scenario: background PFS writes do not slow a
     latency-sensitive application under global scheduling."""
-
-    def run(with_pfs):
-        cluster, runtime = make_runtime(n_nodes=4)
-        if with_pfs:
-            pfs = PfsService(runtime, io_nodes=[0, 1, 2, 3])
-
-            def writer():
-                for i in range(20):
-                    pfs.write(i % 4, f"bg{i}", mib(4))
-                    yield cluster.env.timeout(ms(5))
-
-            cluster.env.process(writer(), name="pfs.bg")
-        job = runtime.run_job(
-            JobSpec(
-                app=nearest_neighbor_benchmark,
-                n_ranks=8,
-                params=dict(granularity=ms(3), iterations=10, message_bytes=kib(4)),
-            ),
-            max_time=seconds(60),
-        )
-        return job.runtime
-
-    clean = run(False)
-    loaded = run(True)
+    clean = run_qos(False)[0].runtime
+    loaded = run_qos(True)[0].runtime
     # Under BCS the app sees (almost) no interference.
     assert loaded <= clean * 1.10
+
+
+def test_pfs_descriptor_ids_share_the_runtime_counter_under_both_engines():
+    """PFS stripes number their descriptors from the runtime's counter,
+    the one application posts draw from: no PFS id names a posted
+    descriptor, and both engines end the QoS run alike and exchange the
+    same message ids."""
+    runs = {}
+    for engine in ("fast", "reference"):
+        obs = Observability()
+        job, runtime, matches = run_qos(True, engine=engine, obs=obs)
+        assert matches
+        pfs_ids = {m.send.desc_id for m in matches}
+        posted = {e[2][1] for e in obs.events if e[1] == "post" and e[2][0] != "coll"}
+        assert posted and pfs_ids.isdisjoint(posted), engine
+        exchanged = Counter(e[2] for e in obs.events if e[1] == "exchange")
+        stats = dict(runtime.stats)
+        stats.pop("idle_slices_skipped", None)
+        runs[engine] = (job.runtime, stats, exchanged)
+    assert runs["fast"] == runs["reference"]

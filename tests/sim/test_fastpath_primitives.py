@@ -126,106 +126,3 @@ def test_try_acquire_matches_request_grant_instant():
             res.release(amount)
         else:
             req.cancel()
-
-
-# -- ReusableLatch / ReusableTimeout ------------------------------------------
-
-
-from repro.sim import ReusableLatch, ReusableTimeout  # noqa: E402
-
-
-def test_reusable_latch_born_processed():
-    env = Engine()
-    latch = ReusableLatch(env)
-    assert latch.triggered
-    # Construction schedules nothing: the event queue stays empty.
-    assert env.peek() is None
-
-
-def test_reusable_latch_rearm_cycle():
-    env = Engine()
-    latch = ReusableLatch(env)
-    for count in (2, 1, 3):
-        latch.rearm(count)
-        assert not latch.triggered
-        for _ in range(count):
-            latch.count_down()
-        assert latch.triggered
-        env.run()
-
-
-def test_reusable_latch_rearm_zero_is_immediate():
-    env = Engine()
-    latch = ReusableLatch(env).rearm(0)
-    assert latch.triggered
-
-
-def test_reusable_latch_rejects_rearm_in_flight():
-    env = Engine()
-    latch = ReusableLatch(env).rearm(2)
-    with pytest.raises(EventAlreadyTriggered):
-        latch.rearm(1)
-
-
-def test_reusable_latch_rejects_negative_count():
-    env = Engine()
-    with pytest.raises(ValueError):
-        ReusableLatch(env).rearm(-1)
-
-
-def test_reusable_latch_wakes_waiter_each_cycle():
-    env = Engine()
-    latch = ReusableLatch(env)
-    woken = []
-
-    def counter():
-        for _ in range(3):
-            yield env.timeout(10)
-            latch.count_down()
-
-    def waiter():
-        for _ in range(3):
-            latch.rearm(1)
-            yield latch
-            woken.append(env.now)
-
-    env.process(counter())
-    env.process(waiter())
-    env.run()
-    assert woken == [10, 20, 30]
-
-
-def test_reusable_timeout_born_processed():
-    env = Engine()
-    t = ReusableTimeout(env)
-    assert t.triggered
-    assert env.peek() is None
-
-
-def test_reusable_timeout_rearm_schedules():
-    env = Engine()
-    t = ReusableTimeout(env)
-    fired = []
-
-    def body():
-        for delay in (5, 7, 11):
-            yield t.rearm(delay)
-            fired.append(env.now)
-
-    env.process(body())
-    env.run()
-    assert fired == [5, 12, 23]
-
-
-def test_reusable_timeout_rejects_rearm_in_flight():
-    env = Engine()
-    t = ReusableTimeout(env)
-    t.rearm(5)
-    with pytest.raises(EventAlreadyTriggered):
-        t.rearm(1)
-
-
-def test_reusable_timeout_rejects_negative_delay():
-    env = Engine()
-    with pytest.raises(ValueError):
-        ReusableTimeout(env).rearm(-1)

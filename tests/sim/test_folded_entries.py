@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.network import Cluster, ClusterSpec
-from repro.sim import Engine, EventAlreadyTriggered, Latch, Resource, ReusableLatch
+from repro.sim import Engine, EventAlreadyTriggered, Latch, Resource
 from repro.units import KiB, bw_time
 
 # -- delayed fan-out ------------------------------------------------------------
@@ -148,45 +148,10 @@ def test_latch_with_count_zero_fires_after_its_delay(not_before, expected):
     assert fired == [expected]
 
 
-def test_reusable_latch_completion_delay_after_rearm():
-    env = Engine()
-    latch = ReusableLatch(env)
-    log = []
-
-    def owner():
-        yield env.timeout(10)
-        done = latch.rearm(1, delay=3)
-        env.process(party(done, 2))
-        yield done
-        log.append(env.now)  # 12 + 3
-        yield latch.rearm(0, delay=2, not_before=30)
-        log.append(env.now)  # not_before wins
-        done = latch.rearm(2, delay=1, not_before=31)
-        env.process(party(done, 5))
-        env.process(party(done, 7))
-        yield done
-        log.append(env.now)  # 37 + 1
-        # A plain re-arm keeps no delay from the previous cycle.
-        done = latch.rearm(1)
-        env.process(party(done, 1))
-        yield done
-        log.append(env.now)
-
-    def party(done, after):
-        yield env.timeout(after)
-        done.count_down()
-
-    env.process(owner())
-    env.run()
-    assert log == [15, 30, 38, 39]
-
-
 def test_latch_rejects_negative_delay():
     env = Engine()
     with pytest.raises(ValueError):
         Latch(env, 1, delay=-1)
-    with pytest.raises(ValueError):
-        ReusableLatch(env).rearm(1, delay=-1)
 
 
 # -- unwatched events ----------------------------------------------------------------

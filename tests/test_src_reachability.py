@@ -63,7 +63,6 @@ ALLOWED = {
     "MachineManager.submit": "STORM job submission, the paper's Fig. 1 resource manager",
     "BcsConfig.with_": "test seam: tests build config variants with it",
     "BaselineConfig.with_": "test seam: tests build config variants with it",
-    "NodeTable.materialized_count": "test seam: proves untouched nodes stay lazy",
     "NodeDirectory.materialized_count": "test seam: proves untouched nodes stay lazy",
     "BcsRuntime.dem_nodes": "test seam: the fast active set checked against its scan",
     "Torus3D.coords": "test seam: pins the row-major torus layout",
