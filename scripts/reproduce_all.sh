@@ -4,17 +4,17 @@
 #   ./scripts/reproduce_all.sh            # default (scaled) instances
 #   FARM_JOBS=8 ./scripts/reproduce_all.sh       # wider worker farm
 #
-# Full class-C sizes still go through the pytest-benchmark path:
-#   REPRO_SCALE=1.0 python -m pytest benchmarks/ --benchmark-only
+# Full class-C sizes run in-process, unchecked:
+#   python -m repro.harness.cli table2 --scale 1.0
 #
 # Any failing step fails the whole pass (set -e).
 #
 # Outputs land next to this script's repo root:
 #   test_output.txt   - the complete pytest run
-#   bench_output.txt  - every benchmark (tables/figures + ablations),
-#                       regenerated through the `repro farm` worker pool
-#                       (parallel + content-addressed result cache; see
-#                       docs/FARM.md)
+#   bench_output.txt  - every table/figure + ablation, regenerated and
+#                       shape-checked through the `repro farm` worker
+#                       pool (parallel + content-addressed result cache;
+#                       see docs/FARM.md)
 
 set -euo pipefail
 cd "$(dirname "$0")/.."

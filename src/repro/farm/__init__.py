@@ -3,14 +3,14 @@
 The farm runs the paper's evaluation as independent points on one
 machine, caching every result (see docs/FARM.md):
 
-- :mod:`~repro.farm.points` — every figure/table decomposed into
-  declarative, hashable :class:`PointSpec` units;
+- :mod:`~repro.farm.points` — every figure/table as one family: its
+  declarative, hashable :class:`PointSpec` units, rows and shape check;
 - :mod:`~repro.farm.pool` — a spawn-safe worker pool with per-point
   timeouts, bounded retries, and crash containment;
 - :mod:`~repro.farm.store` — a content-addressed result store keyed by
   (point hash, code fingerprint);
-- :mod:`~repro.farm.service` — orchestration + aggregation back into
-  the exact rows the sequential generators produce;
+- :mod:`~repro.farm.service` — orchestration, aggregation back into
+  each family's rows in sweep order, and the paper preset's checks;
 - :mod:`~repro.farm.cli` — the ``repro farm`` subcommand family.
 """
 

@@ -11,19 +11,20 @@
     repro farm metrics                      # last run's farm telemetry
     repro farm clean                        # drop the result store
 
-Exit codes: 0 = all points ok, 1 = some points failed, 3 =
-``--expect-cached`` was given but points had to execute.
+Exit codes: 0 = all points ok, 1 = some points failed or a family's
+rows failed its shape check (paper preset only), 3 = ``--expect-cached``
+was given but points had to execute.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 from typing import List, Optional
 
-from ..harness.report import print_table
+from ..harness.cli import checked
+from ..harness.report import print_rows, print_table, save_rows
 from .points import (
     ANALYSIS_FAMILIES,
     EXTENSION_FAMILIES,
@@ -36,19 +37,6 @@ from .service import FarmReport, run_farm
 from .store import ResultStore, default_store_path
 
 __all__ = ["main"]
-
-
-def _checked(convert, ok, requirement: str):
-    """An argparse ``type=`` that rejects values failing ``ok`` (exit 2)."""
-
-    def parse(text: str):
-        value = convert(text)
-        if not ok(value):
-            raise argparse.ArgumentTypeError(f"must be {requirement}, got {text}")
-        return value
-
-    parse.__name__ = convert.__name__  # argparse names the type in errors
-    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -70,7 +58,7 @@ def build_parser() -> argparse.ArgumentParser:
     figures.add_argument(
         "-j",
         "--jobs",
-        type=_checked(int, lambda v: v >= 1, ">= 1"),
+        type=checked(int, lambda v: v >= 1, ">= 1"),
         default=4,
         help="worker processes (default 4)",
     )
@@ -102,14 +90,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     figures.add_argument(
         "--timeout",
-        type=_checked(float, lambda v: v > 0, "> 0"),
+        type=checked(float, lambda v: v > 0, "> 0"),
         default=600.0,
         metavar="S",
         help="per-point wall-clock timeout in seconds (default 600)",
     )
     figures.add_argument(
         "--retries",
-        type=_checked(int, lambda v: v >= 0, ">= 0"),
+        type=checked(int, lambda v: v >= 0, ">= 0"),
         default=1,
         metavar="N",
         help="extra attempts after a timeout/crash (default 1)",
@@ -146,14 +134,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     lst.add_argument(
         "--limit",
-        type=int,
+        type=checked(int, lambda v: v >= 0, ">= 0"),
         default=None,
         metavar="N",
         help="print at most N rows (default: all)",
     )
     lst.add_argument(
         "--offset",
-        type=int,
+        type=checked(int, lambda v: v >= 0, ">= 0"),
         default=0,
         metavar="N",
         help="skip the first N rows (default 0)",
@@ -174,19 +162,10 @@ def _store_from(args) -> ResultStore:
 
 
 def _print_report_tables(report: FarmReport, save: Optional[str]) -> None:
-    collected = {}
     for family in report.families:
-        rows = family.rows
-        collected[family.title] = rows
-        if not rows:
-            print(f"\n== {family.title} == (no rows)")
-            continue
-        headers = list(rows[0].keys())
-        print_table(family.title, headers, [[row[h] for h in headers] for row in rows])
+        print_rows(family.title, family.rows)
     if save:
-        with open(save, "w") as fh:
-            json.dump(collected, fh, indent=2, default=str)
-        print(f"\nsaved {len(collected)} experiment(s) to {save}")
+        save_rows({f.title: f.rows for f in report.families}, save)
 
 
 def _print_failures(report: FarmReport) -> None:
@@ -197,6 +176,8 @@ def _print_failures(report: FarmReport) -> None:
             f"after {outcome.attempts} attempt(s): {last_line}",
             file=sys.stderr,
         )
+    for failure in report.check_failures():
+        print(f"[farm] CHECK FAILED {failure}", file=sys.stderr)
 
 
 def cmd_figures(args) -> int:
@@ -251,9 +232,8 @@ def cmd_figures(args) -> int:
 
 def _paginate(rows: list, limit: Optional[int], offset: int) -> tuple:
     """(page, footnote) — ``--limit/--offset`` over any row list."""
-    offset = max(0, offset)
     page = rows[offset:]
-    if limit is not None and limit >= 0:
+    if limit is not None:
         page = page[:limit]
     shown_to = offset + len(page)
     note = ""
@@ -336,6 +316,8 @@ def cmd_metrics(args) -> int:
             f"FAILED {failure.get('point')}: {failure.get('error')}",
             file=sys.stderr,
         )
+    for failure in last.get("check_failures", []):
+        print(f"CHECK FAILED {failure}", file=sys.stderr)
     return 0
 
 

@@ -2,18 +2,19 @@
 
 A *point* is the smallest independently executable unit of the paper's
 evaluation — one (app, backend-pair, ranks, config) tuple producing one
-row of one table or figure.  Each :class:`Family` groups the points of
-one figure/table and knows how to
+row of one table or figure.  Each :class:`Family` is the one definition
+of its figure/table:
 
-- **expand** a family-specific options dict into the ordered list of
-  param dicts the sequential generator in
-  :mod:`repro.harness.experiments` would iterate over, and
-- **execute** one param dict into exactly the row dict that generator
-  would append.
+- **expand** turns a family-specific options dict into the ordered list
+  of param dicts (the figure's rows; its defaults are the paper's sweep),
+- **execute** turns one param dict into one row dict, and
+- **check** asserts the shape the figure claims (EXPERIMENTS.md) on the
+  rows of the paper point set.
 
-Because the sequential generators are themselves comprehensions over
-the same ``<family>_point`` functions, a farm run and an in-process run
-produce byte-identical rows (asserted by ``tests/farm/test_determinism.py``).
+``repro fig8a`` runs a family's points in-process and ``repro farm
+figures`` runs them in worker processes; both call the same
+``execute``, so their rows are byte-identical (asserted by
+``tests/farm/test_determinism.py``).
 
 Params must stay JSON-serializable: the canonical JSON encoding of
 ``(family, params)`` is the point's identity, and — combined with the
@@ -95,7 +96,7 @@ class Family:
     """One figure/table: how to enumerate and execute its points."""
 
     name: str
-    #: table title — identical to the one ``repro <name>`` prints.
+    #: table title, printed by ``repro <name>`` and ``repro farm figures``.
     title: str
     #: options dict -> ordered list of param dicts (row order).
     expand: Callable[..., List[dict]]
@@ -103,6 +104,9 @@ class Family:
     execute: Callable[..., dict]
     #: option overrides for the reduced ``--preset smoke`` configuration.
     smoke: Mapping[str, Any]
+    #: the figure's shape assertions over the paper point set's rows;
+    #: raises :class:`ShapeError` when the rows miss the shape.
+    check: Optional[Callable[[List[dict]], None]] = None
     #: numeric row columns mirrored into the trend store as per-point
     #: gauges (``farm.row.<column>{family=...,point=...}``) so regression
     #: gating can watch row *values*, not just wall-clock durations.
@@ -115,7 +119,7 @@ class Family:
         ]
 
 
-# --- expanders (must mirror the sequential generators' loop order) ----------
+# --- expanders (the paper's sweeps, in row order) ---------------------------
 
 
 def _expand_table1(
@@ -123,7 +127,7 @@ def _expand_table1(
 ) -> List[dict]:
     return [
         dict(network=m, nodes=n, payload=payload)
-        for m in E.TABLE1_NETWORKS
+        for m in ("gige", "myrinet", "infiniband", "qsnet", "bluegene_l")
         for n in node_counts
     ]
 
@@ -176,7 +180,7 @@ def _expand_fig11(
     return [
         dict(processes=p, variant=v, octants=octants, kblocks=kblocks)
         for p in proc_counts
-        for v in E.FIG11_VARIANTS
+        for v in ("blocking", "nonblocking")
     ]
 
 
@@ -203,7 +207,7 @@ def _expand_ablation_kernel(
             granularity_ms=granularity_ms,
             iterations=iterations,
         )
-        for label in E.KERNEL_IMPLEMENTATIONS
+        for label in ("user-level", "kernel-level")
     ]
 
 
@@ -259,6 +263,150 @@ def _expand_ext_noise(
         )
         for s in scenarios
     ]
+
+
+# --- shape checks (the claims EXPERIMENTS.md lists per figure) --------------
+
+
+class ShapeError(Exception):
+    """A family's paper rows miss the shape its figure claims."""
+
+
+def _require(ok: bool, message: str) -> None:
+    if not ok:
+        raise ShapeError(message)
+
+
+def _slowdowns(rows: List[dict], x: str) -> Dict[Any, float]:
+    return {r[x]: r["slowdown_pct"] for r in rows}
+
+
+def _check_table1(rows: List[dict]) -> None:
+    by_net: Dict[str, List[dict]] = {}
+    for r in rows:
+        by_net.setdefault(r["network"], []).append(r)
+    qsnet = by_net["qsnet"]
+    _require(all(r["caw_us"] < 10 for r in qsnet), "QsNet Compare-And-Write not < 10 us")
+    _require(
+        all(r["caw_us"] < 2 for r in by_net["bluegene_l"]),
+        "BlueGene/L Compare-And-Write not < 2 us",
+    )
+    gige = {r["nodes"]: r["caw_us"] for r in by_net["gige"]}
+    ratio = gige[32] / gige[2]
+    _require(4.0 <= ratio <= 6.0, f"GigE CaW grows {ratio:.2f}x from 2 to 32 nodes, not 4-6x")
+    for net in ("qsnet", "bluegene_l"):
+        agg = [r["xfer_aggregate_mb_s"] for r in by_net[net]]
+        _require(agg == sorted(agg), f"{net} Xfer-And-Signal bandwidth does not grow with n")
+    _require(
+        all(r["xfer_mb_s_per_node"] > 110 for r in qsnet),
+        "QsNet multicast not > 110 MB/s per node",
+    )
+
+
+def _check_fig8_granularity(rows: List[dict]) -> None:
+    s = [r["slowdown_pct"] for r in rows]
+    _require(
+        all(b <= a * 1.15 for a, b in zip(s, s[1:])),
+        "slowdown does not fall with granularity: " + ", ".join(f"{v:.1f}" for v in s),
+    )
+    at10 = _slowdowns(rows, "granularity_ms")[10]
+    _require(at10 < 12.0, f"slowdown at 10 ms is {at10:.1f} %, bound < 12 %")
+
+
+def _check_fig8a(rows: List[dict]) -> None:
+    _check_fig8_granularity(rows)
+    last = rows[-1]
+    g, s = last["granularity_ms"], last["slowdown_pct"]
+    _require(s < 5.0, f"slowdown at {g} ms is {s:.1f} %, bound < 5 %")
+
+
+def _check_fig8_procs(rows: List[dict]) -> None:
+    s = [r["slowdown_pct"] for r in rows]
+    spread = max(s) - min(s)
+    _require(spread < 6.0, f"slowdown spans {spread:.1f} points over p, bound < 6")
+    _require(max(s) < 14.0, f"slowdown reaches {max(s):.1f} %, bound < 14 %")
+
+
+#: |measured - paper| Table 2 tolerance per application, percentage
+#: points, at each application's default scale.
+TABLE2_TOLERANCE = {
+    "SAGE": 2.5, "SWEEP3D": 5.0, "IS": 4.0, "EP": 2.5, "MG": 2.5, "CG": 6.0, "LU": 8.0
+}
+
+
+def _check_table2(rows: List[dict]) -> None:
+    m = {r["app"]: r["slowdown_pct"] for r in rows}
+    for app, paper in E.PAPER_TABLE2.items():
+        _require(
+            abs(m[app] - paper) <= TABLE2_TOLERANCE[app],
+            f"{app} slowdown {m[app]:+.2f} % vs paper {paper:+.2f} %, "
+            f"tolerance {TABLE2_TOLERANCE[app]} points",
+        )
+    # Overlap-friendly codes beat the blocking-heavy ones, IS pays the
+    # init price, LU is the worst NAS slowdown, and SAGE and SWEEP3D run
+    # at production-MPI speed.
+    _require(m["SAGE"] < m["MG"] < m["CG"], "not SAGE < MG < CG")
+    _require(m["IS"] > m["EP"], "IS slowdown not above EP's")
+    _require(m["LU"] >= m["CG"] - 1.0, "LU slowdown not within 1 point of CG's or above")
+    for app, bound in (("SAGE", 2.5), ("SWEEP3D", 5.0)):
+        _require(abs(m[app]) < bound, f"{app} slowdown {m[app]:+.2f} %, bound |s| < {bound} %")
+
+
+def _check_fig10(rows: List[dict]) -> None:
+    for p, s in _slowdowns(rows, "processes").items():
+        _require(abs(s) < 6.5, f"SAGE at p={p}: {s:+.2f} %, bound |s| < 6.5 %")
+    bcs = [r["bcs_s"] for r in rows]
+    _require(max(bcs) < 1.6 * min(bcs), "SAGE runtime grows > 1.6x over the process counts")
+
+
+def _check_fig11(rows: List[dict]) -> None:
+    blocking = _slowdowns([r for r in rows if r["variant"] == "blocking"], "processes")
+    nonblocking = _slowdowns([r for r in rows if r["variant"] == "nonblocking"], "processes")
+    for p, s in blocking.items():
+        nb = nonblocking[p]
+        _require(20.0 <= s <= 80.0, f"blocking at p={p}: {s:.1f} %, band 20-80 %")
+        _require(abs(nb) < 6.0, f"nonblocking at p={p}: {nb:.1f} %, bound |s| < 6 %")
+        _require(s - nb > 15.0, f"the transform gains < 15 points at p={p}")
+
+
+def _check_ablation_timeslice(rows: List[dict]) -> None:
+    s = [r["slowdown_pct"] for r in rows]
+    _require(s[-1] > s[0], "blocking penalty does not grow with the slice length")
+
+
+def _check_ablation_buffered(rows: List[dict]) -> None:
+    s = _slowdowns(rows, "buffered_sends")
+    _require(s[True] < s[False] - 10.0, "buffering removes < 10 points of the blocking penalty")
+
+
+def _check_ablation_kernel(rows: List[dict]) -> None:
+    s = _slowdowns(rows, "implementation")
+    _require(s["kernel-level"] < s["user-level"], "kernel-level BCS not faster than user-level")
+
+
+def _check_ext_ft(rows: List[dict]) -> None:
+    for r in rows:
+        n, s = r["n_ranks"], r["slowdown_pct"]
+        _require(r["results_match"], f"FT checksums differ between backends at {n} ranks")
+        _require(s < 25.0, f"FT slowdown at {n} ranks is {s:.1f} %, bound < 25 %")
+
+
+def _check_ext_pfs_qos(rows: List[dict]) -> None:
+    t = {(r["scheduler"], r["with_pfs"]): r["runtime_s"] for r in rows}
+    hit = {s: 100.0 * (t[s, True] - t[s, False]) / t[s, False] for s in ("bcs", "baseline")}
+    _require(hit["bcs"] < 8.0, f"PFS traffic slows BCS by {hit['bcs']:.1f} %, bound < 8 %")
+    _require(
+        hit["baseline"] > hit["bcs"] + 3.0,
+        f"uncoordinated interference {hit['baseline']:.1f} % not 3 points above BCS's",
+    )
+
+
+def _check_ext_noise(rows: List[dict]) -> None:
+    t = {r["scenario"]: r["runtime_s"] for r in rows}
+    _require(
+        t["uncoordinated"] > t["coordinated"] > t["quiet"] * 0.98,
+        "not uncoordinated > coordinated > quiet: coordination must remove most of the damage",
+    )
 
 
 # --- scaling study (simulator throughput; rows carry wall-clock fields) ------
@@ -376,6 +524,7 @@ FAMILIES: Dict[str, Family] = {
             _expand_table1,
             E.table1_point,
             smoke=dict(node_counts=(2, 4)),
+            check=_check_table1,
         ),
         Family(
             "fig8a",
@@ -383,6 +532,7 @@ FAMILIES: Dict[str, Family] = {
             _expand_fig8_granularity,
             E.fig8a_point,
             smoke=dict(granularities_ms=(1, 10), n_ranks=8, iterations=5),
+            check=_check_fig8a,
         ),
         Family(
             "fig8b",
@@ -390,6 +540,7 @@ FAMILIES: Dict[str, Family] = {
             _expand_fig8_procs,
             E.fig8b_point,
             smoke=dict(proc_counts=(4, 8), iterations=5),
+            check=_check_fig8_procs,
         ),
         Family(
             "fig8c",
@@ -397,6 +548,7 @@ FAMILIES: Dict[str, Family] = {
             _expand_fig8_granularity,
             E.fig8c_point,
             smoke=dict(granularities_ms=(1, 10), n_ranks=8, iterations=5),
+            check=_check_fig8_granularity,
         ),
         Family(
             "fig8d",
@@ -404,6 +556,7 @@ FAMILIES: Dict[str, Family] = {
             _expand_fig8_procs,
             E.fig8d_point,
             smoke=dict(proc_counts=(4, 8), iterations=5),
+            check=_check_fig8_procs,
         ),
         Family(
             "table2",
@@ -411,6 +564,7 @@ FAMILIES: Dict[str, Family] = {
             _expand_table2,
             E.table2_point,
             smoke=dict(apps=("EP", "IS"), n_ranks=4, scale=0.05),
+            check=_check_table2,
         ),
         Family(
             "fig10",
@@ -418,6 +572,7 @@ FAMILIES: Dict[str, Family] = {
             _expand_fig10,
             E.fig10_point,
             smoke=dict(proc_counts=(4, 8), scale=0.01),
+            check=_check_fig10,
         ),
         Family(
             "fig11",
@@ -425,6 +580,7 @@ FAMILIES: Dict[str, Family] = {
             _expand_fig11,
             E.fig11_point,
             smoke=dict(proc_counts=(4, 8), octants=2, kblocks=2),
+            check=_check_fig11,
         ),
         Family(
             "ablation_timeslice",
@@ -432,6 +588,7 @@ FAMILIES: Dict[str, Family] = {
             _expand_ablation_timeslice,
             E.ablation_timeslice_point,
             smoke=dict(timeslices_us=(250, 500), n_ranks=4),
+            check=_check_ablation_timeslice,
         ),
         Family(
             "ablation_buffered",
@@ -439,6 +596,7 @@ FAMILIES: Dict[str, Family] = {
             _expand_ablation_buffered,
             E.ablation_buffered_point,
             smoke=dict(n_ranks=4),
+            check=_check_ablation_buffered,
         ),
         Family(
             "ablation_kernel",
@@ -446,6 +604,7 @@ FAMILIES: Dict[str, Family] = {
             _expand_ablation_kernel,
             E.ablation_kernel_point,
             smoke=dict(n_ranks=8, iterations=5),
+            check=_check_ablation_kernel,
         ),
         Family(
             "ext_ft",
@@ -453,6 +612,7 @@ FAMILIES: Dict[str, Family] = {
             _expand_ext_ft,
             X.ext_ft_point,
             smoke=dict(rank_counts=(8,), iterations=2, grid_points=64),
+            check=_check_ext_ft,
         ),
         Family(
             "ext_pfs_qos",
@@ -460,6 +620,7 @@ FAMILIES: Dict[str, Family] = {
             _expand_ext_pfs_qos,
             X.ext_pfs_point,
             smoke=dict(n_ranks=8, pfs_files=6, pfs_file_kib=1024, iterations=6),
+            check=_check_ext_pfs_qos,
         ),
         Family(
             "ext_noise",
@@ -467,6 +628,7 @@ FAMILIES: Dict[str, Family] = {
             _expand_ext_noise,
             X.ext_noise_point,
             smoke=dict(n_ranks=8, iterations=8),
+            check=_check_ext_noise,
         ),
         Family(
             "scaling",
@@ -506,8 +668,8 @@ FAMILIES: Dict[str, Family] = {
     )
 }
 
-#: Named option presets.  "paper" is the sequential generators' defaults;
-#: "smoke" is the reduced CI configuration.
+#: Named option presets.  "paper" is the expanders' defaults, the point
+#: set the checks hold on; "smoke" is the reduced CI configuration.
 PRESETS = ("paper", "smoke")
 
 
@@ -550,12 +712,24 @@ def family_specs(
 def execute_point(family: str, params: Mapping[str, Any]) -> dict:
     """Run one point in-process and return its row dict.
 
-    This is the single entry point both the sequential path (indirectly,
-    through the ``<family>_point`` functions) and the farm's worker
-    children (directly) go through.
+    This is the single entry point both ``repro <figure>`` and the
+    farm's worker children go through.
     """
     try:
         fam = FAMILIES[family]
     except KeyError:
         raise ValueError(f"unknown point family {family!r}") from None
     return fam.execute(**dict(params))
+
+
+def check_family(family: str, rows: List[dict]) -> Optional[str]:
+    """Why the family's rows miss its figure's shape, or None if they
+    hold it (or the family has no check).  Only the paper point set,
+    with no overrides, is held to the check."""
+    check = FAMILIES[family].check
+    try:
+        if check is not None:
+            check(rows)
+    except ShapeError as exc:
+        return f"{family}: {exc}"
+    return None

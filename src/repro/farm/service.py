@@ -3,8 +3,8 @@
 ``run_farm`` is the one entry point: it turns family names into point
 specs, satisfies what it can from the content-addressed store, pushes
 the rest through the :class:`~repro.farm.pool.WorkerPool`, persists
-fresh results, and reassembles each family's rows in exactly the order
-the sequential generators produce them.
+fresh results, reassembles each family's rows in its expander's order,
+and holds the paper point set of each family to its shape check.
 
 Farm telemetry goes through the same :class:`repro.obs.MetricsRegistry`
 the simulator uses (counters labeled by point family, a queue-depth
@@ -23,7 +23,7 @@ from typing import Dict, List, Mapping, Optional, Sequence
 
 from ..obs import MetricsRegistry
 from .fingerprint import code_fingerprint, git_sha, result_key
-from .points import FAMILIES, PointSpec, family_specs
+from .points import FAMILIES, PointSpec, check_family, family_specs
 from .pool import PointOutcome, WorkerPool
 from .store import ResultStore
 
@@ -37,6 +37,9 @@ class FamilyResult:
     name: str
     title: str
     outcomes: List[PointOutcome]
+    #: why the rows miss the family's shape check; only a complete
+    #: paper point set without overrides is checked.
+    check_failure: Optional[str] = None
 
     @property
     def rows(self) -> List[dict]:
@@ -67,7 +70,7 @@ class FarmReport:
 
     @property
     def ok(self) -> bool:
-        return self.n_failed == 0
+        return self.n_failed == 0 and not self.check_failures()
 
     @property
     def cache_hit_rate(self) -> float:
@@ -76,6 +79,9 @@ class FarmReport:
 
     def failures(self) -> List[PointOutcome]:
         return [o for f in self.families for o in f.outcomes if not o.ok]
+
+    def check_failures(self) -> List[str]:
+        return [f.check_failure for f in self.families if f.check_failure]
 
     def summary_line(self) -> str:
         return (
@@ -120,6 +126,7 @@ class FarmReport:
                 }
                 for o in self.failures()
             ],
+            "check_failures": self.check_failures(),
             "metrics": self.registry.snapshot(),
             "metrics_render": self.registry.render(),
         }
@@ -326,9 +333,10 @@ def run_farm(
     for name, specs in specs_by_family.items():
         fam_outcomes = [outcomes[cursor + j] for j in range(len(specs))]
         cursor += len(specs)
-        results.append(
-            FamilyResult(name=name, title=FAMILIES[name].title, outcomes=fam_outcomes)
-        )
+        result = FamilyResult(name=name, title=FAMILIES[name].title, outcomes=fam_outcomes)
+        if preset == "paper" and not (overrides or {}).get(name) and result.complete:
+            result.check_failure = check_family(name, result.rows)
+        results.append(result)
         _record_row_gauges(registry, name, fam_outcomes)
 
     report = FarmReport(

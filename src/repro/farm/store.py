@@ -120,7 +120,7 @@ class ResultStore:
             with os.fdopen(fd, "w") as fh:
                 # No sort_keys: a cached row must round-trip with its key
                 # order intact so replayed tables are byte-identical to the
-                # sequential path (dict order is deterministic anyway).
+                # in-process path (dict order is deterministic anyway).
                 json.dump(payload, fh, indent=1)
             os.replace(tmp, path)
         except BaseException:

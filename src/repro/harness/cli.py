@@ -8,8 +8,13 @@
     python -m repro.harness.cli fig11 --procs 8 16 32
     python -m repro.harness.cli all
 
-Each command prints the same rows the corresponding paper table/figure
-reports (see EXPERIMENTS.md for the expected values).
+Each command runs the points of its figure's family
+(:mod:`repro.farm.points`) in-process and prints the rows the paper
+table/figure reports (see EXPERIMENTS.md for the expected values).
+``--ranks``, ``--procs``, ``--scale`` and ``--apps`` override the
+options of every family whose sweep takes them.  A family run without
+overrides is its paper point set, held to the figure's shape check: a
+failed check exits 1 and names the family.
 
 Observability subcommands (see docs/OBSERVABILITY.md)::
 
@@ -33,7 +38,7 @@ Farm subcommands (see docs/FARM.md)::
 
 ``farm figures`` regenerates the same tables through a parallel,
 fault-isolated worker pool with content-addressed result caching; the
-rows are byte-identical to the sequential commands above.
+rows are byte-identical to the in-process commands above.
 
 Trend subcommands (see docs/TRENDS.md)::
 
@@ -49,129 +54,73 @@ sparklines) and gates CI on per-experiment regressions.
 from __future__ import annotations
 
 import argparse
+import inspect
+import math
 import sys
 from typing import List, Optional
 
-from . import experiments
-from .report import print_table
+from ..farm.points import FAMILIES, FIGURE_FAMILIES, check_family, execute_point, expand_family
+from .experiments import APP_EXPERIMENTS
+from .report import print_rows, save_rows
 
+#: Experiment commands and the point families each runs, in ``repro
+#: all`` order (see :mod:`repro.farm.points`).
+COMMANDS = {name: (name,) for name in FIGURE_FAMILIES if not name.startswith("ablation_")}
+COMMANDS["fig9"] = ("table2",)  # alias: Fig 9 and Table 2 share the data
+COMMANDS["ablations"] = tuple(n for n in FIGURE_FAMILIES if n.startswith("ablation_"))
+
+#: Experiment flags and the expander option each one overrides, for
+#: every family whose expander takes that option.
+FLAG_OPTIONS = {"ranks": "n_ranks", "procs": "proc_counts", "scale": "scale", "apps": "apps"}
 
 #: Rows produced during this invocation, keyed by experiment title
 #: (collected for --save).
 _collected: dict = {}
 
 
-def _rows_to_table(title: str, rows: List[dict]) -> None:
-    _collected[title] = rows
-    if not rows:
-        print(f"== {title} == (no rows)")
-        return
-    headers = list(rows[0].keys())
-    print_table(title, headers, [[row[h] for h in headers] for row in rows])
+def _overrides(family: str, args) -> dict:
+    options = inspect.signature(FAMILIES[family].expand).parameters
+    return {
+        option: getattr(args, flag)
+        for flag, option in FLAG_OPTIONS.items()
+        if getattr(args, flag) is not None and option in options
+    }
 
 
-def cmd_table1(args) -> None:
-    _rows_to_table(
-        "Table 1: BCS core mechanisms across networks",
-        experiments.table1_rows(),
-    )
+def _run_family(family: str, args) -> Optional[str]:
+    """Run one family's points in-process and print its table.
+
+    Returns the family's check failure, or None.  Only the paper point
+    set is checked: a run whose flags override the family's options
+    prints its rows unchecked.
+    """
+    overrides = _overrides(family, args)
+    rows = [
+        execute_point(spec.family, spec.params_dict)
+        for spec in expand_family(family, "paper", overrides)
+    ]
+    _collected[FAMILIES[family].title] = rows
+    print_rows(FAMILIES[family].title, rows)
+    return None if overrides else check_family(family, rows)
 
 
-def cmd_fig8a(args) -> None:
-    _rows_to_table(
-        "Fig 8(a): barrier benchmark vs granularity",
-        experiments.fig8a_barrier_vs_granularity(n_ranks=args.ranks or 62),
-    )
+def checked(convert, ok, requirement: str):
+    """An argparse ``type=`` that rejects values failing ``ok`` (exit 2)."""
+
+    def parse(text: str):
+        value = convert(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {requirement}, got {text}")
+        return value
+
+    parse.__name__ = convert.__name__  # argparse names the type in errors
+    return parse
 
 
-def cmd_fig8b(args) -> None:
-    _rows_to_table(
-        "Fig 8(b): barrier benchmark vs processes",
-        experiments.fig8b_barrier_vs_procs(
-            proc_counts=args.procs or (4, 8, 16, 32, 48, 62)
-        ),
-    )
-
-
-def cmd_fig8c(args) -> None:
-    _rows_to_table(
-        "Fig 8(c): nearest-neighbour benchmark vs granularity",
-        experiments.fig8c_p2p_vs_granularity(n_ranks=args.ranks or 62),
-    )
-
-
-def cmd_fig8d(args) -> None:
-    _rows_to_table(
-        "Fig 8(d): nearest-neighbour benchmark vs processes",
-        experiments.fig8d_p2p_vs_procs(
-            proc_counts=args.procs or (4, 8, 16, 32, 48, 62)
-        ),
-    )
-
-
-def cmd_table2(args) -> None:
-    _rows_to_table(
-        "Fig 9 / Table 2: applications",
-        experiments.fig9_table2_rows(
-            n_ranks=args.ranks, scale=args.scale, apps=args.apps
-        ),
-    )
-
-
-def cmd_fig10(args) -> None:
-    _rows_to_table(
-        "Fig 10: SAGE scaling",
-        experiments.fig10_sage_scaling(
-            proc_counts=args.procs or (8, 16, 32, 48, 62),
-            scale=args.scale if args.scale is not None else 0.02,
-        ),
-    )
-
-
-def cmd_fig11(args) -> None:
-    _rows_to_table(
-        "Fig 11: SWEEP3D blocking vs non-blocking",
-        experiments.fig11_sweep3d(proc_counts=args.procs or (8, 16, 32, 48, 62)),
-    )
-
-
-def cmd_ablations(args) -> None:
-    _rows_to_table(
-        "Ablation: time slice",
-        experiments.ablation_timeslice(n_ranks=args.ranks or 16),
-    )
-    _rows_to_table(
-        "Ablation: buffered sends",
-        experiments.ablation_buffered_sends(n_ranks=args.ranks or 16),
-    )
-    _rows_to_table(
-        "Ablation: kernel-level BCS",
-        experiments.ablation_kernel_level(n_ranks=args.ranks or experiments.FULL_MACHINE),
-    )
-
-
-COMMANDS = {
-    "table1": cmd_table1,
-    "fig8a": cmd_fig8a,
-    "fig8b": cmd_fig8b,
-    "fig8c": cmd_fig8c,
-    "fig8d": cmd_fig8d,
-    "table2": cmd_table2,
-    "fig9": cmd_table2,  # alias: Fig 9 and Table 2 share the data
-    "fig10": cmd_fig10,
-    "fig11": cmd_fig11,
-    "ablations": cmd_ablations,
-}
+_positive_int = checked(int, lambda v: v >= 1, ">= 1")
 
 
 # --- observability subcommands -------------------------------------------------
-
-
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
 
 
 def build_obs_parser(command: str) -> argparse.ArgumentParser:
@@ -331,16 +280,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--scale",
-        type=float,
+        type=checked(float, lambda v: math.isfinite(v) and v > 0, "finite and > 0"),
         default=None,
         help="application scale factor (default: per-experiment; 1.0 = full size)",
     )
     parser.add_argument(
-        "--ranks", type=int, default=None, help="override the process count"
+        "--ranks", type=_positive_int, default=None, help="override the process count"
     )
     parser.add_argument(
         "--procs",
-        type=int,
+        type=_positive_int,
         nargs="+",
         default=None,
         help="process counts for scaling figures (fig10/fig11)",
@@ -348,8 +297,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--apps",
         nargs="+",
+        choices=list(APP_EXPERIMENTS),
         default=None,
-        help="restrict table2 to these applications (e.g. SAGE IS LU)",
+        metavar="APP",
+        help=f"restrict table2 to these applications ({', '.join(APP_EXPERIMENTS)})",
     )
     parser.add_argument(
         "--save",
@@ -366,29 +317,20 @@ def main(argv: Optional[List[str]] = None) -> int:
     if argv and argv[0] in OBS_COMMANDS:
         return OBS_COMMANDS[argv[0]](list(argv[1:]))
     args = build_parser().parse_args(argv)
-    wanted = list(args.experiments)
-    if "all" in wanted:
-        wanted = list(COMMANDS)
+    wanted = list(COMMANDS) if "all" in args.experiments else args.experiments
     unknown = [w for w in wanted if w not in COMMANDS]
     if unknown:
         print(f"unknown experiment(s): {', '.join(unknown)}", file=sys.stderr)
         print(f"choose from: {', '.join(sorted(COMMANDS))}, all", file=sys.stderr)
         return 2
     _collected.clear()
-    seen = set()
-    for name in wanted:
-        fn = COMMANDS[name]
-        if fn in seen:
-            continue
-        seen.add(fn)
-        fn(args)
+    families = dict.fromkeys(f for name in wanted for f in COMMANDS[name])
+    failures = [f for f in (_run_family(name, args) for name in families) if f]
     if args.save:
-        import json
-
-        with open(args.save, "w") as fh:
-            json.dump(_collected, fh, indent=2, default=str)
-        print(f"\nsaved {len(_collected)} experiment(s) to {args.save}")
-    return 0
+        save_rows(_collected, args.save)
+    for failure in failures:
+        print(f"repro: CHECK FAILED {failure}", file=sys.stderr)
+    return 1 if failures else 0
 
 
 if __name__ == "__main__":  # pragma: no cover

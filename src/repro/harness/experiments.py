@@ -1,23 +1,19 @@
-"""Per-figure/table experiment definitions (the paper's evaluation, §5).
+"""Per-figure/table point functions (the paper's evaluation, §5).
 
-Every public function regenerates one table or figure of the paper and
-returns structured rows; the benchmark harness in ``benchmarks/`` prints
-them.  ``scale`` shrinks iteration counts (and, proportionally, the
-one-time runtime-initialization costs, so the init/runtime ratio that
-drives the IS and EP results is preserved) — see EXPERIMENTS.md.
-
-Each figure/table decomposes into independent *points* — one
-``<family>_point`` call per row.  The sequential generators below are
-plain comprehensions over those point functions, and ``repro.farm``
-executes exactly the same point functions in isolated worker processes,
-so the two paths produce byte-identical rows (see docs/FARM.md).
+Each ``<family>_point`` function computes one row of one table or
+figure from JSON-safe scalar parameters.  :mod:`repro.farm.points`
+registers them as point families, which own each figure's sweep, title
+and shape check; ``repro <figure>`` and ``repro farm figures`` both run
+them through it.  ``scale`` shrinks iteration counts (and,
+proportionally, the one-time runtime-initialization costs, so the
+init/runtime ratio that drives the IS and EP results is preserved) —
+see EXPERIMENTS.md.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional
 
 from ..apps import (
     barrier_benchmark,
@@ -57,10 +53,6 @@ def _synthetic_configs():
 # --- Table 1 -----------------------------------------------------------------
 
 
-#: Network models measured by Table 1, in row order.
-TABLE1_NETWORKS = ("gige", "myrinet", "infiniband", "qsnet", "bluegene_l")
-
-
 def table1_point(network: str, nodes: int, payload: int = 1 * MiB) -> dict:
     """One Table 1 row: CaW latency + XaS bandwidth on one (network, n)."""
     cluster = Cluster(ClusterSpec(n_nodes=nodes, model=by_name(network)))
@@ -97,19 +89,6 @@ def table1_point(network: str, nodes: int, payload: int = 1 * MiB) -> dict:
     }
 
 
-def table1_rows(
-    node_counts: Sequence[int] = (2, 4, 8, 16, 32),
-    payload: int = 1 * MiB,
-) -> List[dict]:
-    """Measured Compare-And-Write latency and Xfer-And-Signal aggregate
-    bandwidth on every network model (Table 1)."""
-    return [
-        table1_point(model_name, n, payload)
-        for model_name in TABLE1_NETWORKS
-        for n in node_counts
-    ]
-
-
 # --- Figure 8 ---------------------------------------------------------------------
 
 
@@ -129,15 +108,6 @@ def fig8a_point(
     return _point("granularity_ms", granularity_ms, comparison)
 
 
-def fig8a_barrier_vs_granularity(
-    granularities_ms: Sequence[float] = (1, 2, 5, 10, 20, 50),
-    n_ranks: int = FULL_MACHINE,
-    iterations: int = 15,
-) -> List[dict]:
-    """Slowdown vs computation granularity; barrier benchmark (Fig 8a)."""
-    return [fig8a_point(g, n_ranks, iterations) for g in granularities_ms]
-
-
 def fig8b_point(
     processes: int, granularity_ms: float = 10, iterations: int = 15
 ) -> dict:
@@ -152,15 +122,6 @@ def fig8b_point(
         name="barrier",
     )
     return _point("processes", processes, comparison)
-
-
-def fig8b_barrier_vs_procs(
-    proc_counts: Sequence[int] = (4, 8, 16, 32, 48, 62),
-    granularity_ms: float = 10,
-    iterations: int = 15,
-) -> List[dict]:
-    """Slowdown vs process count; barrier benchmark, 10 ms (Fig 8b)."""
-    return [fig8b_point(p, granularity_ms, iterations) for p in proc_counts]
 
 
 def fig8c_point(
@@ -184,16 +145,6 @@ def fig8c_point(
     return _point("granularity_ms", granularity_ms, comparison)
 
 
-def fig8c_p2p_vs_granularity(
-    granularities_ms: Sequence[float] = (1, 2, 5, 10, 20, 50),
-    n_ranks: int = FULL_MACHINE,
-    iterations: int = 15,
-) -> List[dict]:
-    """Slowdown vs granularity; nearest-neighbour benchmark, 4 neighbours,
-    4 KB messages (Fig 8c)."""
-    return [fig8c_point(g, n_ranks, iterations) for g in granularities_ms]
-
-
 def fig8d_point(
     processes: int, granularity_ms: float = 10, iterations: int = 15
 ) -> dict:
@@ -215,15 +166,6 @@ def fig8d_point(
     return _point("processes", processes, comparison)
 
 
-def fig8d_p2p_vs_procs(
-    proc_counts: Sequence[int] = (4, 8, 16, 32, 48, 62),
-    granularity_ms: float = 10,
-    iterations: int = 15,
-) -> List[dict]:
-    """Slowdown vs process count; nearest-neighbour benchmark (Fig 8d)."""
-    return [fig8d_point(p, granularity_ms, iterations) for p in proc_counts]
-
-
 # --- Figure 9 / Table 2 ------------------------------------------------------------
 
 
@@ -237,7 +179,7 @@ class AppExperiment:
     full_params: dict
     #: which params shrink with scale (iteration-like counts).
     scaled_params: tuple
-    #: scale used by default benches (keeps event counts tractable while
+    #: scale of the paper point set (keeps event counts tractable while
     #: preserving per-iteration structure and the init/runtime ratio).
     default_scale: float = 0.25
     #: default process count.  The NPB 2.4 kernels require power-of-two
@@ -346,15 +288,6 @@ def table2_point(
     }
 
 
-def fig9_table2_rows(
-    n_ranks: Optional[int] = None,
-    scale: Optional[float] = None,
-    apps: Optional[Sequence[str]] = None,
-) -> List[dict]:
-    """Runtimes + slowdowns for every application (Fig 9 and Table 2)."""
-    return [table2_point(name, n_ranks, scale) for name in apps or APP_EXPERIMENTS]
-
-
 # --- Figure 10 -----------------------------------------------------------------------
 
 
@@ -364,19 +297,7 @@ def fig10_point(processes: int, scale: Optional[float] = 0.02) -> dict:
     return _point("processes", processes, comparison)
 
 
-def fig10_sage_scaling(
-    proc_counts: Sequence[int] = (8, 16, 32, 48, 62),
-    scale: Optional[float] = 0.02,
-) -> List[dict]:
-    """SAGE runtime vs process count for both MPIs (Fig 10)."""
-    return [fig10_point(p, scale) for p in proc_counts]
-
-
 # --- Figure 11 ------------------------------------------------------------------------
-
-
-#: Fig 11 variants in row order.
-FIG11_VARIANTS = ("blocking", "nonblocking")
 
 
 def fig11_point(
@@ -398,20 +319,7 @@ def fig11_point(
     return row
 
 
-def fig11_sweep3d(
-    proc_counts: Sequence[int] = (8, 16, 32, 48, 62),
-    octants: int = 4,
-    kblocks: int = 4,
-) -> List[dict]:
-    """SWEEP3D blocking (11a) and non-blocking (11b) vs process count."""
-    return [
-        fig11_point(p, variant, octants, kblocks)
-        for p in proc_counts
-        for variant in FIG11_VARIANTS
-    ]
-
-
-# --- Ablations (design-choice benches; DESIGN.md §6) -----------------------------------
+# --- Ablations (design choices; DESIGN.md §6) -----------------------------------
 
 
 def ablation_timeslice_point(timeslice_us: float, n_ranks: int = 16) -> dict:
@@ -431,18 +339,6 @@ def ablation_timeslice_point(timeslice_us: float, n_ranks: int = 16) -> dict:
         name="timeslice",
     )
     return _point("timeslice_us", timeslice_us, comparison)
-
-
-def ablation_timeslice(
-    timeslices_us: Sequence[float] = (125, 250, 500, 1000, 2000),
-    n_ranks: int = 16,
-) -> List[dict]:
-    """Blocking ping-pong cost vs time-slice length."""
-    return [ablation_timeslice_point(ts, n_ranks) for ts in timeslices_us]
-
-
-#: Kernel-level ablation implementations in row order.
-KERNEL_IMPLEMENTATIONS = ("user-level", "kernel-level")
 
 
 def ablation_kernel_point(
@@ -467,18 +363,6 @@ def ablation_kernel_point(
     return _point("implementation", implementation, comparison)
 
 
-def ablation_kernel_level(
-    n_ranks: int = FULL_MACHINE,
-    granularity_ms: float = 10,
-    iterations: int = 15,
-) -> List[dict]:
-    """User-level vs kernel-level BCS (§4.5): the NM tax disappears."""
-    return [
-        ablation_kernel_point(label, n_ranks, granularity_ms, iterations)
-        for label in KERNEL_IMPLEMENTATIONS
-    ]
-
-
 def ablation_buffered_point(buffered: bool, n_ranks: int = 16) -> dict:
     """One buffered-sends ablation row."""
     bc = BcsConfig(init_cost=0, buffered_sends=buffered)
@@ -491,11 +375,6 @@ def ablation_buffered_point(buffered: bool, n_ranks: int = 16) -> dict:
         name="buffered",
     )
     return _point("buffered_sends", buffered, comparison)
-
-
-def ablation_buffered_sends(n_ranks: int = 16) -> List[dict]:
-    """Buffered vs strict blocking-send completion (the B in BCS)."""
-    return [ablation_buffered_point(buffered, n_ranks) for buffered in (True, False)]
 
 
 def _point(x_name: str, x, comparison: Comparison) -> dict:

@@ -1,8 +1,6 @@
 """Extension experiments beyond the paper's evaluation, as farm points.
 
-Three studies extend §5 and previously lived only as sequential benches
-(``benchmarks/bench_ft_extension.py``, ``benchmarks/bench_pfs_qos.py``,
-and the noise-coordination ablation in ``bench_ablations.py``):
+Three studies extend §5:
 
 - **NPB FT** — the kernel the paper could not run (no MPI groups,
   §4.5); this implementation supports communicator splitting, so FT's
@@ -16,8 +14,8 @@ and the noise-coordination ablation in ``bench_ablations.py``):
 Each ``<family>_point`` function computes exactly one row from
 JSON-safe scalar parameters, so :mod:`repro.farm.points` can register
 the studies as point families: the full extension matrix rides the
-content-addressed cache and feeds the cross-run trend store, and the
-benches become thin assertions over the same rows.
+content-addressed cache and feeds the cross-run trend store, and each
+family's check holds the study's claim on its rows.
 """
 
 from __future__ import annotations

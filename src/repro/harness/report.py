@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from typing import Any, Iterable, List, Sequence
+import json
+from typing import Any, Dict, Iterable, List, Sequence
 
 
 def format_table(headers: Sequence[str], rows: Iterable[Sequence[Any]]) -> str:
@@ -32,6 +33,22 @@ def print_table(title: str, headers: Sequence[str], rows: Iterable[Sequence[Any]
     text = f"\n== {title} ==\n{format_table(headers, rows)}"
     print(text)
     return text
+
+
+def print_rows(title: str, rows: List[dict]) -> None:
+    """Print one experiment's row dicts as a titled table."""
+    if not rows:
+        print(f"\n== {title} == (no rows)")
+        return
+    headers = list(rows[0].keys())
+    print_table(title, headers, [[row[h] for h in headers] for row in rows])
+
+
+def save_rows(tables: Dict[str, List[dict]], path: str) -> None:
+    """Write every experiment's rows, keyed by title, as JSON (``--save``)."""
+    with open(path, "w") as fh:
+        json.dump(tables, fh, indent=2, default=str)
+    print(f"\nsaved {len(tables)} experiment(s) to {path}")
 
 
 def metrics_report(obs) -> str:

@@ -10,13 +10,13 @@ from repro.farm.points import (
     FIGURE_FAMILIES,
     SCALING_FAMILIES,
     PointSpec,
+    check_family,
     execute_point,
     expand_family,
     family_specs,
 )
 
-#: Expected paper-preset point counts (must track the sequential
-#: generators' default sweeps).
+#: Expected paper-preset point counts (the paper's sweeps).
 EXPECTED_COUNTS = {
     "table1": 25,  # 5 networks x 5 node counts
     "fig8a": 6,
@@ -215,17 +215,19 @@ def test_selftest_execute_error():
         execute_point("selftest", {"mode": "error", "value": 1})
 
 
-def test_execute_point_matches_sequential_generator():
-    # The cheapest real family: one Table 1 point vs the generator's row.
-    from repro.harness.experiments import table1_rows
-
-    spec = expand_family("table1", "smoke")[0]
-    row = execute_point(spec.family, spec.params_dict)
-    assert row == table1_rows(node_counts=(2,))[0]
+@pytest.mark.parametrize("name", FIGURE_FAMILIES + EXTENSION_FAMILIES)
+def test_every_figure_and_extension_family_has_a_check(name):
+    assert callable(FAMILIES[name].check)
 
 
-def test_titles_match_harness_cli():
-    # Farm tables must print under the same titles the sequential CLI uses.
-    assert FAMILIES["table1"].title == "Table 1: BCS core mechanisms across networks"
-    assert FAMILIES["table2"].title == "Fig 9 / Table 2: applications"
-    assert FAMILIES["ablation_kernel"].title == "Ablation: kernel-level BCS"
+def test_check_family_names_the_family_and_the_broken_shape():
+    rows = [
+        {"buffered_sends": True, "slowdown_pct": 30.0},
+        {"buffered_sends": False, "slowdown_pct": 35.0},
+    ]
+    failure = check_family("ablation_buffered", rows)
+    assert failure.startswith("ablation_buffered: ")
+    assert "10 points" in failure
+    rows[0]["slowdown_pct"] = 5.0
+    assert check_family("ablation_buffered", rows) is None
+    assert check_family("selftest", [{"mode": "ok"}]) is None  # no check

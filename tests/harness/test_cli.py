@@ -1,8 +1,11 @@
 """Tests for the experiment CLI."""
 
+import dataclasses
+
 import pytest
 
 from repro.farm.cli import build_parser as farm_build_parser
+from repro.farm.points import FAMILIES, ShapeError
 from repro.farm.store import ResultStore
 from repro.harness import cli
 from repro.harness.cli import COMMANDS, build_parser, main
@@ -47,6 +50,73 @@ def test_fig9_alias_dedupes(capsys):
     assert main(["fig9", "table2", "--scale", "0.02", "--ranks", "4", "--apps", "EP"]) == 0
     out = capsys.readouterr().out
     assert out.count("Fig 9 / Table 2") == 1
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["fig8a", "--ranks", "0"], "argument --ranks: must be >= 1, got 0"),
+        (["fig8b", "--procs", "4", "-2"], "argument --procs: must be >= 1, got -2"),
+        (["table2", "--apps", "EP", "--scale", "0", "--ranks", "4"],
+         "argument --scale: must be finite and > 0, got 0"),
+        (["table2", "--scale", "-1"], "argument --scale: must be finite and > 0, got -1"),
+        (["table2", "--scale", "nan"], "argument --scale: must be finite and > 0, got nan"),
+        (["table2", "--scale", "inf"], "argument --scale: must be finite and > 0, got inf"),
+        (["table2", "--apps", "XX"], "argument --apps: invalid choice: 'XX'"),
+    ],
+)
+def test_figure_flags_reject_bad_values_at_the_command_line(argv, message, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert message in err
+    assert "Traceback" not in err
+
+
+def test_figure_flags_accept_the_boundary_values():
+    args = build_parser().parse_args(
+        ["fig10", "--ranks", "1", "--procs", "1", "2", "--scale", "1e-9", "--apps", "LU"]
+    )
+    assert (args.ranks, args.procs, args.scale, args.apps) == (1, [1, 2], 1e-9, ["LU"])
+
+
+def test_flags_override_only_the_families_whose_sweep_takes_them():
+    args = build_parser().parse_args(["all"] + TINY)
+    assert cli._overrides("table1", args) == {}
+    assert cli._overrides("fig8a", args) == {"n_ranks": 4}
+    assert cli._overrides("fig10", args) == {"proc_counts": [2, 4], "scale": 0.02}
+    assert cli._overrides("table2", args) == {"n_ranks": 4, "scale": 0.02, "apps": ["EP"]}
+
+
+def _failing_check(rows):
+    raise ShapeError(f"shape broken over {len(rows)} rows")
+
+
+@pytest.mark.farm_subprocess
+def test_a_failing_check_exits_1_and_names_the_family(monkeypatch, tmp_path, capsys):
+    # A table1 whose check always fails, over one real table1 point: the
+    # farm's worker (a fresh interpreter with the real registry) runs it.
+    table1 = dataclasses.replace(
+        FAMILIES["table1"],
+        expand=lambda **_: [dict(network="qsnet", nodes=2, payload=1024)],
+        check=_failing_check,
+    )
+    monkeypatch.setitem(FAMILIES, "table1", table1)
+
+    assert main(["table1"]) == 1
+    captured = capsys.readouterr()
+    assert "CHECK FAILED table1: shape broken over 1 rows" in captured.err
+    assert "qsnet" in captured.out  # the rows still print
+
+    argv = ["farm", "figures", "table1", "-j", "1", "--store", str(tmp_path / "store"),
+            "--no-progress"]
+    assert main(argv) == 1
+    assert "CHECK FAILED table1: shape broken over 1 rows" in capsys.readouterr().err
+    assert main(["farm", "metrics", "--store", str(tmp_path / "store")]) == 0
+    assert "CHECK FAILED table1: shape broken" in capsys.readouterr().err
+    # A smoke preset is not the paper point set: its rows go unchecked.
+    assert main(argv + ["--preset", "smoke"]) == 0
 
 
 def test_all_commands_registered():
@@ -186,6 +256,20 @@ def test_farm_figures_rejects_bad_numbers_at_the_command_line(
     assert exc.value.code == 2
     assert message in capsys.readouterr().err
     assert not (tmp_path / "store").exists()  # rejected before any work
+
+
+@pytest.mark.parametrize(
+    "option, value, message",
+    [
+        ("--limit", "-1", "must be >= 0, got -1"),
+        ("--offset", "-5", "must be >= 0, got -5"),
+    ],
+)
+def test_farm_list_rejects_bad_numbers_at_the_command_line(capsys, option, value, message):
+    with pytest.raises(SystemExit) as exc:
+        main(["farm", "list", option, value])
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
 
 
 def test_farm_figures_accepts_the_boundary_numbers():

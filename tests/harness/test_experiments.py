@@ -2,12 +2,17 @@
 
 import pytest
 
+from repro.farm.points import execute_point, expand_family
 from repro.harness.experiments import (
     APP_EXPERIMENTS,
     PAPER_TABLE2,
     run_app_experiment,
-    table1_rows,
 )
+
+
+def _table1_rows(node_counts):
+    specs = expand_family("table1", overrides=dict(node_counts=node_counts))
+    return [execute_point(s.family, s.params_dict) for s in specs]
 
 
 def test_every_table2_app_has_an_experiment():
@@ -15,7 +20,7 @@ def test_every_table2_app_has_an_experiment():
 
 
 def test_table1_rows_structure():
-    rows = table1_rows(node_counts=(2, 4))
+    rows = _table1_rows(node_counts=(2, 4))
     networks = {r["network"] for r in rows}
     assert networks == {"gige", "myrinet", "infiniband", "qsnet", "bluegene_l"}
     for r in rows:
@@ -24,14 +29,14 @@ def test_table1_rows_structure():
 
 
 def test_table1_qsnet_flat_conditional():
-    rows = [r for r in table1_rows(node_counts=(2, 32)) if r["network"] == "qsnet"]
+    rows = [r for r in _table1_rows(node_counts=(2, 32)) if r["network"] == "qsnet"]
     assert all(r["caw_us"] < 10 for r in rows)
 
 
 def test_table1_emulated_networks_scale_with_log_n():
     rows = {
         (r["network"], r["nodes"]): r["caw_us"]
-        for r in table1_rows(node_counts=(2, 16))
+        for r in _table1_rows(node_counts=(2, 16))
     }
     assert rows[("gige", 16)] == pytest.approx(4 * rows[("gige", 2)], rel=0.01)
 
