@@ -41,7 +41,9 @@ components.  A send with concrete ``(src, tag)`` can only be matched by
 receives whose pattern is one of four keys: ``(src, tag)``,
 ``(src, ANY)``, ``(ANY, tag)``, ``(ANY, ANY)``.  Probing those four
 buckets and taking the live head with the smallest seq is therefore
-exactly "the first posted receive that matches".
+exactly "the first posted receive that matches".  While no wildcard
+receive is posted (``_wild_posted == 0``) only the exact bucket can hold
+a live receive, so ``add_send`` probes that one alone.
 
 *Unexpected sends* are indexed in four families — one per receive
 wildcard shape: exact ``(job, comm, dst, src, tag)``, by-source
@@ -258,7 +260,8 @@ class HashMatcher(_MatcherBase):
         self._seq = 0
         #: Posted receives whose pattern contains a wildcard.  While this
         #: is zero, an arrived send can only match its exact bucket — the
-        #: precondition for the vectorized send-batch join.
+        #: precondition for ``add_send``'s one-bucket probe and the
+        #: vectorized send-batch join.
         self._wild_posted = 0
         #: Authoritative unexpected-send queue: desc_id -> (seq, send),
         #: insertion-ordered (= arrival order).
@@ -284,11 +287,16 @@ class HashMatcher(_MatcherBase):
 
         best_seq = -1
         best_bucket: Optional[Deque[Tuple[int, RecvDescriptor]]] = None
+        exact = (j, c, d, s, t)
         for key in (
-            (j, c, d, s, t),
-            (j, c, d, s, ANY_TAG),
-            (j, c, d, ANY_SOURCE, t),
-            (j, c, d, ANY_SOURCE, ANY_TAG),
+            (
+                exact,
+                (j, c, d, s, ANY_TAG),
+                (j, c, d, ANY_SOURCE, t),
+                (j, c, d, ANY_SOURCE, ANY_TAG),
+            )
+            if self._wild_posted
+            else (exact,)
         ):
             bucket = buckets.get(key)
             if not bucket:

@@ -46,6 +46,7 @@ from ..bcs.matching import Matcher
 from ..bcs.runtime import CommInfo
 from ..bcs.threads import _copy_payload
 from ..network import Cluster
+from ..sim import Signal
 from ..softfloat import reduce_buffers
 from ..storm.job import Job, JobSpec, block_placement
 from ..units import KiB, bw_time, seconds, us
@@ -103,24 +104,26 @@ class BaselineRuntime:
         self.env = cluster.env
         self.config = config or BaselineConfig()
         self.jobs: Dict[int, Job] = {}
-        self.comms: Dict[tuple, CommInfo] = {}
+        #: job id -> comm id -> communicator, numbered per job.
+        self.comms: Dict[int, Dict[int, CommInfo]] = {}
         self._comm_by_members: Dict[tuple, CommInfo] = {}
         #: One matcher per (job, comm, rank): baseline matching happens
         #: in the library at the receiving process.
         self.matchers: Dict[tuple, Matcher] = {}
         self.coll_state: Dict[tuple, _CollectiveState] = {}
         self.stats: Counter = Counter()
-        #: (job_id, world_rank) -> True while that process is inside an
-        #: MPI call (the only time the library can progress rendezvous).
-        self._in_mpi: Dict[tuple, bool] = {}
+        #: (job_id, world_rank) -> MPI-call nesting depth of that process;
+        #: positive while it is inside the library (the only time the
+        #: library can progress rendezvous).
+        self._in_mpi: Dict[tuple, int] = {}
         #: (job_id, world_rank) -> Signal pulsed on MPI entry.
-        self._mpi_entry: Dict[tuple, object] = {}
+        self._mpi_entry: Dict[tuple, Signal] = {}
 
     # -- registry -----------------------------------------------------------------
 
     def comm_info(self, job_id: int, comm_id: int) -> CommInfo:
         """Communicator metadata."""
-        return self.comms[(job_id, comm_id)]
+        return self.comms[job_id][comm_id]
 
     def register_comm(self, job: Job, world_ranks: Sequence[int]) -> CommInfo:
         """Create (or fetch) a communicator over a subset of a job's ranks."""
@@ -128,9 +131,9 @@ class BaselineRuntime:
         existing = self._comm_by_members.get(member_key)
         if existing is not None:
             return existing
-        comm_id = sum(1 for key in self.comms if key[0] == job.id)
-        info = CommInfo(job, comm_id, world_ranks)
-        self.comms[(job.id, comm_id)] = info
+        job_comms = self.comms.setdefault(job.id, {})
+        comm_id = len(job_comms)
+        info = job_comms[comm_id] = CommInfo(job, comm_id, world_ranks)
         self._comm_by_members[member_key] = info
         return info
 
@@ -144,9 +147,7 @@ class BaselineRuntime:
 
     # -- progress-engine gating -------------------------------------------------
 
-    def _entry_signal(self, job_id: int, world_rank: int):
-        from ..sim import Signal
-
+    def _entry_signal(self, job_id: int, world_rank: int) -> Signal:
         key = (job_id, world_rank)
         sig = self._mpi_entry.get(key)
         if sig is None:
@@ -158,7 +159,10 @@ class BaselineRuntime:
         """Mark a process as inside the MPI library (depth-counted)."""
         key = (job_id, world_rank)
         self._in_mpi[key] = self._in_mpi.get(key, 0) + 1
-        self._entry_signal(job_id, world_rank).pulse()
+        # A pulse with no waiters schedules nothing.
+        sig = self._mpi_entry.get(key)
+        if sig is not None and sig.waiting:
+            sig.pulse()
 
     def exit_mpi(self, job_id: int, world_rank: int) -> None:
         """Leave one nesting level of the MPI library."""
@@ -334,6 +338,27 @@ class BaselineRuntime:
         return state
 
 
+class _LibrarySection:
+    """``with`` block marking one process as inside the MPI library.
+
+    While the depth is up the runtime may progress rendezvous transfers
+    destined to this process.  One per communicator; sections nest.
+    """
+
+    __slots__ = ("_runtime", "_job_id", "_world_rank")
+
+    def __init__(self, runtime: BaselineRuntime, job_id: int, world_rank: int):
+        self._runtime = runtime
+        self._job_id = job_id
+        self._world_rank = world_rank
+
+    def __enter__(self) -> None:
+        self._runtime.enter_mpi(self._job_id, self._world_rank)
+
+    def __exit__(self, *exc) -> None:
+        self._runtime.exit_mpi(self._job_id, self._world_rank)
+
+
 class BaselineCommunicator(Communicator):
     """An MPI communicator backed by the production-MPI model."""
 
@@ -343,6 +368,9 @@ class BaselineCommunicator(Communicator):
         self._runtime = runtime
         self._info = info
         self._rank = comm_rank
+        self._job_id = info.job.id
+        self._cpu = runtime.cluster.node(info.node_of(comm_rank)).cpu
+        self._lib = _LibrarySection(runtime, self._job_id, info.world_ranks[comm_rank])
         self._send_seq: Dict[int, int] = {}
         self._epochs: Dict[str, int] = {}
 
@@ -372,31 +400,8 @@ class BaselineCommunicator(Communicator):
 
     # -- helpers -----------------------------------------------------------------
 
-    def _in_lib(self):
-        """Context marking this process as inside the MPI library.
-
-        While the flag is up the runtime may progress rendezvous
-        transfers destined to this process.
-        """
-        from contextlib import contextmanager
-
-        runtime = self._runtime
-        job_id = self._info.job.id
-        world = self._info.world_ranks[self._rank]
-
-        @contextmanager
-        def section():
-            runtime.enter_mpi(job_id, world)
-            try:
-                yield
-            finally:
-                runtime.exit_mpi(job_id, world)
-
-        return section()
-
     def _overhead(self, cost: int) -> Generator:
-        node = self._runtime.cluster.node(self._info.node_of(self._rank))
-        yield from node.cpu.held(cost)
+        yield from self._cpu.held(cost)
 
     def _next_seq(self, dst: int) -> int:
         seq = self._send_seq.get(dst, 0)
@@ -415,7 +420,7 @@ class BaselineCommunicator(Communicator):
             raise ValueError(f"destination rank {dest} outside communicator")
         req = BcsRequest(self.env, "send")
         return SendDescriptor(
-            job_id=self._info.job.id,
+            job_id=self._job_id,
             comm_id=self._info.comm_id,
             src_rank=self._rank,
             dst_rank=dest,
@@ -431,7 +436,7 @@ class BaselineCommunicator(Communicator):
             raise ValueError(f"source rank {source} outside communicator")
         req = BcsRequest(self.env, "recv")
         return RecvDescriptor(
-            job_id=self._info.job.id,
+            job_id=self._job_id,
             comm_id=self._info.comm_id,
             rank=self._rank,
             src_rank=source,
@@ -453,14 +458,14 @@ class BaselineCommunicator(Communicator):
         return MpiRequest(recv.request, "irecv")
 
     def send(self, data: Any = None, dest: int = 0, tag: int = 0, size=None) -> Generator:
-        with self._in_lib():
+        with self._lib:
             yield from self._overhead(self._runtime.config.call_overhead)
             req = self.isend(data, dest, tag, size)
             if not req.complete:
                 yield req.done
 
     def recv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG, size=None) -> Generator:
-        with self._in_lib():
+        with self._lib:
             yield from self._overhead(self._runtime.config.call_overhead)
             req = self.irecv(source, tag, size)
             if not req.complete:
@@ -469,23 +474,21 @@ class BaselineCommunicator(Communicator):
 
     def iprobe(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> bool:
         """Check the unexpected queue for a matching arrival."""
-        matcher = self._runtime.matcher(
-            self._info.job.id, self._info.comm_id, self._rank
-        )
+        matcher = self._runtime.matcher(self._job_id, self._info.comm_id, self._rank)
         probe = self._make_recv(source, tag, None)
         return any(probe.matches(s) for s in matcher.unexpected)
 
     # -- completion ---------------------------------------------------------------------
 
     def wait(self, req: MpiRequest) -> Generator:
-        with self._in_lib():
+        with self._lib:
             yield from self._overhead(self._runtime.config.wait_overhead)
             if not req.complete:
                 yield req.done
         return req.payload
 
     def waitall(self, reqs: Sequence[MpiRequest]) -> Generator:
-        with self._in_lib():
+        with self._lib:
             yield from self._overhead(self._runtime.config.wait_overhead)
             pending = [r.done for r in reqs if not r.complete]
             if pending:
@@ -497,14 +500,14 @@ class BaselineCommunicator(Communicator):
     def barrier(self) -> Generator:
         """Hardware barrier: network conditional over the comm's nodes."""
         runtime = self._runtime
-        with self._in_lib():
+        with self._lib:
             yield from self._barrier_body()
         runtime.stats["barriers"] += 1
 
     def _barrier_body(self) -> Generator:
         runtime = self._runtime
         yield from self._overhead(runtime.config.call_overhead)
-        key = (self._info.job.id, self._info.comm_id, "bar", self._next_epoch("bar"))
+        key = (self._job_id, self._info.comm_id, "bar", self._next_epoch("bar"))
         state = runtime.sync_point(self._info, key)
         state.arrived += 1
         if state.arrived == state.n:
@@ -519,14 +522,14 @@ class BaselineCommunicator(Communicator):
     def bcast(self, data: Any = None, root: int = 0, size=None) -> Generator:
         """Hardware-multicast broadcast from the root's node."""
         runtime = self._runtime
-        with self._in_lib():
+        with self._lib:
             result = yield from self._bcast_body(data, root, size)
         return result
 
     def _bcast_body(self, data, root, size) -> Generator:
         runtime = self._runtime
         yield from self._overhead(runtime.config.call_overhead)
-        key = (self._info.job.id, self._info.comm_id, "bc", self._next_epoch("bc"))
+        key = (self._job_id, self._info.comm_id, "bc", self._next_epoch("bc"))
         state = runtime.sync_point(self._info, key)
         state.arrived += 1
         if self._rank == root:
@@ -544,13 +547,13 @@ class BaselineCommunicator(Communicator):
 
     def reduce(self, data: Any, op, root: int = 0) -> Generator:
         """Host-side binomial tree over point-to-point messages."""
-        with self._in_lib():
+        with self._lib:
             result = yield from self._tree_reduce(data, op, root)
         return result if self._rank == root else None
 
     def allreduce(self, data: Any, op) -> Generator:
         """Reduce to rank 0 then hardware broadcast."""
-        with self._in_lib():
+        with self._lib:
             partial = yield from self._tree_reduce(data, op, 0)
             result = yield from self._bcast_body(partial, 0, None)
         return result

@@ -296,6 +296,11 @@ class Signal:
         """
         self._waiters.append(ev)
 
+    @property
+    def waiting(self) -> bool:
+        """Whether the next pulse has anyone to wake."""
+        return bool(self._waiters)
+
     def take_waiters(self) -> List[Event]:
         """Hand back a pulse's waiters for the caller to wake.
 

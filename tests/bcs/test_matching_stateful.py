@@ -12,6 +12,10 @@ class _Req:
     complete = False
 
 
+#: Two jobs, so that ``purge_job`` always has one to keep.
+JOBS = st.sampled_from([0, 1])
+
+
 class ReferenceMatcher:
     """Straightforward O(n^2) restatement of the MPI matching rules."""
 
@@ -21,6 +25,8 @@ class ReferenceMatcher:
 
     @staticmethod
     def _matches(recv, send):
+        if recv["job"] != send["job"]:
+            return False
         if recv["src"] not in (ANY_SOURCE, send["src"]):
             return False
         if recv["tag"] not in (ANY_TAG, send["tag"]):
@@ -43,6 +49,17 @@ class ReferenceMatcher:
         self.posted.append(recv)
         return None
 
+    def withdraw(self, request):
+        for i, recv in enumerate(self.posted):
+            if recv["req"] is request:
+                del self.posted[i]
+                return True
+        return False
+
+    def purge_job(self, job):
+        self.unexpected = [s for s in self.unexpected if s["job"] != job]
+        self.posted = [r for r in self.posted if r["job"] != job]
+
 
 class MatcherMachine(RuleBasedStateMachine):
     """Drive both matchers with the same operations; outcomes must agree."""
@@ -58,36 +75,52 @@ class MatcherMachine(RuleBasedStateMachine):
         self.uid += 1
         return self.uid
 
-    @rule(src=st.integers(0, 2), tag=st.integers(0, 2))
-    def post_send(self, src, tag):
+    @rule(job=JOBS, src=st.integers(0, 2), tag=st.integers(0, 2))
+    def post_send(self, job, src, tag):
         uid = self._next_uid()
-        seq = self.seq.get(src, 0)
-        self.seq[src] = seq + 1
+        seq = self.seq.get((job, src), 0)
+        self.seq[(job, src)] = seq + 1
         send = SendDescriptor(
-            job_id=0, comm_id=0, src_rank=src, dst_rank=0, tag=tag,
+            job_id=job, comm_id=0, src_rank=src, dst_rank=0, tag=tag,
             size=8, request=_Req(), seq=seq,
         )
         send.uid = uid  # type: ignore[attr-defined]
         got = self.real.add_send(send)
-        want = self.ref.add_send({"src": src, "tag": tag, "uid": uid})
+        want = self.ref.add_send({"job": job, "src": src, "tag": tag, "uid": uid})
         got_pair = None if got is None else (got.send.uid, got.recv.uid)
         assert got_pair == want
 
     @rule(
+        job=JOBS,
         src=st.sampled_from([ANY_SOURCE, 0, 1, 2]),
         tag=st.sampled_from([ANY_TAG, 0, 1, 2]),
     )
-    def post_recv(self, src, tag):
+    def post_recv(self, job, src, tag):
         uid = self._next_uid()
+        req = _Req()
         recv = RecvDescriptor(
-            job_id=0, comm_id=0, rank=0, src_rank=src, tag=tag,
-            capacity=1 << 30, request=_Req(),
+            job_id=job, comm_id=0, rank=0, src_rank=src, tag=tag,
+            capacity=1 << 30, request=req,
         )
         recv.uid = uid  # type: ignore[attr-defined]
         got = self.real.add_recv(recv)
-        want = self.ref.add_recv({"src": src, "tag": tag, "uid": uid})
+        want = self.ref.add_recv(
+            {"job": job, "src": src, "tag": tag, "uid": uid, "req": req}
+        )
         got_pair = None if got is None else (got.send.uid, got.recv.uid)
         assert got_pair == want
+
+    @rule(pick=st.integers(0, 63))
+    def withdraw(self, pick):
+        """MPI_Cancel of a posted receive, or of a request not queued."""
+        posted = self.ref.posted
+        req = posted[pick % len(posted)]["req"] if posted else _Req()
+        assert self.real.withdraw(req) == self.ref.withdraw(req)
+
+    @rule(job=JOBS)
+    def purge_job(self, job):
+        self.real.purge_job(job)
+        self.ref.purge_job(job)
 
     @invariant()
     def queues_agree(self):
@@ -100,6 +133,16 @@ class MatcherMachine(RuleBasedStateMachine):
         assert [r.uid for r in self.real.posted] == [
             r["uid"] for r in self.ref.posted
         ]
+
+    @invariant()
+    def wildcard_count_is_exact(self):
+        """``add_send`` probes only the exact bucket while the count reads
+        0, so it must never undercount the posted wildcard receives."""
+        wild = sum(
+            r.src_rank == ANY_SOURCE or r.tag == ANY_TAG for r in self.real.posted
+        )
+        assert self.real._wild_posted == wild
+        assert self.real.totals.posted == len(self.real.posted)
 
 
 MatcherMachine.TestCase.settings = settings(

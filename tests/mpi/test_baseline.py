@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.mpi.baseline import BaselineConfig, BaselineRuntime
+from repro.mpi.baseline import BaselineCommunicator, BaselineConfig, BaselineRuntime
 from repro.network import Cluster, ClusterSpec
+from repro.sim import Interrupt
 from repro.storm import JobSpec
 from repro.units import KiB, MiB, seconds, us
 
@@ -226,3 +227,116 @@ def test_config_with_replaces_fields():
     assert cfg.eager_threshold == 1024
     assert cfg.init_cost == 0
     assert BaselineConfig().eager_threshold != 1024
+
+
+# -- the library section --------------------------------------------------------
+
+
+class _DepthRecorder(BaselineRuntime):
+    """Records each process's deepest library nesting."""
+
+    def __init__(self, cluster, config):
+        super().__init__(cluster, config)
+        self.deepest = {}
+
+    def enter_mpi(self, job_id, world_rank):
+        super().enter_mpi(job_id, world_rank)
+        depth = self._in_mpi[(job_id, world_rank)]
+        self.deepest[world_rank] = max(self.deepest.get(world_rank, 0), depth)
+
+
+def test_library_depth_unwinds_after_nested_allreduce():
+    """allreduce -> _tree_reduce -> recv/send nest library sections; every
+    rank leaves the library at depth 0, having been deeper than 1."""
+
+    def app(ctx):
+        total = yield from ctx.comm.allreduce(np.float64(ctx.rank), "sum")
+        return float(total)
+
+    runtime = _DepthRecorder(Cluster(ClusterSpec(n_nodes=2)), BaselineConfig(init_cost=0))
+    job = runtime.run_job(JobSpec(app=app, n_ranks=4), max_time=seconds(30))
+    assert job.results == [6.0] * 4
+    assert [runtime._in_mpi[(job.id, r)] for r in range(4)] == [0] * 4
+    assert all(runtime.deepest[r] >= 2 for r in range(4))
+
+
+def test_interrupted_recv_leaves_the_library():
+    """An Interrupt thrown into a rank blocked in recv unwinds its section:
+    the depth reads 0 in the handler, and again after a closed call."""
+    seen = {}
+
+    def app(ctx):
+        if ctx.rank == 0:
+            yield ctx.env.timeout(us(50))
+            return None
+        runtime = ctx.comm._runtime
+        key = (ctx.job.id, ctx.rank)
+
+        def blocked():
+            try:
+                yield from ctx.comm.recv(source=0, tag=7)
+            except Interrupt as exc:
+                seen["cause"] = exc.cause
+                seen["after"] = runtime._in_mpi[key]
+
+        victim = ctx.env.process(blocked())
+        yield ctx.env.timeout(us(20))
+        seen["blocked"] = runtime._in_mpi[key]
+        victim.interrupt("stop")
+        yield victim
+        # A call abandoned mid-way (GeneratorExit) unwinds as well.
+        call = ctx.comm.recv(source=0, tag=8)
+        next(call)
+        seen["open"] = runtime._in_mpi[key]
+        call.close()
+        seen["closed"] = runtime._in_mpi[key]
+
+    run_app(app, n_ranks=2, n_nodes=2)
+    assert seen == {"blocked": 1, "cause": "stop", "after": 0, "open": 1, "closed": 0}
+
+
+def test_entering_the_library_unwatched_schedules_nothing():
+    """An MPI entry pulses the entry signal only for a waiting transfer."""
+    cluster = Cluster(ClusterSpec(n_nodes=2))
+    runtime = BaselineRuntime(cluster, BaselineConfig(init_cost=0))
+    env = cluster.env
+    queued = len(env._queue)
+    runtime.enter_mpi(7, 0)  # no signal yet
+    runtime.exit_mpi(7, 0)
+    assert len(env._queue) == queued
+    runtime._entry_signal(7, 0)  # a signal with no waiters
+    runtime.enter_mpi(7, 0)
+    runtime.exit_mpi(7, 0)
+    assert len(env._queue) == queued
+    woken = runtime._entry_signal(7, 0).wait()
+    runtime.enter_mpi(7, 0)
+    assert len(env._queue) == queued + 1
+    env.run()
+    assert woken.processed
+
+
+# -- communicator numbering -----------------------------------------------------
+
+
+def test_communicators_numbered_per_job_in_registration_order():
+    cluster = Cluster(ClusterSpec(n_nodes=4))
+    runtime = BaselineRuntime(cluster, BaselineConfig(init_cost=0))
+
+    def idle(ctx):
+        yield ctx.env.timeout(1)
+
+    jobs = [runtime.launch(JobSpec(app=idle, n_ranks=4)) for _ in range(2)]
+    worlds = [BaselineCommunicator(runtime, runtime.comm_info(j.id, 0), 0) for j in jobs]
+    a, b = jobs
+    order = [(a, [0, 1]), (b, [0, 2]), (b, [0, 3]), (a, [0, 2, 3]), (b, [0, 1])]
+    made = [worlds[jobs.index(job)].split(members)._info for job, members in order]
+    assert [(info.job.id, info.comm_id) for info in made] == [
+        (a.id, 1), (b.id, 1), (b.id, 2), (a.id, 2), (b.id, 3),
+    ]
+    for info in made:
+        assert runtime.comm_info(info.job.id, info.comm_id) is info
+    # Re-registering the same members returns the same communicator.
+    again = runtime.register_comm(b, [0, 2])
+    assert again is made[1]
+    assert worlds[0].split([0, 1])._info is made[0]
+    assert runtime.register_comm(a, range(4)) is runtime.comm_info(a.id, 0)
