@@ -37,13 +37,12 @@ class BcsConfig:
     descriptor_post_cost: int = us(0.6)
     #: NIC thread cost to process one descriptor (match, schedule, ...).
     nic_descriptor_cost: int = us(1.0)
-    #: NIC reduce cost per element (softfloat on the FPU-less NIC).
+    #: NIC reduce cost per element: the SoftFloat arithmetic of the
+    #: FPU-less NIC (paper §4.4), modelled by this cost only.
     nic_reduce_cost_per_element: int = us(0.45)
     #: Fraction of the post-scheduling slice remainder budgeted for
     #: point-to-point data (the rest is reserved for BBM + RM).
     p2p_budget_fraction: float = 0.80
-    #: Hard cap on a single scheduled chunk, bytes (0 = no cap).
-    max_chunk_bytes: int = 0
     #: Multiplicative compute tax from the user-level NM daemon stealing
     #: host cycles every slice (paper §4.5's scheduling anomaly).
     #: Calibrated so the 10 ms-granularity synthetic benchmarks land at
@@ -52,9 +51,6 @@ class BcsConfig:
     #: One-time BCS runtime/job initialization cost (daemon + NIC thread
     #: setup; what makes short runs like IS pay a visible price, §5.3).
     init_cost: int = seconds(1.2)
-    #: Whether the Reduce Helper computes with the softfloat library
-    #: (bit-exact NIC arithmetic) or defers to numpy for speed.
-    reduce_use_softfloat: bool = False
     #: Buffered sends (the B in BCS): the runtime snapshots the payload
     #: when the descriptor is posted and a *blocking* send completes
     #: immediately — only receives pay the 1.5-slice average delay.
@@ -111,10 +107,7 @@ class BcsConfig:
         chunking rule of paper §4.3).
         """
         budget_ns = int(self.transmission_budget() * self.p2p_budget_fraction)
-        max_bytes = int(budget_ns * link_bandwidth / 1_000_000_000)
-        if self.max_chunk_bytes:
-            max_bytes = min(max_bytes, self.max_chunk_bytes)
-        return max(max_bytes, 1)
+        return max(int(budget_ns * link_bandwidth / 1_000_000_000), 1)
 
     def with_(self, **kw) -> "BcsConfig":
         """A copy with the given fields replaced."""

@@ -13,8 +13,10 @@ Each compute node runs, on its NIC:
   point-to-point microphase.
 - **CH** (Collective Helper): performs barrier/broadcast in the
   broadcast-and-barrier microphase.
-- **RH** (Reduce Helper): performs reduce/allreduce on the NIC (softfloat)
-  in the reduce microphase, using a binomial tree.
+- **RH** (Reduce Helper): performs reduce/allreduce on the NIC in the
+  reduce microphase, using a binomial tree.  The paper computes on the
+  FPU-less NIC with SoftFloat; the simulator charges that work per
+  element and computes the value with numpy (:func:`repro.mpi.ops.combine`).
 
 The Strobe Receiver logic that wakes these threads per microphase lives
 in :mod:`repro.bcs.strobe`; this module holds the thread bodies and the
@@ -28,6 +30,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional
 
 import numpy as np
 
+from ..mpi.ops import combine
 from ..sim import Latch, Signal
 from .config import BcsConfig
 from .descriptors import (
@@ -686,15 +689,6 @@ class ReduceHelper:
         n_elements = buf.size if isinstance(buf, np.ndarray) else 1
         return n_elements * self.nrt.config.nic_reduce_cost_per_element
 
-    def _combine(self, op: str, a, b):
-        from ..softfloat import reduce_buffers
-
-        path = "nic" if self.nrt.config.reduce_use_softfloat else "host"
-        if isinstance(a, np.ndarray):
-            return reduce_buffers(op, [a, b], path=path)
-        # Scalars ride through 0-d arrays.
-        return reduce_buffers(op, [np.asarray(a), np.asarray(b)], path=path).item()
-
     def _reduce_part(self, info, ep: CollEpoch):
         """This node's role in the binomial gather tree rooted at the
         MPI root's node, followed by the result/notification multicast."""
@@ -712,7 +706,7 @@ class ReduceHelper:
         partial = _copy_payload(locals_sorted[0].payload)
         for desc in locals_sorted[1:]:
             yield from nrt.nic.compute(self._combine_cost(partial))
-            partial = self._combine(ep.op, partial, desc.payload)
+            partial = combine(ep.op, partial, desc.payload)
 
         key = (job_id, comm_id, ep.epoch)
         rnd = 0
@@ -726,7 +720,7 @@ class ReduceHelper:
                     )
                     incoming = nrt.reduce_inbox.pop(key + (rnd,))
                     yield from nrt.nic.compute(self._combine_cost(partial))
-                    partial = self._combine(ep.op, partial, incoming)
+                    partial = combine(ep.op, partial, incoming)
             elif vidx % (step << 1) == step:
                 dst_idx = vidx - step
                 dst_node = nodes[(dst_idx + nodes.index(root_node)) % n]

@@ -47,11 +47,10 @@ from ..bcs.runtime import CommInfo
 from ..bcs.threads import _copy_payload
 from ..network import Cluster
 from ..sim import Signal
-from ..softfloat import reduce_buffers
 from ..storm.job import Job, JobSpec, block_placement
 from ..units import KiB, bw_time, seconds, us
 from .communicator import Communicator
-from .ops import resolve
+from .ops import combine, resolve
 from .request import MpiRequest
 
 
@@ -59,10 +58,10 @@ from .request import MpiRequest
 class BaselineConfig:
     """Timing model of the production MPI library."""
 
-    #: Host CPU cost of a blocking send/recv call.
+    #: Host CPU cost of a blocking send/recv call and of entering a
+    #: collective.  isend/irecv post at no cost; the program pays
+    #: ``wait_overhead`` when it waits on them.
     call_overhead: int = us(1.6)
-    #: Host CPU cost of posting a non-blocking operation.
-    nb_call_overhead: int = us(1.1)
     #: Host CPU cost of MPI_Wait/Waitall per call.
     wait_overhead: int = us(0.9)
     #: Eager/rendezvous switchover.
@@ -110,6 +109,7 @@ class BaselineRuntime:
         #: One matcher per (job, comm, rank): baseline matching happens
         #: in the library at the receiving process.
         self.matchers: Dict[tuple, Matcher] = {}
+        #: Barrier and broadcast instances not every rank has reached.
         self.coll_state: Dict[tuple, _CollectiveState] = {}
         self.stats: Counter = Counter()
         #: (job_id, world_rank) -> MPI-call nesting depth of that process;
@@ -224,6 +224,11 @@ class BaselineRuntime:
             yield self.env.timeout(self.config.init_cost)
         result = yield from job.spec.app(ctx, **job.spec.params)
         job.rank_finished(rank, result)
+        if job.complete:
+            # The job's processes are gone: drop their library state.
+            for table in (self._in_mpi, self._mpi_entry, self.matchers):
+                for key in [k for k in table if k[0] == job.id]:
+                    del table[key]
 
     def run_job(
         self,
@@ -330,11 +335,18 @@ class BaselineRuntime:
         return info.world_ranks[comm_rank]
 
     def sync_point(self, info: CommInfo, epoch_key: tuple) -> _CollectiveState:
-        """Get/create the rendezvous state for one collective instance."""
+        """Arrive at the rendezvous state of one collective instance.
+
+        The last of the communicator's ranks to arrive takes the state
+        out of the table: every rank already holds it, and no later call
+        asks for the same instance.
+        """
         state = self.coll_state.get(epoch_key)
         if state is None:
-            state = _CollectiveState(self.env, info.size)
-            self.coll_state[epoch_key] = state
+            state = self.coll_state[epoch_key] = _CollectiveState(self.env, info.size)
+        state.arrived += 1
+        if state.arrived == state.n:
+            del self.coll_state[epoch_key]
         return state
 
 
@@ -509,7 +521,6 @@ class BaselineCommunicator(Communicator):
         yield from self._overhead(runtime.config.call_overhead)
         key = (self._job_id, self._info.comm_id, "bar", self._next_epoch("bar"))
         state = runtime.sync_point(self._info, key)
-        state.arrived += 1
         if state.arrived == state.n:
             yield from runtime.cluster.fabric.conditional(
                 self._info.node_of(self._rank), len(self._info.nodes)
@@ -531,7 +542,6 @@ class BaselineCommunicator(Communicator):
         yield from self._overhead(runtime.config.call_overhead)
         key = (self._job_id, self._info.comm_id, "bc", self._next_epoch("bc"))
         state = runtime.sync_point(self._info, key)
-        state.arrived += 1
         if self._rank == root:
             state.value = data
             yield from runtime.cluster.fabric.multicast(
@@ -584,15 +594,9 @@ class BaselineCommunicator(Communicator):
                         else 1
                     ) * runtime.config.host_reduce_cost_per_element
                     yield self.env.timeout(cost)
-                    partial = self._combine(kernel, partial, incoming)
+                    partial = combine(kernel, partial, incoming)
             elif vidx % (step << 1) == step:
                 yield from self.send(partial, dest=(vidx - step + root) % n, tag=tag)
                 return None
             rnd += 1
         return partial
-
-    @staticmethod
-    def _combine(kernel: str, a, b):
-        if isinstance(a, np.ndarray):
-            return reduce_buffers(kernel, [a, b], path="host")
-        return reduce_buffers(kernel, [np.asarray(a), np.asarray(b)], path="host").item()

@@ -22,7 +22,7 @@ from typing import Any, Generator, List, Optional, Sequence
 
 import numpy as np
 
-from .ops import Op
+from .ops import Op, combine, resolve
 from .request import MpiRequest
 
 #: Wildcards, re-exported at the MPI surface.
@@ -293,26 +293,13 @@ class Communicator(abc.ABC):
         Rank r receives the prefix over 0..r-1 from rank r-1, combines,
         and forwards the prefix over 0..r to rank r+1.
         """
-        from ..softfloat import reduce_buffers
-        from .ops import resolve
-
-        import numpy as np
-
         kernel = resolve(op).kernel
-
-        def combine(a, b):
-            if isinstance(a, np.ndarray):
-                return reduce_buffers(kernel, [a, b], path="host")
-            return reduce_buffers(
-                kernel, [np.asarray(a), np.asarray(b)], path="host"
-            ).item()
-
         prefix_below = None
         if self.rank > 0:
             prefix_below = yield from self.recv(
                 source=self.rank - 1, tag=self._SCAN_TAG
             )
-        running = data if prefix_below is None else combine(prefix_below, data)
+        running = data if prefix_below is None else combine(kernel, prefix_below, data)
         if self.rank + 1 < self.size:
             yield from self.send(running, dest=self.rank + 1, tag=self._SCAN_TAG)
         if inclusive:

@@ -2,8 +2,7 @@
 
 Payloads in this system are numpy arrays (or raw sizes for timing-only
 messages), so a datatype is a thin record tying an MPI name to a numpy
-dtype and an element size — enough to size messages and to pick the
-right NIC reduce kernel.
+dtype and an element size — enough to size messages.
 """
 
 from __future__ import annotations
@@ -19,7 +18,8 @@ class Datatype:
 
     name: str
     np_dtype: np.dtype
-    #: True when NIC reduces must use the softfloat path.
+    #: True for floating-point types (SoftFloat on the paper's FPU-less
+    #: NIC; the simulator models that by its cost only).
     is_float: bool
 
     @property

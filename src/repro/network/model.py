@@ -42,8 +42,6 @@ class NetworkModel:
     mcast_bandwidth: float
     #: True when the network has a native ordered hardware multicast.
     hw_multicast: bool
-    #: True when the network has native network conditionals.
-    hw_conditional: bool
     #: Compare-And-Write latency: flat component, ns.
     cw_base_latency: int
     #: Compare-And-Write latency: per-log2(n) component, ns (0 if flat).
@@ -107,7 +105,6 @@ def qsnet() -> NetworkModel:
         per_hop_latency=us(0.35),
         mcast_bandwidth=160 * MB,
         hw_multicast=True,
-        hw_conditional=True,
         cw_base_latency=us(4.0),
         cw_log_latency=us(0.7),
         dma_startup=us(1.0),
@@ -125,7 +122,6 @@ def gigabit_ethernet() -> NetworkModel:
         per_hop_latency=us(5),
         mcast_bandwidth=25 * MB,
         hw_multicast=False,
-        hw_conditional=False,
         cw_base_latency=0,
         cw_log_latency=us(46),
         dma_startup=us(6),
@@ -143,7 +139,6 @@ def myrinet() -> NetworkModel:
         per_hop_latency=us(0.5),
         mcast_bandwidth=15 * MB,
         hw_multicast=False,
-        hw_conditional=False,
         cw_base_latency=0,
         cw_log_latency=us(20),
         dma_startup=us(2),
@@ -161,7 +156,6 @@ def infiniband() -> NetworkModel:
         per_hop_latency=us(0.3),
         mcast_bandwidth=120 * MB,
         hw_multicast=True,
-        hw_conditional=False,
         cw_base_latency=0,
         cw_log_latency=us(20),
         dma_startup=us(1.5),
@@ -179,7 +173,6 @@ def bluegene_l() -> NetworkModel:
         per_hop_latency=us(0.1),
         mcast_bandwidth=700 * MB,
         hw_multicast=True,
-        hw_conditional=True,
         cw_base_latency=us(1.2),
         cw_log_latency=us(0.05),
         dma_startup=us(0.5),
@@ -205,7 +198,6 @@ def bluegene_l_torus() -> NetworkModel:
         per_hop_latency=us(0.1),
         mcast_bandwidth=350 * MB,
         hw_multicast=True,
-        hw_conditional=True,
         cw_base_latency=us(1.2),
         cw_log_latency=us(0.05),
         dma_startup=us(0.5),

@@ -36,8 +36,6 @@ class NoiseConfig:
     duration: int = ms(2)
     #: All nodes fire together (True) or with independent phases (False).
     coordinated: bool = False
-    #: How many daemons per node.
-    daemons_per_node: int = 1
     #: Preemption quantum forced onto affected nodes (ns): long app
     #: computations release the CPU at this granularity so daemons can
     #: actually interleave (a non-preemptive resource would otherwise let
@@ -73,12 +71,9 @@ class NoiseInjector:
         for node_id in node_ids:
             self.stolen[node_id] = 0
             self.cluster.node(node_id).preempt_quantum = self.config.preempt_quantum
-            for d in range(self.config.daemons_per_node):
-                self.env.process(
-                    self._daemon(node_id, d), name=f"noise{node_id}.{d}"
-                )
+            self.env.process(self._daemon(node_id), name=f"noise{node_id}")
 
-    def _daemon(self, node_id: int, idx: int):
+    def _daemon(self, node_id: int):
         import numpy as np
 
         from ..sim.rng import derive_seed
@@ -88,11 +83,10 @@ class NoiseInjector:
         # Coordinated daemons on different nodes draw the *same* random
         # sequence (same seed, distinct generator instances), so their
         # bursts land in the same windows everywhere; uncoordinated ones
-        # get independent per-node streams.
+        # get independent per-node streams.  Renaming a stream (even its
+        # ``/0`` suffix) would reseed every noise run.
         stream_name = (
-            f"noise/coordinated/{idx}"
-            if cfg.coordinated
-            else f"noise/{node_id}/{idx}"
+            "noise/coordinated/0" if cfg.coordinated else f"noise/{node_id}/0"
         )
         rng = np.random.default_rng(
             derive_seed(self.cluster.rng.root_seed, stream_name)

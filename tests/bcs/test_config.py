@@ -25,11 +25,6 @@ def test_p2p_budget_scales_with_bandwidth():
     assert high > low > 0
 
 
-def test_p2p_budget_honours_chunk_cap():
-    cfg = BcsConfig(max_chunk_bytes=1024)
-    assert cfg.p2p_slice_budget_bytes(300e6) == 1024
-
-
 def test_invalid_configs_rejected():
     with pytest.raises(ValueError):
         BcsConfig(timeslice=0)

@@ -113,18 +113,6 @@ def test_allreduce_all_ops(op, expect):
     assert job.results == [expect] * 4
 
 
-def test_reduce_with_softfloat_nic_path_matches_host():
-    def app(ctx):
-        out = yield from ctx.comm.allreduce(
-            np.array([0.1 * (ctx.rank + 1), 2.5]), "sum"
-        )
-        return out.tolist()
-
-    j_host, _ = run_app(app, config=BcsConfig(init_cost=0, reduce_use_softfloat=False))
-    j_nic, _ = run_app(app, config=BcsConfig(init_cost=0, reduce_use_softfloat=True))
-    assert j_host.results == j_nic.results  # softfloat is bit-exact
-
-
 def test_reduce_root_on_nonzero_node():
     """Binomial tree rotated to a root on another node."""
 

@@ -19,9 +19,8 @@ def make_match(src_node, dst_node, size):
     return Match(send=send, recv=recv, src_node=src_node, dst_node=dst_node, total_bytes=size)
 
 
-def make_scheduler(**cfg_kw):
-    cfg = BcsConfig(**cfg_kw)
-    return SliceScheduler(cfg, link_bandwidth=300e6)
+def make_scheduler():
+    return SliceScheduler(BcsConfig(), link_bandwidth=300e6)
 
 
 def test_small_message_granted_fully():
@@ -102,14 +101,6 @@ def test_retire_finished_removes_done_matches():
     assert sched.retire_finished() == [m]
     assert sched.in_flight == []
     assert sched.backlog_bytes == 0
-
-
-def test_chunk_cap_limits_grants():
-    sched = make_scheduler(max_chunk_bytes=1 * KiB)
-    m = make_match(0, 1, 10 * KiB)
-    sched.add_matches([m])
-    sched.schedule_slice()
-    assert m.scheduled_now == 1 * KiB
 
 
 def test_zero_byte_message_granted_for_delivery_without_budget():

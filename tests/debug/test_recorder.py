@@ -28,11 +28,11 @@ def run_once(obs, seed=0, noise=False):
     if noise:
         # Bursts must span multiple slices to be visible: BCS's slice
         # quantization *absorbs* sub-slice perturbations (the
-        # coscheduling robustness the paper argues for).
-        NoiseInjector(
-            cluster,
-            NoiseConfig(period=ms(3), duration=ms(1.6), daemons_per_node=2),
-        ).start()
+        # coscheduling robustness the paper argues for).  The one daemon
+        # per node takes one of the node's two CPUs, so it delays a rank
+        # only while both ranks want to compute: 2 ms mean bursts every
+        # 3 ms outlast the communication between the computations.
+        NoiseInjector(cluster, NoiseConfig(period=ms(3), duration=ms(2))).start()
     runtime = BcsRuntime(cluster, BcsConfig(init_cost=0)).attach_observability(obs)
     runtime.run_job(JobSpec(app=_app, n_ranks=4), max_time=seconds(30))
 

@@ -233,16 +233,22 @@ def test_config_with_replaces_fields():
 
 
 class _DepthRecorder(BaselineRuntime):
-    """Records each process's deepest library nesting."""
+    """Records each process's deepest library nesting, and its depth after
+    its last library exit."""
 
     def __init__(self, cluster, config):
         super().__init__(cluster, config)
         self.deepest = {}
+        self.last_exit = {}
 
     def enter_mpi(self, job_id, world_rank):
         super().enter_mpi(job_id, world_rank)
         depth = self._in_mpi[(job_id, world_rank)]
         self.deepest[world_rank] = max(self.deepest.get(world_rank, 0), depth)
+
+    def exit_mpi(self, job_id, world_rank):
+        super().exit_mpi(job_id, world_rank)
+        self.last_exit[world_rank] = self._in_mpi[(job_id, world_rank)]
 
 
 def test_library_depth_unwinds_after_nested_allreduce():
@@ -256,8 +262,26 @@ def test_library_depth_unwinds_after_nested_allreduce():
     runtime = _DepthRecorder(Cluster(ClusterSpec(n_nodes=2)), BaselineConfig(init_cost=0))
     job = runtime.run_job(JobSpec(app=app, n_ranks=4), max_time=seconds(30))
     assert job.results == [6.0] * 4
-    assert [runtime._in_mpi[(job.id, r)] for r in range(4)] == [0] * 4
+    assert [runtime.last_exit[r] for r in range(4)] == [0] * 4
     assert all(runtime.deepest[r] >= 2 for r in range(4))
+
+
+def test_finished_job_leaves_no_library_state():
+    """Each barrier and broadcast instance leaves the table once every
+    rank has reached it, and a completed job leaves no per-process entry."""
+
+    def app(ctx):
+        for step in range(100):
+            yield from ctx.comm.allreduce(np.float64(step), "sum")
+            yield from ctx.comm.barrier()
+
+    job, runtime = run_app(app, n_ranks=8, n_nodes=4)
+    assert job.complete
+    assert runtime.stats["barriers"] == 100 * 8
+    assert runtime.coll_state == {}
+    assert runtime._in_mpi == {}
+    assert runtime._mpi_entry == {}
+    assert runtime.matchers == {}
 
 
 def test_interrupted_recv_leaves_the_library():

@@ -57,6 +57,52 @@ def test_all_standard_ops_present():
     assert {"MPI_SUM", "MPI_PROD", "MPI_MIN", "MPI_MAX", "MPI_LAND", "MPI_BXOR"} <= names
 
 
+_PYTHON_OPS = {
+    "sum": lambda x, y: x + y,
+    "prod": lambda x, y: x * y,
+    "min": min,
+    "max": max,
+    "band": lambda x, y: x & y,
+    "bor": lambda x, y: x | y,
+    "bxor": lambda x, y: x ^ y,
+}
+
+
+@pytest.mark.parametrize("kernel", sorted(_PYTHON_OPS))
+def test_combine_integer_ops(kernel):
+    python = _PYTHON_OPS[kernel]
+    rng = np.random.default_rng(3)
+    a, b = (rng.integers(0, 100, size=8, dtype=np.int64) for _ in range(2))
+    out = ops.combine(kernel, a, b)
+    assert out.dtype == np.int64
+    assert out.tolist() == [python(int(x), int(y)) for x, y in zip(a, b)]
+    assert ops.combine(kernel, int(a[0]), int(b[0])) == python(int(a[0]), int(b[0]))
+
+
+def test_combine_logical_ops():
+    a = np.array([0, 1, 1, 0], dtype=np.int64)
+    b = np.array([0, 1, 0, 1], dtype=np.int64)
+    assert ops.combine("land", a, b).tolist() == [0, 1, 0, 0]
+    assert ops.combine("lor", a, b).tolist() == [0, 1, 1, 1]
+    assert ops.combine("lor", a, b).dtype == np.int64
+
+
+def test_combine_unknown_kernel_rejected():
+    with pytest.raises(ValueError):
+        ops.combine("nope", np.zeros(2), np.zeros(2))
+    with pytest.raises(ValueError):
+        ops.combine("xor", 1, 2)
+
+
+def test_combine_never_aliases_an_input():
+    a = np.arange(4, dtype=np.int64)
+    b = np.zeros(4, dtype=np.int64)
+    for op in ops.BY_NAME.values():
+        out = ops.combine(op.kernel, a, b)
+        assert not np.shares_memory(out, a), op
+        assert not np.shares_memory(out, b), op
+
+
 # --- status ----------------------------------------------------------------------
 
 

@@ -22,6 +22,8 @@ imports it, or names it whole (``python -m repro.harness.cli``, the
 """
 
 import ast
+import dataclasses
+import importlib
 import re
 from pathlib import Path
 
@@ -193,3 +195,129 @@ def test_every_src_definition_has_a_non_test_caller():
     assert not dead, "only tests reach these definitions:\n" + "\n".join(dead)
     stale = sorted(set(ALLOWED) - set(found))
     assert not stale, f"allowlisted but now reached or gone: {stale}"
+
+
+#: Configuration and spec dataclasses whose fields are guarded, by module.
+CONFIGS = {
+    "BcsConfig": "repro.bcs.config",
+    "BaselineConfig": "repro.mpi.baseline",
+    "ClusterSpec": "repro.network.cluster",
+    "NetworkModel": "repro.network.model",
+    "NoiseConfig": "repro.noise.model",
+    "CheckpointConfig": "repro.ft.checkpoint",
+}
+
+#: Calibration constants no run sets: field -> its row in EXPERIMENTS.md's
+#: "Calibration inputs" table, the reason the field is kept.
+ALLOWED_FIELDS = {
+    "BcsConfig.descriptor_bytes": "descriptor / microstrobe bytes",
+    "BcsConfig.strobe_bytes": "descriptor / microstrobe bytes",
+    "BcsConfig.nic_descriptor_cost": "NIC descriptor cost",
+    "BcsConfig.nic_reduce_cost_per_element": "NIC reduce cost",
+    "BcsConfig.p2p_budget_fraction": "P2P budget fraction",
+    "BaselineConfig.call_overhead": "baseline call overheads",
+    "BaselineConfig.wait_overhead": "baseline call overheads",
+    "BaselineConfig.eager_threshold": "eager threshold",
+    "BaselineConfig.barrier_overhead": "baseline barrier overhead",
+    "BaselineConfig.control_bytes": "baseline control message",
+    "BaselineConfig.copy_bandwidth": "baseline copy bandwidth",
+    "BaselineConfig.host_reduce_cost_per_element": "baseline host reduce cost",
+    "ClusterSpec.cpus_per_node": "CPUs per node",
+    "ClusterSpec.nic_thread_op_cost": "NIC thread operation cost",
+    "NoiseConfig.preempt_quantum": "noise preemption quantum",
+}
+
+_NO_DEFAULT = object()
+
+
+def _config_fields():
+    """``{class name: [(field, default), ...]}`` in declaration order."""
+    out = {}
+    for name, module in CONFIGS.items():
+        cls = getattr(importlib.import_module(module), name)
+        out[name] = [
+            (f.name, _NO_DEFAULT if f.default is dataclasses.MISSING else f.default)
+            for f in dataclasses.fields(cls)
+        ]
+    return out
+
+
+def _caller_trees():
+    return [
+        ast.parse(path.read_text())
+        for top in CALLER_DIRS
+        for path in sorted((ROOT / top).rglob("*.py"))
+    ]
+
+
+def _is_default(value: ast.expr, default) -> bool:
+    try:
+        return ast.literal_eval(value) == default
+    except ValueError:
+        return False
+
+
+def field_findings(fields, trees):
+    """``{"Class.field": problem}`` for each field of ``fields`` (as
+    :func:`_config_fields` gives them) that no tree in ``trees`` reads
+    or sets to a non-default value."""
+    read, set_to = set(), {}
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.Call):
+                func = node.func
+                callee = getattr(func, "id", getattr(func, "attr", None))
+                if callee == "getattr" and len(node.args) > 1:
+                    key = node.args[1]
+                    if isinstance(key, ast.Constant) and isinstance(key.value, str):
+                        read.add(key.value)
+                for kw in node.keywords:
+                    if kw.arg:
+                        set_to.setdefault(kw.arg, []).append(kw.value)
+                for (name, _), arg in zip(fields.get(callee, ()), node.args):
+                    set_to.setdefault(name, []).append(arg)
+            elif isinstance(node, ast.Dict):
+                for key, value in zip(node.keys, node.values):
+                    if isinstance(key, ast.Constant) and isinstance(key.value, str):
+                        set_to.setdefault(key.value, []).append(value)
+    found = {}
+    for cls, members in fields.items():
+        for name, default in members:
+            problems = []
+            if name not in read:
+                problems.append("read nowhere")
+            if all(_is_default(v, default) for v in set_to.get(name, ())):
+                problems.append("set only by tests")
+            if problems:
+                found[f"{cls}.{name}"] = ", ".join(problems)
+    return found
+
+
+def test_every_config_field_is_read_and_set_outside_tests():
+    found = field_findings(_config_fields(), _caller_trees())
+    bad = sorted(f"{qual}: {why}" for qual, why in found.items() if qual not in ALLOWED_FIELDS)
+    assert not bad, "config fields with a path no run takes:\n" + "\n".join(bad)
+    stale = sorted(set(ALLOWED_FIELDS) - set(found))
+    assert not stale, f"allowlisted but now read and set, or gone: {stale}"
+    text = (ROOT / "EXPERIMENTS.md").read_text()
+    table = text.split("## Calibration inputs", 1)[1].split("\n## ", 1)[0]
+    rows = {line.split("|")[1].strip() for line in table.splitlines() if line.startswith("| ")}
+    missing = sorted(f"{q}: {row}" for q, row in ALLOWED_FIELDS.items() if row not in rows)
+    assert not missing, f"no EXPERIMENTS.md calibration row: {missing}"
+
+
+def test_field_guard_flags_unread_and_test_only_fields():
+    fields = {"Knobs": [("used", 1), ("test_only", 2), ("unread", 3), ("required", _NO_DEFAULT)]}
+    callers = [
+        ast.parse("k = Knobs(5, unread=7, test_only=2)\nprint(k.used, k.test_only, k.required)"),
+        ast.parse("overrides = {'test_only': 2}\nk.with_(test_only=(2))"),
+    ]
+    assert field_findings(fields, callers) == {
+        "Knobs.test_only": "set only by tests",
+        "Knobs.unread": "read nowhere",
+        "Knobs.required": "set only by tests",
+    }
+    callers.append(ast.parse("Knobs(required=0, unread=getattr(k, 'unread'), test_only=x)"))
+    assert field_findings(fields, callers) == {}
