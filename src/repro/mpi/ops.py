@@ -7,7 +7,7 @@ scan chain.  The paper's Reduce Helper computes on the FPU-less Elan3
 NIC with a SoftFloat library (§4.4); the simulator charges that work as
 ``BcsConfig.nic_reduce_cost_per_element`` and computes the value with
 numpy, which gives the same IEEE-754 binary64 round-to-nearest-even
-result.
+result (the tests of the softfloat reference package check that).
 """
 
 from __future__ import annotations

@@ -1,4 +1,9 @@
-"""Software IEEE-754 binary64 (the NIC-side SoftFloat substitute)."""
+"""Software IEEE-754 binary64: the FPU-less NIC's reduce arithmetic.
+
+No run imports it.  The simulator models NIC reduces by their cost and
+computes the value with :func:`repro.mpi.ops.combine`; this package is
+the reference whose tests show the two agree bit for bit.
+"""
 
 from .arith import (
     f64_add,

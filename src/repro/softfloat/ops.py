@@ -1,14 +1,16 @@
-"""Reduction operators over numpy buffers, with a NIC (softfloat) path.
+"""The NIC's reduction arithmetic in software, against the host's.
 
-Two evaluation paths produce the same results:
+Two evaluation paths:
 
-- ``host``: vectorized numpy — what the baseline MPI does after shipping
-  data across the PCI bus to the host CPU.
+- ``host``: :func:`repro.mpi.ops.combine`, the numpy combine every
+  reduce in the simulator uses.
 - ``nic``: element-wise softfloat on bit patterns — what BCS-MPI's Reduce
   Helper thread does on the FPU-less NIC (paper §4.4).
 
 Since both implement IEEE-754 round-to-nearest-even, results are
 bit-identical for the same reduction order; tests assert exactly that.
+That identity is why the simulator models NIC reduces by their cost
+alone and computes the value on the host path.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from ..mpi.ops import combine
 from .arith import f64_add, f64_max, f64_min, f64_mul
 from .bits import bits_to_float, float_to_bits
 
@@ -26,14 +29,6 @@ _SOFT_KERNELS: dict[str, Callable[[int, int], int]] = {
     "prod": f64_mul,
     "min": f64_min,
     "max": f64_max,
-}
-
-#: Host (numpy) kernels by op name.
-_HOST_KERNELS: dict[str, Callable] = {
-    "sum": np.add,
-    "prod": np.multiply,
-    "min": np.minimum,
-    "max": np.maximum,
 }
 
 #: Integer kernels (NIC integer ALU; exact on both paths).
@@ -53,21 +48,8 @@ OP_NAMES = tuple(sorted(set(_SOFT_KERNELS) | set(_INT_KERNELS)))
 
 
 def combine_host(op: str, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Combine two buffers with numpy (host path).
-
-    Overflow to infinity is well-defined IEEE behaviour (and exactly
-    what the softfloat path produces), so numpy's warning is silenced.
-    """
-    if op in _HOST_KERNELS:
-        with np.errstate(over="ignore", invalid="ignore"):
-            return _HOST_KERNELS[op](a, b)
-    if op in _INT_KERNELS:
-        kern = _INT_KERNELS[op]
-        return np.array(
-            [kern(int(x), int(y)) for x, y in zip(a.ravel(), b.ravel())],
-            dtype=a.dtype,
-        ).reshape(a.shape)
-    raise ValueError(f"unknown reduce op {op!r}")
+    """Combine two buffers the way the simulator does (host path)."""
+    return combine(op, a, b)
 
 
 def combine_nic(op: str, a: np.ndarray, b: np.ndarray) -> np.ndarray:
