@@ -37,7 +37,6 @@ import json
 import math
 import multiprocessing as mp
 import platform
-import resource
 import sys
 import time
 from pathlib import Path
@@ -53,7 +52,7 @@ from repro.apps.synthetic import (  # noqa: E402
 )
 from repro.bcs import BcsConfig, BcsRuntime  # noqa: E402
 from repro.harness.runner import run_workload  # noqa: E402
-from repro.harness.scaling import gc_counters, tune_gc  # noqa: E402
+from repro.harness.scaling import gc_counters, peak_rss_mib, tune_gc  # noqa: E402
 from repro.network import Cluster, ClusterSpec  # noqa: E402
 from repro.obs.trends.calibrate import Calibration  # noqa: E402
 from repro.storm import JobSpec  # noqa: E402
@@ -168,18 +167,6 @@ def _slow_config(**cfg_kwargs) -> BcsConfig:
     return BcsConfig(engine="reference", **cfg_kwargs)
 
 
-def _peak_rss_mib() -> float:
-    """Process peak RSS in MiB (``ru_maxrss`` is KiB on Linux).
-
-    The kernel counter is a cumulative high-water mark: it only ever
-    grows over the process lifetime, so each benchmark's record holds
-    the high-water mark *observed after it ran*, not an isolated
-    footprint.  Growth between consecutive benchmarks is still the
-    signal the ``bench.rss.*`` trend series watches for.
-    """
-    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
-
-
 def run_case(app, n_ranks, params, cfg_kwargs, reps: int):
     """Best-of-``reps`` wall-clock for one workload, both configs.
 
@@ -249,7 +236,7 @@ def _scaling_leg(conn, app, n_ranks, params, cfg_kwargs, n_nodes, reps, fast):
             best,
             result.runtime_ns,
             result.stats,
-            _peak_rss_mib(),
+            peak_rss_mib(),
             gc_delta,
             gc_counters()[1],
         )
@@ -329,7 +316,7 @@ def run_suite(quick: bool) -> dict:
             # the trend series watches.  Scaling cases measure theirs in
             # an isolated child (see run_scaling_case).
             extras = {
-                "peak_rss_mib": _peak_rss_mib(),
+                "peak_rss_mib": peak_rss_mib(),
                 "gc_collections": gc1 - gc0,
                 "gc_objects": gc_objects,
             }

@@ -119,6 +119,32 @@ def payload_nbytes(payload: Any, declared: Optional[int] = None) -> int:
     return len(pickle.dumps(payload))
 
 
+def posted_before(queue: list, cutoff: int) -> int:
+    """How many descriptors at the head of ``queue`` were posted at or
+    before ``cutoff``.
+
+    A descriptor posted exactly at the slice boundary (a process
+    restarted by the NM posts immediately) still precedes the DEM, which
+    starts one strobe latency later, so the comparison is inclusive.
+    ``posted_at`` is monotone nondecreasing along the FIFO (posts stamp
+    ``env.now``; purges preserve order), so the common whole queue /
+    empty cases are O(1) checks at the ends and the mixed case is a
+    binary search.
+    """
+    if not queue or queue[0].posted_at > cutoff:
+        return 0
+    if queue[-1].posted_at <= cutoff:
+        return len(queue)
+    lo, hi = 0, len(queue)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if queue[mid].posted_at <= cutoff:
+            lo = mid + 1
+        else:
+            hi = mid
+    return lo
+
+
 @dataclass
 class SendDescriptor:
     """A posted send (blocking or not — the NIC treats them alike)."""

@@ -3,8 +3,8 @@
 A :class:`BcsRuntime` owns, for one cluster:
 
 - the BCS core primitive layer (:class:`repro.core.BcsCore`),
-- one :class:`~repro.bcs.threads.NodeRuntime` (+ BS/BR/DH/CH/RH NIC
-  threads, Strobe Receiver and Node Manager) per compute node,
+- one :class:`~repro.bcs.threads.NodeRuntime` per compute node, which
+  owns its BS/BR/DH/CH/RH NIC threads, Strobe Receiver and Node Manager,
 - the Strobe Sender on the management node (the Machine Manager's NIC
   thread),
 - the global slice scheduler and job/communicator registries.
@@ -28,17 +28,9 @@ from ..network.cluster import NodeDirectory
 from ..storm.job import Job, JobSpec, block_placement
 from .config import BcsConfig
 from .matching import MatcherTotals
-from .node_manager import NodeManager
 from .scheduler import SliceScheduler
-from .strobe import StrobeReceiver, StrobeSender
-from .threads import (
-    BufferReceiver,
-    BufferSender,
-    CollectiveHelper,
-    DmaHelper,
-    NodeRuntime,
-    ReduceHelper,
-)
+from .strobe import StrobeSender
+from .threads import NodeRuntime
 
 
 # Retention predicates for the incrementally maintained active-node sets.
@@ -106,71 +98,6 @@ class CommInfo:
         return f"<CommInfo job={self.job.id} comm={self.comm_id} size={self.size}>"
 
 
-class NodeAgents:
-    """The five NIC threads plus the Node Manager of one node."""
-
-    def __init__(self, nrt: NodeRuntime):
-        self.bs = BufferSender(nrt)
-        self.br = BufferReceiver(nrt)
-        self.dh = DmaHelper(nrt)
-        self.ch = CollectiveHelper(nrt)
-        self.rh = ReduceHelper(nrt)
-        self.nm = NodeManager(nrt)
-
-
-class _LazyNodeMap(dict):
-    """Lazy map of per-node companions (agents/receivers).
-
-    ``map[node_id]`` materializes on first access via the subclass
-    factory (a plain dict lookup once it exists); iteration and the
-    ``values``/``items`` views cover only materialized entries, in
-    node-id order.
-    """
-
-    __slots__ = ("_runtime",)
-
-    def __init__(self, runtime: "BcsRuntime"):
-        super().__init__()
-        self._runtime = runtime
-
-    def _make(self, node_id: int):
-        raise NotImplementedError
-
-    def __missing__(self, node_id: int):
-        entry = self[node_id] = self._make(node_id)
-        return entry
-
-    def __iter__(self):
-        return iter(sorted(dict.keys(self)))
-
-    def values(self):
-        return [self[k] for k in self]
-
-    def items(self):
-        return [(k, self[k]) for k in self]
-
-
-class _AgentMap(_LazyNodeMap):
-    """Lazy ``node_id -> NodeAgents``."""
-
-    def _make(self, node_id: int):
-        return NodeAgents(self._runtime.node_runtimes[node_id])
-
-
-class _ReceiverMap(_LazyNodeMap):
-    """Lazy ``node_id -> StrobeReceiver``.
-
-    Materializing an entry spawns the receiver's simulation process, so
-    hot paths never index this map for a node that might not exist yet:
-    :meth:`BcsRuntime.launch` materializes every node a job touches
-    up front (a fresh receiver's init event is inert — it blocks on its
-    pending wake event — so launch-time creation is virtual-time neutral).
-    """
-
-    def _make(self, node_id: int):
-        return StrobeReceiver(self._runtime.node_runtimes[node_id])
-
-
 class RankHandle:
     """Runtime-side state of one application process (one rank)."""
 
@@ -179,8 +106,8 @@ class RankHandle:
         self.job = job
         self.world_rank = world_rank
         self.node_id = job.placement[world_rank]
-        self.nrt = runtime.node_rt(self.node_id)
-        self.nm = runtime.agents[self.node_id].nm
+        self.nrt = runtime.node_runtimes[self.node_id]
+        self.nm = self.nrt.nm
         #: Per-(comm_id, dst) send sequence counters (non-overtaking order).
         self.send_seq: Dict[tuple, int] = {}
         #: Per-comm_id collective epoch counters.
@@ -253,21 +180,19 @@ class BcsRuntime:
             "mphase_done", np.zeros(len(cluster.nodes), np.int64)
         )
 
-        # Flyweight node machinery: materialized per node on first touch
-        # (launch() pre-materializes a job's nodes).
+        # Flyweight nodes: one NodeRuntime (NIC threads, Node Manager,
+        # Strobe Receiver) per compute node, built on first touch
+        # (launch() builds a job's nodes).
         self.node_runtimes = NodeDirectory(
             partial(NodeRuntime, self), cluster.n_compute_nodes
         )
-        self.agents = _AgentMap(self)
-        self.receivers = _ReceiverMap(self)
         if not self.fast:
             # The reference engine builds the whole machine up front, in
-            # ascending id order: every cluster node, then each compute
-            # node's runtime and Strobe Receiver.  A fresh receiver's init
-            # event is inert, so this is virtual-time neutral.
+            # ascending id order: every cluster node, then every compute
+            # node's runtime.  A fresh receiver's init event is inert, so
+            # this is virtual-time neutral.
             list(cluster.nodes)
-            for node_id in range(cluster.n_compute_nodes):
-                self.receivers[node_id]
+            list(self.node_runtimes)
         self.ss = StrobeSender(self)
 
         self.jobs: Dict[int, Job] = {}
@@ -336,10 +261,6 @@ class BcsRuntime:
 
     # -- registry ------------------------------------------------------------------
 
-    def node_rt(self, node_id: int) -> NodeRuntime:
-        """NodeRuntime by node id."""
-        return self.node_runtimes[node_id]
-
     def comm_info(self, job_id: int, comm_id: int) -> CommInfo:
         """Communicator metadata."""
         return self.comms[job_id][comm_id]
@@ -384,16 +305,15 @@ class BcsRuntime:
         self.active_node_ids = sorted(
             set(self.active_node_ids) | set(job.nodes)
         )
-        # Materialize the per-node machinery (NodeRuntime + Strobe
-        # Receiver) for every node the job touches, in ascending id
-        # order, *before* the strobe loop and the rank processes start.
-        # A fresh receiver's init event is inert — it blocks on its
-        # pending wake event, exactly like a receiver built up front that
-        # has been idle — so launch-time materialization keeps the event
-        # sequence, and therefore virtual time, identical to the
-        # reference engine.
+        # Build the NodeRuntime of every node the job touches, in
+        # ascending id order, *before* the strobe loop and the rank
+        # processes start.  A fresh Strobe Receiver's init event is inert
+        # — it blocks on its pending wake event, exactly like a receiver
+        # built up front that has been idle — so launch-time building
+        # keeps the event sequence, and therefore virtual time, identical
+        # to the reference engine.
         for node_id in job.nodes:
-            self.receivers[node_id]
+            self.node_runtimes[node_id]
         self.stopped = False
         self.ss.start()
 

@@ -28,8 +28,7 @@ from operator import itemgetter
 from typing import TYPE_CHECKING, Any, Dict, List, Optional
 
 from ..sim import Latch, Link, Timeout
-
-from .threads import posted_before
+from .descriptors import posted_before
 
 if TYPE_CHECKING:  # pragma: no cover
     from .runtime import BcsRuntime
@@ -73,13 +72,12 @@ class StrobeReceiver:
     def _run(self):
         nrt = self.nrt
         fast = nrt.runtime.fast
-        agents = nrt.runtime.agents[nrt.node_id]
         handlers = {
-            DEM: lambda s: self._dem(agents),
-            MSM: lambda s: agents.br.msm_phase(),
-            P2P: lambda s: agents.dh.p2p_phase(s.payload),
-            BBM: lambda s: agents.ch.bbm_phase(),
-            RM: lambda s: agents.rh.rm_phase(),
+            DEM: lambda s: self._dem(nrt),
+            MSM: lambda s: nrt.br.msm_phase(),
+            P2P: lambda s: nrt.dh.p2p_phase(s.payload),
+            BBM: lambda s: nrt.ch.bbm_phase(),
+            RM: lambda s: nrt.rh.rm_phase(),
         }
         env = nrt.env
         while True:
@@ -104,9 +102,9 @@ class StrobeReceiver:
                 )
             strobe.done.count_down()
 
-    def _dem(self, agents):
-        yield from agents.bs.dem_phase()
-        yield from agents.br.dem_phase()
+    def _dem(self, nrt):
+        yield from nrt.bs.dem_phase()
+        yield from nrt.br.dem_phase()
 
 
 class _Plan:
@@ -492,7 +490,7 @@ class StrobeSender:
         logging = runtime.obs is not None
         comms = runtime.comms
         handles = runtime.rank_handles
-        agents = runtime.agents
+        rts = runtime.node_runtimes
         plan = _Plan(logging, cost, self._routes)
         entries = plan.entries
         arrivals: Dict[int, list] = {}
@@ -505,8 +503,8 @@ class StrobeSender:
         fanout = (t_dem, begin, 0)
         last = begin
         for index, node in enumerate(dem_nodes):
-            br = agents[node].br
-            nrt = br.nrt
+            nrt = rts[node]
+            br = nrt.br
             nic = nrt.nic
             if posted_before(nrt.posted_colls, start):
                 return None
@@ -565,8 +563,8 @@ class StrobeSender:
         for index, node in enumerate(msm_nodes):
             got = arrivals[node]
             got.sort(key=_first)
-            br = agents[node].br
-            nrt = br.nrt
+            nrt = rts[node]
+            br = nrt.br
             nic = nrt.nic
             b = plan.busy.get(nic, nic.busy_until)
             held = b if b > t else t
@@ -609,7 +607,7 @@ class StrobeSender:
         runtime = self.runtime
         slice_no = runtime.slice_no
         logging = runtime.obs is not None
-        agents = runtime.agents
+        rts = runtime.node_runtimes
         mine: Dict[int, list] = {}
         for m in granted:
             mine.setdefault(m.dst_node, []).append(m)
@@ -625,7 +623,7 @@ class StrobeSender:
         last = begin
         index = 0
         for node in nodes:
-            dh = agents[node].dh
+            dh = rts[node].dh
             nic = dh.nrt.nic
             first = later = None
             # DMA Helper: every chunk's hold is booked at the microstrobe,
@@ -760,8 +758,8 @@ class StrobeSender:
             # One multicast microstrobe: a single heap entry, one strobe
             # latency from now, wakes every participant's SR in ``nodes``
             # order.
-            receivers = runtime.receivers
-            wakes = [receivers[n].wake for n in nodes]
+            rts = runtime.node_runtimes
+            wakes = [rts[n].sr.wake for n in nodes]
             if due:
                 env.fire_all(wakes, strobe)
             else:

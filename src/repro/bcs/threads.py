@@ -19,8 +19,9 @@ Each compute node runs, on its NIC:
   element and computes the value with numpy (:func:`repro.mpi.ops.combine`).
 
 The Strobe Receiver logic that wakes these threads per microphase lives
-in :mod:`repro.bcs.strobe`; this module holds the thread bodies and the
-:class:`NodeRuntime` state they share.
+in :mod:`repro.bcs.strobe`; this module holds the thread bodies and
+:class:`NodeRuntime`, the one per-node object, which builds the threads,
+the Node Manager and the Strobe Receiver and keeps the state they share.
 """
 
 from __future__ import annotations
@@ -39,8 +40,11 @@ from .descriptors import (
     RecvDescriptor,
     SendDescriptor,
     payload_nbytes,
+    posted_before,
 )
 from .matching import HashMatcher, LinearMatcher
+from .node_manager import NodeManager
+from .strobe import StrobeReceiver
 
 if TYPE_CHECKING:  # pragma: no cover
     from .runtime import BcsRuntime
@@ -55,32 +59,6 @@ def _copy_payload(payload):
     if payload is None:
         return None
     return copy.deepcopy(payload)
-
-
-def posted_before(queue: list, cutoff: int) -> int:
-    """How many descriptors at the head of ``queue`` were posted at or
-    before ``cutoff``.
-
-    A descriptor posted exactly at the slice boundary (a process
-    restarted by the NM posts immediately) still precedes the DEM, which
-    starts one strobe latency later, so the comparison is inclusive.
-    ``posted_at`` is monotone nondecreasing along the FIFO (posts stamp
-    ``env.now``; purges preserve order), so the common whole queue /
-    empty cases are O(1) checks at the ends and the mixed case is a
-    binary search.
-    """
-    if not queue or queue[0].posted_at > cutoff:
-        return 0
-    if queue[-1].posted_at <= cutoff:
-        return len(queue)
-    lo, hi = 0, len(queue)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if queue[mid].posted_at <= cutoff:
-            lo = mid + 1
-        else:
-            hi = mid
-    return lo
 
 
 class CollEpoch:
@@ -200,6 +178,18 @@ class NodeRuntime:
         self.sched_flag: Dict[tuple, int] = {}
         #: Reduce partial buffers delivered by remote RH threads.
         self.reduce_inbox: Dict[tuple, list] = {}
+
+        # The node's NIC threads, Node Manager and Strobe Receiver.  Only
+        # the receiver creates a simulation event: its process, whose
+        # init event blocks on its pending wake event, so building a node
+        # at launch or up front leaves virtual time unchanged.
+        self.bs = BufferSender(self)
+        self.br = BufferReceiver(self)
+        self.dh = DmaHelper(self)
+        self.ch = CollectiveHelper(self)
+        self.rh = ReduceHelper(self)
+        self.nm = NodeManager(self)
+        self.sr = StrobeReceiver(self)
 
     # -- host-side posting (called from application processes) ---------------------
 
@@ -336,7 +326,7 @@ class BufferSender:
             else:
                 yield from nrt.nic.compute(cost)
                 yield fabric.transfer(node, dst_node, size, "desc")
-            runtime.node_rt(dst_node).deliver_send(desc)
+            runtime.node_runtimes[dst_node].deliver_send(desc)
             runtime.stats["descriptors_exchanged"] += 1
             if obs is not None:
                 obs.events.append(
@@ -654,7 +644,7 @@ class CollectiveHelper:
             info.nodes,
             size=size,
             local_event=done,
-            payload_writer=lambda node: runtime.node_rt(node).complete_collective(
+            payload_writer=lambda node: runtime.node_runtimes[node].complete_collective(
                 job_id, comm_id, ep.epoch, value
             ),
         )
@@ -726,7 +716,7 @@ class ReduceHelper:
                 dst_node = nodes[(dst_idx + nodes.index(root_node)) % n]
 
                 def deposit(node, buf=partial, k=key, r=rnd):
-                    runtime.node_rt(node).reduce_inbox[k + (r,)] = buf
+                    runtime.node_runtimes[node].reduce_inbox[k + (r,)] = buf
 
                 runtime.core.xfer_and_signal(
                     nrt.node_id,
@@ -758,7 +748,7 @@ class ReduceHelper:
             info.nodes,
             size=size,
             local_event=done,
-            payload_writer=lambda node: runtime.node_rt(node).complete_collective(
+            payload_writer=lambda node: runtime.node_runtimes[node].complete_collective(
                 job_id, comm_id, ep.epoch, result
             ),
         )

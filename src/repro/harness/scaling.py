@@ -77,8 +77,13 @@ def gc_counters() -> tuple:
     return collections, len(gc.get_objects())
 
 
-def _peak_rss_mib() -> float:
-    """Process peak RSS in MiB (``ru_maxrss`` is KiB on Linux)."""
+def peak_rss_mib() -> float:
+    """Process peak RSS in MiB (``ru_maxrss`` is KiB on Linux).
+
+    The kernel counter is a cumulative high-water mark: it only ever
+    grows over the process lifetime, so a reading taken after a run is
+    the high-water mark observed so far, not that run's footprint.
+    """
     import resource
 
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
@@ -151,7 +156,7 @@ def scaling_point(
         fast_wall = min(fast_wall, wall)
         gc_delta = max(gc_delta, delta)
         if rep == 0:
-            peak_rss = _peak_rss_mib()
+            peak_rss = peak_rss_mib()
             _, gc_objects = gc_counters()
         ref_ns, ref_slices, wall, _ = _timed_run(
             network, n_nodes, app, active_ranks, params, "reference"

@@ -41,7 +41,7 @@ class GangScheduler:
         for node_id in job.nodes:
             gate = Gate(self.runtime.env, is_open=False, name=f"gang{job.id}@{node_id}")
             self.gates[(job.id, node_id)] = gate
-            self.runtime.agents[node_id].nm.job_gates[job.id] = gate
+            self.runtime.node_runtimes[node_id].nm.job_gates[job.id] = gate
         self._apply()
 
     @property

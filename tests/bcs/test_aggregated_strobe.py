@@ -16,6 +16,7 @@ import pytest
 
 from repro.apps.synthetic import barrier_benchmark, nearest_neighbor_benchmark
 from repro.bcs import ANY_SOURCE, ANY_TAG, BcsConfig, BcsRuntime
+from repro.bcs.threads import NodeRuntime
 from repro.core.global_memory import GlobalAddressSpace
 from repro.harness.runner import run_workload
 from repro.network import Cluster, ClusterSpec
@@ -214,9 +215,45 @@ def test_reference_engine_builds_every_node_up_front():
     runtime = BcsRuntime(cluster, BcsConfig(engine="reference"))
     assert cluster.nodes.materialized_count == 17  # + management node
     assert runtime.node_runtimes.materialized_count == 16
-    assert list(runtime.receivers) == list(range(16))
-    ids = [nrt.node_id for nrt in runtime.node_runtimes.materialized()]
-    assert ids == list(range(16))
+    built = list(runtime.node_runtimes.materialized())
+    assert [nrt.node_id for nrt in built] == list(range(16))
+    assert all(nrt.sr.nrt is nrt for nrt in built)
+
+
+@pytest.mark.parametrize("engine", ["fast", "reference"])
+def test_each_node_is_one_object_built_once(engine, monkeypatch):
+    """One NodeRuntime per node owns its NIC threads, Node Manager and
+    Strobe Receiver, and is built once; on a big cluster the fast engine
+    builds only the job's nodes."""
+    built_ids = []
+    init = NodeRuntime.__init__
+
+    def counting_init(self, runtime, node_id):
+        built_ids.append(node_id)
+        init(self, runtime, node_id)
+
+    monkeypatch.setattr(NodeRuntime, "__init__", counting_init)
+    n_nodes = 2048 if engine == "fast" else 16
+    cluster = Cluster(ClusterSpec(n_nodes=n_nodes))
+    runtime = BcsRuntime(cluster, BcsConfig(init_cost=0, engine=engine))
+    spec = JobSpec(
+        app=nearest_neighbor_benchmark,
+        n_ranks=4,
+        name="nn",
+        params=dict(granularity=us(300), iterations=2, message_bytes=4096),
+    )
+    job = runtime.run_job(spec, max_time=seconds(60))
+    built = list(runtime.node_runtimes.materialized())
+    ids = [nrt.node_id for nrt in built]
+    assert sorted(built_ids) == ids
+    assert ids == (sorted(job.nodes) if engine == "fast" else list(range(n_nodes)))
+    for nrt in built:
+        assert nrt.sr.nrt is nrt
+        for part in (nrt.bs, nrt.br, nrt.dh, nrt.ch, nrt.rh, nrt.nm):
+            assert part.nrt is nrt
+    for handle in runtime.rank_handles[job.id]:
+        assert handle.nrt is runtime.node_runtimes[handle.node_id]
+        assert handle.nm is handle.nrt.nm
 
 
 def test_node_containers_index_like_lists():

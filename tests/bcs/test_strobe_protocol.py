@@ -180,10 +180,11 @@ def test_strobe_receiver_counts_phases():
         runtime.run_job(JobSpec(app=app, n_ranks=2), max_time=seconds(5))
         logged = Counter(e[2] for e in obs.events if e[1] == "node_phase")
         assert sum(logged.values()) > 0
-        for node_id, sr in runtime.receivers.items():
+        for nrt in runtime.node_runtimes.materialized():
+            node_id = nrt.node_id
             assert runtime.core.gas.read(node_id, "mphase_done") == logged[node_id]
             if engine == "reference":
-                assert sr.completed_phases == logged[node_id]
+                assert nrt.sr.completed_phases == logged[node_id]
 
 
 def test_overrun_detection():
