@@ -10,9 +10,9 @@ The profiler is a fold over the protocol log
 post entries, ``record_wait`` its wait entries.  The BCS API layer
 (:mod:`repro.api.bcs_api`) logs each one's call site, resolved by
 :func:`call_site` walking the Python stack past the runtime's own frames
-to the first application frame; with a fixed checkout the resulting
-``file:line`` strings are stable, keeping reports byte-identical across
-runs.
+to the first application frame.  The resulting ``file:function+offset``
+strings are stable across runs, keeping reports byte-identical, and
+across edits outside the function.
 """
 
 from __future__ import annotations
@@ -34,13 +34,16 @@ _INTERNAL = (
 
 
 def call_site(max_depth: int = 24) -> str:
-    """``file:line`` of the nearest non-runtime frame on the stack."""
+    """``file:function+offset`` of the nearest non-runtime frame on the
+    stack, ``offset`` counting lines from the function's first line, so
+    an edit above the function leaves the name unchanged."""
     frame = sys._getframe(1)
     depth = 0
     while frame is not None and depth < max_depth:
-        filename = frame.f_code.co_filename
-        if not any(part in filename for part in _INTERNAL):
-            return f"{_shorten(filename)}:{frame.f_lineno}"
+        code = frame.f_code
+        if not any(part in code.co_filename for part in _INTERNAL):
+            offset = frame.f_lineno - code.co_firstlineno
+            return f"{_shorten(code.co_filename)}:{code.co_name}+{offset}"
         frame = frame.f_back
         depth += 1
     return "<unknown>"
@@ -141,14 +144,16 @@ class MpiProfiler:
         ordered = sorted(
             self.sites.items(), key=lambda kv: (-kv[1][1], -kv[1][0], kv[0])
         )
+        shown = ordered[:top]
+        width = max([40, *(len(site) for (_op, site), _entry in shown)])
         lines.append("")
         lines.append(f"@--- Callsites: {len(ordered)} " + "-" * 48)
         lines.append(
-            f"{'Op':<16} {'Site':<40} {'Count':>8} {'Time(ms)':>10} {'MB':>8}"
+            f"{'Op':<16} {'Site':<{width}} {'Count':>8} {'Time(ms)':>10} {'MB':>8}"
         )
-        for (op, site), (count, wait_ns, nbytes) in ordered[:top]:
+        for (op, site), (count, wait_ns, nbytes) in shown:
             lines.append(
-                f"{op:<16} {site:<40} {count:>8} {wait_ns / 1e6:>10.3f} "
+                f"{op:<16} {site:<{width}} {count:>8} {wait_ns / 1e6:>10.3f} "
                 f"{nbytes / 1e6:>8.2f}"
             )
         if len(ordered) > top:

@@ -1,9 +1,15 @@
 """MPI profiler attribution and the trace/metrics CLI subcommands."""
 
+import importlib.util
 import json
+from pathlib import Path
 
+import repro.apps.synthetic
+from repro.bcs import BcsConfig
 from repro.harness.cli import main
-from repro.obs import MpiProfiler
+from repro.harness.runner import run_workload
+from repro.obs import MpiProfiler, Observability
+from repro.units import ms
 
 
 # --- attribution model -------------------------------------------------------
@@ -39,6 +45,41 @@ def test_report_shape():
     assert "wait(send)" in text
     # Aggregate row: 1 ms app (0 -> 1 ms), 2 ms MPI -> 66.67%.
     assert " 66.67" in text
+
+
+def _padded_barrier_sites(tmp_path, padding: int) -> list:
+    """Profiler sites of ``barrier_benchmark`` run from a copy of its
+    module with ``padding`` blank lines inserted above its definition."""
+    source = Path(repro.apps.synthetic.__file__).read_text()
+    anchor = "def barrier_benchmark("
+    assert anchor in source
+    path = tmp_path / f"pad{padding}" / "repro" / "apps" / "synthetic.py"
+    path.parent.mkdir(parents=True)
+    path.write_text(source.replace(anchor, "\n" * padding + anchor, 1))
+    spec = importlib.util.spec_from_file_location("repro.apps.padded", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    obs = Observability()
+    run_workload(
+        module.barrier_benchmark,
+        4,
+        "bcs",
+        params=dict(granularity=ms(1), iterations=2),
+        bcs_config=BcsConfig(init_cost=0),
+        seed=0,
+        obs=obs,
+    )
+    return sorted(obs.profiler.sites)
+
+
+def test_site_names_survive_edits_above_the_function(tmp_path):
+    """A site is named by file, function and line offset within the
+    function, so lines added above an app function leave it unchanged."""
+    sites = _padded_barrier_sites(tmp_path, 0)
+    assert sites
+    for _op, site in sites:
+        assert site.startswith("repro/apps/synthetic.py:barrier_benchmark+")
+    assert _padded_barrier_sites(tmp_path, 7) == sites
 
 
 # --- CLI subcommands ---------------------------------------------------------
