@@ -18,7 +18,7 @@ Quickstart::
 Layers (bottom to top): :mod:`repro.sim` (deterministic DES kernel),
 :mod:`repro.network` (cluster/NIC/fabric), :mod:`repro.core` (the three
 BCS primitives), :mod:`repro.bcs` (the BCS-MPI runtime),
-:mod:`repro.api` (the BCS API), :mod:`repro.mpi` (the MPI facade and the
+:mod:`repro.mpi` (the MPI facade: the BCS API as a communicator, and the
 baseline), :mod:`repro.storm` / :mod:`repro.noise` (system-software
 substrates), :mod:`repro.apps` (workloads), :mod:`repro.harness`
 (experiments).

@@ -14,11 +14,15 @@ from typing import Any, Optional
 
 import numpy as np
 
+from ..mpi.status import Status
 from ..sim import Event
 
 #: Wildcards for receive matching (MPI_ANY_SOURCE / MPI_ANY_TAG).
 ANY_SOURCE = -1
 ANY_TAG = -1
+
+#: Receive capacity used when the caller does not bound the buffer.
+UNLIMITED = 1 << 62
 
 #: Ids of descriptors built without a runtime's ``desc_ids`` counter (the
 #: baseline MPI's, probes').
@@ -32,7 +36,8 @@ class BcsRequest:
     it (``bcs_test``) or block on it (``bcs_test(blocking)``), in which
     case the Node Manager restarts them at the next slice boundary: the
     rank's :attr:`blocked` record is released on completion, and the last
-    release enlists the rank on its node's slice signal.
+    release enlists the rank on its node's slice signal.  Both MPI
+    backends return it from ``isend``/``irecv`` as the MPI request.
     """
 
     __slots__ = (
@@ -78,6 +83,13 @@ class BcsRequest:
     def complete(self) -> bool:
         """Whether the operation has finished (NIC-visible state)."""
         return self.done.triggered
+
+    def status(self) -> Optional[Status]:
+        """Receive metadata (MPI_Status), or None if not complete / not a
+        receive."""
+        if not self.complete or self.source is None:
+            return None
+        return Status(source=self.source, tag=self.tag, count_bytes=self.size or 0)
 
     def _finish(self) -> None:
         self.completed_at = self.env.now

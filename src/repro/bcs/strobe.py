@@ -476,7 +476,7 @@ class StrobeSender:
         """Plan DEM and MSM at the boundary ``start`` or at the DEM
         microstrobe; returns MSM's end, or None to simulate.  Matching
         moves descriptors early, so the ranks that could see them
-        (``probe``, ``cancel_recv``) must be quiet past each move."""
+        (``iprobe``, ``cancel``) must be quiet past each move."""
         # At the microstrobe, it came one latency after the boundary,
         # unless a launch has changed the latency since.
         elapsed = self.env.now - start

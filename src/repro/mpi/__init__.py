@@ -3,7 +3,6 @@
 from . import datatypes, ops
 from .communicator import ANY_SOURCE, ANY_TAG, Communicator
 from .context import AppContext
-from .request import MpiRequest
 from .status import Status
 
 __all__ = [
@@ -11,7 +10,6 @@ __all__ = [
     "ANY_TAG",
     "AppContext",
     "Communicator",
-    "MpiRequest",
     "Status",
     "datatypes",
     "ops",

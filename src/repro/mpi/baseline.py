@@ -37,6 +37,7 @@ import numpy as np
 from ..bcs.descriptors import (
     ANY_SOURCE,
     ANY_TAG,
+    UNLIMITED,
     BcsRequest,
     RecvDescriptor,
     SendDescriptor,
@@ -51,7 +52,6 @@ from ..storm.job import Job, JobSpec, block_placement
 from ..units import KiB, bw_time, seconds, us
 from .communicator import Communicator
 from .ops import combine, resolve
-from .request import MpiRequest
 
 
 @dataclass(frozen=True)
@@ -453,21 +453,21 @@ class BaselineCommunicator(Communicator):
             rank=self._rank,
             src_rank=source,
             tag=tag,
-            capacity=(1 << 62) if size is None else size,
+            capacity=UNLIMITED if size is None else size,
             request=req,
         )
 
     # -- point-to-point --------------------------------------------------------------
 
-    def isend(self, data: Any = None, dest: int = 0, tag: int = 0, size=None) -> MpiRequest:
+    def isend(self, data: Any = None, dest: int = 0, tag: int = 0, size=None) -> BcsRequest:
         send = self._make_send(data, dest, tag, size)
         self._runtime.start_send(self._info, send)
-        return MpiRequest(send.request, "isend")
+        return send.request
 
-    def irecv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG, size=None) -> MpiRequest:
+    def irecv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG, size=None) -> BcsRequest:
         recv = self._make_recv(source, tag, size)
         self._runtime.post_recv(self._info, recv)
-        return MpiRequest(recv.request, "irecv")
+        return recv.request
 
     def send(self, data: Any = None, dest: int = 0, tag: int = 0, size=None) -> Generator:
         with self._lib:
@@ -492,14 +492,14 @@ class BaselineCommunicator(Communicator):
 
     # -- completion ---------------------------------------------------------------------
 
-    def wait(self, req: MpiRequest) -> Generator:
+    def wait(self, req: BcsRequest) -> Generator:
         with self._lib:
             yield from self._overhead(self._runtime.config.wait_overhead)
             if not req.complete:
                 yield req.done
         return req.payload
 
-    def waitall(self, reqs: Sequence[MpiRequest]) -> Generator:
+    def waitall(self, reqs: Sequence[BcsRequest]) -> Generator:
         with self._lib:
             yield from self._overhead(self._runtime.config.wait_overhead)
             pending = [r.done for r in reqs if not r.complete]
@@ -532,7 +532,8 @@ class BaselineCommunicator(Communicator):
 
     def bcast(self, data: Any = None, root: int = 0, size=None) -> Generator:
         """Hardware-multicast broadcast from the root's node."""
-        runtime = self._runtime
+        if not 0 <= root < self.size:
+            raise ValueError(f"root rank {root} outside communicator")
         with self._lib:
             result = yield from self._bcast_body(data, root, size)
         return result
@@ -557,6 +558,8 @@ class BaselineCommunicator(Communicator):
 
     def reduce(self, data: Any, op, root: int = 0) -> Generator:
         """Host-side binomial tree over point-to-point messages."""
+        if not 0 <= root < self.size:
+            raise ValueError(f"root rank {root} outside communicator")
         with self._lib:
             result = yield from self._tree_reduce(data, op, root)
         return result if self._rank == root else None

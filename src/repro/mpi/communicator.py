@@ -4,26 +4,31 @@ Applications are written once against this interface and run unchanged on
 either backend:
 
 - :class:`repro.mpi.bcs_backend.BcsCommunicator` — BCS-MPI (the paper's
-  system: descriptors, global scheduling, NIC threads).
+  system: descriptors, global scheduling, NIC threads); it is the BCS API
+  of Appendix A bound to one rank, each MPI call one BCS call.
 - :class:`repro.mpi.baseline.BaselineCommunicator` — a production-style
   "Quadrics MPI" model (eager/rendezvous, host-driven).
 
 Call convention (mirrors the mpi4py split the ecosystem uses):
 
 - *Blocking* operations are **sub-generators**: ``yield from comm.send(...)``.
-- *Non-blocking* operations are **plain calls** returning
-  :class:`~repro.mpi.request.MpiRequest` immediately: ``req = comm.isend(...)``.
+- *Non-blocking* operations are **plain calls** returning the posted
+  :class:`~repro.bcs.descriptors.BcsRequest` immediately:
+  ``req = comm.isend(...)``; ``req.status()`` reads a completed receive's
+  MPI_Status.
 """
 
 from __future__ import annotations
 
 import abc
-from typing import Any, Generator, List, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Generator, List, Optional, Sequence
 
 import numpy as np
 
 from .ops import Op, combine, resolve
-from .request import MpiRequest
+
+if TYPE_CHECKING:  # pragma: no cover
+    from ..bcs.descriptors import BcsRequest
 
 #: Wildcards, re-exported at the MPI surface.
 ANY_SOURCE = -1
@@ -59,7 +64,7 @@ class Communicator(abc.ABC):
         dest: int = 0,
         tag: int = 0,
         size: Optional[int] = None,
-    ) -> MpiRequest:
+    ) -> BcsRequest:
         """Post a non-blocking send of ``data`` (or ``size`` timing bytes)."""
 
     @abc.abstractmethod
@@ -68,7 +73,7 @@ class Communicator(abc.ABC):
         source: int = ANY_SOURCE,
         tag: int = ANY_TAG,
         size: Optional[int] = None,
-    ) -> MpiRequest:
+    ) -> BcsRequest:
         """Post a non-blocking receive with buffer capacity ``size``."""
 
     # -- point-to-point, blocking ---------------------------------------------------
@@ -117,26 +122,26 @@ class Communicator(abc.ABC):
             lambda: self.irecv(source=source, tag=tag, size=size), "recv"
         )
 
-    def startall(self, persistent_reqs: Sequence) -> List[MpiRequest]:
+    def startall(self, persistent_reqs: Sequence) -> List[BcsRequest]:
         """MPI_Startall: activate a set of persistent requests."""
         return [p.start() for p in persistent_reqs]
 
     # -- completion -------------------------------------------------------------------
 
-    def test(self, req: MpiRequest) -> bool:
+    def test(self, req: BcsRequest) -> bool:
         """Non-blocking completion check."""
         return req.complete
 
-    def testall(self, reqs: Sequence[MpiRequest]) -> bool:
+    def testall(self, reqs: Sequence[BcsRequest]) -> bool:
         """Non-blocking check of a request set."""
         return all(r.complete for r in reqs)
 
     @abc.abstractmethod
-    def wait(self, req: MpiRequest) -> Generator:
+    def wait(self, req: BcsRequest) -> Generator:
         """Block until ``req`` completes; returns its payload."""
 
     @abc.abstractmethod
-    def waitall(self, reqs: Sequence[MpiRequest]) -> Generator:
+    def waitall(self, reqs: Sequence[BcsRequest]) -> Generator:
         """Block until every request completes; returns their payloads."""
 
     # -- collectives ----------------------------------------------------------------------

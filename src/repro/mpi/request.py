@@ -1,16 +1,16 @@
-"""MPI request handles (MPI_Request).
+"""MPI persistent requests (MPI_Send_init/MPI_Recv_init).
 
-A thin, backend-neutral wrapper: both the BCS backend (whose requests are
-:class:`repro.bcs.descriptors.BcsRequest`) and the baseline backend expose
-objects with a ``complete`` flag, a ``done`` event, and receive metadata;
-this wrapper narrows them to the MPI surface.
+A non-blocking call on either backend returns the
+:class:`repro.bcs.descriptors.BcsRequest` it posted; a persistent request
+holds the one of its current round.
 """
 
 from __future__ import annotations
 
-from typing import Any, Optional
+from typing import TYPE_CHECKING, Optional
 
-from .status import Status
+if TYPE_CHECKING:  # pragma: no cover
+    from ..bcs.descriptors import BcsRequest
 
 
 class PersistentRequest:
@@ -27,9 +27,9 @@ class PersistentRequest:
         self._post = post
         self.kind = kind
         #: The in-flight request of the current round (None if inactive).
-        self.active: Optional["MpiRequest"] = None
+        self.active: Optional["BcsRequest"] = None
 
-    def start(self) -> "MpiRequest":
+    def start(self) -> "BcsRequest":
         """Activate the operation; returns this round's request."""
         if self.active is not None and not self.active.complete:
             raise RuntimeError("persistent request already active")
@@ -51,39 +51,3 @@ class PersistentRequest:
             "done" if self.active.complete else "active"
         )
         return f"<PersistentRequest {self.kind} {state}>"
-
-
-class MpiRequest:
-    """Handle for a pending non-blocking operation."""
-
-    __slots__ = ("backend_req", "kind")
-
-    def __init__(self, backend_req, kind: str):
-        self.backend_req = backend_req
-        self.kind = kind
-
-    @property
-    def complete(self) -> bool:
-        """Whether the operation has finished."""
-        return self.backend_req.complete
-
-    @property
-    def done(self):
-        """The completion event (internal; used by wait implementations)."""
-        return self.backend_req.done
-
-    @property
-    def payload(self) -> Any:
-        """Delivered data (receives), available once complete."""
-        return self.backend_req.payload
-
-    def status(self) -> Optional[Status]:
-        """Receive metadata, or None if not complete / not a receive."""
-        req = self.backend_req
-        if not self.complete or req.source is None:
-            return None
-        return Status(source=req.source, tag=req.tag, count_bytes=req.size or 0)
-
-    def __repr__(self) -> str:
-        state = "done" if self.complete else "pending"
-        return f"<MpiRequest {self.kind} {state}>"

@@ -7,12 +7,13 @@ here from the deterministic simulation instead of sampled timers.
 
 The profiler is a fold over the protocol log
 (:attr:`repro.obs.Observability.events`): ``record_post`` handles its
-post entries, ``record_wait`` its wait entries.  The BCS API layer
-(:mod:`repro.api.bcs_api`) logs each one's call site, resolved by
-:func:`call_site` walking the Python stack past the runtime's own frames
-to the first application frame.  The resulting ``file:function+offset``
-strings are stable across runs, keeping reports byte-identical, and
-across edits outside the function.
+post entries, ``record_wait`` its wait entries.  The BCS communicator
+(:class:`repro.mpi.bcs_backend.BcsCommunicator`, the paper's BCS API)
+logs each one's call site, resolved by :func:`call_site` walking the
+Python stack past the runtime's own frames to the first application
+frame.  The resulting ``file:function+offset`` strings are stable
+across runs, keeping reports byte-identical, and across edits outside
+the function.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ __all__ = ["MpiProfiler", "call_site"]
 #: Module path fragments considered runtime-internal when resolving the
 #: application call site (searched against normalized file paths).
 _INTERNAL = (
-    os.sep + "repro" + os.sep + "api" + os.sep,
     os.sep + "repro" + os.sep + "mpi" + os.sep,
     os.sep + "repro" + os.sep + "bcs" + os.sep,
     os.sep + "repro" + os.sep + "obs" + os.sep,

@@ -104,7 +104,7 @@ def test_killed_rank_blocked_in_a_wait_is_never_resumed():
     assert runtime.stats["ranks_killed"] == 2
 
     # A late completion of the dead rank's request must not wake it.
-    late = reqs["recv"].backend_req
+    late = reqs["recv"]
     assert not late.complete
     late._finish()
     env.run(until=ms(10))
@@ -175,7 +175,7 @@ def test_rank_killed_inside_a_folded_overhead_window_is_never_resumed():
     assert runtime.stats["ranks_killed"] == 2
 
     # A late completion of the dead rank's request must not wake it.
-    late = seen["recv"].backend_req
+    late = seen["recv"]
     assert not late.complete
     late._finish()
     env.run(until=ms(10))

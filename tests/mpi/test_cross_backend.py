@@ -11,19 +11,22 @@ from repro.storm import JobSpec
 from repro.units import KiB, seconds, us
 
 
+def run_on(backend, app, n_ranks=4, n_nodes=4, **params):
+    cluster = Cluster(ClusterSpec(n_nodes=n_nodes))
+    if backend == "bcs":
+        runtime = BcsRuntime(cluster, BcsConfig(init_cost=0))
+    else:
+        runtime = BaselineRuntime(cluster, BaselineConfig(init_cost=0))
+    return runtime.run_job(
+        JobSpec(app=app, n_ranks=n_ranks, params=params), max_time=seconds(60)
+    )
+
+
 def run_both(app, n_ranks=4, n_nodes=4, **params):
-    out = {}
-    for backend in ("bcs", "baseline"):
-        cluster = Cluster(ClusterSpec(n_nodes=n_nodes))
-        if backend == "bcs":
-            runtime = BcsRuntime(cluster, BcsConfig(init_cost=0))
-        else:
-            runtime = BaselineRuntime(cluster, BaselineConfig(init_cost=0))
-        job = runtime.run_job(
-            JobSpec(app=app, n_ranks=n_ranks, params=params), max_time=seconds(60)
-        )
-        out[backend] = job
-    return out["bcs"], out["baseline"]
+    return tuple(
+        run_on(backend, app, n_ranks, n_nodes, **params)
+        for backend in ("bcs", "baseline")
+    )
 
 
 def test_ring_exchange_same_results():
@@ -125,3 +128,20 @@ def test_both_backends_idle_compute_similar():
 
     bcs, base = run_both(app, n_ranks=2, n_nodes=2)
     assert base.runtime <= bcs.runtime <= int(base.runtime * 1.15)
+
+
+@pytest.mark.parametrize("call", ["bcast", "reduce"])
+@pytest.mark.parametrize("backend", ["bcs", "baseline"])
+def test_out_of_range_root_rejected(backend, call):
+    def app(ctx):
+        with pytest.raises(ValueError, match="root rank 99 outside communicator"):
+            if call == "bcast":
+                yield from ctx.comm.bcast(1, root=99)
+            else:
+                yield from ctx.comm.reduce(1, "sum", root=99)
+        # The rejected call posted nothing: the next collective matches.
+        total = yield from ctx.comm.allreduce(1, "sum")
+        return total
+
+    job = run_on(backend, app)
+    assert job.results == [4, 4, 4, 4]

@@ -1,11 +1,10 @@
-"""Tests for datatypes, ops, status, and request wrappers."""
+"""Tests for datatypes, ops, status, and request status."""
 
 import numpy as np
 import pytest
 
 from repro.bcs.descriptors import BcsRequest
 from repro.mpi import datatypes, ops
-from repro.mpi.request import MpiRequest
 from repro.mpi.status import Status
 from repro.sim import Engine
 
@@ -114,33 +113,30 @@ def test_status_get_count():
         status.get_count(0)
 
 
-# --- request wrapper ----------------------------------------------------------------
+# --- request status ------------------------------------------------------------------
 
 
-def test_mpi_request_reflects_backend_state():
+def test_request_status_of_a_completed_receive():
     env = Engine()
-    backend = BcsRequest(env, "recv")
-    req = MpiRequest(backend, "irecv")
+    req = BcsRequest(env, "recv")
     assert not req.complete
     assert req.status() is None
 
-    backend.payload = b"data"
-    backend.source = 2
-    backend.tag = 5
-    backend.size = 4
-    backend._finish()
+    req.payload = b"data"
+    req.source = 2
+    req.tag = 5
+    req.size = 4
+    req._finish()
     env.run()
     assert req.complete
     assert req.payload == b"data"
-    status = req.status()
-    assert status == Status(source=2, tag=5, count_bytes=4)
+    assert req.status() == Status(source=2, tag=5, count_bytes=4)
 
 
-def test_mpi_request_send_has_no_status():
+def test_request_status_of_a_send_is_none():
     env = Engine()
-    backend = BcsRequest(env, "send")
-    backend._finish()
+    req = BcsRequest(env, "send")
+    req._finish()
     env.run()
-    req = MpiRequest(backend, "isend")
     assert req.complete
     assert req.status() is None

@@ -64,8 +64,6 @@ ALLOWED = {
         "matches the simulator's numpy combine bit for bit, which is why NIC "
         "reduces are modelled by their cost alone"
     ),
-    "BcsApi.bcs_test": "BCS API call of the paper's Section 4 interface",
-    "BcsApi.bcs_testall": "BCS API call of the paper's Section 4 interface",
     "BcsCore.test_event_poll": "paper primitive: the non-blocking Test-Event",
     "BcsRuntime.stop": "the one way to halt a strobe loop before the machine idles",
     "MachineManager.submit": "STORM job submission, the paper's Fig. 1 resource manager",
