@@ -173,6 +173,10 @@ class SendDescriptor:
     seq: int = 0
     posted_at: int = 0
     desc_id: int = field(default_factory=lambda: next(_desc_ids))
+    #: Nodes hosting the source and destination ranks, resolved once at
+    #: post by the BCS backend (-1 where nothing resolved them).
+    src_node: int = -1
+    dst_node: int = -1
 
     def __repr__(self) -> str:
         return (

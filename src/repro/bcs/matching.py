@@ -14,9 +14,10 @@ Two interchangeable implementations live here:
 - :class:`LinearMatcher` — the original O(U×P) list scan.  Kept verbatim
   as the reference oracle for the differential tests; the reference
   slice engine (``BcsConfig(engine="reference")``) runs it.
-- :class:`HashMatcher` — hash-bucketed queues with ordered wildcard
-  fallback lists; the fast slice engine's matcher.  Matching cost is O(1) per descriptor (amortized)
-  instead of a scan over every pending descriptor, while producing the
+- :class:`HashMatcher` — hash-bucketed queues; the fast slice engine's
+  and the baseline MPI's matcher.  An exact operation (a send, a receive
+  or probe naming both source and tag) is O(1); a wildcard receive or
+  probe is O(unexpected sends held: under BCS, those on the node).  It produces the
   *identical* match sequence (`tests/bcs/test_matching_differential.py`
   pins this against the oracle for randomized streams).
 
@@ -25,35 +26,37 @@ one DEM batch per node (``add_send_batch``/``add_recv_batch``).  A batch
 is matched as if its descriptors came one at a time, in order.  Only
 :class:`HashMatcher` overrides a batch feed: a send batch of at least
 ``BATCH_MIN`` descriptors, with no wildcard receive posted, is joined
-against the posted buckets over numpy columns.
+against the posted buckets over numpy columns.  ``probe`` answers
+``MPI_Iprobe`` without building a descriptor.
 
 ``Matcher`` is an alias for the default implementation.
 
 How the hashed structures preserve linear-scan semantics
 --------------------------------------------------------
 
-Both queues carry a shared arrival clock (``_seq``), so "first posted" /
-"first arrived" is a min-seq question.
+Like the posted and unexpected queues of MPICH2-style libraries, the
+indexes hold exactly the pending descriptors: an entry leaves its bucket
+when its descriptor is matched, cancelled or purged, and a bucket leaves
+its dict with its last entry.
 
 *Posted receives* live in exactly one bucket keyed by their own pattern
 ``(job, comm, rank, src, tag)`` — wildcards included, as literal key
-components.  A send with concrete ``(src, tag)`` can only be matched by
-receives whose pattern is one of four keys: ``(src, tag)``,
-``(src, ANY)``, ``(ANY, tag)``, ``(ANY, ANY)``.  Probing those four
-buckets and taking the live head with the smallest seq is therefore
-exactly "the first posted receive that matches".  While no wildcard
-receive is posted (``_wild_posted == 0``) only the exact bucket can hold
-a live receive, so ``add_send`` probes that one alone.
+components — and carry a post clock (``_seq``).  A send with concrete
+``(src, tag)`` can only be matched by receives whose pattern is one of
+four keys: ``(src, tag)``, ``(src, ANY)``, ``(ANY, tag)``,
+``(ANY, ANY)``.  Looking up those four buckets and taking the head with
+the smallest seq is therefore exactly "the first posted receive that
+matches".  While no wildcard receive is posted (``_wild_posted == 0``)
+only the exact bucket can hold a match, so ``add_send`` looks up that
+one alone.
 
-*Unexpected sends* are indexed in four families — one per receive
-wildcard shape: exact ``(job, comm, dst, src, tag)``, by-source
-``(job, comm, dst, src)``, by-tag ``(job, comm, dst, tag)``, and
-catch-all ``(job, comm, dst)``.  A new receive consults the single
-family matching its own wildcard shape, whose bucket holds — in arrival
-order — precisely the sends its pattern matches.  Sends removed through
-one family leave stale entries in the other three; entries are validated
-lazily against the authoritative insertion-ordered dict (``_usends``)
-and dropped when dead.
+*Unexpected sends* live in one exact bucket ``(job, comm, dst, src,
+tag)``, in arrival order, and in ``_usends``, the insertion-ordered
+(= arrival-ordered) dict of all of them.  An exact receive takes the
+head of its bucket.  A wildcard receive scans ``_usends`` for the first
+send it matches — the linear scan's answer — and that send heads its
+own exact bucket, since every earlier send of the bucket would match
+too.
 """
 
 from __future__ import annotations
@@ -110,7 +113,7 @@ class _MatcherBase:
         return Match(
             send=send,
             recv=recv,
-            src_node=-1,  # filled in by the runtime, which knows placement
+            src_node=send.src_node,
             dst_node=self.node_id,
             total_bytes=send.size,
             matched_via=via,
@@ -212,6 +215,17 @@ class LinearMatcher(_MatcherBase):
         self.totals.posted += 1
         return None
 
+    def probe(self, job: int, comm: int, rank: int, source: int, tag: int) -> bool:
+        """Would a receive with this pattern match an unexpected send?"""
+        return any(
+            send.job_id == job
+            and send.comm_id == comm
+            and send.dst_rank == rank
+            and source in (ANY_SOURCE, send.src_rank)
+            and tag in (ANY_TAG, send.tag)
+            for send in self.unexpected
+        )
+
     def _unpost(self, recv: RecvDescriptor) -> None:
         self.posted.remove(recv)
 
@@ -231,12 +245,15 @@ class LinearMatcher(_MatcherBase):
 
 
 class HashMatcher(_MatcherBase):
-    """Hash-bucketed matcher: O(1) amortized per descriptor.
+    """Hash-bucketed matcher: O(1) per exact operation.
 
     Semantically identical to :class:`LinearMatcher` — same match
-    sequence, same truncation behavior, same queue ordering — but probes
-    at most four buckets per operation instead of scanning every pending
-    descriptor (see the module docstring for the invariants).
+    sequence, same truncation behavior, same queue ordering — but an
+    exact operation looks up at most four buckets instead of scanning
+    every pending descriptor (see the module docstring for the
+    invariants).  Its indexes hold exactly the pending descriptors: no
+    entry outlives its descriptor's match, cancel or purge, and no
+    bucket is left empty.
     """
 
     __slots__ = (
@@ -245,10 +262,7 @@ class HashMatcher(_MatcherBase):
         "_seq",
         "_usends",
         "_precvs",
-        "_u_exact",
-        "_u_src",
-        "_u_tag",
-        "_u_any",
+        "_u_buckets",
         "_p_buckets",
         "_wild_posted",
     )
@@ -256,23 +270,22 @@ class HashMatcher(_MatcherBase):
     def __init__(self, node_id: int, totals: Optional[MatcherTotals] = None):
         self.node_id = node_id
         self.totals = totals if totals is not None else MatcherTotals()
-        #: Shared arrival clock across both queues.
+        #: Post clock of the receives: "first posted" across buckets is a
+        #: min-seq question.
         self._seq = 0
         #: Posted receives whose pattern contains a wildcard.  While this
         #: is zero, an arrived send can only match its exact bucket — the
         #: precondition for ``add_send``'s one-bucket probe and the
         #: vectorized send-batch join.
         self._wild_posted = 0
-        #: Authoritative unexpected-send queue: desc_id -> (seq, send),
-        #: insertion-ordered (= arrival order).
-        self._usends: Dict[int, Tuple[int, SendDescriptor]] = {}
-        #: Authoritative posted-receive queue: desc_id -> (seq, recv).
+        #: Unexpected sends: desc_id -> send, insertion-ordered (= arrival
+        #: order).
+        self._usends: Dict[int, SendDescriptor] = {}
+        #: Posted receives: desc_id -> (seq, recv), in post order; each
+        #: entry is the very tuple its bucket holds.
         self._precvs: Dict[int, Tuple[int, RecvDescriptor]] = {}
-        # Unexpected-send index, one family per receive wildcard shape.
-        self._u_exact: Dict[tuple, Deque[Tuple[int, SendDescriptor]]] = {}
-        self._u_src: Dict[tuple, Deque[Tuple[int, SendDescriptor]]] = {}
-        self._u_tag: Dict[tuple, Deque[Tuple[int, SendDescriptor]]] = {}
-        self._u_any: Dict[tuple, Deque[Tuple[int, SendDescriptor]]] = {}
+        #: Unexpected sends bucketed by ``(job, comm, dst, src, tag)``.
+        self._u_buckets: Dict[tuple, Deque[SendDescriptor]] = {}
         #: Posted receives bucketed by their own (wildcard-literal) pattern.
         self._p_buckets: Dict[tuple, Deque[Tuple[int, RecvDescriptor]]] = {}
 
@@ -280,90 +293,91 @@ class HashMatcher(_MatcherBase):
 
     def add_send(self, send: SendDescriptor) -> Optional[Match]:
         """An arrived send descriptor: match or park as unexpected."""
-        j, c, d = send.job_id, send.comm_id, send.dst_rank
-        s, t = send.src_rank, send.tag
-        precvs = self._precvs
-        buckets = self._p_buckets
-
-        best_seq = -1
-        best_bucket: Optional[Deque[Tuple[int, RecvDescriptor]]] = None
+        j, c, d, s, t = send.job_id, send.comm_id, send.dst_rank, send.src_rank, send.tag
         exact = (j, c, d, s, t)
-        for key in (
-            (
+        buckets = self._p_buckets
+        if self._wild_posted:
+            best = best_key = None
+            for key in (
                 exact,
                 (j, c, d, s, ANY_TAG),
                 (j, c, d, ANY_SOURCE, t),
                 (j, c, d, ANY_SOURCE, ANY_TAG),
-            )
-            if self._wild_posted
-            else (exact,)
-        ):
-            bucket = buckets.get(key)
-            if not bucket:
-                continue
-            # Lazily drop heads whose receive was consumed via another path.
-            while bucket and bucket[0][1].desc_id not in precvs:
-                bucket.popleft()
-            if not bucket:
-                del buckets[key]
-                continue
-            seq = bucket[0][0]
-            if best_bucket is None or seq < best_seq:
-                best_seq = seq
-                best_bucket = bucket
-
-        if best_bucket is not None:
-            _, recv = best_bucket.popleft()
-            del precvs[recv.desc_id]
-            self.totals.posted -= 1
-            if recv.src_rank == ANY_SOURCE or recv.tag == ANY_TAG:
-                self._wild_posted -= 1
-            return self._pair(send, recv, "send")
-
-        self._seq += 1
+            ):
+                bucket = buckets.get(key)
+                if bucket is not None and (best is None or bucket[0][0] < best[0][0]):
+                    best, best_key = bucket, key
+        else:
+            best, best_key = buckets.get(exact), exact
+        if best is not None:
+            return self._take_recv(best, best_key, send)
         self.totals.unexpected += 1
-        entry = (self._seq, send)
-        self._usends[send.desc_id] = entry
-        _append(self._u_exact, (j, c, d, s, t), entry)
-        _append(self._u_src, (j, c, d, s), entry)
-        _append(self._u_tag, (j, c, d, t), entry)
-        _append(self._u_any, (j, c, d), entry)
+        self._usends[send.desc_id] = send
+        _append(self._u_buckets, exact, send)
         return None
 
     def add_recv(self, recv: RecvDescriptor) -> Optional[Match]:
         """A posted receive: match the earliest arrived send, or park."""
-        j, c, r = recv.job_id, recv.comm_id, recv.rank
-        s, t = recv.src_rank, recv.tag
-        if s != ANY_SOURCE:
-            if t != ANY_TAG:
-                family, key = self._u_exact, (j, c, r, s, t)
-            else:
-                family, key = self._u_src, (j, c, r, s)
-        elif t != ANY_TAG:
-            family, key = self._u_tag, (j, c, r, t)
+        j, c, r, s, t = recv.job_id, recv.comm_id, recv.rank, recv.src_rank, recv.tag
+        buckets = self._u_buckets
+        wild = s == ANY_SOURCE or t == ANY_TAG
+        if not wild:
+            key = (j, c, r, s, t)
+            bucket = buckets.get(key)
         else:
-            family, key = self._u_any, (j, c, r)
-
-        bucket = family.get(key)
-        if bucket:
-            usends = self._usends
-            while bucket:
-                _, send = bucket.popleft()
-                if send.desc_id in usends:
-                    if not bucket:
-                        del family[key]
-                    del usends[send.desc_id]
-                    self.totals.unexpected -= 1
-                    return self._pair(send, recv, "recv")
-            del family[key]
+            bucket = None
+            send = self._first_unexpected(j, c, r, s, t)
+            if send is not None:
+                # The earliest match heads its exact bucket: every
+                # earlier send of that bucket fits the same pattern.
+                key = (j, c, r, send.src_rank, send.tag)
+                bucket = buckets[key]
+        if bucket is not None:
+            send = bucket.popleft()
+            if not bucket:
+                del buckets[key]
+            del self._usends[send.desc_id]
+            self.totals.unexpected -= 1
+            return self._pair(send, recv, "recv")
 
         self._seq += 1
         self.totals.posted += 1
-        if s == ANY_SOURCE or t == ANY_TAG:
+        if wild:
             self._wild_posted += 1
-        self._precvs[recv.desc_id] = (self._seq, recv)
-        _append(self._p_buckets, (j, c, r, s, t), (self._seq, recv))
+        entry = self._precvs[recv.desc_id] = (self._seq, recv)
+        _append(self._p_buckets, (j, c, r, s, t), entry)
         return None
+
+    def probe(self, job: int, comm: int, rank: int, source: int, tag: int) -> bool:
+        """Would a receive with this pattern match an unexpected send?"""
+        if source != ANY_SOURCE and tag != ANY_TAG:
+            return (job, comm, rank, source, tag) in self._u_buckets
+        return self._first_unexpected(job, comm, rank, source, tag) is not None
+
+    def _first_unexpected(self, j, c, r, s, t) -> Optional[SendDescriptor]:
+        """The earliest arrived send a wildcard pattern matches: a scan of
+        the unexpected sends in arrival order."""
+        for send in self._usends.values():
+            if (
+                send.dst_rank == r
+                and send.job_id == j
+                and send.comm_id == c
+                and (s == ANY_SOURCE or send.src_rank == s)
+                and (t == ANY_TAG or send.tag == t)
+            ):
+                return send
+        return None
+
+    def _take_recv(self, bucket: Deque, key: tuple, send: SendDescriptor) -> Match:
+        """Pair ``send`` with the head of the posted bucket ``key``."""
+        _, recv = bucket.popleft()
+        if not bucket:
+            del self._p_buckets[key]
+        del self._precvs[recv.desc_id]
+        self.totals.posted -= 1
+        if recv.src_rank == ANY_SOURCE or recv.tag == ANY_TAG:
+            self._wild_posted -= 1
+        return self._pair(send, recv, "send")
 
     # -- batch feeds -----------------------------------------------------------
 
@@ -376,9 +390,9 @@ class HashMatcher(_MatcherBase):
         send can only match the posted bucket keyed by its own exact
         pattern.  The join is decided in one pass over SoA columns
         (stable lexsort grouping by ``(job, comm, dst, src, tag)``),
-        then applied in original batch order so seqs, pops and
-        truncation raises land exactly where the object path puts them.
-        Wildcards present, or a tiny batch, fall back to the object path.
+        then applied in original batch order so pops and truncation
+        raises land exactly where the object path puts them.  Wildcards
+        present, or a tiny batch, fall back to the object path.
         """
         n = len(sends)
         if n < BATCH_MIN or self._wild_posted:
@@ -409,63 +423,44 @@ class HashMatcher(_MatcherBase):
         pos = np.arange(n)
         occ = pos - starts[grp]  # claim rank within the group
 
-        precvs = self._precvs
+        # Per-group availability: the length of its exact posted bucket.
         buckets = self._p_buckets
-        # Per-group availability from the (compacted) exact bucket.
-        # Removing stale entries eagerly is invisible to the object
-        # path, which would drop them lazily at the head anyway.
         avail = np.zeros(len(starts), dtype=np.int64)
-        group_buckets: List[Optional[Deque[Tuple[int, RecvDescriptor]]]] = []
+        group_keys: List[tuple] = []
         for g, st in enumerate(starts):
             s0 = sends[order[st]]
             key = (s0.job_id, s0.comm_id, s0.dst_rank, s0.src_rank, s0.tag)
+            group_keys.append(key)
             bucket = buckets.get(key)
             if bucket is not None:
-                if any(e[1].desc_id not in precvs for e in bucket):
-                    bucket = deque(
-                        e for e in bucket if e[1].desc_id in precvs
-                    )
-                    if bucket:
-                        buckets[key] = bucket
-                    else:
-                        del buckets[key]
-                        bucket = None
-            group_buckets.append(bucket)
-            avail[g] = len(bucket) if bucket is not None else 0
+                avail[g] = len(bucket)
         matched = occ < avail[grp]
-
-        takes: Dict[int, Deque[Tuple[int, RecvDescriptor]]] = {}
-        for p in np.flatnonzero(matched):
-            takes[int(order[p])] = group_buckets[grp[p]]
+        takes = {int(order[p]): group_keys[grp[p]] for p in np.flatnonzero(matched)}
 
         out: List[Tuple[int, Match]] = []
-        totals = self.totals
-        usends = self._usends
         for i, send in enumerate(sends):
-            bucket = takes.get(i)
-            if bucket is not None:
-                _, recv = bucket.popleft()
-                del precvs[recv.desc_id]
-                totals.posted -= 1
-                out.append((i, self._pair(send, recv, "send")))
+            key = takes.get(i)
+            if key is not None:
+                out.append((i, self._take_recv(buckets[key], key, send)))
             else:
-                self._seq += 1
-                totals.unexpected += 1
-                entry = (self._seq, send)
-                j, c, d = send.job_id, send.comm_id, send.dst_rank
-                usends[send.desc_id] = entry
-                _append(self._u_exact, (j, c, d, send.src_rank, send.tag), entry)
-                _append(self._u_src, (j, c, d, send.src_rank), entry)
-                _append(self._u_tag, (j, c, d, send.tag), entry)
-                _append(self._u_any, (j, c, d), entry)
+                self.totals.unexpected += 1
+                self._usends[send.desc_id] = send
+                _append(
+                    self._u_buckets,
+                    (send.job_id, send.comm_id, send.dst_rank, send.src_rank, send.tag),
+                    send,
+                )
         return out
 
     # -- maintenance -----------------------------------------------------------
 
     def _unpost(self, recv: RecvDescriptor) -> None:
-        # Its bucket entry goes lazily, as for a receive consumed
-        # through another bucket.
-        del self._precvs[recv.desc_id]
+        entry = self._precvs.pop(recv.desc_id)
+        key = (recv.job_id, recv.comm_id, recv.rank, recv.src_rank, recv.tag)
+        bucket = self._p_buckets[key]
+        bucket.remove(entry)  # by identity: seqs differ between entries
+        if not bucket:
+            del self._p_buckets[key]
         if recv.src_rank == ANY_SOURCE or recv.tag == ANY_TAG:
             self._wild_posted -= 1
 
@@ -473,29 +468,22 @@ class HashMatcher(_MatcherBase):
         """Drop every descriptor belonging to ``job_id``.
 
         Rare (failure teardown), so it simply filters the authoritative
-        queues and rebuilds the index buckets, preserving arrival seqs.
+        queues and rebuilds the buckets, preserving post seqs.
         """
         before_u, before_p = len(self._usends), len(self._precvs)
         self._usends = {
-            k: v for k, v in self._usends.items() if v[1].job_id != job_id
+            k: s for k, s in self._usends.items() if s.job_id != job_id
         }
         self._precvs = {
             k: v for k, v in self._precvs.items() if v[1].job_id != job_id
         }
         self.totals.unexpected -= before_u - len(self._usends)
         self.totals.posted -= before_p - len(self._precvs)
-        self._u_exact = {}
-        self._u_src = {}
-        self._u_tag = {}
-        self._u_any = {}
+        self._u_buckets = {}
+        for send in self._usends.values():
+            key = (send.job_id, send.comm_id, send.dst_rank, send.src_rank, send.tag)
+            _append(self._u_buckets, key, send)
         self._p_buckets = {}
-        for entry in self._usends.values():
-            send = entry[1]
-            j, c, d = send.job_id, send.comm_id, send.dst_rank
-            _append(self._u_exact, (j, c, d, send.src_rank, send.tag), entry)
-            _append(self._u_src, (j, c, d, send.src_rank), entry)
-            _append(self._u_tag, (j, c, d, send.tag), entry)
-            _append(self._u_any, (j, c, d), entry)
         self._wild_posted = 0
         for entry in self._precvs.values():
             recv = entry[1]
@@ -509,7 +497,7 @@ class HashMatcher(_MatcherBase):
     @property
     def unexpected(self) -> List[SendDescriptor]:
         """Arrived-but-unmatched sends, in arrival order (snapshot)."""
-        return [send for _, send in self._usends.values()]
+        return list(self._usends.values())
 
     @property
     def posted(self) -> List[RecvDescriptor]:

@@ -238,7 +238,7 @@ class BcsRuntime:
         it starts a step now; a planned slice adds the steps of its
         microphases ahead of time.
         """
-        now = self.env._now
+        now = self.env.now
         for since, value in reversed(self._sr_idle):
             if since <= now:
                 return value
@@ -246,7 +246,7 @@ class BcsRuntime:
 
     @sr_idle_until.setter
     def sr_idle_until(self, t: int) -> None:
-        self._sr_idle = ((self.env._now, t),)
+        self._sr_idle = ((self.env.now, t),)
 
     def attach_observability(self, obs) -> "BcsRuntime":
         """Wire a telemetry hub into the runtime, fabric, and NICs.

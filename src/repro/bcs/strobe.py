@@ -75,7 +75,7 @@ class StrobeReceiver:
         handlers = {
             DEM: lambda s: self._dem(nrt),
             MSM: lambda s: nrt.br.msm_phase(),
-            P2P: lambda s: nrt.dh.p2p_phase(s.payload),
+            P2P: lambda s: nrt.dh.p2p_phase(s.payload[nrt.node_id]),
             BBM: lambda s: nrt.ch.bbm_phase(),
             RM: lambda s: nrt.rh.rm_phase(),
         }
@@ -123,7 +123,7 @@ class _Plan:
         "logging", "cost", "routes", "busy", "claims", "holds", "moved", "entries", "landings"
     )
 
-    def __init__(self, logging: bool, cost: int, routes: "_Routes"):
+    def __init__(self, logging: bool, cost: int, routes: dict):
         self.logging = logging
         self.cost = cost
         self.routes = routes
@@ -197,25 +197,6 @@ class _Plan:
             effects.append(effect)
 
 
-class _Routes(dict):
-    """``(src, dst, size)`` -> ``(hold, rest, link halves)`` of a transfer
-    (:meth:`Fabric.transfer_times`), or of a copy, which claims no link."""
-
-    def __init__(self, fabric):
-        super().__init__()
-        self._fabric = fabric
-
-    def __missing__(self, route: tuple) -> tuple:
-        src, dst, size = route
-        fabric = self._fabric
-        if src == dst:
-            times = self[route] = (fabric.copy_time(size), 0, ())
-        else:
-            group = (fabric.nics[src].tx, fabric.nics[dst].rx)
-            times = self[route] = (*fabric.transfer_times(src, dst, size), group)
-        return times
-
-
 _first = itemgetter(0)
 _second = itemgetter(1)
 
@@ -244,9 +225,9 @@ class StrobeSender:
         # start) and the retirement of its matches to the slice-end wake.
         self._idle_from: Optional[int] = None
         self._retire_due = False
-        # Planner lookups: routes, and the Compare-And-Write latency per
-        # participant count.
-        self._routes = _Routes(runtime.cluster.fabric)
+        # Planner lookups: routes (the fabric's cache), and the
+        # Compare-And-Write latency per participant count.
+        self._routes = runtime.cluster.fabric.routes
         self._cw: Dict[int, int] = {}
 
     def start(self) -> None:
@@ -385,24 +366,24 @@ class StrobeSender:
                 began = start
             msm_end = self._plan_exchange(start, dem_nodes)
             if msm_end is not None:
-                granted = self._grant(msm_end)
-                work_end = self._plan_transmit(granted, msm_end)
+                mine = self._grant(msm_end)
+                work_end = self._plan_transmit(mine, msm_end)
                 if work_end is not None:
                     return work_end
                 yield Timeout(self.env, msm_end - self.env.now)
-                return (yield from self._transmit(granted))
+                return (yield from self._transmit(mine))
         yield from self._microphase(DEM, dem_nodes, cfg.dem_min_duration, began=began)
         yield from self._microphase(MSM, runtime.msm_nodes(), cfg.msm_min_duration)
-        granted = self._grant(self.env.now)
+        mine = self._grant(self.env.now)
         if plan and self._plannable():
-            work_end = self._plan_transmit(granted, self.env.now)
+            work_end = self._plan_transmit(mine, self.env.now)
             if work_end is not None:
                 return work_end
-        return (yield from self._transmit(granted))
+        return (yield from self._transmit(mine))
 
-    def _grant(self, t: int) -> list:
+    def _grant(self, t: int) -> Dict[int, list]:
         """MSM's end at ``t``: collect the matches and grant this slice's
-        chunks."""
+        chunks, grouped by destination node (in grant order)."""
         runtime = self.runtime
         granted = runtime.global_schedule()
         obs = runtime.obs
@@ -415,15 +396,17 @@ class StrobeSender:
                 len(scheduler.in_flight),
                 tuple((m.send.desc_id, m.src_node, m.scheduled_now) for m in granted),
             ))
-        return granted
+        mine: Dict[int, list] = {}
+        for m in granted:
+            mine.setdefault(m.dst_node, []).append(m)
+        return mine
 
-    def _transmit(self, granted: list):
-        """Simulate P2P, BBM and RM from now; returns the slice's work end."""
+    def _transmit(self, mine: Dict[int, list]):
+        """Simulate P2P, BBM and RM from now, each DMA Helper moving its
+        node's chunks of ``mine``; returns the slice's work end."""
         runtime = self.runtime
         env = self.env
-        yield from self._microphase(
-            P2P, sorted({m.dst_node for m in granted}), 0, payload=granted
-        )
+        yield from self._microphase(P2P, sorted(mine), 0, payload=mine)
         self._retire(log=True)
         # RM's participants are read after BBM, except behind an
         # empty BBM, which no receiver runs and which leaves them
@@ -515,9 +498,8 @@ class StrobeSender:
             # Buffer Sender: each send's hold, then its copy or transfer,
             # which the next send waits for.
             for desc in nrt.posted_sends[:n_sends]:
-                info = comms[desc.job_id][desc.comm_id]
-                world = info.world_ranks[desc.dst_rank]
-                dst = info.job.placement[world]
+                world = comms[desc.job_id][desc.comm_id].world_ranks[desc.dst_rank]
+                dst = desc.dst_node
                 landed = plan.move(nic, node, dst, size, t, key, i)
                 if landed is None:
                     return None
@@ -600,17 +582,15 @@ class StrobeSender:
         runtime._sr_idle += ((t_msm, t if msm_nodes else msm_end),)
         return msm_end
 
-    def _plan_transmit(self, granted: list, t_p2p: int) -> Optional[int]:
+    def _plan_transmit(self, mine: Dict[int, list], t_p2p: int) -> Optional[int]:
         """Plan P2P, BBM and RM from MSM's end ``t_p2p`` (now, or ahead
-        with DEM and MSM, which :meth:`_plannable` then covers); returns
-        the slice's work end, or None to simulate."""
+        with DEM and MSM, which :meth:`_plannable` then covers) for the
+        chunks ``mine`` granted per destination; returns the slice's work
+        end, or None to simulate."""
         runtime = self.runtime
         slice_no = runtime.slice_no
         logging = runtime.obs is not None
         rts = runtime.node_runtimes
-        mine: Dict[int, list] = {}
-        for m in granted:
-            mine.setdefault(m.dst_node, []).append(m)
         nodes = sorted(mine)
         plan = _Plan(logging, runtime.config.nic_descriptor_cost, self._routes)
         entries = plan.entries

@@ -319,8 +319,7 @@ class BufferSender:
         size = nrt.config.descriptor_bytes
         obs = runtime.obs
         for desc in nrt._drain_posted(nrt.posted_sends):
-            info = runtime.comm_info(desc.job_id, desc.comm_id)
-            dst_node = info.node_of(desc.dst_rank)
+            dst_node = desc.dst_node
             if dst_node == node:
                 yield fabric.local_copy(nrt.nic, cost, size, "desc")
             else:
@@ -465,8 +464,6 @@ class BufferReceiver:
         instant the per-descriptor loop matches it.
         """
         nrt = self.nrt
-        info = nrt.runtime.comm_info(match.send.job_id, match.send.comm_id)
-        match.src_node = info.node_of(match.send.src_rank)
         nrt.new_matches.append(match)
         nrt.runtime._match_set.add(nrt.node_id)
         nrt.runtime.stats["matches_created"] += 1
@@ -489,8 +486,9 @@ class DmaHelper:
     def __init__(self, nrt: NodeRuntime):
         self.nrt = nrt
 
-    def p2p_phase(self, granted: List[Match]):
-        """Move every chunk whose destination is this node (in parallel).
+    def p2p_phase(self, mine: List[Match]):
+        """Move every chunk granted to this node (in parallel), in grant
+        order.
 
         Every chunk's descriptor-cost hold is reserved on the NIC thread
         processor now, at the SR's turn of the microstrobe fan-out, in
@@ -502,9 +500,6 @@ class DmaHelper:
         (:meth:`Fabric.local_copy`).
         """
         nrt = self.nrt
-        mine = [m for m in granted if m.dst_node == nrt.node_id]
-        if not mine:
-            return
         env = nrt.env
         t0 = env.now
         first, rest = mine[0], mine[1:]

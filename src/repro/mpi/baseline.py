@@ -486,9 +486,10 @@ class BaselineCommunicator(Communicator):
 
     def iprobe(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> bool:
         """Check the unexpected queue for a matching arrival."""
-        matcher = self._runtime.matcher(self._job_id, self._info.comm_id, self._rank)
-        probe = self._make_recv(source, tag, None)
-        return any(probe.matches(s) for s in matcher.unexpected)
+        if source != ANY_SOURCE and not 0 <= source < self.size:
+            raise ValueError(f"source rank {source} outside communicator")
+        job, comm, rank = self._job_id, self._info.comm_id, self._rank
+        return self._runtime.matcher(job, comm, rank).probe(job, comm, rank, source, tag)
 
     # -- completion ---------------------------------------------------------------------
 

@@ -96,6 +96,8 @@ class BcsCommunicator(Communicator):
             payload=data,
             seq=handle.next_send_seq(info.comm_id, dest),
             desc_id=next(runtime.desc_ids),
+            src_node=handle.node_id,
+            dst_node=info.node_of(dest),
         )
         handle.nrt.post_send(desc)
         handle.pending_overhead += runtime.config.descriptor_post_cost
@@ -150,10 +152,9 @@ class BcsCommunicator(Communicator):
         descriptor has arrived but has no posted receive yet.
         """
         info = self._info
-        probe = RecvDescriptor(
-            info.job.id, info.comm_id, self._rank, source, tag, UNLIMITED, None
+        return self._handle.nrt.matcher.probe(
+            info.job.id, info.comm_id, self._rank, source, tag
         )
-        return any(probe.matches(s) for s in self._handle.nrt.matcher.unexpected)
 
     def cancel(self, req: BcsRequest) -> bool:
         """MPI_Cancel: withdraw an unmatched non-blocking receive.

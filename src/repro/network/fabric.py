@@ -60,7 +60,7 @@ class _ClaimedTransfer(Event):
         env = self.env
         self._value = None
         env.schedule(self, self.hold + self.rest)
-        Link.hold((self.tx, self.rx), env._now + self.hold)
+        Link.hold((self.tx, self.rx), env.now + self.hold)
 
     def cancel(self) -> None:
         """Withdraw from the acquisition; a transfer already on the wire
@@ -73,6 +73,37 @@ class _ClaimedTransfer(Event):
         claim.cancel()
         if claim.resource is self.rx:
             self.tx.release()
+
+
+class _Routes(dict):
+    """``(src, dst, size)`` -> ``(hold, rest, link halves)``.
+
+    An uncontended remote transfer holds its ``(tx, rx)`` link halves
+    for the DMA startup and the wire time (``hold``), then its last byte
+    pays the switch latency of the route (``rest``).  A loopback copy
+    takes ``hold`` and claims no link.
+    """
+
+    __slots__ = ("_fabric",)
+
+    def __init__(self, fabric: "Fabric"):
+        super().__init__()
+        self._fabric = fabric
+
+    def __missing__(self, route: tuple) -> tuple:
+        src, dst, size = route
+        fabric = self._fabric
+        if src == dst:
+            times = (fabric.copy_time(size), 0, ())
+        else:
+            model = fabric.model
+            times = (
+                model.dma_startup + bw_time(size + model.header_bytes, model.link_bandwidth),
+                model.latency(fabric.tree.hops(src, dst)),
+                (fabric.nics[src].tx, fabric.nics[dst].rx),
+            )
+        self[route] = times
+        return times
 
 
 class Fabric:
@@ -99,6 +130,8 @@ class Fabric:
         #: either PFS): the Strobe Sender then simulates every active
         #: slice instead of planning it.
         self.shared = False
+        #: Route cache of :meth:`transfer` and the slice planner.
+        self.routes = _Routes(self)
 
     @property
     def n_nodes(self) -> int:
@@ -120,10 +153,10 @@ class Fabric:
         self.transfers += 1
         self.bytes_moved += size
         env = self.env
-        if src == dst:
-            done = Timeout(env, self.copy_time(size))
+        hold, rest, halves = self.routes[src, dst, size]
+        if not halves:
+            done = Timeout(env, hold)
         else:
-            hold, rest = self.transfer_times(src, dst, size)
             # Both link halves are held for the DMA startup and the wire
             # time, then the last byte pays the switch latency.  The
             # halves release lazily (:class:`~repro.sim.Link`), so an
@@ -131,10 +164,10 @@ class Fabric:
             # busy or has queued claimants, the halves are acquired in
             # the fixed order that keeps the fabric deadlock-free, and
             # held from the grant on.
-            tx, rx = self.nics[src].tx, self.nics[dst].rx
+            tx, rx = halves
             if tx.idle() and rx.idle():
                 done = Timeout(env, hold + rest)
-                Link.hold((tx, rx), env._now + hold)
+                Link.hold(halves, env.now + hold)
             else:
                 done = _ClaimedTransfer(env, tx, rx, hold, rest)
         if self.obs is not None:
@@ -144,14 +177,6 @@ class Fabric:
     def unicast(self, src: int, dst: int, size: int, label: str = "") -> Generator:
         """Generator form of :meth:`transfer`."""
         yield self.transfer(src, dst, size, label)
-
-    def transfer_times(self, src: int, dst: int, size: int) -> tuple:
-        """``(hold, rest)`` of an uncontended remote transfer: its link
-        halves are held for the DMA startup and the wire time, then the
-        last byte pays the switch latency of the route."""
-        model = self.model
-        hold = model.dma_startup + bw_time(size + model.header_bytes, model.link_bandwidth)
-        return hold, model.latency(self.tree.hops(src, dst))
 
     def copy_time(self, size: int) -> int:
         """Duration (ns) of a loopback transfer of ``size`` bytes."""

@@ -124,7 +124,7 @@ class Nic:
             duration = self.thread_op_cost
         total = duration * n
         env = self.env
-        now = env._now
+        now = env.now
         if not total:
             return Timeout(env, then)
         start = self.busy_until if self.busy_until > now else now

@@ -18,22 +18,16 @@ from .process import Process
 class Engine:
     """Discrete-event simulation engine ("environment")."""
 
-    __slots__ = ("_now", "_queue", "_seq", "_step_seq")
+    __slots__ = ("now", "_queue", "_seq", "_step_seq")
 
     def __init__(self):
-        self._now = 0
+        #: Current simulation time in integer nanoseconds.
+        self.now = 0
         self._queue: list = []  # heap of (time, priority, seq, event)
         self._seq = 0
-        #: Sequence number of the entry being processed: with ``_now``,
+        #: Sequence number of the entry being processed: with ``now``,
         #: the run's position in the heap order.
         self._step_seq = 0
-
-    # -- time -----------------------------------------------------------------
-
-    @property
-    def now(self) -> int:
-        """Current simulation time in integer nanoseconds."""
-        return self._now
 
     # -- event factories --------------------------------------------------------
 
@@ -71,7 +65,7 @@ class Engine:
         if delay < 0:
             raise ValueError(f"negative delay {delay}")
         self._seq += 1
-        _heappush(self._queue, (self._now + delay, priority, self._seq, event))
+        _heappush(self._queue, (self.now + delay, priority, self._seq, event))
 
     def trigger_all(
         self, events: Iterable[Event], value: Any = None, delay: int = 0
@@ -101,7 +95,7 @@ class Engine:
         if carrier is None:
             return 0
         self.schedule(carrier, delay)
-        carrier.key = (self._now + delay, 0, self._seq)
+        carrier.key = (self.now + delay, 0, self._seq)
         return len(carrier.members)
 
     def fire_all(self, events: Iterable[Event], value: Any = None) -> None:
@@ -110,7 +104,7 @@ class Engine:
         the carrier, as its wake-up holds the carrier's place."""
         carrier = self._carrier(events, value)
         if carrier is not None:
-            carrier.key = (self._now, 0, self._step_seq)
+            carrier.key = (self.now, 0, self._step_seq)
             carrier._fire(carrier)
 
     def _carrier(self, events: Iterable[Event], value: Any) -> Optional[FanOut]:
@@ -129,7 +123,7 @@ class Engine:
     def step(self, _heappop=heapq.heappop) -> None:
         """Process the next scheduled event."""
         when, _prio, self._step_seq, event = _heappop(self._queue)
-        self._now = when
+        self.now = when
         callbacks = event.callbacks
         event.callbacks = None
         for cb in callbacks:
@@ -164,8 +158,8 @@ class Engine:
                 raise stop_event._value
             stop_event.callbacks.append(self._stop_on_event)
         elif isinstance(until, int):
-            if until < self._now:
-                raise ValueError(f"until={until} is in the past (now={self._now})")
+            if until < self.now:
+                raise ValueError(f"until={until} is in the past (now={self.now})")
             stop_time = until
         else:
             raise TypeError(f"until must be None, int, or Event, not {type(until)!r}")
@@ -179,7 +173,7 @@ class Engine:
             else:
                 while queue:
                     if queue[0][0] > stop_time:
-                        self._now = stop_time
+                        self.now = stop_time
                         return None
                     step()
         except StopEngine:
@@ -196,10 +190,10 @@ class Engine:
                 stop_event.defuse()
                 raise stop_event._value
             raise Deadlock(
-                f"no more events at t={self._now} but {stop_event!r} never triggered"
+                f"no more events at t={self.now} but {stop_event!r} never triggered"
             )
         if stop_time is not None:
-            self._now = stop_time
+            self.now = stop_time
         return None
 
     @staticmethod
@@ -207,4 +201,4 @@ class Engine:
         raise StopEngine() from None
 
     def __repr__(self) -> str:
-        return f"<Engine t={self._now} queued={len(self._queue)}>"
+        return f"<Engine t={self.now} queued={len(self._queue)}>"

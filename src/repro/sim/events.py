@@ -144,7 +144,7 @@ class Timeout(Event):
         self.name = name
         self.delay = delay = int(delay)
         env._seq += 1
-        heapq.heappush(env._queue, (env._now + delay, 0, env._seq, self))
+        heapq.heappush(env._queue, (env.now + delay, 0, env._seq, self))
 
 
 class Latch(Event):
@@ -201,7 +201,7 @@ class Latch(Event):
         env = self.env
         self._ok = True
         self._value = None
-        delay = max(self.delay, self.not_before - env._now)
+        delay = max(self.delay, self.not_before - env.now)
         if delay or self.callbacks:
             env.schedule(self, delay=delay)
         else:

@@ -189,7 +189,7 @@ class Link(Resource):
     def _released(self) -> bool:
         env = self.env
         end = self.busy_until
-        return end < env._now or (end == env._now and env._step_seq > self.hold_seq)
+        return end < env.now or (end == env.now and env._step_seq > self.hold_seq)
 
     @property
     def in_use(self) -> int:
@@ -207,7 +207,7 @@ class Link(Resource):
         # _released(), inlined: this runs twice per transfer.
         env = self.env
         end = self.busy_until
-        return end < env._now or (end == env._now and env._step_seq > self.hold_seq)
+        return end < env.now or (end == env.now and env._step_seq > self.hold_seq)
 
     def free_before(self, t: int) -> bool:
         """True when nothing holds or claims the link and its lazy hold
@@ -244,7 +244,7 @@ class Link(Resource):
                 waiting.popleft()
                 continue
             end = self.busy_until
-            if end > env._now or (end == env._now and env._step_seq <= self.hold_seq):
+            if end > env.now or (end == env.now and env._step_seq <= self.hold_seq):
                 # Not released yet (_released(), inlined).
                 if self._release is None:
                     # The eager release's entry, pushed under its key.

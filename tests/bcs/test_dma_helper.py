@@ -25,13 +25,9 @@ from repro.units import KiB
 COST = BcsConfig().nic_descriptor_cost
 
 
-def process_per_chunk_p2p(helper, granted):
+def process_per_chunk_p2p(helper, mine):
     """The helper before the chains: a child process per later chunk."""
-    nrt = helper.nrt
-    mine = [m for m in granted if m.dst_node == nrt.node_id]
-    if not mine:
-        return
-    env = nrt.env
+    env = helper.nrt.env
     rest = [env.process(_move_chunk(helper, m)) for m in mine[1:]]
     yield from _move_chunk(helper, mine[0])
     if rest:
@@ -70,7 +66,8 @@ def run_phase(phase, chunks, nic_busy=(), background=(), at=10_000):
     microstrobe; ``background`` starts ``(t, src, dst, size)`` transfers
     that contend for the chunks' links.  Returns every chunk's
     ``(t0, landed)``, each Strobe Receiver's end instant and the heap
-    entries processed.
+    entries processed.  Each helper is handed its own node's chunks, in
+    grant order, as the Strobe Sender hands them out.
     """
     cluster = Cluster(ClusterSpec(n_nodes=6))
     env = cluster.env
@@ -86,14 +83,17 @@ def run_phase(phase, chunks, nic_busy=(), background=(), at=10_000):
         )
         for i, (src, dst, size) in enumerate(chunks)
     ]
-    dsts = sorted({dst for _, dst, _ in chunks})
+    mine = {}
+    for m in granted:
+        mine.setdefault(m.dst_node, []).append(m)
+    dsts = sorted(mine)
     helpers = {node: _helper(cluster, node, obs) for node in dsts}
     wakes = {node: env.event() for node in dsts}
     ends = {}
 
     def strobe_receiver(node):
         payload = yield wakes[node]
-        yield from phase(helpers[node], payload)
+        yield from phase(helpers[node], payload[node])
         ends[node] = env.now
 
     def background_transfer(t, src, dst, size):
@@ -104,7 +104,7 @@ def run_phase(phase, chunks, nic_busy=(), background=(), at=10_000):
         yield env.timeout(at)
         for node, ns in nic_busy:
             cluster.fabric.nics[node].reserve(ns)
-        env.trigger_all([wakes[n] for n in dsts], granted)
+        env.trigger_all([wakes[n] for n in dsts], mine)
 
     for node in dsts:
         env.process(strobe_receiver(node))

@@ -144,6 +144,24 @@ class MatcherMachine(RuleBasedStateMachine):
         assert self.real._wild_posted == wild
         assert self.real.totals.posted == len(self.real.posted)
 
+    @invariant()
+    def index_holds_only_pending(self):
+        """Every index entry is a pending descriptor, each pending
+        descriptor is indexed once, and no bucket is empty."""
+        pending = {id(d) for d in self.real.unexpected + self.real.posted}
+        indexed = 0
+        for attr in type(self.real).__slots__:
+            if not attr.startswith(("_u_", "_p_")):
+                continue
+            for key, bucket in getattr(self.real, attr).items():
+                assert bucket, (attr, key)
+                for entry in bucket:
+                    # A bucket holds descriptors or (seq, descriptor) pairs.
+                    desc = entry[1] if type(entry) is tuple else entry
+                    assert id(desc) in pending, (attr, key, desc)
+                    indexed += 1
+        assert indexed == len(pending)
+
 
 MatcherMachine.TestCase.settings = settings(
     max_examples=60, stateful_step_count=30, deadline=None
