@@ -313,7 +313,11 @@ class HashMatcher(_MatcherBase):
             return self._take_recv(best, best_key, send)
         self.totals.unexpected += 1
         self._usends[send.desc_id] = send
-        _append(self._u_buckets, exact, send)
+        bucket = self._u_buckets.get(exact)
+        if bucket is None:
+            self._u_buckets[exact] = deque((send,))
+        else:
+            bucket.append(send)
         return None
 
     def add_recv(self, recv: RecvDescriptor) -> Optional[Match]:

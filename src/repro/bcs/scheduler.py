@@ -72,9 +72,11 @@ class SliceScheduler:
 
     def retire_finished(self) -> List[Match]:
         """Drop completed matches from the in-flight list."""
-        finished = [m for m in self.in_flight if m.finished]
+        finished, kept = [], []
+        for m in self.in_flight:
+            (finished if m.finished else kept).append(m)
         if finished:
-            self.in_flight = [m for m in self.in_flight if not m.finished]
+            self.in_flight = kept
         return finished
 
     @property

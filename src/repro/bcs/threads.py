@@ -52,12 +52,12 @@ if TYPE_CHECKING:  # pragma: no cover
 
 def _copy_payload(payload):
     """Deep-enough copy of a message payload (arrays and bytes)."""
+    if payload is None:
+        return None
     if isinstance(payload, np.ndarray):
         return payload.copy()
     if isinstance(payload, (bytes, bytearray)):
         return bytes(payload)
-    if payload is None:
-        return None
     return copy.deepcopy(payload)
 
 

@@ -273,12 +273,15 @@ class BcsCommunicator(Communicator):
         t0 = env.now + overhead
         runtime = self._runtime
         cutoff = runtime.slice_start_time
-        early = (
-            not overhead
-            or t0 < cutoff + runtime.config.timeslice
-            and all(r.posted_at > cutoff or r.complete for r in reqs)
-            or t0 < runtime.sr_idle_until
-        )
+        early = not overhead
+        if not early and t0 < cutoff + runtime.config.timeslice:
+            for r in reqs:
+                if r.posted_at <= cutoff and not r.complete:
+                    break
+            else:
+                early = True
+        if not early:
+            early = t0 < runtime.sr_idle_until
         wake = handle.nm.block_on(reqs) if early else None
         if wake is None and overhead:
             yield env.timeout(overhead)
