@@ -58,7 +58,7 @@ class BcsRequest:
     def __init__(self, env, kind: str):
         self.env = env
         self.kind = kind
-        self.done = Event(env, f"req:{kind}")
+        self.done: Event = Event(env, f"req:{kind}")
         #: Delivered payload (receives and value-returning collectives).
         self.payload: Any = None
         #: Matched source rank (receives).

@@ -17,9 +17,10 @@ Two interchangeable implementations live here:
 - :class:`HashMatcher` — hash-bucketed queues; the fast slice engine's
   and the baseline MPI's matcher.  An exact operation (a send, a receive
   or probe naming both source and tag) is O(1); a wildcard receive or
-  probe is O(unexpected sends held: under BCS, those on the node).  It produces the
-  *identical* match sequence (`tests/bcs/test_matching_differential.py`
-  pins this against the oracle for randomized streams).
+  probe is O(unexpected sends held: under BCS, those on the node).  It
+  produces the *identical* match sequence
+  (`tests/bcs/test_matching_differential.py` pins this against the
+  oracle for randomized streams).
 
 Both take descriptors one at a time (``add_send``/``add_recv``) or as
 one DEM batch per node (``add_send_batch``/``add_recv_batch``).  A batch
@@ -313,11 +314,7 @@ class HashMatcher(_MatcherBase):
             return self._take_recv(best, best_key, send)
         self.totals.unexpected += 1
         self._usends[send.desc_id] = send
-        bucket = self._u_buckets.get(exact)
-        if bucket is None:
-            self._u_buckets[exact] = deque((send,))
-        else:
-            bucket.append(send)
+        _append(self._u_buckets, exact, send)
         return None
 
     def add_recv(self, recv: RecvDescriptor) -> Optional[Match]:

@@ -60,7 +60,6 @@ class NodeManager:
         self.env = nrt.env
         #: Optional gang-scheduling hook: job_id -> Gate (see storm.gang).
         self.job_gates: dict = {}
-        self._wake_name = f"wait:{nrt.slice_start.name}"
 
     # -- computation ------------------------------------------------------------
 
@@ -108,8 +107,9 @@ class NodeManager:
         pending = [r for r in dict.fromkeys(requests) if not r.complete]
         if not pending:
             return None
-        wake = Event(self.env, self._wake_name)
-        blocked = Blocked(self.nrt.slice_start, wake, len(pending))
+        signal = self.nrt.slice_start
+        wake = Event(self.env, name=f"wait:{signal.name}")
+        blocked = Blocked(signal, wake, len(pending))
         for r in pending:
             r.blocked = blocked
         return wake
