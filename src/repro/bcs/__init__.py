@@ -15,7 +15,8 @@ from .descriptors import (
     SendDescriptor,
 )
 from .matching import HashMatcher, LinearMatcher, Matcher, TruncationError
-from .runtime import BcsRuntime, CommInfo, RankHandle
+from ..storm.job import CommInfo
+from .runtime import BcsRuntime, RankHandle
 from .scheduler import SliceScheduler
 from .strobe import MICROPHASES, StrobeReceiver, StrobeSender
 

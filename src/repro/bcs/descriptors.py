@@ -8,6 +8,7 @@ the operation without further host involvement.
 
 from __future__ import annotations
 
+import copy
 import itertools
 from dataclasses import dataclass, field
 from typing import Any, Optional
@@ -129,6 +130,17 @@ def payload_nbytes(payload: Any, declared: Optional[int] = None) -> int:
     import pickle
 
     return len(pickle.dumps(payload))
+
+
+def _copy_payload(payload):
+    """Deep-enough copy of a message payload (arrays and bytes)."""
+    if payload is None:
+        return None
+    if isinstance(payload, np.ndarray):
+        return payload.copy()
+    if isinstance(payload, (bytes, bytearray)):
+        return bytes(payload)
+    return copy.deepcopy(payload)
 
 
 def posted_before(queue: list, cutoff: int) -> int:

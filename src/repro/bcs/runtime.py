@@ -7,7 +7,10 @@ A :class:`BcsRuntime` owns, for one cluster:
   owns its BS/BR/DH/CH/RH NIC threads, Strobe Receiver and Node Manager,
 - the Strobe Sender on the management node (the Machine Manager's NIC
   thread),
-- the global slice scheduler and job/communicator registries.
+- the global slice scheduler;
+
+and, as a :class:`~repro.storm.job.JobHost`, the job and communicator
+registries it shares with the baseline MPI.
 
 Jobs are launched with :meth:`launch`; each rank runs as a simulation
 process whose MPI calls go through the BCS API.
@@ -18,14 +21,14 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from functools import partial
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 import numpy as np
 
 from ..core import BcsCore
 from ..network import Cluster
 from ..network.cluster import NodeDirectory
-from ..storm.job import Job, JobSpec, block_placement
+from ..storm.job import Job, JobHost, JobSpec
 from .config import BcsConfig
 from .matching import MatcherTotals
 from .scheduler import SliceScheduler
@@ -57,45 +60,6 @@ def _coll_pending(nrt) -> bool:
 #: :attr:`RankHandle.quiet_until` of a rank that runs again only at a
 #: slice boundary, or never.
 QUIET_FOREVER = 1 << 62
-
-
-class CommInfo:
-    """One communicator's mapping onto the machine.
-
-    Ranks inside descriptors are communicator-relative; this object maps
-    them to world ranks and nodes.  The world communicator of a job is
-    always ``comm_id == 0``.
-    """
-
-    def __init__(self, job: Job, comm_id: int, world_ranks: Sequence[int]):
-        self.job = job
-        self.comm_id = comm_id
-        self.world_ranks = list(world_ranks)
-        if len(set(self.world_ranks)) != len(self.world_ranks):
-            raise ValueError("duplicate ranks in communicator")
-        #: comm ranks hosted on each node.
-        self.node_ranks: Dict[int, List[int]] = {}
-        for crank, wrank in enumerate(self.world_ranks):
-            node = job.placement[wrank]
-            self.node_ranks.setdefault(node, []).append(crank)
-        self.nodes = sorted(self.node_ranks)
-
-    @property
-    def size(self) -> int:
-        """Number of ranks in the communicator."""
-        return len(self.world_ranks)
-
-    def node_of(self, comm_rank: int) -> int:
-        """Node hosting a communicator-relative rank."""
-        return self.job.placement[self.world_ranks[comm_rank]]
-
-    @property
-    def root_node(self) -> int:
-        """Node of the communicator's rank 0 (its master process)."""
-        return self.node_of(0)
-
-    def __repr__(self) -> str:
-        return f"<CommInfo job={self.job.id} comm={self.comm_id} size={self.size}>"
 
 
 class RankHandle:
@@ -137,12 +101,11 @@ class RankHandle:
         return f"<RankHandle job={self.job.id} rank={self.world_rank}>"
 
 
-class BcsRuntime:
+class BcsRuntime(JobHost):
     """The buffered-coscheduled MPI runtime for one cluster."""
 
     def __init__(self, cluster: Cluster, config: Optional[BcsConfig] = None):
-        self.cluster = cluster
-        self.env = cluster.env
+        super().__init__(cluster)
         self.config = config or BcsConfig()
         self.core = BcsCore(cluster)
         self.scheduler = SliceScheduler(self.config, cluster.spec.model.link_bandwidth)
@@ -195,7 +158,6 @@ class BcsRuntime:
             list(self.node_runtimes)
         self.ss = StrobeSender(self)
 
-        self.jobs: Dict[int, Job] = {}
         #: Job id -> index in launch order.  Job ids come from a
         #: process-global counter; the protocol log names jobs by this
         #: index, so two same-seed runs log alike.
@@ -203,11 +165,6 @@ class BcsRuntime:
         #: Per-job usage counters (cpu_ns, blocked_ns, messages, bytes,
         #: collectives) — STORM's accounting role (paper §1).
         self.job_stats: Dict[int, Counter] = {}
-        #: Job id -> comm id -> communicator.  Two levels, so the hot
-        #: paths look a communicator up per descriptor without building
-        #: a ``(job, comm)`` tuple.
-        self.comms: Dict[int, Dict[int, CommInfo]] = {}
-        self._comm_by_members: Dict[tuple, CommInfo] = {}
         #: Live rank processes: (job_id, rank) -> sim Process (for
         #: failure injection / fault tolerance).
         self.rank_procs: Dict[tuple, object] = {}
@@ -259,29 +216,6 @@ class BcsRuntime:
         obs.bind(self)
         return self
 
-    # -- registry ------------------------------------------------------------------
-
-    def comm_info(self, job_id: int, comm_id: int) -> CommInfo:
-        """Communicator metadata."""
-        return self.comms[job_id][comm_id]
-
-    def register_comm(self, job: Job, world_ranks: Sequence[int]) -> CommInfo:
-        """Create (or fetch) the communicator over a subset of a job's ranks.
-
-        Every member rank calls split() independently; deduplication by
-        member set makes them all land on the same communicator, the way
-        a real MPI_Comm_split agrees collectively.
-        """
-        member_key = (job.id, tuple(world_ranks))
-        existing = self._comm_by_members.get(member_key)
-        if existing is not None:
-            return existing
-        job_comms = self.comms.setdefault(job.id, {})
-        comm_id = len(job_comms)
-        info = job_comms[comm_id] = CommInfo(job, comm_id, world_ranks)
-        self._comm_by_members[member_key] = info
-        return info
-
     # -- job lifecycle ------------------------------------------------------------------
 
     def launch(self, spec: JobSpec, placement: Optional[List[int]] = None) -> Job:
@@ -290,18 +224,10 @@ class BcsRuntime:
         Each rank pays the one-time BCS runtime initialization cost, then
         starts executing at a slice boundary.
         """
-        if placement is None:
-            placement = block_placement(
-                spec.n_ranks,
-                self.cluster.n_compute_nodes,
-                self.cluster.spec.cpus_per_node,
-            )
-        job = Job(self.env, spec, placement)
-        job.started_at = self.env.now
-        self.jobs[job.id] = job
+        world = self._start_job(spec, placement)
+        job = world.job
         self.job_index[job.id] = len(self.job_index)
         self.job_stats[job.id] = Counter()
-        self.register_comm(job, range(spec.n_ranks))  # comm 0 = world
         self.active_node_ids = sorted(
             set(self.active_node_ids) | set(job.nodes)
         )
@@ -324,7 +250,7 @@ class BcsRuntime:
         for rank in range(spec.n_ranks):
             handle = RankHandle(self, job, rank)
             handles.append(handle)
-            comm = BcsCommunicator(self, handle, self.comm_info(job.id, 0), rank)
+            comm = BcsCommunicator(self, handle, world, rank)
             ctx = AppContext(
                 self.env,
                 comm,
@@ -382,32 +308,11 @@ class BcsRuntime:
                 (self.env.now, "rank_finish", self.job_index[job.id], rank)
             )
 
-    def run_job(
-        self,
-        spec: JobSpec,
-        placement: Optional[List[int]] = None,
-        max_time: Optional[int] = None,
-    ) -> Job:
-        """Launch a job and run the simulation until it completes.
+    def _stall_report(self) -> str:
+        """The stall diagnosis, for the watchdog's error."""
+        from ..debug.diagnostics import diagnose
 
-        ``max_time`` (ns of simulated time) is a watchdog: an application
-        deadlock (e.g. an unmatched blocking send) would otherwise spin
-        the strobe loop forever.
-        """
-        job = self.launch(spec, placement)
-        if max_time is None:
-            self.env.run(until=job.done)
-        else:
-            self.env.run(until=self.env.any_of([job.done, self.env.timeout(max_time)]))
-            if not job.complete:
-                from ..debug.diagnostics import diagnose
-
-                raise RuntimeError(
-                    f"job {spec.name!r} did not finish within {max_time} ns "
-                    "(likely an application communication deadlock).\n"
-                    f"stall diagnosis:\n{diagnose(self)}"
-                )
-        return job
+        return f".\nstall diagnosis:\n{diagnose(self)}"
 
     def stop(self) -> None:
         """Ask the Strobe Sender to stop at the next slice boundary."""

@@ -26,7 +26,6 @@ the Node Manager and the Strobe Receiver and keeps the state they share.
 
 from __future__ import annotations
 
-import copy
 from typing import TYPE_CHECKING, Dict, List, Optional
 
 import numpy as np
@@ -39,6 +38,7 @@ from .descriptors import (
     Match,
     RecvDescriptor,
     SendDescriptor,
+    _copy_payload,
     payload_nbytes,
     posted_before,
 )
@@ -48,17 +48,6 @@ from .strobe import StrobeReceiver
 
 if TYPE_CHECKING:  # pragma: no cover
     from .runtime import BcsRuntime
-
-
-def _copy_payload(payload):
-    """Deep-enough copy of a message payload (arrays and bytes)."""
-    if payload is None:
-        return None
-    if isinstance(payload, np.ndarray):
-        return payload.copy()
-    if isinstance(payload, (bytes, bytearray)):
-        return bytes(payload)
-    return copy.deepcopy(payload)
 
 
 class CollEpoch:

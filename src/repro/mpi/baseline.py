@@ -41,14 +41,13 @@ from ..bcs.descriptors import (
     BcsRequest,
     RecvDescriptor,
     SendDescriptor,
+    _copy_payload,
     payload_nbytes,
 )
 from ..bcs.matching import Matcher
-from ..bcs.runtime import CommInfo
-from ..bcs.threads import _copy_payload
 from ..network import Cluster
 from ..sim import Signal
-from ..storm.job import Job, JobSpec, block_placement
+from ..storm.job import CommInfo, Job, JobHost, JobSpec
 from ..units import KiB, bw_time, seconds, us
 from .communicator import Communicator
 from .ops import combine, resolve
@@ -95,17 +94,12 @@ class _CollectiveState:
         self.value: Any = None
 
 
-class BaselineRuntime:
+class BaselineRuntime(JobHost):
     """Runtime for the production-MPI model on one cluster."""
 
     def __init__(self, cluster: Cluster, config: Optional[BaselineConfig] = None):
-        self.cluster = cluster
-        self.env = cluster.env
+        super().__init__(cluster)
         self.config = config or BaselineConfig()
-        self.jobs: Dict[int, Job] = {}
-        #: job id -> comm id -> communicator, numbered per job.
-        self.comms: Dict[int, Dict[int, CommInfo]] = {}
-        self._comm_by_members: Dict[tuple, CommInfo] = {}
         #: One matcher per (job, comm, rank): baseline matching happens
         #: in the library at the receiving process.
         self.matchers: Dict[tuple, Matcher] = {}
@@ -119,23 +113,7 @@ class BaselineRuntime:
         #: (job_id, world_rank) -> Signal pulsed on MPI entry.
         self._mpi_entry: Dict[tuple, Signal] = {}
 
-    # -- registry -----------------------------------------------------------------
-
-    def comm_info(self, job_id: int, comm_id: int) -> CommInfo:
-        """Communicator metadata."""
-        return self.comms[job_id][comm_id]
-
-    def register_comm(self, job: Job, world_ranks: Sequence[int]) -> CommInfo:
-        """Create (or fetch) a communicator over a subset of a job's ranks."""
-        member_key = (job.id, tuple(world_ranks))
-        existing = self._comm_by_members.get(member_key)
-        if existing is not None:
-            return existing
-        job_comms = self.comms.setdefault(job.id, {})
-        comm_id = len(job_comms)
-        info = job_comms[comm_id] = CommInfo(job, comm_id, world_ranks)
-        self._comm_by_members[member_key] = info
-        return info
+    # -- library state ------------------------------------------------------------
 
     def matcher(self, job_id: int, comm_id: int, rank: int) -> Matcher:
         key = (job_id, comm_id, rank)
@@ -182,21 +160,13 @@ class BaselineRuntime:
 
     def launch(self, spec: JobSpec, placement: Optional[List[int]] = None) -> Job:
         """Start a job under the production-MPI model."""
-        if placement is None:
-            placement = block_placement(
-                spec.n_ranks,
-                self.cluster.n_compute_nodes,
-                self.cluster.spec.cpus_per_node,
-            )
-        job = Job(self.env, spec, placement)
-        job.started_at = self.env.now
-        self.jobs[job.id] = job
-        self.register_comm(job, range(spec.n_ranks))
+        world = self._start_job(spec, placement)
+        job = world.job
 
         from .context import AppContext
 
         for rank in range(spec.n_ranks):
-            comm = BaselineCommunicator(self, self.comm_info(job.id, 0), rank)
+            comm = BaselineCommunicator(self, world, rank)
             node_id = job.placement[rank]
             ctx = AppContext(
                 self.env,
@@ -230,25 +200,6 @@ class BaselineRuntime:
                 for key in [k for k in table if k[0] == job.id]:
                     del table[key]
 
-    def run_job(
-        self,
-        spec: JobSpec,
-        placement: Optional[List[int]] = None,
-        max_time: Optional[int] = None,
-    ) -> Job:
-        """Launch a job and run until it completes (watchdog optional)."""
-        job = self.launch(spec, placement)
-        if max_time is None:
-            self.env.run(until=job.done)
-        else:
-            self.env.run(until=self.env.any_of([job.done, self.env.timeout(max_time)]))
-            if not job.complete:
-                raise RuntimeError(
-                    f"job {spec.name!r} did not finish within {max_time} ns "
-                    "(likely an application communication deadlock)"
-                )
-        return job
-
     # -- transport ----------------------------------------------------------------------
 
     def start_send(self, info: CommInfo, send: SendDescriptor) -> None:
@@ -275,15 +226,14 @@ class BaselineRuntime:
         if eager:
             yield from fabric.unicast(src_node, dst_node, send.size, label="eager")
             send.request._finish()  # sender buffer reusable
-            self._arrive(info, send, data_arrived=True)
+            self._arrive(info, send)
             return
 
         # Rendezvous: RTS carries the descriptor only.
         yield from fabric.unicast(src_node, dst_node, cfg.control_bytes, label="rts")
-        self._arrive(info, send, data_arrived=False)
+        self._arrive(info, send)
 
-    def _arrive(self, info: CommInfo, send: SendDescriptor, data_arrived: bool) -> None:
-        send.payload_here = data_arrived  # type: ignore[attr-defined]
+    def _arrive(self, info: CommInfo, send: SendDescriptor) -> None:
         matcher = self.matcher(send.job_id, send.comm_id, send.dst_rank)
         match = matcher.add_send(send)
         if match is not None:
@@ -306,7 +256,7 @@ class BaselineRuntime:
         src_node = info.node_of(send.src_rank)
         dst_node = info.node_of(send.dst_rank)
 
-        if getattr(send, "payload_here", False):
+        if send.size <= cfg.eager_threshold:
             # Eager data is already on the node; unexpected arrivals cost
             # a copy out of the bounce buffer.
             if not recv.request.complete and send.size > 0:
@@ -314,7 +264,7 @@ class BaselineRuntime:
         else:
             # Rendezvous: without an async progress thread, nothing moves
             # until the receiving process re-enters the MPI library.
-            recv_world = self._info_world_rank(info, send.dst_rank)
+            recv_world = info.world_ranks[send.dst_rank]
             yield from self.wait_progress_window(send.job_id, recv_world)
             # CTS back to the sender, then the bulk transfer.
             yield from fabric.unicast(dst_node, src_node, cfg.control_bytes, label="cts")
@@ -329,10 +279,6 @@ class BaselineRuntime:
         self.stats["messages_delivered"] += 1
 
     # -- collectives ----------------------------------------------------------------------
-
-    @staticmethod
-    def _info_world_rank(info: CommInfo, comm_rank: int) -> int:
-        return info.world_ranks[comm_rank]
 
     def sync_point(self, info: CommInfo, epoch_key: tuple) -> _CollectiveState:
         """Arrive at the rendezvous state of one collective instance.
@@ -386,29 +332,12 @@ class BaselineCommunicator(Communicator):
         self._send_seq: Dict[int, int] = {}
         self._epochs: Dict[str, int] = {}
 
-    # -- identity --------------------------------------------------------------
-
-    @property
-    def rank(self) -> int:
-        return self._rank
-
-    @property
-    def size(self) -> int:
-        return self._info.size
+    def _on(self, info: CommInfo, comm_rank: int) -> "BaselineCommunicator":
+        return BaselineCommunicator(self._runtime, info, comm_rank)
 
     @property
     def env(self):
         return self._runtime.env
-
-    def split(self, member_ranks: Sequence[int]) -> Optional["BaselineCommunicator"]:
-        """Sub-communicator over the given ranks of this communicator."""
-        world_ranks = [self._info.world_ranks[r] for r in member_ranks]
-        if self._rank not in member_ranks:
-            return None
-        new_info = self._runtime.register_comm(self._info.job, world_ranks)
-        return BaselineCommunicator(
-            self._runtime, new_info, list(member_ranks).index(self._rank)
-        )
 
     # -- helpers -----------------------------------------------------------------
 
@@ -428,8 +357,7 @@ class BaselineCommunicator(Communicator):
         return epoch
 
     def _make_send(self, data, dest, tag, size) -> SendDescriptor:
-        if not 0 <= dest < self.size:
-            raise ValueError(f"destination rank {dest} outside communicator")
+        self._check_rank(dest, "destination")
         req = BcsRequest(self.env, "send")
         return SendDescriptor(
             job_id=self._job_id,
@@ -444,8 +372,7 @@ class BaselineCommunicator(Communicator):
         )
 
     def _make_recv(self, source, tag, size) -> RecvDescriptor:
-        if source != ANY_SOURCE and not 0 <= source < self.size:
-            raise ValueError(f"source rank {source} outside communicator")
+        self._check_rank(source, "source")
         req = BcsRequest(self.env, "recv")
         return RecvDescriptor(
             job_id=self._job_id,
@@ -486,8 +413,7 @@ class BaselineCommunicator(Communicator):
 
     def iprobe(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> bool:
         """Check the unexpected queue for a matching arrival."""
-        if source != ANY_SOURCE and not 0 <= source < self.size:
-            raise ValueError(f"source rank {source} outside communicator")
+        self._check_rank(source, "source")
         job, comm, rank = self._job_id, self._info.comm_id, self._rank
         return self._runtime.matcher(job, comm, rank).probe(job, comm, rank, source, tag)
 
@@ -533,8 +459,7 @@ class BaselineCommunicator(Communicator):
 
     def bcast(self, data: Any = None, root: int = 0, size=None) -> Generator:
         """Hardware-multicast broadcast from the root's node."""
-        if not 0 <= root < self.size:
-            raise ValueError(f"root rank {root} outside communicator")
+        self._check_rank(root, "root")
         with self._lib:
             result = yield from self._bcast_body(data, root, size)
         return result
@@ -559,8 +484,7 @@ class BaselineCommunicator(Communicator):
 
     def reduce(self, data: Any, op, root: int = 0) -> Generator:
         """Host-side binomial tree over point-to-point messages."""
-        if not 0 <= root < self.size:
-            raise ValueError(f"root rank {root} outside communicator")
+        self._check_rank(root, "root")
         with self._lib:
             result = yield from self._tree_reduce(data, op, root)
         return result if self._rank == root else None

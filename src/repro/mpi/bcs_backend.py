@@ -26,7 +26,7 @@ once the NIC signals completion.
 
 from __future__ import annotations
 
-from typing import Any, Generator, Optional, Sequence
+from typing import Any, Generator, Sequence
 
 from ..bcs.descriptors import (
     UNLIMITED,
@@ -34,10 +34,10 @@ from ..bcs.descriptors import (
     CollectiveDescriptor,
     RecvDescriptor,
     SendDescriptor,
+    _copy_payload,
     payload_nbytes,
 )
 from ..bcs.runtime import QUIET_FOREVER
-from ..bcs.threads import _copy_payload
 from ..obs import call_site
 from .communicator import ANY_SOURCE, ANY_TAG, Communicator
 from .ops import resolve
@@ -54,39 +54,15 @@ class BcsCommunicator(Communicator):
         self._info = info
         self._rank = comm_rank
 
-    # -- identity -------------------------------------------------------------
-
-    @property
-    def rank(self) -> int:
-        return self._rank
-
-    @property
-    def size(self) -> int:
-        return self._info.size
-
-    # -- group operations (extension: the paper lists MPI groups as not
-    # yet implemented; we provide split so NPB codes needing groups run) ----
-
-    def split(self, member_world_comm_ranks: Sequence[int]) -> Optional["BcsCommunicator"]:
-        """Create a sub-communicator over the given ranks of *this* comm.
-
-        Returns the new communicator for members, None for non-members.
-        All members must call with the same rank list.
-        """
-        world_ranks = [self._info.world_ranks[r] for r in member_world_comm_ranks]
-        if self._rank not in member_world_comm_ranks:
-            return None
-        new_info = self._runtime.register_comm(self._info.job, world_ranks)
-        new_rank = list(member_world_comm_ranks).index(self._rank)
-        return BcsCommunicator(self._runtime, self._handle, new_info, new_rank)
+    def _on(self, info, comm_rank: int) -> "BcsCommunicator":
+        return BcsCommunicator(self._runtime, self._handle, info, comm_rank)
 
     # -- point-to-point ----------------------------------------------------------
 
     def isend(self, data: Any = None, dest: int = 0, tag: int = 0, size=None) -> BcsRequest:
         """bcs_send(non-blocking): post a send descriptor."""
+        self._check_rank(dest, "destination")
         info = self._info
-        if not 0 <= dest < info.size:
-            raise ValueError(f"destination rank {dest} outside communicator")
         runtime = self._runtime
         handle = self._handle
         nbytes = payload_nbytes(data, size)
@@ -117,9 +93,8 @@ class BcsCommunicator(Communicator):
 
     def irecv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG, size=None) -> BcsRequest:
         """bcs_recv(non-blocking): post a receive descriptor."""
+        self._check_rank(source, "source")
         info = self._info
-        if source != ANY_SOURCE and not 0 <= source < info.size:
-            raise ValueError(f"source rank {source} outside communicator")
         runtime = self._runtime
         req = BcsRequest(self._env, "recv")
         capacity = UNLIMITED if size is None else size
@@ -151,6 +126,7 @@ class BcsCommunicator(Communicator):
         Looks at the unexpected queue the BR maintains — a message whose
         descriptor has arrived but has no posted receive yet.
         """
+        self._check_rank(source, "source")
         info = self._info
         return self._handle.nrt.matcher.probe(
             info.job.id, info.comm_id, self._rank, source, tag
@@ -226,9 +202,8 @@ class BcsCommunicator(Communicator):
         """Post a collective descriptor (barrier/bcast/reduce/allreduce)."""
         if kind not in ("barrier", "bcast", "reduce", "allreduce"):
             raise ValueError(f"unknown collective kind {kind!r}")
+        self._check_rank(root, "root")
         info = self._info
-        if not 0 <= root < info.size:
-            raise ValueError(f"root rank {root} outside communicator")
         runtime = self._runtime
         handle = self._handle
         req = BcsRequest(self._env, kind)

@@ -1,15 +1,17 @@
-"""Parallel jobs: specification, placement, lifecycle.
+"""Parallel jobs: specification, placement, lifecycle, communicators.
 
 STORM (the paper's resource manager, [8]) owns job descriptions and
 placement; both MPI runtimes launch :class:`JobSpec` instances and track
-them as :class:`Job` objects.
+them as :class:`Job` objects.  What the two runtimes share above their
+transports — the job and communicator registry, the launch preamble and
+the run-until-done watchdog — is :class:`JobHost`.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Generator, List, Optional
+from typing import Any, Callable, Dict, Generator, List, Optional, Sequence
 
 from ..sim import Engine, Event
 
@@ -127,3 +129,124 @@ class Job:
     def __repr__(self) -> str:
         state = "done" if self.complete else "running"
         return f"<Job {self.id} {self.spec.name!r} ranks={self.n_ranks} {state}>"
+
+
+class CommInfo:
+    """One communicator's mapping onto the machine.
+
+    Ranks inside descriptors are communicator-relative; this object maps
+    them to world ranks and nodes.  The world communicator of a job is
+    always ``comm_id == 0``.
+    """
+
+    def __init__(self, job: Job, comm_id: int, world_ranks: Sequence[int]):
+        self.job = job
+        self.comm_id = comm_id
+        self.world_ranks = list(world_ranks)
+        if len(set(self.world_ranks)) != len(self.world_ranks):
+            raise ValueError("duplicate ranks in communicator")
+        #: comm ranks hosted on each node.
+        self.node_ranks: Dict[int, List[int]] = {}
+        for crank, wrank in enumerate(self.world_ranks):
+            node = job.placement[wrank]
+            self.node_ranks.setdefault(node, []).append(crank)
+        self.nodes = sorted(self.node_ranks)
+
+    @property
+    def size(self) -> int:
+        """Number of ranks in the communicator."""
+        return len(self.world_ranks)
+
+    def node_of(self, comm_rank: int) -> int:
+        """Node hosting a communicator-relative rank."""
+        return self.job.placement[self.world_ranks[comm_rank]]
+
+    @property
+    def root_node(self) -> int:
+        """Node of the communicator's rank 0 (its master process)."""
+        return self.node_of(0)
+
+    def __repr__(self) -> str:
+        return f"<CommInfo job={self.job.id} comm={self.comm_id} size={self.size}>"
+
+
+class JobHost:
+    """An MPI runtime as STORM sees it: one cluster's jobs, their
+    communicators, and the loop that runs a job to completion.
+
+    Both MPI runtimes derive from it and supply ``launch``, which starts
+    the rank processes of the job :meth:`_start_job` records.
+    """
+
+    def __init__(self, cluster):
+        self.cluster = cluster
+        self.env = cluster.env
+        self.jobs: Dict[int, Job] = {}
+        #: Job id -> comm id -> communicator.  Two levels, so the hot
+        #: paths look a communicator up per descriptor without building
+        #: a ``(job, comm)`` tuple.
+        self.comms: Dict[int, Dict[int, CommInfo]] = {}
+        self._comm_by_members: Dict[tuple, CommInfo] = {}
+
+    def comm_info(self, job_id: int, comm_id: int) -> CommInfo:
+        """Communicator metadata."""
+        return self.comms[job_id][comm_id]
+
+    def register_comm(self, job: Job, world_ranks: Sequence[int]) -> CommInfo:
+        """Create (or fetch) the communicator over a subset of a job's ranks.
+
+        Every member rank calls split() independently; deduplication by
+        member set makes them all land on the same communicator, the way
+        a real MPI_Comm_split agrees collectively.
+        """
+        member_key = (job.id, tuple(world_ranks))
+        existing = self._comm_by_members.get(member_key)
+        if existing is not None:
+            return existing
+        job_comms = self.comms.setdefault(job.id, {})
+        comm_id = len(job_comms)
+        info = job_comms[comm_id] = CommInfo(job, comm_id, world_ranks)
+        self._comm_by_members[member_key] = info
+        return info
+
+    def _start_job(self, spec: JobSpec, placement: Optional[List[int]]) -> CommInfo:
+        """Place and record a job starting now; returns its world
+        communicator (comm 0), whose ``job`` is the new job."""
+        if placement is None:
+            placement = block_placement(
+                spec.n_ranks,
+                self.cluster.n_compute_nodes,
+                self.cluster.spec.cpus_per_node,
+            )
+        job = Job(self.env, spec, placement)
+        job.started_at = self.env.now
+        self.jobs[job.id] = job
+        return self.register_comm(job, range(spec.n_ranks))
+
+    def run_job(
+        self,
+        spec: JobSpec,
+        placement: Optional[List[int]] = None,
+        max_time: Optional[int] = None,
+    ) -> Job:
+        """Launch a job and run the simulation until it completes.
+
+        ``max_time`` (ns of simulated time) is a watchdog: an application
+        deadlock (e.g. an unmatched blocking send) would otherwise run
+        forever, or spin the BCS strobe loop forever.
+        """
+        job = self.launch(spec, placement)
+        if max_time is None:
+            self.env.run(until=job.done)
+        else:
+            self.env.run(until=self.env.any_of([job.done, self.env.timeout(max_time)]))
+            if not job.complete:
+                raise RuntimeError(
+                    f"job {spec.name!r} did not finish within {max_time} ns "
+                    f"(likely an application communication deadlock){self._stall_report()}"
+                )
+        return job
+
+    def _stall_report(self) -> str:
+        """Text a runtime appends to the watchdog's error."""
+        return ""

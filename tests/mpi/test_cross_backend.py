@@ -145,3 +145,24 @@ def test_out_of_range_root_rejected(backend, call):
 
     job = run_on(backend, app)
     assert job.results == [4, 4, 4, 4]
+
+
+@pytest.mark.parametrize("call", ["isend", "irecv", "iprobe"])
+@pytest.mark.parametrize("backend", ["bcs", "baseline"])
+def test_out_of_range_peer_rejected(backend, call):
+    role = "destination" if call == "isend" else "source"
+
+    def app(ctx):
+        with pytest.raises(ValueError, match=f"{role} rank 99 outside communicator"):
+            if call == "isend":
+                ctx.comm.isend(1, dest=99)
+            elif call == "irecv":
+                ctx.comm.irecv(source=99)
+            else:
+                ctx.comm.iprobe(source=99)
+        # The rejected call posted nothing: the next collective matches.
+        total = yield from ctx.comm.allreduce(1, "sum")
+        return total
+
+    job = run_on(backend, app)
+    assert job.results == [4, 4, 4, 4]

@@ -40,10 +40,6 @@ ALLOWED = {
     "Communicator.startall": MPI,
     "Communicator.test": MPI,
     "Communicator.testall": MPI,
-    "Communicator.scatterv": MPI,
-    "Communicator.gatherv": MPI,
-    "Communicator.allgatherv": MPI,
-    "Communicator.alltoallv": MPI,
     "Communicator.allgather": MPI,
     "Communicator.alltoall": MPI,
     "Communicator.sendrecv": MPI,
