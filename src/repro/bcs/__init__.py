@@ -4,6 +4,7 @@ Globally coscheduled communication: descriptors, time slices,
 microphases, strobes, and the five NIC threads.
 """
 
+from ..storm.job import CommInfo
 from .config import BcsConfig
 from .descriptors import (
     ANY_SOURCE,
@@ -15,7 +16,6 @@ from .descriptors import (
     SendDescriptor,
 )
 from .matching import HashMatcher, LinearMatcher, Matcher, TruncationError
-from ..storm.job import CommInfo
 from .runtime import BcsRuntime, RankHandle
 from .scheduler import SliceScheduler
 from .strobe import MICROPHASES, StrobeReceiver, StrobeSender
