@@ -71,22 +71,34 @@ def test_processed_event_count_is_pinned(
     )
 
 
+def _baseline_events(app, n_nodes, n_ranks, params):
+    runtime = BaselineRuntime(
+        Cluster(ClusterSpec(n_nodes=n_nodes)), BaselineConfig(init_cost=0)
+    )
+    runtime.run_job(
+        JobSpec(app=app, n_ranks=n_ranks, name=app.__name__, params=params)
+    )
+    env = runtime.env
+    return env.now, env._seq - len(env._queue)
+
+
 def test_baseline_processed_event_count_is_pinned():
     """The baseline MPI on the same small SWEEP3D run: its per-message
     processes and buffered-send completions are settled unwatched, and
     its uncontended transfers take one entry."""
-    runtime = BaselineRuntime(
-        Cluster(ClusterSpec(n_nodes=31)), BaselineConfig(init_cost=0)
+    makespan, processed = _baseline_events(
+        sweep3d_blocking, 31, 62, dict(octants=1, kblocks=4)
     )
-    runtime.run_job(
-        JobSpec(
-            app=sweep3d_blocking,
-            n_ranks=62,
-            name="sweep3d_blocking",
-            params=dict(octants=1, kblocks=4),
-        )
-    )
-    env = runtime.env
-    processed = env._seq - len(env._queue)
-    assert env.now == 123_966_988
+    assert makespan == 123_966_988
     assert processed == 3_238, f"the engine processed {processed} events, pinned 3,238"
+
+
+def test_baseline_nearest_neighbor_event_count_is_pinned():
+    """The baseline MPI on the BCS nearest-neighbor case: nonblocking
+    exchanges completed by ``waitall``."""
+    _, n_nodes, n_ranks, params, *_ = CASES[1]
+    makespan, processed = _baseline_events(
+        nearest_neighbor_benchmark, n_nodes, n_ranks, params
+    )
+    assert makespan == 4_447_844
+    assert processed == 4_453, f"the engine processed {processed} events, pinned 4,453"
