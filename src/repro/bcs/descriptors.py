@@ -71,8 +71,9 @@ class BcsRequest:
         self.error: Optional[BaseException] = None
         self.posted_at: int = env.now
         self.completed_at: Optional[int] = None
-        #: The Node Manager's record of a rank blocked on this request
-        #: (see :meth:`NodeManager.block_on`), if any.
+        #: The record of a rank blocked on this request, released once on
+        #: completion: the Node Manager's (see :meth:`NodeManager.block_on`)
+        #: or the baseline MPI's ``waitall`` countdown, if any.
         self.blocked = None
         #: The posted operation this request completes, by value:
         #: ``("msg", send id)``, ``("recv", recv id)`` or ``("coll", (job,
@@ -95,7 +96,8 @@ class BcsRequest:
     def _finish(self) -> None:
         self.completed_at = self.env.now
         # A completion nobody yields (a buffered send, or one whose rank
-        # blocks through the Node Manager) needs no heap entry.
+        # blocks through the Node Manager or a baseline waitall) needs no
+        # heap entry.
         self.done.settle(self)
         blocked = self.blocked
         if blocked is not None:

@@ -5,8 +5,8 @@ qsnetlibs).  This backend models that class of library on the same
 simulated cluster:
 
 - **eager protocol** below a threshold: data travels immediately with the
-  message; unexpected messages are buffered at the receiver and copied on
-  match;
+  message into a bounce buffer at the receiver, and every match copies it
+  out, whether the receive was posted first or not;
 - **rendezvous protocol** above it: RTS control message, CTS once the
   receive is posted, then the bulk DMA;
 - **host involvement**: every MPI call costs host CPU time (the overhead
@@ -17,6 +17,9 @@ simulated cluster:
   floating-point results are comparable);
 - **no global quantization**: completions wake processes immediately —
   this is what gives the baseline its point-to-point latency advantage;
+  each message advances as a chain of callbacks on the fabric's
+  completion events, like a progress engine, not as a process of its
+  own;
 - **no asynchronous rendezvous progress**: like MPICH-era libraries
   without a progress thread, a rendezvous transfer only advances while
   the *receiver* is inside an MPI call.  A non-blocking large receive
@@ -30,6 +33,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Any, Dict, Generator, List, Optional, Sequence
 
 import numpy as np
@@ -46,7 +50,7 @@ from ..bcs.descriptors import (
 )
 from ..bcs.matching import Matcher
 from ..network import Cluster
-from ..sim import Signal
+from ..sim import Event, Signal, Timeout
 from ..storm.job import CommInfo, Job, JobHost, JobSpec
 from ..units import KiB, bw_time, seconds, us
 from .communicator import Communicator
@@ -67,8 +71,8 @@ class BaselineConfig:
     eager_threshold: int = 32 * KiB
     #: Size of RTS/CTS control messages.
     control_bytes: int = 96
-    #: Memory bandwidth for copying unexpected eager messages out of the
-    #: bounce buffer, bytes/s.
+    #: Memory bandwidth for copying a matched eager message out of the
+    #: bounce buffer, bytes/s (every eager match pays the copy).
     copy_bandwidth: float = 900e6
     #: Extra latency of the hardware barrier beyond the network
     #: conditional itself.
@@ -92,6 +96,34 @@ class _CollectiveState:
         self.n = n
         self.done = env.event(name="coll")
         self.value: Any = None
+
+
+class _Waitall(Event):
+    """A rank blocked in :meth:`BaselineCommunicator.waitall`.
+
+    Each pending request holds this record as its ``blocked`` and
+    releases it once on completion, so the completions of a waited
+    request take no heap entry.  The last release succeeds the record
+    itself where that completion's entry would have been, and its
+    callback succeeds ``wake``, the event the rank yields, where a
+    condition over the requests would have fired.
+    """
+
+    __slots__ = ("wake", "pending")
+
+    def __init__(self, env, pending: int):
+        super().__init__(env, name="waitall")
+        self.wake = Event(env, name="waitall.wake")
+        self.pending = pending
+        self.callbacks.append(self._relay)
+
+    def release(self) -> None:
+        self.pending -= 1
+        if not self.pending:
+            self.succeed()
+
+    def _relay(self, _event) -> None:
+        self.wake.succeed()
 
 
 class BaselineRuntime(JobHost):
@@ -147,15 +179,6 @@ class BaselineRuntime(JobHost):
         key = (job_id, world_rank)
         self._in_mpi[key] = self._in_mpi.get(key, 1) - 1
 
-    def wait_progress_window(self, job_id: int, world_rank: int):
-        """Block until the receiver is inside an MPI call.
-
-        Models the lack of an asynchronous progress thread: rendezvous
-        data moves only while the receiving process is in the library.
-        """
-        while self._in_mpi.get((job_id, world_rank), 0) <= 0:
-            yield self._entry_signal(job_id, world_rank).wait()
-
     # -- job lifecycle -----------------------------------------------------------------
 
     def launch(self, spec: JobSpec, placement: Optional[List[int]] = None) -> Job:
@@ -210,30 +233,34 @@ class BaselineRuntime(JobHost):
         reuse the buffer as soon as the send completes.  Rendezvous
         payloads are read at transfer time (the buffer must stay valid
         until completion, as in real MPI).
+
+        The message then advances as a chain of callbacks on its own
+        entries and the fabric's, one stage per entry: the injection
+        here, the landing, and the match (:meth:`_progress`).
         """
         if send.size <= self.config.eager_threshold:
             send.payload = _copy_payload(send.payload)
-        self.env.process(self._send_proc(info, send), name="mpi.send")
+        Timeout(self.env, 0).callbacks.append(partial(self._inject, info, send))
 
-    def _send_proc(self, info: CommInfo, send: SendDescriptor):
+    def _inject(self, info: CommInfo, send: SendDescriptor, _start) -> None:
         cfg = self.config
-        fabric = self.cluster.fabric
         src_node = info.node_of(send.src_rank)
         dst_node = info.node_of(send.dst_rank)
-        eager = send.size <= cfg.eager_threshold
-        self.stats["eager" if eager else "rendezvous"] += 1
+        if send.size <= cfg.eager_threshold:
+            self.stats["eager"] += 1
+            done = self.cluster.fabric.transfer(src_node, dst_node, send.size, "eager")
+            done.callbacks.append(partial(self._eager_landed, info, send))
+        else:
+            # Rendezvous: RTS carries the descriptor only.
+            self.stats["rendezvous"] += 1
+            done = self.cluster.fabric.transfer(src_node, dst_node, cfg.control_bytes, "rts")
+            done.callbacks.append(partial(self._arrive, info, send))
 
-        if eager:
-            yield from fabric.unicast(src_node, dst_node, send.size, label="eager")
-            send.request._finish()  # sender buffer reusable
-            self._arrive(info, send)
-            return
-
-        # Rendezvous: RTS carries the descriptor only.
-        yield from fabric.unicast(src_node, dst_node, cfg.control_bytes, label="rts")
+    def _eager_landed(self, info: CommInfo, send: SendDescriptor, _done) -> None:
+        send.request._finish()  # sender buffer reusable
         self._arrive(info, send)
 
-    def _arrive(self, info: CommInfo, send: SendDescriptor) -> None:
+    def _arrive(self, info: CommInfo, send: SendDescriptor, _done=None) -> None:
         matcher = self.matcher(send.job_id, send.comm_id, send.dst_rank)
         match = matcher.add_send(send)
         if match is not None:
@@ -247,30 +274,48 @@ class BaselineRuntime(JobHost):
             self._on_match(info, match)
 
     def _on_match(self, info: CommInfo, match) -> None:
-        self.env.process(self._finish_match(info, match), name="mpi.match")
+        start = Timeout(self.env, 0)
+        start.callbacks.append(partial(self._progress, info, match.send, match.recv))
 
-    def _finish_match(self, info: CommInfo, match):
+    def _progress(
+        self, info: CommInfo, send: SendDescriptor, recv: RecvDescriptor, _event
+    ) -> None:
         cfg = self.config
-        fabric = self.cluster.fabric
-        send, recv = match.send, match.recv
+        if send.size <= cfg.eager_threshold:
+            # Eager data is already on the node, in the bounce buffer:
+            # every match copies it out.
+            if send.size > 0:
+                copied = Timeout(self.env, bw_time(send.size, cfg.copy_bandwidth))
+                copied.callbacks.append(partial(self._deliver, send, recv))
+            else:
+                self._deliver(send, recv)
+            return
+        # Rendezvous: without an async progress thread, nothing moves
+        # until the receiving process re-enters the MPI library; each
+        # entry's pulse re-checks.
+        key = (send.job_id, info.world_ranks[send.dst_rank])
+        if self._in_mpi.get(key, 0) <= 0:
+            entered = Event(self.env, name="mpi_entry")
+            entered.callbacks.append(partial(self._progress, info, send, recv))
+            self._entry_signal(*key).enlist(entered)
+            return
+        # CTS back to the sender, then the bulk transfer.
         src_node = info.node_of(send.src_rank)
         dst_node = info.node_of(send.dst_rank)
+        cts = self.cluster.fabric.transfer(dst_node, src_node, cfg.control_bytes, "cts")
+        cts.callbacks.append(partial(self._cleared, src_node, dst_node, send, recv))
 
-        if send.size <= cfg.eager_threshold:
-            # Eager data is already on the node; unexpected arrivals cost
-            # a copy out of the bounce buffer.
-            if not recv.request.complete and send.size > 0:
-                yield self.env.timeout(bw_time(send.size, cfg.copy_bandwidth))
-        else:
-            # Rendezvous: without an async progress thread, nothing moves
-            # until the receiving process re-enters the MPI library.
-            recv_world = info.world_ranks[send.dst_rank]
-            yield from self.wait_progress_window(send.job_id, recv_world)
-            # CTS back to the sender, then the bulk transfer.
-            yield from fabric.unicast(dst_node, src_node, cfg.control_bytes, label="cts")
-            yield from fabric.unicast(src_node, dst_node, send.size, label="rdv")
-            send.request._finish()
+    def _cleared(
+        self, src_node: int, dst_node: int, send: SendDescriptor, recv: RecvDescriptor, _cts
+    ) -> None:
+        data = self.cluster.fabric.transfer(src_node, dst_node, send.size, "rdv")
+        data.callbacks.append(partial(self._rdv_landed, send, recv))
 
+    def _rdv_landed(self, send: SendDescriptor, recv: RecvDescriptor, _data) -> None:
+        send.request._finish()
+        self._deliver(send, recv)
+
+    def _deliver(self, send: SendDescriptor, recv: RecvDescriptor, _event=None) -> None:
         recv.request.payload = _copy_payload(send.payload)
         recv.request.source = send.src_rank
         recv.request.tag = send.tag
@@ -429,9 +474,13 @@ class BaselineCommunicator(Communicator):
     def waitall(self, reqs: Sequence[BcsRequest]) -> Generator:
         with self._lib:
             yield from self._overhead(self._runtime.config.wait_overhead)
-            pending = [r.done for r in reqs if not r.complete]
+            # Distinct requests only: a handle listed twice completes once.
+            pending = [r for r in dict.fromkeys(reqs) if not r.complete]
             if pending:
-                yield self.env.all_of(pending)
+                blocked = _Waitall(self.env, len(pending))
+                for r in pending:
+                    r.blocked = blocked
+                yield blocked.wake
         return [r.payload for r in reqs]
 
     # -- collectives -----------------------------------------------------------------------

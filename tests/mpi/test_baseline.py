@@ -319,6 +319,59 @@ def test_interrupted_recv_leaves_the_library():
     assert seen == {"blocked": 1, "cause": "stop", "after": 0, "open": 1, "closed": 0}
 
 
+def test_interrupted_waitall_is_not_resumed():
+    """An Interrupt thrown into a rank blocked in waitall unwinds its
+    section; the requests it waited on complete later without resuming
+    it or crashing the run, and a later wait on one of them works."""
+    seen = {}
+
+    def app(ctx):
+        if ctx.rank == 0:
+            yield ctx.env.timeout(us(50))
+            yield from ctx.comm.send(np.arange(4.0), dest=1, tag=7)
+            yield from ctx.comm.send(None, dest=1, tag=8, size=64 * KiB)
+            yield from ctx.comm.send(b"late", dest=1, tag=9)
+            return None
+        runtime = ctx.comm._runtime
+        key = (ctx.job.id, ctx.rank)
+        reqs = [ctx.comm.irecv(source=0, tag=tag) for tag in (7, 8, 9)]
+
+        def blocked():
+            try:
+                yield from ctx.comm.waitall(reqs)
+                seen["resumed"] = ctx.now
+            except Interrupt as exc:
+                seen["cause"] = exc.cause
+                seen["after"] = runtime._in_mpi[key]
+            yield ctx.env.timeout(us(500))
+            seen["slept_to"] = ctx.now
+
+        victim = ctx.env.process(blocked())
+        yield ctx.env.timeout(us(20))
+        seen["blocked"] = runtime._in_mpi[key]
+        victim.interrupt("stop")
+        yield ctx.env.timeout(us(80))
+        # Only the first eager message has arrived; the rendezvous one
+        # waits for this rank to enter the library.
+        seen["done_early"] = [r.complete for r in reqs]
+        yield from ctx.comm.wait(reqs[1])
+        yield from ctx.comm.wait(reqs[2])
+        seen["depth"] = runtime._in_mpi[key]
+        yield victim
+        return [reqs[0].payload.tolist(), reqs[1].size, reqs[2].payload]
+
+    job, _ = run_app(app, n_ranks=2, n_nodes=2)
+    assert job.results[1] == [[0.0, 1.0, 2.0, 3.0], 64 * KiB, b"late"]
+    assert seen == {
+        "blocked": 1,
+        "cause": "stop",
+        "after": 0,
+        "done_early": [True, False, False],
+        "depth": 0,
+        "slept_to": us(520),
+    }
+
+
 def test_entering_the_library_unwatched_schedules_nothing():
     """An MPI entry pulses the entry signal only for a waiting transfer."""
     cluster = Cluster(ClusterSpec(n_nodes=2))
