@@ -188,7 +188,7 @@ class SendDescriptor:
     posted_at: int = 0
     desc_id: int = field(default_factory=lambda: next(_desc_ids))
     #: Nodes hosting the source and destination ranks, resolved once at
-    #: post by the BCS backend (-1 where nothing resolved them).
+    #: post by either MPI backend (-1 where nothing resolved them).
     src_node: int = -1
     dst_node: int = -1
 

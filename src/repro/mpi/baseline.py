@@ -18,8 +18,7 @@ simulated cluster:
 - **no global quantization**: completions wake processes immediately —
   this is what gives the baseline its point-to-point latency advantage;
   each message advances as a chain of callbacks on the fabric's
-  completion events, like a progress engine, not as a process of its
-  own;
+  completion events, like a progress engine;
 - **no asynchronous rendezvous progress**: like MPICH-era libraries
   without a progress thread, a rendezvous transfer only advances while
   the *receiver* is inside an MPI call.  A non-blocking large receive
@@ -102,11 +101,13 @@ class _Waitall(Event):
     """A rank blocked in :meth:`BaselineCommunicator.waitall`.
 
     Each pending request holds this record as its ``blocked`` and
-    releases it once on completion, so the completions of a waited
-    request take no heap entry.  The last release succeeds the record
-    itself where that completion's entry would have been, and its
-    callback succeeds ``wake``, the event the rank yields, where a
-    condition over the requests would have fired.
+    releases it once on completion, so a waited request's completion
+    takes no heap entry.  The last release succeeds the record, whose
+    entry relays to ``wake``, the event the rank yields.  The relay is
+    what keeps the rank resuming behind the entries queued at its last
+    completion's instant meanwhile: the match an eager landing starts,
+    or a rendezvous match that checks whether the rank is still inside
+    the library.
     """
 
     __slots__ = ("wake", "pending")
@@ -240,20 +241,21 @@ class BaselineRuntime(JobHost):
         """
         if send.size <= self.config.eager_threshold:
             send.payload = _copy_payload(send.payload)
+        send.src_node = info.node_of(send.src_rank)
+        send.dst_node = info.node_of(send.dst_rank)
         Timeout(self.env, 0).callbacks.append(partial(self._inject, info, send))
 
     def _inject(self, info: CommInfo, send: SendDescriptor, _start) -> None:
-        cfg = self.config
-        src_node = info.node_of(send.src_rank)
-        dst_node = info.node_of(send.dst_rank)
-        if send.size <= cfg.eager_threshold:
+        fabric = self.cluster.fabric
+        if send.size <= self.config.eager_threshold:
             self.stats["eager"] += 1
-            done = self.cluster.fabric.transfer(src_node, dst_node, send.size, "eager")
+            done = fabric.transfer(send.src_node, send.dst_node, send.size, "eager")
             done.callbacks.append(partial(self._eager_landed, info, send))
         else:
             # Rendezvous: RTS carries the descriptor only.
             self.stats["rendezvous"] += 1
-            done = self.cluster.fabric.transfer(src_node, dst_node, cfg.control_bytes, "rts")
+            size = self.config.control_bytes
+            done = fabric.transfer(send.src_node, send.dst_node, size, "rts")
             done.callbacks.append(partial(self._arrive, info, send))
 
     def _eager_landed(self, info: CommInfo, send: SendDescriptor, _done) -> None:
@@ -300,15 +302,11 @@ class BaselineRuntime(JobHost):
             self._entry_signal(*key).enlist(entered)
             return
         # CTS back to the sender, then the bulk transfer.
-        src_node = info.node_of(send.src_rank)
-        dst_node = info.node_of(send.dst_rank)
-        cts = self.cluster.fabric.transfer(dst_node, src_node, cfg.control_bytes, "cts")
-        cts.callbacks.append(partial(self._cleared, src_node, dst_node, send, recv))
+        cts = self.cluster.fabric.transfer(send.dst_node, send.src_node, cfg.control_bytes, "cts")
+        cts.callbacks.append(partial(self._cleared, send, recv))
 
-    def _cleared(
-        self, src_node: int, dst_node: int, send: SendDescriptor, recv: RecvDescriptor, _cts
-    ) -> None:
-        data = self.cluster.fabric.transfer(src_node, dst_node, send.size, "rdv")
+    def _cleared(self, send: SendDescriptor, recv: RecvDescriptor, _cts) -> None:
+        data = self.cluster.fabric.transfer(send.src_node, send.dst_node, send.size, "rdv")
         data.callbacks.append(partial(self._rdv_landed, send, recv))
 
     def _rdv_landed(self, send: SendDescriptor, recv: RecvDescriptor, _data) -> None:
