@@ -302,7 +302,8 @@ class BaselineRuntime(JobHost):
             self._entry_signal(*key).enlist(entered)
             return
         # CTS back to the sender, then the bulk transfer.
-        cts = self.cluster.fabric.transfer(send.dst_node, send.src_node, cfg.control_bytes, "cts")
+        size = cfg.control_bytes
+        cts = self.cluster.fabric.transfer(send.dst_node, send.src_node, size, "cts")
         cts.callbacks.append(partial(self._cleared, send, recv))
 
     def _cleared(self, send: SendDescriptor, recv: RecvDescriptor, _cts) -> None:
