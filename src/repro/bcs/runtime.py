@@ -23,7 +23,6 @@ from collections import Counter
 from functools import partial
 from typing import Dict, List, Optional
 
-import numpy as np
 
 from ..core import BcsCore
 from ..network import Cluster
@@ -135,13 +134,6 @@ class BcsRuntime(JobHost):
         #: Steps of :attr:`sr_idle_until`: ``(from, until)`` pairs in
         #: time order.
         self._sr_idle: tuple = ()
-
-        # The ``mphase_done`` counters are an array-backed GAS slot, so
-        # the reference engine's per-node ``gas.write`` and the fast
-        # engine's batched increment update identical storage.
-        self.core.gas.register_array(
-            "mphase_done", np.zeros(len(cluster.nodes), np.int64)
-        )
 
         # Flyweight nodes: one NodeRuntime (NIC threads, Node Manager,
         # Strobe Receiver) per compute node, built on first touch

@@ -5,7 +5,8 @@ every time slice: it multicasts a *microstrobe* at the beginning of each
 microphase, and before moving on checks that all nodes completed the
 current microphase with a ``Compare-And-Write``.  The **Strobe Receiver**
 (SR) on each compute node wakes the local NIC threads that must be active
-in the new microphase and reports completion through global memory.
+in the new microphase and reports completion on the microphase's latch,
+whose completion delay charges the Compare-And-Write's round.
 
 Slice structure (Figure 5):
 
@@ -63,15 +64,10 @@ class StrobeReceiver:
         #: :class:`Strobe`; the Strobe Sender wakes every participant of
         #: a microphase through one ``trigger_all``.
         self.wake = nrt.env.event()
-        #: Microphases this receiver has run and reported (reference
-        #: engine; the fast engine's Strobe Sender reports for every
-        #: participant at once, planned microphases included).
-        self.completed_phases = 0
         self._proc = nrt.env.process(self._run(), name=f"SR{nrt.node_id}")
 
     def _run(self):
         nrt = self.nrt
-        fast = nrt.runtime.fast
         handlers = {
             DEM: lambda s: self._dem(nrt),
             MSM: lambda s: nrt.br.msm_phase(),
@@ -85,16 +81,6 @@ class StrobeReceiver:
             self.wake = env.event()
             t0 = env.now
             yield from handlers[strobe.phase](strobe)
-            # Report completion in global memory; the SS's
-            # Compare-And-Write tests this counter.  Under the fast
-            # engine the SS performs one batched increment for the whole
-            # participant set instead of this per-node write — the
-            # array-backed slot ends up with the identical value.
-            if not fast:
-                self.completed_phases += 1
-                nrt.runtime.core.gas.write(
-                    nrt.node_id, "mphase_done", self.completed_phases
-                )
             obs = nrt.runtime.obs
             if obs is not None:
                 obs.events.append(
@@ -120,7 +106,7 @@ class _Plan:
     """
 
     __slots__ = (
-        "logging", "cost", "routes", "busy", "claims", "holds", "moved", "entries", "landings"
+        "logging", "cost", "routes", "busy", "claims", "holds", "entries", "landings"
     )
 
     def __init__(self, logging: bool, cost: int, routes: dict):
@@ -130,8 +116,6 @@ class _Plan:
         self.busy: Dict[Any, int] = {}
         self.claims: Dict[Link, list] = {}
         self.holds: list = []
-        #: Sizes of the transfers and copies booked.
-        self.moved: list = []
         self.entries: list = []
         self.landings: list = []
 
@@ -163,7 +147,6 @@ class _Plan:
             key = (end + hold + rest, held_key, 0)
         else:
             key = held_key = (end + hold, key, index)
-        self.moved.append(size)
         if self.logging:
             self.entries.append((held_key, nic.spans(held, self.cost)))
         return key[0], key
@@ -174,9 +157,6 @@ class _Plan:
         self.holds.sort(key=_second)
         for group, t in self.holds:
             Link.hold(group, t)
-        fabric = runtime.cluster.fabric
-        fabric.transfers += len(self.moved)
-        fabric.bytes_moved += sum(self.moved)
         entries = self.entries
         if self.logging:
             entries.sort(key=_first)
@@ -572,11 +552,7 @@ class StrobeSender:
             del nrt.posted_sends[:n_sends]
             del nrt.posted_recvs[:n_recvs]
         plan.commit(runtime)
-        runtime.stats["descriptors_exchanged"] += len(plan.moved)  # one per send
-        gas = runtime.core.gas
-        for nodes in (dem_nodes, msm_nodes):
-            if nodes:
-                gas.increment_batch(nodes, "mphase_done")
+        runtime.stats["descriptors_exchanged"] += sum(n for _nrt, n, _r in drains)
         if not elapsed:
             runtime.sr_idle_until = t_dem if dem_nodes else t_msm
         runtime._sr_idle += ((t_msm, t if msm_nodes else msm_end),)
@@ -645,8 +621,6 @@ class StrobeSender:
                 items.append((end, "retire", retired))
             entries.append((done, items + self._empty_tail(end)))
         plan.commit(runtime)
-        if nodes:
-            runtime.core.gas.increment_batch(nodes, "mphase_done")
         runtime._sr_idle += ((t_p2p, t0),)
         self._idle_from = end
         self._retire_due = True
@@ -746,17 +720,6 @@ class StrobeSender:
                 env.trigger_all(wakes, strobe, delay=latency)
                 runtime.sr_idle_until = t0 + latency
             yield done
-            if runtime.fast:
-                # Batched completion report: every participant finished
-                # exactly one microphase, so one batched increment
-                # replaces the per-node ``gas.write`` loop the receivers
-                # perform under the reference engine (same counters, same
-                # values at the Compare-And-Write below).
-                runtime.core.gas.increment_batch(nodes, "mphase_done")
-            # SS verifies global completion with a Compare-And-Write on
-            # the per-node microphase counters; the latch already charged
-            # its conditional round.
-            runtime.core.evaluate_conditional(nodes, "mphase_done", ">=", 0, default=0)
         else:
             wait = max(latency, min_duration)
             runtime.sr_idle_until = t0 + wait

@@ -2,9 +2,10 @@
 
 The BCS protocol makes strong structural promises: microphases run in
 DEM → MSM → P2P → BBM → RM order within each slice, the scheduling
-phase respects its minimum budget, point-to-point payload moves only
-inside the point-to-point microphase, and slice boundaries are strict
-multiples of the time slice.  :class:`ProtocolValidator` re-derives all
+phase respects its minimum budget, every participant of a microphase
+reports it before the microphase closes, point-to-point payload moves
+only inside the point-to-point microphase, and slice boundaries are
+strict multiples of the time slice.  :class:`ProtocolValidator` re-derives all
 of that from the telemetry hub's protocol log
 (:attr:`repro.obs.Observability.events`) and reports violations — used
 by the property tests to assert that *any* workload drives the machine
@@ -131,6 +132,41 @@ class ProtocolValidator:
                 )
         return out
 
+    def check_phase_completion(self) -> List[Violation]:
+        """Every participant reports each microphase once, inside it.
+
+        The Strobe Sender closes a microphase with a Compare-And-Write
+        that holds once every participant has finished it (paper §4.2):
+        a ``phase_begin`` for ``n`` participants gets ``n`` ``node_phase``
+        reports for its ``(slice, phase)`` from ``n`` distinct nodes, none
+        starting before the begin and none ending after the close.  A
+        microphase without a logged begin or close is not checked.
+        """
+        begins, reports = {}, {}
+        for event in self.events:
+            if event[1] == "phase_begin":
+                begins[event[2], event[3]] = (event[0], event[4])
+            elif event[1] == "node_phase":
+                t1, _, node, slice_no, phase, t0 = event
+                reports.setdefault((slice_no, phase), []).append((node, t0, t1))
+        out = []
+        for slice_no, spans in self.phases.items():
+            for phase, _, close in spans:
+                if (slice_no, phase) not in begins:
+                    continue
+                begin, n = begins[slice_no, phase]
+                got = reports.get((slice_no, phase), [])
+                nodes = {node for node, _, _ in got}
+                where = f"slice {slice_no} {phase}"
+                if len(got) != n or len(nodes) != n:
+                    out.append(Violation("phase-completion", f"{where}: {len(got)} reports "
+                                         f"from {len(nodes)} nodes for {n} participants"))
+                outside = sorted(node for node, t0, t1 in got if t0 < begin or t1 > close)
+                if outside:
+                    out.append(Violation("phase-report-outside", f"{where}: nodes {outside} "
+                                         f"reported outside [{begin}, {close}]"))
+        return out
+
     def _unicasts_outside(self, label: str, phase: str) -> List[tuple]:
         """``label`` unicasts that complete outside every ``phase`` window."""
         covers = _coverage(
@@ -175,6 +211,7 @@ class ProtocolValidator:
         out += self.check_phase_order()
         out += self.check_slice_alignment()
         out += self.check_scheduling_budget()
+        out += self.check_phase_completion()
         out += self.check_p2p_containment()
         out += self.check_descriptor_containment()
         return out

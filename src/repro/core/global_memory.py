@@ -6,25 +6,17 @@ symbolic keys.  Each node has a :class:`MemoryRegion`; a
 :class:`GlobalAddressSpace` groups the per-node regions of one machine so
 primitives can write "the variable ``x`` on nodes {2,5,7}".
 
-Two scale features keep the address space flat at 64k nodes:
-
-- **Lazy regions** — a node's :class:`MemoryRegion` is only materialized
-  on its first write (or explicit :meth:`~GlobalAddressSpace.region`
-  access).  Reads of never-written addresses return the default either
-  way, so laziness is observationally identical to eager construction
-  while an idle node costs nothing.
-- **Array-backed slots** — a hot address that holds one scalar per node
-  (e.g. the strobe protocol's ``"mphase_done"`` counters) can be backed
-  by a single SoA array via :meth:`~GlobalAddressSpace.register_array`.
-  Reads and writes through the normal API are transparently redirected
-  to the array, and :meth:`~GlobalAddressSpace.increment_batch` updates
-  a whole node set in one vectorized operation instead of a per-node
-  ``write`` loop.
+Lazy regions keep the address space flat at 64k nodes: a node's
+:class:`MemoryRegion` is only materialized on its first write (or
+explicit :meth:`~GlobalAddressSpace.region` access).  Reads of
+never-written addresses return the default either way, so laziness is
+observationally identical to eager construction while an idle node
+costs nothing.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Hashable, Iterable, Sequence
+from typing import Any, Dict, Hashable, Iterable
 
 
 class MemoryRegion:
@@ -53,25 +45,9 @@ class GlobalAddressSpace:
         self.n_nodes = n_nodes
         #: node_id -> region, created on first write (lazy flyweight).
         self._regions: Dict[int, MemoryRegion] = {}
-        #: addr -> SoA array holding that addr's value for every node.
-        self._arrays: Dict[Hashable, Any] = {}
 
     def __len__(self) -> int:
         return self.n_nodes
-
-    def register_array(self, addr: Hashable, array) -> None:
-        """Back ``addr`` with a per-node SoA ``array`` (len >= n_nodes).
-
-        After registration, reads/writes of ``addr`` on any node go to
-        ``array[node_id]`` instead of the node's dict region; whatever
-        owns the array (e.g. the BCS runtime) sees every update.
-        """
-        if len(array) < self.n_nodes:
-            raise ValueError(
-                f"array for {addr!r} holds {len(array)} slots, "
-                f"need {self.n_nodes}"
-            )
-        self._arrays[addr] = array
 
     def region(self, node_id: int) -> MemoryRegion:
         """The memory region of one node (materialized on demand)."""
@@ -84,9 +60,6 @@ class GlobalAddressSpace:
 
     def read(self, node_id: int, addr: Hashable, default: Any = None) -> Any:
         """Read ``addr`` on one node."""
-        arr = self._arrays.get(addr)
-        if arr is not None:
-            return int(arr[node_id])
         region = self._regions.get(node_id)
         if region is None:
             return default
@@ -94,10 +67,6 @@ class GlobalAddressSpace:
 
     def write(self, node_id: int, addr: Hashable, value: Any) -> None:
         """Write ``addr`` on one node."""
-        arr = self._arrays.get(addr)
-        if arr is not None:
-            arr[node_id] = value
-            return
         self.region(node_id).write(addr, value)
 
     def write_all(self, node_ids: Iterable[int], addr: Hashable, value: Any) -> None:
@@ -107,33 +76,8 @@ class GlobalAddressSpace:
         either all nodes see the value or none do — we model network errors
         as absent, so "all".
         """
-        arr = self._arrays.get(addr)
-        if arr is not None:
-            for nid in node_ids:
-                arr[nid] = value
-            return
         for nid in node_ids:
             self.region(nid).write(addr, value)
-
-    def increment_batch(
-        self, node_ids: Sequence[int], addr: Hashable, delta: int = 1
-    ) -> None:
-        """Add ``delta`` to ``addr`` on every node in ``node_ids`` at once.
-
-        The strobe hot path's replacement for N separate ``write`` calls:
-        on an array-backed slot this is one fancy-indexed update.
-        """
-        arr = self._arrays.get(addr)
-        if arr is not None:
-            if len(node_ids) < 8:
-                for nid in node_ids:
-                    arr[nid] += delta
-            else:
-                arr[node_ids] += delta
-            return
-        for nid in node_ids:
-            region = self.region(nid)
-            region.write(addr, region.read(addr, 0) + delta)
 
     def gather(self, node_ids: Iterable[int], addr: Hashable, default: Any = None) -> list:
         """Read ``addr`` on each of ``node_ids`` (for conditionals)."""

@@ -19,7 +19,7 @@ any global variable — the Lamport condition the paper requires.
 from __future__ import annotations
 
 import operator
-from typing import Any, Callable, Generator, Hashable, Iterable, Optional, Sequence
+from typing import Any, Callable, Generator, Hashable, Iterable, Optional
 
 from ..network import Cluster
 from ..sim import Process
@@ -134,36 +134,13 @@ class BcsCore:
         and if ``write_addr`` is given, atomically writes ``write_value``
         there on all of ``dests``.
         """
-        _compare_op(op)
+        cmp = _compare_op(op)
         dest_list = sorted(set(dests))
         if not dest_list:
             raise ValueError("Compare-And-Write needs at least one destination")
         yield from self.fabric.conditional(src, n_nodes=len(dest_list))
-        return self.evaluate_conditional(
-            dest_list, addr, op, value, write_addr, write_value, default
-        )
-
-    def evaluate_conditional(
-        self,
-        dests: Iterable[int],
-        addr: Hashable,
-        op: str,
-        value: Any,
-        write_addr: Optional[Hashable] = None,
-        write_value: Any = None,
-        default: Any = None,
-    ) -> bool:
-        """The commit instant of :meth:`compare_and_write`, without its
-        network round: evaluate the predicate and apply the write now.
-
-        For a caller that has already charged the conditional's latency
-        (the Strobe Sender folds it into its microphase latch).
-        """
-        cmp = _compare_op(op)
-        dest_list = sorted(set(dests))
-        verdict = all(
-            cmp(self.gas.read(d, addr, default), value) for d in dest_list
-        )
+        gas = self.gas
+        verdict = all(cmp(gas.read(d, addr, default), value) for d in dest_list)
         if verdict and write_addr is not None:
-            self.gas.write_all(dest_list, write_addr, write_value)
+            gas.write_all(dest_list, write_addr, write_value)
         return verdict

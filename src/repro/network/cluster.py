@@ -53,8 +53,6 @@ class Node:
         self.nic = nic
         #: Host CPUs; computation and host-side MPI overhead serialize here.
         self.cpu = Resource(env, capacity=cpus, name=f"node{node_id}.cpu")
-        #: Arbitrary per-node key/value state (global memory attaches here).
-        self.state: dict = {}
         #: When > 0, long computations release the CPU every this many ns
         #: so competing daemons (noise) can preempt.  Zero keeps compute
         #: monolithic and cheap; the noise injector turns this on.

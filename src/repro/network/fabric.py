@@ -122,9 +122,6 @@ class Fabric:
         #: Telemetry hub (set by ``Observability.bind``); it records
         #: every completed transfer in its protocol log.
         self.obs = None
-        #: Total payload bytes moved (excluding headers), for reporting.
-        self.bytes_moved = 0
-        self.transfers = 0
         #: True once a client other than the BCS slice machine may start
         #: moving data at any instant (STORM's heartbeat and launcher,
         #: either PFS): the Strobe Sender then simulates every active
@@ -150,8 +147,6 @@ class Fabric:
         """
         if size < 0:
             raise ValueError("negative transfer size")
-        self.transfers += 1
-        self.bytes_moved += size
         env = self.env
         hold, rest, halves = self.routes[src, dst, size]
         if not halves:
@@ -191,8 +186,6 @@ class Fabric:
         Only the completion's heap sequence number moves, from the hold's
         end to the reservation.
         """
-        self.transfers += 1
-        self.bytes_moved += size
         done = nic.reserve(cost, then=self.copy_time(size))
         if self.obs is not None:
             self._log(done, nic.node_id, nic.node_id, size, label)
@@ -240,9 +233,6 @@ class Fabric:
         if not dest_list:
             return
         model = self.model
-        self.transfers += 1
-        self.bytes_moved += size * len(dest_list)
-
         hold = model.dma_startup + bw_time(size + model.header_bytes, model.mcast_bandwidth)
         env = self.env
         # As in :meth:`transfer`: the tx half and every receiver's rx half
@@ -285,4 +275,4 @@ class Fabric:
         yield self.env.timeout(self.model.cw_latency(n))
 
     def __repr__(self) -> str:
-        return f"<Fabric {self.model.name} n={self.n_nodes} transfers={self.transfers}>"
+        return f"<Fabric {self.model.name} n={self.n_nodes}>"

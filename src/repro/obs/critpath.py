@@ -105,8 +105,7 @@ class BlameReport:
 class _Walk:
     """Mutable walker state: one backward cursor plus the accumulators."""
 
-    def __init__(self, tracker: SpanTracker, floor: int, cur: int):
-        self.tracker = tracker
+    def __init__(self, floor: int, cur: int):
         self.floor = floor
         self.cur = cur
         self.cats = {c: 0 for c in CATEGORIES}
@@ -259,7 +258,7 @@ def critical_path(
         t_end, start_rank = 0, (0, 0)
     makespan = t_end if makespan_ns is None else makespan_ns
     floor = t_end - makespan
-    w = _Walk(tracker, floor, t_end)
+    w = _Walk(floor, t_end)
     blocks = _rank_blocks(tracker)
 
     rank = start_rank

@@ -60,12 +60,11 @@ def _shorten(filename: str) -> str:
 class _RankProfile:
     """Accumulated attribution for one rank."""
 
-    __slots__ = ("app_ns", "mpi_ns", "calls", "last_mark")
+    __slots__ = ("app_ns", "mpi_ns", "last_mark")
 
     def __init__(self):
         self.app_ns = 0
         self.mpi_ns = 0
-        self.calls = 0
         #: Virtual time of the last accounted event boundary.
         self.last_mark = 0
 
@@ -98,7 +97,8 @@ class MpiProfiler:
         else:
             entry[0] += 1
             entry[2] += nbytes
-        self._rank(job, rank).calls += 1
+        # A rank that posts gets its row even if it never waits.
+        self._rank(job, rank)
 
     def record_wait(
         self, job: int, rank: int, op: str, t0: int, t1: int, site: str

@@ -71,7 +71,6 @@ class MessageSpan:
         "chunks",
         "delivered_at",
         "delivered_slice",
-        "retired_slice",
     )
 
     def __init__(self, msg_id: int, job: int, src_key: RankKey, tag: int, size: int):
@@ -99,7 +98,6 @@ class MessageSpan:
         self.chunks: List[Tuple[int, int, int, int]] = []
         self.delivered_at: Optional[int] = None
         self.delivered_slice: Optional[int] = None
-        self.retired_slice: Optional[int] = None
 
     def __repr__(self) -> str:
         state = "delivered" if self.delivered_at is not None else "in-flight"
@@ -252,14 +250,6 @@ class SpanTracker:
             span = by_send.get(send_id)
             if span is not None and span.first_grant_slice is None:
                 span.first_grant_slice = self.slice_no
-
-    def sched_retired(self, t: int, send_ids) -> None:
-        """The scheduler dropped fully transferred matches."""
-        by_send = self._span_by_send
-        for send_id in send_ids:
-            span = by_send.get(send_id)
-            if span is not None:
-                span.retired_slice = self.slice_no
 
     def msg_chunk(self, t1: int, send_id: int, t0: int, nbytes: int) -> None:
         """The DH moved one chunk of the message (P2P)."""

@@ -175,7 +175,6 @@ class _Views:
             "phase": self.phase_end,
             "node_phase": self.node_phase,
             "grant": self.grant,
-            "retire": spans.sched_retired,
             "nic": self.nic,
             "post": self.post,
             "wait": self.wait,

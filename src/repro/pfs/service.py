@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, List, Sequence
 
 from ..bcs.descriptors import BcsRequest, Match, RecvDescriptor, SendDescriptor
 from ..units import kib
@@ -76,8 +76,6 @@ class PfsService:
         self.stripe_bytes = stripe_bytes
         self.files: Dict[str, StripeMap] = {}
         self._next_io = 0
-        self.bytes_written = 0
-        self.bytes_read = 0
 
     # -- data path -------------------------------------------------------------
 
@@ -119,7 +117,6 @@ class PfsService:
             matches.append(self._make_match(client_node, io_node, chunk))
         self.files[name] = stripe_map
         self.runtime.scheduler.add_matches(matches)
-        self.bytes_written += size
         self.runtime.stats["pfs_stripes_written"] += len(matches)
         return [m.recv.request for m in matches]
 
@@ -134,7 +131,6 @@ class PfsService:
             for io_node, chunk in zip(stripe_map.placement, sizes)
         ]
         self.runtime.scheduler.add_matches(matches)
-        self.bytes_read += stripe_map.size
         self.runtime.stats["pfs_stripes_read"] += len(matches)
         return [m.recv.request for m in matches]
 
@@ -158,7 +154,6 @@ class UncoordinatedPfs:
         self.stripe_bytes = stripe_bytes
         self.files: Dict[str, StripeMap] = {}
         self._next_io = 0
-        self.bytes_written = 0
 
     def write(self, client_node: int, name: str, size: int):
         """Start the striped write; returns a completion process."""
@@ -176,7 +171,6 @@ class UncoordinatedPfs:
                 )
             )
         self.files[name] = stripe_map
-        self.bytes_written += size
 
         def waiter():
             if procs:

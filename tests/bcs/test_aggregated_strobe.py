@@ -1,23 +1,19 @@
-"""Differential tests for the aggregated strobe and array-backed GAS slots.
+"""Tests of the microstrobe and of the flyweight node containers.
 
-The fast engine reports microphase completion with one batched
-increment from the Strobe Sender of the ``mphase_done`` GAS slot, which
-one flat int64 array backs for the whole machine.  The reference engine
-(``BcsConfig(engine="reference")``) has every Strobe Receiver write its
-own counter.  Neither may move a single event:
-virtual time, slice counts, and every per-node GAS value must be
-byte-identical between the engines, and under the fast engine the lazy
-flyweight node directory must stay unmaterialized for nodes a job never
-touches.
+The Strobe Sender wakes every participant of a microphase with one
+multicast and resumes on one latch that each Strobe Receiver counts
+down.  The fast engine must not move a single event against the
+reference engine (``BcsConfig(engine="reference")``): virtual time,
+slice counts and results must be identical.  Under the fast engine the
+lazy flyweight node directory must stay unmaterialized for nodes a job
+never touches.
 """
 
-import numpy as np
 import pytest
 
 from repro.apps.synthetic import barrier_benchmark, nearest_neighbor_benchmark
 from repro.bcs import ANY_SOURCE, ANY_TAG, BcsConfig, BcsRuntime
 from repro.bcs.threads import NodeRuntime
-from repro.core.global_memory import GlobalAddressSpace
 from repro.harness.runner import run_workload
 from repro.network import Cluster, ClusterSpec
 from repro.storm import JobSpec
@@ -56,36 +52,6 @@ def test_virtual_time_identity_aggregated_vs_oracle(app):
     assert results["fast"] == results["reference"]
 
 
-def _run_runtime(engine, n_nodes=8, n_ranks=16):
-    cluster = Cluster(ClusterSpec(n_nodes=n_nodes))
-    runtime = BcsRuntime(cluster, BcsConfig(init_cost=0, engine=engine))
-    spec = JobSpec(
-        app=barrier_benchmark,
-        n_ranks=n_ranks,
-        name="diff",
-        params=dict(granularity=us(300), iterations=6),
-    )
-    job = runtime.run_job(spec, max_time=seconds(60))
-    return runtime, job
-
-
-def test_batched_gas_increments_match_per_node_writes():
-    """``mphase_done`` must be indistinguishable from the oracle's loop.
-
-    The reference engine has every Strobe Receiver ``gas.write`` its
-    own counter; the fast engine batch-increments the array slot from
-    the Strobe Sender.  Any strobe the aggregation skipped or
-    double-counted shows up as a differing per-node value.
-    """
-    agg_rt, agg_job = _run_runtime("fast")
-    orc_rt, orc_job = _run_runtime("reference")
-    assert agg_job.runtime == orc_job.runtime
-    for node_id in agg_job.nodes:
-        assert agg_rt.core.gas.read(node_id, "mphase_done", default=0) == (
-            orc_rt.core.gas.read(node_id, "mphase_done", default=0)
-        ), f"node {node_id} slice counter diverged"
-
-
 def test_lazy_nodes_stay_unmaterialized_on_a_big_cluster():
     """A 2-rank job on 2048 nodes must touch O(active), not O(cluster)."""
     cluster = Cluster(ClusterSpec(n_nodes=2048))
@@ -102,63 +68,11 @@ def test_lazy_nodes_stay_unmaterialized_on_a_big_cluster():
     assert active < 8
     assert runtime.node_runtimes.materialized_count <= active
     assert cluster.nodes.materialized_count <= active + 1
-    # The counters still cover the whole machine — compute nodes plus
-    # the management node — because a flat array is cheap at any scale.
-    assert_mphase_done_covers_every_node(runtime)
-
-
-# -- GAS array slots -----------------------------------------------------------
-
-
-def assert_mphase_done_covers_every_node(runtime):
-    """``mphase_done`` is an int64 counter on every cluster node, the
-    management node included, and on no node beyond them."""
+    # Global memory spans every cluster node, the management node included.
     gas = runtime.core.gas
-    n_nodes = len(runtime.cluster.nodes)
-    assert gas.n_nodes == n_nodes
-    # An array-backed slot reads a count, never the None default.
-    assert all(
-        gas.read(n, "mphase_done") is not None for n in range(n_nodes)
-    )
-    top = runtime.cluster.n_compute_nodes  # the management node
-    # 2**62 + 1 survives only in a 64-bit integer.
-    gas.write(top, "mphase_done", 2**62)
-    gas.increment_batch([top], "mphase_done")
-    assert gas.read(top, "mphase_done") == 2**62 + 1
+    assert len(gas) == len(cluster.nodes)
     with pytest.raises(IndexError):
-        gas.write(n_nodes, "mphase_done", 1)
-
-
-@pytest.mark.parametrize("engine", ["fast", "reference"])
-def test_mphase_done_is_an_int64_counter_per_cluster_node(engine):
-    runtime, job = _run_runtime(engine)
-    assert_mphase_done_covers_every_node(runtime)
-    # Every node the job ran on counted its microphases.
-    assert all(runtime.core.gas.read(n, "mphase_done") > 0 for n in job.nodes)
-
-
-def test_gas_array_slot_reads_and_batch_increments():
-    gas = GlobalAddressSpace(32)
-    arr = np.zeros(32, dtype=np.int64)
-    gas.register_array("ctr", arr)
-    # Batched increment, per-node write, and read all hit one storage.
-    gas.increment_batch([2, 5, 30], "ctr")
-    gas.increment_batch(list(range(0, 32, 2)), "ctr", delta=2)
-    gas.write(5, "ctr", 10)
-    assert gas.read(5, "ctr") == 10
-    assert gas.read(2, "ctr") == 3
-    assert gas.read(30, "ctr") == 3
-    assert gas.read(3, "ctr") == 0
-    assert arr[2] == 3  # the array IS the storage
-
-
-def test_gas_increment_batch_without_registered_array():
-    """Plain dict-backed addresses accept batched increments too."""
-    gas = GlobalAddressSpace(8)
-    gas.write(1, "x", 5)
-    gas.increment_batch([0, 1], "x")
-    assert gas.read(0, "x", default=0) == 1
-    assert gas.read(1, "x") == 6
+        gas.write(len(cluster.nodes), "x", 1)
 
 
 # -- the cached microstrobe latency --------------------------------------------

@@ -197,13 +197,14 @@ def _one_node_ops(fold, ops):
     ``kind`` is "copy" (a hold then a loopback transfer) or "hold" (NIC
     work alone).  With ``fold`` a copy is one :meth:`Fabric.local_copy`
     timeout, otherwise the hold and the loopback are two steps.  Returns
-    each op's completion instant and the NIC's occupancy spans.
+    each op's completion instant, the NIC's occupancy spans and the
+    logged transfers.
     """
     cluster = Cluster(ClusterSpec(n_nodes=2))
     env = cluster.env
     fabric = cluster.fabric
     nic = fabric.nics[0]
-    nic.obs = types.SimpleNamespace(events=[])
+    nic.obs = fabric.obs = types.SimpleNamespace(events=[])
     ends = {}
 
     def op(i, arrival, kind, cost, size):
@@ -219,10 +220,13 @@ def _one_node_ops(fold, ops):
     for i, spec in enumerate(ops):
         env.process(op(i, *spec))
     env.run()
+    events = nic.obs.events
     busy = sorted(
-        (node, t0, t1, t1 - t0) for t1, kind, node, t0 in nic.obs.events
+        (node, t0, t1, t1 - t0) for t1, kind, node, t0 in
+        (e for e in events if e[1] != "unicast")
     )
-    return ends, busy, fabric.transfers, fabric.bytes_moved
+    unicasts = sorted(e for e in events if e[1] == "unicast")
+    return ends, busy, unicasts
 
 
 @settings(max_examples=60, deadline=None)

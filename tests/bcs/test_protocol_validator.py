@@ -74,6 +74,51 @@ def test_validator_detects_stray_transfer():
     assert "p2p-outside-phase" in kinds
 
 
+# A DEM microphase of slice 1 begun at 100 for two participants, nodes 0
+# and 1, each starting at the microstrobe (110) and closed at 200.
+_DEM_BEGIN = (100, "phase_begin", 1, "DEM", 2)
+_DEM_CLOSE = (200, "phase", 1, "DEM", 100)
+
+
+def _completion(*reports):
+    events = [_DEM_BEGIN, *reports, _DEM_CLOSE]
+    return [str(v) for v in ProtocolValidator(events, 1000).check_phase_completion()]
+
+
+def test_completion_rule_accepts_every_participant_once_inside_the_phase():
+    assert _completion(
+        (150, "node_phase", 0, 1, "DEM", 110),
+        (200, "node_phase", 1, 1, "DEM", 100),  # both edges are inside
+    ) == []
+
+
+def test_completion_rule_flags_a_missing_report():
+    assert _completion((150, "node_phase", 0, 1, "DEM", 110)) == [
+        "[phase-completion] slice 1 DEM: 1 reports from 1 nodes for 2 participants"
+    ]
+
+
+def test_completion_rule_flags_a_duplicated_report():
+    assert _completion(
+        (150, "node_phase", 0, 1, "DEM", 110),
+        (150, "node_phase", 0, 1, "DEM", 110),
+    ) == ["[phase-completion] slice 1 DEM: 2 reports from 1 nodes for 2 participants"]
+
+
+def test_completion_rule_flags_a_report_after_the_close():
+    assert _completion(
+        (150, "node_phase", 0, 1, "DEM", 110),
+        (201, "node_phase", 1, 1, "DEM", 110),
+    ) == ["[phase-report-outside] slice 1 DEM: nodes [1] reported outside [100, 200]"]
+
+
+def test_completion_rule_flags_a_report_before_the_begin():
+    assert _completion(
+        (150, "node_phase", 0, 1, "DEM", 99),
+        (150, "node_phase", 1, 1, "DEM", 110),
+    ) == ["[phase-report-outside] slice 1 DEM: nodes [0] reported outside [100, 200]"]
+
+
 def test_containment_windows_are_closed_at_both_edges():
     """A transfer completing exactly at a microphase edge is inside it;
     one nanosecond past either edge is outside every window."""

@@ -1,8 +1,9 @@
 """Slice-machine invariants on real workloads, under both slice engines.
 
 :class:`ProtocolValidator` re-derives the microphase order, slice
-alignment, the DEM+MSM budget and the containment of descriptor and
-payload transfers from the telemetry hub's protocol log.  Here it runs
+alignment, the DEM+MSM budget, every participant's report of each
+microphase and the containment of descriptor and payload transfers from
+the telemetry hub's protocol log.  Here it runs
 with every check on small halo, SWEEP3D and SAGE runs, under the fast
 and the reference engine, and must find nothing.  The instrumented run's
 makespan and results must equal the bare run's.

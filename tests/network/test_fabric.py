@@ -3,6 +3,7 @@
 import pytest
 
 from repro.network import Cluster, ClusterSpec, qsnet
+from repro.obs import Observability
 from repro.sim import Interrupt
 from repro.units import KiB, MiB, bw_time, us
 
@@ -13,6 +14,7 @@ def make_cluster(n=4, **kw):
 
 def test_unicast_completes_and_accumulates_bytes():
     cl = make_cluster()
+    hub = cl.fabric.obs = Observability()
     done = []
 
     def body():
@@ -23,7 +25,7 @@ def test_unicast_completes_and_accumulates_bytes():
     cl.run()
     assert len(done) == 1
     assert done[0] > 0
-    assert cl.fabric.bytes_moved == 4 * KiB
+    assert hub.events == [(done[0], "unicast", 0, 1, 4 * KiB, "")]
 
 
 def test_unicast_time_has_latency_and_serialization():
@@ -136,6 +138,7 @@ def test_rx_contention_serializes_receivers():
 
 def test_multicast_reaches_all_and_counts_bytes():
     cl = make_cluster(n=8)
+    hub = cl.fabric.obs = Observability()
 
     def body():
         yield from cl.fabric.multicast(0, range(1, 8), 4 * KiB)
@@ -143,7 +146,7 @@ def test_multicast_reaches_all_and_counts_bytes():
 
     t = cl.run(until=cl.env.process(body()))
     assert t > 0
-    assert cl.fabric.bytes_moved == 7 * 4 * KiB
+    assert hub.events == [(t, "multicast", 0, tuple(range(1, 8)), 4 * KiB)]
 
 
 def test_multicast_excludes_self_delivery_cost():

@@ -57,7 +57,7 @@ def test_read_back_uses_recorded_placement():
     runtime.ss.start()
     cluster.env.run(until=proc)
     assert all(r.complete for r in reqs)
-    assert pfs.bytes_read == mib(1)
+    assert sum(r.size for r in reqs) == mib(1)
 
 
 def test_read_unknown_file_raises():

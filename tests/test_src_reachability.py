@@ -20,6 +20,10 @@ imports it, or names it whole (``python -m repro.harness.cli``, the
 . import name``) does not count.  A package counts as reached when a file
 outside it imports it or one of its modules.  Names kept on purpose are
 listed in :data:`ALLOWED` with the reason.
+
+Two more rules guard state: a config or spec field must be read and set
+to a non-default value in those directories, and an attribute stored in
+``src/`` must be loaded there (:func:`write_only_attributes`).
 """
 
 import ast
@@ -334,3 +338,61 @@ def test_field_guard_flags_unread_and_test_only_fields():
     }
     callers.append(ast.parse("Knobs(required=0, unread=getattr(k, 'unread'), test_only=x)"))
     assert field_findings(fields, callers) == {}
+
+
+#: Attribute names ``src/`` stores and nothing loads, kept anyway: name
+#: -> reason.
+ALLOWED_ATTRIBUTES: dict = {}
+
+
+def write_only_attributes(stores, loads):
+    """Attribute names stored in a tree of ``stores`` and loaded in no
+    tree of ``loads``.
+
+    A store is a ``.name`` in Store context (``AugAssign`` targets
+    included).  A load is a ``.name`` in Load context or a string
+    constant passed to ``getattr`` or ``hasattr``; strings elsewhere,
+    ``__slots__`` included, are not loads.
+    """
+    stored, loaded = set(), set()
+    for tree in stores:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+                stored.add(node.attr)
+    for tree in loads:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.attr)
+            elif (
+                isinstance(node, ast.Call)
+                and getattr(node.func, "id", None) in ("getattr", "hasattr")
+                and len(node.args) > 1
+                and isinstance(node.args[1], ast.Constant)
+            ):
+                loaded.add(node.args[1].value)
+    return stored - loaded
+
+
+def test_every_stored_attribute_is_loaded_outside_tests():
+    src = [ast.parse(path.read_text()) for path in sorted((ROOT / "src").rglob("*.py"))]
+    found = write_only_attributes(src, _caller_trees())
+    bad = sorted(found - set(ALLOWED_ATTRIBUTES))
+    assert not bad, "attributes src/ stores and nothing outside the tests loads: " + ", ".join(bad)
+    stale = sorted(set(ALLOWED_ATTRIBUTES) - found)
+    assert not stale, f"allowlisted but now loaded or gone: {stale}"
+
+
+def test_attribute_guard_flags_only_stored_names():
+    stores = [
+        ast.parse(
+            "class A:\n"
+            "    __slots__ = ('kept', 'counted', 'probed', 'lost')\n"
+            "    def __init__(self):\n"
+            "        self.kept = self.counted = self.probed = self.lost = 0\n"
+            "        self.counted += 1\n"
+        )
+    ]
+    loads = [ast.parse("print(a.kept)\nif hasattr(a, 'probed'): pass\n")]
+    assert write_only_attributes(stores, loads) == {"counted", "lost"}
+    loads.append(ast.parse("getattr(a, 'counted')\nprint(a.lost)"))
+    assert write_only_attributes(stores, loads) == set()
