@@ -167,6 +167,9 @@ class BcsRuntime(JobHost):
         self.stats: Counter = Counter()
         #: Nodes hosting at least one rank of any job (strobe targets).
         self.active_node_ids: List[int] = []
+        #: Nodes in service: the active nodes and those a PFS stripe
+        #: names (see :meth:`use_nodes`).
+        self.nodes_in_use: set = set()
         #: Hooks invoked at every slice boundary with the new slice number
         #: (gang scheduler, instrumentation, ...).  A non-empty registry
         #: also disables slice planning: hooks may create work.
@@ -208,6 +211,21 @@ class BcsRuntime(JobHost):
         obs.bind(self)
         return self
 
+    def use_nodes(self, node_ids) -> None:
+        """Put nodes into service, logging a ``node`` entry for each new one.
+
+        A node comes into service when a job is first launched onto it
+        or a PFS stripe first names it; binding a hub logs the nodes
+        already in service.  Which nodes an engine has built plays no
+        part, so both engines log the same entries.
+        """
+        fresh = sorted(set(node_ids) - self.nodes_in_use)
+        self.nodes_in_use.update(fresh)
+        obs = self.obs
+        if obs is not None:
+            now = self.env.now
+            obs.events.extend((now, "node", node_id) for node_id in fresh)
+
     # -- job lifecycle ------------------------------------------------------------------
 
     def launch(self, spec: JobSpec, placement: Optional[List[int]] = None) -> Job:
@@ -223,6 +241,7 @@ class BcsRuntime(JobHost):
         self.active_node_ids = sorted(
             set(self.active_node_ids) | set(job.nodes)
         )
+        self.use_nodes(job.nodes)
         # Build the NodeRuntime of every node the job touches, in
         # ascending id order, *before* the strobe loop and the rank
         # processes start.  A fresh Strobe Receiver's init event is inert

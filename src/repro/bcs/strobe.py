@@ -289,7 +289,7 @@ class StrobeSender:
             if end > env.now:
                 yield self._sleep_until(end)
             if self._retire_due:
-                self._retire(log=False)
+                self._retire()
             if obs is not None:
                 obs.events.append(
                     (env.now, "slice_end", runtime.slice_no, start, active, overrun)
@@ -387,7 +387,7 @@ class StrobeSender:
         runtime = self.runtime
         env = self.env
         yield from self._microphase(P2P, sorted(mine), 0, payload=mine)
-        self._retire(log=True)
+        self._retire()
         # RM's participants are read after BBM, except behind an
         # empty BBM, which no receiver runs and which leaves them
         # as they are.
@@ -401,15 +401,10 @@ class StrobeSender:
             runtime.obs.events.extend(self._empty_tail(env.now))
         return env.now + 2 * self._strobe_latency
 
-    def _retire(self, log: bool) -> None:
-        """Drop the matches P2P finished; with ``log``, log them now."""
-        runtime = self.runtime
+    def _retire(self) -> None:
+        """Drop the matches P2P finished."""
         self._retire_due = False
-        retired = runtime.scheduler.retire_finished()
-        if retired and log and runtime.obs is not None:
-            runtime.obs.events.append(
-                (self.env.now, "retire", tuple(m.send.desc_id for m in retired))
-            )
+        self.runtime.scheduler.retire_finished()
 
     def _plannable(self) -> bool:
         """May the rest of the slice be planned?  No launch can change the
@@ -611,15 +606,8 @@ class StrobeSender:
                 last = first
         end, done = self._phase_end(t_p2p, last, len(nodes), 0)
         if logging:
-            items = [(end, "phase", slice_no, P2P, end - t_p2p)]
-            retired = tuple(
-                m.send.desc_id
-                for m in runtime.scheduler.in_flight
-                if m.bytes_done + m.scheduled_now >= m.total_bytes
-            )
-            if retired:
-                items.append((end, "retire", retired))
-            entries.append((done, items + self._empty_tail(end)))
+            phase = (end, "phase", slice_no, P2P, end - t_p2p)
+            entries.append((done, [phase] + self._empty_tail(end)))
         plan.commit(runtime)
         runtime._sr_idle += ((t_p2p, t0),)
         self._idle_from = end

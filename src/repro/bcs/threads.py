@@ -124,14 +124,12 @@ class NodeRuntime:
         self.config: BcsConfig = runtime.config
         self.env = runtime.env
         # Lazily materialized nodes can be created after observability
-        # was attached; inherit the hub and log this node's coming into
-        # being so the fresh NIC reports occupancy spans like its peers.
-        # (Nodes built with the runtime exist before any ``obs`` —
-        # binding covers those.)
+        # was attached; inherit the hub so the fresh NIC reports
+        # occupancy spans like its peers.  (Nodes built with the runtime
+        # exist before any ``obs``: binding covers those.)
         obs = getattr(runtime, "obs", None)
         if obs is not None:
             self.nic.obs = obs
-            obs.events.append((self.env.now, "node", node_id))
 
         #: Pulsed by the Strobe Sender at every slice boundary; the Node
         #: Manager uses it to restart processes whose ops completed.

@@ -82,18 +82,19 @@ class Observability:
         self._views: Optional[_Views] = None
 
     def bind(self, runtime: "BcsRuntime") -> None:
-        """Attach to a runtime: wire the fabric and the materialized NICs.
+        """Attach to a runtime: wire the fabric and the materialized NICs,
+        and log the nodes already in service (:meth:`BcsRuntime.use_nodes`).
 
         Lazily materialized nodes inherit the hub at construction from
-        ``runtime.obs`` and log themselves; binding never forces a 64k
-        table into being.
+        ``runtime.obs``; binding never forces a 64k table into being.
         """
         self.runtime = runtime
         runtime.cluster.fabric.obs = self
-        now = runtime.env.now
         for nrt in runtime.node_runtimes.materialized():
             nrt.nic.obs = self
-            self.events.append((now, "node", nrt.node_id))
+        now = runtime.env.now
+        for node_id in sorted(runtime.nodes_in_use):
+            self.events.append((now, "node", node_id))
 
     def _fold(self) -> "_Views":
         views = self._views

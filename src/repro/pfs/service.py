@@ -80,6 +80,7 @@ class PfsService:
     # -- data path -------------------------------------------------------------
 
     def _make_match(self, src_node: int, dst_node: int, size: int) -> Match:
+        self.runtime.use_nodes((src_node, dst_node))
         send_req = BcsRequest(self.env, "pfs-send")
         recv_req = BcsRequest(self.env, "pfs-recv")
         ids = self.runtime.desc_ids
