@@ -1,22 +1,22 @@
-"""Pinned digests of the flight recorder's protocol log.
+"""Pinned digests of the whole protocol log.
 
 The golden timings pin makespans, and BCS makespans are slice-quantized,
 so an instant can move inside a slice and leave every makespan green.
-These digests pin the whole log instead: every microphase (instant,
-slice, phase, duration), every fabric transfer, loopbacks included
-(instant, endpoints, size, label), every message delivery (instant,
-node, ranks, tag, size) and every node's collective completion
-(instant, node, communicator, epoch).  Both slice engines must produce
-the same log.
+These digests pin the whole protocol log instead: every entry of
+``obs.events``, of every kind (slices, microphases and each node's part
+in them, grants, NIC holds, posts, waits, descriptor exchanges, matches,
+chunks, deliveries, collectives, fabric transfers, rank starts and
+finishes, nodes coming into service), with all its fields.  Both slice
+engines must produce the same log.
 
 The log is hashed as a multiset per instant: it is sorted by ``(t,
 repr(entry))`` before hashing.  Entries of one nanosecond may be written
 in any host order (the two engines already differ there), so a change
 that only reorders same-instant work keeps the digest; a change that
-moves, adds or drops any entry does not.  If a change is meant to move
-an instant, update the digest here and say so in CHANGES.md.  To locate
-the change, record the case's log at both commits and compare their
-:func:`canonical` forms with :func:`repro.debug.diff_logs`.
+moves, adds, drops or reshapes any entry does not.  If a change is meant
+to move an instant, update the digest here and say so in CHANGES.md.  To
+locate the change, record the case's log at both commits and compare
+their :func:`canonical` forms with :func:`repro.debug.diff_logs`.
 """
 
 import hashlib
@@ -46,20 +46,20 @@ GOLDEN_LOGS = [
     (
         sage,
         dict(steps=3, step_compute=ms(5)),
-        486,
-        "888602b9c8c0065393b98aa449304069e5c5b22447026b9617ad1e033a78966f",
+        1_880,
+        "99acff641e0463897bee76c020040d667b3fec423be50ba6438ea7557c63b8f1",
     ),
     (
         sweep3d_blocking,
         dict(octants=2, kblocks=2),
-        250,
-        "20588e1f6c7224e6bd8f97d14d8ac8c352001852011ffbeaf302141c4cfa2ef6",
+        1_157,
+        "efcf6d20482fcce777ad2f785abef79c28317287c15a13d9b8873b40460a6391",
     ),
     (
         barrier_benchmark,
         dict(granularity=ms(2), iterations=3),
-        45,
-        "a9eee6bed45b8d9adbe0040329b82f6e66b17149d04eadbfcd33c7fd2eb6a875",
+        242,
+        "beab3bb76e476a64fbe99d8cf8124af3bfd79c889274c4655e7b8eee9bd0ffd3",
     ),
 ]
 
@@ -67,13 +67,13 @@ GOLDEN_LOGS = [
 # seed, as the benchmark runs them.  The 65,536-node machine runs under
 # the fast engine only; the reference engine builds every node up front.
 BENCH_LOGS = [
-    ("halo_64k", 22_860, "ce1c864480a32e3ef098144cd96992634efe8ecb932448b4bf678b29f1b0a4f8"),
+    ("halo_64k", 99_825, "d5fd92e863ebfa30d0e7edbfa55bc1a549947ccc3bf3e34c6e5b2e3f9a404b9a"),
     (
         "sweep3d_wavefront",
-        28_917,
-        "acdcb9e4e4b8f6ebf411b1229ced6af6e6e9b8238bfb2e121836a5832c163a8b",
+        128_984,
+        "cdbc19cc6711b37afafd7263e0c190082fdfefad6e52e91e7ba7ced8644d486d",
     ),
-    ("sage_idle", 27_930, "e3974dbdbc882ffc28c9d0b41eac4a9824fa48daa1d28e9745a2b5fb40193377"),
+    ("sage_idle", 129_396, "d5994466229175b8c717044cd742c91bb2328b14d36d73efac3921032b8ba50f"),
 ]
 BENCH_REFERENCE = {"sweep3d_wavefront", "sage_idle"}
 
@@ -85,22 +85,22 @@ EVENT_COUNT_LOGS = [
         31,
         62,
         dict(octants=1, kblocks=4),
-        2_002,
-        "7703b1c79a6dfb0a4206d1dd048cbb2fcad0d64dca22d355c9a97fdad469fc0d",
+        9_027,
+        "ce98e531d8aab92e25b2db9ec7b29828de28272badd7cde604af0f529cea272f",
     ),
     (
         nearest_neighbor_benchmark,
         16,
         32,
         dict(granularity=ms(1), iterations=4, n_neighbors=4, message_bytes=kib(4)),
-        1_581,
-        "35bf9f3d4a3ad62171cec1621268d0bcd8f09d99ed523b26261721a9ca8162ff",
+        6_816,
+        "d1c577629b8e0805dcd3908c1d6d3dc72dc4233cdb694b9ae30a80cbb9f47f18",
     ),
 ]
 
 RECORDER_APP_LOG = (
-    78,
-    "e5cb8aeeba226cde88f7c99e1d8a81190d4275647462306d66c0470c7c43f122",
+    364,
+    "86faed41968fb59871ee2ff42208a841d6d370a601677d42bf6298d108bab808",
 )
 
 
@@ -134,7 +134,7 @@ def check(log, length, expected, other=None):
 def recorded(run):
     recorder = FlightRecorder()
     run(recorder.obs)
-    return recorder.log()
+    return recorder.obs.events
 
 
 def golden_log(app, params, engine):
@@ -216,8 +216,7 @@ def test_event_count_case_log_digest(app, n_nodes, n_ranks, params, length, expe
 def test_recorder_app_log_digest():
     recorder = FlightRecorder()
     run_once(recorder.obs)
-    log = recorder.log()
-    check(log, *RECORDER_APP_LOG)
+    check(recorder.obs.events, *RECORDER_APP_LOG)
     assert recorder.summary().splitlines() == [
         "replay.bytes{kind=multicast} 48",
         "replay.bytes{kind=unicast} 1656",
