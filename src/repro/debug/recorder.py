@@ -8,12 +8,14 @@ comparison*: record the communication log of a run, re-run, and diff.
 Any divergence pinpoints the first nondeterministic (or changed) event
 — the debugging workflow a SIMD-style global OS makes possible.
 
-The log is the digested view of the telemetry hub's protocol log
-(:attr:`repro.obs.Observability.events`): one normalized tuple per
-microphase, per completed fabric transfer, per message delivery and per
-collective completion (:data:`DIGESTED`).  Event aggregation goes
-through a :class:`repro.obs.MetricsRegistry` (one counter per event
-kind, a bytes counter per kind), so the recorder's statistics render
+The log is the telemetry hub's whole protocol log
+(:attr:`repro.obs.Observability.events`), every entry of every kind, in
+canonical order: sorted by ``(t, repr(entry))``.  Neither slice engine
+appends in time order, and the two write same-instant entries in
+different host orders, so the canonical log is what two runs can be
+compared by: one per-instant multiset.  Event aggregation goes through
+a :class:`repro.obs.MetricsRegistry` (one counter per event kind, a
+bytes counter per transfer kind), so the recorder's statistics render
 with the same machinery as the runtime's slice telemetry.
 
 Usage::
@@ -32,11 +34,6 @@ from dataclasses import dataclass
 from typing import List, Optional
 
 from ..obs import MetricsRegistry, Observability
-
-#: The entry kinds the digested log keeps, and how many leading fields of
-#: each: a delivery's send descriptor id and a collective's job index
-#: serve the span view only.
-DIGESTED = {"phase": 5, "unicast": 6, "multicast": 5, "deliver": 7, "collective": 5}
 
 
 @dataclass(frozen=True)
@@ -66,20 +63,16 @@ class FlightRecorder:
         self.registry = MetricsRegistry()
 
     def log(self) -> List[tuple]:
-        """The normalized event log, in simulation order.
+        """The protocol log in canonical order: sorted by ``(t, repr(entry))``.
 
         Each entry is a plain tuple (hashable, diffable):
         ``(time, kind, details...)``.  As a side effect the recorder's
         :attr:`registry` is rebuilt with per-kind event/byte counters.
         """
         self.registry.reset()
-        log = []
-        for entry in self.obs.events:
+        log = sorted(self.obs.events, key=lambda e: (e[0], repr(e)))
+        for entry in log:
             kind = entry[1]
-            width = DIGESTED.get(kind)
-            if width is None:
-                continue
-            log.append(entry[:width])
             self.registry.counter("replay.events", kind=kind).inc()
             if kind == "unicast":
                 nbytes = entry[4]

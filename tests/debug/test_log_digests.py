@@ -9,14 +9,14 @@ chunks, deliveries, collectives, fabric transfers, rank starts and
 finishes, nodes coming into service), with all its fields.  Both slice
 engines must produce the same log.
 
-The log is hashed as a multiset per instant: it is sorted by ``(t,
-repr(entry))`` before hashing.  Entries of one nanosecond may be written
-in any host order (the two engines already differ there), so a change
-that only reorders same-instant work keeps the digest; a change that
-moves, adds, drops or reshapes any entry does not.  If a change is meant
-to move an instant, update the digest here and say so in CHANGES.md.  To
-locate the change, record the case's log at both commits and compare
-their :func:`canonical` forms with :func:`repro.debug.diff_logs`.
+The log is hashed as a multiset per instant: :meth:`FlightRecorder.log`
+sorts it by ``(t, repr(entry))``.  Entries of one nanosecond may be
+written in any host order (the two engines already differ there), so a
+change that only reorders same-instant work keeps the digest; a change
+that moves, adds, drops or reshapes any entry does not.  If a change is
+meant to move an instant, update the digest here and say so in
+CHANGES.md.  To locate the change, record the case's log at both commits
+and compare them with :func:`repro.debug.diff_logs`.
 """
 
 import hashlib
@@ -104,25 +104,20 @@ RECORDER_APP_LOG = (
 )
 
 
-def canonical(log):
-    """The log as a per-instant multiset: sorted by ``(t, repr(entry))``."""
-    return sorted(log, key=lambda e: (e[0], repr(e)))
-
-
 def digest(log):
-    return hashlib.sha256(repr(canonical(log)).encode()).hexdigest()
+    return hashlib.sha256(repr(log).encode()).hexdigest()
 
 
 def check(log, length, expected, other=None):
     """Assert the pin; on a mismatch, name the first entry at which the
-    canonical log departs from ``other`` (the same case under the other
-    engine) when that differs too."""
+    log departs from ``other`` (the same case under the other engine)
+    when that differs too."""
     got = (len(log), digest(log))
     if got == (length, expected):
         return
     message = f"log (length, digest) {got} != pinned {(length, expected)}"
     if other is not None:
-        divergence = diff_logs(canonical(log), canonical(other))
+        divergence = diff_logs(log, other)
         message += (
             f"\nagainst the other engine: {divergence[0]}"
             if divergence
@@ -134,7 +129,7 @@ def check(log, length, expected, other=None):
 def recorded(run):
     recorder = FlightRecorder()
     run(recorder.obs)
-    return recorder.obs.events
+    return recorder.log()
 
 
 def golden_log(app, params, engine):
@@ -216,21 +211,43 @@ def test_event_count_case_log_digest(app, n_nodes, n_ranks, params, length, expe
 def test_recorder_app_log_digest():
     recorder = FlightRecorder()
     run_once(recorder.obs)
-    check(recorder.obs.events, *RECORDER_APP_LOG)
+    check(recorder.log(), *RECORDER_APP_LOG)
     assert recorder.summary().splitlines() == [
         "replay.bytes{kind=multicast} 48",
         "replay.bytes{kind=unicast} 1656",
+        "replay.events{kind=chunk} 12",
+        "replay.events{kind=coll_sched} 3",
         "replay.events{kind=collective} 6",
         "replay.events{kind=deliver} 12",
+        "replay.events{kind=exchange} 12",
+        "replay.events{kind=grant} 6",
+        "replay.events{kind=match} 12",
         "replay.events{kind=multicast} 3",
+        "replay.events{kind=nic} 69",
+        "replay.events{kind=node} 2",
+        "replay.events{kind=node_phase} 33",
         "replay.events{kind=phase} 30",
+        "replay.events{kind=phase_begin} 30",
+        "replay.events{kind=post} 36",
+        "replay.events{kind=rank_finish} 4",
+        "replay.events{kind=rank_start} 4",
+        "replay.events{kind=slice_begin} 20",
+        "replay.events{kind=slice_end} 19",
         "replay.events{kind=unicast} 27",
+        "replay.events{kind=wait} 24",
     ]
+
+
+def canonical_digest(events):
+    """The digest of ``events`` appended in this order to a recorder's hub."""
+    recorder = FlightRecorder()
+    recorder.obs.events.extend(events)
+    return digest(recorder.log())
 
 
 def test_digest_is_blind_to_same_instant_order_only():
     a = [(5, "phase", 1, "DEM", 10), (5, "unicast", 0, 1, 64, "p2p"), (9, "phase", 1, "MSM", 4)]
     swapped = [a[1], a[0], a[2]]
     moved = [a[0], (6, "unicast", 0, 1, 64, "p2p"), a[2]]
-    assert digest(swapped) == digest(a)
-    assert digest(moved) != digest(a)
+    assert canonical_digest(swapped) == canonical_digest(a)
+    assert canonical_digest(moved) != canonical_digest(a)

@@ -120,7 +120,16 @@ def test_bcs_slice_quantization_absorbs_subslice_noise():
         runtime.run_job(JobSpec(app=app, n_ranks=4), max_time=seconds(30))
         return recorder.log()
 
-    assert diff_logs(bcs_log(False), bcs_log(True)) == []
+    # The noise stretches computes, so a rank posts later and starts its
+    # wait later; those host-side instants (``post``, ``wait``) move.
+    # Every entry of the slice machine, NICs and fabric stays put.
+    quiet, noisy = bcs_log(False), bcs_log(True)
+    assert quiet != noisy
+    host_side = ("post", "wait")
+    assert diff_logs(
+        [e for e in quiet if e[1] not in host_side],
+        [e for e in noisy if e[1] not in host_side],
+    ) == []
 
     def baseline_runtime(noise):
         cluster = Cluster(ClusterSpec(n_nodes=2, seed=9))
