@@ -34,12 +34,14 @@ from repro.bcs.descriptors import (
     RecvDescriptor,
     SendDescriptor,
 )
+from repro.debug import FlightRecorder
 from repro.harness.runner import DEFAULT_MAX_TIME, nodes_for
 from repro.network import Cluster, ClusterSpec
 from repro.obs import Observability
 from repro.obs.critpath import blame_payload, critical_path, to_json_bytes
+from repro.pfs import PfsService
 from repro.storm import JobSpec
-from repro.units import kib, ms, seconds, us
+from repro.units import kib, mib, ms, seconds, us
 
 
 class Workload(NamedTuple):
@@ -153,9 +155,8 @@ def _stats(result):
     return stats
 
 
-def _perfetto(obs, meta=True):
-    """The Perfetto export with its events as a sorted multiset (without
-    the track-name metadata unless ``meta``).
+def _perfetto(obs):
+    """The Perfetto export with its events as a sorted multiset.
 
     The reference engine's per-descriptor NIC holds finish the
     same-instant occupancy spans of different nodes in another order
@@ -163,7 +164,7 @@ def _perfetto(obs, meta=True):
     duration is the same.
     """
     trace = obs.perfetto.to_dict()
-    events = [e for e in trace.pop("traceEvents") if meta or e["ph"] != "M"]
+    events = trace.pop("traceEvents")
     return trace, sorted(json.dumps(e, sort_keys=True) for e in events)
 
 
@@ -173,12 +174,14 @@ def _blame(obs, result):
     return to_json_bytes(blame_payload(report))
 
 
-def _stream(obs, drop=()):
-    """The full protocol log, but for the ``drop`` kinds, as a multiset
-    per instant: the engines write same-instant entries in different
-    host orders."""
-    kept = [e for e in obs.events if e[1] not in drop]
-    return sorted(kept, key=lambda e: (e[0], repr(e)))
+def _assert_views_identical(fast, ref):
+    """Two flight recorders' logs agree, and so does every view folded
+    from them.  The logs compare in canonical order: the engines write
+    same-instant entries in different host orders."""
+    assert fast.obs.registry.snapshot() == ref.obs.registry.snapshot()
+    assert _perfetto(fast.obs) == _perfetto(ref.obs)
+    assert fast.obs.profiler.report() == ref.obs.profiler.report()
+    assert fast.log() == ref.log()
 
 
 # --- end-to-end equivalence ---------------------------------------------------
@@ -198,22 +201,66 @@ def test_virtual_time_and_stats_identical(name, buffered):
 
 @pytest.mark.parametrize("name", sorted(WORKLOADS))
 def test_observability_output_identical(name):
-    obs_fast = Observability()
-    obs_ref = Observability()
-    fast = _run(name, "fast", obs=obs_fast)
-    ref = _run(name, "reference", obs=obs_ref)
-    # The fast engine brings a node into being, logging its ``node``
-    # entry (which names its Perfetto tracks), when a job first touches
-    # it, the reference engine at construction: a launch onto fresh nodes
-    # mid-run logs them at other instants.
-    fresh = name == "staggered"
-    drop = ("node",) if fresh else ()
+    rec_fast = FlightRecorder()
+    rec_ref = FlightRecorder()
+    fast = _run(name, "fast", obs=rec_fast.obs)
+    ref = _run(name, "reference", obs=rec_ref.obs)
     assert fast.runtime_ns == ref.runtime_ns
-    assert obs_fast.registry.snapshot() == obs_ref.registry.snapshot()
-    assert _perfetto(obs_fast, meta=not fresh) == _perfetto(obs_ref, meta=not fresh)
-    assert obs_fast.profiler.report() == obs_ref.profiler.report()
-    assert _blame(obs_fast, fast) == _blame(obs_ref, ref)
-    assert _stream(obs_fast, drop) == _stream(obs_ref, drop)
+    _assert_views_identical(rec_fast, rec_ref)
+    assert _blame(rec_fast.obs, fast) == _blame(rec_ref.obs, ref)
+
+
+def test_hub_attached_after_launch():
+    """Binding a hub mid-run logs the nodes already in service; the
+    second job's launch then logs its fresh nodes."""
+    recorders = []
+    for engine in ("fast", "reference"):
+        recorder = FlightRecorder()
+        runtime = _runtime("staggered", BcsConfig(engine=engine))
+        env = runtime.env
+
+        def attach(runtime=runtime, recorder=recorder):
+            yield runtime.env.timeout(BcsConfig().init_cost + ms(3))
+            runtime.attach_observability(recorder.obs)
+
+        env.process(attach())
+        _complete("staggered", runtime)
+        recorders.append(recorder)
+    nodes = [e for e in recorders[0].log() if e[1] == "node"]
+    assert [e[2] for e in nodes] == [0, 1, 2, 3, 4, 5]
+    assert nodes[0][0] == nodes[1][0] < nodes[2][0]
+    _assert_views_identical(*recorders)
+
+
+def test_pfs_io_node_without_ranks():
+    """A PFS I/O node hosting no rank is logged when a stripe first
+    names it, under both engines alike."""
+    recorders = []
+    for engine in ("fast", "reference"):
+        recorder = FlightRecorder()
+        cluster = Cluster(ClusterSpec(n_nodes=4))
+        runtime = BcsRuntime(cluster, BcsConfig(init_cost=0, engine=engine))
+        runtime.attach_observability(recorder.obs)
+        pfs = PfsService(runtime, io_nodes=[3])
+
+        def writer(env=cluster.env, pfs=pfs):
+            yield env.timeout(ms(2))
+            for i in range(3):
+                pfs.write(0, f"f{i}", mib(1))
+                yield env.timeout(ms(2))
+
+        cluster.env.process(writer(), name="pfs.bg")
+        w = WORKLOADS["neighbor"]
+        runtime.run_job(
+            JobSpec(app=w.app, n_ranks=w.n_ranks, params=w.params),
+            placement=[0, 0, 1, 1],
+            max_time=seconds(60),
+        )
+        recorders.append(recorder)
+    log = recorders[0].log()
+    assert [e[2] for e in log if e[1] == "node"] == [0, 1, 3]
+    assert any(e[1] == "nic" and e[2] == 3 for e in log)
+    _assert_views_identical(*recorders)
 
 
 def _ranks_view(log):

@@ -12,13 +12,14 @@ import pytest
 from repro.apps.sage import sage
 from repro.apps.synthetic import barrier_benchmark
 from repro.bcs import BcsConfig, BcsRuntime, HashMatcher, LinearMatcher
+from repro.debug import FlightRecorder
 from repro.harness.runner import run_workload
 from repro.network import Cluster, ClusterSpec
 from repro.obs import Observability
 from repro.storm import JobSpec
 from repro.units import ms, seconds, us
 
-from .test_active_sets import _blame, _perfetto, _stream
+from .test_active_sets import _assert_views_identical, _blame
 
 WORKLOADS = {
     "sage": (sage, 4, dict(steps=3, step_compute=ms(40))),
@@ -49,16 +50,13 @@ def test_virtual_time_and_stats_identical(name):
 def test_observability_output_identical():
     """No view of the protocol log depends on fast-forward: the skipped
     slices are logged as the reference engine logs them."""
-    obs_on = Observability()
-    obs_off = Observability()
-    on = _run("sage", "fast", obs=obs_on)
-    off = _run("sage", "reference", obs=obs_off)
+    rec_on = FlightRecorder()
+    rec_off = FlightRecorder()
+    on = _run("sage", "fast", obs=rec_on.obs)
+    off = _run("sage", "reference", obs=rec_off.obs)
     assert on.runtime_ns == off.runtime_ns
-    assert obs_on.registry.snapshot() == obs_off.registry.snapshot()
-    assert _perfetto(obs_on) == _perfetto(obs_off)
-    assert obs_on.profiler.report() == obs_off.profiler.report()
-    assert _blame(obs_on, on) == _blame(obs_off, off)
-    assert _stream(obs_on) == _stream(obs_off)
+    _assert_views_identical(rec_on, rec_off)
+    assert _blame(rec_on.obs, on) == _blame(rec_off.obs, off)
 
 
 def test_matcher_gauges_exported():

@@ -41,8 +41,14 @@ def test_log_captures_all_event_kinds():
     recorder = FlightRecorder()
     run_once(recorder.obs)
     log = recorder.log()
-    kinds = {e[1] for e in log}
-    assert {"unicast", "phase"} <= kinds
+    # The whole protocol log: every entry of the hub, of every kind.
+    assert sorted(log, key=repr) == sorted(recorder.obs.events, key=repr)
+    assert {e[1] for e in log} == {
+        "node", "rank_start", "rank_finish",
+        "slice_begin", "slice_end", "phase_begin", "phase", "node_phase",
+        "post", "wait", "exchange", "match", "grant", "chunk", "deliver",
+        "coll_sched", "collective", "nic", "unicast", "multicast",
+    }
     # Events come out in time order.
     times = [e[0] for e in log]
     assert times == sorted(times)
