@@ -30,21 +30,20 @@ UNLIMITED = 1 << 62
 _desc_ids = itertools.count()
 
 
-class BcsRequest:
+class BcsRequest(Event):
     """Completion handle for one posted operation (paper's BCS_Request).
 
-    The NIC signals completion by triggering :attr:`done`; processes poll
-    it (``bcs_test``) or block on it (``bcs_test(blocking)``), in which
-    case the Node Manager restarts them at the next slice boundary: the
-    rank's :attr:`blocked` record is released on completion, and the last
-    release enlists the rank on its node's slice signal.  Both MPI
-    backends return it from ``isend``/``irecv`` as the MPI request.
+    The request is itself the event the NIC triggers on completion, with
+    no value: processes poll it (``bcs_test``) or block on it
+    (``bcs_test(blocking)``), in which case the Node Manager restarts
+    them at the next slice boundary: the rank's :attr:`blocked` record
+    is released on completion, and the last release enlists the rank on
+    its node's slice signal.  Both MPI backends return it from
+    ``isend``/``irecv`` as the MPI request.
     """
 
     __slots__ = (
-        "env",
         "kind",
-        "done",
         "payload",
         "source",
         "tag",
@@ -57,9 +56,8 @@ class BcsRequest:
     )
 
     def __init__(self, env, kind: str):
-        self.env = env
+        super().__init__(env, f"req:{kind}")
         self.kind = kind
-        self.done: Event = Event(env, f"req:{kind}")
         #: Delivered payload (receives and value-returning collectives).
         self.payload: Any = None
         #: Matched source rank (receives).
@@ -84,7 +82,7 @@ class BcsRequest:
     @property
     def complete(self) -> bool:
         """Whether the operation has finished (NIC-visible state)."""
-        return self.done.triggered
+        return self.triggered
 
     def status(self) -> Optional[Status]:
         """Receive metadata (MPI_Status), or None if not complete / not a
@@ -98,7 +96,7 @@ class BcsRequest:
         # A completion nobody yields (a buffered send, or one whose rank
         # blocks through the Node Manager or a baseline waitall) needs no
         # heap entry.
-        self.done.settle(self)
+        self.settle()
         blocked = self.blocked
         if blocked is not None:
             self.blocked = None

@@ -445,14 +445,14 @@ class BaselineCommunicator(Communicator):
             yield from self._overhead(self._runtime.config.call_overhead)
             req = self.isend(data, dest, tag, size)
             if not req.complete:
-                yield req.done
+                yield req
 
     def recv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG, size=None) -> Generator:
         with self._lib:
             yield from self._overhead(self._runtime.config.call_overhead)
             req = self.irecv(source, tag, size)
             if not req.complete:
-                yield req.done
+                yield req
         return req.payload
 
     def iprobe(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> bool:
@@ -467,7 +467,7 @@ class BaselineCommunicator(Communicator):
         with self._lib:
             yield from self._overhead(self._runtime.config.wait_overhead)
             if not req.complete:
-                yield req.done
+                yield req
         return req.payload
 
     def waitall(self, reqs: Sequence[BcsRequest]) -> Generator:

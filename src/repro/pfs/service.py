@@ -137,7 +137,7 @@ class PfsService:
 
     def drain(self, requests: List[BcsRequest]):
         """Generator: wait until the given stripe transfers complete."""
-        pending = [r.done for r in requests if not r.complete]
+        pending = [r for r in requests if not r.complete]
         if pending:
             yield self.env.all_of(pending)
 

@@ -105,6 +105,8 @@ class Engine:
         carrier = self._carrier(events, value)
         if carrier is not None:
             carrier.key = (self.now, 0, self._step_seq)
+            # Processed, as a heap entry marks it before its callback.
+            carrier.callbacks = None
             carrier._fire(carrier)
 
     def _carrier(self, events: Iterable[Event], value: Any) -> Optional[FanOut]:

@@ -84,7 +84,7 @@ class ProcessPath(BaselineRuntime):
     def waitall(self, comm, reqs):
         with comm._lib:
             yield from comm._overhead(self.config.wait_overhead)
-            pending = [r.done for r in reqs if not r.complete]
+            pending = [r for r in reqs if not r.complete]
             if pending:
                 yield self.env.all_of(pending)
         return [r.payload for r in reqs]
