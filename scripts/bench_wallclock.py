@@ -6,9 +6,9 @@ Sender's planning of idle slices dominates), dense micro benchmarks (every
 slice active, where the engine/matching/fabric fast paths must at least
 not regress) and large-N scaling replays, each twice: once on the fast
 slice engine (the default) and once on the reference engine
-(``BcsConfig(engine="reference")``: full-scan active sets, per-node
-strobe completion writes, per-descriptor linear matching, every slice
-simulated, every node built up front).
+(``BcsConfig(engine="reference")``: full-scan active sets,
+per-descriptor linear matching, every slice simulated, every node built
+up front).
 
 Every pair asserts that the *virtual* runtime is byte-identical — the
 engine choice must never change simulated time — and reports the
@@ -72,9 +72,9 @@ MICRO_MIN_SPEEDUP = 0.90
 SCALING_MIN_SPEEDUP = 10.0
 #: Per-benchmark floors that override the kind-level defaults above.
 #: ``barrier_micro`` is the dense regime the batched slice engine must
-#: not lose (the batched DEM/MSM holds plus descriptor pooling have to
-#: at least pay for themselves); ``scaling_4096`` is the ISSUE-7 regime
-#: where the full optimized stack must beat the reference stack >= 30x;
+#: not lose (the batched DEM/MSM holds have to at least pay for
+#: themselves); ``scaling_4096`` is the 4096-node regime where the full
+#: optimized stack must beat the reference stack >= 30x;
 #: ``scaling_16384`` is the 16k-node regime — aggregated strobe and
 #: lazily built nodes, where per-destination strobe fan-out and eager
 #: node construction would otherwise dominate.

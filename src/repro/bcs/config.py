@@ -60,14 +60,13 @@ class BcsConfig:
     #: Slice-engine implementation.  ``"fast"`` answers the Strobe
     #: Sender's per-slice questions from incrementally maintained
     #: active-node sets, matches each node's descriptors as one batch
-    #: per slice on hash-bucketed queues, reports microphase completion
-    #: with one batched increment, plans idle and uncontended active
-    #: slices in closed form, and materializes per-node objects only
-    #: for nodes that host ranks or receive traffic.  ``"reference"`` is
-    #: the simplest readable version of the protocol: full-scan active
-    #: sets, per-node completion writes from each Strobe Receiver,
-    #: per-descriptor NIC threads with a linear-scan matcher, every
-    #: slice simulated, and every node built up front.  The two engines
+    #: per slice on hash-bucketed queues, plans idle and uncontended
+    #: active slices in closed form, and materializes per-node objects
+    #: only for nodes that host ranks or receive traffic.
+    #: ``"reference"`` is the simplest readable version of the protocol:
+    #: full-scan active sets, per-descriptor NIC threads with a
+    #: linear-scan matcher, every slice simulated, and every node built
+    #: up front.  The two engines
     #: produce identical virtual time; the reference is the
     #: differential oracle (pure simulator wall-clock/footprint choice).
     engine: str = "fast"
