@@ -66,9 +66,9 @@ class BcsConfig:
     #: ``"reference"`` is the simplest readable version of the protocol:
     #: full-scan active sets, per-descriptor NIC threads with a
     #: linear-scan matcher, every slice simulated, and every node built
-    #: up front.  The two engines
-    #: produce identical virtual time; the reference is the
-    #: differential oracle (pure simulator wall-clock/footprint choice).
+    #: up front.  The two engines produce identical virtual time; the
+    #: reference is the differential oracle (pure simulator
+    #: wall-clock/footprint choice).
     engine: str = "fast"
 
     def __post_init__(self):

@@ -93,8 +93,7 @@ class Observability:
         for nrt in runtime.node_runtimes.materialized():
             nrt.nic.obs = self
         now = runtime.env.now
-        for node_id in sorted(runtime.nodes_in_use):
-            self.events.append((now, "node", node_id))
+        self.events.extend((now, "node", node) for node in sorted(runtime.nodes_in_use))
 
     def _fold(self) -> "_Views":
         views = self._views
