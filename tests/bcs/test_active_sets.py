@@ -217,13 +217,12 @@ def test_hub_attached_after_launch():
     for engine in ("fast", "reference"):
         recorder = FlightRecorder()
         runtime = _runtime("staggered", BcsConfig(engine=engine))
-        env = runtime.env
 
         def attach(runtime=runtime, recorder=recorder):
             yield runtime.env.timeout(BcsConfig().init_cost + ms(3))
             runtime.attach_observability(recorder.obs)
 
-        env.process(attach())
+        runtime.env.process(attach())
         _complete("staggered", runtime)
         recorders.append(recorder)
     nodes = [e for e in recorders[0].log() if e[1] == "node"]
