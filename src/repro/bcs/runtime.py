@@ -32,7 +32,7 @@ from .config import BcsConfig
 from .matching import MatcherTotals
 from .scheduler import SliceScheduler
 from .strobe import StrobeSender
-from .threads import NodeRuntime
+from .threads import BBM_KINDS, RM_KINDS, NodeRuntime
 
 
 # Retention predicates for the incrementally maintained active-node sets.
@@ -53,7 +53,12 @@ def _arrived_pending(nrt) -> bool:
 
 
 def _coll_pending(nrt) -> bool:
-    return nrt.pending_epochs > 0
+    return bool(nrt.coll_state)
+
+
+def _any(found) -> bool:
+    """Does the iterator ``found`` yield anything?  Stops at the first."""
+    return next(found, None) is not None
 
 
 #: :attr:`RankHandle.quiet_until` of a rank that runs again only at a
@@ -379,13 +384,7 @@ class BcsRuntime(JobHost):
             nrt.arrived_sends = [d for d in nrt.arrived_sends if keep(d)]
             nrt.new_matches = [m for m in nrt.new_matches if keep(m.send)]
             nrt.matcher.purge_job(job_id)
-            dropped = [
-                key for key in nrt.coll_state if key[0] == job_id
-            ]
-            for key in dropped:
-                nrt.pending_epochs -= sum(
-                    0 if ep.executed else 1 for ep in nrt.coll_state[key].values()
-                )
+            for key in [key for key in nrt.coll_state if key[0] == job_id]:
                 del nrt.coll_state[key]
             nrt.reduce_inbox = {
                 k: v for k, v in nrt.reduce_inbox.items() if k[0] != job_id
@@ -482,18 +481,6 @@ class BcsRuntime(JobHost):
             if nrt.posted_sends or nrt.posted_recvs or nrt.posted_colls
         ]
 
-    def _msm_schedulable(self, nrt) -> bool:
-        """Does ``nrt`` host a root with an epoch ready to CaW-schedule?"""
-        for (job_id, comm_id), epochs in nrt.coll_state.items():
-            info = self.comm_info(job_id, comm_id)
-            if info.root_node != nrt.node_id:
-                continue
-            nxt = nrt.sched_flag.get((job_id, comm_id), 0) + 1
-            ep = epochs.get(nxt)
-            if ep is not None and not ep.scheduled and ep.descs:
-                return True
-        return False
-
     def msm_nodes(self) -> List[int]:
         """Nodes with arrived sends to match or collectives to schedule."""
         if not self.fast:
@@ -503,7 +490,7 @@ class BcsRuntime(JobHost):
         if self._prune_live(self._coll_set, _coll_pending):
             rts = self.node_runtimes
             for node_id in self._coll_set:
-                if node_id not in out and self._msm_schedulable(rts[node_id]):
+                if node_id not in out and _any(rts[node_id].schedulable()):
                     out.add(node_id)
         return sorted(out)
 
@@ -511,56 +498,33 @@ class BcsRuntime(JobHost):
         """Full-scan oracle for :meth:`msm_nodes`."""
         out = []
         for nrt in self.node_runtimes:
-            if nrt.arrived_sends:
-                out.append(nrt.node_id)
-                continue
-            if self._msm_schedulable(nrt):
+            if nrt.arrived_sends or _any(nrt.schedulable()):
                 out.append(nrt.node_id)
         return out
 
-    def _node_has_scheduled(self, nrt, kinds: tuple, driver_only: bool) -> bool:
-        for (job_id, comm_id), epochs in nrt.coll_state.items():
-            info = self.comm_info(job_id, comm_id)
-            for epoch, ep in epochs.items():
-                if ep.executed or ep.kind not in kinds:
-                    continue
-                if not self.core.gas.read(
-                    nrt.node_id, ("go", job_id, comm_id, epoch), False
-                ):
-                    continue
-                if driver_only:
-                    root = ep.root or 0
-                    if info.node_of(root) == nrt.node_id:
-                        return True
-                else:
-                    return True
-        return False
-
-    def _nodes_with_scheduled(self, kinds: tuple, driver_only: bool) -> List[int]:
+    def _nodes_with_released(self, kinds: tuple, driver: bool) -> List[int]:
         rts = self.node_runtimes
         if not self.fast:
             return [
-                nrt.node_id
-                for nrt in rts
-                if self._node_has_scheduled(nrt, kinds, driver_only)
+                nrt.node_id for nrt in rts if _any(nrt.released(kinds, driver))
             ]
         if not self._prune_live(self._coll_set, _coll_pending):
             return []
         out = [
             node_id
             for node_id in self._coll_set
-            if self._node_has_scheduled(rts[node_id], kinds, driver_only)
+            if _any(rts[node_id].released(kinds, driver))
         ]
         out.sort()
         return out
 
     def bbm_nodes(self) -> List[int]:
-        """Nodes driving a scheduled barrier/broadcast this slice."""
-        return self._nodes_with_scheduled(("barrier", "bcast"), driver_only=True)
+        """Nodes driving a released barrier/broadcast this slice."""
+        return self._nodes_with_released(BBM_KINDS, driver=True)
 
     def rm_nodes(self) -> List[int]:
-        """Nodes participating in a scheduled reduce this slice."""
-        return self._nodes_with_scheduled(("reduce", "allreduce"), driver_only=False)
+        """Nodes participating in a released reduce this slice."""
+        return self._nodes_with_released(RM_KINDS, driver=False)
 
     def global_schedule(self):
         """Collect MSM matches and grant this slice's chunks."""

@@ -49,20 +49,15 @@ from .strobe import StrobeReceiver
 if TYPE_CHECKING:  # pragma: no cover
     from .runtime import BcsRuntime
 
+#: The collective kinds the BBM and RM microphases run.
+BBM_KINDS = ("barrier", "bcast")
+RM_KINDS = ("reduce", "allreduce")
+
 
 class CollEpoch:
-    """Per-(job, comm, epoch) collective state on one node."""
+    """One in-flight collective epoch of one communicator on one node."""
 
-    __slots__ = (
-        "epoch",
-        "kind",
-        "root",
-        "op",
-        "size",
-        "descs",
-        "executed",
-        "scheduled",
-    )
+    __slots__ = ("epoch", "kind", "root", "op", "size", "descs")
 
     def __init__(self, epoch: int):
         self.epoch = epoch
@@ -72,8 +67,6 @@ class CollEpoch:
         self.size: int = 0
         #: Local descriptors (one per local rank that has posted).
         self.descs: List[CollectiveDescriptor] = []
-        self.executed = False
-        self.scheduled = False
 
     def absorb(self, desc: CollectiveDescriptor) -> None:
         """Record one local rank's descriptor (consistency-checked)."""
@@ -154,15 +147,14 @@ class NodeRuntime:
         self.arrived_sends: List[SendDescriptor] = []
         #: Matches created in the current MSM (collected by the runtime).
         self.new_matches: List[Match] = []
-        #: Collective bookkeeping per (job_id, comm_id).  Executed epochs
-        #: are pruned; this only ever holds in-flight epochs.
+        #: In-flight collective epochs per (job_id, comm_id).  An epoch
+        #: goes when it executes, and a communicator's entry with its
+        #: last epoch, so the node has collective work exactly when this
+        #: is non-empty.  The flags the epochs advance live in global
+        #: memory, one of each per communicator: ``("cflag", job, comm)``,
+        #: the last epoch every local rank has posted, and ``("go", job,
+        #: comm)``, the last epoch the master's Compare-And-Write released.
         self.coll_state: Dict[tuple, Dict[int, CollEpoch]] = {}
-        #: Count of in-flight (not yet executed) collective epochs.
-        self.pending_epochs = 0
-        #: Highest epoch with all local ranks posted, per (job, comm).
-        self.local_flag: Dict[tuple, int] = {}
-        #: Highest epoch already CaW-scheduled, per (job, comm) (root node).
-        self.sched_flag: Dict[tuple, int] = {}
         #: Reduce partial buffers delivered by remote RH threads.
         self.reduce_inbox: Dict[tuple, list] = {}
 
@@ -213,7 +205,7 @@ class NodeRuntime:
             or self.posted_recvs
             or self.posted_colls
             or self.arrived_sends
-            or self.pending_epochs
+            or self.coll_state
         )
 
     @property
@@ -239,11 +231,39 @@ class NodeRuntime:
         epochs = self.coll_state.setdefault((job_id, comm_id), {})
         ep = epochs.get(epoch)
         if ep is None:
-            ep = CollEpoch(epoch)
-            epochs[epoch] = ep
-            self.pending_epochs += 1
+            ep = epochs[epoch] = CollEpoch(epoch)
             self._coll_set.add(self.node_id)
         return ep
+
+    def schedulable(self):
+        """Which epoch does this node's master schedule next?  Yields
+        ``(info, epoch)`` for each communicator whose master this node
+        hosts and whose epoch after ``go`` has been posted here."""
+        runtime = self.runtime
+        gas = runtime.core.gas
+        for (job_id, comm_id), epochs in self.coll_state.items():
+            info = runtime.comm_info(job_id, comm_id)
+            if info.root_node == self.node_id:
+                epoch = gas.read(self.node_id, ("go", job_id, comm_id), 0) + 1
+                if epoch in epochs:
+                    yield info, epoch
+
+    def released(self, kinds: tuple, driver: bool = False):
+        """Which epochs of ``kinds`` are released here?  Yields ``(info,
+        ep)`` for each epoch at or below its communicator's ``go``; with
+        ``driver``, only those whose root this node hosts.  A released
+        epoch executes within its slice, so each communicator has at
+        most one."""
+        runtime = self.runtime
+        gas = runtime.core.gas
+        node = self.node_id
+        for (job_id, comm_id), epochs in self.coll_state.items():
+            go = gas.read(node, ("go", job_id, comm_id), 0)
+            for epoch, ep in epochs.items():
+                if epoch <= go and ep.kind in kinds:
+                    info = runtime.comm_info(job_id, comm_id)
+                    if not driver or info.node_of(ep.root or 0) == node:
+                        yield info, ep
 
     def complete_collective(self, job_id: int, comm_id: int, epoch: int, value) -> None:
         """Finish every local request of one collective epoch.
@@ -251,16 +271,16 @@ class NodeRuntime:
         Invoked at data-commit time (broadcast payload writer, or the
         reduce finalization): each blocked local rank's request gets its
         result and its process becomes eligible for restart at the next
-        slice boundary.  The epoch record is pruned afterwards so state
-        stays bounded on long runs.
+        slice boundary.  The epoch record is dropped, and with the
+        communicator's last one its entry, so state stays bounded.
         """
-        epochs = self.coll_state.get((job_id, comm_id), {})
-        ep = epochs.get(epoch)
-        if ep is None or ep.executed:
+        key = (job_id, comm_id)
+        epochs = self.coll_state.get(key)
+        ep = epochs.pop(epoch, None) if epochs else None
+        if ep is None:
             return
-        ep.executed = True
-        self.pending_epochs -= 1
-        del epochs[epoch]
+        if not epochs:
+            del self.coll_state[key]
         for desc in ep.descs:
             if desc.kind == "reduce":
                 # Only the MPI root receives the reduced value.
@@ -369,18 +389,18 @@ class BufferReceiver:
 
     def _advance_local_flags(self):
         nrt = self.nrt
+        node = nrt.node_id
         runtime = nrt.runtime
+        gas = runtime.core.gas
         for (job_id, comm_id), epochs in nrt.coll_state.items():
             info = runtime.comm_info(job_id, comm_id)
-            n_local = len(info.node_ranks.get(nrt.node_id, ()))
-            flag = nrt.local_flag.get((job_id, comm_id), 0)
+            n_local = len(info.node_ranks.get(node, ()))
+            addr = ("cflag", job_id, comm_id)
+            posted = flag = gas.read(node, addr, 0)
             while flag + 1 in epochs and len(epochs[flag + 1].descs) == n_local:
                 flag += 1
-            if flag != nrt.local_flag.get((job_id, comm_id), 0):
-                nrt.local_flag[(job_id, comm_id)] = flag
-                runtime.core.gas.write(
-                    nrt.node_id, ("cflag", job_id, comm_id), flag
-                )
+            if flag != posted:
+                gas.write(node, addr, flag)
 
     def msm_phase(self):
         """Match remote sends vs local recvs; CaW-schedule collectives."""
@@ -402,27 +422,19 @@ class BufferReceiver:
 
         # Collective scheduling: only the node hosting the communicator's
         # master process issues the query broadcast (paper §4.4).
-        for (job_id, comm_id), epochs in nrt.coll_state.items():
-            info = runtime.comm_info(job_id, comm_id)
-            if info.root_node != nrt.node_id:
-                continue
-            next_epoch = nrt.sched_flag.get((job_id, comm_id), 0) + 1
-            ep = epochs.get(next_epoch)
-            if ep is None or ep.scheduled or not ep.descs:
-                continue
+        for info, next_epoch in nrt.schedulable():
+            job_id, comm_id = info.job.id, info.comm_id
             ready = yield from runtime.core.compare_and_write(
                 nrt.node_id,
                 info.nodes,
                 ("cflag", job_id, comm_id),
                 ">=",
                 next_epoch,
-                write_addr=("go", job_id, comm_id, next_epoch),
-                write_value=True,
+                write_addr=("go", job_id, comm_id),
+                write_value=next_epoch,
                 default=0,
             )
             if ready:
-                ep.scheduled = True
-                nrt.sched_flag[(job_id, comm_id)] = next_epoch
                 runtime.stats["collectives_scheduled"] += 1
                 obs = runtime.obs
                 if obs is not None:
@@ -591,21 +603,9 @@ class CollectiveHelper:
         payload writer completes requests on every participating node at
         commit time.
         """
-        nrt = self.nrt
-        runtime = nrt.runtime
-        for (job_id, comm_id), epochs in nrt.coll_state.items():
-            info = runtime.comm_info(job_id, comm_id)
-            for epoch, ep in sorted(epochs.items()):
-                if ep.executed or ep.kind not in ("barrier", "bcast"):
-                    continue
-                if not runtime.core.gas.read(
-                    nrt.node_id, ("go", job_id, comm_id, epoch), False
-                ):
-                    continue
-                root = ep.root if ep.kind == "bcast" else 0
-                if info.node_of(root or 0) != nrt.node_id:
-                    continue
-                yield from self._run_bcast(info, ep)
+        # A snapshot: executing an epoch drops it from coll_state.
+        for info, ep in list(self.nrt.released(BBM_KINDS, driver=True)):
+            yield from self._run_bcast(info, ep)
 
     def _run_bcast(self, info, ep: CollEpoch):
         nrt = self.nrt
@@ -620,7 +620,7 @@ class CollectiveHelper:
             size = 0
         yield from nrt.nic.compute(nrt.config.nic_descriptor_cost)
 
-        done = f"ch:{job_id}:{comm_id}:{ep.epoch}"
+        done = f"ch:{job_id}:{comm_id}"
         runtime.core.xfer_and_signal(
             nrt.node_id,
             info.nodes,
@@ -641,20 +641,8 @@ class ReduceHelper:
 
     def rm_phase(self):
         """Participate in every reduce epoch scheduled for this slice."""
-        nrt = self.nrt
-        runtime = nrt.runtime
-        work = []
-        for (job_id, comm_id), epochs in nrt.coll_state.items():
-            info = runtime.comm_info(job_id, comm_id)
-            for epoch, ep in sorted(epochs.items()):
-                if ep.executed or ep.kind not in ("reduce", "allreduce"):
-                    continue
-                if not runtime.core.gas.read(
-                    nrt.node_id, ("go", job_id, comm_id, epoch), False
-                ):
-                    continue
-                work.append((info, ep))
-        for info, ep in work:
+        # A snapshot: executing an epoch drops it from coll_state.
+        for info, ep in list(self.nrt.released(RM_KINDS)):
             yield from self._reduce_part(info, ep)
 
     def _combine_cost(self, buf) -> int:
@@ -680,31 +668,32 @@ class ReduceHelper:
             yield from nrt.nic.compute(self._combine_cost(partial))
             partial = combine(ep.op, partial, desc.payload)
 
-        key = (job_id, comm_id, ep.epoch)
+        # One event word and inbox slot per round of the communicator,
+        # reused by its epochs: only one is in flight at a time.
         rnd = 0
         while (1 << rnd) < n:
             step = 1 << rnd
+            key = (job_id, comm_id, rnd)
+            word = f"rh:{job_id}:{comm_id}:{rnd}"
             if vidx % (step << 1) == 0:
                 peer = vidx + step
                 if peer < n:
-                    yield from runtime.core.test_event(
-                        nrt.node_id, f"rh:{key}:{rnd}"
-                    )
-                    incoming = nrt.reduce_inbox.pop(key + (rnd,))
+                    yield from runtime.core.test_event(nrt.node_id, word)
+                    incoming = nrt.reduce_inbox.pop(key)
                     yield from nrt.nic.compute(self._combine_cost(partial))
                     partial = combine(ep.op, partial, incoming)
             elif vidx % (step << 1) == step:
                 dst_idx = vidx - step
                 dst_node = nodes[(dst_idx + nodes.index(root_node)) % n]
 
-                def deposit(node, buf=partial, k=key, r=rnd):
-                    runtime.node_runtimes[node].reduce_inbox[k + (r,)] = buf
+                def deposit(node, buf=partial, k=key):
+                    runtime.node_runtimes[node].reduce_inbox[k] = buf
 
                 runtime.core.xfer_and_signal(
                     nrt.node_id,
                     dst_node,
                     size=payload_nbytes(partial, ep.size),
-                    remote_event=f"rh:{key}:{rnd}",
+                    remote_event=word,
                     payload_writer=deposit,
                 )
                 return  # sent up the tree; our part is done
@@ -719,7 +708,7 @@ class ReduceHelper:
         nrt = self.nrt
         runtime = nrt.runtime
         job_id, comm_id = info.job.id, info.comm_id
-        done = f"rhfin:{job_id}:{comm_id}:{ep.epoch}"
+        done = f"rhfin:{job_id}:{comm_id}"
         size = (
             payload_nbytes(result, ep.size)
             if ep.kind == "allreduce"

@@ -64,10 +64,7 @@ def diagnose(runtime: "BcsRuntime") -> str:
         # Collectives waiting for stragglers.
         for (job_id, comm_id), epochs in nrt.coll_state.items():
             info = runtime.comm_info(job_id, comm_id)
-            expected = len(info.node_ranks.get(nrt.node_id, ()))
             for epoch, ep in sorted(epochs.items()):
-                if ep.executed:
-                    continue
                 posted = {d.rank for d in ep.descs}
                 missing = [
                     r for r in info.node_ranks.get(nrt.node_id, ()) if r not in posted
