@@ -328,8 +328,7 @@ class StrobeSender:
         """An active slice's microphases, planned when exact and simulated
         otherwise; returns the slice's work end.  DEM, MSM and P2P are
         planned at the boundary if no entry is left at its instant (no
-        rank can post before DEM drains), else at the DEM microstrobe;
-        P2P alone at MSM's end if DEM and MSM were simulated."""
+        rank can post before DEM drains), else at the DEM microstrobe."""
         runtime = self.runtime
         cfg = runtime.config
         began = None
@@ -354,12 +353,7 @@ class StrobeSender:
                 return (yield from self._transmit(mine))
         yield from self._microphase(DEM, dem_nodes, cfg.dem_min_duration, began=began)
         yield from self._microphase(MSM, runtime.msm_nodes(), cfg.msm_min_duration)
-        mine = self._grant(self.env.now)
-        if plan and self._plannable():
-            work_end = self._plan_transmit(mine, self.env.now)
-            if work_end is not None:
-                return work_end
-        return (yield from self._transmit(mine))
+        return (yield from self._transmit(self._grant(self.env.now)))
 
     def _grant(self, t: int) -> Dict[int, list]:
         """MSM's end at ``t``: collect the matches and grant this slice's
@@ -554,10 +548,10 @@ class StrobeSender:
         return msm_end
 
     def _plan_transmit(self, mine: Dict[int, list], t_p2p: int) -> Optional[int]:
-        """Plan P2P, BBM and RM from MSM's end ``t_p2p`` (now, or ahead
-        with DEM and MSM, which :meth:`_plannable` then covers) for the
-        chunks ``mine`` granted per destination; returns the slice's work
-        end, or None to simulate."""
+        """Plan P2P, BBM and RM from MSM's end ``t_p2p``, ahead with DEM
+        and MSM (whose :meth:`_plannable` check covers it), for the chunks
+        ``mine`` granted per destination; returns the slice's work end,
+        or None to simulate."""
         runtime = self.runtime
         slice_no = runtime.slice_no
         logging = runtime.obs is not None
