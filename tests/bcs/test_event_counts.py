@@ -46,7 +46,7 @@ CASES = [
         16,
         32,
         dict(granularity=ms(1), iterations=4, n_neighbors=4, message_bytes=kib(4)),
-        2_665,
+        2_666,
         9,
         8_500_000,
     ),
