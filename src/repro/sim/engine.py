@@ -23,7 +23,7 @@ class Engine:
     def __init__(self):
         #: Current simulation time in integer nanoseconds.
         self.now = 0
-        self._queue: list = []  # heap of (time, priority, seq, event)
+        self._queue: list = []  # heap of (time, seq, event)
         self._seq = 0
         #: Sequence number of the entry being processed: with ``now``,
         #: the run's position in the heap order.
@@ -53,19 +53,15 @@ class Engine:
 
     # -- scheduling --------------------------------------------------------------
 
-    def schedule(
-        self, event: Event, delay: int = 0, priority: int = 0, _heappush=heapq.heappush
-    ) -> None:
+    def schedule(self, event: Event, delay: int = 0, _heappush=heapq.heappush) -> None:
         """Queue a triggered event's callbacks to run ``delay`` ns from now.
 
-        ``priority`` orders events scheduled for the same instant (lower
-        runs first); within one (time, priority) bucket, insertion order
-        wins.
+        Events scheduled for the same instant run in insertion order.
         """
         if delay < 0:
             raise ValueError(f"negative delay {delay}")
         self._seq += 1
-        _heappush(self._queue, (self.now + delay, priority, self._seq, event))
+        _heappush(self._queue, (self.now + delay, self._seq, event))
 
     def trigger_all(
         self, events: Iterable[Event], value: Any = None, delay: int = 0
@@ -74,9 +70,8 @@ class Engine:
 
         Exactly equivalent to calling ``succeed(value)`` on each pending
         member back to back: those calls would take consecutive sequence
-        numbers at the same (time, priority 0), so nothing else could run
-        between them (no entry here uses a lower priority that could cut
-        in).  Here one carrier entry takes that slot; when it fires, each
+        numbers at the same time, so nothing else could run between
+        them.  Here one carrier entry takes that slot; when it fires, each
         member in turn is marked processed and its callbacks run.  A
         member's ``callbacks`` list stays live until its turn, so
         a process that yields a later member from an earlier member's
@@ -95,7 +90,7 @@ class Engine:
         if carrier is None:
             return 0
         self.schedule(carrier, delay)
-        carrier.key = (self.now + delay, 0, self._seq)
+        carrier.key = (self.now + delay, self._seq)
         return len(carrier.members)
 
     def fire_all(self, events: Iterable[Event], value: Any = None) -> None:
@@ -104,7 +99,7 @@ class Engine:
         the carrier, as its wake-up holds the carrier's place."""
         carrier = self._carrier(events, value)
         if carrier is not None:
-            carrier.key = (self.now, 0, self._step_seq)
+            carrier.key = (self.now, self._step_seq)
             # Processed, as a heap entry marks it before its callback.
             carrier.callbacks = None
             carrier._fire(carrier)
@@ -124,7 +119,7 @@ class Engine:
 
     def step(self, _heappop=heapq.heappop) -> None:
         """Process the next scheduled event."""
-        when, _prio, self._step_seq, event = _heappop(self._queue)
+        when, self._step_seq, event = _heappop(self._queue)
         self.now = when
         callbacks = event.callbacks
         event.callbacks = None

@@ -144,7 +144,7 @@ class Timeout(Event):
         self.name = name
         self.delay = delay = int(delay)
         env._seq += 1
-        heapq.heappush(env._queue, (env.now + delay, 0, env._seq, self))
+        heapq.heappush(env._queue, (env.now + delay, env._seq, self))
 
 
 class Latch(Event):
@@ -211,7 +211,7 @@ class Latch(Event):
 class FanOut(Event):
     """Heap carrier of :meth:`Engine.trigger_all`: processes its members.
 
-    ``key`` is the carrier's (time, priority, seq) heap key.  If a
+    ``key`` is the carrier's (time, seq) heap key.  If a
     member's callback raises (``run(until=member)`` stops the engine
     that way), the members not yet processed are re-queued under the
     same key, so they still fire where their own entries would have.

@@ -254,7 +254,7 @@ class Link(Resource):
                         link._release = release
                     env._seq += 1
                     heapq.heappush(
-                        env._queue, (self.busy_until, 0, self.hold_seq + 0.5, release)
+                        env._queue, (self.busy_until, self.hold_seq + 0.5, release)
                     )
                 return
             waiting.popleft()

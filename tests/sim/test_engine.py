@@ -339,26 +339,3 @@ def test_peek_and_step():
     assert env.now == 2
     assert env.peek() == 4
 
-
-def test_priority_orders_same_instant():
-    env = Engine()
-    order = []
-
-    def make_cb(tag):
-        def cb(_ev):
-            order.append(tag)
-
-        return cb
-
-    low = env.event()
-    high = env.event()
-    low._ok = True
-    low._value = None
-    high._ok = True
-    high._value = None
-    low.callbacks.append(make_cb("low"))
-    high.callbacks.append(make_cb("high"))
-    env.schedule(low, delay=0, priority=5)
-    env.schedule(high, delay=0, priority=1)
-    env.run()
-    assert order == ["high", "low"]
