@@ -30,6 +30,7 @@ Usage::
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import List, Optional
 
@@ -69,19 +70,22 @@ class FlightRecorder:
         ``(time, kind, details...)``.  As a side effect the recorder's
         :attr:`registry` is rebuilt with per-kind event/byte counters.
         """
-        self.registry.reset()
         log = sorted(self.obs.events, key=lambda e: (e[0], repr(e)))
+        kinds = Counter(entry[1] for entry in log)
+        nbytes = Counter()
         for entry in log:
             kind = entry[1]
-            self.registry.counter("replay.events", kind=kind).inc()
             if kind == "unicast":
-                nbytes = entry[4]
+                nbytes[kind] += entry[4]
             elif kind == "multicast":
-                nbytes = entry[4] * len(entry[3])
-            else:
-                continue
-            if nbytes:
-                self.registry.counter("replay.bytes", kind=kind).inc(nbytes)
+                nbytes[kind] += entry[4] * len(entry[3])
+        registry = self.registry
+        registry.reset()
+        for kind, n in kinds.items():
+            registry.counter("replay.events", kind=kind).inc(n)
+        for kind, n in nbytes.items():
+            if n:
+                registry.counter("replay.bytes", kind=kind).inc(n)
         return log
 
     def summary(self) -> str:
