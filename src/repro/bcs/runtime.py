@@ -56,11 +56,6 @@ def _coll_pending(nrt) -> bool:
     return bool(nrt.coll_state)
 
 
-def _any(found) -> bool:
-    """Does the iterator ``found`` yield anything?  Stops at the first."""
-    return next(found, None) is not None
-
-
 #: :attr:`RankHandle.quiet_until` of a rank that runs again only at a
 #: slice boundary, or never.
 QUIET_FOREVER = 1 << 62
@@ -490,7 +485,7 @@ class BcsRuntime(JobHost):
         if self._prune_live(self._coll_set, _coll_pending):
             rts = self.node_runtimes
             for node_id in self._coll_set:
-                if node_id not in out and _any(rts[node_id].schedulable()):
+                if node_id not in out and any(rts[node_id].schedulable()):
                     out.add(node_id)
         return sorted(out)
 
@@ -498,7 +493,7 @@ class BcsRuntime(JobHost):
         """Full-scan oracle for :meth:`msm_nodes`."""
         out = []
         for nrt in self.node_runtimes:
-            if nrt.arrived_sends or _any(nrt.schedulable()):
+            if nrt.arrived_sends or any(nrt.schedulable()):
                 out.append(nrt.node_id)
         return out
 
@@ -506,14 +501,14 @@ class BcsRuntime(JobHost):
         rts = self.node_runtimes
         if not self.fast:
             return [
-                nrt.node_id for nrt in rts if _any(nrt.released(kinds, driver))
+                nrt.node_id for nrt in rts if any(nrt.released(kinds, driver))
             ]
         if not self._prune_live(self._coll_set, _coll_pending):
             return []
         out = [
             node_id
             for node_id in self._coll_set
-            if _any(rts[node_id].released(kinds, driver))
+            if any(rts[node_id].released(kinds, driver))
         ]
         out.sort()
         return out

@@ -258,9 +258,8 @@ class NodeRuntime:
         gas = runtime.core.gas
         node = self.node_id
         for (job_id, comm_id), epochs in self.coll_state.items():
-            go = gas.read(node, ("go", job_id, comm_id), 0)
             for epoch, ep in epochs.items():
-                if epoch <= go and ep.kind in kinds:
+                if ep.kind in kinds and epoch <= gas.read(node, ("go", job_id, comm_id), 0):
                     info = runtime.comm_info(job_id, comm_id)
                     if not driver or info.node_of(ep.root or 0) == node:
                         yield info, ep
