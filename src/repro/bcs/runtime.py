@@ -497,29 +497,29 @@ class BcsRuntime(JobHost):
                 out.append(nrt.node_id)
         return out
 
-    def _nodes_with_released(self, kinds: tuple, driver: bool) -> List[int]:
+    def _nodes_with_released(self, kinds: tuple, root_only: bool) -> List[int]:
         rts = self.node_runtimes
         if not self.fast:
             return [
-                nrt.node_id for nrt in rts if any(nrt.released(kinds, driver))
+                nrt.node_id for nrt in rts if any(nrt.released(kinds, root_only))
             ]
         if not self._prune_live(self._coll_set, _coll_pending):
             return []
         out = [
             node_id
             for node_id in self._coll_set
-            if any(rts[node_id].released(kinds, driver))
+            if any(rts[node_id].released(kinds, root_only))
         ]
         out.sort()
         return out
 
     def bbm_nodes(self) -> List[int]:
         """Nodes driving a released barrier/broadcast this slice."""
-        return self._nodes_with_released(BBM_KINDS, driver=True)
+        return self._nodes_with_released(BBM_KINDS, root_only=True)
 
     def rm_nodes(self) -> List[int]:
         """Nodes participating in a released reduce this slice."""
-        return self._nodes_with_released(RM_KINDS, driver=False)
+        return self._nodes_with_released(RM_KINDS, root_only=False)
 
     def global_schedule(self):
         """Collect MSM matches and grant this slice's chunks."""

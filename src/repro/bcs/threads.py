@@ -248,10 +248,10 @@ class NodeRuntime:
                 if epoch in epochs:
                     yield info, epoch
 
-    def released(self, kinds: tuple, driver: bool = False):
+    def released(self, kinds: tuple, root_only: bool = False):
         """Which epochs of ``kinds`` are released here?  Yields ``(info,
         ep)`` for each epoch at or below its communicator's ``go``; with
-        ``driver``, only those whose root this node hosts.  A released
+        ``root_only``, only those whose root this node hosts.  A released
         epoch executes within its slice, so each communicator has at
         most one."""
         runtime = self.runtime
@@ -261,7 +261,7 @@ class NodeRuntime:
             for epoch, ep in epochs.items():
                 if ep.kind in kinds and epoch <= gas.read(node, ("go", job_id, comm_id), 0):
                     info = runtime.comm_info(job_id, comm_id)
-                    if not driver or info.node_of(ep.root or 0) == node:
+                    if not root_only or info.node_of(ep.root or 0) == node:
                         yield info, ep
 
     def complete_collective(self, job_id: int, comm_id: int, epoch: int, value) -> None:
@@ -603,7 +603,7 @@ class CollectiveHelper:
         commit time.
         """
         # A snapshot: executing an epoch drops it from coll_state.
-        for info, ep in list(self.nrt.released(BBM_KINDS, driver=True)):
+        for info, ep in list(self.nrt.released(BBM_KINDS, root_only=True)):
             yield from self._run_bcast(info, ep)
 
     def _run_bcast(self, info, ep: CollEpoch):
