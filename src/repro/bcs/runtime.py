@@ -144,8 +144,8 @@ class BcsRuntime(JobHost):
         if not self.fast:
             # The reference engine builds the whole machine up front, in
             # ascending id order: every cluster node, then every compute
-            # node's runtime.  A fresh receiver's init event is inert, so
-            # this is virtual-time neutral.
+            # node's runtime.  Building a node schedules nothing, so this
+            # is virtual-time neutral.
             list(cluster.nodes)
             list(self.node_runtimes)
         self.ss = StrobeSender(self)
@@ -244,11 +244,9 @@ class BcsRuntime(JobHost):
         self.use_nodes(job.nodes)
         # Build the NodeRuntime of every node the job touches, in
         # ascending id order, *before* the strobe loop and the rank
-        # processes start.  A fresh Strobe Receiver's init event is inert
-        # — it blocks on its pending wake event, exactly like a receiver
-        # built up front that has been idle — so launch-time building
-        # keeps the event sequence, and therefore virtual time, identical
-        # to the reference engine.
+        # processes start.  Building a node schedules nothing, so
+        # launch-time building keeps the event sequence, and therefore
+        # virtual time, identical to the reference engine's.
         for node_id in job.nodes:
             self.node_runtimes[node_id]
         self.stopped = False

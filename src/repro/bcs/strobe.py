@@ -28,7 +28,7 @@ from functools import partial
 from operator import itemgetter
 from typing import TYPE_CHECKING, Any, Dict, List, Optional
 
-from ..sim import Latch, Link, Timeout
+from ..sim import Event, Latch, Link, Timeout
 from .descriptors import posted_before
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -42,7 +42,8 @@ MICROPHASES = (DEM, MSM, P2P, BBM, RM)
 
 @dataclass(slots=True)
 class Strobe:
-    """One microstrobe delivered to a Strobe Receiver.
+    """One microstrobe, delivered to every participant's Strobe Receiver
+    at ``at``.
 
     ``done`` is shared by every receiver of the same microphase: each SR
     counts it down once, and the Strobe Sender resumes when the last
@@ -53,44 +54,95 @@ class Strobe:
     slice_no: int
     payload: Any
     done: Latch
+    at: int
 
 
 class StrobeReceiver:
-    """SR: per-node dispatcher waking NIC threads per microphase."""
+    """SR: per-node event handler running the NIC threads per microphase.
+
+    As a NIC thread in the paper, it runs only when an event fires: the
+    microstrobe fan-out calls :meth:`on_strobe`, which starts the phase's
+    body (generators of the node's NIC threads), and each event the body
+    yields resumes it from its callback, by :meth:`Process._resume`'s
+    rules.  It holds its strobe and body only while the phase runs, and
+    owns no process and no event.
+    """
+
+    __slots__ = ("nrt", "_strobe", "_body")
 
     def __init__(self, nrt: "NodeRuntime"):
         self.nrt = nrt
-        #: Pending event the next microstrobe triggers with its
-        #: :class:`Strobe`; the Strobe Sender wakes every participant of
-        #: a microphase through one ``trigger_all``.
-        self.wake = nrt.env.event()
-        self._proc = nrt.env.process(self._run(), name=f"SR{nrt.node_id}")
+        self._strobe: Optional[Strobe] = None
+        self._body = None
 
-    def _run(self):
+    def on_strobe(self, strobe: Strobe) -> None:
+        """Start this node's part of ``strobe``'s microphase."""
         nrt = self.nrt
-        handlers = {
-            DEM: lambda s: self._dem(nrt),
-            MSM: lambda s: nrt.br.msm_phase(),
-            P2P: lambda s: nrt.dh.p2p_phase(s.payload[nrt.node_id]),
-            BBM: lambda s: nrt.ch.bbm_phase(),
-            RM: lambda s: nrt.rh.rm_phase(),
-        }
-        env = nrt.env
-        while True:
-            strobe = yield self.wake
-            self.wake = env.event()
-            t0 = env.now
-            yield from handlers[strobe.phase](strobe)
+        phase = strobe.phase
+        if phase == DEM:
+            body = self._dem(nrt)
+        elif phase == MSM:
+            body = nrt.br.msm_phase()
+        elif phase == P2P:
+            body = nrt.dh.p2p_phase(strobe.payload[nrt.node_id])
+        elif phase == BBM:
+            body = nrt.ch.bbm_phase()
+        else:
+            body = nrt.rh.rm_phase()
+        self._strobe = strobe
+        self._body = body
+        self._resume(_START)
+
+    def _resume(self, event) -> None:
+        """Step the body with ``event``'s outcome; at its end, report in."""
+        try:
+            if event._ok:
+                target = self._body.send(event._value)
+            else:
+                # The exception is being delivered; mark it handled.
+                event.defuse()
+                target = self._body.throw(event._value)
+        except StopIteration:
+            strobe = self._strobe
+            self._strobe = self._body = None
+            nrt = self.nrt
             obs = nrt.runtime.obs
             if obs is not None:
-                obs.events.append(
-                    (env.now, "node_phase", nrt.node_id, strobe.slice_no, strobe.phase, t0)
-                )
+                obs.events.append((
+                    nrt.env.now, "node_phase", nrt.node_id, strobe.slice_no, strobe.phase,
+                    strobe.at,
+                ))
             strobe.done.count_down()
+            return
+        if target.callbacks is None:
+            # Already processed: resume on a fresh event carrying its value.
+            carry = Event(self.nrt.env, name=f"carry:SR{self.nrt.node_id}")
+            carry.callbacks.append(self._resume)
+            carry.trigger(target)
+        else:
+            target.callbacks.append(self._resume)
 
-    def _dem(self, nrt):
+    @staticmethod
+    def _dem(nrt):
         yield from nrt.bs.dem_phase()
         yield from nrt.br.dem_phase()
+
+
+class _Start:
+    """The outcome that starts a body: ``send(None)``."""
+
+    __slots__ = ()
+    _ok = True
+    _value = None
+
+
+_START = _Start()
+
+
+def _fan_out(receivers: list, strobe: Strobe, _event=None) -> None:
+    """The microstrobe's arrival: start each receiver in order."""
+    for sr in receivers:
+        sr.on_strobe(strobe)
 
 
 class _Plan:
@@ -690,16 +742,16 @@ class StrobeSender:
             # before the microphase's minimum duration has passed.
             cw = runtime.cluster.fabric.model.cw_latency(len(nodes))
             done = Latch(env, len(nodes), delay=cw, not_before=t0 + min_duration)
-            strobe = Strobe(phase, runtime.slice_no, payload, done)
             # One multicast microstrobe: a single heap entry, one strobe
-            # latency from now, wakes every participant's SR in ``nodes``
-            # order.
+            # latency from now, starts every participant's SR in
+            # ``nodes`` order.
             rts = runtime.node_runtimes
-            wakes = [rts[n].sr.wake for n in nodes]
+            receivers = [rts[n].sr for n in nodes]
             if due:
-                env.fire_all(wakes, strobe)
+                _fan_out(receivers, Strobe(phase, runtime.slice_no, payload, done, env.now))
             else:
-                env.trigger_all(wakes, strobe, delay=latency)
+                strobe = Strobe(phase, runtime.slice_no, payload, done, t0 + latency)
+                Timeout(env, latency).callbacks.append(partial(_fan_out, receivers, strobe))
                 runtime.sr_idle_until = t0 + latency
             yield done
         else:

@@ -158,10 +158,10 @@ class NodeRuntime:
         #: Reduce partial buffers delivered by remote RH threads.
         self.reduce_inbox: Dict[tuple, list] = {}
 
-        # The node's NIC threads, Node Manager and Strobe Receiver.  Only
-        # the receiver creates a simulation event: its process, whose
-        # init event blocks on its pending wake event, so building a node
-        # at launch or up front leaves virtual time unchanged.
+        # The node's NIC threads, Node Manager and Strobe Receiver.  None
+        # of them creates a simulation event (the receiver runs from the
+        # microstrobe's callback), so building a node at launch or up
+        # front leaves the heap, and virtual time, unchanged.
         self.bs = BufferSender(self)
         self.br = BufferReceiver(self)
         self.dh = DmaHelper(self)
@@ -490,11 +490,11 @@ class DmaHelper:
 
         Every chunk's descriptor-cost hold is reserved on the NIC thread
         processor now, at the SR's turn of the microstrobe fan-out, in
-        chunk order.  The first chunk then runs in the SR's own process.
-        Each later chunk is a chain of callbacks, hold then transfer,
-        that counts down one latch when its data has landed; the SR
-        waits on that latch only if some chunk is still in flight.  A
-        loopback chunk's copy rides in its hold's entry
+        chunk order.  The first chunk then runs in this body, which the
+        SR steps.  Each later chunk is a chain of callbacks, hold then
+        transfer, that counts down one latch when its data has landed;
+        the body waits on that latch only if some chunk is still in
+        flight.  A loopback chunk's copy rides in its hold's entry
         (:meth:`Fabric.local_copy`).
         """
         nrt = self.nrt

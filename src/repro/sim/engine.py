@@ -63,9 +63,7 @@ class Engine:
         self._seq += 1
         _heappush(self._queue, (self.now + delay, self._seq, event))
 
-    def trigger_all(
-        self, events: Iterable[Event], value: Any = None, delay: int = 0
-    ) -> int:
+    def trigger_all(self, events: Iterable[Event], value: Any = None) -> int:
         """Succeed every pending event in ``events`` through one heap entry.
 
         Exactly equivalent to calling ``succeed(value)`` on each pending
@@ -78,31 +76,13 @@ class Engine:
         callback resumes at that member's turn, as it would have.
         Already-triggered members are skipped; an empty set schedules
         nothing.  Returns the number of members triggered.
-
-        With ``delay`` the carrier fires ``delay`` ns from now, which
-        folds a fixed latency ahead of the fan-out (the microstrobe's
-        multicast time) into the carrier's own entry.  Members hold
-        their value from now on but are processed only when it fires.
         """
-        if delay < 0:
-            raise ValueError(f"negative delay {delay}")
         carrier = self._carrier(events, value)
         if carrier is None:
             return 0
-        self.schedule(carrier, delay)
-        carrier.key = (self.now + delay, self._seq)
+        self.schedule(carrier)
+        carrier.key = (self.now, self._seq)
         return len(carrier.members)
-
-    def fire_all(self, events: Iterable[Event], value: Any = None) -> None:
-        """:meth:`trigger_all` with the entry running now as the carrier:
-        exact for a caller that slept from where it would have scheduled
-        the carrier, as its wake-up holds the carrier's place."""
-        carrier = self._carrier(events, value)
-        if carrier is not None:
-            carrier.key = (self.now, self._step_seq)
-            # Processed, as a heap entry marks it before its callback.
-            carrier.callbacks = None
-            carrier._fire(carrier)
 
     def _carrier(self, events: Iterable[Event], value: Any) -> Optional[FanOut]:
         members = []
