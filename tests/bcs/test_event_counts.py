@@ -19,8 +19,10 @@ that completes before its Strobe Receiver looks) without an entry, plans
 an uncontended active slice in closed form at its DEM microstrobe, so
 that only each landing instant, the slice-end sleep and the boundary
 wake take entries, plans it at the boundary itself when no entry is left
-at that instant (no DEM-strobe wake), and blocks a rank at its post when
-every request it waits on was posted after the slice's DEM cutoff.  The
+at that instant (no DEM-strobe wake), blocks a rank at its post when
+every request it waits on was posted after the slice's DEM cutoff, and
+runs each Strobe Receiver from the microstrobe's callback instead of a
+process, so building a node takes no process-init entry.  The
 baseline moves each message as a chain of callbacks on its own start
 entries and the fabric's (no process per message), and a ``waitall``
 counts its requests down without an entry per completion.  A change that
@@ -40,13 +42,13 @@ from repro.units import kib, ms
 
 CASES = [
     # (app, nodes, ranks, params, processed events, active slices, makespan ns)
-    (sweep3d_blocking, 31, 62, dict(octants=1, kblocks=4), 1_596, 182, 190_017_500),
+    (sweep3d_blocking, 31, 62, dict(octants=1, kblocks=4), 1_565, 182, 190_017_500),
     (
         nearest_neighbor_benchmark,
         16,
         32,
         dict(granularity=ms(1), iterations=4, n_neighbors=4, message_bytes=kib(4)),
-        2_666,
+        2_650,
         9,
         8_500_000,
     ),
