@@ -311,6 +311,8 @@ class BcsRuntime(JobHost):
             self.rank_procs.pop((job.id, rank), None)
             handle.quiet_until = QUIET_FOREVER
         job.rank_finished(rank, result)
+        if job.complete:
+            self.free_collective_state(job.id)
         obs = self.obs
         if obs is not None:
             obs.events.append(
@@ -385,7 +387,25 @@ class BcsRuntime(JobHost):
         self.scheduler.in_flight = [
             m for m in self.scheduler.in_flight if keep(m.send)
         ]
+        self.free_collective_state(job_id)
         self.stats["jobs_purged"] += 1
+
+    def free_collective_state(self, job_id: int) -> None:
+        """Drop what a finished or purged job's collectives leave behind:
+        each communicator's ``cflag`` and ``go`` counters in global
+        memory, and the ``ch:``, ``rh:`` and ``rhfin:`` NIC event words
+        of its Collective and Reduce Helpers.  Nothing reads them once
+        the job's ranks have finished or its state was purged, and
+        without this a runtime that runs many jobs grows with the job
+        count."""
+        gas = self.core.gas
+        for comm_id, info in self.comms.get(job_id, {}).items():
+            flags = (("cflag", job_id, comm_id), ("go", job_id, comm_id))
+            for node in info.nodes:
+                gas.discard(node, flags)
+        words = tuple(f"{kind}:{job_id}:" for kind in ("ch", "rh", "rhfin"))
+        for node in self.jobs[job_id].nodes:
+            self.cluster.node(node).nic.drop_events(words)
 
     # -- slice coordination hooks (called by the Strobe Sender) -------------------------
     #

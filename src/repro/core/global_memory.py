@@ -69,6 +69,13 @@ class GlobalAddressSpace:
         """Write ``addr`` on one node."""
         self.region(node_id).write(addr, value)
 
+    def discard(self, node_id: int, addrs: Iterable[Hashable]) -> None:
+        """Free ``addrs`` on one node: reads return the default again."""
+        region = self._regions.get(node_id)
+        if region is not None:
+            for addr in addrs:
+                region._mem.pop(addr, None)
+
     def write_all(self, node_ids: Iterable[int], addr: Hashable, value: Any) -> None:
         """Write the same value at ``addr`` on a set of nodes (atomically).
 

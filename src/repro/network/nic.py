@@ -105,6 +105,12 @@ class Nic:
             self._events[name] = ev
         return ev
 
+    def drop_events(self, prefixes: tuple) -> None:
+        """Forget the event words whose names start with one of
+        ``prefixes`` (a later :meth:`event` creates a fresh word)."""
+        for name in [name for name in self._events if name.startswith(prefixes)]:
+            del self._events[name]
+
     def reserve(self, duration: int = -1, n: int = 1, then: int = 0) -> Timeout:
         """Book ``n`` back-to-back NIC thread operations of ``duration`` ns.
 
