@@ -1,7 +1,7 @@
 """Kernel primitives that fold relay entries away.
 
-- ``Engine.trigger_all(..., delay=)``: one fan-out carrier that fires a
-  fixed latency after the call;
+- the microstrobe fan-out: one timeout, a strobe latency ahead, whose
+  callback starts each participant's Strobe Receiver;
 - the :class:`Latch` completion delay: ``max(t_last + delay, not_before)``;
 - :meth:`Event.settle`: an event nobody watches (a process that returns
   unwaited, a request nobody yields, a latch that completes unwatched)
@@ -15,94 +15,81 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.bcs import BcsRuntime
+from repro.bcs.strobe import BBM
 from repro.network import Cluster, ClusterSpec
 from repro.sim import Engine, EventAlreadyTriggered, Latch, Resource
 from repro.units import KiB, bw_time
 
-# -- delayed fan-out ------------------------------------------------------------
+# -- microstrobe fan-out ------------------------------------------------------------
 
 
-def test_delayed_fan_out_wakes_members_at_now_plus_delay_in_list_order():
-    env = Engine()
+def microstrobe_runtime(nodes):
+    """A 4-node runtime whose ``nodes`` run a BBM body that logs when
+    its Strobe Receiver starts it, and the log."""
+    runtime = BcsRuntime(Cluster(ClusterSpec(n_nodes=4)))
+    runtime.active_node_ids = [0, 1, 2, 3]
+    env = runtime.env
     log = []
-    members = [env.event(name=n) for n in "ABC"]
+    for node in nodes:
 
-    def waiter(tag, ev):
-        value = yield ev
-        log.append((env.now, tag, value))
+        def body(node=node):
+            log.append((env.now, node))
+            yield from ()
 
-    def tick(tag, at):
-        yield env.timeout(at)
-        log.append((env.now, tag))
+        runtime.node_runtimes[node].ch.bbm_phase = body
+    return runtime, log
 
-    # Same instant as the carrier: queued before the call, and after it.
-    env.process(tick("queued-before", 7))
 
-    def waker():
-        yield env.timeout(3)
-        assert env.trigger_all(members, "s", delay=4) == 3
-        # Members hold their value from the call on, processed at t=7.
-        assert all(ev.triggered and not ev.processed for ev in members)
-        yield env.timeout(2)
-        yield env.timeout(2)
+def test_microstrobe_fan_out_starts_receivers_at_now_plus_latency_in_node_order():
+    """One entry, one strobe latency ahead, keyed where it is created,
+    starts every participant's receiver in ``nodes`` order."""
+    runtime, log = microstrobe_runtime([1, 2, 3])
+    env = runtime.env
+    latency = runtime.ss.strobe_latency()
+    cw = runtime.cluster.fabric.model.cw_latency(3)
+    assert latency > 0
+    env.timeout(latency).callbacks.append(lambda _: log.append((env.now, "queued-before")))
+
+    def sender():
+        yield from runtime.ss._microphase(BBM, [1, 2, 3], 0)
+        log.append((env.now, "latch"))
+
+    def later():
+        # Created after the fan-out, at the same instant.
+        yield env.timeout(latency)
         log.append((env.now, "queued-after"))
 
-    for tag, ev in zip("cab", [members[2], members[0], members[1]]):
-        env.process(waiter(tag, ev))
-    env.process(waker())
+    env.process(sender())
+    env.process(later())
     env.run()
     assert log == [
-        (7, "queued-before"),
-        (7, "a", "s"),
-        (7, "b", "s"),
-        (7, "c", "s"),
-        (7, "queued-after"),
+        (latency, "queued-before"),
+        (latency, 1),
+        (latency, 2),
+        (latency, 3),
+        (latency, "queued-after"),
+        (latency + cw, "latch"),
     ]
 
 
-def test_delayed_fan_out_skips_already_triggered_members():
-    env = Engine()
-    old = env.event()
-    old.succeed("old")
-    fresh = env.event()
-    seen = []
-    fresh.callbacks.append(lambda e: seen.append((env.now, e.value)))
-    assert env.trigger_all([old, fresh], "new", delay=5) == 1
-    assert old.value == "old"
+def test_due_microstrobe_starts_receivers_in_the_running_entry():
+    """A microstrobe whose sender slept in its place runs the receivers
+    inline, ahead of an entry already queued at that instant."""
+    runtime, log = microstrobe_runtime([1, 3])
+    env = runtime.env
+    latency = runtime.ss.strobe_latency()
+
+    def sender():
+        yield env.timeout(latency)
+        env.timeout(0).callbacks.append(lambda _: log.append((env.now, "queued")))
+        yield from runtime.ss._microphase(BBM, [1, 3], 0, began=0)
+        log.append((env.now, "latch"))
+
+    env.process(sender())
     env.run()
-    assert seen == [(5, "new")]
-
-    seq = env._seq
-    assert env.trigger_all([old, fresh], "x", delay=3) == 0
-    assert env._seq == seq
-    assert env.peek() is None
-
-
-def test_delayed_fan_out_requeues_the_rest_under_the_delayed_key():
-    """A member callback that raises (``run(until=member)``) leaves the
-    later members queued at the carrier's delayed (time, seq) slot."""
-    env = Engine()
-    members = [env.event() for _ in range(3)]
-    log = []
-    for i, ev in enumerate(members):
-        ev.callbacks.append(lambda e, i=i: log.append((env.now, i)))
-    env.trigger_all(members, "v", delay=6)
-    later = env.timeout(6)
-    later.callbacks.append(lambda e: log.append((env.now, "later")))
-
-    assert env.run(until=members[0]) == "v"
-    assert env.now == 6
-    assert log == [(6, 0)]
-    assert not members[1].processed
-    # The rest keep the carrier's slot: ahead of the timeout queued after it.
-    env.run()
-    assert log == [(6, 0), (6, 1), (6, 2), (6, "later")]
-
-
-def test_trigger_all_rejects_negative_delay():
-    env = Engine()
-    with pytest.raises(ValueError):
-        env.trigger_all([env.event()], delay=-1)
+    assert log[:3] == [(latency, 1), (latency, 3), (latency, "queued")]
+    assert log[3] == (latency + runtime.cluster.fabric.model.cw_latency(2), "latch")
 
 
 # -- latch completion delay -------------------------------------------------------
