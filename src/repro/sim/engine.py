@@ -77,21 +77,18 @@ class Engine:
         Already-triggered members are skipped; an empty set schedules
         nothing.  Returns the number of members triggered.
         """
-        carrier = self._carrier(events, value)
-        if carrier is None:
-            return 0
-        self.schedule(carrier)
-        carrier.key = (self.now, self._seq)
-        return len(carrier.members)
-
-    def _carrier(self, events: Iterable[Event], value: Any) -> Optional[FanOut]:
         members = []
         for ev in events:
             if ev._value is PENDING:
                 ev._ok = True
                 ev._value = value
                 members.append(ev)
-        return FanOut(self, members) if members else None
+        if not members:
+            return 0
+        carrier = FanOut(self, members)
+        self.schedule(carrier)
+        carrier.key = (self.now, self._seq)
+        return len(members)
 
     def peek(self) -> Optional[int]:
         """Time of the next scheduled event, or None if the queue is empty."""
