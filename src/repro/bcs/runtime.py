@@ -399,13 +399,12 @@ class BcsRuntime(JobHost):
         without this a runtime that runs many jobs grows with the job
         count."""
         gas = self.core.gas
+        words = tuple(f"{kind}:{job_id}:" for kind in ("ch", "rh", "rhfin"))
         for comm_id, info in self.comms.get(job_id, {}).items():
             flags = (("cflag", job_id, comm_id), ("go", job_id, comm_id))
             for node in info.nodes:
                 gas.discard(node, flags)
-        words = tuple(f"{kind}:{job_id}:" for kind in ("ch", "rh", "rhfin"))
-        for node in self.jobs[job_id].nodes:
-            self.cluster.node(node).nic.drop_events(words)
+                self.cluster.node(node).nic.drop_events(words)
 
     # -- slice coordination hooks (called by the Strobe Sender) -------------------------
     #
