@@ -22,7 +22,7 @@ import operator
 from typing import Any, Callable, Generator, Hashable, Iterable, Optional
 
 from ..network import Cluster
-from ..sim import Process
+from ..sim import Timeout
 from .global_memory import GlobalAddressSpace
 
 #: Comparison operators Compare-And-Write supports (paper §2).
@@ -64,8 +64,8 @@ class BcsCore:
         local_event: Optional[str] = None,
         remote_event: Optional[str] = None,
         payload_writer: Optional[Callable[[int], None]] = None,
-    ) -> Process:
-        """Start a non-blocking global put; returns the transfer process.
+    ) -> None:
+        """Start a non-blocking global put.
 
         ``size`` drives timing; ``addr``/``value`` is the global-memory
         effect (optional: pure-signal transfers carry no variable).  When
@@ -76,20 +76,27 @@ class BcsCore:
 
         Completion is observable *only* through ``local_event`` (signaled
         at the source NIC) / ``remote_event`` (signaled at each
-        destination NIC) — the paper's semantics, point 3.
+        destination NIC) — the paper's semantics, point 3.  As on the
+        Elan, no thread runs the put: the transfer starts from a
+        zero-delay entry of its own and commits from its completion
+        event's callback.
         """
         dest_list = sorted({dests} if isinstance(dests, int) else set(dests))
         if not dest_list:
             raise ValueError("Xfer-And-Signal needs at least one destination")
         if size < 0:
             raise ValueError("negative size")
+        fabric = self.fabric
 
-        def transfer() -> Generator:
+        def start(_start: Timeout) -> None:
             if len(dest_list) == 1:
-                yield from self.fabric.unicast(src, dest_list[0], size, label="xfer")
+                done = fabric.transfer(src, dest_list[0], size, label="xfer")
             else:
-                yield from self.fabric.multicast(src, dest_list, size)
-            # Commit: atomic across the destination set (all or nothing).
+                done = fabric.multicast(src, dest_list, size)
+            done.callbacks.append(commit)
+
+        def commit(_done) -> None:
+            # Atomic across the destination set (all or nothing).
             if addr is not None:
                 self.gas.write_all(dest_list, addr, value)
             if payload_writer is not None:
@@ -101,7 +108,7 @@ class BcsCore:
             if local_event is not None:
                 self.cluster.node(src).nic.event(local_event).signal()
 
-        return self.env.process(transfer(), name=f"xfer:{src}->{dest_list}")
+        Timeout(self.env, 0).callbacks.append(start)
 
     # -- Test-Event -----------------------------------------------------------------
 
@@ -138,7 +145,7 @@ class BcsCore:
         dest_list = sorted(set(dests))
         if not dest_list:
             raise ValueError("Compare-And-Write needs at least one destination")
-        yield from self.fabric.conditional(src, n_nodes=len(dest_list))
+        yield self.fabric.conditional(len(dest_list))
         gas = self.gas
         verdict = all(cmp(gas.read(d, addr, default), value) for d in dest_list)
         if verdict and write_addr is not None:

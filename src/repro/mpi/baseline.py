@@ -497,9 +497,7 @@ class BaselineCommunicator(Communicator):
         key = (self._job_id, self._info.comm_id, "bar", self._next_epoch("bar"))
         state = runtime.sync_point(self._info, key)
         if state.arrived == state.n:
-            yield from runtime.cluster.fabric.conditional(
-                self._info.node_of(self._rank), len(self._info.nodes)
-            )
+            yield runtime.cluster.fabric.conditional(len(self._info.nodes))
             yield self.env.timeout(runtime.config.barrier_overhead)
             state.done.succeed(None)
         else:
@@ -519,7 +517,7 @@ class BaselineCommunicator(Communicator):
         state = runtime.sync_point(self._info, key)
         if self._rank == root:
             state.value = data
-            yield from runtime.cluster.fabric.multicast(
+            yield runtime.cluster.fabric.multicast(
                 self._info.node_of(root),
                 self._info.nodes,
                 payload_nbytes(data, size),

@@ -19,7 +19,7 @@ routing collisions that QsNet's dispersive routing is built to avoid.
 
 from __future__ import annotations
 
-from typing import Generator, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from ..sim import Engine, Event, Link, Timeout
 from ..units import bw_time
@@ -29,9 +29,11 @@ from .topology import build_topology
 
 
 class _ClaimedTransfer(Event):
-    """A unicast that found a link half busy: it claims the sender's tx
-    half, then the receiver's rx half, through their grant entries, and
-    at the rx grant schedules itself at the last byte's arrival.
+    """A transfer that found a link half busy: it claims its link halves
+    in the fabric's fixed order (the sender's tx half, then each
+    receiver's rx half in ascending node id) through their grant
+    entries, and at the last grant schedules itself at the last byte's
+    arrival.
 
     Each grant entry calls back here instead of resuming a process, so
     the transfer costs the entries the sequential acquisition did.
@@ -39,28 +41,32 @@ class _ClaimedTransfer(Event):
     back every half claimed or queued for.
     """
 
-    __slots__ = ("tx", "rx", "hold", "rest", "claim")
+    __slots__ = ("halves", "held", "hold", "rest", "claim")
 
-    def __init__(self, env: Engine, tx: Link, rx: Link, hold: int, rest: int):
+    def __init__(self, env: Engine, halves: tuple, hold: int, rest: int):
         super().__init__(env, name="transfer")
-        self.tx = tx
-        self.rx = rx
+        #: The link halves in claim order: tx, then the rx halves.
+        self.halves = halves
+        #: How many of :attr:`halves` are granted.
+        self.held = 0
         self.hold = hold
         self.rest = rest
-        #: The pending claim, or None once both halves are held.
-        self.claim = tx.request()
-        self.claim.callbacks.append(self._tx_granted)
+        #: The pending claim, or None once every half is held.
+        self.claim = halves[0].request()
+        self.claim.callbacks.append(self._granted)
 
-    def _tx_granted(self, _grant: Event) -> None:
-        self.claim = self.rx.request()
-        self.claim.callbacks.append(self._rx_granted)
-
-    def _rx_granted(self, _grant: Event) -> None:
+    def _granted(self, _grant: Event) -> None:
+        self.held += 1
+        halves = self.halves
+        if self.held < len(halves):
+            self.claim = halves[self.held].request()
+            self.claim.callbacks.append(self._granted)
+            return
         self.claim = None
         env = self.env
         self._value = None
         env.schedule(self, self.hold + self.rest)
-        Link.hold((self.tx, self.rx), env.now + self.hold)
+        Link.hold(halves, env.now + self.hold)
 
     def cancel(self) -> None:
         """Withdraw from the acquisition; a transfer already on the wire
@@ -71,8 +77,8 @@ class _ClaimedTransfer(Event):
         self.claim = None
         claim.callbacks.clear()
         claim.cancel()
-        if claim.resource is self.rx:
-            self.tx.release()
+        for half in self.halves[: self.held]:
+            half.release()
 
 
 class _Routes(dict):
@@ -164,14 +170,10 @@ class Fabric:
                 done = Timeout(env, hold + rest)
                 Link.hold(halves, env.now + hold)
             else:
-                done = _ClaimedTransfer(env, tx, rx, hold, rest)
+                done = _ClaimedTransfer(env, halves, hold, rest)
         if self.obs is not None:
             self._log(done, src, dst, size, label)
         return done
-
-    def unicast(self, src: int, dst: int, size: int, label: str = "") -> Generator:
-        """Generator form of :meth:`transfer`."""
-        yield self.transfer(src, dst, size, label)
 
     def copy_time(self, size: int) -> int:
         """Duration (ns) of a loopback transfer of ``size`` bytes."""
@@ -217,7 +219,7 @@ class Fabric:
             + self.model.multicast_latency(n_dests)
         )
 
-    def multicast(self, src: int, dests: Iterable[int], size: int) -> Generator:
+    def multicast(self, src: int, dests: Iterable[int], size: int) -> Event:
         """Deliver ``size`` bytes from ``src`` to every node in ``dests``.
 
         With hardware multicast the switch tree replicates the packet, so
@@ -227,52 +229,46 @@ class Fabric:
         plus log2(n) store-and-forward latencies (captured in
         :meth:`NetworkModel.multicast_latency`).
 
-        Completes when the last destination has received the payload.
+        The returned event succeeds when the last destination has
+        received the payload; the multicast is logged then.  As in
+        :meth:`transfer`, the tx half and every receiver's rx half are
+        held for the startup and wire time and release lazily, and any
+        busy half sends the claims down the ordered path.
         """
-        dest_list = sorted(set(dests))
+        dest_list = tuple(sorted(set(dests)))
         if not dest_list:
-            return
+            raise ValueError("multicast needs at least one destination")
         model = self.model
         hold = model.dma_startup + bw_time(size + model.header_bytes, model.mcast_bandwidth)
+        rest = model.multicast_latency(len(dest_list))
         env = self.env
-        # As in :meth:`transfer`: the tx half and every receiver's rx half
-        # are held for the startup and wire time and release lazily.
-        # Any busy half falls back to the ordered sequential acquisition
-        # (tx first, rx in ascending node id).
-        tx = self.nics[src].tx
-        rxs = [self.nics[d].rx for d in dest_list if d != src]
-        if not (tx.idle() and all(rx.idle() for rx in rxs)):
-            yield tx.request()
-            held = []
-            try:
-                for rx in rxs:
-                    yield rx.request()
-                    held.append(rx)
-            except BaseException:
-                tx.release()
-                for rx in held:
-                    rx.release()
-                raise
-        done = env.timeout(hold + model.multicast_latency(len(dest_list)))
-        Link.hold((tx, *rxs), env.now + hold)
-        yield done
+        nics = self.nics
+        halves = (nics[src].tx, *(nics[d].rx for d in dest_list if d != src))
+        if all(half.idle() for half in halves):
+            done = Timeout(env, hold + rest)
+            Link.hold(halves, env.now + hold)
+        else:
+            done = _ClaimedTransfer(env, halves, hold, rest)
         if self.obs is not None:
-            self.obs.events.append((env.now, "multicast", src, tuple(dest_list), size))
+            events = self.obs.events
+            done.callbacks.append(
+                lambda _done: events.append((env.now, "multicast", src, dest_list, size))
+            )
+        return done
 
     # -- network conditional ----------------------------------------------------------
 
-    def conditional(self, src: int, n_nodes: int | None = None) -> Generator:
-        """Timing of one network-conditional round issued from ``src``.
+    def conditional(self, n_nodes: int) -> Timeout:
+        """Timing of one network-conditional round over ``n_nodes`` nodes.
 
-        The caller evaluates the predicate against global state once this
-        completes; the fabric only charges the Table 1 latency.  The
-        conditional uses dedicated switch logic (QsNet) or a tiny
-        software reduction (emulated networks); either way it does not
-        contend with bulk data on the links, so no link resources are
+        The caller evaluates the predicate against global state once the
+        returned timeout fires; the fabric only charges the Table 1
+        latency.  The conditional uses dedicated switch logic (QsNet) or
+        a tiny software reduction (emulated networks); either way it does
+        not contend with bulk data on the links, so no link resources are
         held.
         """
-        n = self.n_nodes if n_nodes is None else n_nodes
-        yield self.env.timeout(self.model.cw_latency(n))
+        return Timeout(self.env, self.model.cw_latency(n_nodes))
 
     def __repr__(self) -> str:
         return f"<Fabric {self.model.name} n={self.n_nodes}>"

@@ -23,9 +23,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import partial
 from typing import TYPE_CHECKING, Dict, List, Sequence
 
 from ..bcs.descriptors import BcsRequest, Match, RecvDescriptor, SendDescriptor
+from ..sim import Timeout
 from ..units import kib
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -135,12 +137,6 @@ class PfsService:
         self.runtime.stats["pfs_stripes_read"] += len(matches)
         return [m.recv.request for m in matches]
 
-    def drain(self, requests: List[BcsRequest]):
-        """Generator: wait until the given stripe transfers complete."""
-        pending = [r for r in requests if not r.complete]
-        if pending:
-            yield self.env.all_of(pending)
-
 
 class UncoordinatedPfs:
     """Status-quo PFS: stripes contend directly on the fabric."""
@@ -156,25 +152,20 @@ class UncoordinatedPfs:
         self.files: Dict[str, StripeMap] = {}
         self._next_io = 0
 
-    def write(self, client_node: int, name: str, size: int):
-        """Start the striped write; returns a completion process."""
+    def write(self, client_node: int, name: str, size: int) -> None:
+        """Start the striped write: each stripe goes onto the fabric from
+        a zero-delay entry of its own."""
         sizes = _stripes(size, self.stripe_bytes)
         stripe_map = StripeMap(name=name, size=size, stripe_bytes=self.stripe_bytes)
-        procs = []
         for chunk in sizes:
             io_node = self.io_nodes[self._next_io % len(self.io_nodes)]
             self._next_io += 1
             stripe_map.placement.append(io_node)
-            procs.append(
-                self.env.process(
-                    self.cluster.fabric.unicast(client_node, io_node, chunk, label="pfs"),
-                    name="pfs.write",
-                )
+            Timeout(self.env, 0).callbacks.append(
+                partial(self._stripe, client_node, io_node, chunk)
             )
         self.files[name] = stripe_map
 
-        def waiter():
-            if procs:
-                yield self.env.all_of(procs)
-
-        return self.env.process(waiter(), name="pfs.drain")
+    def _stripe(self, client_node: int, io_node: int, chunk: int, _start: Timeout) -> None:
+        """Put one stripe on the fabric: its start entry's callback."""
+        self.cluster.fabric.transfer(client_node, io_node, chunk, label="pfs")

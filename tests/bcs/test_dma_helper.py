@@ -38,7 +38,7 @@ def _move_chunk(helper, match):
     nrt = helper.nrt
     t0 = nrt.env.now
     yield from nrt.nic.compute(nrt.config.nic_descriptor_cost)
-    yield from nrt.runtime.cluster.fabric.unicast(
+    yield nrt.runtime.cluster.fabric.transfer(
         match.src_node, match.dst_node, match.scheduled_now, label="p2p"
     )
     helper._chunk_done(match, t0)
@@ -98,7 +98,7 @@ def run_phase(phase, chunks, nic_busy=(), background=(), at=10_000):
 
     def background_transfer(t, src, dst, size):
         yield env.timeout(t)
-        yield from cluster.fabric.unicast(src, dst, size)
+        yield cluster.fabric.transfer(src, dst, size)
 
     def strobe_sender():
         yield env.timeout(at)
@@ -214,7 +214,7 @@ def _one_node_ops(fold, ops):
         else:
             yield from nic.compute(cost)
             if kind == "copy":
-                yield from fabric.unicast(0, 0, size, "p2p")
+                yield fabric.transfer(0, 0, size, "p2p")
         ends[i] = env.now
 
     for i, spec in enumerate(ops):

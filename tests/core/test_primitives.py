@@ -4,7 +4,7 @@ import pytest
 
 from repro.core import BcsCore
 from repro.network import Cluster, ClusterSpec
-from repro.units import KiB
+from repro.units import KiB, bw_time
 
 
 def make_core(n=4):
@@ -94,6 +94,45 @@ def test_xfer_payload_writer_called_per_destination():
 
     cluster.run(until=cluster.env.process(body()))
     assert deposited == [1, 3]
+
+
+def test_xfer_starts_its_transfer_in_its_own_entry():
+    """A put starts its transfer from a zero-delay entry queued at the
+    call: a same-instant entry queued before the put wins the source's
+    tx half, and the put's transfer waits for it."""
+    cluster, core = make_core()
+    env, fabric, model = cluster.env, cluster.fabric, cluster.spec.model
+    size = 64 * KiB
+    hold = model.dma_startup + bw_time(size + model.header_bytes, model.link_bandwidth)
+    ends = {}
+
+    def claim_tx(_entry):
+        done = fabric.transfer(0, 2, size)
+        done.callbacks.append(lambda _done: ends.setdefault("other", env.now))
+
+    def body():
+        env.timeout(0).callbacks.append(claim_tx)
+        core.xfer_and_signal(0, 1, size=size, local_event="sent")
+        yield from core.test_event(0, "sent")
+        ends["put"] = env.now
+
+    env.process(body())
+    cluster.run()
+    latency = model.latency(fabric.tree.hops(0, 1))
+    assert ends == {
+        "other": hold + model.latency(fabric.tree.hops(0, 2)),
+        "put": 2 * hold + latency,
+    }
+
+
+def test_xfer_starts_no_process(process_starts):
+    cluster, core = make_core()
+    core.xfer_and_signal(0, 1, size=1 * KiB, addr="x", value=1, local_event="a")
+    core.xfer_and_signal(0, [1, 2, 3], size=1 * KiB, remote_event="b")
+    cluster.run()
+    assert process_starts == []
+    assert core.gas.read(1, "x") == 1
+    assert core.test_event_poll(0, "a") and core.test_event_poll(3, "b")
 
 
 def test_xfer_requires_destinations():

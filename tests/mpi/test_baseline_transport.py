@@ -45,11 +45,11 @@ class ProcessPath(BaselineRuntime):
         eager = send.size <= cfg.eager_threshold
         self.stats["eager" if eager else "rendezvous"] += 1
         if eager:
-            yield from fabric.unicast(src_node, dst_node, send.size, label="eager")
+            yield fabric.transfer(src_node, dst_node, send.size, label="eager")
             send.request._finish()
             self._arrive(info, send)
             return
-        yield from fabric.unicast(src_node, dst_node, cfg.control_bytes, label="rts")
+        yield fabric.transfer(src_node, dst_node, cfg.control_bytes, label="rts")
         self._arrive(info, send)
 
     def _on_match(self, info, match):
@@ -67,8 +67,8 @@ class ProcessPath(BaselineRuntime):
         else:
             recv_world = info.world_ranks[send.dst_rank]
             yield from self.wait_progress_window(send.job_id, recv_world)
-            yield from fabric.unicast(dst_node, src_node, cfg.control_bytes, label="cts")
-            yield from fabric.unicast(src_node, dst_node, send.size, label="rdv")
+            yield fabric.transfer(dst_node, src_node, cfg.control_bytes, label="cts")
+            yield fabric.transfer(src_node, dst_node, send.size, label="rdv")
             send.request._finish()
         recv.request.payload = _copy_payload(send.payload)
         recv.request.source = send.src_rank

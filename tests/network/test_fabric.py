@@ -18,7 +18,7 @@ def test_unicast_completes_and_accumulates_bytes():
     done = []
 
     def body():
-        yield from cl.fabric.unicast(0, 1, 4 * KiB)
+        yield cl.fabric.transfer(0, 1, 4 * KiB)
         done.append(cl.env.now)
 
     cl.env.process(body())
@@ -34,7 +34,7 @@ def test_unicast_time_has_latency_and_serialization():
     size = 1 * MiB
 
     def body():
-        yield from cl.fabric.unicast(0, 1, size)
+        yield cl.fabric.transfer(0, 1, size)
         return cl.env.now
 
     t = cl.run(until=cl.env.process(body()))
@@ -49,7 +49,7 @@ def test_larger_messages_take_longer():
         cl = make_cluster()
 
         def body():
-            yield from cl.fabric.unicast(0, 1, size)
+            yield cl.fabric.transfer(0, 1, size)
             return cl.env.now
 
         return cl.run(until=cl.env.process(body()))
@@ -62,7 +62,7 @@ def test_farther_nodes_pay_more_latency():
         cl = make_cluster(n=16)
 
         def body():
-            yield from cl.fabric.unicast(0, dst, 0)
+            yield cl.fabric.transfer(0, dst, 0)
             return cl.env.now
 
         return cl.run(until=cl.env.process(body()))
@@ -76,7 +76,7 @@ def test_loopback_skips_network():
         cl = make_cluster()
 
         def body():
-            yield from cl.fabric.unicast(src, dst, 1 * KiB)
+            yield cl.fabric.transfer(src, dst, 1 * KiB)
             return cl.env.now
 
         return cl.run(until=cl.env.process(body()))
@@ -92,7 +92,7 @@ def test_tx_contention_serializes_senders():
     ends = []
 
     def one(dst):
-        yield from cl.fabric.unicast(0, dst, size)
+        yield cl.fabric.transfer(0, dst, size)
         ends.append(cl.env.now)
 
     cl.env.process(one(1))
@@ -109,7 +109,7 @@ def test_disjoint_transfers_run_concurrently():
     ends = []
 
     def one(src, dst):
-        yield from cl.fabric.unicast(src, dst, size)
+        yield cl.fabric.transfer(src, dst, size)
         ends.append(cl.env.now)
 
     cl.env.process(one(0, 1))
@@ -126,7 +126,7 @@ def test_rx_contention_serializes_receivers():
     ends = []
 
     def one(src):
-        yield from cl.fabric.unicast(src, 3, size)
+        yield cl.fabric.transfer(src, 3, size)
         ends.append(cl.env.now)
 
     cl.env.process(one(0))
@@ -141,7 +141,7 @@ def test_multicast_reaches_all_and_counts_bytes():
     hub = cl.fabric.obs = Observability()
 
     def body():
-        yield from cl.fabric.multicast(0, range(1, 8), 4 * KiB)
+        yield cl.fabric.multicast(0, range(1, 8), 4 * KiB)
         return cl.env.now
 
     t = cl.run(until=cl.env.process(body()))
@@ -154,20 +154,16 @@ def test_multicast_excludes_self_delivery_cost():
 
     def body():
         # Destination set includes the source; should not deadlock.
-        yield from cl.fabric.multicast(0, [0, 1, 2], 1 * KiB)
+        yield cl.fabric.multicast(0, [0, 1, 2], 1 * KiB)
         return cl.env.now
 
     assert cl.run(until=cl.env.process(body())) > 0
 
 
-def test_empty_multicast_is_noop():
+def test_empty_multicast_is_rejected():
     cl = make_cluster()
-
-    def body():
-        yield from cl.fabric.multicast(0, [], 1 * KiB)
-        return cl.env.now
-
-    assert cl.run(until=cl.env.process(body())) == 0
+    with pytest.raises(ValueError):
+        cl.fabric.multicast(0, [], 1 * KiB)
 
 
 def test_concurrent_multicasts_do_not_deadlock():
@@ -175,7 +171,7 @@ def test_concurrent_multicasts_do_not_deadlock():
     done = []
 
     def caster(src):
-        yield from cl.fabric.multicast(src, range(8), 64 * KiB)
+        yield cl.fabric.multicast(src, range(8), 64 * KiB)
         done.append(src)
 
     for src in range(8):
@@ -189,7 +185,7 @@ def test_crossing_unicasts_do_not_deadlock():
     done = []
 
     def one(src, dst):
-        yield from cl.fabric.unicast(src, dst, 1 * MiB)
+        yield cl.fabric.transfer(src, dst, 1 * MiB)
         done.append((src, dst))
 
     cl.env.process(one(0, 1))
@@ -210,11 +206,11 @@ def test_unicast_interrupted_waiting_for_rx_releases_tx(tx_busy):
     outcome = []
 
     def other(src, dst):
-        yield from cl.fabric.unicast(src, dst, 1 * MiB)
+        yield cl.fabric.transfer(src, dst, 1 * MiB)
 
     def victim_body():
         try:
-            yield from cl.fabric.unicast(0, 1, 1 * MiB)
+            yield cl.fabric.transfer(0, 1, 1 * MiB)
             outcome.append("done")  # pragma: no cover - interrupted first
         except Interrupt:
             outcome.append("interrupted")
@@ -223,7 +219,7 @@ def test_unicast_interrupted_waiting_for_rx_releases_tx(tx_busy):
     # (a short transfer), so the victim takes the fully ordered path.
     env.process(other(2, 1))
     if tx_busy:
-        env.process(cl.fabric.unicast(0, 3, 1 * KiB))
+        cl.fabric.transfer(0, 3, 1 * KiB)
     victim = env.process(victim_body())
 
     def killer():
@@ -237,6 +233,83 @@ def test_unicast_interrupted_waiting_for_rx_releases_tx(tx_busy):
     assert nics[0].tx.in_use == 0
     assert nics[1].rx.in_use == 0
     assert nics[1].rx.queue_length == 0
+
+
+@pytest.mark.parametrize("tx_busy", [False, True])
+def test_multicast_interrupted_waiting_for_rx_releases_its_halves(tx_busy):
+    """A multicast interrupted while queued for its second rx half hands
+    back the tx half and the first rx half it already holds, and leaves
+    no claimant queued."""
+    cl = make_cluster()
+    env = cl.env
+    nics = cl.fabric.nics
+    outcome = []
+
+    def victim_body():
+        try:
+            yield cl.fabric.multicast(0, [2, 1], 1 * MiB)
+            outcome.append("done")  # pragma: no cover - interrupted first
+        except Interrupt:
+            outcome.append("interrupted")
+
+    # Node 2's rx half is busy; with tx_busy, node 0's tx half is too
+    # (a short transfer), so the victim claims every half in order.
+    cl.fabric.transfer(3, 2, 1 * MiB)
+    if tx_busy:
+        cl.fabric.transfer(0, 3, 1 * KiB)
+    victim = env.process(victim_body())
+
+    def killer():
+        yield env.timeout(us(50))
+        assert nics[0].tx.in_use == 1 and nics[1].rx.in_use == 1
+        assert nics[2].rx.queue_length == 1
+        victim.interrupt()
+
+    env.process(killer())
+    cl.run()
+    assert outcome == ["interrupted"]
+    for nic in nics:
+        for half in (nic.tx, nic.rx):
+            assert half.in_use == 0 and half.queue_length == 0
+
+
+def test_contended_multicast_claims_tx_then_rx_in_ascending_order():
+    """A contended multicast is granted the tx half first, then each rx
+    half in ascending node id: it does not claim a free rx half while an
+    earlier one is still queued for."""
+    cl = make_cluster(n=8)
+    env = cl.env
+    nics = cl.fabric.nics
+    model = cl.spec.model
+    tx_free, _ = _transfer_ns(cl, 0, 7, 1 * KiB)
+    rx2_free, _ = _transfer_ns(cl, 5, 2, 64 * KiB)
+    rx1_free, _ = _transfer_ns(cl, 4, 1, 1 * MiB)
+    assert tx_free < rx2_free < rx1_free
+    cl.fabric.transfer(0, 7, 1 * KiB)
+    cl.fabric.transfer(4, 1, 1 * MiB)
+    cl.fabric.transfer(5, 2, 64 * KiB)
+    ends = []
+    cl.fabric.multicast(0, [3, 1, 2], 4 * KiB).callbacks.append(
+        lambda _done: ends.append(env.now)
+    )
+    halves = (nics[0].tx, nics[1].rx, nics[2].rx, nics[3].rx)
+    seen = []
+
+    def probe():
+        for t in (tx_free // 2, (tx_free + rx2_free) // 2, (rx2_free + rx1_free) // 2):
+            yield env.timeout(t - env.now)
+            seen.append(tuple((half.in_use, half.queue_length) for half in halves))
+
+    env.process(probe())
+    cl.run()
+    # (in_use, queue_length) of tx 0, rx 1, rx 2, rx 3 at each probe.
+    assert seen == [
+        ((1, 1), (1, 0), (1, 0), (0, 0)),  # queued for tx only
+        ((1, 0), (1, 1), (1, 0), (0, 0)),  # tx held, queued for rx 1
+        ((1, 0), (1, 1), (0, 0), (0, 0)),  # rx 2 free but not claimed yet
+    ]
+    hold = model.dma_startup + bw_time(4 * KiB + model.header_bytes, model.mcast_bandwidth)
+    assert ends == [rx1_free + hold + model.multicast_latency(3)]
 
 
 def _transfer_ns(cl, src, dst, size):
@@ -261,12 +334,12 @@ def test_interrupted_transfer_hands_its_links_to_later_claimants(queued_on):
     outcome = []
 
     def transfer(name, src, dst):
-        yield from cl.fabric.unicast(src, dst, size)
+        yield cl.fabric.transfer(src, dst, size)
         ends[name] = env.now
 
     def victim_body(src, dst):
         try:
-            yield from cl.fabric.unicast(src, dst, size)
+            yield cl.fabric.transfer(src, dst, size)
             outcome.append("done")  # pragma: no cover - interrupted first
         except Interrupt:
             outcome.append("interrupted")
@@ -314,16 +387,15 @@ def test_interrupted_transfer_hands_its_links_to_later_claimants(queued_on):
 
 def test_negative_size_rejected():
     cl = make_cluster()
-    proc = cl.env.process(cl.fabric.unicast(0, 1, -1))
     with pytest.raises(ValueError):
-        cl.run(until=proc)
+        cl.fabric.transfer(0, 1, -1)
 
 
 def test_conditional_costs_cw_latency():
     cl = make_cluster(n=16)
 
     def body():
-        yield from cl.fabric.conditional(0)
+        yield cl.fabric.conditional(cl.fabric.n_nodes)
         return cl.env.now
 
     t = cl.run(until=cl.env.process(body()))
@@ -338,7 +410,7 @@ def test_fabric_builds_model_topology():
     done = []
 
     def body():
-        yield from cl.fabric.unicast(0, 5, 4 * KiB)
+        yield cl.fabric.transfer(0, 5, 4 * KiB)
         done.append(cl.env.now)
 
     cl.env.process(body())

@@ -39,9 +39,8 @@ def test_write_completes_through_slice_machine():
     pfs = PfsService(runtime, io_nodes=[2, 3])
     reqs = pfs.write(0, "x", mib(2))
 
-    proc = cluster.env.process(pfs.drain(reqs), name="drain")
     runtime.ss.start()
-    cluster.env.run(until=proc)
+    cluster.env.run(until=cluster.env.all_of(reqs))
     assert all(r.complete for r in reqs)
     assert runtime.stats["pfs_stripes_written"] == len(reqs)
     assert runtime.stats["bytes_transferred"] >= mib(2)
@@ -53,9 +52,8 @@ def test_read_back_uses_recorded_placement():
     pfs.write(0, "f", mib(1))
     reqs = pfs.read(0, "f")
     assert len(reqs) == 4
-    proc = cluster.env.process(pfs.drain(reqs), name="drain")
     runtime.ss.start()
-    cluster.env.run(until=proc)
+    cluster.env.run(until=cluster.env.all_of(reqs))
     assert all(r.complete for r in reqs)
     assert sum(r.size for r in reqs) == mib(1)
 
@@ -73,6 +71,24 @@ def test_needs_io_nodes():
         PfsService(runtime, io_nodes=[])
     with pytest.raises(ValueError):
         UncoordinatedPfs(cluster, io_nodes=[])
+
+
+def test_uncoordinated_stripes_start_no_process(process_starts):
+    """Each stripe of an uncoordinated write goes onto the fabric from a
+    zero-delay entry of its own, with no process behind it."""
+    cluster = Cluster(ClusterSpec(n_nodes=4))
+    obs = cluster.fabric.obs = Observability()
+    pfs = UncoordinatedPfs(cluster, io_nodes=[1, 2], stripe_bytes=kib(256))
+    pfs.write(0, "f", kib(600))
+    assert obs.events == []
+    cluster.run()
+    assert process_starts == []
+    assert pfs.files["f"].placement == [1, 2, 1]
+    assert [entry[1:] for entry in obs.events] == [
+        ("unicast", 0, 1, kib(256), "pfs"),
+        ("unicast", 0, 2, kib(256), "pfs"),
+        ("unicast", 0, 1, kib(88), "pfs"),
+    ]
 
 
 def test_system_traffic_yields_to_user_traffic():

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from repro.bcs import BcsRuntime
 from repro.bcs.strobe import BBM
 from repro.network import Cluster, ClusterSpec
-from repro.sim import Engine, EventAlreadyTriggered, Latch, Resource
+from repro.sim import Engine, Event, EventAlreadyTriggered, Latch, Resource
 from repro.units import KiB, bw_time
 
 # -- microstrobe fan-out ------------------------------------------------------------
@@ -275,7 +275,7 @@ def _latency(fabric, src, dst):
 def _transfer(fabric, log, tag, at, src, dst, size):
     env = fabric.env
     yield env.timeout(at)
-    yield from fabric.unicast(src, dst, size)
+    yield fabric.transfer(src, dst, size)
     log[tag] = env.now
 
 
@@ -412,15 +412,21 @@ def _eager_multicast(env, links, fabric, src, dests, size):
 
 
 def _run_chains(chains, unicast, multicast, env):
+    """Run each chain's legs back to back; ``unicast`` and ``multicast``
+    return the leg's completion event or a generator that waits for it."""
     log = {}
 
     def chain(k, at, legs):
         yield env.timeout(at)
         for i, (src, dests, size) in enumerate(legs):
             if len(dests) == 1:
-                yield from unicast(src, dests[0], size)
+                leg = unicast(src, dests[0], size)
             else:
-                yield from multicast(src, dests, size)
+                leg = multicast(src, dests, size)
+            if isinstance(leg, Event):
+                yield leg
+            else:
+                yield from leg
             log[k, i] = env.now
 
     for k, (at, legs) in enumerate(chains):
@@ -461,7 +467,7 @@ def test_lazy_links_match_the_eager_two_phase_transfer(chains):
     timed = [
         (a * holds[0] + b * holds[1] + c, legs) for (a, b, c), legs in chains
     ]
-    lazy = _run_chains(timed, fabric.unicast, fabric.multicast, fabric.env)
+    lazy = _run_chains(timed, fabric.transfer, fabric.multicast, fabric.env)
 
     env = Engine()
     links = {

@@ -32,8 +32,8 @@ def test_fabric_emits_to_trace():
     obs = cluster.fabric.obs = Observability()
 
     def body():
-        yield from cluster.fabric.unicast(0, 1, 1024, label="p2p")
-        yield from cluster.fabric.multicast(0, [3, 1, 2], 64)
+        yield cluster.fabric.transfer(0, 1, 1024, label="p2p")
+        yield cluster.fabric.multicast(0, [3, 1, 2], 64)
 
     cluster.env.process(body())
     cluster.run()

@@ -9,7 +9,10 @@ at its own definition:
 
 - a top-level function or class counts as reached when its name appears
   as a whole word;
-- a method (or nested class) counts as reached when ``.name`` appears;
+- a method (or nested class) counts as reached when code accesses
+  ``.name`` or passes ``"name"`` to ``getattr`` or ``hasattr``: a
+  ``.name`` inside a string, a docstring or a comment does not count
+  (the syntax tree is read; a shell script's text is matched);
 - an alias (``name = other``), at module level or in a class body,
   counts like a function or a method.
 
@@ -76,22 +79,58 @@ ALLOWED = {
     "Resource.available": "test seam: free units of a resource",
     "Link.available": "test seam: free units of a link half",
     "Resource.queue_length": "test seam: no claimant leaks on a cancelled transfer",
-    "_ClaimedTransfer.cancel": "called by Process.interrupt through getattr",
+    "ProtocolValidator.assert_clean": (
+        "documented API (docs/API.md, docs/OBSERVABILITY.md): a caller's "
+        "one-line check that a run broke no invariant"
+    ),
 }
 
 
+def _member_mentions(tree):
+    """``(name, line number)`` per member mention in the code of
+    ``tree``: each ``.name`` attribute access, and each string constant
+    passed to ``getattr`` or ``hasattr``.  Strings elsewhere, docstrings
+    included, and comments name nothing."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            yield node.attr, node.end_lineno
+        elif (key := _attribute_string(node)) is not None:
+            yield key.value, key.lineno
+
+
+def _attribute_string(node):
+    """The string constant ``node`` passes to ``getattr`` or ``hasattr``
+    as the attribute name, if it is such a call."""
+    if (
+        isinstance(node, ast.Call)
+        and getattr(node.func, "id", None) in ("getattr", "hasattr")
+        and len(node.args) > 1
+        and isinstance(node.args[1], ast.Constant)
+        and isinstance(node.args[1].value, str)
+    ):
+        return node.args[1]
+    return None
+
+
 def _mentions():
-    """Where each word, and each ``.word`` attribute access, appears in
-    the caller dirs: ``{word: [(path, line number), ...]}`` twice."""
+    """Where each word, and each member mention, appears in the caller
+    dirs: ``{word: [(path, line number), ...]}`` twice.  Members are
+    read from the syntax tree of a ``.py`` file and matched as ``.word``
+    in the text of a ``.sh`` file."""
     words, attrs = {}, {}
     for top in CALLER_DIRS:
         for path in sorted((ROOT / top).rglob("*")):
             if path.suffix not in (".py", ".sh") or not path.is_file():
                 continue
-            for no, text in enumerate(path.read_text().splitlines(), 1):
-                for word in set(re.findall(r"\w+", text)):
+            text = path.read_text()
+            for no, line in enumerate(text.splitlines(), 1):
+                for word in set(re.findall(r"\w+", line)):
                     words.setdefault(word, []).append((path, no))
-                for word in set(re.findall(r"\.(\w+)", text)):
+                if path.suffix == ".sh":
+                    for word in set(re.findall(r"\.(\w+)", line)):
+                        attrs.setdefault(word, []).append((path, no))
+            if path.suffix == ".py":
+                for word, no in set(_member_mentions(ast.parse(text))):
                     attrs.setdefault(word, []).append((path, no))
     return words, attrs
 
@@ -212,6 +251,31 @@ def test_every_src_definition_has_a_non_test_caller():
     assert not dead, "only tests reach these definitions:\n" + "\n".join(dead)
     stale = sorted(set(ALLOWED) - set(found))
     assert not stale, f"allowlisted but now reached or gone: {stale}"
+
+
+def test_member_named_only_in_strings_or_comments_is_reported(tmp_path, monkeypatch):
+    package = tmp_path / "src" / "pkg"
+    package.mkdir(parents=True)
+    (tmp_path / "pyproject.toml").write_text("")
+    (package / "store.py").write_text(
+        "class Store:\n"
+        "    def called(self): ...\n"
+        "    def probed(self): ...\n"
+        "    def formatted(self): ...\n"
+        "    def quoted(self): ...\n"
+        "    def documented(self): ...\n"
+        "    def commented(self): ...\n"
+        "\n"
+        "\n"
+        "def use(store):\n"
+        '    """Calls store.documented() for you."""\n'
+        "    store.called()\n"
+        "    getattr(store, 'probed')()\n"
+        "    print(f'{store.formatted()}', 'store.quoted()')  # store.commented()\n"
+    )
+    monkeypatch.setitem(globals(), "ROOT", tmp_path)
+    members = {qual for qual in unreached() if qual.startswith("Store.")}
+    assert members == {"Store.quoted", "Store.documented", "Store.commented"}
 
 
 #: Configuration and spec dataclasses whose fields are guarded, by module.
@@ -363,13 +427,8 @@ def write_only_attributes(stores, loads):
         for node in ast.walk(tree):
             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
                 loaded.add(node.attr)
-            elif (
-                isinstance(node, ast.Call)
-                and getattr(node.func, "id", None) in ("getattr", "hasattr")
-                and len(node.args) > 1
-                and isinstance(node.args[1], ast.Constant)
-            ):
-                loaded.add(node.args[1].value)
+            elif (key := _attribute_string(node)) is not None:
+                loaded.add(key.value)
     return stored - loaded
 
 
